@@ -102,9 +102,7 @@ def cs_linf_bound(N, I_size, beta):
         raise ValueError("the bound needs a saturation support of at least 3")
     q_min = int(math.ceil(N - I_size + 2.0 * beta * I_size *
                           math.log(I_size / 2.0)))
-    f = (math.sqrt(beta / (2.0 * I_size) + beta - 1.0)
-         - math.sqrt(beta / (2.0 * I_size))) ** 2
-    prob = 1.0 - 2.0 * (I_size / 2.0) ** (-f)
+    prob = 1.0 - 2.0 * (I_size / 2.0) ** (-f_exponent(beta, I_size))
     return q_min, prob
 
 

@@ -11,7 +11,8 @@ in :mod:`gaugerec.linalg`.
 import numpy as np
 
 from .linalg import check_finite, null_space, svd_pinv
-from .lp import LpProblem, lp_solve, lp_minimize_linf, OPTIMAL
+from .lp import (LpProblem, LpNumericalError, lp_solve, lp_minimize_linf,
+                 OPTIMAL)
 from .polytopes import Polytope, PolytopeError, MAX_ENUM_DIM
 
 SIGN_VERTEX_LIMIT = 16  # 2^k vertex enumerations are refused beyond this
@@ -336,6 +337,9 @@ class Precomposed(Gauge):
             b_ub = np.concatenate([-q, q])
             res = lp_solve(LpProblem(c, a_ub=a_ub, b_ub=b_ub,
                                      bounds=[(None, None)] * k + [(0, None)] * r))
+            if res.status != OPTIMAL:
+                raise LpNumericalError(
+                    f"Precomposed polar LP ended with status {res.status}")
             return float(res.value)
         raise UnsupportedGaugeError(
             f"polar of Precomposed({type(self.base).__name__}) with a "

@@ -57,6 +57,10 @@ class LpProblem:
 
 
 class LpResult:
+    """Outcome of ``lp_solve``.  At an optimum, ``dual_eq`` and ``dual_ub``
+    are the sensitivities of the optimal value to ``b_eq`` and ``b_ub``
+    (d value / d b; so ``dual_ub <= 0`` for a minimization)."""
+
     def __init__(self, status, x=None, value=None, dual_eq=None, dual_ub=None,
                  iterations=0):
         self.status = status

@@ -6,12 +6,15 @@ has a proximal map, and a primal-dual splitting (analysis form) when it is
 a pre-composition or a polyhedral H-gauge.  Convergence is declared from
 the first-order conditions at the iterate's own model decomposition, never
 from step sizes alone.  ``solve_noiseless`` prefers exact LP formulations
-and falls back to a primal-dual method for non-polyhedral gauges.
+and falls back to a primal-dual method for non-polyhedral gauges.  Gauges
+that are a max of linear functionals (Linf, PolyhedralH, Precomposed over
+Linf) are solved through the dual of their epigraph LP restricted to
+Ker(Phi), which has dim Ker(Phi) + 1 rows instead of about Q + 2N.
 """
 
 import numpy as np
 
-from .linalg import check_finite, svd_pinv, power_operator_norm
+from .linalg import check_finite, null_space, svd_pinv, power_operator_norm
 from .lp import LpProblem, lp_solve, OPTIMAL
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                      UnsupportedGaugeError, project_l1_ball,
@@ -239,13 +242,13 @@ def solve_noiseless(Phi, y, g, opts=None):
         raise ValueError("y is not in the range of Phi")
     route = opts.solver
     if route in ("auto", "lp"):
-        built = _noiseless_lp(Phi, y, g)
+        built = _noiseless_lp(Phi, y, g, xls)
         if built is not None:
             prob, extract = built
             res = lp_solve(prob)
             if res.status != OPTIMAL:
                 raise SolverError(f"noiseless LP ended with {res.status}")
-            x = extract(res.x)
+            x = extract(res)
             feas = np.linalg.norm(Phi @ x - y) / (1.0 + np.linalg.norm(y))
             return SolveResult(x, res.iterations, feas, 0.0, True, "lp")
         if route == "lp":
@@ -254,35 +257,20 @@ def solve_noiseless(Phi, y, g, opts=None):
     return _primal_dual_noiseless(Phi, y, g, opts)
 
 
-def _noiseless_lp(Phi, y, g):
-    """(LpProblem, extractor) for min J(x), Phi x = y; None off the LP map."""
+def _noiseless_lp(Phi, y, g, xls):
+    """(LpProblem, extractor of x from its LpResult) for min J(x), Phi x = y;
+    None off the LP map.  xls is any solution of Phi x = y."""
     Q, n = Phi.shape
-    take_x = lambda z: z[:n]
     if isinstance(g, L1):
         # x = u - v, u,v >= 0; min sum(u+v)
         c = np.ones(2 * n)
         a_eq = np.hstack([Phi, -Phi])
         prob = LpProblem(c, a_eq=a_eq, b_eq=y, bounds=[(0, None)] * (2 * n))
-        return prob, (lambda z: z[:n] - z[n:])
+        return prob, (lambda res: res.x[:n] - res.x[n:])
     if isinstance(g, Linf):
-        c = np.zeros(n + 1)
-        c[-1] = 1.0
-        eye = np.eye(n)
-        a_ub = np.vstack([np.hstack([eye, -np.ones((n, 1))]),
-                          np.hstack([-eye, -np.ones((n, 1))])])
-        a_eq = np.hstack([Phi, np.zeros((Q, 1))])
-        prob = LpProblem(c, a_ub=a_ub, b_ub=np.zeros(2 * n), a_eq=a_eq,
-                         b_eq=y, bounds=[(None, None)] * n + [(0, None)])
-        return prob, take_x
+        return _max_atoms_lp(Phi, xls, np.vstack([np.eye(n), -np.eye(n)]))
     if isinstance(g, PolyhedralH):
-        m = g.H.shape[1]
-        c = np.zeros(n + 1)
-        c[-1] = 1.0
-        a_ub = np.hstack([g.H.T, -np.ones((m, 1))])
-        a_eq = np.hstack([Phi, np.zeros((Q, 1))])
-        prob = LpProblem(c, a_ub=a_ub, b_ub=np.zeros(m), a_eq=a_eq, b_eq=y,
-                         bounds=[(None, None)] * n + [(0, None)])
-        return prob, take_x
+        return _max_atoms_lp(Phi, xls, g.H.T)
     if isinstance(g, Precomposed) and isinstance(g.base, L1):
         p = g.dstar.shape[0]
         # variables (x, u, v) with dstar x = u - v
@@ -293,18 +281,27 @@ def _noiseless_lp(Phi, y, g):
         ])
         b_eq = np.concatenate([y, np.zeros(p)])
         bounds = [(None, None)] * n + [(0, None)] * (2 * p)
-        return LpProblem(c, a_eq=a_eq, b_eq=b_eq, bounds=bounds), take_x
+        return (LpProblem(c, a_eq=a_eq, b_eq=b_eq, bounds=bounds),
+                lambda res: res.x[:n])
     if isinstance(g, Precomposed) and isinstance(g.base, Linf):
-        p = g.dstar.shape[0]
-        c = np.zeros(n + 1)
-        c[-1] = 1.0
-        a_ub = np.vstack([np.hstack([g.dstar, -np.ones((p, 1))]),
-                          np.hstack([-g.dstar, -np.ones((p, 1))])])
-        a_eq = np.hstack([Phi, np.zeros((Q, 1))])
-        prob = LpProblem(c, a_ub=a_ub, b_ub=np.zeros(2 * p), a_eq=a_eq,
-                         b_eq=y, bounds=[(None, None)] * n + [(0, None)])
-        return prob, take_x
+        return _max_atoms_lp(Phi, xls, np.vstack([g.dstar, -g.dstar]))
     return None
+
+
+def _max_atoms_lp(Phi, xls, A):
+    """min max((A x)_+) over x = xls + Z w, Z an orthonormal basis of
+    Ker(Phi), solved through its dual
+
+        max <A xls, lam>  s.t.  (A Z)^T lam = 0,  sum(lam) <= 1,  lam >= 0,
+
+    which has dim Ker(Phi) + 1 rows.  The sensitivities of the optimal value
+    to the equality right-hand sides are the optimal w."""
+    Z = null_space(Phi)
+    m = A.shape[0]
+    prob = LpProblem(-(A @ xls), a_ub=np.ones((1, m)), b_ub=np.ones(1),
+                     a_eq=(A @ Z).T, b_eq=np.zeros(Z.shape[1]),
+                     bounds=[(0, None)] * m)
+    return prob, (lambda res: xls + Z @ res.dual_eq)
 
 
 def _primal_dual_noiseless(Phi, y, g, opts):

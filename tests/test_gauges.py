@@ -8,7 +8,9 @@ from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                              UnsupportedGaugeError, project_l1_ball,
                              project_simplex_interior)
 from gaugerec.linalg import Subspace
-from gaugerec.lp import LpProblem, lp_solve, OPTIMAL
+from gaugerec import gauges as gauges_mod
+from gaugerec.lp import (LpProblem, LpResult, LpNumericalError, lp_solve,
+                         OPTIMAL, UNBOUNDED)
 from gaugerec.model import decompose, subdiff_membership, tv1d_gauge
 from gaugerec.polytopes import random_polytope, Polytope
 
@@ -111,6 +113,14 @@ class TestPolar:
         val = g.polar(u)
         assert np.isfinite(val)
         assert g.polar(np.ones(5)) == np.inf
+
+    def test_precomposed_linf_polar_nonoptimal_lp_raises(self, rng,
+                                                         monkeypatch):
+        g = Precomposed(Linf(6), rng.standard_normal((6, 4)))  # Ker(D) dim 2
+        monkeypatch.setattr(gauges_mod, "lp_solve",
+                            lambda prob: LpResult(UNBOUNDED))
+        with pytest.raises(LpNumericalError):
+            g.polar(rng.standard_normal(4))
 
     def test_sum_polar_doubled_gauge(self, rng):
         # the ball of l1+l1 is half the l1 ball, so the polar gauge is

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gaugerec.gauges import (L1, Linf, GroupL1L2, PolyhedralH, BlockPartition,
-                             UnsupportedGaugeError)
+from gaugerec.gauges import (L1, Linf, GroupL1L2, PolyhedralH, Precomposed,
+                             BlockPartition, UnsupportedGaugeError)
 from gaugerec.lp import LpProblem, lp_solve
 from gaugerec.model import decompose, decompose_l1, decompose_group, tv1d_gauge
 from gaugerec.certificates import check_noisy_optimality
@@ -103,19 +103,44 @@ class TestNoiseless:
         res = solve_noiseless(Phi, y, L1(3))
         assert np.allclose(res.x_hat, [5, 0, 0], atol=1e-9)
 
-    def test_linf_matches_direct_lp(self, rng):
-        Phi = rng.standard_normal((4, 7))
-        y = Phi @ rng.standard_normal(7)
-        res = solve_noiseless(Phi, y, Linf(7))
+    @pytest.mark.parametrize("phi_kind", ["wide", "square", "dup_row"])
+    @pytest.mark.parametrize("kind", ["linf", "polyhedral", "precomposed_linf"])
+    def test_linf_matches_direct_lp(self, rng, kind, phi_kind):
+        n = 7
+        if kind == "linf":
+            g = Linf(n)
+            A = np.vstack([np.eye(n), -np.eye(n)])
+        elif kind == "polyhedral":
+            # columns I and -1 positively span R^n, so the ball is bounded
+            H = np.hstack([np.eye(n), -np.ones((n, 1)),
+                           rng.standard_normal((n, 5))])
+            g = PolyhedralH(H)
+            A = H.T
+        else:
+            dstar = rng.standard_normal((9, n))
+            g = Precomposed(Linf(9), dstar)
+            A = np.vstack([dstar, -dstar])
+        if phi_kind == "wide":
+            Phi = rng.standard_normal((4, n))
+        elif phi_kind == "square":          # Ker(Phi) = {0}
+            Phi = rng.standard_normal((n, n))
+        else:                               # rank 4 with a redundant row
+            Phi = rng.standard_normal((4, n))
+            Phi = np.vstack([Phi, Phi[:1]])
+        Q = Phi.shape[0]
+        y = Phi @ rng.standard_normal(n)
+        res = solve_noiseless(Phi, y, g)
+        assert res.method == "lp"
+        assert np.linalg.norm(Phi @ res.x_hat - y) <= 1e-9 * (1 + np.linalg.norm(y))
         # independent LP in the epigraph form assembled by hand
-        c = np.zeros(8)
+        m = A.shape[0]
+        c = np.zeros(n + 1)
         c[-1] = 1.0
-        a_ub = np.vstack([np.hstack([np.eye(7), -np.ones((7, 1))]),
-                          np.hstack([-np.eye(7), -np.ones((7, 1))])])
-        a_eq = np.hstack([Phi, np.zeros((4, 1))])
-        ref = lp_solve(LpProblem(c, a_ub=a_ub, b_ub=np.zeros(14), a_eq=a_eq,
-                                 b_eq=y, bounds=[(None, None)] * 7 + [(0, None)]))
-        assert abs(Linf(7).value(res.x_hat) - ref.value) <= 1e-9
+        a_ub = np.hstack([A, -np.ones((m, 1))])
+        a_eq = np.hstack([Phi, np.zeros((Q, 1))])
+        ref = lp_solve(LpProblem(c, a_ub=a_ub, b_ub=np.zeros(m), a_eq=a_eq,
+                                 b_eq=y, bounds=[(None, None)] * n + [(0, None)]))
+        assert abs(g.value(res.x_hat) - ref.value) <= 1e-9
 
     def test_infeasible_y(self, rng):
         Phi = np.array([[1.0, 0.0], [1.0, 0.0]])   # rank 1
