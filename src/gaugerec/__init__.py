@@ -8,8 +8,7 @@ from .linalg import (Subspace, OperatorBound, project, pseudo_inverse_apply,
                      operator_bound)
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                      SumGauge, Restricted, BlockPartition,
-                     UnsupportedGaugeError, eval_gauge, polar_eval, prox,
-                     project_l1_ball)
+                     UnsupportedGaugeError, project_l1_ball)
 from .polytopes import (Polytope, polar_set, polytope_intersection_polar,
                         minkowski_sum_gauge, linear_image_gauge,
                         inverse_sum_polar_check, random_polytope)

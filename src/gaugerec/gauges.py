@@ -509,23 +509,6 @@ def _subspace_meet(S1, S2):
     return S1.intersection(S2)
 
 
-def eval_gauge(g, x):
-    """Module-level alias for g.value(x)."""
-    return g.value(x)
-
-
-def polar_eval(g, u):
-    """Module-level alias for g.polar(u)."""
-    return g.polar(u)
-
-
-def prox(g, lam, v):
-    """Proximal map of lam * g at v (supported kinds only)."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    return g.prox(lam, v)
-
-
 def project_l1_ball(v, radius):
     """Exact Euclidean projection onto {z : ||z||_1 <= radius} (sort-based)."""
     v = np.asarray(v, dtype=float)

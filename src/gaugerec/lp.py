@@ -10,7 +10,12 @@ Problems are stated as
 and converted internally to standard form (equalities over nonnegative
 variables).  Pricing is Dantzig's rule with an automatic switch to Bland's
 rule after a run of degenerate pivots, which guarantees termination.  The
-basis inverse is kept explicitly and refreshed periodically.
+basis inverse is kept explicitly and refreshed periodically; a claimed
+optimum whose refactored basic solution is infeasible is solved again with
+a refactorization at every pivot.
+
+``lp_min_halfspaces`` solves problems with only ``<=`` rows over few
+variables through their dual, whose basis has one row per variable.
 """
 
 import numpy as np
@@ -23,6 +28,7 @@ REFACTOR_EVERY = 64
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+_DRIFTED = "drifted"   # internal: optimal basis, infeasible once refactored
 
 
 class LpNumericalError(RuntimeError):
@@ -134,13 +140,14 @@ def _to_standard_form(p):
 class _Simplex:
     """Revised simplex on min c z, A z = b (b >= 0 after sign flips), z >= 0."""
 
-    def __init__(self, A, b, c):
+    def __init__(self, A, b, c, refactor_every=REFACTOR_EVERY):
         flip = b < 0
         self.A = np.where(flip[:, None], -A, A)
         self.b = np.where(flip, -b, b)
         self.flip = flip
         self.c = c
         self.m, self.n = self.A.shape
+        self.refactor_every = refactor_every
         self.iterations = 0
 
     def solve(self):
@@ -175,9 +182,14 @@ class _Simplex:
         self.b = saved_b
         if not ok:
             return UNBOUNDED, None, None, None
+        # xB is updated in place and clipped at 0, which can hide the drift
+        # of the eta updates: check the refactored basic solution
+        Binv = self._invert(A, basis)
+        scale = 1.0 + np.abs(self.b).max()
+        if np.min(Binv @ self.b[rows]) < -FEAS_TOL * scale:
+            return _DRIFTED, None, None, None
         z = np.zeros(n)
         z[np.asarray(basis)] = xB
-        Binv = self._invert(A, basis)
         y_rows = np.zeros(self.m)
         y_rows[rows] = self.c[np.asarray(basis)] @ Binv
         y_rows = np.where(self.flip, -y_rows, y_rows)
@@ -248,7 +260,7 @@ class _Simplex:
             xB[leave] = theta
             np.maximum(xB, 0.0, out=xB)
             since_refactor += 1
-            if since_refactor >= REFACTOR_EVERY:
+            if since_refactor >= self.refactor_every:
                 Binv = self._invert(A, basis)
                 xB = np.maximum(Binv @ self.b, 0.0)
                 since_refactor = 0
@@ -286,16 +298,58 @@ def lp_solve(problem):
                 return LpResult(UNBOUNDED)
             x[j] = base if problem.c[j] >= 0 else hi
         return LpResult(OPTIMAL, x=x, value=float(problem.c @ x))
-    simplex = _Simplex(A, b, c)
-    status, z, value, y = simplex.solve()
+    iterations = 0
+    for refactor_every in (REFACTOR_EVERY, 1):
+        simplex = _Simplex(A, b, c, refactor_every)
+        status, z, value, y = simplex.solve()
+        iterations += simplex.iterations
+        if status != _DRIFTED:
+            break
+    else:
+        raise LpNumericalError(
+            "basic solution infeasible at the optimum even when refactored "
+            "at every pivot")
     if status != OPTIMAL:
-        return LpResult(status, iterations=simplex.iterations)
+        return LpResult(status, iterations=iterations)
     x = recover(z)
     dual_eq = y[:m_eq] if y is not None else None
     dual_ub = y[m_eq:m_eq + problem.a_ub.shape[0]] if y is not None else None
     return LpResult(OPTIMAL, x=x, value=float(problem.c @ x),
                     dual_eq=dual_eq, dual_ub=dual_ub,
-                    iterations=simplex.iterations)
+                    iterations=iterations)
+
+
+def lp_min_halfspaces(c, a_ub, b_ub, bounds=None):
+    """min c @ x s.t. a_ub @ x <= b_ub and ``bounds``, through the dual
+
+        min  b @ lam  s.t.  A^T lam = -c,  lam >= 0,
+
+    where (A, b) is (a_ub, b_ub) with one row appended per finite bound.
+    The dual has one row per variable, so its basis stays small however
+    many rows the primal has.  The optimal x is the sensitivity of the dual
+    value to its right-hand side, the value is minus the dual value, and
+    ``dual_ub = -lam`` on the rows of a_ub.  An infeasible dual leaves the
+    primal infeasible or unbounded; the primal is then solved to tell which.
+    """
+    problem = LpProblem(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+    n = problem.n_vars
+    eye = np.eye(n)
+    lower = [j for j, (lb, _) in enumerate(problem.bounds) if lb is not None]
+    upper = [j for j, (_, ub) in enumerate(problem.bounds) if ub is not None]
+    A = np.vstack([problem.a_ub, -eye[lower], eye[upper]])
+    b = np.concatenate([problem.b_ub,
+                        [-problem.bounds[j][0] for j in lower],
+                        [problem.bounds[j][1] for j in upper]])
+    res = lp_solve(LpProblem(b, a_eq=A.T, b_eq=-problem.c,
+                             bounds=[(0, None)] * len(b)))
+    if res.status == INFEASIBLE:
+        return lp_solve(problem)
+    if res.status == UNBOUNDED:
+        return LpResult(INFEASIBLE, iterations=res.iterations)
+    m = problem.a_ub.shape[0]
+    return LpResult(OPTIMAL, x=res.dual_eq, value=-res.value,
+                    dual_eq=np.zeros(0), dual_ub=-res.x[:m],
+                    iterations=res.iterations)
 
 
 def lp_minimize_linf(M, q):

@@ -6,12 +6,18 @@ the polar correspondence (facets of conv{a_i/b_i} are the vertices), so one
 convex-hull primitive backs everything.  All enumeration is gated at
 dimension <= 8; the identities verified here are dimension-free, so
 low-dimensional checks suffice.
+
+Near-duplicate facets and vertices are merged by a greedy keep-first sweep
+over the pairs within tolerance that a KD-tree reports.  The LPs here
+(Chebyshev centres, Minkowski-sum and linear-image gauges, section
+supports) have few variables and many ``<=`` rows, so they are solved
+through their duals by ``lp.lp_min_halfspaces``.
 """
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .lp import LpProblem, lp_solve, OPTIMAL
+from .lp import lp_min_halfspaces, OPTIMAL
 
 MAX_ENUM_DIM = 8
 VERTEX_TOL = 1e-9
@@ -26,23 +32,22 @@ class UnboundedPolarError(PolytopeError):
 
 
 def _dedupe_rows(rows, tol):
+    """Rows with no earlier kept row within ``tol`` (Euclidean), in order."""
     rows = np.asarray(rows)
-    n = len(rows)
-    if n <= 1:
+    if len(rows) <= 1:
         return rows
-    # cheap exact pass first, then a vectorized pairwise pass within tol
+    # cheap exact pass first, then pairs within tol from a KD-tree
     _, idx = np.unique(np.round(rows / max(tol, 1e-300)).astype(np.int64),
                        axis=0, return_index=True)
     rows = rows[np.sort(idx)]
-    n = len(rows)
-    if n <= 1 or n > 4000:
+    if len(rows) <= 1:
         return rows
-    d2 = np.sum((rows[:, None, :] - rows[None, :, :]) ** 2, axis=-1)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
+    pairs = cKDTree(rows).query_pairs(tol, output_type="ndarray")
+    keep = np.ones(len(rows), dtype=bool)
+    # in (i, j) order every pair (k, i), k < i, is settled before i is read
+    for i, j in pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]:
         if keep[i]:
-            dup = np.flatnonzero(d2[i] <= tol * tol)
-            keep[dup[dup > i]] = False
+            keep[j] = False
     return rows[keep]
 
 
@@ -141,14 +146,10 @@ class Polytope:
         """inf {t > 0 : x in t P} from the H-rep (0 must be inside)."""
         x = np.asarray(x, dtype=float)
         vals = self.normals @ x
-        out = 0.0
-        for a, b in zip(vals, self.offsets):
-            if b <= VERTEX_TOL:
-                if a > VERTEX_TOL * (1.0 + np.linalg.norm(x)):
-                    return np.inf
-            else:
-                out = max(out, a / b)
-        return out
+        flat = self.offsets <= VERTEX_TOL
+        if np.any(vals[flat] > VERTEX_TOL * (1.0 + np.linalg.norm(x))):
+            return np.inf
+        return float(np.max(vals[~flat] / self.offsets[~flat], initial=0.0))
 
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)
@@ -214,8 +215,8 @@ def _chebyshev_center(normals, offsets):
     c = np.zeros(d + 1)
     c[-1] = -1.0
     a_ub = np.hstack([normals, norms[:, None]])
-    res = lp_solve(LpProblem(c, a_ub=a_ub, b_ub=offsets,
-                             bounds=[(None, None)] * d + [(0, None)]))
+    res = lp_min_halfspaces(c, a_ub, offsets,
+                            bounds=[(None, None)] * d + [(0, None)])
     if res.status != OPTIMAL or res.x[-1] <= VERTEX_TOL:
         raise PolytopeError("H-rep has empty interior")
     return res.x[:d]
@@ -241,18 +242,15 @@ def minkowski_sum_gauge(g1_ball, g2_ball, x):
     x = np.asarray(x, dtype=float)
     d = g1_ball.dim
     # variables (z, t): <a, z> <= t b for ball 1, <a, x - z> <= t b for ball 2
-    rows = []
-    rhs = []
-    for a, b in zip(g1_ball.normals, g1_ball.offsets):
-        rows.append(np.concatenate([a, [-b]]))
-        rhs.append(0.0)
-    for a, b in zip(g2_ball.normals, g2_ball.offsets):
-        rows.append(np.concatenate([-a, [-b]]))
-        rhs.append(-float(a @ x))
+    rows = np.vstack([
+        np.hstack([g1_ball.normals, -g1_ball.offsets[:, None]]),
+        np.hstack([-g2_ball.normals, -g2_ball.offsets[:, None]])])
+    rhs = np.concatenate([np.zeros(len(g1_ball.offsets)),
+                          -(g2_ball.normals @ x)])
     c = np.zeros(d + 1)
     c[-1] = 1.0
-    res = lp_solve(LpProblem(c, a_ub=np.asarray(rows), b_ub=np.asarray(rhs),
-                             bounds=[(None, None)] * d + [(0, None)]))
+    res = lp_min_halfspaces(c, rows, rhs,
+                            bounds=[(None, None)] * d + [(0, None)])
     if res.status != OPTIMAL:
         return np.inf
     return float(res.value)
@@ -279,8 +277,8 @@ def linear_image_gauge(C, D, x):
     rhs = -C.normals @ q
     c = np.zeros(k + 1)
     c[-1] = 1.0
-    res = lp_solve(LpProblem(c, a_ub=rows, b_ub=rhs,
-                             bounds=[(None, None)] * k + [(0, None)]))
+    res = lp_min_halfspaces(c, rows, rhs,
+                            bounds=[(None, None)] * k + [(0, None)])
     if res.status != OPTIMAL:
         return np.inf
     return float(res.value)
@@ -370,8 +368,8 @@ def _section_support(Q1, Q2, rho, u):
     d = Q1.dim
     a_ub = np.vstack([Q1.normals, Q2.normals])
     b_ub = np.concatenate([rho * Q1.offsets, (1.0 - rho) * Q2.offsets])
-    res = lp_solve(LpProblem(-np.asarray(u, dtype=float), a_ub=a_ub, b_ub=b_ub,
-                             bounds=[(None, None)] * d))
+    res = lp_min_halfspaces(-np.asarray(u, dtype=float), a_ub, b_ub,
+                            bounds=[(None, None)] * d)
     if res.status != OPTIMAL:
         return -np.inf
     return -res.value

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from gaugerec.lp import (LpProblem, lp_solve, lp_minimize_linf, OPTIMAL,
+from gaugerec import lp
+from gaugerec.lp import (LpProblem, lp_solve, lp_minimize_linf,
+                         lp_min_halfspaces, LpNumericalError, OPTIMAL,
                          INFEASIBLE, UNBOUNDED)
+from gaugerec.polytopes import Polytope
 
 
 def test_min_x_above_three():
@@ -102,3 +105,91 @@ def test_chebyshev_helper():
     val, w = lp_minimize_linf(np.array([[1.0], [-1.0]]), np.array([1.5, 1.5]))
     assert abs(val - 1.5) <= 1e-10
     assert abs(w[0]) <= 1e-9
+
+
+def _drifting_minkowski_lp():
+    """The epigraph LP of the Minkowski-sum gauge of two random 5-d
+    polytopes (the inputs of one polar-calculus benchmark item), on which
+    the eta-updated basis drifts to an infeasible point by the optimum."""
+    rng = np.random.default_rng([43, 7, 13])
+
+    def points():
+        pts = rng.standard_normal((9, 5))
+        return np.vstack([pts, -0.7 * pts])
+
+    P1 = Polytope.from_vertices(points())
+    P2 = Polytope.from_vertices(points())
+    x = rng.standard_normal((60, 5))[1]
+    a_ub = np.vstack([np.hstack([P1.normals, -P1.offsets[:, None]]),
+                      np.hstack([-P2.normals, -P2.offsets[:, None]])])
+    b_ub = np.concatenate([np.zeros(len(P1.offsets)), -(P2.normals @ x)])
+    c = np.zeros(6)
+    c[-1] = 1.0
+    return c, a_ub, b_ub, [(None, None)] * 5 + [(0, None)]
+
+
+def test_drifted_optimum_is_solved_again():
+    c, a_ub, b_ub, bounds = _drifting_minkowski_lp()
+    res = lp_solve(LpProblem(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds))
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.status == OPTIMAL
+    assert abs(res.value - ref.fun) <= 1e-9
+    assert np.max(a_ub @ res.x - b_ub) <= 1e-9
+
+
+def test_drift_that_persists_raises(monkeypatch):
+    monkeypatch.setattr(lp._Simplex, "solve",
+                        lambda self: (lp._DRIFTED, None, None, None))
+    with pytest.raises(LpNumericalError):
+        lp_solve(LpProblem([1.0], a_ub=[[-1.0]], b_ub=[-3.0]))
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_min_halfspaces_matches_primal(seed):
+    rng = np.random.default_rng(seed)
+    kinds = [(None, None), (0.0, None), (-1.0, None), (None, 2.0),
+             (-1.0, 2.0)]
+    optimal = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(n, 40))
+        A = rng.standard_normal((m, n))
+        b = rng.uniform(0.1, 1.0, m)      # x = 0 is strictly feasible
+        c = rng.standard_normal(n)
+        bounds = [kinds[k] for k in rng.integers(0, len(kinds), n)]
+        ref = lp_solve(LpProblem(c, a_ub=A, b_ub=b, bounds=bounds))
+        res = lp_min_halfspaces(c, A, b, bounds=bounds)
+        assert res.status == ref.status
+        if res.status != OPTIMAL:
+            continue
+        optimal += 1
+        assert abs(res.value - ref.value) <= 1e-9 * (1.0 + abs(ref.value))
+        assert np.max(A @ res.x - b) <= 1e-8
+        for xj, (lo, hi) in zip(res.x, bounds):
+            assert lo is None or xj >= lo - 1e-8
+            assert hi is None or xj <= hi + 1e-8
+        # d value / d b_ub is nonpositive and vanishes on slack rows
+        assert np.all(res.dual_ub <= 0.0)
+        assert np.max(np.abs(res.dual_ub * (A @ res.x - b))) <= 1e-8
+    assert optimal >= 25
+
+
+def test_min_halfspaces_infeasible():
+    # x <= -1 with x >= 0: the dual is unbounded
+    res = lp_min_halfspaces([1.0], [[1.0]], [-1.0], bounds=[(0.0, None)])
+    assert res.status == INFEASIBLE
+
+
+def test_min_halfspaces_unbounded():
+    # min -x over x >= 0: the dual is infeasible, the primal tells which
+    res = lp_min_halfspaces([-1.0], np.zeros((0, 1)), np.zeros(0),
+                            bounds=[(0.0, None)])
+    assert res.status == UNBOUNDED
+
+
+def test_min_halfspaces_infeasible_with_infeasible_dual():
+    # x1 <= -1 and x1 >= 0 while -x2 is unbounded below: both the primal
+    # and the dual are infeasible
+    res = lp_min_halfspaces([0.0, -1.0], [[1.0, 0.0], [-1.0, 0.0]],
+                            [-1.0, 0.0])
+    assert res.status == INFEASIBLE

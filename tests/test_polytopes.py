@@ -7,7 +7,8 @@ from gaugerec.polytopes import (Polytope, polar_set, random_polytope,
                                 polytope_intersection_polar,
                                 minkowski_sum_gauge, linear_image_gauge,
                                 inverse_sum_polar_check, inverse_sum_set,
-                                UnboundedPolarError, PolytopeError)
+                                UnboundedPolarError, PolytopeError,
+                                VERTEX_TOL, _dedupe_rows)
 
 
 def vertex_sets_match(A, B, tol=1e-7):
@@ -188,3 +189,81 @@ class TestRepresentation:
         with pytest.raises(PolytopeError):
             Polytope.from_vertices(np.random.default_rng(0)
                                    .standard_normal((40, 9)))
+
+
+def _dedupe_reference(rows, tol):
+    """Plain-loop spec of _dedupe_rows: keep the first row of each cell of
+    the tol-grid, then keep a row only if no earlier kept row is within
+    tol."""
+    seen, first = set(), []
+    for r in rows:
+        key = tuple(np.round(r / tol).astype(np.int64))
+        if key not in seen:
+            seen.add(key)
+            first.append(r)
+    kept = np.empty((len(first), len(first[0])))
+    n_kept = 0
+    for r in first:
+        if np.all(np.sum((kept[:n_kept] - r) ** 2, axis=1) > tol * tol):
+            kept[n_kept] = r
+            n_kept += 1
+    return kept[:n_kept]
+
+
+class TestDedupeRows:
+    TOL = 1e-9
+
+    def _chain(self):
+        # a ~ b ~ c with |a - c| = 1.06 tol, each in its own tol-grid cell
+        a = self.TOL * np.array([3.0, -5.0, 7.0])
+        b = a + 0.75 * self.TOL * np.array([1.0, 0.0, 0.0])
+        c = b + 0.75 * self.TOL * np.array([0.0, 1.0, 0.0])
+        return a, b, c
+
+    @pytest.mark.parametrize("order,expected", [
+        ("abc", "ac"), ("cba", "ca"), ("bac", "b"), ("acb", "ac")])
+    def test_chain_order_is_greedy(self, order, expected):
+        rows = dict(zip("abc", self._chain()))
+        out = _dedupe_rows(np.array([rows[k] for k in order]), self.TOL)
+        assert np.array_equal(out, np.array([rows[k] for k in expected]))
+
+    @pytest.mark.parametrize("n_base", [40, 2500])
+    def test_matches_reference(self, n_base):
+        # n_base = 2500 gives 5000 rows, above the size at which a pairwise
+        # distance tensor stops being affordable
+        rng = np.random.default_rng(n_base)
+        base = rng.standard_normal((n_base, 3))
+        steps = rng.standard_normal((n_base, 3))
+        steps *= (rng.uniform(0.2, 1.8, n_base)
+                  / np.linalg.norm(steps, axis=1))[:, None]
+        rows = np.vstack([base, base + self.TOL * steps])
+        rows = rows[rng.permutation(len(rows))]
+        out = _dedupe_rows(rows, self.TOL)
+        assert n_base < len(out) < 2 * n_base
+        assert np.array_equal(out, _dedupe_reference(rows, self.TOL))
+
+
+def _gauge_reference(P, x):
+    vals = P.normals @ x
+    out = 0.0
+    for a, b in zip(vals, P.offsets):
+        if b <= VERTEX_TOL:
+            if a > VERTEX_TOL * (1.0 + np.linalg.norm(x)):
+                return np.inf
+        else:
+            out = max(out, a / b)
+    return out
+
+
+class TestGauge:
+    def test_matches_loop_reference(self, rng):
+        # the corner triangle has the origin on two facets (offset 0)
+        corner = Polytope.from_vertices(np.array([[0.0, 0], [1, 0], [0, 1]]))
+        for P in (random_polytope(2, seed=3), random_polytope(4, seed=4),
+                  corner):
+            X = np.vstack([rng.standard_normal((30, P.dim)),
+                           np.zeros((1, P.dim))])
+            for x in X:
+                assert P.gauge(x) == _gauge_reference(P, x)
+        assert corner.gauge(np.array([-1.0, 0.5])) == np.inf
+        assert corner.gauge(np.array([0.25, 0.25])) == 0.5
