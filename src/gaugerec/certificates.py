@@ -303,9 +303,10 @@ class StabilityConstants:
 def stability_constants(Phi, md, p):
     """Operator-bound constants of the model-selection guarantee.
 
-    All four bounds must come out exact for the lambda range to be
-    certified; otherwise ``exact`` is False and downstream consumers must
-    treat the range as advisory.
+    All four bounds, the subdifferential gauge and the stability parameters
+    ``p`` must be exact for the lambda range to be certified; otherwise
+    ``exact`` is False and downstream consumers must treat the range as
+    advisory.
     """
     Phi = check_finite(Phi, "Phi")
     if not restricted_injectivity(Phi, md.T):
@@ -339,6 +340,7 @@ def stability_constants(Phi, md, p):
     alpha1 = gamma.value(md.e)
     c1 = b1a.value * b1b.value
     c2 = alpha1 * b1a.value
-    exact = all(b.exact for b in (b1a, b1b, b3, b4)) and md.antig.exact
+    exact = (all(b.exact for b in (b1a, b1b, b3, b4)) and md.antig.exact
+             and p.exact)
     return StabilityConstants(c1, c2, b3.value, b4.value, ic, p.nu, p.mu,
                               p.tau, p.xi, exact)

@@ -240,23 +240,8 @@ def _write_sweep(sweep, out_dir, stem):
 def _run_cs_linf(n, i_size, trials, seed, q=None, beta=2.0, jobs=1):
     if q is None:
         q, _ = exp.cs_linf_bound(n, i_size, beta)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        args = [(seed, n, q, i_size, t, "ic") for t in range(trials)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outs = list(pool.map(_linf_trial_star, args))
-        success = sum(bool(o[1]) for o in outs)
-        cell = exp.SweepCell({"N": n, "Q": q, "I_size": i_size}, trials,
-                             success, beta=beta,
-                             bound=exp.cs_linf_bound(n, i_size, beta)[1])
-        return exp.SweepResult({"N": n, "Q": q, "I_size": i_size,
-                                "trials": trials, "seed": seed,
-                                "beta": beta}, [cell])
-    return exp.run_linf_cs_trials(n, q, i_size, trials, seed, beta=beta)
-
-
-def _linf_trial_star(a):
-    return exp._linf_trial(*a)
+    return exp.run_linf_cs_trials(n, q, i_size, trials, seed, beta=beta,
+                                  jobs=jobs)
 
 
 def _run_model_selection(phi_arg, x_arg, noise_levels, lambda_grid, trials,
@@ -271,14 +256,13 @@ def _run_model_selection(phi_arg, x_arg, noise_levels, lambda_grid, trials,
 
 
 def cmd_experiment(args):
-    jobs = max(1, args.jobs)
     if args.experiment == "from-config":
         cfg = _load_json_arg(args.config, "--config")
         kind = _validate_config(cfg)
         if kind == "cs-linf":
             sweep = _run_cs_linf(cfg["n"], cfg["i_size"], cfg["trials"],
                                  cfg["seed"], q=cfg.get("q"),
-                                 beta=cfg.get("beta", 2.0), jobs=jobs)
+                                 beta=cfg.get("beta", 2.0), jobs=args.jobs)
             stem = "cs_linf"
         elif kind == "model-selection":
             if cfg.get("reg", "l1") != "l1":
@@ -301,7 +285,7 @@ def cmd_experiment(args):
             stem = "phase_transition"
     elif args.experiment == "cs-linf":
         sweep = _run_cs_linf(args.n, args.i_size, args.trials, args.seed,
-                             q=args.q, beta=args.beta, jobs=jobs)
+                             q=args.q, beta=args.beta, jobs=args.jobs)
         stem = "cs_linf"
     elif args.experiment == "phase-transition":
         grid = list(range(args.q_min, args.q_max + 1, args.q_step))

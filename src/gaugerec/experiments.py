@@ -8,8 +8,12 @@ config+seed pair reproduces bit-identical sweeps.
 """
 
 import csv
+import functools
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -144,17 +148,37 @@ def _linf_trial(seed, N, Q, I_size, trial, mode):
     return ic, err <= 1e-6, err
 
 
-def run_linf_cs_trials(N, Q, I_size, trials, seed, beta=float("nan")):
+def _map_trials(fn, items, jobs=1):
+    """``list(map(fn, items))``, in up to ``jobs`` worker processes.
+
+    ``jobs`` is capped at the CPU count.  Each trial draws from its own
+    seeded stream and results keep the order of ``items``, so the output
+    does not depend on ``jobs``.
+    """
+    jobs = min(max(1, int(jobs)), os.cpu_count() or 1)
+    if jobs == 1:
+        return list(map(fn, items))
+    # spawned workers import afresh; forking a process with BLAS threads
+    # is unsafe
+    with ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, items))
+
+
+def run_linf_cs_trials(N, Q, I_size, trials, seed, beta=float("nan"), jobs=1):
     """One sweep cell: frequency of IC < 1 for saturated signals under a
     Gaussian ensemble.  Requires Q >= N - I_size + 1 (generic restricted
-    injectivity on the model subspace)."""
+    injectivity on the model subspace).  ``jobs`` spreads the trials over
+    worker processes without changing the result."""
     if Q < N - I_size + 1:
         raise ValueError("Q below the model-subspace dimension; the "
                          "restricted problem cannot be injective")
+    outs = _map_trials(functools.partial(_linf_trial, seed, N, Q, I_size,
+                                         mode="ic"), range(trials), jobs)
     success = 0
     records = []
-    for t in range(trials):
-        ic, ident, _ = _linf_trial(seed, N, Q, I_size, t, "ic")
+    for ic, ident, _ in outs:
         success += bool(ident)
         records.append(TrialRecord(seed, N, Q, I_size, "linf", ic, ident))
     bound = float("nan")

@@ -5,7 +5,9 @@ Kinds with closed-form polars (l1 <-> linf, l2 self-polar, group l1-l2 <->
 blockwise linf-l2) use them; polyhedral and precomposed kinds fall back to
 linear programs over their unit balls.  ``ball_vertices`` /
 ``kernel_directions`` / ``support_atoms`` feed the operator-bound machinery
-in :mod:`gaugerec.linalg`.
+in :mod:`gaugerec.linalg`.  Unit balls are enumerated from an H-rep by
+``_section_vertices``, which also derives the ball of a support-form
+subdifferential gauge (its atoms are the normals) in :mod:`gaugerec.model`.
 """
 
 import numpy as np

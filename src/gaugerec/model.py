@@ -6,16 +6,22 @@ subdifferential ``partial J(x) - f`` (finite exactly on S), the calculus
 rules that combine decompositions (sums, smooth perturbations,
 pre-composition by a linear operator), and the local stability parameters
 (nu, mu, tau, xi) with their comparison gauge.
+
+A subdifferential gauge has one encoding: support atoms, block norms, or an
+opaque evaluator where neither exists.  Its unit ball is derived from the
+atoms when first asked for.
 """
+
+import functools
 
 import numpy as np
 
 from .linalg import Subspace, check_finite, null_space, svd_pinv
 from .lp import LpProblem, lp_solve, OPTIMAL
-from .polytopes import Polytope, PolytopeError, MAX_ENUM_DIM
 from . import linalg
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                     SumGauge, MaxGauge, UnsupportedGaugeError)
+                     SumGauge, MaxGauge, UnsupportedGaugeError,
+                     _section_vertices)
 
 SUPPORT_TOL = 1e-10       # relative threshold for "entry is nonzero"
 SATURATION_TOL = 1e-9     # relative threshold for "entry attains the max"
@@ -47,38 +53,55 @@ class GroupLinf2(Gauge):
 class SubdiffGauge:
     """Gauge of the shifted subdifferential; finite exactly on S.
 
-    ``atoms`` (when present) give the exact support form
-    value(v) = max_j <atoms[j], v> for v in S; ``linf2_blocks`` marks a
-    blockwise max-of-norms structure instead.  ``exact`` records whether
-    ``value`` is closed form / LP-backed (True) or a numerical fallback.
+    Exactly one encoding is given: support ``atoms``, with
+    value(v) = max(0, max_j <atoms[j], v>) for v in S; ``linf2_blocks``,
+    with value(v) = max_b ||v_b||; or an opaque ``value_fn`` (the LP and
+    Nelder-Mead fallbacks of the calculus rules).  The unit ball is derived
+    from the atoms on first request and cached; without atoms there is
+    none.  ``exact`` records whether ``value`` is closed form / LP-backed
+    (True) or a numerical fallback.
     """
 
     is_euclidean = False
 
-    def __init__(self, S, value_fn, atoms=None, ball_verts=None,
-                 linf2_blocks=None, exact=True):
+    def __init__(self, S, atoms=None, linf2_blocks=None, value_fn=None,
+                 exact=True):
+        if sum(a is not None for a in (atoms, linf2_blocks, value_fn)) != 1:
+            raise ValueError(
+                "give exactly one of atoms, linf2_blocks, value_fn")
         self.S = S
         self.dim = S.ambient_dim
-        self._value_fn = value_fn
         self.atoms = None if atoms is None else np.asarray(atoms, dtype=float)
-        self._ball_verts = ball_verts
         self.linf2_blocks = linf2_blocks
+        self._value_fn = value_fn
         self.exact = exact
 
     def value(self, eta):
         eta = np.asarray(eta, dtype=float)
         if not self.S.contains(eta, tol=1e-9 * (1.0 + np.linalg.norm(eta))):
             return np.inf
+        if self.atoms is not None:
+            return float(np.max(self.atoms @ eta, initial=0.0))
+        if self.linf2_blocks is not None:
+            return float(max((np.linalg.norm(eta[b])
+                              for b in self.linf2_blocks), default=0.0))
         return float(self._value_fn(eta))
 
     def support_atoms(self):
         return self.atoms
 
+    @functools.cached_property
+    def _ball(self):
+        return _section_vertices((self.atoms, np.ones(len(self.atoms))),
+                                 self.dim, self.S)
+
     def ball_vertices(self, domain=None):
-        if self._ball_verts is None:
+        """Vertices of {v in S : value(v) <= 1}, or None without atoms or
+        when S is too large to enumerate."""
+        if self.atoms is None:
             return None
-        verts = np.asarray(self._ball_verts, dtype=float)
-        if domain is None:
+        verts = self._ball
+        if verts is None or domain is None:
             return verts
         if all(domain.contains(v) for v in verts):
             return verts
@@ -86,15 +109,6 @@ class SubdiffGauge:
 
     def kernel_directions(self, domain=None):
         return np.zeros((0, self.dim))
-
-
-def _max_atoms(atoms):
-    atoms = np.asarray(atoms, dtype=float)
-
-    def fn(v):
-        return float(np.max(atoms @ v, initial=0.0))
-
-    return fn
 
 
 class PsflParams:
@@ -196,15 +210,31 @@ def decompose_l1(x, delta=0.5):
     for j, i in enumerate(Ic):
         atoms[2 * j, i] = 1.0
         atoms[2 * j + 1, i] = -1.0
-    ball = Linf(n).ball_vertices(S) if len(Ic) <= 16 else None
-
-    def value_fn(eta):
-        return float(np.max(np.abs(eta[Ic]), initial=0.0))
-
-    antig = SubdiffGauge(S, value_fn, atoms=atoms, ball_verts=ball)
+    antig = SubdiffGauge(S, atoms=atoms)
     md = ModelDecomposition(L1(n), x, T, S, e, e.copy(), antig)
     nu = (1.0 - delta) * np.min(np.abs(x[I])) if I else 0.0
     return md, PsflParams(nu, 0.0, 0.0, 0.0, Linf(n))
+
+
+def _saturation_model(s, I):
+    """(T, S, e, antig) of a max-type regularizer saturated on I with signs s.
+
+    S = {eta : eta off I is 0, <eta_I, s_I> = 0}, e = s / |I| and
+    antig(eta) = max_i (-|I| s_i eta_i)_+ over i in I.
+    """
+    n = s.shape[0]
+    k = len(I)
+    SB = np.zeros((n, k - 1))
+    SB[I, :] = null_space(s[I][None, :])
+    S = Subspace(SB, _skip_checks=True)
+    TB = np.zeros((n, n - k + 1))
+    TB[I, 0] = s[I] / np.sqrt(k)
+    rest = np.setdiff1d(np.arange(n), I)
+    TB[rest, 1 + np.arange(len(rest))] = 1.0
+    T = Subspace(TB, _skip_checks=True)
+    atoms = np.zeros((k + 1, n))
+    atoms[np.arange(k), I] = -k * s[I]
+    return T, S, s / k, SubdiffGauge(S, atoms=atoms)
 
 
 def decompose_linf(x, delta=0.5):
@@ -217,32 +247,7 @@ def decompose_linf(x, delta=0.5):
     I = saturation_indices(x)
     s = np.zeros(n)
     s[I] = np.sign(x[I])
-    k = len(I)
-    # S = {eta : eta off I is 0, <eta_I, s_I> = 0}
-    inner = null_space(s[I][None, :])         # (k, k-1)
-    SB = np.zeros((n, k - 1))
-    SB[I, :] = inner
-    S = Subspace(SB, _skip_checks=True)
-    TB = np.zeros((n, n - k + 1))
-    TB[I, 0] = s[I] / np.sqrt(k)
-    rest = [i for i in range(n) if i not in I]
-    for j, i in enumerate(rest):
-        TB[i, 1 + j] = 1.0
-    T = Subspace(TB, _skip_checks=True)
-    e = s / k
-    atoms = np.zeros((k + 1, n))
-    for j, i in enumerate(I):
-        atoms[j, i] = -k * s[i]
-    ball = np.zeros((k, n))
-    for j, i in enumerate(I):
-        ball[j, i] = s[i]
-        ball[j] -= e
-    Ia = np.asarray(I, dtype=int)
-
-    def value_fn(eta):
-        return float(np.max(np.maximum(-k * s[Ia] * eta[Ia], 0.0), initial=0.0))
-
-    antig = SubdiffGauge(S, value_fn, atoms=atoms, ball_verts=ball)
+    T, S, e, antig = _saturation_model(s, I)
     md = ModelDecomposition(Linf(n), x, T, S, e, e.copy(), antig)
     off = [abs(x[j]) for j in range(n) if j not in I]
     gap = np.max(np.abs(x)) - (max(off) if off else 0.0)
@@ -266,12 +271,7 @@ def decompose_group(x, partition, delta=0.5):
     e = np.zeros(n)
     for b in active:
         e[b] = x[b] / np.linalg.norm(x[b])
-
-    def value_fn(eta):
-        return float(max((np.linalg.norm(eta[b]) for b in inactive),
-                         default=0.0))
-
-    antig = SubdiffGauge(S, value_fn, linf2_blocks=[np.asarray(b) for b in inactive])
+    antig = SubdiffGauge(S, linf2_blocks=[np.asarray(b) for b in inactive])
     md = ModelDecomposition(GroupL1L2(partition), x, T, S, e, e.copy(), antig)
     if active:
         nu = (1.0 - delta) * min(np.linalg.norm(x[b]) for b in active)
@@ -295,33 +295,9 @@ def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
     top = np.max(u, initial=-np.inf)
     if top > 0.0:
         Ip = [int(i) for i in np.flatnonzero(u >= top * (1.0 - SATURATION_TOL))]
-        k = len(Ip)
         s = np.zeros(p)
         s[Ip] = 1.0
-        inner = null_space(np.ones((1, k)))
-        SB = np.zeros((p, k - 1))
-        SB[Ip, :] = inner
-        S = Subspace(SB, _skip_checks=True)
-        TB = np.zeros((p, p - k + 1))
-        TB[Ip, 0] = 1.0 / np.sqrt(k)
-        rest = [i for i in range(p) if i not in Ip]
-        for j, i in enumerate(rest):
-            TB[i, 1 + j] = 1.0
-        T = Subspace(TB, _skip_checks=True)
-        e = s / k
-        atoms = np.zeros((k + 1, p))
-        for j, i in enumerate(Ip):
-            atoms[j, i] = -k
-        ball = np.zeros((k, p))
-        for j, i in enumerate(Ip):
-            ball[j, i] = 1.0
-            ball[j] -= e
-        Ia = np.asarray(Ip, dtype=int)
-
-        def value_fn(eta):
-            return float(np.max(np.maximum(-k * eta[Ia], 0.0), initial=0.0))
-
-        antig = SubdiffGauge(S, value_fn, atoms=atoms, ball_verts=ball)
+        T, S, e, antig = _saturation_model(s, Ip)
         md = ModelDecomposition(_positive_part_max_gauge(p), u, T, S, e,
                                 e.copy(), antig)
         below = [u[j] for j in range(p) if j not in Ip and u[j] > 0]
@@ -336,8 +312,7 @@ def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
         # smooth point: subdifferential is {0}
         T = Subspace.full(p)
         S = Subspace.zero(p)
-        antig = SubdiffGauge(S, lambda eta: 0.0,
-                             atoms=np.zeros((1, p)), ball_verts=np.zeros((1, p)))
+        antig = SubdiffGauge(S, atoms=np.zeros((1, p)))
         md = ModelDecomposition(_positive_part_max_gauge(p), u, T, S,
                                 np.zeros(p), np.zeros(p), antig)
         nu = (1.0 - delta) * float(np.min(-u))
@@ -354,20 +329,7 @@ def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
     for j, i in enumerate(I0):
         atoms[j, i] = -1.0 / mu_eff
     atoms[k, I0] = 1.0 / denom
-    ball = np.zeros((k + 1, p))
-    ball[:k, :] = 0.0
-    for j, i in enumerate(I0):
-        ball[j, i] = 1.0
-    ball -= f[None, :]
-    ball[k] = -f
-    I0a = np.asarray(I0, dtype=int)
-
-    def value_fn(eta):
-        lo = np.max(np.maximum(-eta[I0a] / mu_eff, 0.0), initial=0.0)
-        hi = float(np.sum(eta[I0a])) / denom
-        return float(max(lo, hi, 0.0))
-
-    antig = SubdiffGauge(S, value_fn, atoms=atoms, ball_verts=ball)
+    antig = SubdiffGauge(S, atoms=atoms)
     md = ModelDecomposition(_positive_part_max_gauge(p), u, T, S,
                             np.zeros(p), f, antig)
     below = [-u[j] for j in Ic]
@@ -404,42 +366,32 @@ def precompose(md0, D, x):
     Z = B0 @ null_space(DS)                # basis of Ker(D_{S0}) within S0
 
     base = md0.antig
-    if base.atoms is not None:
+    if base.atoms is not None and Z.shape[1] == 0:
+        # D_{S0} is injective on S0, so eta = D_{S0} q with q = DS_pinv eta
+        antig = SubdiffGauge(S, atoms=base.atoms @ DS_pinv)
+    elif base.atoms is not None:
         atoms0 = base.atoms
+        rows = np.hstack([atoms0 @ Z, -np.ones((len(atoms0), 1))])
+        c = np.zeros(Z.shape[1] + 1)
+        c[-1] = 1.0
+        bounds = [(None, None)] * Z.shape[1] + [(0, None)]
 
         def value_fn(eta):
-            q = DS_pinv @ eta
-            if Z.shape[1] == 0:
-                return float(np.max(atoms0 @ q, initial=0.0))
-            rows = np.hstack([atoms0 @ Z, -np.ones((len(atoms0), 1))])
-            rhs = -(atoms0 @ q)
-            c = np.zeros(Z.shape[1] + 1)
-            c[-1] = 1.0
-            res = lp_solve(LpProblem(c, a_ub=rows, b_ub=rhs,
-                                     bounds=[(None, None)] * Z.shape[1]
-                                     + [(0, None)]))
+            rhs = -(atoms0 @ (DS_pinv @ eta))
+            res = lp_solve(LpProblem(c, a_ub=rows, b_ub=rhs, bounds=bounds))
             if res.status != OPTIMAL:
                 return np.inf
             return max(float(res.value), 0.0)
 
-        exact = True
+        antig = SubdiffGauge(S, value_fn=value_fn)
     else:
 
         def value_fn(eta):
-            q = DS_pinv @ eta
-            return _min_over_affine(base.value, q, Z)
+            return _min_over_affine(base.value, DS_pinv @ eta, Z)
 
-        exact = False
-
-    ball = None
-    if base.ball_vertices() is not None and S.dim <= MAX_ENUM_DIM and S.dim > 0:
-        imgs = (D @ base.ball_vertices().T).T
-        coords = imgs @ S.basis
-        try:
-            ball = Polytope.from_vertices(coords).vertices @ S.basis.T
-        except PolytopeError:
-            ball = imgs
-    antig = SubdiffGauge(S, value_fn, atoms=None, ball_verts=ball, exact=exact)
+        # without a kernel the fallback is a plain evaluation of the base
+        antig = SubdiffGauge(S, value_fn=value_fn,
+                             exact=base.exact and Z.shape[1] == 0)
     gauge = Precomposed(md0.gauge, D.T)
 
     def polar_fn(dS):
@@ -518,15 +470,7 @@ def sum_decompositions(mdJ, mdG):
 
         exact = False
 
-    ball = None
-    vJ, vG = aJ.ball_vertices(), aG.ball_vertices()
-    if vJ is not None and vG is not None and 0 < S.dim <= MAX_ENUM_DIM:
-        pts = (vJ[:, None, :] + vG[None, :, :]).reshape(-1, n) @ S.basis
-        try:
-            ball = Polytope.from_vertices(pts).vertices @ S.basis.T
-        except PolytopeError:
-            ball = None
-    antig = SubdiffGauge(S, value_fn, atoms=None, ball_verts=ball, exact=exact)
+    antig = SubdiffGauge(S, value_fn=value_fn, exact=exact)
     gauge = SumGauge([mdJ.gauge, mdG.gauge])
 
     pJ, pG = mdJ._polar_fn, mdG._polar_fn

@@ -61,6 +61,7 @@ def _hull_equations(points):
             raise PolytopeError("degenerate 1-d point set")
         return (np.array([[1.0], [-1.0]]), np.array([hi, -lo]),
                 np.array([[hi], [lo]]))
+    joggled = False
     try:
         hull = ConvexHull(points)
     except QhullError:
@@ -71,10 +72,16 @@ def _hull_equations(points):
         except QhullError as exc:
             raise PolytopeError(f"degenerate point set for hull: {exc}") \
                 from exc
+        joggled = True
     eqs = _dedupe_rows(hull.equations, 1e-9)
     normals = eqs[:, :-1]
     offsets = -eqs[:, -1]
-    return normals, offsets, points[hull.vertices]
+    verts = points[hull.vertices]
+    if joggled:
+        # the facets belong to the joggled points: move each one to the
+        # support of the original vertices so that none violates it
+        offsets = np.max(verts @ normals.T, axis=0)
+    return normals, offsets, verts
 
 
 class Polytope:

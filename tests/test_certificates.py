@@ -5,7 +5,8 @@ from gaugerec.gauges import L1, Linf, GroupL1L2, BlockPartition
 from gaugerec.linalg import svd_pinv, null_space, restricted_injectivity
 from gaugerec.lp import lp_minimize_linf
 from gaugerec.model import (decompose, decompose_l1, decompose_linf,
-                            decompose_group, tv1d_gauge)
+                            decompose_group, tv1d_gauge, precompose,
+                            psfl_precompose)
 from gaugerec.certificates import (linearized_precertificate,
                                    irrepresentability, check_noisy_optimality,
                                    check_noiseless_optimality, nsp_falsify,
@@ -296,3 +297,19 @@ class TestStabilityConstants:
         # Gamma is a max of block l2 norms; its ball is not a polytope, so
         # the Gamma -> Gamma bound of the inverse Gram cannot be exact
         assert not const.exact
+
+    @pytest.mark.parametrize("n, exact", [(12, True), (20, False)])
+    def test_exactness_flag_for_tv_follows_the_parameters(self, n, exact):
+        # c4 of TV comes from the closed form; nu = nu0 / ||D^T||, and that
+        # bound is exact only while the linf ball of R^n has at most 2^16
+        # vertices, so beyond n = 16 the range is advisory
+        rng = np.random.default_rng(3)
+        g = tv1d_gauge(n)
+        x0 = np.repeat(rng.standard_normal(4), n // 4)
+        Phi = rng.standard_normal((n - 6, n))
+        md0, p0 = decompose_l1(g.dstar @ x0)
+        md = precompose(md0, g.dstar.T, x0)
+        p = psfl_precompose(p0, g.dstar.T, md0, md)
+        const = stability_constants(Phi, md, p)
+        assert p.exact == exact
+        assert const.exact == exact

@@ -170,16 +170,37 @@ class TestExperiment:
         assert code == 2
         assert "unknown keys" in err
 
+    @staticmethod
+    def _cs_linf_by_jobs(capsys, tmp_path, args):
+        """(exit code, CSV text or None) for --jobs 1 and --jobs 2."""
+        outs = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / jobs
+            code, _, _ = run_cli(capsys, "experiment", "cs-linf", *args,
+                                 "--jobs", jobs, "--out", str(out_dir))
+            csv = out_dir / "cs_linf.csv"
+            outs.append((code, csv.read_text() if csv.exists() else None))
+        return outs
+
     def test_jobs_flag_bit_identical(self, capsys, tmp_path):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        for out_dir, jobs in ((a, "1"), (b, "2")):
-            code, _, _ = run_cli(capsys, "experiment", "cs-linf", "--n", "12",
-                                 "--i-size", "4", "--q", "11", "--trials",
-                                 "8", "--seed", "5", "--jobs", jobs,
-                                 "--out", str(out_dir))
-            assert code == 0
-        assert (a / "cs_linf.csv").read_text() == (b / "cs_linf.csv").read_text()
+        serial, parallel = self._cs_linf_by_jobs(
+            capsys, tmp_path, ["--n", "12", "--i-size", "4", "--q", "11",
+                               "--trials", "8", "--seed", "5"])
+        assert serial[0] == 0
+        assert serial == parallel
+
+    @pytest.mark.parametrize("args, code", [
+        # |I| = 2 has no probability bound: the serial run writes bound nan
+        (["--n", "10", "--i-size", "2", "--q", "9"], 0),
+        # Q below dim T: both runs must reject, none may write a row
+        (["--n", "12", "--i-size", "4", "--q", "5"], 2),
+    ], ids=["small-support", "q-below-dim-t"])
+    def test_jobs_flag_same_exit_code_and_csv(self, capsys, tmp_path, args,
+                                              code):
+        serial, parallel = self._cs_linf_by_jobs(
+            capsys, tmp_path, args + ["--trials", "6", "--seed", "3"])
+        assert serial[0] == code
+        assert serial == parallel
 
 
 class TestPolar:

@@ -51,6 +51,34 @@ class TestTrials:
         with pytest.raises(ValueError):
             run_linf_cs_trials(24, 18, 5, 10, seed=0)
 
+    def test_jobs_capped_at_cpu_count_and_records_kept(self, monkeypatch):
+        # a stand-in executor records the worker count and maps in-process,
+        # so no worker process is started whatever jobs asks for
+        import gaugerec.experiments as exp
+        seen = []
+
+        class InProcess:
+            def __init__(self, max_workers, mp_context):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: 3)
+        serial = run_linf_cs_trials(16, 16, 4, 6, seed=4)
+        wide = run_linf_cs_trials(16, 16, 4, 6, seed=4, jobs=1000)
+        assert seen == [3]
+        assert wide.cells[0].success == serial.cells[0].success
+        assert [r.ic_value for r in wide.records] == \
+            [r.ic_value for r in serial.records]
+
     def test_square_full_saturation_anchor(self):
         # Regression anchor, pinned from the first run (0.225 at this seed).
         # The criterion frequency here tracks the Gaussian tail product

@@ -549,3 +549,160 @@ def _sample_subgradient(md, rng):
         if a > 1e-12:
             v = v * (rng.uniform(0, 1) / a)
     return md.f + v
+
+
+# ---------------------------------------------------------------------------
+# support-form subdifferential gauges against hand-built references
+# ---------------------------------------------------------------------------
+
+def _same_rows(A, B, tol=1e-9):
+    """A and B hold the same rows up to order (a vertex-set comparison)."""
+    A, B = np.asarray(A), list(np.asarray(B))
+    if len(A) != len(B):
+        return False
+    for a in A:
+        dists = [np.linalg.norm(a - b) for b in B]
+        j = int(np.argmin(dists))
+        if dists[j] > tol:
+            return False
+        B.pop(j)
+    return True
+
+
+def _lp_precompose_value(md0, D, eta):
+    """The LP form of the pre-composed gauge: min over w in Ker(D_S0) of
+    max(0, max_j <a_j, q + w>) with q = D_S0^+ eta."""
+    from gaugerec.linalg import null_space, svd_pinv
+    from gaugerec.lp import LpProblem, lp_solve, OPTIMAL
+    B0 = md0.S.basis
+    DS = D @ B0
+    q = B0 @ svd_pinv(DS) @ eta
+    Z = B0 @ null_space(DS)
+    atoms0 = md0.antig.support_atoms()
+    rows = np.hstack([atoms0 @ Z, -np.ones((len(atoms0), 1))])
+    c = np.zeros(Z.shape[1] + 1)
+    c[-1] = 1.0
+    res = lp_solve(LpProblem(c, a_ub=rows, b_ub=-(atoms0 @ q),
+                             bounds=[(None, None)] * Z.shape[1] + [(0, None)]))
+    assert res.status == OPTIMAL
+    return max(float(res.value), 0.0)
+
+
+class TestSupportFormGauge:
+    @pytest.mark.parametrize("n_off", [0, 1, 3, 8])
+    def test_l1_ball_is_the_cube_on_s(self, n_off, rng):
+        n = 10
+        x = rng.standard_normal(n)
+        off = rng.choice(n, n_off, replace=False)
+        x[off] = 0.0
+        md, _ = decompose_l1(x)
+        # reference: every sign pattern on the off-support coordinates
+        ref = np.zeros((2 ** n_off, n))
+        for r, signs in enumerate(np.ndindex(*([2] * n_off))):
+            ref[r, sorted(off)] = 2.0 * np.array(signs) - 1.0
+        assert _same_rows(md.antig.ball_vertices(), ref)
+
+    def test_l1_ball_not_enumerated_above_dim_8(self):
+        x = np.zeros(12)
+        x[:3] = 1.0
+        md, _ = decompose_l1(x)
+        assert md.S.dim == 9
+        assert md.antig.ball_vertices() is None
+        assert md.antig.value(md.S.project(np.arange(12.0))) == 11.0
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_linf_ball_is_the_shifted_simplex(self, k, rng):
+        n = 8
+        x = rng.uniform(-0.5, 0.5, n)
+        I = sorted(rng.choice(n, k, replace=False))
+        x[I] = rng.choice([-1.0, 1.0], k)
+        md, _ = decompose_linf(x)
+        ref = np.array([np.sign(x[i]) * np.eye(n)[i] - md.e for i in I])
+        assert _same_rows(md.antig.ball_vertices(), ref)
+
+    def test_polyhedral_positive_ball(self):
+        u = np.array([1.5, -0.3, 1.5, 0.2, 1.5])
+        md, _ = decompose_polyhedral(u)
+        ref = np.array([np.eye(5)[i] - md.e for i in (0, 2, 4)])
+        assert _same_rows(md.antig.ball_vertices(), ref)
+
+    def test_polyhedral_nonpositive_ball(self):
+        u = np.array([0.0, -1.0, 0.0, 0.0, -0.5])
+        md, _ = decompose_polyhedral(u, mu_choice=0.4)
+        I0 = [0, 2, 3]
+        ref = np.array([np.eye(5)[i] - md.f for i in I0] + [-md.f])
+        assert _same_rows(md.antig.ball_vertices(), ref)
+
+    def test_ball_is_cached(self):
+        x = np.array([1.0, 0.0, 0.0, -2.0])
+        md, _ = decompose_l1(x)
+        assert md.antig.ball_vertices() is md.antig.ball_vertices()
+
+    def test_tv_support_form_matches_lp_form(self, rng):
+        n = 9
+        g = tv1d_gauge(n)
+        for _ in range(10):
+            x = np.repeat(rng.standard_normal(3), [3, 2, 4])
+            md0, _ = decompose_l1(g.dstar @ x)
+            md = precompose(md0, g.dstar.T, x)
+            assert md.antig.support_atoms() is not None
+            for _ in range(20):
+                eta = md.S.project(rng.standard_normal(n))
+                ref = _lp_precompose_value(md0, g.dstar.T, eta)
+                assert abs(md.antig.value(eta) - ref) <= 1e-12 * (1 + ref)
+
+    @pytest.mark.parametrize("branch", ["positive", "nonpositive"])
+    def test_polyhedral_support_form_matches_lp_form(self, branch, rng):
+        n, p = 7, 5
+        for _ in range(10):
+            H = rng.standard_normal((n, p))
+            u = rng.uniform(-1.0, -0.2, p)
+            if branch == "positive":
+                u[rng.choice(p, 2, replace=False)] = 1.3
+            else:
+                u[rng.choice(p, 3, replace=False)] = 0.0
+            # H^T has full row rank, so u = H^T x is reached exactly
+            x = np.linalg.lstsq(H.T, u, rcond=None)[0]
+            md0, _ = decompose_polyhedral(H.T @ x)
+            md = decompose(PolyhedralH(H), x)
+            assert md.antig.support_atoms() is not None
+            for _ in range(20):
+                eta = md.S.project(rng.standard_normal(n))
+                ref = _lp_precompose_value(md0, H, eta)
+                assert abs(md.antig.value(eta) - ref) <= 1e-12 * (1 + ref)
+
+    def test_tv_c4_takes_the_closed_form(self, rng):
+        from gaugerec.linalg import svd_pinv
+        n, q = 12, 8
+        x = np.repeat(rng.standard_normal(3), 4)
+        Phi = rng.standard_normal((q, n))
+        md = decompose(tv1d_gauge(n), x)
+        M = Phi @ md.T.basis
+        Q_T = np.eye(q) - M @ svd_pinv(M)
+        PS = md.S.basis @ md.S.basis.T
+        W4 = PS @ Phi.T @ Q_T
+        b4 = operator_bound(W4, L2(q), md.antig)
+        assert b4.method == "exact-closed-form"
+        atoms = md.antig.support_atoms()
+        assert abs(b4.value - np.max(np.linalg.norm(W4.T @ atoms.T, axis=0))) \
+            <= 1e-12 * b4.value
+        # a sampled lower bound never exceeds the exact value
+        best = 0.0
+        for z in np.random.default_rng(0).standard_normal((2000, q)):
+            best = max(best, md.antig.value(W4 @ (z / np.linalg.norm(z))))
+        assert best <= b4.value * (1 + 1e-12)
+        assert best >= 0.5 * b4.value
+
+    def test_precomposed_group_with_trivial_kernel_is_exact(self, rng):
+        from gaugerec.certificates import irrepresentability
+        from gaugerec.gauges import Precomposed
+        n = 8
+        part = BlockPartition([[0, 1], [2, 3], [4, 5]], 6)
+        dstar = rng.standard_normal((6, n))
+        x = np.linalg.lstsq(dstar, np.array([1.0, 2.0, 0, 0, 0, 0]),
+                            rcond=None)[0]
+        md = decompose(Precomposed(GroupL1L2(part), dstar), x)
+        assert md.antig.exact
+        Phi = rng.standard_normal((6, n))
+        rep = irrepresentability(Phi, md)
+        assert rep.method == "exact"

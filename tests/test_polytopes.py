@@ -210,6 +210,26 @@ def _dedupe_reference(rows, tol):
     return kept[:n_kept]
 
 
+class TestJoggledHull:
+    def test_polar_of_dupridge_sum(self):
+        # a dimension-5 pair whose Minkowski sum has facet normals on which
+        # qhull's default merge fails (QH6271), so the polar goes through
+        # the joggled hull; its facets must hold for the original points
+        rng = np.random.default_rng([24, 7, 69])
+        d = 5
+
+        def points():
+            pts = rng.standard_normal((d + 4, d))
+            return np.vstack([pts, -0.7 * pts])
+
+        S = Polytope.from_vertices(points()).minkowski_sum(
+            Polytope.from_vertices(points()))
+        Sp = S.polar()
+        # the support of the polar set is the gauge of the set
+        for u in np.random.default_rng(0).standard_normal((20, d)):
+            assert abs(Sp.support(u) - S.gauge(u)) <= 1e-6 * (1 + S.gauge(u))
+
+
 class TestDedupeRows:
     TOL = 1e-9
 
