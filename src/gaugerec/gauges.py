@@ -94,6 +94,7 @@ class Gauge:
         return _restrict_directions(np.zeros((0, self.dim)), domain)
 
     is_euclidean = False
+    is_max_abs = False
 
     def _check(self, x):
         x = check_finite(x, "x")
@@ -179,6 +180,8 @@ class L2(Gauge):
 
 class Linf(Gauge):
     """Max absolute entry."""
+
+    is_max_abs = True
 
     def value(self, x):
         return float(np.max(np.abs(self._check(x)), initial=0.0))

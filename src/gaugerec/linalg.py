@@ -244,8 +244,11 @@ def operator_bound(A, g_in, g_out, domain=None, samples=10000, seed=0):
 
     The bound is finite exactly when A maps the kernel of g_in into the
     kernel of g_out.  Resolution order: finite vertex list of the input unit
-    ball (exact), closed forms for a Euclidean input gauge (exact), then a
-    sampled lower bound over ``samples`` unit directions.
+    ball (exact); the largest row l1 norm when both gauges are max-abs and
+    the domain is absent or a coordinate subspace, where the vertex list
+    (2^dim sign patterns) is too long to enumerate (exact); closed forms for
+    a Euclidean input gauge (exact); then a sampled lower bound over
+    ``samples`` unit directions.
     """
     A = check_finite(A, "A")
     scale = np.linalg.norm(A) + 1.0
@@ -260,6 +263,13 @@ def operator_bound(A, g_in, g_out, domain=None, samples=10000, seed=0):
     if verts is not None and len(verts) > 0:
         val = max(g_out.value(A @ v) for v in verts)
         return OperatorBound(val, OperatorBound.EXACT_VERTEX)
+
+    if (getattr(g_in, "is_max_abs", False)
+            and getattr(g_out, "is_max_abs", False)
+            and (domain is None or domain.coord_idx is not None)):
+        cols = A if domain is None else A[:, list(domain.coord_idx)]
+        val = float(np.max(np.abs(cols).sum(axis=1), initial=0.0))
+        return OperatorBound(val, OperatorBound.EXACT_CLOSED_FORM)
 
     if getattr(g_in, "is_euclidean", False):
         M = A if domain is None else A @ domain.basis

@@ -5,16 +5,26 @@ recovery problems.
 has a proximal map, and a primal-dual splitting (analysis form) when it is
 a pre-composition or a polyhedral H-gauge.  Convergence is declared from
 the first-order conditions at the iterate's own model decomposition, never
-from step sizes alone.  ``solve_noiseless`` prefers exact LP formulations
-and falls back to a primal-dual method for non-polyhedral gauges.  Gauges
-that are a max of linear functionals (Linf, PolyhedralH, Precomposed over
-Linf) are solved through the dual of their epigraph LP restricted to
-Ker(Phi), which has dim Ker(Phi) + 1 rows instead of about Q + 2N.
+from step sizes alone.  At each FISTA convergence check that the iterate
+fails, the penalized problem is also solved exactly on the iterate's model
+subspace T (``solve_restricted``); once FISTA has identified the model,
+that candidate passes the same first-order test and is returned.  On T the
+regularizer is smooth: affine for the l1 and max-abs kinds, where the
+candidate is one linear solve, and a sum of block norms for the group kind,
+where Newton's method on the active blocks finds it.
+
+``solve_noiseless`` prefers exact LP formulations and falls back to a
+primal-dual method for non-polyhedral gauges.  Gauges that are a max of
+linear functionals (Linf, PolyhedralH, Precomposed over Linf) are solved
+through the dual of their epigraph LP restricted to Ker(Phi), which has
+dim Ker(Phi) + 1 rows instead of about Q + 2N.
 """
 
 import numpy as np
+import scipy.linalg
 
-from .linalg import check_finite, null_space, svd_pinv, power_operator_norm
+from .linalg import (check_finite, null_space, svd_pinv, power_operator_norm,
+                     rank_tolerance, restricted_injectivity)
 from .lp import LpProblem, lp_solve, OPTIMAL
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                      UnsupportedGaugeError, project_l1_ball,
@@ -64,9 +74,18 @@ class SolveOptions:
         self.log_objective = bool(log_objective)
 
 
-def _first_order_residuals(Phi, y, lam, g, x):
+def _decomposition(g, x):
+    """Model decomposition of g at x, or None where there is none."""
+    try:
+        return model_mod.decompose(g, x)
+    except (model_mod.DegenerateModelError, UnsupportedGaugeError):
+        return None
+
+
+def _first_order_residuals(Phi, y, lam, g, x, md=None):
     """(equality residual, gauge slack beyond 1) of the penalized problem
-    at x, evaluated on the decomposition of the iterate itself."""
+    at x, evaluated on the decomposition ``md`` of the iterate itself
+    (computed here when not given)."""
     r = y - Phi @ x
     corr = Phi.T @ r
     if np.max(np.abs(x)) == 0.0:
@@ -75,10 +94,10 @@ def _first_order_residuals(Phi, y, lam, g, x):
         except UnsupportedGaugeError:
             return np.inf, np.inf
         return 0.0, max(slack, 0.0)
-    try:
-        md = model_mod.decompose(g, x)
-    except (model_mod.DegenerateModelError, UnsupportedGaugeError):
-        return np.inf, np.inf
+    if md is None:
+        md = _decomposition(g, x)
+        if md is None:
+            return np.inf, np.inf
     eq = np.max(np.abs(md.T.coords(corr) - lam * md.T.coords(md.e)),
                 initial=0.0) / (1.0 + lam)
     slack = md.antig.value(md.S.project(corr / lam - md.f)) - 1.0
@@ -149,14 +168,35 @@ def _fista(Phi, y, lam, g, opts):
         if it % opts.check_every == 0:
             if log is not None:
                 log.append(_objective(Phi, y, lam, g, x))
-            eq, slack = _first_order_residuals(Phi, y, lam, g, x)
+            md = _decomposition(g, x) if np.any(x) else None
+            eq, slack = _first_order_residuals(Phi, y, lam, g, x, md)
             if eq <= opts.tol and slack <= opts.tol:
                 return SolveResult(x, it, eq, slack, True, "fista",
+                                   objective_log=log)
+            polished = _polish(Phi, y, lam, g, md, opts.tol)
+            if polished is not None:
+                x_p, eq_p, slack_p = polished
+                return SolveResult(x_p, it, eq_p, slack_p, True, "fista",
                                    objective_log=log)
     eq, slack = _first_order_residuals(Phi, y, lam, g, x)
     return SolveResult(x, opts.max_iter, eq, slack,
                        eq <= opts.tol and slack <= opts.tol, "fista",
                        objective_log=log)
+
+
+def _polish(Phi, y, lam, g, md, tol):
+    """(x, eq, slack) for the minimizer over the model subspace of md when
+    it passes the first-order test at tol, else None."""
+    if md is None:
+        return None
+    try:
+        cand = solve_restricted(Phi, y, lam, md).x_hat
+    except cert_mod.RestrictedInjectivityError:
+        return None
+    eq, slack = _first_order_residuals(Phi, y, lam, g, cand)
+    if eq <= tol and slack <= tol:
+        return cand, eq, slack
+    return None
 
 
 def _dual_ball_projection(base):
@@ -201,7 +241,6 @@ def _primal_dual_penalized(Phi, y, lam, g, opts):
     sigma = tau = 0.99 / normK if normK > 0 else 1.0
     # prox of tau * 0.5||y - Phi x||^2: solve (I + tau Phi^T Phi) x = v + tau Phi^T y
     A = np.eye(n) + tau * (Phi.T @ Phi)
-    import scipy.linalg
     chol = scipy.linalg.cho_factor(A)
     Pty = Phi.T @ y
     x = np.zeros(n)
@@ -210,7 +249,8 @@ def _primal_dual_penalized(Phi, y, lam, g, opts):
     eq = slack = np.inf
     for it in range(1, opts.max_iter + 1):
         p = dual_proj(p + sigma * (K @ xbar), lam)
-        x_new = scipy.linalg.cho_solve(chol, x - tau * (K.T @ p) + tau * Pty)
+        x_new = scipy.linalg.cho_solve(chol, x - tau * (K.T @ p) + tau * Pty,
+                                       check_finite=False)
         xbar = 2.0 * x_new - x
         x = x_new
         if it % opts.check_every == 0:
@@ -354,70 +394,89 @@ def solve_restricted(Phi, y, lam, md, opts=None):
 
     When the sign-like vector is locally constant on the model cone (L1,
     Linf, polyhedral and analysis kinds) the minimizer has the closed form
-    Phi_T^+ y - lam (Phi_T^* Phi_T)^{-1} e restricted to T; for the group
-    regularizer the vector e varies with the point and a damped fixed-point
-    iteration is used, with FISTA on the subspace as a fallback.
+    Phi_T^+ (y - lam (Phi_T^+)^* e) restricted to T, which needs Phi to be
+    injective on T (else ``RestrictedInjectivityError``).  For the group
+    regularizer e varies with the point; Newton's method on the active
+    blocks, started at md.x, minimizes the block-norm problem.  It needs a
+    nonsingular Hessian at md.x rather than injectivity, since group
+    solutions with dim T > Q are often unique; ``converged`` reports whether
+    its residual met ``opts.tol``.
     """
     Phi = check_finite(Phi, "Phi")
     y = check_finite(y, "y")
     opts = opts or SolveOptions()
-    from .linalg import restricted_injectivity
+    if isinstance(md.gauge, GroupL1L2):
+        return _group_newton(Phi, y, lam, md, opts.tol)
     if not restricted_injectivity(Phi, md.T):
         raise cert_mod.RestrictedInjectivityError(
             "restricted problem is not strongly convex on T")
     U = md.T.basis
     M = Phi @ U
     Mp = svd_pinv(M)
-    Ginv = np.linalg.inv(M.T @ M)
-    if not isinstance(md.gauge, GroupL1L2):
-        coeff = Mp @ y - lam * (Ginv @ U.T @ md.e)
-        x = U @ coeff
-        res = np.max(np.abs(M.T @ (y - Phi @ x) - lam * (U.T @ md.e)),
-                     initial=0.0)
-        return SolveResult(x, 1, res / (1.0 + lam), 0.0, True, "closed-form")
-    # group: e(x) varies; damped fixed point
-    part = md.gauge.partition
-    x = U @ (Mp @ y)
-    for it in range(1, 10001):
-        e = np.zeros(md.ambient_dim)
-        for b in part:
-            nb = np.linalg.norm(x[b])
-            if nb > 1e-15:
-                e[b] = x[b] / nb
-        target = U @ (Mp @ y - lam * (Ginv @ (U.T @ e)))
-        x_next = 0.5 * x + 0.5 * target
-        if np.linalg.norm(x_next - x) <= 1e-10 * (1.0 + np.linalg.norm(x)):
-            x = x_next
-            res = np.max(np.abs(M.T @ (y - Phi @ x) - lam * (U.T @ e)),
-                         initial=0.0)
-            return SolveResult(x, it, res / (1.0 + lam), 0.0, True,
-                               "fixed-point")
-        x = x_next
-    # fall back to FISTA in subspace coordinates
-    sub = _group_subspace_fista(M, y, lam, part, U, opts)
-    return SolveResult(sub, opts.max_iter, np.nan, np.nan, False,
-                       "fista-on-T")
+    # (M^T M)^{-1} = Mp Mp^T for injective M
+    x = U @ (Mp @ (y - lam * (Mp.T @ (U.T @ md.e))))
+    res = np.max(np.abs(M.T @ (y - Phi @ x) - lam * (U.T @ md.e)),
+                 initial=0.0)
+    return SolveResult(x, 1, res / (1.0 + lam), 0.0, True, "closed-form")
 
 
-def _group_subspace_fista(M, y, lam, part, U, opts):
-    blocks = []
-    for b in part:
-        cols = [j for j in range(U.shape[1]) if np.any(np.abs(U[b, j]) > 0)]
-        if cols:
-            blocks.append(np.asarray(cols, dtype=int))
-    L = power_operator_norm(M) ** 2
-    step = 1.0 / L if L > 0 else 1.0
-    c = np.zeros(M.shape[1])
-    z = c.copy()
-    t = 1.0
-    for _ in range(opts.max_iter):
-        grad = M.T @ (M @ z - y)
-        v = z - step * grad
-        c_new = v.copy()
-        for b in blocks:
-            nb = np.linalg.norm(v[b])
-            c_new[b] = 0.0 if nb <= lam * step else v[b] * (1 - lam * step / nb)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = c_new + ((t - 1.0) / t_new) * (c_new - c)
-        c, t = c_new, t_new
-    return U @ c
+def _group_newton(Phi, y, lam, md, tol, max_iter=50):
+    """Newton's method for min 0.5||y - M c||^2 + lam sum_b ||c_b|| over the
+    coordinates c of T, with M = Phi U.  The Hessian is
+    M^T M + lam blockdiag((I - u_b u_b^T) / ||c_b||), u_b = c_b / ||c_b||;
+    steps are damped until the gradient's norm decreases."""
+    U = md.T.basis
+    M = Phi @ U
+    G = M.T @ M
+    Mty = M.T @ y
+    blocks = [cols for cols in (np.flatnonzero(np.any(U[b] != 0.0, axis=0))
+                                for b in md.gauge.partition) if cols.size]
+
+    def gradient(c):
+        unit = np.zeros_like(c)
+        for cols in blocks:
+            nb = np.linalg.norm(c[cols])
+            if nb == 0.0:
+                return None
+            unit[cols] = c[cols] / nb
+        return G @ c - Mty + lam * unit
+
+    def hessian(c):
+        H = G.copy()
+        for cols in blocks:
+            nb = np.linalg.norm(c[cols])
+            u = c[cols] / nb
+            H[np.ix_(cols, cols)] += (lam / nb) * (np.eye(cols.size)
+                                                   - np.outer(u, u))
+        return H
+
+    c = U.T @ md.x
+    grad = gradient(c)   # the active blocks of md.x are nonzero
+    # round-off level of the gradient's entries
+    floor = 64.0 * np.finfo(float).eps * (
+        np.abs(G).sum(axis=1).max(initial=0.0) * np.abs(c).max(initial=0.0)
+        + np.abs(Mty).max(initial=0.0) + lam)
+    steps = 0
+    while steps < max_iter:
+        gn = np.abs(grad).max(initial=0.0)
+        if gn <= floor:
+            break
+        w, V = np.linalg.eigh(hessian(c))
+        if w.size and w[0] <= rank_tolerance(abs(w[-1]), V.shape):
+            if steps == 0:
+                raise cert_mod.RestrictedInjectivityError(
+                    "the restricted Hessian is singular at the anchor")
+            break
+        step = -(V @ ((V.T @ grad) / w))
+        for t in 0.5 ** np.arange(34):
+            trial = gradient(c + t * step)
+            if trial is not None and \
+                    np.abs(trial).max(initial=0.0) <= (1.0 - 1e-4 * t) * gn:
+                break
+        else:
+            break   # no damped step decreases the gradient any more
+        c = c + t * step
+        grad = trial
+        steps += 1
+    res = np.abs(grad).max(initial=0.0) / (1.0 + lam)
+    return SolveResult(U @ c, steps, res, 0.0, res <= tol, "newton")

@@ -298,11 +298,11 @@ class TestStabilityConstants:
         # the Gamma -> Gamma bound of the inverse Gram cannot be exact
         assert not const.exact
 
-    @pytest.mark.parametrize("n, exact", [(12, True), (20, False)])
+    @pytest.mark.parametrize("n, exact", [(12, True), (20, True)])
     def test_exactness_flag_for_tv_follows_the_parameters(self, n, exact):
         # c4 of TV comes from the closed form; nu = nu0 / ||D^T||, and that
-        # bound is exact only while the linf ball of R^n has at most 2^16
-        # vertices, so beyond n = 16 the range is advisory
+        # linf -> linf bound comes from the linf ball's 2^n vertices up to
+        # n = 16 and from the largest row l1 norm beyond, exact either way
         rng = np.random.default_rng(3)
         g = tv1d_gauge(n)
         x0 = np.repeat(rng.standard_normal(4), n // 4)

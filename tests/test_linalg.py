@@ -167,6 +167,37 @@ class TestOperatorBound:
         assert sampled.method == OperatorBound.SAMPLED
         assert sampled.value <= exact.value + 1e-12
 
+    def test_linf_to_linf_closed_form_matches_vertices(self, rng):
+        class NoVertexLinf(Linf):
+            def ball_vertices(self, domain=None):
+                return None
+
+        for n in range(1, 9):
+            A = rng.standard_normal((5, n))
+            domains = [None, Subspace.coordinate(n, range(0, n, 2))]
+            for dom in domains:
+                vert = operator_bound(A, Linf(n), Linf(5), domain=dom)
+                closed = operator_bound(A, NoVertexLinf(n), Linf(5),
+                                        domain=dom)
+                assert vert.method == OperatorBound.EXACT_VERTEX
+                assert closed.method == OperatorBound.EXACT_CLOSED_FORM
+                assert abs(closed.value - vert.value) <= 1e-12
+
+    def test_linf_to_linf_beyond_enumeration_is_exact(self, rng):
+        # 2^20 sign vertices are too many to enumerate; the largest row
+        # l1 norm replaces the sampled lower bound and dominates it
+        A = rng.standard_normal((6, 20))
+        b = operator_bound(A, Linf(20), Linf(6))
+        assert b.method == OperatorBound.EXACT_CLOSED_FORM
+        assert b.value == np.max(np.abs(A).sum(axis=1))
+        for _ in range(200):
+            x = rng.uniform(-1.0, 1.0, 20)
+            assert np.max(np.abs(A @ x)) <= b.value + 1e-12
+        dom = Subspace.coordinate(20, range(17))
+        bd = operator_bound(A, Linf(20), Linf(6), domain=dom)
+        assert bd.method == OperatorBound.EXACT_CLOSED_FORM
+        assert bd.value == np.max(np.abs(A[:, :17]).sum(axis=1))
+
     def test_l2_to_linf_closed_form(self, rng):
         A = rng.standard_normal((4, 6))
         b = operator_bound(A, L2(6), Linf(4))

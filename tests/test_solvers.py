@@ -5,7 +5,9 @@ from gaugerec.gauges import (L1, Linf, GroupL1L2, PolyhedralH, Precomposed,
                              BlockPartition, UnsupportedGaugeError)
 from gaugerec.lp import LpProblem, lp_solve
 from gaugerec.model import decompose, decompose_l1, decompose_group, tv1d_gauge
-from gaugerec.certificates import check_noisy_optimality
+from gaugerec.certificates import (check_noisy_optimality,
+                                   RestrictedInjectivityError)
+from gaugerec import solvers
 from gaugerec.solvers import (solve_penalized, solve_noiseless,
                               solve_restricted, SolveOptions)
 
@@ -89,6 +91,70 @@ class TestPenalized:
             md = decompose(g, res.x_hat)
             assert check_noisy_optimality(Phi, y, 0.4, res.x_hat, md=md,
                                           eq_tol=1e-6) != "not_optimal"
+
+
+def _penalized_instance(kind, seed):
+    """(Phi, y, lam, g) drawn like the criterion-9 mix: n = 20, Q = 12."""
+    r = np.random.default_rng([seed, 5])
+    Phi = r.standard_normal((12, 20))
+    xs = r.standard_normal(20)
+    if kind == "l1":
+        g = L1(20)
+        xs[r.choice(20, 10, replace=False)] = 0.0
+    elif kind == "group":
+        g = GroupL1L2(BlockPartition([[2 * b, 2 * b + 1] for b in range(10)],
+                                     20))
+        for b in r.choice(10, 5, replace=False):
+            xs[2 * b:2 * b + 2] = 0.0
+    else:
+        g = Linf(20)
+    y = Phi @ xs + 0.1 * r.standard_normal(12)
+    return Phi, y, float(r.uniform(0.2, 1.2)), g
+
+
+class TestPolishedExit:
+    @pytest.mark.parametrize("kind", ["l1", "group", "linf"])
+    def test_polished_point_is_as_good_as_a_tight_run(self, kind,
+                                                      monkeypatch):
+        outcomes = []
+        polish = solvers._polish
+
+        def spy(*args):
+            out = polish(*args)
+            outcomes.append(out)
+            return out
+
+        monkeypatch.setattr(solvers, "_polish", spy)
+        for seed in range(4):
+            Phi, y, lam, g = _penalized_instance(kind, seed)
+
+            def obj(x):
+                r = y - Phi @ x
+                return 0.5 * r @ r + lam * g.value(x)
+
+            outcomes.clear()
+            res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-8))
+            assert res.converged and res.method == "fista"
+            # the exit was the polished candidate, not the iterate
+            assert outcomes and outcomes[-1] is not None
+            assert res.x_hat is outcomes[-1][0]
+            assert res.iterations % 100 == 0
+            tight = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-12))
+            assert tight.converged
+            assert obj(res.x_hat) <= obj(tight.x_hat) + 1e-10
+
+    def test_identified_l1_model_exits_at_the_first_check(self):
+        # FISTA alone needs 1300 iterations here; its support and signs are
+        # right after 100, so the first check returns the polished point
+        Phi, x0 = random_l1_instance(2, 20, 12, 3)
+        y = Phi @ x0 + 0.05 * np.random.default_rng(2).standard_normal(12)
+        res = solve_penalized(Phi, y, 0.5, L1(20),
+                              SolveOptions(check_every=100,
+                                           log_objective=True))
+        assert res.converged
+        assert res.iterations == 100
+        assert len(res.objective_log) == 1
+        assert max(res.primal_residual, res.dual_residual) <= 1e-8
 
 
 class TestNoiseless:
@@ -194,5 +260,48 @@ class TestRestricted:
         res = solve_restricted(Q, Q @ x0 + 0.01 * rng.standard_normal(4),
                                0.05, md)
         assert res.converged
-        # the fixed point satisfies the implicit equation to 1e-9
-        assert res.primal_residual <= 1e-9
+        # Newton's solution satisfies the stationarity equation on T
+        assert res.primal_residual <= 1e-12
+
+    def test_group_newton_with_dim_t_above_q(self, rng):
+        # dim T = 6 > Q = 3: Phi_T has a kernel, yet the Hessian
+        # M^T M + lam blockdiag((I - u u^T) / ||c_b||) is nonsingular.
+        # c_star is made stationary by putting lam * u_star in the range of
+        # M^T, so it is the unique minimizer on T
+        part = BlockPartition([[0, 1], [2, 3], [4, 5], [6, 7]], 8)
+        g = GroupL1L2(part)
+        lam = 0.3
+        c_star = np.array([1.0, -2.0, 0.5, 1.5, -1.0, 0.25])
+        u_star = np.concatenate([c_star[b] / np.linalg.norm(c_star[b])
+                                 for b in ([0, 1], [2, 3], [4, 5])])
+        M = np.column_stack([u_star, rng.standard_normal((6, 2))]).T
+        Phi = np.hstack([M, rng.standard_normal((3, 2))])
+        y = M @ c_star + lam * np.array([1.0, 0.0, 0.0])
+        x_star = np.concatenate([c_star, np.zeros(2)])
+        md = decompose(g, x_star + 0.2 * rng.standard_normal(8)
+                       * (np.arange(8) < 6))
+        assert md.T.dim == 6 > Phi.shape[0]
+        res = solve_restricted(Phi, y, lam, md)
+        assert res.converged and res.method == "newton"
+        assert res.primal_residual <= 1e-12
+        assert np.max(np.abs(res.x_hat - x_star)) <= 1e-9
+
+    def test_group_newton_failure_is_finite(self):
+        # the minimizer on T wants the second block to vanish, so Newton
+        # cannot converge on T; it stops with finite residuals
+        part = BlockPartition([[0, 1], [2, 3]], 4)
+        g = GroupL1L2(part)
+        x = np.array([3.0, 1.0, 0.01, 0.01])
+        md = decompose(g, x)
+        res = solve_restricted(np.eye(4), x, 1.0, md)
+        assert not res.converged
+        assert np.isfinite(res.primal_residual)
+        assert np.all(np.isfinite(res.x_hat))
+
+    def test_group_singular_hessian_raises(self):
+        # blocks of size one add nothing to the Hessian, and Phi vanishes
+        # on T, so the restricted problem is not strongly convex there
+        part = BlockPartition([[0], [1]], 2)
+        md = decompose(GroupL1L2(part), np.array([1.0, -1.0]))
+        with pytest.raises(RestrictedInjectivityError):
+            solve_restricted(np.zeros((3, 2)), np.ones(3), 0.5, md)
