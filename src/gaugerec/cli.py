@@ -52,9 +52,12 @@ def _emit(payload, out=None):
 
 
 def _load_json_arg(arg, kind="value"):
-    """Inline JSON if the argument looks like JSON, else a file path."""
+    """Inline JSON if the argument looks like JSON, else a file path;
+    an already-parsed value is returned as is."""
     if arg is None:
         raise CliError(f"missing {kind}")
+    if not isinstance(arg, str):
+        return arg
     s = arg.strip()
     if s.startswith("[") or s.startswith("{"):
         try:
@@ -176,7 +179,6 @@ def cmd_certify(args):
 
 
 def cmd_solve(args):
-    x_len = None
     Phi = _matrix(args.phi, "--phi")
     y = _vector(args.y, "--y")
     if Phi.shape[0] != len(y):
@@ -228,75 +230,49 @@ def _validate_config(cfg):
     return kind
 
 
-def _write_sweep(sweep, out_dir, stem):
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, stem + ".csv")
-    json_path = os.path.join(out_dir, stem + ".json")
-    sweep.write_csv(csv_path)
-    sweep.write_config_json(json_path, version=__version__)
-    return csv_path, json_path
-
-
-def _run_cs_linf(n, i_size, trials, seed, q=None, beta=2.0, jobs=1):
-    if q is None:
-        q, _ = exp.cs_linf_bound(n, i_size, beta)
-    return exp.run_linf_cs_trials(n, q, i_size, trials, seed, beta=beta,
-                                  jobs=jobs)
-
-
-def _run_model_selection(phi_arg, x_arg, noise_levels, lambda_grid, trials,
-                         seed):
-    from .model import decompose_l1
-    from .certificates import stability_constants
-    Phi = _matrix(phi_arg, "phi")
-    x0 = _vector(x_arg, "x")
+def _run_experiment(kind, cfg, jobs):
+    """The sweep of a validated experiment config."""
+    if kind == "cs-linf":
+        beta = cfg.get("beta", 2.0)
+        q = cfg.get("q")
+        if q is None:
+            q, _ = exp.cs_linf_bound(cfg["n"], cfg["i_size"], beta)
+        return exp.run_linf_cs_trials(cfg["n"], q, cfg["i_size"],
+                                      cfg["trials"], cfg["seed"], beta=beta,
+                                      jobs=jobs)
+    if kind == "phase-transition":
+        return exp.phase_transition_sweep(
+            cfg["n"], cfg["i_size"], cfg["q_grid"], cfg["trials"],
+            cfg["seed"], mode=cfg.get("mode", "ic"), jobs=jobs)
+    if cfg.get("reg", "l1") != "l1":
+        raise CliError("model-selection config supports reg 'l1'")
+    Phi = _matrix(cfg["phi"], "phi")
+    x0 = _vector(cfg["x"], "x")
     md, p = decompose_l1(x0)
-    return exp.model_selection_sweep(Phi, x0, md, p, noise_levels,
-                                     lambda_grid, trials, seed)
+    return exp.model_selection_sweep(
+        Phi, x0, md, p, cfg["noise_levels"], cfg["lambda_grid"],
+        cfg["trials"], cfg["seed"], jobs=jobs)
 
 
 def cmd_experiment(args):
     if args.experiment == "from-config":
         cfg = _load_json_arg(args.config, "--config")
-        kind = _validate_config(cfg)
-        if kind == "cs-linf":
-            sweep = _run_cs_linf(cfg["n"], cfg["i_size"], cfg["trials"],
-                                 cfg["seed"], q=cfg.get("q"),
-                                 beta=cfg.get("beta", 2.0), jobs=args.jobs)
-            stem = "cs_linf"
-        elif kind == "model-selection":
-            if cfg.get("reg", "l1") != "l1":
-                raise CliError("model-selection config supports reg 'l1'")
-            try:
-                sweep = _run_model_selection(
-                    json.dumps(cfg["phi"]) if isinstance(cfg["phi"], list)
-                    else cfg["phi"],
-                    json.dumps(cfg["x"]) if isinstance(cfg["x"], list)
-                    else cfg["x"],
-                    cfg["noise_levels"], cfg["lambda_grid"], cfg["trials"],
-                    cfg["seed"])
-            except ValueError as exc:
-                raise CliError(str(exc))
-            stem = "model_selection"
-        else:
-            sweep = exp.phase_transition_sweep(
-                cfg["n"], cfg["i_size"], cfg["q_grid"], cfg["trials"],
-                cfg["seed"], mode=cfg.get("mode", "ic"))
-            stem = "phase_transition"
-    elif args.experiment == "cs-linf":
-        sweep = _run_cs_linf(args.n, args.i_size, args.trials, args.seed,
-                             q=args.q, beta=args.beta, jobs=args.jobs)
-        stem = "cs_linf"
-    elif args.experiment == "phase-transition":
-        grid = list(range(args.q_min, args.q_max + 1, args.q_step))
-        sweep = exp.phase_transition_sweep(args.n, args.i_size, grid,
-                                           args.trials, args.seed,
-                                           mode=args.mode)
-        stem = "phase_transition"
     else:
-        raise CliError(f"unknown experiment {args.experiment!r}")
-    csv_path, json_path = _write_sweep(sweep, args.out or ".", stem)
-    _emit({"csv": csv_path, "json": json_path,
+        # the subcommand's flags, as the config that from-config reads
+        schema = _CONFIG_SCHEMAS[args.experiment]
+        flags = dict(vars(args), kind=args.experiment)
+        if args.experiment == "phase-transition":
+            flags["q_grid"] = list(range(args.q_min, args.q_max + 1,
+                                         args.q_step))
+        cfg = {k: flags[k] for k in schema["required"] | schema["optional"]}
+    kind = _validate_config(cfg)
+    sweep = _run_experiment(kind, cfg, args.jobs)
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    stem = os.path.join(out_dir, kind.replace("-", "_"))
+    sweep.write_csv(stem + ".csv")
+    sweep.write_config_json(stem + ".json", version=__version__)
+    _emit({"csv": stem + ".csv", "json": stem + ".json",
            "cells": [{"params": c.params, "frequency": c.frequency}
                      for c in sweep.cells]})
     return EXIT_OK
@@ -304,16 +280,21 @@ def cmd_experiment(args):
 
 # -- polar identities --------------------------------------------------------
 
+def _worst_gap(pairs):
+    """Largest relative gap |a - b| / (1 + |b|) over the (a, b) pairs."""
+    worst = 0.0
+    for a, b in pairs:
+        worst = max(worst, abs(a - b) / (1.0 + abs(b)))
+    return worst
+
+
 def _check_identity(name, P1, P2, seed):
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((200, P1.dim))
     tol = 1e-5
 
     def close(A, B):
-        worst = 0.0
-        for u in dirs:
-            a, b = A.support(u), B.support(u)
-            worst = max(worst, abs(a - b) / (1.0 + abs(b)))
+        worst = _worst_gap((A.support(u), B.support(u)) for u in dirs)
         return worst <= tol, worst
 
     if name == "bipolar":
@@ -327,20 +308,14 @@ def _check_identity(name, P1, P2, seed):
         return close(P1.scale(rho).polar(), P1.polar().scale(1.0 / rho))
     if name == "minkowski-gauge":
         S = P1.minkowski_sum(P2)
-        worst = 0.0
-        for u in dirs[:50]:
-            a = poly.minkowski_sum_gauge(P1, P2, u)
-            b = S.gauge(u)
-            worst = max(worst, abs(a - b) / (1.0 + abs(b)))
+        worst = _worst_gap((poly.minkowski_sum_gauge(P1, P2, u), S.gauge(u))
+                           for u in dirs[:50])
         return worst <= tol, worst
     if name == "linear-image":
         D = rng.standard_normal((P1.dim, P1.dim))
         img = P1.linear_image(D)
-        worst = 0.0
-        for u in dirs[:50]:
-            a = poly.linear_image_gauge(P1, D, u)
-            b = img.gauge(u)
-            worst = max(worst, abs(a - b) / (1.0 + abs(b)))
+        worst = _worst_gap((poly.linear_image_gauge(P1, D, u), img.gauge(u))
+                           for u in dirs[:50])
         return worst <= tol, worst
     if name == "inverse-sum":
         ok, worst = poly.inverse_sum_polar_check(P1, P2, directions=200,
@@ -370,11 +345,8 @@ def _cone_sum_check(D_poly, rng, radii=(16.0, 64.0, 256.0, 1024.0)):
         rhs = poly.Polytope.from_halfspaces(
             np.vstack([R * gens, Dp.normals]),
             np.concatenate([np.ones(len(gens)), Dp.offsets]))
-        worst = 0.0
-        for u in dirs:
-            a, b = lhs.support(u), rhs.support(u)
-            worst = max(worst, abs(a - b) / (1.0 + abs(b)))
-        gaps.append(worst)
+        gaps.append(_worst_gap((lhs.support(u), rhs.support(u))
+                               for u in dirs))
     shrinking = all(b <= a * 1.05 for a, b in zip(gaps, gaps[1:]))
     ok = shrinking and gaps[-1] <= 0.05 and gaps[-1] <= gaps[0] / 10.0
     return ok, gaps[-1]

@@ -148,22 +148,31 @@ def _linf_trial(seed, N, Q, I_size, trial, mode):
     return ic, err <= 1e-6, err
 
 
-def _map_trials(fn, items, jobs=1):
-    """``list(map(fn, items))``, in up to ``jobs`` worker processes.
+def _apply(fn, args):
+    return fn(*args)
+
+
+def _map_trials(fn, cells, trials, jobs=1):
+    """``[[fn(*cell, t) for t in range(trials)] for cell in cells]``, with
+    the trials of all cells spread over up to ``jobs`` worker processes.
 
     ``jobs`` is capped at the CPU count.  Each trial draws from its own
-    seeded stream and results keep the order of ``items``, so the output
-    does not depend on ``jobs``.
+    seeded stream and results keep their order, so the output does not
+    depend on ``jobs``.
     """
+    items = [(*cell, t) for cell in cells for t in range(trials)]
+    fn = functools.partial(_apply, fn)
     jobs = min(max(1, int(jobs)), os.cpu_count() or 1)
     if jobs == 1:
-        return list(map(fn, items))
-    # spawned workers import afresh; forking a process with BLAS threads
-    # is unsafe
-    with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(fn, items))
+        outs = list(map(fn, items))
+    else:
+        # spawned workers import afresh; forking a process with BLAS
+        # threads is unsafe
+        with ProcessPoolExecutor(
+                max_workers=jobs,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            outs = list(pool.map(fn, items))
+    return [outs[i * trials:(i + 1) * trials] for i in range(len(cells))]
 
 
 def run_linf_cs_trials(N, Q, I_size, trials, seed, beta=float("nan"), jobs=1):
@@ -174,37 +183,34 @@ def run_linf_cs_trials(N, Q, I_size, trials, seed, beta=float("nan"), jobs=1):
     if Q < N - I_size + 1:
         raise ValueError("Q below the model-subspace dimension; the "
                          "restricted problem cannot be injective")
-    outs = _map_trials(functools.partial(_linf_trial, seed, N, Q, I_size,
-                                         mode="ic"), range(trials), jobs)
-    success = 0
-    records = []
-    for ic, ident, _ in outs:
-        success += bool(ident)
-        records.append(TrialRecord(seed, N, Q, I_size, "linf", ic, ident))
+    sweep = phase_transition_sweep(N, I_size, [Q], trials, seed, jobs=jobs)
     bound = float("nan")
     if not math.isnan(beta) and I_size >= 3:
         _, bound = cs_linf_bound(N, I_size, beta)
-    cell = SweepCell({"N": N, "Q": Q, "I_size": I_size}, trials, success,
-                     beta=beta, bound=bound)
+    cell = sweep.cells[0]
+    cell.beta, cell.bound = beta, bound
     return SweepResult({"N": N, "Q": Q, "I_size": I_size, "trials": trials,
-                        "seed": seed, "beta": beta}, [cell], records)
+                        "seed": seed, "beta": beta}, [cell], sweep.records)
 
 
-def phase_transition_sweep(N, I_size, Q_grid, trials, seed, mode="ic"):
+def phase_transition_sweep(N, I_size, Q_grid, trials, seed, mode="ic",
+                           jobs=1):
     """Success frequency per Q; ``mode`` is "ic" (criterion below one) or
-    "noiseless_recovery" (exact LP recovery to 1e-6 in max-abs error)."""
+    "noiseless_recovery" (exact LP recovery to 1e-6 in max-abs error).
+    ``jobs`` spreads the trials over worker processes."""
     if mode not in ("ic", "noiseless_recovery"):
         raise ValueError("mode must be 'ic' or 'noiseless_recovery'")
-    cells = []
-    for Q in Q_grid:
-        success = 0
-        for t in range(trials):
-            _, ok, _ = _linf_trial(seed, N, int(Q), I_size, t, mode)
-            success += bool(ok)
-        cells.append(SweepCell({"N": N, "Q": int(Q), "I_size": I_size},
-                               trials, success))
-    return SweepResult({"N": N, "I_size": I_size, "Q_grid": list(map(int, Q_grid)),
-                        "trials": trials, "seed": seed, "mode": mode}, cells)
+    Q_grid = list(map(int, Q_grid))
+    outs = _map_trials(functools.partial(_linf_trial, seed, N, mode=mode),
+                       [(Q, I_size) for Q in Q_grid], trials, jobs)
+    cells = [SweepCell({"N": N, "Q": Q, "I_size": I_size}, trials,
+                       sum(bool(ok) for _, ok, _ in cell))
+             for Q, cell in zip(Q_grid, outs)]
+    records = [TrialRecord(seed, N, Q, I_size, "linf", ic, ok, l2_error=err)
+               for Q, cell in zip(Q_grid, outs) for ic, ok, err in cell]
+    return SweepResult({"N": N, "I_size": I_size, "Q_grid": Q_grid,
+                        "trials": trials, "seed": seed, "mode": mode}, cells,
+                       records)
 
 
 def subspace_equal(T1, T2, tol=1e-6):
@@ -220,8 +226,25 @@ def subspace_equal(T1, T2, tol=1e-6):
     return bool(s[0] <= tol)
 
 
+def _model_selection_trial(Phi, x0, gauge, T, seed, eps, lam, t):
+    """(model recovered, uniqueness certified, l2 error) for one noise draw
+    on the sphere of radius eps."""
+    rng = _trial_rng(seed, int(1e6 * eps), int(1e6 * lam), t)
+    w = rng.standard_normal(Phi.shape[0])
+    nw = np.linalg.norm(w)
+    w = (eps / nw) * w if nw > 0 and eps > 0 else np.zeros_like(w)
+    y = Phi @ x0 + w
+    res = solve_penalized(Phi, y, lam, gauge, SolveOptions(tol=1e-9))
+    md_hat = decompose(gauge, res.x_hat)
+    same = subspace_equal(md_hat.T, T)
+    unique = check_noisy_optimality(Phi, y, lam, res.x_hat, md=md_hat,
+                                    eq_tol=1e-6)
+    err = float(np.linalg.norm(res.x_hat - x0))
+    return same, unique == "unique_optimal", err
+
+
 def model_selection_sweep(Phi, x0, md, p, noise_levels, lambda_grid, trials,
-                          seed):
+                          seed, jobs=1):
     """Noisy model recovery across (noise level, lambda) cells.
 
     Each trial draws noise uniformly on the sphere of the given radius,
@@ -229,6 +252,7 @@ def model_selection_sweep(Phi, x0, md, p, noise_levels, lambda_grid, trials,
     subspace matches the one of x0, whether uniqueness was certified, and
     the recovery error relative to max(noise, lambda).  The certified
     lambda interval from the stability constants rides along in the config.
+    ``jobs`` spreads the trials over worker processes.
     """
     Phi = check_finite(Phi, "Phi")
     x0 = check_finite(x0, "x0")
@@ -237,32 +261,22 @@ def model_selection_sweep(Phi, x0, md, p, noise_levels, lambda_grid, trials,
         raise ValueError("criterion at x0 not strictly below one; "
                          "the sweep has no certified regime")
     const = stability_constants(Phi, md, p)
-    cells = []
-    records = []
-    for eps in noise_levels:
-        for lam in lambda_grid:
-            success = 0
-            for t in range(trials):
-                rng = _trial_rng(seed, int(1e6 * eps), int(1e6 * lam), t)
-                w = rng.standard_normal(Phi.shape[0])
-                nw = np.linalg.norm(w)
-                w = (eps / nw) * w if nw > 0 and eps > 0 else np.zeros_like(w)
-                y = Phi @ x0 + w
-                res = solve_penalized(Phi, y, lam, md.gauge,
-                                      SolveOptions(tol=1e-9))
-                md_hat = decompose(md.gauge, res.x_hat)
-                same = subspace_equal(md_hat.T, md.T)
-                unique = check_noisy_optimality(
-                    Phi, y, lam, res.x_hat, md=md_hat, eq_tol=1e-6)
-                err = float(np.linalg.norm(res.x_hat - x0))
-                success += bool(same and unique == "unique_optimal")
-                records.append(TrialRecord(
-                    seed, Phi.shape[1], Phi.shape[0], md.T.dim, "l1",
-                    rep.ic_value, same, l2_error=err, lam=lam,
-                    noise_norm=eps))
-            cells.append(SweepCell({"N": Phi.shape[1], "Q": Phi.shape[0],
-                                    "I_size": md.T.dim, "eps": eps,
-                                    "lambda": lam}, trials, success))
+    grid = [(eps, lam) for eps in noise_levels for lam in lambda_grid]
+    # the decomposition holds closures, so workers get its gauge and T only
+    outs = _map_trials(functools.partial(_model_selection_trial, Phi, x0,
+                                         md.gauge, md.T, seed),
+                       grid, trials, jobs)
+    name = type(md.gauge).__name__.lower()
+    cells, records = [], []
+    for (eps, lam), cell in zip(grid, outs):
+        records += [TrialRecord(seed, Phi.shape[1], Phi.shape[0], md.T.dim,
+                                name, rep.ic_value, same, l2_error=err,
+                                lam=lam, noise_norm=eps)
+                    for same, _, err in cell]
+        cells.append(SweepCell({"N": Phi.shape[1], "Q": Phi.shape[0],
+                                "I_size": md.T.dim, "eps": eps, "lambda": lam},
+                               trials, sum(same and unique
+                                           for same, unique, _ in cell)))
     config = {"trials": trials, "seed": seed, "ic": rep.ic_value,
               "noise_levels": list(map(float, noise_levels)),
               "lambda_grid": list(map(float, lambda_grid)),

@@ -293,7 +293,9 @@ def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
         raise ValueError("mu_choice must lie in (0, 1)")
     p = u.shape[0]
     top = np.max(u, initial=-np.inf)
-    if top > 0.0:
+    # entries within thr of zero are zero, in both branches
+    thr = SUPPORT_TOL * (1.0 + np.max(np.abs(u), initial=0.0))
+    if top > thr:
         Ip = [int(i) for i in np.flatnonzero(u >= top * (1.0 - SATURATION_TOL))]
         s = np.zeros(p)
         s[Ip] = 1.0
@@ -306,7 +308,6 @@ def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
         return md, PsflParams(nu, 0.0, 0.0, 0.0, L1(p))
 
     # all entries nonpositive; active set I0 = {i : u_i = 0}
-    thr = SUPPORT_TOL * (1.0 + np.max(np.abs(u), initial=0.0))
     I0 = [int(i) for i in np.flatnonzero(u >= -thr)]
     if not I0:
         # smooth point: subdifferential is {0}

@@ -21,6 +21,7 @@ from .lp import lp_min_halfspaces, OPTIMAL
 
 MAX_ENUM_DIM = 8
 VERTEX_TOL = 1e-9
+SUPPORT_BLOCK = 1 << 20    # vertex x facet products formed at once
 
 
 class PolytopeError(ValueError):
@@ -49,6 +50,17 @@ def _dedupe_rows(rows, tol):
         if keep[i]:
             keep[j] = False
     return rows[keep]
+
+
+def _facet_support(verts, normals):
+    """max_i <verts_i, normals_j> for each row j of normals (-inf with no
+    verts), a block of normals at a time so that the products stay small."""
+    cols = max(1, SUPPORT_BLOCK // max(1, len(verts)))
+    out = np.full(len(normals), -np.inf)
+    for j in range(0, len(normals), cols):
+        out[j:j + cols] = np.max(verts @ normals[j:j + cols].T, axis=0,
+                                 initial=-np.inf)
+    return out
 
 
 def _hull_equations(points):
@@ -80,7 +92,7 @@ def _hull_equations(points):
     if joggled:
         # the facets belong to the joggled points: move each one to the
         # support of the original vertices so that none violates it
-        offsets = np.max(verts @ normals.T, axis=0)
+        offsets = _facet_support(verts, normals)
     return normals, offsets, verts
 
 
@@ -98,8 +110,8 @@ class Polytope:
         scale = 1.0 + np.abs(self.vertices).max(initial=0.0)
         if np.min(self.offsets, initial=0.0) < -1e-9 * scale:
             raise PolytopeError("origin violates an H-rep constraint")
-        prod = self.vertices @ self.normals.T - self.offsets[None, :]
-        if prod.max(initial=0.0) > 1e-8 * scale:
+        slack = _facet_support(self.vertices, self.normals) - self.offsets
+        if slack.max(initial=0.0) > 1e-8 * scale:
             raise PolytopeError("a vertex violates a halfspace")
 
     @property

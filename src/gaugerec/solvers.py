@@ -2,8 +2,9 @@
 recovery problems.
 
 ``solve_penalized`` runs FISTA with adaptive restart when the regularizer
-has a proximal map, and a primal-dual splitting (analysis form) when it is
-a pre-composition or a polyhedral H-gauge.  Convergence is declared from
+has a proximal map, and Chambolle-Pock on J(x) = base(K x) when it is a
+pre-composition or a polyhedral H-gauge; ``solver="pd"`` also runs the
+latter on the prox-able kinds, with K = I.  Convergence is declared from
 the first-order conditions at the iterate's own model decomposition, never
 from step sizes alone.  At each FISTA convergence check that the iterate
 fails, the penalized problem is also solved exactly on the iterate's model
@@ -13,8 +14,9 @@ regularizer is smooth: affine for the l1 and max-abs kinds, where the
 candidate is one linear solve, and a sum of block norms for the group kind,
 where Newton's method on the active blocks finds it.
 
-``solve_noiseless`` prefers exact LP formulations and falls back to a
-primal-dual method for non-polyhedral gauges.  Gauges that are a max of
+``solve_noiseless`` prefers exact LP formulations and falls back to the
+same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
+primal prox, for non-polyhedral gauges.  Gauges that are a max of
 linear functionals (Linf, PolyhedralH, Precomposed over Linf) are solved
 through the dual of their epigraph LP restricted to Ker(Phi), which has
 dim Ker(Phi) + 1 rows instead of about Q + 2N.
@@ -117,7 +119,7 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     Phi, y : measurement operator and data
     lam : positive regularization weight
     g : the regularizer (L1 / GroupL1L2 / Linf via FISTA; Precomposed /
-        PolyhedralH via a primal-dual splitting)
+        PolyhedralH, or any of these with ``solver="pd"``, via Chambolle-Pock)
     opts : SolveOptions; ``tol`` bounds the first-order residuals at exit.
     """
     Phi = check_finite(Phi, "Phi")
@@ -199,12 +201,21 @@ def _polish(Phi, y, lam, g, md, tol):
     return None
 
 
-def _dual_ball_projection(base):
-    """Euclidean projection onto lam * (polar ball of the base gauge)."""
+def _splitting_pieces(g):
+    """(K, dual projection) so that J(x) = base(K x), with the projection
+    onto lam * (polar ball of base); K = I for a gauge that is its own base.
+    This is the one table of gauges that Chambolle-Pock runs on."""
+    if isinstance(g, PolyhedralH):
+        return g.H.T, project_simplex_interior
+    K, base = ((g.dstar, g.base) if isinstance(g, Precomposed)
+               else (np.eye(g.dim), g))
     if isinstance(base, L1):
-        return lambda p, lam: np.clip(p, -lam, lam)
+        return K, lambda p, lam: np.clip(p, -lam, lam)
     if isinstance(base, Linf):
-        return lambda p, lam: project_l1_ball(p, lam)
+        return K, project_l1_ball
+    if isinstance(base, L2):
+        return K, lambda p, lam: p * min(1.0, lam / max(np.linalg.norm(p),
+                                                        1e-300))
     if isinstance(base, GroupL1L2):
         def proj(p, lam):
             out = p.copy()
@@ -213,53 +224,51 @@ def _dual_ball_projection(base):
                 if nb > lam:
                     out[b] *= lam / nb
             return out
-        return proj
-    if isinstance(base, PolyhedralH):
-        raise UnsupportedGaugeError("nested polyhedral pre-composition")
-    return None
-
-
-def _splitting_pieces(g):
-    """(K, dual projection) so that J(x) = base(K x) with a prox-able dual."""
-    if isinstance(g, PolyhedralH):
-        K = g.H.T
-        return K, (lambda p, lam: project_simplex_interior(p, lam))
-    if isinstance(g, Precomposed):
-        proj = _dual_ball_projection(g.base)
-        if proj is None:
-            raise UnsupportedGaugeError(
-                f"no dual projection for base {type(g.base).__name__}")
-        return g.dstar, proj
+        return K, proj
     raise UnsupportedGaugeError(f"no splitting for {type(g).__name__}")
+
+
+def _chambolle_pock(K, dual_proj, radius, x, prox_at, check, opts):
+    """Chambolle-Pock on min_x F(x) + radius * base(K x) from x, with
+    ``prox_at(tau)`` the prox of tau * F.  It returns the first converged
+    ``check(x, it)`` of those run every ``opts.check_every`` iterations,
+    else ``check(x, opts.max_iter)``."""
+    normK = power_operator_norm(K)
+    sigma = tau = 0.99 / normK if normK > 0 else 1.0
+    prox = prox_at(tau)
+    xbar = x.copy()
+    p = np.zeros(K.shape[0])
+    for it in range(1, opts.max_iter + 1):
+        p = dual_proj(p + sigma * (K @ xbar), radius)
+        x_new = prox(x - tau * (K.T @ p))
+        xbar = 2.0 * x_new - x
+        x = x_new
+        if it % opts.check_every == 0:
+            res = check(x, it)
+            if res.converged:
+                return res
+    return check(x, opts.max_iter)
 
 
 def _primal_dual_penalized(Phi, y, lam, g, opts):
     """Chambolle-Pock on min_x 0.5||y - Phi x||^2 + lam * base(K x)."""
     K, dual_proj = _splitting_pieces(g)
     n = Phi.shape[1]
-    normK = power_operator_norm(K)
-    sigma = tau = 0.99 / normK if normK > 0 else 1.0
-    # prox of tau * 0.5||y - Phi x||^2: solve (I + tau Phi^T Phi) x = v + tau Phi^T y
-    A = np.eye(n) + tau * (Phi.T @ Phi)
-    chol = scipy.linalg.cho_factor(A)
     Pty = Phi.T @ y
-    x = np.zeros(n)
-    xbar = x.copy()
-    p = np.zeros(K.shape[0])
-    eq = slack = np.inf
-    for it in range(1, opts.max_iter + 1):
-        p = dual_proj(p + sigma * (K @ xbar), lam)
-        x_new = scipy.linalg.cho_solve(chol, x - tau * (K.T @ p) + tau * Pty,
-                                       check_finite=False)
-        xbar = 2.0 * x_new - x
-        x = x_new
-        if it % opts.check_every == 0:
-            eq, slack = _first_order_residuals(Phi, y, lam, g, x)
-            if eq <= opts.tol and slack <= opts.tol:
-                return SolveResult(x, it, eq, slack, True, "pd")
-    eq, slack = _first_order_residuals(Phi, y, lam, g, x)
-    return SolveResult(x, opts.max_iter, eq, slack,
-                       eq <= opts.tol and slack <= opts.tol, "pd")
+
+    def prox_at(tau):
+        # solve (I + tau Phi^T Phi) x = v + tau Phi^T y
+        chol = scipy.linalg.cho_factor(np.eye(n) + tau * (Phi.T @ Phi))
+        return lambda v: scipy.linalg.cho_solve(chol, v + tau * Pty,
+                                                check_finite=False)
+
+    def check(x, it):
+        eq, slack = _first_order_residuals(Phi, y, lam, g, x)
+        return SolveResult(x, it, eq, slack,
+                           eq <= opts.tol and slack <= opts.tol, "pd")
+
+    return _chambolle_pock(K, dual_proj, lam, np.zeros(n), prox_at, check,
+                           opts)
 
 
 # ---------------------------------------------------------------------------
@@ -345,44 +354,31 @@ def _max_atoms_lp(Phi, xls, A):
 
 
 def _primal_dual_noiseless(Phi, y, g, opts):
-    """Chambolle-Pock with the indicator of {Phi x = y} as the smooth block."""
-    if isinstance(g, (Precomposed, PolyhedralH)):
-        K, dual_proj = _splitting_pieces(g)
-    elif isinstance(g, (L1, Linf, GroupL1L2)):
-        K = np.eye(g.dim)
-        dual_proj = _dual_ball_projection(g)
-    elif isinstance(g, L2):
-        K = np.eye(g.dim)
-        dual_proj = lambda p, lam: p * min(1.0, lam / max(np.linalg.norm(p), 1e-300))
-    else:
-        raise UnsupportedGaugeError(
-            f"no noiseless solver for {type(g).__name__}")
+    """Chambolle-Pock with the indicator of {Phi x = y} as the smooth block;
+    it stops once feasible with a stalled objective, or feasible at
+    max_iter."""
+    K, dual_proj = _splitting_pieces(g)
     pinv = svd_pinv(Phi)
-    n = Phi.shape[1]
 
     def affine_proj(v):
         return v - pinv @ (Phi @ v - y)
 
-    normK = power_operator_norm(K)
-    sigma = tau = 0.99 / normK if normK > 0 else 1.0
-    x = affine_proj(np.zeros(n))
-    xbar = x.copy()
-    p = np.zeros(K.shape[0])
     obj_prev = np.inf
-    for it in range(1, opts.max_iter + 1):
-        p = dual_proj(p + sigma * (K @ xbar), 1.0)
-        x_new = affine_proj(x - tau * (K.T @ p))
-        xbar = 2.0 * x_new - x
-        x = x_new
-        if it % opts.check_every == 0:
-            obj = g.value(x)
-            feas = np.linalg.norm(Phi @ x - y) / (1.0 + np.linalg.norm(y))
-            if feas <= opts.tol and abs(obj - obj_prev) <= \
-                    max(opts.tol, 1e-12) * (1.0 + abs(obj)):
-                return SolveResult(x, it, feas, 0.0, True, "pd")
-            obj_prev = obj
-    feas = np.linalg.norm(Phi @ x - y) / (1.0 + np.linalg.norm(y))
-    return SolveResult(x, opts.max_iter, feas, 0.0, feas <= opts.tol, "pd")
+
+    def check(x, it):
+        nonlocal obj_prev
+        obj = g.value(x)
+        feas = np.linalg.norm(Phi @ x - y) / (1.0 + np.linalg.norm(y))
+        stalled = (abs(obj - obj_prev)
+                   <= max(opts.tol, 1e-12) * (1.0 + abs(obj)))
+        obj_prev = obj
+        return SolveResult(x, it, feas, 0.0,
+                           feas <= opts.tol
+                           and (stalled or it == opts.max_iter), "pd")
+
+    x = affine_proj(np.zeros(Phi.shape[1]))
+    return _chambolle_pock(K, dual_proj, 1.0, x, lambda tau: affine_proj,
+                           check, opts)
 
 
 # ---------------------------------------------------------------------------

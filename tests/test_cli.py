@@ -6,6 +6,8 @@ import pytest
 
 from gaugerec.cli import main
 
+from conftest import random_l1_instance
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -186,6 +188,41 @@ class TestExperiment:
         serial, parallel = self._cs_linf_by_jobs(
             capsys, tmp_path, ["--n", "12", "--i-size", "4", "--q", "11",
                                "--trials", "8", "--seed", "5"])
+        assert serial[0] == 0
+        assert serial == parallel
+
+    @staticmethod
+    def _outputs_by_jobs(capsys, tmp_path, args, stem):
+        """(exit code, CSV text, JSON text) for --jobs 1 and --jobs 2."""
+        outs = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / jobs
+            code, _, _ = run_cli(capsys, "experiment", *args, "--jobs", jobs,
+                                 "--out", str(out_dir))
+            outs.append((code, (out_dir / (stem + ".csv")).read_text(),
+                         (out_dir / (stem + ".json")).read_text()))
+        return outs
+
+    def test_phase_transition_jobs_bit_identical(self, capsys, tmp_path):
+        serial, parallel = self._outputs_by_jobs(
+            capsys, tmp_path, ["phase-transition", "--n", "12", "--i-size",
+                               "4", "--q-min", "9", "--q-max", "11",
+                               "--trials", "3", "--seed", "2", "--mode",
+                               "noiseless_recovery"], "phase_transition")
+        assert serial[0] == 0
+        assert serial == parallel
+
+    def test_model_selection_config_jobs_bit_identical(self, capsys,
+                                                       tmp_path):
+        Phi, x0 = random_l1_instance(1, 20, 18, 2)
+        cfg = {"kind": "model-selection", "phi": Phi.tolist(),
+               "x": x0.tolist(), "noise_levels": [0.0, 0.05],
+               "lambda_grid": [0.01, 0.05], "trials": 2, "seed": 1}
+        cfg_path = tmp_path / "ms.json"
+        cfg_path.write_text(json.dumps(cfg))
+        serial, parallel = self._outputs_by_jobs(
+            capsys, tmp_path, ["from-config", "--config", str(cfg_path)],
+            "model_selection")
         assert serial[0] == 0
         assert serial == parallel
 

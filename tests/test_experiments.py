@@ -1,11 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from gaugerec.gauges import BlockPartition
 from gaugerec.linalg import Subspace
-from gaugerec.model import decompose_l1
-from gaugerec.certificates import irrepresentability
+from gaugerec.model import decompose_l1, decompose_group
+from gaugerec.certificates import irrepresentability, stability_constants
 from gaugerec.experiments import (cs_linf_bound, f_exponent,
                                   run_linf_cs_trials, phase_transition_sweep,
                                   model_selection_sweep, subspace_equal,
@@ -127,6 +129,19 @@ class TestPhaseTransition:
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 3
 
+    def test_records_do_not_depend_on_jobs(self):
+        serial, spawned = (phase_transition_sweep(
+            12, 4, [9, 11], 3, seed=2, mode="noiseless_recovery", jobs=jobs)
+            for jobs in (1, 2))
+        assert len(serial.records) == 6
+        assert _dump(serial) == _dump(spawned)
+
+
+def _dump(sweep):
+    """Cells and trial records of a sweep as JSON text (nan-safe)."""
+    return json.dumps([[c.params, c.trials, c.success] for c in sweep.cells]
+                      + [vars(r) for r in sweep.records])
+
 
 class TestSubspaceEqual:
     def test_self(self, rng):
@@ -231,6 +246,35 @@ class TestModelSelectionSweep:
             md_hat = decompose(L1(30), res.x_hat)
             failures += not subspace_equal(md_hat.T, md.T)
         assert failures >= 1
+
+    @staticmethod
+    def _group_instance():
+        """An identifiable x0 with one active block of four, and a lambda
+        inside its certified range."""
+        part = BlockPartition([[0, 1], [2, 3], [4, 5], [6, 7]], 8)
+        rng = np.random.default_rng([3, 0])
+        x0 = np.zeros(8)
+        x0[:2] = rng.standard_normal(2) + 2.0
+        Phi = rng.standard_normal((8, 8))
+        md, p = decompose_group(x0, part)
+        assert irrepresentability(Phi, md).identifiable
+        hi = stability_constants(Phi, md, p).lambda_range(0.0)[1]
+        return Phi, x0, md, p, 0.5 * hi
+
+    def test_records_name_the_regularizer(self):
+        Phi, x0, md, p, lam = self._group_instance()
+        sweep = model_selection_sweep(Phi, x0, md, p, [0.0], [lam], 2,
+                                      seed=0)
+        assert [r.regularizer for r in sweep.records] == ["groupl1l2"] * 2
+
+    def test_records_do_not_depend_on_jobs(self):
+        # a group gauge and its T must reach spawned workers intact
+        Phi, x0, md, p, lam = self._group_instance()
+        serial, spawned = (model_selection_sweep(
+            Phi, x0, md, p, [0.0, 0.1], [lam, 2.0 * lam], 2, seed=0,
+            jobs=jobs) for jobs in (1, 2))
+        assert len(serial.records) == 8
+        assert _dump(serial) == _dump(spawned)
 
     def test_error_ratio_bounded_across_sweep(self):
         import numpy as np

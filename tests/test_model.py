@@ -136,6 +136,18 @@ class TestDecomposePolyhedral:
             ours = md.antig.value(eta)
             assert abs(ours - oracle) <= 5e-4 * (1.0 + abs(ours))
 
+    def test_round_off_maximum_takes_the_zero_branch(self):
+        # a minimizer with nine atoms at zero, seen through round-off: the
+        # largest is 3.6e-14, so a test of top > 0 would model one
+        # saturated atom instead of nine atoms at zero
+        u = -np.linspace(0.5, 1.5, 24)
+        u[:9] = [3.6e-14, 1e-15, -1e-15, 1e-15, -1e-15, 1e-15, -1e-15,
+                 1e-15, -1e-15]
+        md, _ = decompose_polyhedral(u)
+        assert md.S.coord_idx == tuple(range(9))
+        assert md.T.dim == 15
+        assert np.allclose(md.e, 0)
+
     def test_all_negative_smooth_point(self):
         md, p = decompose_polyhedral(np.array([-1.0, -2.0]))
         assert md.T.dim == 2 and md.S.dim == 0

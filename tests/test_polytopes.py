@@ -180,6 +180,18 @@ class TestRepresentation:
             # every halfspace is tight somewhere
             assert np.all(np.abs(prod).min(axis=0) <= 1e-7)
 
+    def test_validate_checks_every_facet_block(self, monkeypatch):
+        # the square's 4 facets, checked 2 at a time: only the last facet
+        # is violated
+        import gaugerec.polytopes as polytopes
+        verts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0],
+                          [-1.0, -1.0], [0.0, 0.0], [0.0, -1.0 - 1e-6]])
+        monkeypatch.setattr(polytopes, "SUPPORT_BLOCK", 2 * len(verts))
+        normals = np.vstack([np.eye(2), -np.eye(2)])
+        Polytope(verts[:5], normals, np.ones(4))
+        with pytest.raises(PolytopeError, match="a vertex violates"):
+            Polytope(verts, normals, np.ones(4))
+
     def test_from_halfspaces_round_trip(self):
         P = random_polytope(3, seed=91)
         Q = Polytope.from_halfspaces(P.normals, P.offsets)

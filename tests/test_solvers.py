@@ -70,6 +70,18 @@ class TestPenalized:
         with pytest.raises(UnsupportedGaugeError):
             solve_penalized(np.eye(3), np.ones(3), 1.0, L2(3))
 
+    def test_pd_route_on_a_prox_able_gauge(self):
+        # Chambolle-Pock with K = I reaches FISTA's objective on l1
+        Phi, x0 = random_l1_instance(3, 16, 10, 3)
+        y = Phi @ x0 + 0.05 * np.random.default_rng(1).standard_normal(10)
+        pd = solve_penalized(Phi, y, 0.3, L1(16),
+                             SolveOptions(solver="pd", tol=1e-9))
+        fista = solve_penalized(Phi, y, 0.3, L1(16), SolveOptions(tol=1e-12))
+        assert pd.converged and pd.method == "pd"
+        assert abs(solvers._objective(Phi, y, 0.3, L1(16), pd.x_hat)
+                   - solvers._objective(Phi, y, 0.3, L1(16), fista.x_hat)) \
+            <= 1e-8
+
     @pytest.mark.parametrize("kind", ["group", "tv", "poly"])
     def test_converged_passes_first_order_check(self, kind, rng):
         for seed in range(5):
