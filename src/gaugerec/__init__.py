@@ -13,9 +13,9 @@ from .polytopes import (Polytope, polar_set, polytope_intersection_polar,
                         minkowski_sum_gauge, linear_image_gauge,
                         inverse_sum_polar_check, random_polytope)
 from .model import (ModelDecomposition, PsflParams, SubdiffGauge,
-                    decompose, decompose_l1, decompose_linf, decompose_group,
-                    decompose_polyhedral, precompose, sum_decompositions,
-                    smooth_perturb, subdiff_membership,
+                    decompose, decompose_l1, decompose_l2, decompose_linf,
+                    decompose_group, decompose_polyhedral, precompose,
+                    sum_decompositions, smooth_perturb, subdiff_membership,
                     directional_derivative, psfl_sum, psfl_precompose,
                     psfl_smooth_perturb, tv1d_gauge, DegenerateModelError)
 from .certificates import (CertificateReport, StabilityConstants,

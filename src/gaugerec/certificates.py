@@ -12,8 +12,7 @@ import numpy as np
 
 from .linalg import (check_finite, svd_pinv, null_space,
                      restricted_injectivity, operator_bound, OperatorBound)
-from .lp import LpProblem, lp_solve, OPTIMAL
-from .model import directional_derivative
+from .model import SubdiffGauge, directional_derivative
 from .gauges import L2
 
 IC_MARGIN = 1e-9
@@ -122,9 +121,10 @@ def check_noiseless_optimality(Phi, y, x, md, feas_tol=1e-8,
     """First-order classification of x for the equality-constrained problem.
 
     Tries the minimal-norm dual vector first; if that certificate is not
-    strictly inside, searches the whole dual affine set by LP (support-form
-    subdifferential gauges only).  ``slack_tol`` accepts the inequality
-    side; ``strict_margin`` gates the uniqueness claim.
+    strictly inside, searches the whole dual affine set (by LP for
+    support-form subdifferential gauges, by SLSQP for block-norm ones).
+    ``slack_tol`` accepts the inequality side; ``strict_margin`` gates the
+    uniqueness claim.
     """
     Phi = check_finite(Phi, "Phi")
     y = check_finite(y, "y")
@@ -155,41 +155,35 @@ def check_noiseless_optimality(Phi, y, x, md, feas_tol=1e-8,
 def _min_antig_over_duals(Phi, md):
     """min over alpha with Phi_T^* alpha = e of antig(P_S(Phi^* alpha - f)).
 
-    LP when the subdifferential gauge is in support form; None otherwise.
+    Over alpha = alpha0 + N w, N a basis of Ker(Phi_T^*), a support-form
+    gauge is evaluated at w = 0 with the extra free directions
+    atoms P_S Phi^* N (one LP); block-norm gauges are minimized by SLSQP;
+    None otherwise.
     """
-    atoms = md.antig.support_atoms()
-    Q = Phi.shape[0]
     M = Phi @ md.T.basis
     target = md.T.coords(md.e)
     PS = md.S.basis @ md.S.basis.T
     shift = PS @ md.f
-    if atoms is None:
-        blocks = md.antig.linf2_blocks
-        if blocks is None:
-            return None
-        from scipy.optimize import minimize
-
-        def cost(alpha):
-            v = PS @ (Phi.T @ alpha) - shift
-            return max((np.linalg.norm(v[b]) for b in blocks), default=0.0)
-
-        alpha0, *_ = np.linalg.lstsq(M.T, target, rcond=None)
-        cons = {"type": "eq", "fun": lambda a: M.T @ a - target}
-        res = minimize(cost, alpha0, method="SLSQP", constraints=[cons],
-                       options={"maxiter": 500, "ftol": 1e-12})
-        return float(res.fun) if res.success else None
-    W = atoms @ PS @ Phi.T          # rows: <w_j, P_S Phi^T alpha>
-    base = atoms @ shift
-    rows = np.hstack([W, -np.ones((len(atoms), 1))])
-    c = np.zeros(Q + 1)
-    c[-1] = 1.0
-    res = lp_solve(LpProblem(c, a_ub=rows, b_ub=base,
-                             a_eq=np.hstack([M.T, np.zeros((M.shape[1], 1))]),
-                             b_eq=target,
-                             bounds=[(None, None)] * Q + [(0, None)]))
-    if res.status != OPTIMAL:
+    alpha0, *_ = np.linalg.lstsq(M.T, target, rcond=None)
+    antig = md.antig
+    if antig.atoms is not None:
+        extra = antig.atoms @ PS @ Phi.T @ null_space(M.T)
+        lifted = SubdiffGauge(md.S, atoms=antig.atoms,
+                              lift=np.hstack([extra, antig.lift]))
+        return lifted.value(PS @ (Phi.T @ alpha0) - shift)
+    blocks = antig.linf2_blocks
+    if blocks is None:
         return None
-    return max(float(res.value), 0.0)
+    from scipy.optimize import minimize
+
+    def cost(alpha):
+        v = PS @ (Phi.T @ alpha) - shift
+        return max((np.linalg.norm(v[b]) for b in blocks), default=0.0)
+
+    cons = {"type": "eq", "fun": lambda a: M.T @ a - target}
+    res = minimize(cost, alpha0, method="SLSQP", constraints=[cons],
+                   options={"maxiter": 500, "ftol": 1e-12})
+    return float(res.fun) if res.success else None
 
 
 def nsp_falsify(Phi, md, samples=10000, seed=0):

@@ -13,8 +13,8 @@ subdifferential gauge (its atoms are the normals) in :mod:`gaugerec.model`.
 import numpy as np
 
 from .linalg import check_finite, null_space, svd_pinv
-from .lp import (LpProblem, LpNumericalError, lp_solve, lp_minimize_linf,
-                 OPTIMAL)
+from .lp import (LpProblem, LpNumericalError, lp_solve, lp_min_max,
+                 lp_minimize_linf, OPTIMAL)
 from .polytopes import Polytope, PolytopeError, MAX_ENUM_DIM
 
 SIGN_VERTEX_LIMIT = 16  # 2^k vertex enumerations are refused beyond this
@@ -173,9 +173,6 @@ class L2(Gauge):
 
     def polar(self, u):
         return float(np.linalg.norm(self._check(u)))
-
-    def support_atoms(self):
-        return None
 
 
 class Linf(Gauge):
@@ -387,33 +384,26 @@ class SumGauge(Gauge):
         hreps = [g._ball_halfspaces() for g in self.parts]
         if any(h is None for h in hreps):
             raise UnsupportedGaugeError("polar of a sum of non-polytopal gauges")
-        # polar ball of the sum = Minkowski sum of part polar balls;
-        # gauge via min_z max splits, LP in (z_2..z_k, t)
+        # polar ball of the sum = Minkowski sum of the part polar balls, so
+        # the polar is the min over splits u = z_1 + ... + z_k of the
+        # largest part polar max_v <v, z_j> (v over the part's ball
+        # vertices); z_1..z_{k-1} are free and z_k is the remainder
         k = len(self.parts)
         n = self.dim
-        # variables: z_1..z_{k-1} (n each) and t; part k gets the remainder
-        rows = []
-        rhs = []
+        G, h = [], []
         for j, g in enumerate(self.parts):
-            # polar gauge of part j at its share <= t; polar ball of g has
-            # H-rep from the ball vertices of g (support form)
             verts = g.ball_vertices()
             if verts is None:
                 raise UnsupportedGaugeError("sum polar needs ball vertices")
-            share = np.zeros((len(verts), (k - 1) * n + 1))
             if j < k - 1:
+                share = np.zeros((len(verts), (k - 1) * n))
                 share[:, j * n:(j + 1) * n] = verts
+                h.append(np.zeros(len(verts)))
             else:
-                for i in range(k - 1):
-                    share[:, i * n:(i + 1) * n] = -verts
-            share[:, -1] = -1.0
-            rows.append(share)
-            rhs.append(np.zeros(len(verts)) if j < k - 1 else -(verts @ u))
-        c = np.zeros((k - 1) * n + 1)
-        c[-1] = 1.0
-        res = lp_solve(LpProblem(c, a_ub=np.vstack(rows),
-                                 b_ub=np.concatenate(rhs),
-                                 bounds=[(None, None)] * ((k - 1) * n) + [(0, None)]))
+                share = np.tile(-verts, (1, k - 1))
+                h.append(verts @ u)
+            G.append(share)
+        res = lp_min_max(np.concatenate(h), np.vstack(G))
         if res.status != OPTIMAL:
             return np.inf
         return float(res.value)
@@ -489,9 +479,6 @@ class MaxGauge(Gauge):
     def value(self, x):
         x = self._check(x)
         return float(max(g.value(x) for g in self.parts))
-
-    def polar(self, u):
-        raise UnsupportedGaugeError("polar of a max of gauges")
 
     def _ball_halfspaces(self):
         hreps = [g._ball_halfspaces() for g in self.parts]

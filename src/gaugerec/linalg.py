@@ -120,12 +120,10 @@ class Subspace:
         return self.basis @ c
 
     def complement(self):
-        comp = null_space(self.basis.T)
-        idx = None
         if self.coord_idx is not None:
             idx = [i for i in range(self.ambient_dim) if i not in self.coord_idx]
             return Subspace.coordinate(self.ambient_dim, idx)
-        return Subspace(comp, _skip_checks=True)
+        return Subspace(null_space(self.basis.T), _skip_checks=True)
 
     def intersection(self, other):
         if other.ambient_dim != self.ambient_dim:

@@ -16,6 +16,10 @@ a refactorization at every pivot.
 
 ``lp_min_halfspaces`` solves problems with only ``<=`` rows over few
 variables through their dual, whose basis has one row per variable.
+``lp_min_max`` states the one min-max LP that support-form gauges with
+free directions reduce to (the lifted subdifferential gauges of
+:mod:`gaugerec.model`, the polar of a sum, the max-of-atoms recovery LP)
+and solves it that way.
 """
 
 import numpy as np
@@ -350,6 +354,24 @@ def lp_min_halfspaces(c, a_ub, b_ub, bounds=None):
     return LpResult(OPTIMAL, x=res.dual_eq, value=-res.value,
                     dual_eq=np.zeros(0), dual_ub=-res.x[:m],
                     iterations=res.iterations)
+
+
+def lp_min_max(h, G):
+    """min over w of max(0, max_j h_j + (G w)_j), through ``lp_min_halfspaces``
+    in the variables (w, t): G w - t <= -h, t >= 0.
+
+    Returns the LpResult with ``x = w``; its ``value`` is the min-max.
+    """
+    G = np.asarray(G, dtype=float)
+    k = G.shape[1]
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    res = lp_min_halfspaces(c, np.hstack([G, -np.ones((len(G), 1))]),
+                            -np.asarray(h, dtype=float),
+                            bounds=[(None, None)] * k + [(0, None)])
+    if res.status == OPTIMAL:
+        res.x = res.x[:k]
+    return res
 
 
 def lp_minimize_linf(M, q):

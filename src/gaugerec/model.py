@@ -7,9 +7,12 @@ rules that combine decompositions (sums, smooth perturbations,
 pre-composition by a linear operator), and the local stability parameters
 (nu, mu, tau, xi) with their comparison gauge.
 
-A subdifferential gauge has one encoding: support atoms, block norms, or an
-opaque evaluator where neither exists.  Its unit ball is derived from the
-atoms when first asked for.
+A subdifferential gauge has one encoding: support atoms, possibly with free
+directions (a lift), block norms, or an approximate evaluator for the
+calculus rules over block-norm parts.  The exact results of the sum and
+pre-composition rules are atoms with a lift, so every polyhedral gauge is
+evaluated the same way.  Its unit ball is derived from unlifted atoms when
+first asked for.
 """
 
 import functools
@@ -17,10 +20,10 @@ import functools
 import numpy as np
 
 from .linalg import Subspace, check_finite, null_space, svd_pinv
-from .lp import LpProblem, lp_solve, OPTIMAL
+from .lp import lp_min_max
 from . import linalg
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                     SumGauge, MaxGauge, UnsupportedGaugeError,
+                     SumGauge, MaxGauge, BlockPartition, UnsupportedGaugeError,
                      _section_vertices)
 
 SUPPORT_TOL = 1e-10       # relative threshold for "entry is nonzero"
@@ -53,25 +56,34 @@ class GroupLinf2(Gauge):
 class SubdiffGauge:
     """Gauge of the shifted subdifferential; finite exactly on S.
 
-    Exactly one encoding is given: support ``atoms``, with
-    value(v) = max(0, max_j <atoms[j], v>) for v in S; ``linf2_blocks``,
-    with value(v) = max_b ||v_b||; or an opaque ``value_fn`` (the LP and
-    Nelder-Mead fallbacks of the calculus rules).  The unit ball is derived
-    from the atoms on first request and cached; without atoms there is
-    none.  ``exact`` records whether ``value`` is closed form / LP-backed
-    (True) or a numerical fallback.
+    Exactly one encoding is given:
+
+    - support ``atoms`` A with free directions ``lift`` G (one row per atom;
+      no columns when omitted): value(v) = min_w max(0, max_j (A v + G w)_j)
+      for v in S, the plain max of the atoms without a lift and one
+      ``lp.lp_min_max`` with one;
+    - ``linf2_blocks``, with value(v) = max_b ||v_b||;
+    - an opaque ``value_fn``, left to the numerical fallbacks of the
+      calculus rules over block-norm parts.
+
+    The unit ball is derived from unlifted atoms on first request and
+    cached; the other encodings have none.  ``exact`` records whether
+    ``value`` is closed form / LP-backed (True) or a numerical fallback.
     """
 
     is_euclidean = False
 
-    def __init__(self, S, atoms=None, linf2_blocks=None, value_fn=None,
-                 exact=True):
+    def __init__(self, S, atoms=None, lift=None, linf2_blocks=None,
+                 value_fn=None, exact=True):
         if sum(a is not None for a in (atoms, linf2_blocks, value_fn)) != 1:
             raise ValueError(
                 "give exactly one of atoms, linf2_blocks, value_fn")
         self.S = S
         self.dim = S.ambient_dim
         self.atoms = None if atoms is None else np.asarray(atoms, dtype=float)
+        if atoms is not None and lift is None:
+            lift = np.zeros((len(self.atoms), 0))
+        self.lift = lift
         self.linf2_blocks = linf2_blocks
         self._value_fn = value_fn
         self.exact = exact
@@ -81,13 +93,19 @@ class SubdiffGauge:
         if not self.S.contains(eta, tol=1e-9 * (1.0 + np.linalg.norm(eta))):
             return np.inf
         if self.atoms is not None:
-            return float(np.max(self.atoms @ eta, initial=0.0))
+            if not self.lift.shape[1]:
+                return float(np.max(self.atoms @ eta, initial=0.0))
+            return max(float(lp_min_max(self.atoms @ eta, self.lift).value),
+                       0.0)
         if self.linf2_blocks is not None:
             return float(max((np.linalg.norm(eta[b])
                               for b in self.linf2_blocks), default=0.0))
         return float(self._value_fn(eta))
 
     def support_atoms(self):
+        """Rows w with value(v) = max(0, max_j <w_j, v>) on S, or None."""
+        if self.atoms is None or self.lift.shape[1]:
+            return None
         return self.atoms
 
     @functools.cached_property
@@ -96,9 +114,9 @@ class SubdiffGauge:
                                  self.dim, self.S)
 
     def ball_vertices(self, domain=None):
-        """Vertices of {v in S : value(v) <= 1}, or None without atoms or
-        when S is too large to enumerate."""
-        if self.atoms is None:
+        """Vertices of {v in S : value(v) <= 1}, or None without unlifted
+        atoms or when S is too large to enumerate."""
+        if self.support_atoms() is None:
             return None
         verts = self._ball
         if verts is None or domain is None:
@@ -163,9 +181,6 @@ class ModelDecomposition:
     def ambient_dim(self):
         return self.T.ambient_dim
 
-    def antig_value(self, eta):
-        return self.antig.value(eta)
-
     def antig_polar(self, d):
         """Polar of the subdifferential gauge: J(d_S) - <P_S f, d_S>."""
         d = np.asarray(d, dtype=float)
@@ -214,6 +229,18 @@ def decompose_l1(x, delta=0.5):
     md = ModelDecomposition(L1(n), x, T, S, e, e.copy(), antig)
     nu = (1.0 - delta) * np.min(np.abs(x[I])) if I else 0.0
     return md, PsflParams(nu, 0.0, 0.0, 0.0, Linf(n))
+
+
+def decompose_l2(x, delta=0.5):
+    """Decomposition of the Euclidean norm at x: the group rule with one
+    block, so T = R^n, S = {0}, e = f = x / ||x|| where the norm is smooth
+    (x off the support threshold) and T = {0}, S = R^n with the Euclidean
+    norm as subdifferential gauge at x = 0."""
+    x = check_finite(x, "x")
+    n = x.shape[0]
+    md, p = decompose_group(x, BlockPartition([range(n)], n), delta=delta)
+    return ModelDecomposition(L2(n), x, md.T, md.S, md.e, md.f, md.antig,
+                              _skip_checks=True), p
 
 
 def _saturation_model(s, I):
@@ -367,24 +394,10 @@ def precompose(md0, D, x):
     Z = B0 @ null_space(DS)                # basis of Ker(D_{S0}) within S0
 
     base = md0.antig
-    if base.atoms is not None and Z.shape[1] == 0:
-        # D_{S0} is injective on S0, so eta = D_{S0} q with q = DS_pinv eta
-        antig = SubdiffGauge(S, atoms=base.atoms @ DS_pinv)
-    elif base.atoms is not None:
-        atoms0 = base.atoms
-        rows = np.hstack([atoms0 @ Z, -np.ones((len(atoms0), 1))])
-        c = np.zeros(Z.shape[1] + 1)
-        c[-1] = 1.0
-        bounds = [(None, None)] * Z.shape[1] + [(0, None)]
-
-        def value_fn(eta):
-            rhs = -(atoms0 @ (DS_pinv @ eta))
-            res = lp_solve(LpProblem(c, a_ub=rows, b_ub=rhs, bounds=bounds))
-            if res.status != OPTIMAL:
-                return np.inf
-            return max(float(res.value), 0.0)
-
-        antig = SubdiffGauge(S, value_fn=value_fn)
+    if base.atoms is not None:
+        # eta = D_{S0} q over q = DS_pinv eta + Z w, w free
+        antig = SubdiffGauge(S, atoms=base.atoms @ DS_pinv,
+                             lift=np.hstack([base.atoms @ Z, base.lift]))
     else:
 
         def value_fn(eta):
@@ -423,39 +436,24 @@ def sum_decompositions(mdJ, mdG):
     e = T.project(mdJ.e + mdG.e)
     f = mdJ.f + mdG.f
     BJ, BG = mdJ.S.basis, mdG.S.basis
-    stacked = np.hstack([BJ, BG]) if BJ.size or BG.size else np.zeros((n, 0))
-    W = mdJ.S.intersection(mdG.S).basis     # the split's degrees of freedom
+    # the least-squares split eta = L eta + (I - L) eta over S_J + S_G; the
+    # split's degrees of freedom are W, a basis of S_J ∩ S_G
+    L = BJ @ svd_pinv(np.hstack([BJ, BG]))[:BJ.shape[1]]
+    W = mdJ.S.intersection(mdG.S).basis
     aJ, aG = mdJ.antig, mdG.antig
 
-    def split(eta):
-        c, *_ = np.linalg.lstsq(stacked, eta, rcond=None)
-        eta1 = BJ @ c[:BJ.shape[1]]
-        return eta1
-
     if aJ.atoms is not None and aG.atoms is not None:
-        atJ, atG = aJ.atoms, aG.atoms
-
-        def value_fn(eta):
-            eta1 = split(eta)
-            k = W.shape[1]
-            rows = np.vstack([
-                np.hstack([atJ @ W, -np.ones((len(atJ), 1))]),
-                np.hstack([-(atG @ W), -np.ones((len(atG), 1))]),
-            ])
-            rhs = np.concatenate([-(atJ @ eta1), atG @ (eta - eta1)])
-            c = np.zeros(k + 1)
-            c[-1] = 1.0
-            res = lp_solve(LpProblem(c, a_ub=rows, b_ub=rhs,
-                                     bounds=[(None, None)] * k + [(0, None)]))
-            if res.status != OPTIMAL:
-                return np.inf
-            return max(float(res.value), 0.0)
-
-        exact = True
+        nJ, nG = len(aJ.atoms), len(aG.atoms)
+        lift = np.block([
+            [aJ.atoms @ W, aJ.lift, np.zeros((nJ, aG.lift.shape[1]))],
+            [-(aG.atoms @ W), np.zeros((nG, aJ.lift.shape[1])), aG.lift]])
+        antig = SubdiffGauge(
+            S, atoms=np.vstack([aJ.atoms @ L, aG.atoms @ (np.eye(n) - L)]),
+            lift=lift)
     else:
 
         def value_fn(eta):
-            eta1 = split(eta)
+            eta1 = L @ eta
 
             def cost(w):
                 d = W @ w
@@ -469,9 +467,7 @@ def sum_decompositions(mdJ, mdG):
                            options={"xatol": 1e-10, "fatol": 1e-12})
             return float(res.fun)
 
-        exact = False
-
-    antig = SubdiffGauge(S, value_fn=value_fn, exact=exact)
+        antig = SubdiffGauge(S, value_fn=value_fn, exact=False)
     gauge = SumGauge([mdJ.gauge, mdG.gauge])
 
     pJ, pG = mdJ._polar_fn, mdG._polar_fn
@@ -634,6 +630,8 @@ def decompose(gauge, x, delta=0.5):
     x = np.asarray(x, dtype=float)
     if isinstance(gauge, L1):
         return decompose_l1(x, delta=delta)[0]
+    if isinstance(gauge, L2):
+        return decompose_l2(x, delta=delta)[0]
     if isinstance(gauge, Linf):
         return decompose_linf(x, delta=delta)[0]
     if isinstance(gauge, GroupL1L2):
@@ -642,16 +640,7 @@ def decompose(gauge, x, delta=0.5):
         md0, _ = decompose_polyhedral(gauge.H.T @ x, delta=delta)
         return precompose(md0, gauge.H, x)
     if isinstance(gauge, Precomposed):
-        u = gauge.dstar @ x
-        if isinstance(gauge.base, L1):
-            md0, _ = decompose_l1(u, delta=delta)
-        elif isinstance(gauge.base, Linf):
-            md0, _ = decompose_linf(u, delta=delta)
-        elif isinstance(gauge.base, GroupL1L2):
-            md0, _ = decompose_group(u, gauge.base.partition, delta=delta)
-        else:
-            raise UnsupportedGaugeError(
-                f"no decomposition for base {type(gauge.base).__name__}")
+        md0 = decompose(gauge.base, gauge.dstar @ x, delta=delta)
         return precompose(md0, gauge.dstar.T, x)
     if isinstance(gauge, SumGauge):
         mds = [decompose(g, x, delta=delta) for g in gauge.parts]

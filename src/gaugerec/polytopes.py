@@ -9,9 +9,9 @@ low-dimensional checks suffice.
 
 Near-duplicate facets and vertices are merged by a greedy keep-first sweep
 over the pairs within tolerance that a KD-tree reports.  The LPs here
-(Chebyshev centres, Minkowski-sum and linear-image gauges, section
-supports) have few variables and many ``<=`` rows, so they are solved
-through their duals by ``lp.lp_min_halfspaces``.
+(Chebyshev centres, Minkowski-sum and linear-image gauges) have few
+variables and many ``<=`` rows, so they are solved through their duals by
+``lp.lp_min_halfspaces``.
 """
 
 import numpy as np
@@ -303,11 +303,6 @@ def linear_image_gauge(C, D, x):
     return float(res.value)
 
 
-def _chebyshev_grid(n):
-    k = np.arange(n)
-    return 0.5 * (1.0 - np.cos(np.pi * k / (n - 1)))
-
-
 def inverse_sum_set(Q1, Q2):
     """Inverse sum of Q1 and Q2 as a polytope (both need 0 interior).
 
@@ -323,75 +318,29 @@ def inverse_sum_set(Q1, Q2):
     return Polytope.from_halfspaces(pairs, np.ones(len(pairs)))
 
 
-def inverse_sum_polar_check(P1, P2, directions=200, grid=129, tol=1e-5, seed=0,
-                            method="gauge-sum"):
+def inverse_sum_polar_check(P1, P2, directions=200, tol=1e-5, seed=0):
     """Check (P1 + P2)_polar equals the inverse sum of the polars.
 
     Support functions of both sides are compared on random directions to
-    ``tol`` (relative).  ``method`` selects how the right-hand side is
-    evaluated: "gauge-sum" solves one exact LP per direction; "rho-grid"
-    builds sup over a Chebyshev rho-grid of rho*Q1 ∩ (1-rho)*Q2 sections
-    with golden-section refinement of the (concave in rho) bracket.
-    Returns (passed, worst_gap).
+    ``tol`` (relative); the right-hand side is the support of the vertices
+    of ``inverse_sum_set`` of the two polars.  Returns (passed, worst_gap).
     """
     lhs = P1.minkowski_sum(P2).polar()
     Q1, Q2 = P1.polar(), P2.polar()
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((directions, P1.dim))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-
-    rhos = _chebyshev_grid(grid)
-    if method == "gauge-sum":
-        pts = inverse_sum_set(Q1, Q2).vertices
+    pts = inverse_sum_set(Q1, Q2).vertices
 
     ok = True
     worst = 0.0
     for u in U:
         target = lhs.support(u)
-        if method == "gauge-sum":
-            got = float(np.max(pts @ u))
-        else:
-            vals = [_section_support(Q1, Q2, rho, u) for rho in rhos]
-            k = int(np.argmax(vals))
-            lo = rhos[max(k - 1, 0)]
-            hi = rhos[min(k + 1, len(rhos) - 1)]
-            got = max(vals[k], _golden_max(
-                lambda rho: _section_support(Q1, Q2, rho, u), lo, hi,
-                iters=24))
-        gap = abs(got - target)
+        gap = abs(float(np.max(pts @ u)) - target)
         worst = max(worst, gap)
         if gap > tol * (1.0 + abs(target)):
             ok = False
     return ok, worst
-
-
-def _golden_max(fn, lo, hi, iters=40):
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return max(fc, fd)
-
-
-def _section_support(Q1, Q2, rho, u):
-    d = Q1.dim
-    a_ub = np.vstack([Q1.normals, Q2.normals])
-    b_ub = np.concatenate([rho * Q1.offsets, (1.0 - rho) * Q2.offsets])
-    res = lp_min_halfspaces(-np.asarray(u, dtype=float), a_ub, b_ub,
-                            bounds=[(None, None)] * d)
-    if res.status != OPTIMAL:
-        return -np.inf
-    return -res.value
 
 
 def random_polytope(dim, n_points=None, seed=0):

@@ -17,9 +17,9 @@ where Newton's method on the active blocks finds it.
 ``solve_noiseless`` prefers exact LP formulations and falls back to the
 same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
 primal prox, for non-polyhedral gauges.  Gauges that are a max of
-linear functionals (Linf, PolyhedralH, Precomposed over Linf) are solved
-through the dual of their epigraph LP restricted to Ker(Phi), which has
-dim Ker(Phi) + 1 rows instead of about Q + 2N.
+linear functionals (Linf, PolyhedralH, Precomposed over Linf) are
+minimized over x = xls + Z w, Z a basis of Ker(Phi), by ``lp.lp_min_max``,
+whose dual has dim Ker(Phi) + 1 rows instead of about Q + 2N.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .linalg import (check_finite, null_space, svd_pinv, power_operator_norm,
                      rank_tolerance, restricted_injectivity)
-from .lp import LpProblem, lp_solve, OPTIMAL
+from .lp import LpProblem, lp_solve, lp_min_max, OPTIMAL
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                      UnsupportedGaugeError, project_l1_ball,
                      project_simplex_interior)
@@ -293,11 +293,10 @@ def solve_noiseless(Phi, y, g, opts=None):
     if route in ("auto", "lp"):
         built = _noiseless_lp(Phi, y, g, xls)
         if built is not None:
-            prob, extract = built
-            res = lp_solve(prob)
+            res, extract = built
             if res.status != OPTIMAL:
                 raise SolverError(f"noiseless LP ended with {res.status}")
-            x = extract(res)
+            x = extract(res.x)
             feas = np.linalg.norm(Phi @ x - y) / (1.0 + np.linalg.norm(y))
             return SolveResult(x, res.iterations, feas, 0.0, True, "lp")
         if route == "lp":
@@ -307,7 +306,7 @@ def solve_noiseless(Phi, y, g, opts=None):
 
 
 def _noiseless_lp(Phi, y, g, xls):
-    """(LpProblem, extractor of x from its LpResult) for min J(x), Phi x = y;
+    """(LpResult, map from its x to the recovered x) for min J(x), Phi x = y;
     None off the LP map.  xls is any solution of Phi x = y."""
     Q, n = Phi.shape
     if isinstance(g, L1):
@@ -315,7 +314,7 @@ def _noiseless_lp(Phi, y, g, xls):
         c = np.ones(2 * n)
         a_eq = np.hstack([Phi, -Phi])
         prob = LpProblem(c, a_eq=a_eq, b_eq=y, bounds=[(0, None)] * (2 * n))
-        return prob, (lambda res: res.x[:n] - res.x[n:])
+        return lp_solve(prob), (lambda z: z[:n] - z[n:])
     if isinstance(g, Linf):
         return _max_atoms_lp(Phi, xls, np.vstack([np.eye(n), -np.eye(n)]))
     if isinstance(g, PolyhedralH):
@@ -330,8 +329,8 @@ def _noiseless_lp(Phi, y, g, xls):
         ])
         b_eq = np.concatenate([y, np.zeros(p)])
         bounds = [(None, None)] * n + [(0, None)] * (2 * p)
-        return (LpProblem(c, a_eq=a_eq, b_eq=b_eq, bounds=bounds),
-                lambda res: res.x[:n])
+        return (lp_solve(LpProblem(c, a_eq=a_eq, b_eq=b_eq, bounds=bounds)),
+                lambda z: z[:n])
     if isinstance(g, Precomposed) and isinstance(g.base, Linf):
         return _max_atoms_lp(Phi, xls, np.vstack([g.dstar, -g.dstar]))
     return None
@@ -339,18 +338,10 @@ def _noiseless_lp(Phi, y, g, xls):
 
 def _max_atoms_lp(Phi, xls, A):
     """min max((A x)_+) over x = xls + Z w, Z an orthonormal basis of
-    Ker(Phi), solved through its dual
-
-        max <A xls, lam>  s.t.  (A Z)^T lam = 0,  sum(lam) <= 1,  lam >= 0,
-
-    which has dim Ker(Phi) + 1 rows.  The sensitivities of the optimal value
-    to the equality right-hand sides are the optimal w."""
+    Ker(Phi): ``lp_min_max(A xls, A Z)``, whose dual has dim Ker(Phi) + 1
+    rows."""
     Z = null_space(Phi)
-    m = A.shape[0]
-    prob = LpProblem(-(A @ xls), a_ub=np.ones((1, m)), b_ub=np.ones(1),
-                     a_eq=(A @ Z).T, b_eq=np.zeros(Z.shape[1]),
-                     bounds=[(0, None)] * m)
-    return prob, (lambda res: xls + Z @ res.dual_eq)
+    return lp_min_max(A @ xls, A @ Z), (lambda w: xls + Z @ w)
 
 
 def _primal_dual_noiseless(Phi, y, g, opts):

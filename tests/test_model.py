@@ -718,3 +718,98 @@ class TestSupportFormGauge:
         Phi = rng.standard_normal((6, n))
         rep = irrepresentability(Phi, md)
         assert rep.method == "exact"
+
+
+# ---------------------------------------------------------------------------
+# lifted support form: sums and pre-compositions with a kernel
+# ---------------------------------------------------------------------------
+
+def _linprog_split_value(mds, eta):
+    """min over eta = sum_k eta_k, eta_k in S_k, of max_k antig_k(eta_k),
+    one scipy LP in the coordinates c_k of eta_k = B_k c_k."""
+    from scipy.optimize import linprog
+    Bs = [md.S.basis for md in mds]
+    atoms = [md.antig.support_atoms() for md in mds]
+    dims = [B.shape[1] for B in Bs]
+    nv = sum(dims) + 1
+    rows, at = [], 0
+    for A, B, k in zip(atoms, Bs, dims):
+        blk = np.zeros((len(A), nv))
+        blk[:, at:at + k] = A @ B
+        blk[:, -1] = -1.0
+        rows.append(blk)
+        at += k
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=np.vstack(rows), b_ub=np.zeros(sum(map(len, rows))),
+                  A_eq=np.hstack(Bs + [np.zeros((len(eta), 1))]), b_eq=eta,
+                  bounds=[(None, None)] * (nv - 1) + [(0, None)],
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+class TestLiftedSupportForm:
+    X = np.array([2.0, -2.0, 0.0, 0.5, 0.0, 1.0, 0.0, -2.0])
+
+    @pytest.mark.parametrize("kinds", ["l1+l1", "linf+linf", "l1+linf",
+                                       "l1+linf+l1"])
+    def test_sum_matches_split_reference(self, kinds, rng):
+        parts = {"l1": decompose_l1, "linf": decompose_linf}
+        mds = [parts[k](self.X)[0] for k in kinds.split("+")]
+        md = mds[0]
+        for other in mds[1:]:
+            md = sum_decompositions(md, other)
+        assert md.antig.exact
+        for _ in range(20):
+            eta = md.S.project(rng.standard_normal(len(self.X)))
+            ref = _linprog_split_value(mds, eta)
+            assert abs(md.antig.value(eta) - ref) <= 1e-9 * (1.0 + ref)
+
+    @pytest.mark.parametrize("g", [L1(8), Linf(8)])
+    def test_doubled_regularizer_keeps_ic(self, g):
+        from gaugerec.certificates import irrepresentability
+        from gaugerec.gauges import SumGauge
+        Phi = np.random.default_rng(5).standard_normal((6, 8))
+        one = irrepresentability(Phi, decompose(g, self.X))
+        two = irrepresentability(Phi, decompose(SumGauge([g, g]), self.X))
+        assert two.method == "exact"
+        assert abs(two.ic_value - one.ic_value) <= 1e-9 * (1 + one.ic_value)
+        assert two.identifiable == one.identifiable
+
+    def test_three_term_sum_is_exact(self):
+        from gaugerec.certificates import irrepresentability
+        from gaugerec.gauges import SumGauge
+        g = SumGauge([L1(8), Linf(8), L1(8)])
+        md = decompose(g, self.X)
+        Phi = np.random.default_rng(6).standard_normal((6, 8))
+        assert irrepresentability(Phi, md).method == "exact"
+
+    @pytest.mark.parametrize("x", [np.array([0.0, 0.0, 0.0, 1.0, 1.0, 2.0]),
+                                   np.zeros(6)])
+    def test_overcomplete_analysis_kernel_matches_lp(self, x, rng):
+        # D^T stacks the difference rows on the identity, so the zero
+        # entries of u = D^T x outnumber what D_{S0} can map injectively
+        from scipy.optimize import linprog
+        from gaugerec.gauges import Precomposed
+        from gaugerec.linalg import null_space
+        dstar = np.vstack([tv1d_gauge(6).dstar, np.eye(6)])
+        u = dstar @ x
+        md0, _ = decompose_l1(u)
+        assert null_space(dstar.T @ md0.S.basis).shape[1] > 0
+        md = decompose(Precomposed(L1(11), dstar), x)
+        assert md.antig.exact and md.antig.support_atoms() is None
+        # antig(eta) = min ||z||_inf over D_{Ic} z = eta, Ic the zeros of u
+        DIc = dstar.T[:, np.abs(u) <= 1e-12]
+        k = DIc.shape[1]
+        c = np.zeros(k + 1)
+        c[-1] = 1.0
+        box = np.hstack([np.vstack([np.eye(k), -np.eye(k)]),
+                         -np.ones((2 * k, 1))])
+        for _ in range(20):
+            eta = md.S.project(rng.standard_normal(6))
+            ref = linprog(c, A_ub=box, b_ub=np.zeros(2 * k),
+                          A_eq=np.hstack([DIc, np.zeros((6, 1))]), b_eq=eta,
+                          bounds=[(None, None)] * (k + 1), method="highs")
+            assert ref.status == 0
+            assert abs(md.antig.value(eta) - ref.fun) <= 1e-9 * (1 + ref.fun)

@@ -147,13 +147,6 @@ class TestInverseSum:
         ok, worst = inverse_sum_polar_check(P1, P2, directions=100, seed=d)
         assert ok, worst
 
-    def test_rho_grid_route_agrees(self):
-        P1 = random_polytope(2, seed=51)
-        P2 = random_polytope(2, seed=52)
-        ok, worst = inverse_sum_polar_check(P1, P2, directions=25,
-                                            method="rho-grid")
-        assert ok, worst
-
     def test_gauge_sum_identity(self, rng):
         # the inverse-sum set carries the summed gauge
         Q1 = random_polytope(2, seed=61)

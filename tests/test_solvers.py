@@ -82,6 +82,24 @@ class TestPenalized:
                    - solvers._objective(Phi, y, 0.3, L1(16), fista.x_hat)) \
             <= 1e-8
 
+    @pytest.mark.parametrize("analysis", [False, True])
+    @pytest.mark.parametrize("lam", [0.1, 50.0])
+    def test_pd_route_on_euclidean_norms(self, analysis, lam):
+        # the Euclidean norm has a model decomposition (smooth off 0), so
+        # Chambolle-Pock stops on the first-order conditions, not at
+        # max_iter with infinite residuals
+        from gaugerec.gauges import L2
+        r = np.random.default_rng(3)
+        Phi = r.standard_normal((5, 8))
+        y = Phi @ r.standard_normal(8)
+        g = Precomposed(L2(7), tv1d_gauge(8).dstar) if analysis else L2(8)
+        res = solve_penalized(Phi, y, lam, g,
+                              SolveOptions(solver="pd", max_iter=20000))
+        assert res.converged and res.iterations < 20000
+        md = decompose(g, res.x_hat)
+        assert check_noisy_optimality(Phi, y, lam, res.x_hat, md=md,
+                                      eq_tol=1e-6) != "not_optimal"
+
     @pytest.mark.parametrize("kind", ["group", "tv", "poly"])
     def test_converged_passes_first_order_check(self, kind, rng):
         for seed in range(5):
