@@ -232,6 +232,15 @@ class StabilityConstants:
     with Q_T the projector onto Ker(Phi_T^*).  Derived: A_T = 2 c4,
     B_T = (A/(2 c4) + B)^{-1}, D_T = c3, E_T = c1/c4 + 2 c2, and C_x0 built
     from H and phi; C_x0 = +inf when xi = 0 and mu*c3 + tau = 0.
+
+    Which constants an upper bound keeps conservative, read off the
+    formulas above: raising c1, c2 or c3 can only shrink B_T and C_x0
+    (H decreases in mu_bar/xi and in E_T), hence lambda_max; raising mu,
+    tau or xi, or lowering nu, does the same, which is what a certified
+    upper bound inside ``psfl_*`` does.  c4 is not one of them: it raises
+    lambda_min through A_T but enlarges B_T and lowers E_T, which divide
+    by it, so an upper bound on c4 can widen the range.  ``exact`` stays
+    strict: every bound must be exact.
     """
 
     def __init__(self, c1, c2, c3, c4, ic_value, nu, mu, tau, xi, exact):
@@ -297,7 +306,8 @@ class StabilityConstants:
 def stability_constants(Phi, md, p):
     """Operator-bound constants of the model-selection guarantee.
 
-    All four bounds, the subdifferential gauge and the stability parameters
+    Each bound is exact or a certified upper bound, never sampled.  All
+    four bounds, the subdifferential gauge and the stability parameters
     ``p`` must be exact for the lambda range to be certified; otherwise
     ``exact`` is False and downstream consumers must treat the range as
     advisory.

@@ -95,6 +95,7 @@ class Gauge:
 
     is_euclidean = False
     is_max_abs = False
+    is_abs_sum = False
 
     def _check(self, x):
         x = check_finite(x, "x")
@@ -134,6 +135,8 @@ def _section_vertices(hrep, dim, domain):
 
 class L1(Gauge):
     """Sum of absolute values."""
+
+    is_abs_sum = True
 
     def value(self, x):
         return float(np.sum(np.abs(self._check(x))))

@@ -108,6 +108,11 @@ class SubdiffGauge:
             return None
         return self.atoms
 
+    def unlifted(self):
+        """The atoms without free directions: at w = 0 the lifted value can
+        only rise, so this gauge bounds a lifted one from above."""
+        return SubdiffGauge(self.S, atoms=self.atoms)
+
     @functools.cached_property
     def _ball(self):
         return _section_vertices((self.atoms, np.ones(len(self.atoms))),
@@ -542,11 +547,12 @@ def directional_derivative(md, delta):
 # stability-parameter calculus
 # ---------------------------------------------------------------------------
 
-def psfl_sum(pJ, pG, mdJ, mdG, mdH, samples=10000):
+def psfl_sum(pJ, pG, mdJ, mdG, mdH):
     """Stability parameters of J + G from those of the summands.
 
-    ``samples`` caps the sampled-lower-bound fallback of the operator
-    bounds; whenever that fallback fires the result is tagged inexact.
+    mu and tau grow with the operator bounds, so a certified upper bound
+    keeps them conservative; the result is tagged exact only when every
+    bound is.
     """
     gamma = _merge_gamma(pJ.gamma, pG.gamma)
     nu = min(pJ.nu, pG.nu)
@@ -556,15 +562,15 @@ def psfl_sum(pJ, pG, mdJ, mdG, mdH, samples=10000):
     tau = pJ.tau + pG.tau
     if pJ.mu > 0.0 or pG.mu > 0.0:
         PT = mdH.T.basis @ mdH.T.basis.T
-        bJ = linalg.operator_bound(PT, pJ.gamma, gamma, samples=samples)
-        bG = linalg.operator_bound(PT, pG.gamma, gamma, samples=samples)
+        bJ = linalg.operator_bound(PT, pJ.gamma, gamma)
+        bG = linalg.operator_bound(PT, pG.gamma, gamma)
         mu = pJ.mu * bJ.value + pG.mu * bG.value
         SJ = mdH.S.intersection(mdJ.T)
         SG = mdH.S.intersection(mdG.T)
         prJ = SJ.basis @ SJ.basis.T
         prG = SG.basis @ SG.basis.T
-        tJ = linalg.operator_bound(prJ, pJ.gamma, mdH.antig, samples=samples)
-        tG = linalg.operator_bound(prG, pG.gamma, mdH.antig, samples=samples)
+        tJ = linalg.operator_bound(prJ, pJ.gamma, mdH.antig)
+        tG = linalg.operator_bound(prG, pG.gamma, mdH.antig)
         tau += pJ.mu * tJ.value + pG.mu * tG.value
         exact = exact and all(b.exact for b in (bJ, bG, tJ, tG))
     return PsflParams(nu, mu, tau, xi, gamma, exact=exact)
@@ -585,12 +591,17 @@ def psfl_smooth_perturb(pJ, grad_lipschitz, mdJ):
     return PsflParams(pJ.nu, mu, pJ.tau, pJ.xi, gamma, exact=exact)
 
 
-def psfl_precompose(p0, D, md0, md, gamma=None, samples=10000):
-    """Stability parameters of J0(D^T .) from those of J0 at D^T x."""
+def psfl_precompose(p0, D, md0, md, gamma=None):
+    """Stability parameters of J0(D^T .) from those of J0 at D^T x.
+
+    nu = nu0 / ||D^T|| shrinks and mu, tau, xi grow with the operator
+    bounds, so certified upper bounds keep all four conservative; the
+    result is tagged exact only when every bound is.
+    """
     n = D.shape[0]
     if gamma is None:
         gamma = Linf(n)
-    nD = linalg.operator_bound(D.T, gamma, p0.gamma, samples=samples)
+    nD = linalg.operator_bound(D.T, gamma, p0.gamma)
     exact = p0.exact and nD.exact
     if nD.value == 0.0 or not np.isfinite(nD.value):
         raise ValueError("comparison-gauge bound of D^T is degenerate")
@@ -598,14 +609,14 @@ def psfl_precompose(p0, D, md0, md, gamma=None, samples=10000):
     mu = tau = xi = 0.0
     if p0.mu > 0.0 or p0.tau > 0.0 or p0.xi > 0.0:
         PT = md.T.basis @ md.T.basis.T
-        b_mu = linalg.operator_bound(PT @ D, p0.gamma, gamma, samples=samples)
+        b_mu = linalg.operator_bound(PT @ D, p0.gamma, gamma)
         mu = p0.mu * b_mu.value * nD.value
         B0 = md0.S.basis
         DS_pinv = B0 @ svd_pinv(D @ B0)
         PS = md.S.basis @ md.S.basis.T
         M = DS_pinv @ PS @ D
-        b_t1 = linalg.operator_bound(M, md0.antig, md0.antig, samples=samples)
-        b_t2 = linalg.operator_bound(M, p0.gamma, md0.antig, samples=samples)
+        b_t1 = linalg.operator_bound(M, md0.antig, md0.antig)
+        b_t2 = linalg.operator_bound(M, p0.gamma, md0.antig)
         tau = (p0.tau * b_t1.value + p0.mu * b_t2.value) * nD.value
         xi = p0.xi * nD.value
         exact = exact and b_mu.exact and b_t1.exact and b_t2.exact

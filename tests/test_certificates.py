@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gaugerec.gauges import L1, Linf, GroupL1L2, BlockPartition
 from gaugerec.linalg import svd_pinv, null_space, restricted_injectivity
 from gaugerec.lp import lp_minimize_linf
+from gaugerec.polytopes import Polytope
 from gaugerec.model import (decompose, decompose_l1, decompose_linf,
                             decompose_group, tv1d_gauge, precompose,
                             psfl_precompose)
@@ -297,6 +300,60 @@ class TestStabilityConstants:
         # Gamma is a max of block l2 norms; its ball is not a polytope, so
         # the Gamma -> Gamma bound of the inverse Gram cannot be exact
         assert not const.exact
+
+    @staticmethod
+    def _linf_instance(seed, n, q, k):
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-0.5, 0.5, n)
+        x0[rng.choice(n, k, replace=False)] = rng.choice([-1.0, 1.0], k)
+        Phi = rng.standard_normal((q, n))
+        md, p = decompose_linf(x0)
+        U = md.T.basis
+        M = Phi @ U
+        G = np.linalg.inv(M.T @ M)
+        W1 = U @ G @ U.T
+        W3 = -(md.S.basis @ md.S.basis.T) @ Phi.T @ M @ G @ U.T
+        return Phi, md, p, W1, W3
+
+    def test_linf_constants_match_brute_force(self):
+        # c1 = ||W1||_{l1 on T -> l1} ||P_T Phi^*||_{l2 -> l1} and
+        # c3 = ||W3||_{l1 on T -> antig}: the section vertices from the
+        # H-representation in T coordinates and all 2^n sign vectors
+        n = 8
+        Phi, md, p, W1, W3 = self._linf_instance(12, n, 7, 3)
+        const = stability_constants(Phi, md, p)
+        assert const.exact
+        U = md.T.basis
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        X = Polytope.from_halfspaces(signs @ U, np.ones(len(signs))).vertices @ U.T
+        b1a = max(np.abs(W1 @ x).sum() for x in X)
+        b1b = max(np.linalg.norm(Phi @ U @ (U.T @ s)) for s in signs)
+        b3 = max(md.antig.value(W3 @ x) for x in X)
+        assert abs(const.c1 - b1a * b1b) <= 1e-12 * const.c1
+        assert abs(const.c3 - b3) <= 1e-12 * const.c3
+
+    def test_linf_constants_past_enumeration_are_exact(self):
+        # at the benchmark's n = 20 the section has no vertex list: P_T maps
+        # the l1 ball into itself, so the bounds over T are attained at the
+        # points P_T (+-e_i), and the l2 -> l1 bound matches all 2^19 signs
+        n = 20
+        Phi, md, p, W1, W3 = self._linf_instance(5, n, 18, 5)
+        const = stability_constants(Phi, md, p)
+        assert const.exact
+        PT = md.T.basis @ md.T.basis.T
+        assert np.abs(PT).sum(axis=0).max() <= 1.0 + 1e-12
+        b1a = max(np.abs(W1 @ PT[:, i]).sum() for i in range(n))
+        b3 = max(md.antig.value(sgn * W3 @ PT[:, i])
+                 for i in range(n) for sgn in (1.0, -1.0))
+        A = (PT @ Phi.T).T
+        bits = np.arange(2 ** 14)[:, None] >> np.arange(14) & 1
+        low = A[:, 6:] @ (1.0 - 2.0 * bits.T)
+        b1b = 0.0
+        for high in itertools.product((-1.0, 1.0), repeat=5):
+            base = A[:, 0] + A[:, 1:6] @ np.array(high)
+            b1b = max(b1b, np.max(np.linalg.norm(base[:, None] + low, axis=0)))
+        assert abs(const.c3 - b3) <= 1e-12 * const.c3
+        assert abs(const.c1 - b1a * b1b) <= 1e-12 * const.c1
 
     @pytest.mark.parametrize("n, exact", [(12, True), (20, True)])
     def test_exactness_flag_for_tv_follows_the_parameters(self, n, exact):

@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gaugerec.linalg import (Subspace, project, pseudo_inverse_apply,
                              svd_pinv, restricted_injectivity,
                              gaussian_ensemble, operator_bound, OperatorBound,
-                             DimensionMismatchError)
-from gaugerec.gauges import L1, L2, Linf, Precomposed
+                             NoBoundRouteError, DimensionMismatchError)
+from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge,
+                             BlockPartition)
+from gaugerec.model import GroupLinf2, decompose_linf
+from gaugerec.polytopes import Polytope
 
 from conftest import random_subspace
 
@@ -140,12 +145,13 @@ class TestOperatorBound:
             x = rng.standard_normal(4)
             assert g_out.value(A @ x) <= val * g_in.value(x) + 1e-9
 
-    def test_sampled_never_exceeds_exact(self, rng):
+    def test_gauge_without_a_route_raises(self, rng):
+        # an input gauge that exposes only its value has no exact or
+        # certified-upper route: no sampled value stands in for the bound
         A = rng.standard_normal((3, 3))
 
-        class NoVertices:
+        class ValueOnly:
             dim = 3
-            is_euclidean = False
 
             def __init__(self, inner):
                 self.inner = inner
@@ -162,10 +168,11 @@ class TestOperatorBound:
             def kernel_directions(self, domain=None):
                 return np.zeros((0, 3))
 
-        exact = operator_bound(A, L1(3), Linf(3))
-        sampled = operator_bound(A, NoVertices(L1(3)), Linf(3), samples=4000)
-        assert sampled.method == OperatorBound.SAMPLED
-        assert sampled.value <= exact.value + 1e-12
+        with pytest.raises(NoBoundRouteError):
+            operator_bound(A, ValueOnly(L1(3)), Linf(3))
+        with pytest.raises(NoBoundRouteError):
+            operator_bound(A, ValueOnly(L1(3)), Linf(3),
+                           domain=Subspace.coordinate(3, [0, 1]))
 
     def test_linf_to_linf_closed_form_matches_vertices(self, rng):
         class NoVertexLinf(Linf):
@@ -203,3 +210,189 @@ class TestOperatorBound:
         b = operator_bound(A, L2(6), Linf(4))
         assert b.method == OperatorBound.EXACT_CLOSED_FORM
         assert abs(b.value - np.max(np.linalg.norm(A, axis=1))) <= 1e-12
+
+
+class _NoSectionL1(L1):
+    """L1 whose section vertices are withheld, so a domain takes the
+    domain-drop route."""
+
+    def ball_vertices(self, domain=None):
+        return None if domain is not None else super().ball_vertices()
+
+
+def _linf_model(rng, n, k):
+    x = rng.uniform(-0.5, 0.5, n)
+    x[rng.choice(n, k, replace=False)] = rng.choice([-1.0, 1.0], k)
+    return decompose_linf(x)[0]
+
+
+def _section_brute(A, g_out, T, n):
+    """max g_out(A x) over the vertices of {x in T : ||x||_1 <= 1}, from
+    the H-representation in T coordinates."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    sect = Polytope.from_halfspaces(signs @ T.basis, np.ones(len(signs)))
+    return max(g_out.value(A @ (T.basis @ c)) for c in sect.vertices)
+
+
+def _circle_grid_max(Ab, blocks, count=10 ** 6, chunk=10 ** 5):
+    best = 0.0
+    for start in range(0, count, chunk):
+        theta = np.arange(start, start + chunk) * (np.pi / count)
+        Z = Ab.T @ np.vstack([np.cos(theta), np.sin(theta)])
+        f = sum(np.linalg.norm(Z[b], axis=0) for b in blocks)
+        best = max(best, float(np.max(f)))
+    return best
+
+
+class TestOperatorBoundRoutes:
+    @pytest.mark.parametrize("n, k", [(6, 2), (7, 3), (8, 3)])
+    def test_domain_drop_on_the_linf_model_is_exact(self, rng, n, k):
+        # P_T averages the saturated block, so ||P_T||_{1->1} = 1 and the
+        # bound over the ball section equals the bound of A P_T
+        md = _linf_model(rng, n, k)
+        A = rng.standard_normal((n, n))
+        for g_out in (L1(n), md.antig):
+            W = md.S.basis @ md.S.basis.T @ A if g_out is md.antig else A
+            b = operator_bound(W, _NoSectionL1(n), g_out, domain=md.T)
+            assert b.method == OperatorBound.EXACT_VERTEX
+            ref = _section_brute(W, g_out, md.T, n)
+            assert abs(b.value - ref) <= 1e-12 * ref
+
+    def test_domain_drop_elsewhere_is_a_certified_upper_bound(self, rng):
+        n = 7
+        for _ in range(5):
+            T = random_subspace(rng, n, 4)
+            A = rng.standard_normal((5, n))
+            b = operator_bound(A, _NoSectionL1(n), L1(5), domain=T)
+            ref = _section_brute(A, L1(5), T, n)
+            assert b.method in (OperatorBound.CERTIFIED_UPPER,
+                                OperatorBound.EXACT_VERTEX)
+            assert b.value >= ref * (1 - 1e-12)
+            if b.method == OperatorBound.EXACT_VERTEX:
+                assert abs(b.value - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 9, 12])
+    def test_l2_to_l1_matches_sign_enumeration(self, rng, m):
+        A = rng.standard_normal((m, 5))
+        if m >= 5:
+            A[1] = -A[0]          # rows equal up to sign are merged
+            A[3] = 0.0            # zero rows are dropped
+        b = operator_bound(A, L2(5), L1(m))
+        assert b.method == OperatorBound.EXACT_CLOSED_FORM
+        ref = max(np.linalg.norm(A.T @ np.array(s))
+                  for s in itertools.product((-1.0, 1.0), repeat=m))
+        assert abs(b.value - ref) <= 1e-12 * ref
+        dom = random_subspace(rng, 5, 3)
+        bd = operator_bound(A, L2(5), L1(m), domain=dom)
+        M = A @ dom.basis
+        ref = max(np.linalg.norm(M.T @ np.array(s))
+                  for s in itertools.product((-1.0, 1.0), repeat=m))
+        assert abs(bd.value - ref) <= 1e-12 * ref
+
+    def test_l2_to_l1_beyond_enumeration_is_a_certified_upper_bound(self, rng):
+        A = rng.standard_normal((30, 4))
+        b = operator_bound(A, L2(4), L1(30))
+        assert b.method == OperatorBound.CERTIFIED_UPPER
+        sigma = np.linalg.svd(A, compute_uv=False)[0]
+        ref = min(np.sqrt(30) * sigma, np.linalg.norm(A, axis=1).sum())
+        assert abs(b.value - ref) <= 1e-12 * ref
+        for s in rng.choice([-1.0, 1.0], (2000, 30)):
+            assert np.linalg.norm(A.T @ s) <= b.value
+
+    def test_block_input_size_two_outputs_bracket_a_fine_grid(self, rng):
+        part = BlockPartition([[0, 1], [2, 3], [4, 5]], 6)
+        blocks = [np.asarray(b) for b in part]
+        for _ in range(3):
+            A = rng.standard_normal((6, 6))
+            b = operator_bound(A, GroupLinf2(part), GroupLinf2(part))
+            assert b.method == OperatorBound.CERTIFIED_UPPER
+            grid = max(_circle_grid_max(A[r], blocks) for r in blocks)
+            assert grid <= b.value <= grid * (1 + 1e-6)
+
+    def test_block_input_atom_outputs_are_attained(self, rng):
+        part = BlockPartition([[0, 1], [2, 3, 4], [5]], 6)
+        A = rng.standard_normal((4, 6))
+        for g_out in (Linf(4), GroupLinf2(BlockPartition(
+                [[0], [1], [2], [3]], 4))):
+            b = operator_bound(A, GroupLinf2(part), g_out)
+            assert b.method == OperatorBound.EXACT_CLOSED_FORM
+            # the maximizing row and sign give a feasible point attaining it
+            best = 0.0
+            for i in range(4):
+                x = np.concatenate([A[i, c] / np.linalg.norm(A[i, c])
+                                    for c in part])
+                assert GroupLinf2(part).value(x) <= 1 + 1e-12
+                best = max(best, g_out.value(A @ x))
+            assert abs(b.value - best) <= 1e-12 * best
+
+    def test_block_input_large_output_block_is_the_triangle_sum(self, rng):
+        part = BlockPartition([[0, 1], [2, 3]], 4)
+        A = rng.standard_normal((3, 4))
+        b = operator_bound(A, GroupLinf2(part), L2(3))
+        assert b.method == OperatorBound.CERTIFIED_UPPER
+        tri = sum(np.linalg.svd(A[:, c], compute_uv=False)[0] for c in part)
+        assert abs(b.value - tri) <= 1e-12 * tri
+        for _ in range(500):
+            z = rng.standard_normal(4)
+            x = z / GroupLinf2(part).value(z)
+            assert np.linalg.norm(A @ x) <= b.value
+
+    def test_max_and_precomposed_outputs_fold_exactly(self, rng):
+        # singleton blocks make the block-disc ball the max-abs cube, whose
+        # 2^n sign vertices give the brute-force value
+        n, m = 6, 4
+        cube = GroupLinf2(BlockPartition([[i] for i in range(n)], n))
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        for _ in range(3):
+            A = rng.standard_normal((m, n))
+            D = rng.standard_normal((3, m))
+            g_out = MaxGauge([Linf(m), Precomposed(Linf(3), D)])
+            b = operator_bound(A, cube, g_out)
+            assert b.method == OperatorBound.EXACT_CLOSED_FORM
+            ref = max(g_out.value(A @ s) for s in signs)
+            assert abs(b.value - ref) <= 1e-12 * ref
+
+    def test_max_input_is_the_smallest_part_bound(self, rng):
+        # the l1 ball lies in the cube, so the max of the two gauges has
+        # the l1 ball, with vertices +-e_i
+        n, m = 5, 4
+        cube = GroupLinf2(BlockPartition([[i] for i in range(n)], n))
+        A = rng.standard_normal((m, n))
+        b = operator_bound(A, MaxGauge([cube, L1(n)]), Linf(m))
+        assert b.method == OperatorBound.CERTIFIED_UPPER
+        ref = np.max(np.abs(A))
+        assert abs(b.value - ref) <= 1e-12 * ref
+
+    def test_precomposed_input_with_a_kernel(self, rng):
+        from scipy.optimize import linprog
+        n, m = 6, 4
+        for rank in (3, 2):
+            Dstar = rng.standard_normal((4, rank)) @ rng.standard_normal(
+                (rank, n))
+            g_in = Precomposed(L1(4), Dstar)
+            A = rng.standard_normal((m, 4)) @ Dstar  # kills Ker(Dstar)
+            b = operator_bound(A, g_in, Linf(m))
+            assert b.exact
+            # LP: max +-a_i^T x over ||Dstar x||_1 <= 1, variables (x, z)
+            ref = 0.0
+            for i in range(m):
+                for sgn in (1.0, -1.0):
+                    c = np.concatenate([-sgn * A[i], np.zeros(4)])
+                    a_ub = np.block([[Dstar, -np.eye(4)],
+                                     [-Dstar, -np.eye(4)],
+                                     [np.zeros((1, n)), np.ones((1, 4))]])
+                    b_ub = np.concatenate([np.zeros(8), [1.0]])
+                    res = linprog(c, A_ub=a_ub, b_ub=b_ub,
+                                  bounds=[(None, None)] * n + [(0, None)] * 4,
+                                  method="highs")
+                    ref = max(ref, -res.fun)
+            assert abs(b.value - ref) <= 1e-9 * ref
+
+    def test_zero_map_is_zero_for_any_output(self):
+        class Opaque:
+            def value(self, y):
+                raise AssertionError("a zero map needs no evaluation")
+
+        part = BlockPartition([[0, 1], [2, 3]], 4)
+        b = operator_bound(np.zeros((3, 4)), GroupLinf2(part), Opaque())
+        assert b.value == 0.0 and b.exact
