@@ -8,6 +8,8 @@ linear programs over their unit balls.  ``ball_vertices`` /
 in :mod:`gaugerec.linalg`.  Unit balls are enumerated from an H-rep by
 ``_section_vertices``, which also derives the ball of a support-form
 subdifferential gauge (its atoms are the normals) in :mod:`gaugerec.model`.
+The group kind evaluates, proxes and projects in one vectorised pass over
+the flattened block index that ``BlockPartition`` builds once.
 """
 
 import numpy as np
@@ -25,7 +27,12 @@ class UnsupportedGaugeError(NotImplementedError):
 
 
 class BlockPartition:
-    """Disjoint index blocks covering {0, ..., n-1}."""
+    """Disjoint index blocks covering {0, ..., n-1}.
+
+    ``block_of`` is the flattened block index, built once: entry i is the
+    block that holds coordinate i.  Per-block reductions (``norms``) are one
+    ``bincount`` over it, and per-block factors reach the coordinates as
+    ``factors[block_of]``; empty blocks get norm 0."""
 
     def __init__(self, blocks, n):
         blocks = [np.asarray(sorted(b), dtype=int) for b in blocks]
@@ -36,12 +43,20 @@ class BlockPartition:
             raise ValueError("blocks do not cover the index range")
         self.blocks = blocks
         self.n = n
+        self.block_of = np.empty(n, dtype=np.intp)
+        for j, b in enumerate(blocks):
+            self.block_of[b] = j
 
     def __len__(self):
         return len(self.blocks)
 
     def __iter__(self):
         return iter(self.blocks)
+
+    def norms(self, x):
+        """Euclidean norm of each block of x, in block order."""
+        return np.sqrt(np.bincount(self.block_of, weights=x * x,
+                                   minlength=len(self.blocks)))
 
 
 def _sign_patterns(k):
@@ -221,20 +236,20 @@ class GroupL1L2(Gauge):
         self.partition = partition
 
     def value(self, x):
-        x = self._check(x)
-        return float(sum(np.linalg.norm(x[b]) for b in self.partition))
+        return float(self.partition.norms(self._check(x)).sum())
 
     def polar(self, u):
-        u = self._check(u)
-        return float(max((np.linalg.norm(u[b]) for b in self.partition),
-                         default=0.0))
+        return float(self.partition.norms(self._check(u)).max(initial=0.0))
 
     def prox(self, lam, v):
+        """Block soft-thresholding at lam >= 0."""
         v = self._check(v)
-        out = v.copy()
-        for b in self.partition:
-            nb = np.linalg.norm(v[b])
-            out[b] = 0.0 if nb <= lam else v[b] * (1.0 - lam / nb)
+        if lam == 0.0:
+            return v.copy()
+        # 1 - lam / max(nb, lam) is 0 exactly on the blocks with nb <= lam
+        shrink = 1.0 - lam / np.maximum(self.partition.norms(v), lam)
+        out = v * shrink[self.partition.block_of]
+        out += 0.0   # the dropped blocks are +0, not -0 where v < 0
         return out
 
 
@@ -504,6 +519,23 @@ def _subspace_meet(S1, S2):
     return S1.intersection(S2)
 
 
+def _descending_threshold(u, radius):
+    """theta with sum(max(u - theta, 0)) = radius, for u >= 0 with
+    sum(u) > radius > 0: sort u descending and keep the largest k with
+    k u_(k) > (sum of the k largest) - radius."""
+    u = u.copy()
+    u.sort()
+    u = u[::-1]
+    css = u.cumsum()
+    css -= radius
+    keep = u * np.arange(1, len(u) + 1) > css
+    # k = 1 always qualifies; round-off hides it when radius is below the
+    # last bit of u_(1)
+    keep[0] = True
+    rho = keep.nonzero()[0][-1] + 1
+    return css[rho - 1] / rho
+
+
 def project_l1_ball(v, radius):
     """Exact Euclidean projection onto {z : ||z||_1 <= radius} (sort-based)."""
     v = np.asarray(v, dtype=float)
@@ -514,25 +546,21 @@ def project_l1_ball(v, radius):
         return v.copy()
     if radius == 0.0:
         return np.zeros_like(v)
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, len(u) + 1)
-    mask = u * ks > css - radius
-    rho = int(np.max(np.flatnonzero(mask))) + 1
-    theta = (css[rho - 1] - radius) / rho
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    a -= _descending_threshold(a, radius)
+    np.maximum(a, 0.0, out=a)
+    return np.sign(v) * a
 
 
 def project_simplex_interior(v, radius):
     """Euclidean projection onto {p : p >= 0, sum(p) <= radius}."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     p = np.maximum(np.asarray(v, dtype=float), 0.0)
     if p.sum() <= radius:
         return p
+    if radius == 0.0:
+        return np.zeros_like(p)
     # project onto the simplex {p >= 0, sum = radius}
-    u = np.sort(p)[::-1]
-    css = np.cumsum(u) - radius
-    ks = np.arange(1, len(u) + 1)
-    cond = u - css / ks > 0
-    rho = int(np.max(np.flatnonzero(cond))) + 1
-    theta = css[rho - 1] / rho
-    return np.maximum(p - theta, 0.0)
+    p -= _descending_threshold(p, radius)
+    np.maximum(p, 0.0, out=p)
+    return p

@@ -19,7 +19,7 @@ class DimensionMismatchError(ValueError):
 
 def check_finite(a, name="array"):
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return a
 

@@ -4,7 +4,10 @@ recovery problems.
 ``solve_penalized`` runs FISTA with adaptive restart when the regularizer
 has a proximal map, and Chambolle-Pock on J(x) = base(K x) when it is a
 pre-composition or a polyhedral H-gauge; ``solver="pd"`` also runs the
-latter on the prox-able kinds, with K = I.  Convergence is declared from
+latter on the prox-able kinds, with K = I.  Its primal prox, that of the
+least-squares term, is the matrix (I + tau Phi^T Phi)^{-1} formed once per
+solve from its Cholesky factor, so an iteration costs one matrix-vector
+product there.  Convergence is declared from
 the first-order conditions at the iterate's own model decomposition, never
 from step sizes alone.  At each FISTA convergence check that the iterate
 fails, the penalized problem is also solved exactly on the iterate's model
@@ -21,6 +24,8 @@ linear functionals (Linf, PolyhedralH, Precomposed over Linf) are
 minimized over x = xls + Z w, Z a basis of Ker(Phi), by ``lp.lp_min_max``,
 whose dual has dim Ker(Phi) + 1 rows instead of about Q + 2N.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -156,7 +161,7 @@ def _fista(Phi, y, lam, g, opts):
     for it in range(1, opts.max_iter + 1):
         grad = Phi.T @ (Phi @ z - y)
         x_new = g.prox(lam * step, z - step * grad)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         # adaptive restart on objective increase
         if it % 10 == 0:
@@ -217,13 +222,11 @@ def _splitting_pieces(g):
         return K, lambda p, lam: p * min(1.0, lam / max(np.linalg.norm(p),
                                                         1e-300))
     if isinstance(base, GroupL1L2):
+        part = base.partition
+
         def proj(p, lam):
-            out = p.copy()
-            for b in base.partition:
-                nb = np.linalg.norm(p[b])
-                if nb > lam:
-                    out[b] *= lam / nb
-            return out
+            # lam / max(nb, lam) is 1 exactly on the blocks inside the ball
+            return p * (lam / np.maximum(part.norms(p), lam))[part.block_of]
         return K, proj
     raise UnsupportedGaugeError(f"no splitting for {type(g).__name__}")
 
@@ -253,22 +256,26 @@ def _chambolle_pock(K, dual_proj, radius, x, prox_at, check, opts):
 def _primal_dual_penalized(Phi, y, lam, g, opts):
     """Chambolle-Pock on min_x 0.5||y - Phi x||^2 + lam * base(K x)."""
     K, dual_proj = _splitting_pieces(g)
-    n = Phi.shape[1]
-    Pty = Phi.T @ y
-
-    def prox_at(tau):
-        # solve (I + tau Phi^T Phi) x = v + tau Phi^T y
-        chol = scipy.linalg.cho_factor(np.eye(n) + tau * (Phi.T @ Phi))
-        return lambda v: scipy.linalg.cho_solve(chol, v + tau * Pty,
-                                                check_finite=False)
 
     def check(x, it):
         eq, slack = _first_order_residuals(Phi, y, lam, g, x)
         return SolveResult(x, it, eq, slack,
                            eq <= opts.tol and slack <= opts.tol, "pd")
 
-    return _chambolle_pock(K, dual_proj, lam, np.zeros(n), prox_at, check,
-                           opts)
+    return _chambolle_pock(K, dual_proj, lam, np.zeros(Phi.shape[1]),
+                           lambda tau: _least_squares_prox(Phi, y, tau),
+                           check, opts)
+
+
+def _least_squares_prox(Phi, y, tau):
+    """The prox of tau * 0.5||y - Phi x||^2 as v -> M v + c, with
+    M = (I + tau Phi^T Phi)^{-1} formed once from its Cholesky factor and
+    c = tau M Phi^T y."""
+    n = Phi.shape[1]
+    chol = scipy.linalg.cho_factor(np.eye(n) + tau * (Phi.T @ Phi))
+    M = scipy.linalg.cho_solve(chol, np.eye(n), check_finite=False)
+    c = tau * (M @ (Phi.T @ y))
+    return lambda v: M @ v + c
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
@@ -24,6 +24,22 @@ def all_gauges(n=4):
 
 finite_vecs = arrays(np.float64, (4,),
                      elements=st.floats(-10, 10, allow_nan=False))
+# draws that repeat values and hit exact zeros, so the sorted input has ties
+entries_with_ties = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0]),
+                              st.floats(-5, 5))
+radii = st.one_of(st.just(0.0), st.floats(0.0, 12.0))
+
+
+def _bisection_threshold(a, radius):
+    """theta >= 0 with sum(max(a - theta, 0)) = radius, by bisection."""
+    lo, hi = 0.0, float(a.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(a - mid, 0.0).sum() > radius:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class TestEval:
@@ -201,6 +217,33 @@ class TestProx:
                     "interior", "boundary")
 
 
+class TestGroupKernels:
+    # uneven blocks (sizes 1 and 3) over shuffled indices, one block empty
+    PART = BlockPartition([[4], [6, 0, 3], [], [2, 7, 5], [1]], 8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=arrays(np.float64, (8,), elements=entries_with_ties),
+           lam=st.floats(0.01, 4.0))
+    def test_match_per_block_formulas(self, v, lam):
+        g = GroupL1L2(self.PART)
+        norms = [np.linalg.norm(v[b]) for b in self.PART]
+        value = sum(norms)
+        assert abs(g.value(v) - value) <= 1e-15 * max(1.0, value)
+        assert abs(g.polar(v) - max(norms)) <= 1e-15 * max(1.0, max(norms))
+        ref = v.copy()
+        for b, nb in zip(self.PART, norms):
+            ref[b] = 0.0 if nb <= lam else v[b] * (1.0 - lam / nb)
+        out = g.prox(lam, v)
+        assert np.abs(out - ref).max() <= 1e-15 * (1.0 + np.abs(v).max())
+        # a dropped block is +0, as the loop writes it
+        assert not np.signbit(out[ref == 0.0]).any()
+        assert np.array_equal(g.prox(0.0, v), v)
+
+    def test_block_index(self):
+        assert list(self.PART.block_of) == [1, 4, 3, 1, 0, 3, 1, 3]
+        assert len(self.PART.norms(np.ones(8))) == 5
+
+
 class TestUnitBallConsistency:
     @pytest.mark.parametrize("kind", ["l1", "linf", "poly"])
     def test_eval_matches_ball_membership(self, kind, rng):
@@ -243,6 +286,31 @@ class TestL1BallProjection:
             z = rng.standard_normal(5)
             z = project_l1_ball(z * r, r)
             assert (v - p) @ (z - p) <= 1e-7 * (1 + np.linalg.norm(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=arrays(np.float64, st.integers(1, 9), elements=entries_with_ties),
+           r=radii)
+    @example(v=np.array([-3.0]), r=1.0)
+    @example(v=np.array([1.0, -2.0, 0.5, 0.0]), r=3.5)
+    @example(v=np.array([2.0, -2.0, 2.0]), r=0.0)
+    def test_projections_match_bisection(self, v, r):
+        a = np.abs(v)
+        ref = v if a.sum() <= r else np.sign(v) * np.maximum(
+            a - _bisection_threshold(a, r), 0.0)
+        tol = 1e-12 * (1.0 + a.max())
+        assert np.abs(project_l1_ball(v, r) - ref).max() <= tol
+        p = np.maximum(v, 0.0)
+        ref = p if p.sum() <= r else np.maximum(
+            p - _bisection_threshold(p, r), 0.0)
+        assert np.abs(project_simplex_interior(v, r) - ref).max() <= tol
+
+    @pytest.mark.parametrize("project", [project_l1_ball,
+                                         project_simplex_interior])
+    def test_radius_zero_and_negative(self, project):
+        assert np.array_equal(project(np.array([1.0, 2.0]), 0.0), [0.0, 0.0])
+        assert np.array_equal(project(np.array([-1.0, 0.0]), 0.0), [0.0, 0.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            project(np.array([1.0, 2.0]), -0.5)
 
     def test_simplex_interior_projection(self, rng):
         for _ in range(100):

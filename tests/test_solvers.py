@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gaugerec.gauges import (L1, Linf, GroupL1L2, PolyhedralH, Precomposed,
                              BlockPartition, UnsupportedGaugeError)
@@ -136,10 +137,96 @@ def _penalized_instance(kind, seed):
                                      20))
         for b in r.choice(10, 5, replace=False):
             xs[2 * b:2 * b + 2] = 0.0
-    else:
+    elif kind == "linf":
         g = Linf(20)
+    elif kind == "tv":
+        g = tv1d_gauge(20)
+        xs = np.repeat(r.standard_normal(4), 5)
+    else:
+        g = PolyhedralH(r.standard_normal((20, 24)))
     y = Phi @ xs + 0.1 * r.standard_normal(12)
     return Phi, y, float(r.uniform(0.2, 1.2)), g
+
+
+# solve_penalized on _penalized_instance(kind, 3): iterations and converged
+# flags as the sort-and-loop kernels gave them, and the l1 / linf x_hat bits
+# (those of a build with OpenBLAS; another BLAS may move the last bits)
+PINNED_ITERATIONS = {"l1": 100, "group": 200, "linf": 500, "tv": 900,
+                     "poly": 800}
+PINNED_X_HAT = {
+    "l1": [
+        '0x0.0p+0', '0x0.0p+0',
+        '0x0.0p+0', '-0x1.a94c244d85b40p-4',
+        '0x0.0p+0', '0x1.54d4d7e699640p-5',
+        '0x1.b5f58555a3894p-1', '0x0.0p+0',
+        '-0x1.ed891b02e6e3ep-1', '-0x1.25dbdca1e78e6p-1',
+        '0x0.0p+0', '-0x1.2c9e87a9fd112p-1',
+        '-0x1.5f463abe8ab20p-4', '0x1.3813f0a6f0680p-4',
+        '0x1.1a2b2df13b4d0p-2', '0x0.0p+0',
+        '-0x1.0c0c6a2da876ep+0', '0x1.00f99c148e5ddp-1',
+        '0x1.4a56c310d0a10p-4', '0x0.0p+0',
+    ],
+    "linf": [
+        '0x1.12b5688332f61p+0', '0x1.0cabf12890d5cp+0',
+        '0x1.12b5688332f61p+0', '-0x1.12b5688332f61p+0',
+        '0x1.4b2a219c767b4p-3', '-0x1.12b5688332f61p+0',
+        '0x1.12b5688332f61p+0', '0x1.dbacf4343712dp-1',
+        '-0x1.4551ece11a178p-1', '-0x1.740d4a0c05703p-1',
+        '-0x1.939372d76f1dcp-1', '0x1.ac184a1b1c57bp-2',
+        '0x1.12b5688332f61p+0', '-0x1.12b5688332f61p+0',
+        '0x1.ce368792bb960p-3', '-0x1.12b5688332f61p+0',
+        '-0x1.12b5688332f61p+0', '0x1.86588fc33eb4cp-1',
+        '-0x1.879b2cb1c4048p-3', '-0x1.0abc04396d212p-2',
+    ],
+}
+
+
+class TestPinnedIterates:
+    @pytest.mark.parametrize("kind", sorted(PINNED_ITERATIONS))
+    def test_iterations_and_bits(self, kind):
+        Phi, y, lam, g = _penalized_instance(kind, 3)
+        tol = 1e-8 if kind in ("l1", "group", "linf") else 1e-7
+        res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=tol))
+        assert res.converged
+        assert res.iterations == PINNED_ITERATIONS[kind]
+        assert res.method == ("pd" if kind in ("tv", "poly") else "fista")
+        if kind in PINNED_X_HAT:
+            assert [v.hex() for v in res.x_hat] == PINNED_X_HAT[kind]
+
+
+class TestSplittingKernels:
+    def test_least_squares_prox_matches_cholesky_solve(self, rng):
+        for q, n in ((12, 20), (5, 5), (30, 8)):
+            Phi = rng.standard_normal((q, n))
+            y = rng.standard_normal(q)
+            for tau in (1e-3, 0.37, 25.0):
+                prox = solvers._least_squares_prox(Phi, y, tau)
+                chol = scipy.linalg.cho_factor(np.eye(n) + tau * (Phi.T @ Phi))
+                for _ in range(5):
+                    v = rng.standard_normal(n) * 3
+                    ref = scipy.linalg.cho_solve(chol, v + tau * (Phi.T @ y))
+                    assert np.abs(prox(v) - ref).max() <= \
+                        1e-12 * (1 + np.abs(ref).max())
+
+    def test_group_dual_projection_matches_block_loop(self, rng):
+        # uneven, shuffled blocks, one of them empty
+        part = BlockPartition([[5], [0, 6, 3], [], [1], [4, 2]], 7)
+        _, proj = solvers._splitting_pieces(GroupL1L2(part))
+        for _ in range(200):
+            p = rng.standard_normal(7) * rng.choice([0.1, 1.0, 10.0])
+            p[rng.random(7) < 0.2] = 0.0
+            lam = float(rng.uniform(0.05, 3.0))
+            ref = p.copy()
+            for b in part:
+                nb = np.linalg.norm(p[b])
+                if nb > lam:
+                    ref[b] *= lam / nb
+            out = proj(p, lam)
+            assert np.abs(out - ref).max() <= 1e-15 * (1 + np.abs(p).max())
+            inside = [np.linalg.norm(p[b]) <= lam for b in part]
+            for b, keep in zip(part, inside):
+                if keep:
+                    assert np.array_equal(out[b], p[b])
 
 
 class TestPolishedExit:
