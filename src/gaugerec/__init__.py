@@ -9,7 +9,7 @@ from .linalg import (Subspace, OperatorBound, project, pseudo_inverse_apply,
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                      SumGauge, Restricted, BlockPartition,
                      UnsupportedGaugeError, project_l1_ball)
-from .polytopes import (Polytope, polar_set, polytope_intersection_polar,
+from .polytopes import (Polytope, polytope_intersection_polar,
                         minkowski_sum_gauge, linear_image_gauge,
                         inverse_sum_polar_check, random_polytope)
 from .model import (ModelDecomposition, PsflParams, SubdiffGauge,

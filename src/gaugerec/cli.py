@@ -27,6 +27,7 @@ from .solvers import (solve_penalized, solve_noiseless, SolveOptions,
                       SolverError)
 from . import experiments as exp
 from . import polytopes as poly
+from .lp import lp_min_halfspaces, OPTIMAL
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -326,30 +327,47 @@ def _check_identity(name, P1, P2, seed):
     raise CliError(f"unknown identity {name!r}")
 
 
-def _cone_sum_check(D_poly, rng, radii=(16.0, 64.0, 256.0, 1024.0)):
-    """(C + D)_polar vs C_polar ∩ D_polar for a cone C truncated at growing
-    radii.  The identity is exact only in the untruncated limit, so the
-    check asks the discrepancy to shrink with the radius (at least tenfold
-    across the sweep, ending below 5e-2) and reports the final gap."""
+def _cone_sum_check(D_poly, rng):
+    """(C + D)_polar vs C_polar ∩ D_polar for the cone C spanned by d + 2
+    random unit generators g_i (the rows of G), by one LP a side at each
+    direction u:
+
+        support of (C + D)_polar at u = gauge of C + D at u
+            = min t  s.t.  u - G^T lam in t D,  lam >= 0       (D's H-rep)
+        support of C_polar ∩ D_polar at u
+            = max <u, y>  s.t.  G y <= 0,  y in D_polar   (D_polar's H-rep)
+
+    Neither side truncates C or enumerates C_polar, which is {0} when the
+    g_i positively span the space."""
     d = D_poly.dim
     gens = rng.standard_normal((d + 2, d))
     gens /= np.linalg.norm(gens, axis=1, keepdims=True)
     dirs = rng.standard_normal((100, d))
-    gaps = []
-    for R in radii:
-        C_R = poly.Polytope.from_vertices(
-            np.vstack([np.zeros((1, d)), R * gens]))
-        lhs = C_R.minkowski_sum(D_poly).polar()
-        # RHS: {u: <R g_i, u> <= 1} ∩ D_polar, enumerated jointly
-        Dp = D_poly.polar()
-        rhs = poly.Polytope.from_halfspaces(
-            np.vstack([R * gens, Dp.normals]),
-            np.concatenate([np.ones(len(gens)), Dp.offsets]))
-        gaps.append(_worst_gap((lhs.support(u), rhs.support(u))
-                               for u in dirs))
-    shrinking = all(b <= a * 1.05 for a, b in zip(gaps, gaps[1:]))
-    ok = shrinking and gaps[-1] <= 0.05 and gaps[-1] <= gaps[0] / 10.0
-    return ok, gaps[-1]
+    Dp = D_poly.polar()
+    worst = _worst_gap((_cone_sum_gauge(gens, D_poly, u),
+                        _cone_polar_cap_support(gens, Dp, u)) for u in dirs)
+    return worst <= 0.05, worst
+
+
+def _cone_sum_gauge(gens, D_poly, u):
+    """Gauge of cone(gens) + D_poly at u (+inf if the LP does not solve)."""
+    k = len(gens)
+    # variables (lam, t): <a, u - G^T lam> <= t b for each facet (a, b) of D
+    rows = np.hstack([-D_poly.normals @ gens.T, -D_poly.offsets[:, None]])
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    res = lp_min_halfspaces(c, rows, -(D_poly.normals @ u),
+                            bounds=[(0, None)] * (k + 1))
+    return float(res.value) if res.status == OPTIMAL else np.inf
+
+
+def _cone_polar_cap_support(gens, Q, u):
+    """Support at u of {y : G y <= 0} ∩ Q, from Q's H-rep (+inf if the LP
+    does not solve)."""
+    res = lp_min_halfspaces(-u, np.vstack([gens, Q.normals]),
+                            np.concatenate([np.zeros(len(gens)), Q.offsets]),
+                            bounds=[(None, None)] * len(u))
+    return -float(res.value) if res.status == OPTIMAL else np.inf
 
 
 def cmd_polar(args):

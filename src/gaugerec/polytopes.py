@@ -1,11 +1,13 @@
 """Exact polytope calculus for compact convex sets containing the origin.
 
 Both representations are kept: vertices (V-rep) and halfspaces (H-rep,
-``<normal, x> <= offset``).  Vertex enumeration from an H-rep goes through
-the polar correspondence (facets of conv{a_i/b_i} are the vertices), so one
-convex-hull primitive backs everything.  All enumeration is gated at
-dimension <= 8; the identities verified here are dimension-free, so
-low-dimensional checks suffice.
+``<normal, x> <= offset``).  The polar is read off by duality: the rows
+``a_i / b_i`` of the H-rep are its V-rep and the vertices, with offset 1,
+its H-rep.  A convex hull is built only to enumerate from a V-rep
+(``from_vertices``) or an H-rep (``from_halfspaces``, through the polar
+correspondence: facets of conv{a_i/b_i} are the vertices).  All enumeration
+is gated at dimension <= 8; the identities verified here are
+dimension-free, so low-dimensional checks suffice.
 
 Near-duplicate facets and vertices are merged by a greedy keep-first sweep
 over the pairs within tolerance that a KD-tree reports.  The LPs here
@@ -159,7 +161,7 @@ class Polytope:
 
     def support(self, u):
         """sup_{x in P} <u, x> from the V-rep."""
-        return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
+        return float((self.vertices @ np.asarray(u, dtype=float)).max())
 
     def gauge(self, x):
         """inf {t > 0 : x in t P} from the H-rep (0 must be inside)."""
@@ -184,13 +186,22 @@ class Polytope:
     # -- calculus ---------------------------------------------------------
 
     def polar(self):
-        """Polar polytope; requires 0 in the interior."""
+        """Polar polytope; requires 0 in the interior.
+
+        For P = conv(V) = {x : <a_i, x> <= b_i} the polar is
+        conv(a_i / b_i) = {y : <v, y> <= 1 for v in V} (Rockafellar,
+        *Convex Analysis*, §19), so the two representations swap roles and
+        nothing is enumerated.  ``from_halfspaces`` keeps rows tight at a
+        single vertex, which are not facets; their points a_i / b_i are not
+        extreme.  Each such row is valid for P, so its point lies in the
+        polar, and no support or gauge of the polar changes.
+        """
         norms = np.linalg.norm(self.normals, axis=1)
         if np.min(self.offsets / np.maximum(norms, 1e-300)) <= VERTEX_TOL:
             raise UnboundedPolarError(
                 "0 is not interior; the polar set is unbounded")
-        pts = self.normals / self.offsets[:, None]
-        return Polytope.from_vertices(pts)
+        return Polytope(self.normals / self.offsets[:, None], self.vertices,
+                        np.ones(len(self.vertices)))
 
     def intersection(self, other):
         return Polytope.from_halfspaces(
@@ -239,11 +250,6 @@ def _chebyshev_center(normals, offsets):
     if res.status != OPTIMAL or res.x[-1] <= VERTEX_TOL:
         raise PolytopeError("H-rep has empty interior")
     return res.x[:d]
-
-
-def polar_set(P):
-    """Polar polytope of P (bounded iff 0 is interior to P)."""
-    return P.polar()
 
 
 def polytope_intersection_polar(P1, P2):

@@ -262,3 +262,31 @@ class TestPolar:
         payload = json.loads(out)
         assert code == 0, payload
         assert all(v["pass"] for v in payload.values())
+
+    def test_cone_sum_with_positively_spanning_generators(self, capsys):
+        # the four generators drawn at this seed positively span R^2, so the
+        # cone's polar is {0} and both sides of the identity vanish
+        code, out, _ = run_cli(capsys, "polar", "--dim", "2", "--seed", "1")
+        payload = json.loads(out)
+        assert code == 0, payload
+        assert payload["cone-sum"]["worst_gap"] == 0.0
+
+    @pytest.mark.parametrize("mutation,dim,seed", [
+        ("scaled-polar", 3, 2), ("dropped-generator", 3, 2),
+        ("dropped-generator", 2, 1)])
+    def test_cone_sum_fails_on_mutation(self, capsys, monkeypatch, mutation,
+                                        dim, seed):
+        from gaugerec import cli, polytopes
+        if mutation == "scaled-polar":
+            polar = polytopes.Polytope.polar
+            monkeypatch.setattr(polytopes.Polytope, "polar",
+                                lambda P: polar(P).scale(0.5))
+        else:
+            # the gauge side loses a generator that is an extreme ray
+            gauge = cli._cone_sum_gauge
+            monkeypatch.setattr(cli, "_cone_sum_gauge",
+                                lambda gens, D, u: gauge(gens[1:], D, u))
+        code, out, _ = run_cli(capsys, "polar", "--identity", "cone-sum",
+                               "--dim", str(dim), "--seed", str(seed))
+        assert code == 6
+        assert json.loads(out)["cone-sum"]["worst_gap"] > 0.1

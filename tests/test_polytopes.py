@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from gaugerec.polytopes import (Polytope, polar_set, random_polytope,
+from gaugerec.polytopes import (Polytope, random_polytope,
                                 polytope_intersection_polar,
                                 minkowski_sum_gauge, linear_image_gauge,
                                 inverse_sum_polar_check, inverse_sum_set,
@@ -31,20 +33,20 @@ def support_gap(P1, P2, dirs):
 class TestPolarSet:
     def test_l1_ball_to_linf_ball(self):
         l1 = Polytope.from_vertices(np.vstack([np.eye(2), -np.eye(2)]))
-        cube = polar_set(l1)
+        cube = l1.polar()
         expected = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
         assert vertex_sets_match(cube.vertices, expected)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_bipolar(self, d):
         P = random_polytope(d, seed=d)
-        PP = polar_set(polar_set(P))
+        PP = P.polar().polar()
         assert vertex_sets_match(P.vertices, PP.vertices)
 
     def test_scaling(self, rng):
         P = random_polytope(3, seed=9)
-        lhs = polar_set(P.scale(2.0))
-        rhs = polar_set(P).scale(0.5)
+        lhs = P.scale(2.0).polar()
+        rhs = P.polar().scale(0.5)
         dirs = rng.standard_normal((80, 3))
         assert support_gap(lhs, rhs, dirs) <= 1e-9
 
@@ -52,14 +54,76 @@ class TestPolarSet:
         # 0 on the boundary: a triangle with a vertex at the origin
         P = Polytope.from_vertices(np.array([[0.0, 0], [1, 0], [0, 1]]))
         with pytest.raises(UnboundedPolarError):
-            polar_set(P)
+            P.polar()
+
+
+def _vrep_gauge(P, u):
+    """Gauge of P at u from its V-rep alone, by HiGHS:
+    min t  s.t.  u = V^T lam,  sum lam = t,  lam >= 0."""
+    res = linprog(np.ones(len(P.vertices)), A_eq=P.vertices.T, b_eq=u,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+class TestPolarByDuality:
+    """Polars read off by duality, against LPs and hulls that never call
+    ``polar()``."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_support_is_vrep_gauge(self, d, rng):
+        P = random_polytope(d, seed=100 + d)
+        Q = P.polar()
+        for u in rng.standard_normal((40, d)):
+            ref = _vrep_gauge(P, u)
+            assert abs(Q.support(u) - ref) <= 1e-9 * (1.0 + ref)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_inverse_sum_of_polars_is_sum_gauge(self, d, rng):
+        # (P1 + P2)_polar is the inverse sum of the polars, and its support
+        # is the gauge of P1 + P2, an LP over the H-reps of P1 and P2
+        P1 = random_polytope(d, seed=110 + d)
+        P2 = random_polytope(d, seed=120 + d)
+        K = inverse_sum_set(P1.polar(), P2.polar())
+        for u in rng.standard_normal((40, d)):
+            ref = minkowski_sum_gauge(P1, P2, u)
+            assert abs(K.support(u) - ref) <= 1e-9 * (1.0 + ref)
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        cube = Polytope.from_vertices(
+            np.array(list(itertools.product([-1.0, 1.0], repeat=3))))
+        cross = Polytope.from_vertices(np.vstack([np.eye(3), -np.eye(3)]))
+        polytopes = {"vertices": random_polytope(4, seed=53),
+                     # the facets of 3 * cross touch the cube at one vertex
+                     # each, so the polar gets 8 points that are not extreme
+                     "intersection": cube.intersection(cross.scale(3.0)),
+                     "scale": random_polytope(3, seed=54).scale(2.5),
+                     "joggled": _dupridge_sum()}
+        return {kind: (P, P.polar(),
+                       Polytope.from_vertices(P.normals / P.offsets[:, None]))
+                for kind, P in polytopes.items()}
+
+    @pytest.mark.parametrize("kind",
+                             ["vertices", "intersection", "scale", "joggled"])
+    def test_matches_hull_of_polar_points(self, cases, kind):
+        P, Q, R = cases[kind]
+        for u in np.random.default_rng(7).standard_normal((60, P.dim)):
+            assert abs(Q.support(u) - R.support(u)) <= 1e-12 * (
+                1.0 + abs(R.support(u)))
+            # the joggled hull R is an outer approximation whose gauge is
+            # low by up to ~1e-6; there the exact gauge of the polar is the
+            # support of P
+            ref = P.support(u) if kind == "joggled" else R.gauge(u)
+            assert abs(Q.gauge(u) - ref) <= 1e-12 * (1.0 + abs(ref))
+            assert R.gauge(u) <= Q.gauge(u) + 1e-12 * (1.0 + Q.gauge(u))
 
 
 class TestIntersectionPolar:
     def test_same_polytope(self, rng):
         P = random_polytope(3, seed=3)
         lhs = polytope_intersection_polar(P, P)
-        rhs = polar_set(P)
+        rhs = P.polar()
         dirs = rng.standard_normal((60, 3))
         assert support_gap(lhs, rhs, dirs) <= 1e-7
 
@@ -80,7 +144,7 @@ class TestIntersectionPolar:
         P1 = random_polytope(d, seed=10 + d)
         P2 = random_polytope(d, seed=20 + d)
         lhs = polytope_intersection_polar(P1, P2)
-        rhs = polar_set(P1.intersection(P2))
+        rhs = P1.intersection(P2).polar()
         dirs = rng.standard_normal((60, d))
         assert support_gap(lhs, rhs, dirs) <= 1e-7
 
@@ -215,24 +279,30 @@ def _dedupe_reference(rows, tol):
     return kept[:n_kept]
 
 
+def _dupridge_sum():
+    """Minkowski sum of a dimension-5 pair with facet normals on which
+    qhull's default merge fails (QH6271), so the hull of the sum's points
+    a_i / b_i is joggled."""
+    rng = np.random.default_rng([24, 7, 69])
+    d = 5
+
+    def points():
+        pts = rng.standard_normal((d + 4, d))
+        return np.vstack([pts, -0.7 * pts])
+
+    return Polytope.from_vertices(points()).minkowski_sum(
+        Polytope.from_vertices(points()))
+
+
 class TestJoggledHull:
     def test_polar_of_dupridge_sum(self):
-        # a dimension-5 pair whose Minkowski sum has facet normals on which
-        # qhull's default merge fails (QH6271), so the polar goes through
-        # the joggled hull; its facets must hold for the original points
-        rng = np.random.default_rng([24, 7, 69])
-        d = 5
-
-        def points():
-            pts = rng.standard_normal((d + 4, d))
-            return np.vstack([pts, -0.7 * pts])
-
-        S = Polytope.from_vertices(points()).minkowski_sum(
-            Polytope.from_vertices(points()))
-        Sp = S.polar()
+        # the hull of the sum's points a_i / b_i goes through the joggled
+        # hull; its facets must hold for the original points
+        S = _dupridge_sum()
+        R = Polytope.from_vertices(S.normals / S.offsets[:, None])
         # the support of the polar set is the gauge of the set
-        for u in np.random.default_rng(0).standard_normal((20, d)):
-            assert abs(Sp.support(u) - S.gauge(u)) <= 1e-6 * (1 + S.gauge(u))
+        for u in np.random.default_rng(0).standard_normal((20, S.dim)):
+            assert abs(R.support(u) - S.gauge(u)) <= 1e-6 * (1 + S.gauge(u))
 
 
 class TestDedupeRows:
