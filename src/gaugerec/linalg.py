@@ -197,25 +197,16 @@ def gaussian_ensemble(Q, N, seed):
     return rng.standard_normal((Q, N))
 
 
-def power_operator_norm(A, tol=1e-10, max_iter=10000, seed=0):
-    """Largest singular value of A by power iteration on A^T A."""
+def power_operator_norm(A):
+    """Spectral norm of A, its largest singular value, from the SVD.
+
+    Exact to round-off, so a step size 1/L formed from it never exceeds
+    the bound that the convergence proofs ask for, as a power-iteration
+    estimate from below would."""
     A = check_finite(A, "A")
     if A.size == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = A.T @ (A @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - prev) <= tol * max(norm, 1.0):
-            break
-        prev = norm
-    return float(np.sqrt(norm))
+    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 SIGN_ENUM_ROWS = 22   # L2 -> L1 enumerates 2^(m-1) sign vectors up to m rows

@@ -79,8 +79,11 @@ def _hull_equations(points):
     try:
         hull = ConvexHull(points)
     except QhullError:
-        # near-degenerate merges: retry with joggled input (error ~1e-11,
-        # well inside the 1e-9 vertex tolerance used downstream)
+        # near-degenerate merges: retry with joggled input.  The facets are
+        # those of the joggled points, re-fit below to the support of the
+        # original ones, so the H-rep is an outer approximation: on the
+        # 920 points of a dimension-5 dupridge sum its gauge is low by
+        # 3e-8 to 1.2e-6
         try:
             hull = ConvexHull(points, qhull_options="QJ")
         except QhullError as exc:

@@ -17,6 +17,17 @@ regularizer is smooth: affine for the l1 and max-abs kinds, where the
 candidate is one linear solve, and a sum of block norms for the group kind,
 where Newton's method on the active blocks finds it.
 
+Chambolle-Pock reads the model from its dual iterate p instead (Liang,
+Fadili & Peyre 2018).  For a polyhedral base p lies on a face of lam times
+the base's polar ball: the active atoms supp(p) of a PolyhedralH or Linf
+base, with the zero atom when |p| sums below lam, or the clipped entries of
+an l1 base, with their signs.  The face fixes a primal subspace T, on which
+the regularizer is linear; a check that the iterate fails also solves the
+penalized problem exactly on T and returns that candidate once it passes
+the same first-order test.  Only the last face is kept, so a face that
+repeats is not solved again.  The Euclidean and group bases have no
+polyhedral face and stop on the iterate's test alone.
+
 ``solve_noiseless`` prefers exact LP formulations and falls back to the
 same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
 primal prox, for non-polyhedral gauges.  Gauges that are a max of
@@ -207,35 +218,60 @@ def _polish(Phi, y, lam, g, md, tol):
 
 
 def _splitting_pieces(g):
-    """(K, dual projection) so that J(x) = base(K x), with the projection
-    onto lam * (polar ball of base); K = I for a gauge that is its own base.
-    This is the one table of gauges that Chambolle-Pock runs on."""
+    """(K, dual projection, dual face) so that J(x) = base(K x), with the
+    projection onto lam * (polar ball of base) and ``face(K, p, lam)`` the
+    face of that ball that holds p (see ``_max_face``), or None for a base
+    with no polyhedral face; K = I for a gauge that is its own base.  This
+    is the one table of gauges that Chambolle-Pock runs on."""
     if isinstance(g, PolyhedralH):
-        return g.H.T, project_simplex_interior
+        return g.H.T, project_simplex_interior, _max_face
     K, base = ((g.dstar, g.base) if isinstance(g, Precomposed)
                else (np.eye(g.dim), g))
     if isinstance(base, L1):
-        return K, lambda p, lam: np.clip(p, -lam, lam)
+        return K, lambda p, lam: np.clip(p, -lam, lam), _box_face
     if isinstance(base, Linf):
-        return K, project_l1_ball
+        return K, project_l1_ball, _max_face
     if isinstance(base, L2):
-        return K, lambda p, lam: p * min(1.0, lam / max(np.linalg.norm(p),
-                                                        1e-300))
+        return K, (lambda p, lam: p * min(1.0, lam / max(np.linalg.norm(p),
+                                                         1e-300))), None
     if isinstance(base, GroupL1L2):
         part = base.partition
 
         def proj(p, lam):
             # lam / max(nb, lam) is 1 exactly on the blocks inside the ball
             return p * (lam / np.maximum(part.norms(p), lam))[part.block_of]
-        return K, proj
+        return K, proj, None
     raise UnsupportedGaugeError(f"no splitting for {type(g).__name__}")
+
+
+def _max_face(K, p, lam):
+    """(key, C) for the face of the dual ball lam * conv(0, s_i K_i) of a
+    max of atoms that holds p, s = sign(p): the simplex of a PolyhedralH
+    (p >= 0) or the l1 ball of a Linf base.  The active atoms are supp(p),
+    and the zero atom when |p| sums below lam.  On the primal subspace
+    {C x = 0} the active atoms take equal values, 0 when the zero atom is
+    among them.  ``key`` identifies the face."""
+    s = np.sign(p)
+    A = np.flatnonzero(s)
+    # a projection onto the ball's boundary sums to lam up to round-off
+    zero = np.abs(p).sum() < lam * (1.0 - p.size * np.finfo(float).eps)
+    atoms = s[A, None] * K[A]
+    return np.append(s, zero), (atoms if zero else atoms[1:] - atoms[:1])
+
+
+def _box_face(K, p, lam):
+    """(key, C) for the face of the box lam * [-1, 1]^m of an l1 base that
+    holds p: the clipped entries, with their signs, are the jump set, and
+    the free rows of K vanish on the primal subspace {C x = 0}."""
+    clipped = np.abs(p) == lam
+    return np.sign(p) * clipped, K[~clipped]
 
 
 def _chambolle_pock(K, dual_proj, radius, x, prox_at, check, opts):
     """Chambolle-Pock on min_x F(x) + radius * base(K x) from x, with
     ``prox_at(tau)`` the prox of tau * F.  It returns the first converged
-    ``check(x, it)`` of those run every ``opts.check_every`` iterations,
-    else ``check(x, opts.max_iter)``."""
+    ``check(x, p, it)``, p the dual iterate, of those run every
+    ``opts.check_every`` iterations, else ``check(x, p, opts.max_iter)``."""
     normK = power_operator_norm(K)
     sigma = tau = 0.99 / normK if normK > 0 else 1.0
     prox = prox_at(tau)
@@ -247,24 +283,46 @@ def _chambolle_pock(K, dual_proj, radius, x, prox_at, check, opts):
         xbar = 2.0 * x_new - x
         x = x_new
         if it % opts.check_every == 0:
-            res = check(x, it)
+            res = check(x, p, it)
             if res.converged:
                 return res
-    return check(x, opts.max_iter)
+    return check(x, p, opts.max_iter)
 
 
 def _primal_dual_penalized(Phi, y, lam, g, opts):
-    """Chambolle-Pock on min_x 0.5||y - Phi x||^2 + lam * base(K x)."""
-    K, dual_proj = _splitting_pieces(g)
+    """Chambolle-Pock on min_x 0.5||y - Phi x||^2 + lam * base(K x).
 
-    def check(x, it):
+    A check that the iterate fails also tries the minimizer over the primal
+    subspace of the dual iterate's face (``_face_candidate``); the face of
+    the last check is kept, and a repeated face is not solved again."""
+    K, dual_proj, face = _splitting_pieces(g)
+    last_key = None
+
+    def check(x, p, it):
+        nonlocal last_key
         eq, slack = _first_order_residuals(Phi, y, lam, g, x)
-        return SolveResult(x, it, eq, slack,
-                           eq <= opts.tol and slack <= opts.tol, "pd")
+        done = eq <= opts.tol and slack <= opts.tol
+        if not done and face is not None:
+            key, C = face(K, p, lam)
+            if not np.array_equal(key, last_key):
+                last_key = key
+                cand = _face_candidate(Phi, y, K, p, C)
+                eq_c, slack_c = _first_order_residuals(Phi, y, lam, g, cand)
+                if eq_c <= opts.tol and slack_c <= opts.tol:
+                    return SolveResult(cand, it, eq_c, slack_c, True, "pd")
+        return SolveResult(x, it, eq, slack, done, "pd")
 
     return _chambolle_pock(K, dual_proj, lam, np.zeros(Phi.shape[1]),
                            lambda tau: _least_squares_prox(Phi, y, tau),
                            check, opts)
+
+
+def _face_candidate(Phi, y, K, p, C):
+    """The minimizer of 0.5||y - Phi x||^2 + <K^T p, x> over {C x = 0}.
+    There it equals the penalized objective near the face of p, and it is
+    the same for every dual point of that face."""
+    U = null_space(C)
+    return _restricted_affine(Phi, y, U, 1.0, K.T @ p)
 
 
 def _least_squares_prox(Phi, y, tau):
@@ -355,7 +413,7 @@ def _primal_dual_noiseless(Phi, y, g, opts):
     """Chambolle-Pock with the indicator of {Phi x = y} as the smooth block;
     it stops once feasible with a stalled objective, or feasible at
     max_iter."""
-    K, dual_proj = _splitting_pieces(g)
+    K, dual_proj, _ = _splitting_pieces(g)
     pinv = svd_pinv(Phi)
 
     def affine_proj(v):
@@ -363,7 +421,7 @@ def _primal_dual_noiseless(Phi, y, g, opts):
 
     obj_prev = np.inf
 
-    def check(x, it):
+    def check(x, p, it):
         nonlocal obj_prev
         obj = g.value(x)
         feas = np.linalg.norm(Phi @ x - y) / (1.0 + np.linalg.norm(y))
@@ -405,43 +463,48 @@ def solve_restricted(Phi, y, lam, md, opts=None):
         raise cert_mod.RestrictedInjectivityError(
             "restricted problem is not strongly convex on T")
     U = md.T.basis
-    M = Phi @ U
-    Mp = svd_pinv(M)
-    # (M^T M)^{-1} = Mp Mp^T for injective M
-    x = U @ (Mp @ (y - lam * (Mp.T @ (U.T @ md.e))))
-    res = np.max(np.abs(M.T @ (y - Phi @ x) - lam * (U.T @ md.e)),
+    x = _restricted_affine(Phi, y, U, lam, md.e)
+    res = np.max(np.abs((Phi @ U).T @ (y - Phi @ x) - lam * (U.T @ md.e)),
                  initial=0.0)
     return SolveResult(x, 1, res / (1.0 + lam), 0.0, True, "closed-form")
+
+
+def _restricted_affine(Phi, y, U, lam, e):
+    """U c with c = (M^T M)^+ (M^T y - lam U^T e), M = Phi U: the minimizer
+    of 0.5||y - Phi x||^2 + lam <e, x> over the span of U when M is
+    injective, and the least-norm one of its minimizers otherwise."""
+    Mp = svd_pinv(Phi @ U)
+    # (M^T M)^+ = Mp Mp^T
+    return U @ (Mp @ (y - lam * (Mp.T @ (U.T @ e))))
 
 
 def _group_newton(Phi, y, lam, md, tol, max_iter=50):
     """Newton's method for min 0.5||y - M c||^2 + lam sum_b ||c_b|| over the
     coordinates c of T, with M = Phi U.  The Hessian is
     M^T M + lam blockdiag((I - u_b u_b^T) / ||c_b||), u_b = c_b / ||c_b||;
-    steps are damped until the gradient's norm decreases."""
+    steps are damped until the gradient's norm decreases.  ``owner`` is the
+    block of each column of U, so block norms are one ``bincount``."""
     U = md.T.basis
     M = Phi @ U
     G = M.T @ M
     Mty = M.T @ y
-    blocks = [cols for cols in (np.flatnonzero(np.any(U[b] != 0.0, axis=0))
-                                for b in md.gauge.partition) if cols.size]
+    owner = md.gauge.partition.block_of[np.argmax(U != 0.0, axis=0)]
+    same = owner[:, None] == owner[None, :]
+
+    def col_norms(c):
+        return np.sqrt(np.bincount(owner, weights=c * c))[owner]
 
     def gradient(c):
-        unit = np.zeros_like(c)
-        for cols in blocks:
-            nb = np.linalg.norm(c[cols])
-            if nb == 0.0:
-                return None
-            unit[cols] = c[cols] / nb
-        return G @ c - Mty + lam * unit
+        nb = col_norms(c)
+        if np.any(nb == 0.0):
+            return None
+        return G @ c - Mty + lam * (c / nb)
 
     def hessian(c):
-        H = G.copy()
-        for cols in blocks:
-            nb = np.linalg.norm(c[cols])
-            u = c[cols] / nb
-            H[np.ix_(cols, cols)] += (lam / nb) * (np.eye(cols.size)
-                                                   - np.outer(u, u))
+        nb = col_norms(c)
+        w = c / nb ** 1.5
+        H = G - lam * (same * np.outer(w, w))
+        H[np.diag_indices_from(H)] += lam / nb
         return H
 
     c = U.T @ md.x

@@ -5,6 +5,7 @@ import pytest
 
 from gaugerec.linalg import (Subspace, project, pseudo_inverse_apply,
                              svd_pinv, restricted_injectivity,
+                             power_operator_norm,
                              gaussian_ensemble, operator_bound, OperatorBound,
                              NoBoundRouteError, DimensionMismatchError)
 from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge,
@@ -68,6 +69,52 @@ class TestPseudoInverse:
             A = (u * s) @ vt
             Ap = svd_pinv(A)
             assert np.max(np.abs(A @ Ap @ A - A)) <= 1e-8
+
+
+class TestPowerOperatorNorm:
+    def test_matches_two_column_angle_grid(self, rng):
+        # the norm of a q x 2 matrix is the max of ||A (cos t, sin t)|| over
+        # t in [0, pi); a grid of spacing h is within a factor cos(h / 2)
+        t = np.linspace(0.0, np.pi, 200001)
+        dirs = np.vstack([np.cos(t), np.sin(t)])
+        for q in (1, 2, 5, 12):
+            A = rng.standard_normal((q, 2))
+            grid = np.linalg.norm(A @ dirs, axis=0).max()
+            norm = power_operator_norm(A)
+            assert grid <= norm * (1 + 1e-14)
+            assert norm * np.cos(0.5 * (t[1] - t[0])) <= grid
+
+    def test_matches_gram_eigenvalue_and_bounds_every_image(self, rng):
+        for shape in ((12, 20), (19, 20), (20, 12), (3, 3), (1, 7)):
+            A = rng.standard_normal(shape)
+            norm = power_operator_norm(A)
+            ref = np.sqrt(np.linalg.eigvalsh(A.T @ A)[-1])
+            assert abs(norm - ref) <= 1e-13 * ref
+            v = rng.standard_normal((shape[1], 100))
+            assert np.all(np.linalg.norm(A @ v, axis=0)
+                          <= norm * np.linalg.norm(v, axis=0) * (1 + 1e-14))
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-15, 1e-12, 1e-9])
+    def test_near_degenerate_top_singular_values(self, rng, gap):
+        # power iteration converges like (s2 / s1)^k, so at s2 = s1 - gap
+        # it stalls short of s1; the norm itself does not
+        u, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        v, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        s = np.array([3.0, 3.0 - 3.0 * gap, 1.0, 0.5, 0.25, 0.0, 0.0])
+        A = (u[:, :7] * s) @ v.T
+        assert abs(power_operator_norm(A) - 3.0) <= 1e-14 * 3.0
+
+    def test_difference_operator_closed_form(self):
+        # the singular values of the (n-1) x n forward difference are
+        # 2 sin(k pi / (2 n)), k = 1..n-1
+        for n in (2, 8, 20, 64):
+            D = np.diff(np.eye(n), axis=0)
+            exact = 2.0 * np.sin((n - 1) * np.pi / (2 * n))
+            assert abs(power_operator_norm(D) - exact) <= 1e-14 * exact
+
+    def test_zero_and_empty(self):
+        assert power_operator_norm(np.zeros((3, 4))) == 0.0
+        assert power_operator_norm(np.zeros((0, 4))) == 0.0
 
 
 class TestRestrictedInjectivity:

@@ -304,6 +304,16 @@ class TestJoggledHull:
         for u in np.random.default_rng(0).standard_normal((20, S.dim)):
             assert abs(R.support(u) - S.gauge(u)) <= 1e-6 * (1 + S.gauge(u))
 
+    def test_joggled_gauge_is_an_outer_approximation(self):
+        # R = conv(a_i / b_i) has polar S, so its exact gauge is the
+        # support of S.  The joggled facets, re-fit to the original points,
+        # hold all of R: their gauge is never above the exact one
+        S = _dupridge_sum()
+        R = Polytope.from_vertices(S.normals / S.offsets[:, None])
+        for u in np.random.default_rng(0).standard_normal((200, S.dim)):
+            exact = S.support(u)
+            assert exact - 2e-6 <= R.gauge(u) <= exact
+
 
 class TestDedupeRows:
     TOL = 1e-9

@@ -142,6 +142,8 @@ def _penalized_instance(kind, seed):
     elif kind == "tv":
         g = tv1d_gauge(20)
         xs = np.repeat(r.standard_normal(4), 5)
+    elif kind == "linf-analysis":
+        g = Precomposed(Linf(24), r.standard_normal((24, 20)))
     else:
         g = PolyhedralH(r.standard_normal((20, 24)))
     y = Phi @ xs + 0.1 * r.standard_normal(12)
@@ -149,10 +151,11 @@ def _penalized_instance(kind, seed):
 
 
 # solve_penalized on _penalized_instance(kind, 3): iterations and converged
-# flags as the sort-and-loop kernels gave them, and the l1 / linf x_hat bits
+# flags as the sort-and-loop kernels gave them (tv and poly with the exit on
+# the dual iterate's face), and the l1 / linf x_hat bits
 # (those of a build with OpenBLAS; another BLAS may move the last bits)
-PINNED_ITERATIONS = {"l1": 100, "group": 200, "linf": 500, "tv": 900,
-                     "poly": 800}
+PINNED_ITERATIONS = {"l1": 100, "group": 200, "linf": 500, "tv": 200,
+                     "poly": 500}
 PINNED_X_HAT = {
     "l1": [
         '0x0.0p+0', '0x0.0p+0',
@@ -211,7 +214,7 @@ class TestSplittingKernels:
     def test_group_dual_projection_matches_block_loop(self, rng):
         # uneven, shuffled blocks, one of them empty
         part = BlockPartition([[5], [0, 6, 3], [], [1], [4, 2]], 7)
-        _, proj = solvers._splitting_pieces(GroupL1L2(part))
+        _, proj, _ = solvers._splitting_pieces(GroupL1L2(part))
         for _ in range(200):
             p = rng.standard_normal(7) * rng.choice([0.1, 1.0, 10.0])
             p[rng.random(7) < 0.2] = 0.0
@@ -259,6 +262,75 @@ class TestPolishedExit:
             tight = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-12))
             assert tight.converged
             assert obj(res.x_hat) <= obj(tight.x_hat) + 1e-10
+
+    @pytest.mark.parametrize("kind", ["tv", "poly", "linf-analysis"])
+    def test_face_candidate_is_as_good_as_a_tight_run(self, kind,
+                                                      monkeypatch):
+        candidates = []
+        face_candidate = solvers._face_candidate
+        splitting_pieces = solvers._splitting_pieces
+
+        def spy(*args):
+            candidates.append(face_candidate(*args))
+            return candidates[-1]
+
+        def without_face(g):
+            K, proj, _ = splitting_pieces(g)
+            return K, proj, None
+
+        for seed in range(4):
+            Phi, y, lam, g = _penalized_instance(kind, seed)
+            candidates.clear()
+            monkeypatch.setattr(solvers, "_face_candidate", spy)
+            res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-7))
+            assert res.converged and res.method == "pd"
+            # the exit was the dual face's candidate, not the iterate
+            assert candidates and res.x_hat is candidates[-1]
+            assert res.iterations % 100 == 0
+            eq, slack = solvers._first_order_residuals(Phi, y, lam, g,
+                                                       res.x_hat)
+            assert (eq, slack) == (res.primal_residual, res.dual_residual)
+            # the iterate alone, held to a tighter test
+            monkeypatch.setattr(solvers, "_splitting_pieces", without_face)
+            tight = solve_penalized(Phi, y, lam, g,
+                                    SolveOptions(tol=1e-9, max_iter=100000))
+            monkeypatch.setattr(solvers, "_splitting_pieces",
+                                splitting_pieces)
+            assert tight.converged
+            assert solvers._objective(Phi, y, lam, g, res.x_hat) <= \
+                solvers._objective(Phi, y, lam, g, tight.x_hat) + 1e-10
+
+    @pytest.mark.parametrize("kind", ["tv", "poly"])
+    def test_a_wrong_face_is_never_returned(self, kind, monkeypatch):
+        # tv: flip the sign of a clipped dual entry; poly: drop the last
+        # active atom.  Each wrong candidate fails the first-order test, and
+        # the solve goes on to a point that passes it
+        built = []
+        face_candidate = solvers._face_candidate
+
+        def wrong(Phi, y, K, p, C):
+            p = p.copy()
+            if kind == "tv":
+                clipped = np.flatnonzero(np.abs(p) == lam)
+                if clipped.size:
+                    p[clipped[0]] = -p[clipped[0]]
+            elif C.shape[0]:
+                p[np.flatnonzero(p)[-1]] = 0.0
+                C = C[:-1]
+            built.append(face_candidate(Phi, y, K, p, C))
+            return built[-1]
+
+        monkeypatch.setattr(solvers, "_face_candidate", wrong)
+        for seed in range(4):
+            Phi, y, lam, g = _penalized_instance(kind, seed)
+            built.clear()
+            res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-7))
+            assert built
+            assert all(res.x_hat is not cand for cand in built)
+            assert res.converged
+            eq, slack = solvers._first_order_residuals(Phi, y, lam, g,
+                                                       res.x_hat)
+            assert max(eq, slack) <= 1e-7
 
     def test_identified_l1_model_exits_at_the_first_check(self):
         # FISTA alone needs 1300 iterations here; its support and signs are
@@ -415,6 +487,26 @@ class TestRestricted:
         assert np.isfinite(res.primal_residual)
         assert np.all(np.isfinite(res.x_hat))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_group_newton_matches_block_loop(self, seed):
+        # uneven, shuffled blocks, one of them empty: the bincount block
+        # norms and the masked Hessian give the steps of a per-block loop
+        part = BlockPartition([[5], [0, 6, 3], [], [1], [4, 2], [9, 7],
+                               [8]], 10)
+        r = np.random.default_rng(seed)
+        x = 3.0 * r.standard_normal(10)
+        for b in r.choice(7, 3, replace=False):
+            x[part.blocks[b]] = 0.0
+        md = decompose(GroupL1L2(part), x)
+        Phi = r.standard_normal((8, 10))
+        y = Phi @ x + 0.05 * r.standard_normal(8)
+        lam = float(r.uniform(0.05, 0.5))
+        res = solvers._group_newton(Phi, y, lam, md, 1e-12)
+        ref = _group_newton_block_loop(Phi, y, lam, md, part)
+        assert res.iterations == ref[1]
+        assert np.abs(res.x_hat - ref[0]).max() <= \
+            1e-12 * (1 + np.abs(ref[0]).max())
+
     def test_group_singular_hessian_raises(self):
         # blocks of size one add nothing to the Hessian, and Phi vanishes
         # on T, so the restricted problem is not strongly convex there
@@ -422,3 +514,56 @@ class TestRestricted:
         md = decompose(GroupL1L2(part), np.array([1.0, -1.0]))
         with pytest.raises(RestrictedInjectivityError):
             solve_restricted(np.zeros((3, 2)), np.ones(3), 0.5, md)
+
+
+def _group_newton_block_loop(Phi, y, lam, md, part, max_iter=50):
+    """(x, steps) of the damped Newton method of ``_group_newton``, with the
+    gradient and Hessian assembled one block at a time."""
+    U = md.T.basis
+    M = Phi @ U
+    G = M.T @ M
+    Mty = M.T @ y
+    blocks = [cols for cols in (np.flatnonzero(np.any(U[b] != 0.0, axis=0))
+                                for b in part) if cols.size]
+
+    def gradient(c):
+        unit = np.zeros_like(c)
+        for cols in blocks:
+            nb = np.linalg.norm(c[cols])
+            if nb == 0.0:
+                return None
+            unit[cols] = c[cols] / nb
+        return G @ c - Mty + lam * unit
+
+    def hessian(c):
+        H = G.copy()
+        for cols in blocks:
+            nb = np.linalg.norm(c[cols])
+            u = c[cols] / nb
+            H[np.ix_(cols, cols)] += (lam / nb) * (np.eye(cols.size)
+                                                   - np.outer(u, u))
+        return H
+
+    c = U.T @ md.x
+    grad = gradient(c)
+    floor = 64.0 * np.finfo(float).eps * (
+        np.abs(G).sum(axis=1).max(initial=0.0) * np.abs(c).max(initial=0.0)
+        + np.abs(Mty).max(initial=0.0) + lam)
+    steps = 0
+    while steps < max_iter:
+        gn = np.abs(grad).max(initial=0.0)
+        if gn <= floor:
+            break
+        w, V = np.linalg.eigh(hessian(c))
+        step = -(V @ ((V.T @ grad) / w))
+        for t in 0.5 ** np.arange(34):
+            trial = gradient(c + t * step)
+            if trial is not None and \
+                    np.abs(trial).max(initial=0.0) <= (1.0 - 1e-4 * t) * gn:
+                break
+        else:
+            break
+        c = c + t * step
+        grad = trial
+        steps += 1
+    return U @ c, steps
