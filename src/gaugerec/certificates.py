@@ -10,7 +10,7 @@ parameter range for stable model selection.
 
 import numpy as np
 
-from .linalg import (check_finite, svd_pinv, null_space,
+from .linalg import (check_finite, svd_pinv, null_space, RankedSvd,
                      restricted_injectivity, operator_bound, OperatorBound)
 from .model import SubdiffGauge, directional_derivative
 from .gauges import L2
@@ -50,15 +50,13 @@ class CertificateReport:
 
 
 def linearized_precertificate(Phi, md):
-    """Minimal Euclidean-norm alpha with Phi_T^* alpha = e."""
+    """Minimal Euclidean-norm alpha with Phi_T^* alpha = e, from one SVD of
+    Phi_T that also decides restricted injectivity."""
     Phi = check_finite(Phi, "Phi")
-    if not restricted_injectivity(Phi, md.T):
-        raise RestrictedInjectivityError(
-            "Ker(Phi) meets the model subspace; no closed-form precertificate")
-    M = Phi @ md.T.basis
-    target = md.T.coords(md.e)
-    alpha, *_ = np.linalg.lstsq(M.T, target, rcond=None)
-    return alpha
+    svd = RankedSvd(Phi @ md.T.basis)
+    if not svd.injective:
+        raise RestrictedInjectivityError("restricted injectivity fails")
+    return svd.solve_adjoint(md.T.coords(md.e))
 
 
 def irrepresentability(Phi, md):
@@ -68,8 +66,6 @@ def irrepresentability(Phi, md):
     evaluator and a strict margin below one.
     """
     Phi = check_finite(Phi, "Phi")
-    if not restricted_injectivity(Phi, md.T):
-        raise RestrictedInjectivityError("restricted injectivity fails")
     alpha = linearized_precertificate(Phi, md)
     v = md.S.project(Phi.T @ alpha - md.f)
     ic = md.antig.value(v)
@@ -132,15 +128,16 @@ def check_noiseless_optimality(Phi, y, x, md, feas_tol=1e-8,
     if np.linalg.norm(Phi @ x - y) > feas_tol * (1.0 + np.linalg.norm(y)):
         raise ValueError("x is not feasible for the equality constraint")
     M = Phi @ md.T.basis
+    svd = RankedSvd(M)
     target = md.T.coords(md.e)
-    alpha, *_ = np.linalg.lstsq(M.T, target, rcond=None)
+    alpha = svd.solve_adjoint(target)
     if np.linalg.norm(M.T @ alpha - target) > 1e-8 * (1.0 + np.linalg.norm(target)):
         return NOT_OPTIMAL  # e not reachable: no dual vector at all
-    cert_ok = restricted_injectivity(Phi, md.T)
+    cert_ok = svd.injective
     a = md.antig.value(md.S.project(Phi.T @ alpha - md.f))
     if a < 1.0 - strict_margin:
         return UNIQUE_OPTIMAL if cert_ok else OPTIMAL_MAYBE_NONUNIQUE
-    best = _min_antig_over_duals(Phi, md)
+    best = _min_antig_over_duals(Phi, md, M, alpha, svd.adjoint_kernel())
     if best is None:
         if a <= 1.0 + slack_tol:
             return OPTIMAL_MAYBE_NONUNIQUE
@@ -152,22 +149,20 @@ def check_noiseless_optimality(Phi, y, x, md, feas_tol=1e-8,
     return NOT_OPTIMAL
 
 
-def _min_antig_over_duals(Phi, md):
-    """min over alpha with Phi_T^* alpha = e of antig(P_S(Phi^* alpha - f)).
+def _min_antig_over_duals(Phi, md, M, alpha0, N):
+    """min over alpha with Phi_T^* alpha = e of antig(P_S(Phi^* alpha - f)),
+    where M = Phi_T, alpha0 is one such alpha and N a basis of Ker(M^T).
 
-    Over alpha = alpha0 + N w, N a basis of Ker(Phi_T^*), a support-form
-    gauge is evaluated at w = 0 with the extra free directions
-    atoms P_S Phi^* N (one LP); block-norm gauges are minimized by SLSQP;
-    None otherwise.
+    Over alpha = alpha0 + N w, a support-form gauge is evaluated at w = 0
+    with the extra free directions atoms P_S Phi^* N (one LP); block-norm
+    gauges are minimized by SLSQP; None otherwise.
     """
-    M = Phi @ md.T.basis
     target = md.T.coords(md.e)
     PS = md.S.basis @ md.S.basis.T
     shift = PS @ md.f
-    alpha0, *_ = np.linalg.lstsq(M.T, target, rcond=None)
     antig = md.antig
     if antig.atoms is not None:
-        extra = antig.atoms @ PS @ Phi.T @ null_space(M.T)
+        extra = antig.atoms @ PS @ Phi.T @ N
         lifted = SubdiffGauge(md.S, atoms=antig.atoms,
                               lift=np.hstack([extra, antig.lift]))
         return lifted.value(PS @ (Phi.T @ alpha0) - shift)
@@ -313,8 +308,7 @@ def stability_constants(Phi, md, p):
     advisory.
     """
     Phi = check_finite(Phi, "Phi")
-    if not restricted_injectivity(Phi, md.T):
-        raise RestrictedInjectivityError("restricted injectivity fails")
+    ic = irrepresentability(Phi, md).ic_value
     n = md.ambient_dim
     Q = Phi.shape[0]
     U = md.T.basis
@@ -322,9 +316,6 @@ def stability_constants(Phi, md, p):
     G = np.linalg.inv(M.T @ M)
     gamma = p.gamma
     l2_in = L2(Q)
-
-    report = irrepresentability(Phi, md)
-    ic = report.ic_value
 
     if md.S.dim == 0:
         zero = OperatorBound(0.0, OperatorBound.EXACT_CLOSED_FORM)

@@ -29,6 +29,12 @@ def rank_tolerance(sigma_max, shape):
     return sigma_max * max(shape) * EPS * RANK_TOL_FACTOR
 
 
+def numerical_rank(s, shape):
+    """Number of singular values s (sorted descending) of a matrix of the
+    given shape above the rank cutoff."""
+    return int(np.sum(s > rank_tolerance(s[0] if s.size else 0.0, shape)))
+
+
 def orthonormal_columns(M):
     """Orthonormal basis of the column span of M (Householder QR, pivoted)."""
     M = check_finite(M, "M")
@@ -49,9 +55,7 @@ def null_space(M):
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
     u, s, vt = np.linalg.svd(M, full_matrices=True)
-    tol = rank_tolerance(s[0] if s.size else 0.0, M.shape)
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T
+    return vt[numerical_rank(s, M.shape):].T
 
 
 class Subspace:
@@ -182,11 +186,42 @@ def restricted_injectivity(Phi, T):
     if T.dim == 0:
         return True
     M = Phi @ T.basis
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size < T.dim:
-        return False
-    tol = rank_tolerance(s[0] if s.size else 0.0, M.shape)
-    return bool(s[-1] > tol)
+    return numerical_rank(np.linalg.svd(M, compute_uv=False), M.shape) == T.dim
+
+
+class RankedSvd:
+    """Full singular value decomposition of M with the module-wide rank
+    cutoff.  One factorization gives the minimal-norm least-squares
+    solutions of M x = b and M^T a = t, both kernels and the injectivity
+    verdict of ``restricted_injectivity``."""
+
+    def __init__(self, M):
+        M = check_finite(M, "M")
+        self.shape = M.shape
+        self.U, self.s, self.Vt = np.linalg.svd(M, full_matrices=True)
+        self.rank = numerical_rank(self.s, M.shape)
+
+    @property
+    def injective(self):
+        return self.rank == self.shape[1]
+
+    def solve(self, b):
+        """Minimal-norm minimizer of ||M x - b||."""
+        r = self.rank
+        return self.Vt[:r].T @ ((self.U[:, :r].T @ b) / self.s[:r])
+
+    def solve_adjoint(self, t):
+        """Minimal-norm minimizer of ||M^T a - t||."""
+        r = self.rank
+        return self.U[:, :r] @ ((self.Vt[:r] @ t) / self.s[:r])
+
+    def kernel(self):
+        """Orthonormal basis of Ker(M)."""
+        return self.Vt[self.rank:].T
+
+    def adjoint_kernel(self):
+        """Orthonormal basis of Ker(M^T)."""
+        return self.U[:, self.rank:]
 
 
 def gaussian_ensemble(Q, N, seed):

@@ -14,6 +14,14 @@ basis inverse is kept explicitly and refreshed periodically; a claimed
 optimum whose refactored basic solution is infeasible is solved again with
 a refactorization at every pivot.
 
+Phase 1 ends as soon as every basic artificial is at level 0, which with
+rows of zero right-hand side (``G^T lam = 0`` in ``lp_min_max``) is often
+before its first pivot; pricing on to phase-1 optimality would only make
+degenerate pivots.  Each artificial still basic is then driven out by one
+pivot, an eta update of the basis inverse, on the real column with the
+largest entry in its row of Binv A; a row without one is redundant and
+dropped.
+
 ``lp_min_halfspaces`` solves problems with only ``<=`` rows over few
 variables through their dual, whose basis has one row per variable.
 ``lp_min_max`` states the one min-max LP that support-form gauges with
@@ -89,53 +97,41 @@ def _to_standard_form(p):
 
     Returns (A, b, c, recover, n_eq, n_ub) where ``recover`` maps a standard
     vector z back to the original variables, rows are ordered [eq; ub], and
-    row signs are not yet normalized.
+    row signs are not yet normalized.  A variable with a lower bound lo is
+    z_k + lo; a free one is z_k - z_{k+1}; an upper bound adds a row to a_ub.
     """
     n = p.n_vars
-    cols = []          # per original var: list of (std_index, sign)
-    shifts = np.zeros(n)
-    c_std = []
-    extra_ub = []      # upper-bound rows appended to a_ub
-
-    k = 0
-    for j, (lo, hi) in enumerate(p.bounds):
-        if lo is None:
-            cols.append([(k, 1.0), (k + 1, -1.0)])
-            c_std.extend([p.c[j], -p.c[j]])
-            k += 2
-        else:
-            shifts[j] = lo
-            cols.append([(k, 1.0)])
-            c_std.append(p.c[j])
-            k += 1
-        if hi is not None:
-            row = np.zeros(n)
-            row[j] = 1.0
-            extra_ub.append((row, hi))
+    lo = [lb for lb, _ in p.bounds]
+    free = np.array([v is None for v in lo], dtype=bool)
+    shifts = np.array([0.0 if v is None else v for v in lo], dtype=float)
+    upper = [j for j, (_, hi) in enumerate(p.bounds) if hi is not None]
+    # standard column of each variable's positive part; a free variable's
+    # negative part follows it
+    pos = np.arange(n) + np.cumsum(free) - free
+    neg = pos[free] + 1
+    k = n + int(free.sum())
 
     a_ub = p.a_ub
     b_ub = p.b_ub
-    if extra_ub:
-        a_ub = np.vstack([a_ub] + [r for r, _ in extra_ub])
-        b_ub = np.concatenate([b_ub, [h for _, h in extra_ub]])
+    if upper:
+        a_ub = np.vstack([a_ub, np.eye(n)[upper]])
+        b_ub = np.concatenate([b_ub, [p.bounds[j][1] for j in upper]])
 
     m_eq, m_ub = p.a_eq.shape[0], a_ub.shape[0]
-    n_std = k + m_ub
-    A = np.zeros((m_eq + m_ub, n_std))
+    A = np.zeros((m_eq + m_ub, k + m_ub))
     orig = np.vstack([p.a_eq, a_ub]) if m_eq + m_ub else np.zeros((0, n))
-    for j in range(n):
-        for idx, sgn in cols[j]:
-            A[:, idx] += sgn * orig[:, j]
-    for i in range(m_ub):
-        A[m_eq + i, k + i] = 1.0
+    # adding into zeros leaves no -0.0 entries in A
+    A[:, pos] += orig
+    A[:, neg] -= orig[:, free]
+    A[np.arange(m_eq, m_eq + m_ub), np.arange(k, k + m_ub)] = 1.0
     b = np.concatenate([p.b_eq, b_ub]) - orig @ shifts
-    c_full = np.concatenate([np.asarray(c_std), np.zeros(m_ub)])
+    c_full = np.zeros(k + m_ub)
+    c_full[pos] = p.c
+    c_full[neg] = -p.c[free]
 
     def recover(z):
-        x = shifts.copy()
-        for j in range(n):
-            for idx, sgn in cols[j]:
-                x[j] += sgn * z[idx]
+        x = shifts + z[pos]
+        x[free] -= z[neg]
         return x
 
     return A, b, c_full, recover, m_eq, m_ub
@@ -200,24 +196,29 @@ class _Simplex:
         return OPTIMAL, z, float(self.c @ z), y_rows
 
     def _drive_out_artificials(self, A1, basis, n):
-        """Replace zero-level artificial basics by real columns; rows whose
-        Binv-row is zero on all real columns are redundant and dropped."""
-        m = self.m
+        """Pivot each zero-level artificial out of the basis, on the real
+        nonbasic column with the largest entry of its row of Binv A; rows
+        with no such entry are redundant and dropped."""
         basis = list(basis)
         redundant = []
         Binv = self._invert(A1, basis)
-        for i in range(m):
+        for i in range(self.m):
             if basis[i] < n:
                 continue
             row = Binv[i] @ A1[:, :n]
-            cand = [j for j in np.flatnonzero(np.abs(row) > 1e-9)
-                    if j not in basis]
-            if cand:
-                basis[i] = int(cand[0])
-                Binv = self._invert(A1, basis)
-            else:
+            row[[j for j in basis if j < n]] = 0.0
+            enter = int(np.argmax(np.abs(row)))
+            if abs(row[enter]) <= 1e-9:
                 redundant.append(i)
-        keep_rows = [i for i in range(m) if i not in redundant]
+                continue
+            # the eta update of a pivot on (i, enter)
+            d = Binv @ A1[:, enter]
+            coef = -d / d[i]
+            coef[i] = 0.0
+            Binv += np.outer(coef, Binv[i])
+            Binv[i] /= d[i]
+            basis[i] = enter
+        keep_rows = [i for i in range(self.m) if i not in redundant]
         basis = [basis[i] for i in keep_rows]
         return basis, keep_rows
 
@@ -230,8 +231,13 @@ class _Simplex:
         max_iter = 2000 + 40 * (A.shape[0] + A.shape[1])
         since_refactor = 0
         for _ in range(max_iter):
+            # phase 1 is done once every basic artificial is at level 0
+            # (xB >= 0): with b = 0 rows that is often before any pivot
+            cB = c[np.asarray(basis)]
+            if phase == 1 and cB @ xB <= 0.0:
+                return basis, xB, True
             self.iterations += 1
-            y = c[np.asarray(basis)] @ Binv
+            y = cB @ Binv
             reduced = c - y @ A
             reduced[np.asarray(basis)] = 0.0
             if bland:

@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .linalg import Subspace, check_finite, null_space, svd_pinv
-from .lp import lp_min_max
+from .lp import lp_min_max, LpNumericalError, OPTIMAL
 from . import linalg
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                      SumGauge, MaxGauge, BlockPartition, UnsupportedGaugeError,
@@ -95,8 +95,12 @@ class SubdiffGauge:
         if self.atoms is not None:
             if not self.lift.shape[1]:
                 return float(np.max(self.atoms @ eta, initial=0.0))
-            return max(float(lp_min_max(self.atoms @ eta, self.lift).value),
-                       0.0)
+            res = lp_min_max(self.atoms @ eta, self.lift)
+            if res.status != OPTIMAL:
+                # always feasible and bounded below by 0: numerical trouble
+                raise LpNumericalError(
+                    f"lifted gauge LP ended with status {res.status}")
+            return max(float(res.value), 0.0)
         if self.linf2_blocks is not None:
             return float(max((np.linalg.norm(eta[b])
                               for b in self.linf2_blocks), default=0.0))

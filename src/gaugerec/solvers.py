@@ -33,7 +33,10 @@ same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
 primal prox, for non-polyhedral gauges.  Gauges that are a max of
 linear functionals (Linf, PolyhedralH, Precomposed over Linf) are
 minimized over x = xls + Z w, Z a basis of Ker(Phi), by ``lp.lp_min_max``,
-whose dual has dim Ker(Phi) + 1 rows instead of about Q + 2N.
+whose dual has dim Ker(Phi) + 1 rows instead of about Q + 2N.  The
+minimal-norm point xls, which also tests that y lies in the range of Phi,
+and Z come from one SVD of Phi with the rank cutoff of
+``linalg.rank_tolerance``.
 """
 
 import math
@@ -42,7 +45,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import (check_finite, null_space, svd_pinv, power_operator_norm,
-                     rank_tolerance, restricted_injectivity)
+                     rank_tolerance, restricted_injectivity, RankedSvd)
 from .lp import LpProblem, lp_solve, lp_min_max, OPTIMAL
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                      UnsupportedGaugeError, project_l1_ball,
@@ -350,13 +353,14 @@ def solve_noiseless(Phi, y, g, opts=None):
     Phi = check_finite(Phi, "Phi")
     y = check_finite(y, "y")
     opts = opts or SolveOptions()
-    # feasibility of y
-    xls, *_ = np.linalg.lstsq(Phi, y, rcond=None)
+    # feasibility of y, and Ker(Phi) for the max-of-atoms LPs
+    svd = RankedSvd(Phi)
+    xls = svd.solve(y)
     if np.linalg.norm(Phi @ xls - y) > 1e-8 * (1.0 + np.linalg.norm(y)):
         raise ValueError("y is not in the range of Phi")
     route = opts.solver
     if route in ("auto", "lp"):
-        built = _noiseless_lp(Phi, y, g, xls)
+        built = _noiseless_lp(Phi, y, g, xls, svd.kernel())
         if built is not None:
             res, extract = built
             if res.status != OPTIMAL:
@@ -370,9 +374,10 @@ def solve_noiseless(Phi, y, g, opts=None):
     return _primal_dual_noiseless(Phi, y, g, opts)
 
 
-def _noiseless_lp(Phi, y, g, xls):
+def _noiseless_lp(Phi, y, g, xls, Z):
     """(LpResult, map from its x to the recovered x) for min J(x), Phi x = y;
-    None off the LP map.  xls is any solution of Phi x = y."""
+    None off the LP map.  xls is any solution of Phi x = y and Z an
+    orthonormal basis of Ker(Phi)."""
     Q, n = Phi.shape
     if isinstance(g, L1):
         # x = u - v, u,v >= 0; min sum(u+v)
@@ -381,9 +386,9 @@ def _noiseless_lp(Phi, y, g, xls):
         prob = LpProblem(c, a_eq=a_eq, b_eq=y, bounds=[(0, None)] * (2 * n))
         return lp_solve(prob), (lambda z: z[:n] - z[n:])
     if isinstance(g, Linf):
-        return _max_atoms_lp(Phi, xls, np.vstack([np.eye(n), -np.eye(n)]))
+        return _max_atoms_lp(xls, Z, np.vstack([np.eye(n), -np.eye(n)]))
     if isinstance(g, PolyhedralH):
-        return _max_atoms_lp(Phi, xls, g.H.T)
+        return _max_atoms_lp(xls, Z, g.H.T)
     if isinstance(g, Precomposed) and isinstance(g.base, L1):
         p = g.dstar.shape[0]
         # variables (x, u, v) with dstar x = u - v
@@ -397,15 +402,14 @@ def _noiseless_lp(Phi, y, g, xls):
         return (lp_solve(LpProblem(c, a_eq=a_eq, b_eq=b_eq, bounds=bounds)),
                 lambda z: z[:n])
     if isinstance(g, Precomposed) and isinstance(g.base, Linf):
-        return _max_atoms_lp(Phi, xls, np.vstack([g.dstar, -g.dstar]))
+        return _max_atoms_lp(xls, Z, np.vstack([g.dstar, -g.dstar]))
     return None
 
 
-def _max_atoms_lp(Phi, xls, A):
+def _max_atoms_lp(xls, Z, A):
     """min max((A x)_+) over x = xls + Z w, Z an orthonormal basis of
     Ker(Phi): ``lp_min_max(A xls, A Z)``, whose dual has dim Ker(Phi) + 1
     rows."""
-    Z = null_space(Phi)
     return lp_min_max(A @ xls, A @ Z), (lambda w: xls + Z @ w)
 
 

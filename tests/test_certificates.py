@@ -219,6 +219,33 @@ class TestOptimalityChecks:
         res = solve_noiseless(Phi, y, L1(4))
         assert np.max(np.abs(res.x_hat - x0)) <= 1e-7
 
+    def test_phi_t_is_factored_once(self, monkeypatch):
+        # the precertificate, the injectivity verdict and the dual kernel
+        # of the LP-corrected check all come from one SVD of Phi_T
+        from gaugerec import certificates, linalg
+        Phi = np.array([[1.0, 1.2, 0.0, 0.5], [0.0, 1.0, 0.0, 0.5],
+                        [0.0, 0.0, 1.0, 0.5]])
+        x0 = np.array([5.0, 0, 0, 0])
+        md, _ = decompose_l1(x0)
+        factored = []
+
+        class Counting(linalg.RankedSvd):
+            def __init__(self, M):
+                factored.append(M.shape)
+                super().__init__(M)
+
+        def refuse(*args):
+            raise AssertionError("Phi_T factored a second time")
+
+        monkeypatch.setattr(certificates, "RankedSvd", Counting)
+        monkeypatch.setattr(certificates, "restricted_injectivity", refuse)
+        assert irrepresentability(Phi, md).ic_value > 1.0
+        assert factored == [(3, 1)]
+        factored.clear()
+        assert check_noiseless_optimality(Phi, Phi @ x0, x0, md) \
+            == "unique_optimal"
+        assert factored == [(3, 1)]
+
     def test_infeasible_rejected(self):
         md, _ = decompose_l1(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gaugerec.linalg import (Subspace, project, pseudo_inverse_apply,
-                             svd_pinv, restricted_injectivity,
-                             power_operator_norm,
+                             svd_pinv, restricted_injectivity, RankedSvd,
+                             null_space, power_operator_norm,
                              gaussian_ensemble, operator_bound, OperatorBound,
                              NoBoundRouteError, DimensionMismatchError)
 from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge,
@@ -132,6 +132,33 @@ class TestRestrictedInjectivity:
 
     def test_trivial_subspace(self, rng):
         assert restricted_injectivity(np.zeros((2, 3)), Subspace.zero(3))
+
+
+class TestRankedSvd:
+    @pytest.mark.parametrize("shape,rank", [((6, 4), 4), ((6, 4), 2),
+                                            ((3, 7), 3), ((5, 5), 3),
+                                            ((4, 0), 0), ((0, 3), 0)])
+    def test_against_lstsq_and_null_space(self, rng, shape, rank):
+        q, k = shape
+        M = rng.standard_normal((q, rank)) @ rng.standard_normal((rank, k))
+        svd = RankedSvd(M)
+        assert svd.rank == rank
+        assert svd.injective == (rank == k)
+        if k:
+            T = Subspace.full(k)
+            assert svd.injective == restricted_injectivity(M, T)
+        b, t = rng.standard_normal(q), rng.standard_normal(k)
+        x, *_ = np.linalg.lstsq(M, b, rcond=None)
+        a, *_ = np.linalg.lstsq(M.T, t, rcond=None)
+        assert np.allclose(svd.solve(b), x, atol=1e-12)
+        assert np.allclose(svd.solve_adjoint(t), a, atol=1e-12)
+        for basis, ref in ((svd.kernel(), null_space(M)),
+                           (svd.adjoint_kernel(), null_space(M.T))):
+            assert basis.shape == ref.shape
+            assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]),
+                               atol=1e-12)
+            # the same subspace: each basis projects the other onto itself
+            assert np.allclose(basis @ (basis.T @ ref), ref, atol=1e-12)
 
 
 class TestGaussianEnsemble:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linprog
 
 from gaugerec import lp
 from gaugerec.lp import (LpProblem, lp_solve, lp_minimize_linf,
-                         lp_min_halfspaces, LpNumericalError, OPTIMAL,
-                         INFEASIBLE, UNBOUNDED)
+                         lp_min_halfspaces, lp_min_max, LpNumericalError,
+                         OPTIMAL, INFEASIBLE, UNBOUNDED)
 from gaugerec.polytopes import Polytope
 
 
@@ -193,3 +194,251 @@ def test_min_halfspaces_infeasible_with_infeasible_dual():
     res = lp_min_halfspaces([0.0, -1.0], [[1.0, 0.0], [-1.0, 0.0]],
                             [-1.0, 0.0])
     assert res.status == INFEASIBLE
+
+
+# ---------------------------------------------------------------------------
+# against HiGHS: redundant rows, zero right-hand sides, infeasible and
+# unbounded problems, and the min-max LP
+# ---------------------------------------------------------------------------
+
+def _assert_matches_highs(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
+                          bounds=None, status=None):
+    bounds = [(None, None)] * len(c) if bounds is None else bounds
+    res = lp_solve(LpProblem(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
+                             bounds=bounds))
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    assert res.status == _ref_status(ref)
+    if status is not None:
+        assert res.status == status
+    if res.status == OPTIMAL:
+        assert abs(res.value - ref.fun) <= 1e-8 * (1.0 + abs(ref.fun))
+        if a_eq is not None:
+            assert np.max(np.abs(a_eq @ res.x - b_eq)) <= 1e-8
+        if a_ub is not None:
+            assert np.max(a_ub @ res.x - b_ub) <= 1e-8
+    return res
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_redundant_equality_rows(seed):
+    rng = np.random.default_rng([11, seed])
+    n, m = 9, 4
+    a = rng.standard_normal((m, n))
+    x = rng.uniform(0.0, 1.0, n)
+    # duplicated rows, one of them twice, and a sum of two rows
+    a_eq = np.vstack([a, a[[0, 2, 0]], a[1] + a[3]])
+    res = _assert_matches_highs(rng.uniform(0.1, 1.0, n), a_eq=a_eq,
+                                b_eq=a_eq @ x, bounds=[(0, None)] * n,
+                                status=OPTIMAL)
+    # a dropped row leaves no dual: the kept ones still price the optimum
+    assert abs(res.dual_eq @ (a_eq @ x) - res.value) <= 1e-8 * (
+        1.0 + abs(res.value))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_zero_right_hand_side_rows(seed):
+    # homogeneous equality rows next to ordinary ones: their artificials
+    # start, and phase 1 may end, at level 0
+    rng = np.random.default_rng([12, seed])
+    n = 10
+    a0 = rng.standard_normal((4, n))
+    a1 = rng.standard_normal((2, n))
+    a_eq = np.vstack([a0, a1])
+    # a feasible point: in Ker(a0), inside the box, slack in a_ub
+    xf = scipy.linalg.null_space(a0) @ rng.standard_normal(n - 4)
+    xf *= 0.9 / np.max(np.abs(xf))
+    b_eq = np.concatenate([np.zeros(4), a1 @ xf])
+    a_ub = rng.standard_normal((5, n))
+    b_ub = a_ub @ xf + rng.uniform(0.0, 1.0, 5)
+    _assert_matches_highs(rng.standard_normal(n), a_ub=a_ub, b_ub=b_ub,
+                          a_eq=a_eq, b_eq=b_eq, bounds=[(-1.0, 1.0)] * n,
+                          status=OPTIMAL)
+
+
+def test_infeasible_problems():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        n = int(rng.integers(2, 8))
+        # x >= 0 with a positive row forced to 0 and the sum forced to 1
+        a_eq = np.vstack([rng.uniform(0.1, 1.0, n), np.ones(n),
+                          rng.standard_normal((2, n))])
+        b_eq = np.concatenate([[0.0, 1.0], np.zeros(2)])
+        _assert_matches_highs(rng.standard_normal(n), a_eq=a_eq, b_eq=b_eq,
+                              bounds=[(0, None)] * n, status=INFEASIBLE)
+        # contradictory inequality rows among free variables
+        a = rng.standard_normal(n)
+        a_ub = np.vstack([a, -a, rng.standard_normal((3, n))])
+        b_ub = np.concatenate([[-1.0, 0.5], rng.uniform(0.0, 1.0, 3)])
+        _assert_matches_highs(rng.standard_normal(n), a_ub=a_ub, b_ub=b_ub,
+                              status=INFEASIBLE)
+
+
+def test_unbounded_problems():
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        n = int(rng.integers(3, 9))
+        m = int(rng.integers(1, n))
+        # free variables, c outside the row space of a_eq: a feasible ray
+        a_eq = rng.standard_normal((m, n))
+        b_eq = a_eq @ rng.standard_normal(n)
+        _assert_matches_highs(rng.standard_normal(n), a_eq=a_eq, b_eq=b_eq,
+                              status=UNBOUNDED)
+        # x >= 0 with a zero-right-hand-side row and a ray d >= 0 in its
+        # kernel along which c decreases
+        d = rng.uniform(0.5, 1.0, n)
+        row = rng.standard_normal(n)
+        row -= (row @ d) / (d @ d) * d
+        c = rng.uniform(0.0, 1.0, n)
+        c -= (c @ d + 1.0) / (d @ d) * d
+        _assert_matches_highs(c, a_eq=row[None, :], b_eq=np.zeros(1),
+                              bounds=[(0, None)] * n, status=UNBOUNDED)
+
+
+def _min_max_by_highs(h, G):
+    m, k = G.shape
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    ref = linprog(c, A_ub=np.hstack([G, -np.ones((m, 1))]), b_ub=-h,
+                  bounds=[(None, None)] * k + [(0, None)], method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_min_max_matches_highs(seed):
+    rng = np.random.default_rng([15, seed])
+    m, k = int(rng.integers(4, 40)), int(rng.integers(1, 6))
+    # atoms of a bounded ball: the rows of G positively span R^k
+    G = np.vstack([rng.standard_normal((m, k)), np.eye(k), -np.eye(k)])
+    h = rng.standard_normal(len(G)) - float(seed % 2)
+    res = lp_min_max(h, G)
+    assert res.status == OPTIMAL
+    assert abs(res.value - _min_max_by_highs(h, G)) <= 1e-9
+    assert abs(max(0.0, np.max(h + G @ res.x)) - res.value) <= 1e-9
+
+
+def test_min_max_without_free_directions():
+    rng = np.random.default_rng(16)
+    for h in (rng.standard_normal(7), -rng.uniform(0.1, 1.0, 5)):
+        G = np.zeros((len(h), 0))
+        res = lp_min_max(h, G)
+        assert res.status == OPTIMAL
+        assert res.x.shape == (0,)
+        assert abs(res.value - max(0.0, h.max())) <= 1e-12
+        assert abs(res.value - _min_max_by_highs(h, G)) <= 1e-12
+
+
+def _phase_one_pivots(monkeypatch):
+    """Record the pivots of every phase 1 that ``_Simplex`` runs."""
+    counts = []
+    iterate = lp._Simplex._iterate
+
+    def spy(self, A, c, basis, phase):
+        before = self.iterations
+        out = iterate(self, A, c, basis, phase)
+        if phase == 1:
+            counts.append(self.iterations - before)
+        return out
+
+    monkeypatch.setattr(lp._Simplex, "_iterate", spy)
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_no_phase_one_pivot_when_artificials_start_at_zero(seed,
+                                                           monkeypatch):
+    counts = _phase_one_pivots(monkeypatch)
+    rng = np.random.default_rng([17, seed])
+    # the dual of lp_min_max: the G^T lam = 0 rows get artificials at level
+    # 0, and the row of t is covered by its bound's column
+    m, k = 60, 8
+    G = np.vstack([rng.standard_normal((m, k)), np.eye(k), -np.eye(k)])
+    h = rng.standard_normal(len(G))
+    res = lp_min_max(h, G)
+    assert counts == [0]
+    assert res.status == OPTIMAL
+    assert abs(res.value - _min_max_by_highs(h, G)) <= 1e-9
+    # a standard-form problem whose rows all have b = 0 and no unit column
+    counts.clear()
+    A = rng.standard_normal((5, 12))
+    status, z, value, _ = lp._Simplex(A, np.zeros(5),
+                                      rng.uniform(0.1, 1.0, 12)).solve()
+    assert counts == [0]
+    assert status == OPTIMAL and abs(value) <= 1e-12
+    assert np.max(np.abs(A @ z)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the standard form against the per-column loop it replaced
+# ---------------------------------------------------------------------------
+
+def _standard_form_loop(p):
+    n = p.n_vars
+    cols = []
+    shifts = np.zeros(n)
+    c_std = []
+    extra_ub = []
+    k = 0
+    for j, (lo, hi) in enumerate(p.bounds):
+        if lo is None:
+            cols.append([(k, 1.0), (k + 1, -1.0)])
+            c_std.extend([p.c[j], -p.c[j]])
+            k += 2
+        else:
+            shifts[j] = lo
+            cols.append([(k, 1.0)])
+            c_std.append(p.c[j])
+            k += 1
+        if hi is not None:
+            row = np.zeros(n)
+            row[j] = 1.0
+            extra_ub.append((row, hi))
+    a_ub = p.a_ub
+    b_ub = p.b_ub
+    if extra_ub:
+        a_ub = np.vstack([a_ub] + [r for r, _ in extra_ub])
+        b_ub = np.concatenate([b_ub, [h for _, h in extra_ub]])
+    m_eq, m_ub = p.a_eq.shape[0], a_ub.shape[0]
+    A = np.zeros((m_eq + m_ub, k + m_ub))
+    orig = np.vstack([p.a_eq, a_ub]) if m_eq + m_ub else np.zeros((0, n))
+    for j in range(n):
+        for idx, sgn in cols[j]:
+            A[:, idx] += sgn * orig[:, j]
+    for i in range(m_ub):
+        A[m_eq + i, k + i] = 1.0
+    b = np.concatenate([p.b_eq, b_ub]) - orig @ shifts
+    c_full = np.concatenate([np.asarray(c_std), np.zeros(m_ub)])
+
+    def recover(z):
+        x = shifts.copy()
+        for j in range(n):
+            for idx, sgn in cols[j]:
+                x[j] += sgn * z[idx]
+        return x
+
+    return A, b, c_full, recover, m_eq, m_ub
+
+
+def test_standard_form_is_bit_identical_to_the_column_loop():
+    rng = np.random.default_rng(18)
+    kinds = [(None, None), (0.0, None), (-1.5, None), (None, 2.0),
+             (-1.0, 2.5), (0.5, 0.5)]
+    for trial in range(200):
+        n = int(rng.integers(0, 9))
+        m_ub, m_eq = int(rng.integers(0, 5)), int(rng.integers(0, 4))
+        a_ub = rng.standard_normal((m_ub, n))
+        a_eq = rng.standard_normal((m_eq, n))
+        # signed zeros and exact zeros in the data
+        a_ub[rng.random(a_ub.shape) < 0.2] = -0.0
+        a_eq[rng.random(a_eq.shape) < 0.2] = 0.0
+        bounds = [kinds[i] for i in rng.integers(0, len(kinds), n)]
+        p = LpProblem(rng.standard_normal(n), a_ub=a_ub,
+                      b_ub=rng.standard_normal(m_ub), a_eq=a_eq,
+                      b_eq=rng.standard_normal(m_eq), bounds=bounds)
+        new, old = lp._to_standard_form(p), _standard_form_loop(p)
+        for a, b in zip(new[:3], old[:3]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert new[4:] == old[4:]
+        z = rng.standard_normal(new[0].shape[1])
+        assert new[3](z).tobytes() == old[3](z).tobytes()

@@ -841,3 +841,16 @@ class TestLiftedSupportForm:
                           bounds=[(None, None)] * (k + 1), method="highs")
             assert ref.status == 0
             assert abs(md.antig.value(eta) - ref.fun) <= 1e-9 * (1 + ref.fun)
+
+
+def test_lifted_value_raises_on_a_non_optimal_lp(monkeypatch):
+    from gaugerec import model
+    from gaugerec.lp import LpResult, LpNumericalError, UNBOUNDED
+    g = model.SubdiffGauge(Subspace.full(3), atoms=np.eye(3),
+                           lift=np.array([[1.0], [-1.0], [0.0]]))
+    eta = np.array([1.0, 2.0, 0.5])
+    assert abs(g.value(eta) - 1.5) <= 1e-12
+    monkeypatch.setattr(model, "lp_min_max",
+                        lambda h, G: LpResult(UNBOUNDED))
+    with pytest.raises(LpNumericalError, match="unbounded"):
+        g.value(eta)

@@ -402,6 +402,32 @@ class TestNoiseless:
         with pytest.raises(ValueError):
             solve_noiseless(Phi, np.array([1.0, 2.0]), L1(2))
 
+    # x_hat of the parent's lstsq / null_space route on this instance
+    RANK_DEFICIENT_X_HAT = {
+        "linf": [0.8654697554499362, -0.8654697554499362, 0.8654697554499362,
+                 0.8654697554499363, 0.4687623279750147, -0.021687324333551666,
+                 -0.8654697554499362, 0.7663505336709238, 0.22259648630879436],
+        "l1": [0.9316327995815962, -1.8082215199051188, 0.0,
+               0.9503622509235806, 0.0, 0.0, -0.5415445497089784,
+               0.38167829240460804, 0.0],
+    }
+
+    @pytest.mark.parametrize("kind", ["linf", "l1"])
+    def test_rank_deficient_phi(self, kind):
+        rng = np.random.default_rng(2113)
+        Phi = rng.standard_normal((5, 9))
+        Phi = np.vstack([Phi, Phi[2]])             # rank 5 with 6 rows
+        x0 = np.array([1.0, -1.0, 0.3, 1.0, -0.2, 0.1, -1.0, 0.4, 0.0])
+        g = Linf(9) if kind == "linf" else L1(9)
+        res = solve_noiseless(Phi, Phi @ x0, g)
+        assert res.method == "lp"
+        assert np.max(np.abs(res.x_hat - self.RANK_DEFICIENT_X_HAT[kind])) \
+            <= 1e-10
+        y_off = Phi @ x0
+        y_off[-1] += 1e-3                          # breaks the repeated row
+        with pytest.raises(ValueError, match="y is not in the range of Phi"):
+            solve_noiseless(Phi, y_off, g)
+
     def test_group_primal_dual(self, rng):
         part = BlockPartition([[0, 1], [2, 3], [4, 5]], 6)
         g = GroupL1L2(part)
