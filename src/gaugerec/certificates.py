@@ -10,7 +10,7 @@ parameter range for stable model selection.
 
 import numpy as np
 
-from .linalg import (check_finite, svd_pinv, null_space, RankedSvd,
+from .linalg import (check_finite, null_space, RankedSvd,
                      restricted_injectivity, operator_bound, OperatorBound)
 from .model import SubdiffGauge, directional_derivative
 from .gauges import L2
@@ -53,10 +53,21 @@ def linearized_precertificate(Phi, md):
     """Minimal Euclidean-norm alpha with Phi_T^* alpha = e, from one SVD of
     Phi_T that also decides restricted injectivity."""
     Phi = check_finite(Phi, "Phi")
-    svd = RankedSvd(Phi @ md.T.basis)
+    return _precertificate(RankedSvd(Phi @ md.T.basis), md)
+
+
+def _precertificate(svd, md):
+    """``linearized_precertificate`` from the SVD of Phi_T."""
     if not svd.injective:
         raise RestrictedInjectivityError("restricted injectivity fails")
     return svd.solve_adjoint(md.T.coords(md.e))
+
+
+def _ic(Phi, md, svd):
+    """The precertificate alpha and IC = antig(P_S(Phi^* alpha - f)), from
+    the SVD of Phi_T."""
+    alpha = _precertificate(svd, md)
+    return alpha, md.antig.value(md.S.project(Phi.T @ alpha - md.f))
 
 
 def irrepresentability(Phi, md):
@@ -66,9 +77,7 @@ def irrepresentability(Phi, md):
     evaluator and a strict margin below one.
     """
     Phi = check_finite(Phi, "Phi")
-    alpha = linearized_precertificate(Phi, md)
-    v = md.S.project(Phi.T @ alpha - md.f)
-    ic = md.antig.value(v)
+    alpha, ic = _ic(Phi, md, RankedSvd(Phi @ md.T.basis))
     method = "exact" if md.antig.exact else "approximate"
     identifiable = bool(md.antig.exact and ic < 1.0 - IC_MARGIN)
     return CertificateReport(alpha, ic, True, identifiable, method)
@@ -306,14 +315,18 @@ def stability_constants(Phi, md, p):
     ``p`` must be exact for the lambda range to be certified; otherwise
     ``exact`` is False and downstream consumers must treat the range as
     advisory.
+
+    Phi_T = M is factored once, M = U_M diag(s) V^T: the same SVD gives IC
+    as ``irrepresentability`` computes it, the injectivity verdict,
+    (M^T M)^{-1} = V diag(s^-2) V^T and Q_T = I - U_M U_M^T.
     """
     Phi = check_finite(Phi, "Phi")
-    ic = irrepresentability(Phi, md).ic_value
-    n = md.ambient_dim
     Q = Phi.shape[0]
     U = md.T.basis
     M = Phi @ U
-    G = np.linalg.inv(M.T @ M)
+    svd = RankedSvd(M)
+    ic = float(_ic(Phi, md, svd)[1])
+    G = (svd.Vt.T / svd.s ** 2) @ svd.Vt
     gamma = p.gamma
     l2_in = L2(Q)
 
@@ -323,7 +336,8 @@ def stability_constants(Phi, md, p):
     else:
         W3 = -(md.S.basis @ md.S.basis.T) @ Phi.T @ M @ G @ U.T
         b3 = operator_bound(W3, gamma, md.antig, domain=md.T)
-        Q_T = np.eye(Q) - M @ svd_pinv(M)
+        UM = svd.U[:, :svd.rank]
+        Q_T = np.eye(Q) - UM @ UM.T
         W4 = (md.S.basis @ md.S.basis.T) @ Phi.T @ Q_T
         b4 = operator_bound(W4, l2_in, md.antig)
     if md.T.dim == 0:

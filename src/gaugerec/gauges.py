@@ -10,11 +10,14 @@ in :mod:`gaugerec.linalg`.  Unit balls are enumerated from an H-rep by
 subdifferential gauge (its atoms are the normals) in :mod:`gaugerec.model`.
 The group kind evaluates, proxes and projects in one vectorised pass over
 the flattened block index that ``BlockPartition`` builds once.
+``values(X)`` evaluates a gauge on every row of X, with the checks of
+``value``; the base class loops over ``value`` and the common kinds do it
+in one pass.
 """
 
 import numpy as np
 
-from .linalg import check_finite, null_space, svd_pinv
+from .linalg import check_finite, null_space, svd_pinv, _sign_rows
 from .lp import (LpProblem, LpNumericalError, lp_solve, lp_min_max,
                  lp_minimize_linf, OPTIMAL)
 from .polytopes import Polytope, PolytopeError, MAX_ENUM_DIM
@@ -58,14 +61,27 @@ class BlockPartition:
         return np.sqrt(np.bincount(self.block_of, weights=x * x,
                                    minlength=len(self.blocks)))
 
+    def row_norms(self, X):
+        """``norms`` of every row of X, one row of block norms each."""
+        member = np.zeros((self.n, len(self.blocks)))
+        member[np.arange(self.n), self.block_of] = 1.0
+        return np.sqrt((X * X) @ member)
+
 
 def _sign_patterns(k):
+    """All 2^k sign vectors of length k, the first entry varying slowest."""
     if k > SIGN_VERTEX_LIMIT:
         return None
-    if k == 0:
-        return np.zeros((1, 0))
-    span = np.array(np.meshgrid(*([[-1.0, 1.0]] * k), indexing="ij"))
-    return span.reshape(k, -1).T
+    return _sign_rows(k)[:, ::-1]
+
+
+def check_rows(X, dim):
+    """X as a finite, C-ordered 2-d float array of rows of length dim.  In
+    C order a row reduction adds in the order that ``value`` does."""
+    X = check_finite(X, "X")
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"expected rows of length {dim}, got shape {X.shape}")
+    return np.ascontiguousarray(X)
 
 
 class Gauge:
@@ -78,6 +94,11 @@ class Gauge:
 
     def value(self, x):
         raise NotImplementedError
+
+    def values(self, X):
+        """``value`` of every row of X, as an array."""
+        X = check_rows(X, self.dim)
+        return np.array([self.value(x) for x in X], dtype=float)
 
     # -- optional capabilities ----------------------------------------------
 
@@ -122,8 +143,7 @@ class Gauge:
 def _restrict_directions(dirs, domain):
     if domain is None or len(dirs) == 0:
         return dirs
-    kept = [d for d in dirs if domain.contains(d)]
-    return np.asarray(kept) if kept else np.zeros((0, dirs.shape[1] if dirs.ndim > 1 else 0))
+    return dirs[domain.contains_rows(dirs)]
 
 
 def _section_vertices(hrep, dim, domain):
@@ -155,6 +175,9 @@ class L1(Gauge):
 
     def value(self, x):
         return float(np.sum(np.abs(self._check(x))))
+
+    def values(self, X):
+        return np.abs(check_rows(X, self.dim)).sum(axis=1)
 
     def polar(self, u):
         return float(np.max(np.abs(self._check(u)), initial=0.0))
@@ -189,6 +212,9 @@ class L2(Gauge):
     def value(self, x):
         return float(np.linalg.norm(self._check(x)))
 
+    def values(self, X):
+        return np.linalg.norm(check_rows(X, self.dim), axis=1)
+
     def polar(self, u):
         return float(np.linalg.norm(self._check(u)))
 
@@ -200,6 +226,9 @@ class Linf(Gauge):
 
     def value(self, x):
         return float(np.max(np.abs(self._check(x)), initial=0.0))
+
+    def values(self, X):
+        return np.max(np.abs(check_rows(X, self.dim)), axis=1, initial=0.0)
 
     def polar(self, u):
         return float(np.sum(np.abs(self._check(u))))
@@ -237,6 +266,9 @@ class GroupL1L2(Gauge):
 
     def value(self, x):
         return float(self.partition.norms(self._check(x)).sum())
+
+    def values(self, X):
+        return self.partition.row_norms(check_rows(X, self.dim)).sum(axis=1)
 
     def polar(self, u):
         return float(self.partition.norms(self._check(u)).max(initial=0.0))
@@ -336,6 +368,9 @@ class Precomposed(Gauge):
     def value(self, x):
         return self.base.value(self.dstar @ self._check(x))
 
+    def values(self, X):
+        return self.base.values(check_rows(X, self.dim) @ self._d)
+
     def polar(self, u):
         """gauge of the image of the base polar ball (LP over Ker)."""
         u = self._check(u)
@@ -395,6 +430,10 @@ class SumGauge(Gauge):
     def value(self, x):
         x = self._check(x)
         return float(sum(g.value(x) for g in self.parts))
+
+    def values(self, X):
+        X = check_rows(X, self.dim)
+        return sum(g.values(X) for g in self.parts)
 
     def polar(self, u):
         """inf over splits of max of part polars (LP for polytopal parts)."""
@@ -497,6 +536,10 @@ class MaxGauge(Gauge):
     def value(self, x):
         x = self._check(x)
         return float(max(g.value(x) for g in self.parts))
+
+    def values(self, X):
+        X = check_rows(X, self.dim)
+        return np.max([g.values(X) for g in self.parts], axis=0)
 
     def _ball_halfspaces(self):
         hreps = [g._ball_halfspaces() for g in self.parts]

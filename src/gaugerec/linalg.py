@@ -143,6 +143,14 @@ class Subspace:
             tol = 1e-9 * (1.0 + np.linalg.norm(v))
         return np.linalg.norm(v - self.project(v)) <= tol
 
+    def contains_rows(self, X):
+        """``contains`` for every row of X at once, with the same per-row
+        tolerance 1e-9 (1 + ||row||)."""
+        X = np.asarray(X, dtype=float)
+        off = X - (X @ self.basis) @ self.basis.T
+        return (np.linalg.norm(off, axis=1)
+                <= 1e-9 * (1.0 + np.linalg.norm(X, axis=1)))
+
     def __repr__(self):
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim})"
 
@@ -158,13 +166,18 @@ def project(v, T):
 
 def svd_pinv(A):
     """Moore-Penrose pseudo-inverse with the module-wide rank cutoff."""
+    return pinv_and_rank(A)[0]
+
+
+def pinv_and_rank(A):
+    """``svd_pinv(A)`` and the numerical rank of A, from one thin SVD."""
     A = check_finite(A, "A")
     if A.size == 0:
-        return A.T.copy()
+        return A.T.copy(), 0
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    tol = rank_tolerance(s[0] if s.size else 0.0, A.shape)
-    inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T
+    kept = s > rank_tolerance(s[0] if s.size else 0.0, A.shape)
+    inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
+    return (vt.T * inv) @ u.T, int(kept.sum())
 
 
 def pseudo_inverse_apply(A, b):
@@ -284,7 +297,9 @@ def operator_bound(A, g_in, g_out, domain=None):
 
     1. the kernel test (+inf when a kernel direction of g_in leaves the
        kernel of g_out);
-    2. the finite vertex list of the input unit ball (exact);
+    2. the finite vertex list V of the input unit ball (exact): the max of
+       ``g_out.values(V @ A.T)``, one batched evaluation of the output
+       gauge on the images of all vertices;
     3. the largest row l1 norm when both gauges are max-abs and the domain
        is absent or a coordinate subspace (exact);
     4. closed forms for a Euclidean input: support atoms, block norms or a
@@ -309,14 +324,14 @@ def operator_bound(A, g_in, g_out, domain=None):
     scale = np.linalg.norm(A) + 1.0
 
     kernel = g_in.kernel_directions(domain)
-    for k in kernel:
-        img = A @ k
-        if g_out.value(img) > 1e-9 * (scale * np.linalg.norm(k) + 1.0):
+    if len(kernel):
+        tol = 1e-9 * (scale * np.linalg.norm(kernel, axis=1) + 1.0)
+        if np.any(g_out.values(kernel @ A.T) > tol):
             return OperatorBound(np.inf, OperatorBound.EXACT_CLOSED_FORM)
 
     verts = g_in.ball_vertices(domain)
     if verts is not None and len(verts) > 0:
-        val = max(g_out.value(A @ v) for v in verts)
+        val = g_out.values(verts @ A.T).max()
         return OperatorBound(val, OperatorBound.EXACT_VERTEX)
 
     if (getattr(g_in, "is_max_abs", False)
@@ -421,7 +436,7 @@ def _maps_ball_into_itself(P, g_in, domain):
     verts = g_in.ball_vertices()
     if verts is None or len(verts) == 0:
         return False
-    return max(g_in.value(P @ v) for v in verts) <= 1.0 + NONEXPANSIVE_TOL
+    return g_in.values(verts @ P.T).max() <= 1.0 + NONEXPANSIVE_TOL
 
 
 def _block_input_bound(A, blocks, g_out):

@@ -13,6 +13,13 @@ calculus rules over block-norm parts.  The exact results of the sum and
 pre-composition rules are atoms with a lift, so every polyhedral gauge is
 evaluated the same way.  Its unit ball is derived from unlifted atoms when
 first asked for.
+
+``SubdiffGauge.values(X)``, like the ``values`` of the gauges, evaluates
+the gauge on every row of X in one pass, as the vertex route of
+``linalg.operator_bound`` needs: one S-membership test for all rows (the
+same per-row tolerance as ``value``, +inf off S), then one product with the
+atoms or one pass of block norms; only a lifted gauge still solves one LP
+per row.
 """
 
 import functools
@@ -24,7 +31,7 @@ from .lp import lp_min_max, LpNumericalError, OPTIMAL
 from . import linalg
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                      SumGauge, MaxGauge, BlockPartition, UnsupportedGaugeError,
-                     _section_vertices)
+                     _section_vertices, check_rows)
 
 SUPPORT_TOL = 1e-10       # relative threshold for "entry is nonzero"
 SATURATION_TOL = 1e-9     # relative threshold for "entry attains the max"
@@ -47,6 +54,10 @@ class GroupLinf2(Gauge):
         x = self._check(x)
         return float(max((np.linalg.norm(x[b]) for b in self.partition),
                          default=0.0))
+
+    def values(self, X):
+        X = check_rows(X, self.dim)
+        return self.partition.row_norms(X).max(axis=1, initial=0.0)
 
     def polar(self, u):
         u = self._check(u)
@@ -89,22 +100,48 @@ class SubdiffGauge:
         self.exact = exact
 
     def value(self, eta):
-        eta = np.asarray(eta, dtype=float)
+        eta = check_finite(eta, "eta")
+        if eta.shape != (self.dim,):
+            raise ValueError(f"expected length {self.dim}, got {eta.shape}")
         if not self.S.contains(eta, tol=1e-9 * (1.0 + np.linalg.norm(eta))):
             return np.inf
         if self.atoms is not None:
             if not self.lift.shape[1]:
                 return float(np.max(self.atoms @ eta, initial=0.0))
-            res = lp_min_max(self.atoms @ eta, self.lift)
-            if res.status != OPTIMAL:
-                # always feasible and bounded below by 0: numerical trouble
-                raise LpNumericalError(
-                    f"lifted gauge LP ended with status {res.status}")
-            return max(float(res.value), 0.0)
+            return self._lifted_value(eta)
         if self.linf2_blocks is not None:
             return float(max((np.linalg.norm(eta[b])
                               for b in self.linf2_blocks), default=0.0))
         return float(self._value_fn(eta))
+
+    def values(self, X):
+        """``value`` of every row of X: one S-membership test and one
+        product with the atoms or one pass of block norms for all rows,
+        and one LP per row on S only with a lift."""
+        X = check_rows(X, self.dim)
+        if self._value_fn is not None:
+            return np.array([self.value(x) for x in X], dtype=float)
+        out = np.full(len(X), np.inf)
+        on_S = self.S.contains_rows(X)
+        Y = X[on_S]
+        if self.atoms is not None and self.lift.shape[1]:
+            out[on_S] = [self._lifted_value(y) for y in Y]
+        elif self.atoms is not None:
+            out[on_S] = np.max(Y @ self.atoms.T, axis=1, initial=0.0)
+        else:
+            out[on_S] = np.max([np.linalg.norm(Y[:, b], axis=1)
+                                for b in self.linf2_blocks], axis=0,
+                               initial=0.0)
+        return out
+
+    def _lifted_value(self, eta):
+        res = lp_min_max(self.atoms @ eta, self.lift)
+        if res.status != OPTIMAL:
+            # always feasible and bounded below by 0: numerical trouble
+            raise LpNumericalError(
+                f"lifted gauge LP ended with status {res.status}")
+        # max(0.0, v) and not max(v, 0.0): an LP value of -0.0 must give +0.0
+        return max(0.0, float(res.value))
 
     def support_atoms(self):
         """Rows w with value(v) = max(0, max_j <w_j, v>) on S, or None."""
@@ -130,7 +167,7 @@ class SubdiffGauge:
         verts = self._ball
         if verts is None or domain is None:
             return verts
-        if all(domain.contains(v) for v in verts):
+        if domain.contains_rows(verts).all():
             return verts
         return None
 

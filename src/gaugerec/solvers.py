@@ -44,8 +44,8 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .linalg import (check_finite, null_space, svd_pinv, power_operator_norm,
-                     rank_tolerance, restricted_injectivity, RankedSvd)
+from .linalg import (check_finite, null_space, svd_pinv, pinv_and_rank,
+                     power_operator_norm, rank_tolerance, RankedSvd)
 from .lp import LpProblem, lp_solve, lp_min_max, OPTIMAL
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                      UnsupportedGaugeError, project_l1_ball,
@@ -325,7 +325,7 @@ def _face_candidate(Phi, y, K, p, C):
     There it equals the penalized objective near the face of p, and it is
     the same for every dual point of that face."""
     U = null_space(C)
-    return _restricted_affine(Phi, y, U, 1.0, K.T @ p)
+    return _restricted_affine(svd_pinv(Phi @ U), y, U, 1.0, K.T @ p)
 
 
 def _least_squares_prox(Phi, y, tau):
@@ -463,21 +463,24 @@ def solve_restricted(Phi, y, lam, md, opts=None):
     opts = opts or SolveOptions()
     if isinstance(md.gauge, GroupL1L2):
         return _group_newton(Phi, y, lam, md, opts.tol)
-    if not restricted_injectivity(Phi, md.T):
+    U = md.T.basis
+    M = Phi @ U
+    # the injectivity gate and the pseudo-inverse share one SVD of Phi_T
+    Mp, rank = pinv_and_rank(M)
+    if rank < U.shape[1]:
         raise cert_mod.RestrictedInjectivityError(
             "restricted problem is not strongly convex on T")
-    U = md.T.basis
-    x = _restricted_affine(Phi, y, U, lam, md.e)
-    res = np.max(np.abs((Phi @ U).T @ (y - Phi @ x) - lam * (U.T @ md.e)),
+    x = _restricted_affine(Mp, y, U, lam, md.e)
+    res = np.max(np.abs(M.T @ (y - Phi @ x) - lam * (U.T @ md.e)),
                  initial=0.0)
     return SolveResult(x, 1, res / (1.0 + lam), 0.0, True, "closed-form")
 
 
-def _restricted_affine(Phi, y, U, lam, e):
-    """U c with c = (M^T M)^+ (M^T y - lam U^T e), M = Phi U: the minimizer
-    of 0.5||y - Phi x||^2 + lam <e, x> over the span of U when M is
-    injective, and the least-norm one of its minimizers otherwise."""
-    Mp = svd_pinv(Phi @ U)
+def _restricted_affine(Mp, y, U, lam, e):
+    """U c with c = (M^T M)^+ (M^T y - lam U^T e), given Mp = M^+ for
+    M = Phi U: the minimizer of 0.5||y - Phi x||^2 + lam <e, x> over the
+    span of U when M is injective, and the least-norm one of its
+    minimizers otherwise."""
     # (M^T M)^+ = Mp Mp^T
     return U @ (Mp @ (y - lam * (Mp.T @ (U.T @ e))))
 

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from gaugerec.gauges import L1, Linf, GroupL1L2, BlockPartition
-from gaugerec.linalg import svd_pinv, null_space, restricted_injectivity
+from gaugerec.gauges import L1, L2, Linf, GroupL1L2, BlockPartition
+from gaugerec.linalg import (svd_pinv, null_space, restricted_injectivity,
+                             operator_bound, OperatorBound)
 from gaugerec.lp import lp_minimize_linf
 from gaugerec.polytopes import Polytope
 from gaugerec.model import (decompose, decompose_l1, decompose_linf,
@@ -397,3 +398,72 @@ class TestStabilityConstants:
         const = stability_constants(Phi, md, p)
         assert p.exact == exact
         assert const.exact == exact
+
+
+def _three_factorization_constants(Phi, md, p):
+    """(IC, c1, c2, c3, c4, exact) as stability_constants computed them
+    from three factorizations of Phi_T: the SVD inside irrepresentability,
+    inv(Phi_T^* Phi_T) and svd_pinv(Phi_T)."""
+    ic = irrepresentability(Phi, md).ic_value
+    Q = Phi.shape[0]
+    U = md.T.basis
+    M = Phi @ U
+    G = np.linalg.inv(M.T @ M)
+    PS = md.S.basis @ md.S.basis.T
+    zero = OperatorBound(0.0, OperatorBound.EXACT_CLOSED_FORM)
+    b3 = b4 = b1a = b1b = zero
+    if md.S.dim:
+        b3 = operator_bound(-PS @ Phi.T @ M @ G @ U.T, p.gamma, md.antig,
+                            domain=md.T)
+        b4 = operator_bound(PS @ Phi.T @ (np.eye(Q) - M @ svd_pinv(M)),
+                            L2(Q), md.antig)
+    if md.T.dim:
+        b1a = operator_bound(U @ G @ U.T, p.gamma, p.gamma, domain=md.T)
+        b1b = operator_bound(U @ U.T @ Phi.T, L2(Q), p.gamma)
+    exact = (all(b.exact for b in (b1a, b1b, b3, b4)) and md.antig.exact
+             and p.exact)
+    return (ic, b1a.value * b1b.value, p.gamma.value(md.e) * b1a.value,
+            b3.value, b4.value, exact)
+
+
+def _certify_instance(kind, seed):
+    """A certify-lambda instance in the benchmark's shapes: (N, Q) = (40,
+    25), (20, 18), (20, 12) and (20, 12), dim T = 5, 16, 6 and 4."""
+    r = np.random.default_rng([seed, 14])
+    if kind == "l1":
+        Phi, x0 = random_l1_instance(seed, 40, 25, 5)
+        return (Phi,) + decompose_l1(x0)
+    if kind == "linf":
+        x0 = r.uniform(-0.5, 0.5, 20)
+        x0[r.choice(20, 5, replace=False)] = r.choice([-1.0, 1.0], 5)
+        return (r.standard_normal((18, 20)),) + decompose_linf(x0)
+    if kind == "group":
+        part = BlockPartition([[2 * b, 2 * b + 1] for b in range(10)], 20)
+        x0 = np.zeros(20)
+        for b in r.choice(10, 3, replace=False):
+            x0[2 * b:2 * b + 2] = r.standard_normal(2) + 2.0
+        return (r.standard_normal((12, 20)),) + decompose_group(x0, part)
+    g = tv1d_gauge(20)
+    x0 = np.repeat(r.standard_normal(4), 5)
+    md0, p0 = decompose_l1(g.dstar @ x0)
+    md = precompose(md0, g.dstar.T, x0)
+    return (r.standard_normal((12, 20)), md,
+            psfl_precompose(p0, g.dstar.T, md0, md))
+
+
+@pytest.mark.parametrize("kind", ["l1", "linf", "group", "tv"])
+@pytest.mark.parametrize("seed", range(3))
+def test_one_factorization_keeps_the_constants(kind, seed):
+    # (Phi_T^* Phi_T)^{-1} and Q_T now come from the SVD that gives IC.
+    # inv(M^T M) rounds with an error that grows like cond(M)^2, the SVD
+    # form like cond(M), so the two meet to 1e-13 only while Phi_T is as
+    # well conditioned as in these shapes (cond 2 to 35)
+    Phi, md, p = _certify_instance(kind, seed)
+    const = stability_constants(Phi, md, p)
+    ic, c1, c2, c3, c4, exact = _three_factorization_constants(Phi, md, p)
+    assert const.ic_value == ic
+    assert const.exact == exact
+    for new, old in ((const.c1, c1), (const.c2, c2), (const.c3, c3),
+                     (const.c4, c4)):
+        assert abs(new - old) <= 1e-13 * abs(old)
+    assert const.c1 > 0.0 and const.c2 > 0.0 and const.c4 > 0.0

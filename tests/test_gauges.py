@@ -244,6 +244,18 @@ class TestGroupKernels:
         assert len(self.PART.norms(np.ones(8))) == 5
 
 
+@pytest.mark.parametrize("k", range(7))
+def test_sign_patterns_keep_the_meshgrid_rows(k):
+    # the rows, and their order, of the meshgrid construction they replace
+    if k == 0:
+        old = np.zeros((1, 0))
+    else:
+        span = np.array(np.meshgrid(*([[-1.0, 1.0]] * k), indexing="ij"))
+        old = span.reshape(k, -1).T
+    assert np.array_equal(gauges_mod._sign_patterns(k), old)
+    assert gauges_mod._sign_patterns(k).shape == old.shape
+
+
 class TestUnitBallConsistency:
     @pytest.mark.parametrize("kind", ["l1", "linf", "poly"])
     def test_eval_matches_ball_membership(self, kind, rng):

@@ -10,7 +10,7 @@ from gaugerec.linalg import (Subspace, project, pseudo_inverse_apply,
                              NoBoundRouteError, DimensionMismatchError)
 from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge,
                              BlockPartition)
-from gaugerec.model import GroupLinf2, decompose_linf
+from gaugerec.model import GroupLinf2, decompose_l1, decompose_linf
 from gaugerec.polytopes import Polytope
 
 from conftest import random_subspace
@@ -284,6 +284,54 @@ class TestOperatorBound:
         b = operator_bound(A, L2(6), Linf(4))
         assert b.method == OperatorBound.EXACT_CLOSED_FORM
         assert abs(b.value - np.max(np.linalg.norm(A, axis=1))) <= 1e-12
+
+
+def _vertex_reference(A, g_in, g_out, domain=None):
+    """The vertex route as a loop of ``value`` over the ball's vertices."""
+    return max(g_out.value(A @ v) for v in g_in.ball_vertices(domain))
+
+
+class TestVertexRoute:
+    """The batched vertex route against the per-vertex loop it replaced."""
+
+    @staticmethod
+    def _cases(rng):
+        x = np.array([1.5, 0.0, -2.0, 0.0, 0.0, 0.7, 0.0, 0.3])
+        md = decompose_l1(x)[0]
+        mdi = decompose_linf(np.array([1.5, 0.0, -1.5, 0.0, 0.0, 0.7, 0.0,
+                                       1.5]))[0]
+        part = BlockPartition([[0, 1], [2, 3], [4, 5], [6, 7]], 8)
+        T = Subspace.coordinate(8, [0, 2, 5, 7])
+        return [
+            (Linf(8), Linf(5), (5, 8), T),
+            (Linf(8), md.antig, (8, 8), T),
+            (Linf(8), mdi.antig, (8, 8), T),
+            (L1(8), L2(6), (6, 8), None),
+            (L1(8), GroupLinf2(part), (8, 8), random_subspace(rng, 8, 3)),
+            (Linf(6), MaxGauge([L1(4), L2(4)]), (4, 6), None),
+            (md.antig, Linf(3), (3, 8), None),
+            (mdi.antig, L1(8), (8, 8), None),
+        ]
+
+    def test_matches_the_per_vertex_loop(self, rng):
+        for _ in range(5):
+            for g_in, g_out, shape, dom in self._cases(rng):
+                A = rng.standard_normal(shape)
+                if hasattr(g_out, "S"):
+                    A = g_out.S.project(A)    # finite: the image lies in S
+                b = operator_bound(A, g_in, g_out, domain=dom)
+                ref = _vertex_reference(A, g_in, g_out, dom)
+                assert b.method == OperatorBound.EXACT_VERTEX
+                assert 0.0 < ref < np.inf
+                assert abs(b.value - ref) <= 1e-14 * ref
+
+    def test_output_off_its_domain_is_infinite(self, rng):
+        # the images of the sign vertices leave S, where antig is +inf
+        md = decompose_l1(np.array([1.0, 0.0, 0.0, 2.0]))[0]
+        A = rng.standard_normal((4, 4))
+        b = operator_bound(A, Linf(4), md.antig)
+        assert b.method == OperatorBound.EXACT_VERTEX
+        assert b.value == np.inf == _vertex_reference(A, Linf(4), md.antig)
 
 
 class _NoSectionL1(L1):

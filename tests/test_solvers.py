@@ -4,6 +4,7 @@ import scipy.linalg
 
 from gaugerec.gauges import (L1, Linf, GroupL1L2, PolyhedralH, Precomposed,
                              BlockPartition, UnsupportedGaugeError)
+from gaugerec.linalg import restricted_injectivity, svd_pinv
 from gaugerec.lp import LpProblem, lp_solve
 from gaugerec.model import decompose, decompose_l1, decompose_group, tv1d_gauge
 from gaugerec.certificates import (check_noisy_optimality,
@@ -532,6 +533,30 @@ class TestRestricted:
         assert res.iterations == ref[1]
         assert np.abs(res.x_hat - ref[0]).max() <= \
             1e-12 * (1 + np.abs(ref[0]).max())
+
+    @pytest.mark.parametrize("kind", ["l1", "linf", "tv", "linf-analysis",
+                                      "poly"])
+    def test_one_svd_keeps_the_two_svd_bits(self, kind):
+        # the injectivity gate and the pseudo-inverse used to come from two
+        # SVDs of Phi_T; x_hat from their shared SVD keeps the same bits
+        Phi, y, lam, g = _penalized_instance(kind, 4)
+        res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-8))
+        md = decompose(g, res.x_hat)
+        if not restricted_injectivity(Phi, md.T):
+            with pytest.raises(RestrictedInjectivityError):
+                solve_restricted(Phi, y, lam, md)
+            return
+        U = md.T.basis
+        Mp = svd_pinv(Phi @ U)
+        ref = U @ (Mp @ (y - lam * (Mp.T @ (U.T @ md.e))))
+        assert np.array_equal(solve_restricted(Phi, y, lam, md).x_hat, ref)
+
+    def test_non_injective_phi_t_raises(self, rng):
+        Phi, x0 = random_l1_instance(9, 12, 5, 6)   # rank 5 < dim T = 6
+        md, _ = decompose_l1(x0)
+        assert not restricted_injectivity(Phi, md.T)
+        with pytest.raises(RestrictedInjectivityError):
+            solve_restricted(Phi, Phi @ x0, 0.1, md)
 
     def test_group_singular_hessian_raises(self):
         # blocks of size one add nothing to the Hessian, and Phi vanishes
