@@ -11,14 +11,15 @@ dimension-free, so low-dimensional checks suffice.
 
 Near-duplicate facets and vertices are merged by a greedy keep-first sweep
 over the pairs within tolerance that a KD-tree reports.  The LPs here
-(Chebyshev centres, Minkowski-sum and linear-image gauges) have few
-variables and many ``<=`` rows, so they are solved through their duals by
-``lp.lp_min_halfspaces``.
+(Chebyshev centres, Minkowski-sum gauges, linear-image gauges of maps with
+a kernel) have few variables and many ``<=`` rows, so they are solved
+through their duals by ``lp.lp_min_halfspaces``.
 """
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
+from .linalg import RankedSvd
 from .lp import lp_min_halfspaces, OPTIMAL
 
 MAX_ENUM_DIM = 8
@@ -39,9 +40,11 @@ def _dedupe_rows(rows, tol):
     rows = np.asarray(rows)
     if len(rows) <= 1:
         return rows
-    # cheap exact pass first, then pairs within tol from a KD-tree
-    _, idx = np.unique(np.round(rows / max(tol, 1e-300)).astype(np.int64),
-                       axis=0, return_index=True)
+    # exact pass on the bytes of the rounded rows (no integer cast to
+    # overflow; + 0.0 folds -0.0 into 0.0), then pairs within tol (KD-tree)
+    keys = np.round(rows / max(tol, 1e-300)) + 0.0
+    _, idx = np.unique(keys.view(np.dtype((np.void, keys[0].nbytes))),
+                       return_index=True)
     rows = rows[np.sort(idx)]
     if len(rows) <= 1:
         return rows
@@ -285,21 +288,24 @@ def minkowski_sum_gauge(g1_ball, g2_ball, x):
 
 
 def linear_image_gauge(C, D, x):
-    """Gauge of the image polytope D(C) at x, by LP over the kernel of D.
+    """Gauge of the image polytope D(C) at x.
 
-    Evaluates inf {gauge_C(D^+ x + z) : z in Ker(D)}; returns +inf when x is
-    not in the image of D.
+    Evaluates inf {gauge_C(D^+ x + z) : z in Ker(D)}: by LP over the kernel,
+    or in closed form as gauge_C(D^+ x) when Ker(D) = {0}.  Returns +inf
+    when x is not in the image of D.
     """
-    from .linalg import svd_pinv, null_space
     D = np.asarray(D, dtype=float)
     if D.ndim == 1:
         D = D[None, :]
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    q = svd_pinv(D) @ x
+    svd = RankedSvd(D)
+    q = svd.solve(x)
     if np.linalg.norm(D @ q - x) > 1e-9 * (1.0 + np.linalg.norm(x)):
         return np.inf
-    Z = null_space(D)
+    Z = svd.kernel()
     k = Z.shape[1]
+    if k == 0:
+        return C.gauge(q)
     # variables (w, t): <a, q + Z w> <= t b
     rows = np.hstack([C.normals @ Z, -C.offsets[:, None]])
     rhs = -C.normals @ q
@@ -330,26 +336,19 @@ def inverse_sum_set(Q1, Q2):
 def inverse_sum_polar_check(P1, P2, directions=200, tol=1e-5, seed=0):
     """Check (P1 + P2)_polar equals the inverse sum of the polars.
 
-    Support functions of both sides are compared on random directions to
-    ``tol`` (relative); the right-hand side is the support of the vertices
-    of ``inverse_sum_set`` of the two polars.  Returns (passed, worst_gap).
+    Support functions of both sides are compared on random directions; the
+    right-hand side is the support of the vertices of ``inverse_sum_set`` of
+    the two polars.  Returns (worst <= tol, worst), where worst is the
+    largest relative gap |rhs - lhs| / (1 + |lhs|).
     """
-    lhs = P1.minkowski_sum(P2).polar()
-    Q1, Q2 = P1.polar(), P2.polar()
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((directions, P1.dim))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    pts = inverse_sum_set(Q1, Q2).vertices
-
-    ok = True
-    worst = 0.0
-    for u in U:
-        target = lhs.support(u)
-        gap = abs(float(np.max(pts @ u)) - target)
-        worst = max(worst, gap)
-        if gap > tol * (1.0 + abs(target)):
-            ok = False
-    return ok, worst
+    lhs = _facet_support(P1.minkowski_sum(P2).polar().vertices, U)
+    rhs = _facet_support(inverse_sum_set(P1.polar(), P2.polar()).vertices, U)
+    worst = float(np.max(np.abs(rhs - lhs) / (1.0 + np.abs(lhs)),
+                         initial=0.0))
+    return worst <= tol, worst
 
 
 def random_polytope(dim, n_points=None, seed=0):

@@ -4,7 +4,11 @@ import json
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, cKDTree
 
+import gaugerec.polytopes as polytopes
+from gaugerec.linalg import null_space, svd_pinv
+from gaugerec.lp import lp_min_halfspaces, OPTIMAL
 from gaugerec.polytopes import (Polytope, random_polytope,
                                 polytope_intersection_polar,
                                 minkowski_sum_gauge, linear_image_gauge,
@@ -197,6 +201,74 @@ class TestLinearImageGauge:
         D = np.array([[1.0], [0.0]])   # image is the first axis of R^2
         assert linear_image_gauge(P, D, np.array([0.0, 1.0])) == np.inf
 
+    @staticmethod
+    def _counting_lp(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lp_min_halfspaces(*args, **kwargs)
+
+        monkeypatch.setattr(polytopes, "lp_min_halfspaces", counted)
+        return calls
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_injective_map_is_closed_form(self, d, rng, monkeypatch):
+        P = random_polytope(d, seed=300 + d)
+        D = rng.standard_normal((d, d))
+        img = P.linear_image(D)
+        calls = self._counting_lp(monkeypatch)
+        for x in rng.standard_normal((30, d)):
+            val = linear_image_gauge(P, D, x)
+            for ref in (_kernel_lp_gauge(P, D, x), img.gauge(x)):
+                assert abs(val - ref) <= 1e-12 * (1.0 + abs(ref))
+        assert not calls
+
+    def test_rank_deficient_map_takes_the_lp(self, rng, monkeypatch):
+        # D = B E has rank 2 in R^3; on its image B y the gauge of D(P) is
+        # that of E(P) at y
+        P = random_polytope(3, seed=15)
+        B = rng.standard_normal((3, 2))
+        E = rng.standard_normal((2, 3))
+        img = P.linear_image(E)
+        calls = self._counting_lp(monkeypatch)
+        for y in rng.standard_normal((10, 2)):
+            ref = img.gauge(y)
+            val = linear_image_gauge(P, B @ E, B @ y)
+            assert abs(val - ref) <= 1e-9 * (1.0 + ref)
+        assert len(calls) == 10
+        off = np.linalg.svd(B)[0][:, 2]    # orthogonal to the image of D
+        assert linear_image_gauge(P, B @ E, off) == np.inf
+
+    def test_origin_on_boundary_matches_lp(self, rng):
+        # the corner triangle has offset 0 on two facets: outside their
+        # cone the gauge is +inf
+        corner = Polytope.from_vertices(np.array([[0.0, 0], [1, 0], [0, 1]]))
+        assert np.min(corner.offsets) <= VERTEX_TOL
+        D = rng.standard_normal((2, 2))
+        Y = np.vstack([rng.standard_normal((40, 2)), np.zeros((1, 2)),
+                       [[1.0, 0.0], [0.0, 2.0], [0.5, 0.5], [-1.0, 1.0]]])
+        vals = [linear_image_gauge(corner, D, D @ y) for y in Y]
+        refs = [_kernel_lp_gauge(corner, D, D @ y) for y in Y]
+        assert np.isinf(vals).any() and np.isfinite(vals).any()
+        for val, ref in zip(vals, refs):
+            assert val == ref == np.inf or abs(val - ref) <= 1e-12 * (1 + ref)
+
+
+def _kernel_lp_gauge(C, D, x):
+    """The LP of linear_image_gauge for every D: min t over (w, t) with
+    <a, D^+ x + Z w> <= t b for the facets (a, b) of C, Z a basis of
+    Ker(D); with Ker(D) = {0} the only variable is t."""
+    q = svd_pinv(D) @ x
+    Z = null_space(D)
+    k = Z.shape[1]
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    res = lp_min_halfspaces(c, np.hstack([C.normals @ Z, -C.offsets[:, None]]),
+                            -C.normals @ q,
+                            bounds=[(None, None)] * k + [(0, None)])
+    return float(res.value) if res.status == OPTIMAL else np.inf
+
 
 class TestInverseSum:
     def test_same_polytope(self):
@@ -210,6 +282,21 @@ class TestInverseSum:
         P2 = random_polytope(d, seed=41 + d)
         ok, worst = inverse_sum_polar_check(P1, P2, directions=100, seed=d)
         assert ok, worst
+
+    def test_verdict_is_the_reported_relative_gap(self, monkeypatch):
+        # (P + P)_polar has radius 100 here, so a set scaled by 1 + 2e-6
+        # is off by ~2e-4 absolute but ~2e-6 relative to 1 + support
+        P = random_polytope(3, seed=21)
+        P = P.scale(np.linalg.norm(
+            P.minkowski_sum(P).polar().vertices, axis=1).max() / 100)
+        orig = polytopes.inverse_sum_set
+        monkeypatch.setattr(polytopes, "inverse_sum_set",
+                            lambda Q1, Q2: orig(Q1, Q2).scale(1 + 2e-6))
+        ok, worst = inverse_sum_polar_check(P, P, tol=1e-5)
+        assert ok and worst <= 1e-5
+        assert 1e-6 <= worst
+        ok, worst = inverse_sum_polar_check(P, P, tol=1e-6)
+        assert not ok and worst > 1e-6
 
     def test_gauge_sum_identity(self, rng):
         # the inverse-sum set carries the summed gauge
@@ -315,6 +402,20 @@ class TestJoggledHull:
             assert exact - 2e-6 <= R.gauge(u) <= exact
 
 
+def _dedupe_int64_axis0(rows, tol):
+    """_dedupe_rows with its earlier exact pass, np.unique(axis=0) over
+    int64 keys, for rows inside the int64 range."""
+    _, idx = np.unique(np.round(rows / tol).astype(np.int64), axis=0,
+                       return_index=True)
+    rows = rows[np.sort(idx)]
+    pairs = cKDTree(rows).query_pairs(tol, output_type="ndarray")
+    keep = np.ones(len(rows), dtype=bool)
+    for i, j in pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]:
+        if keep[i]:
+            keep[j] = False
+    return rows[keep]
+
+
 class TestDedupeRows:
     TOL = 1e-9
 
@@ -346,6 +447,37 @@ class TestDedupeRows:
         out = _dedupe_rows(rows, self.TOL)
         assert n_base < len(out) < 2 * n_base
         assert np.array_equal(out, _dedupe_reference(rows, self.TOL))
+
+    def test_signed_zero_keys_match_int64_pass(self):
+        # a and -a round to the same cell, a to (-0, 0, 0) and -a to
+        # (0, -0, -0), but lie 1.7 tol apart: only the exact pass merges them
+        a = self.TOL * np.array([-0.49, 0.49, 0.49])
+        rows = np.array([a, -a, [-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]])
+        out = _dedupe_rows(rows, self.TOL)
+        assert np.array_equal(out, _dedupe_int64_axis0(rows, self.TOL))
+        assert np.array_equal(out, rows[[0, 2]])
+
+    def test_triangulated_hull_facets_match_int64_pass(self):
+        # qhull splits each facet of a dimension-5 Minkowski sum into
+        # simplices whose equations are bit-equal
+        P1, P2 = random_polytope(5, seed=1), random_polytope(5, seed=2)
+        pts = (P1.vertices[:, None, :] + P2.vertices[None, :, :])
+        eqs = ConvexHull(pts.reshape(-1, 5)).equations
+        assert len(np.unique(eqs, axis=0)) < len(eqs)
+        assert np.array_equal(_dedupe_rows(eqs, self.TOL),
+                              _dedupe_int64_axis0(eqs, self.TOL))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e10, 1e14])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_large_offsets_do_not_overflow(self, scale, d, rng):
+        # facet offsets of ~scale over the 1e-9 grid leave the int64 range
+        P = random_polytope(d, seed=7)
+        Q = Polytope.from_vertices(P.vertices * scale)
+        assert len(Q.normals) == len(P.normals)
+        for x in rng.standard_normal((50, d)):
+            ref = P.gauge(x)
+            assert abs(Q.gauge(scale * x) - ref) <= 1e-12 * ref
 
 
 def _gauge_reference(P, x):
