@@ -3,11 +3,10 @@ low-complexity convex regularizers."""
 
 __version__ = "0.1.0"
 
-from .linalg import (Subspace, OperatorBound, project, pseudo_inverse_apply,
-                     restricted_injectivity, gaussian_ensemble,
+from .linalg import (Subspace, OperatorBound, project, restricted_injectivity,
                      operator_bound)
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                     SumGauge, Restricted, BlockPartition,
+                     SumGauge, BlockPartition,
                      UnsupportedGaugeError, project_l1_ball)
 from .polytopes import (Polytope, polytope_intersection_polar,
                         minkowski_sum_gauge, linear_image_gauge,
@@ -15,13 +14,13 @@ from .polytopes import (Polytope, polytope_intersection_polar,
 from .model import (ModelDecomposition, PsflParams, SubdiffGauge,
                     decompose, decompose_l1, decompose_l2, decompose_linf,
                     decompose_group, decompose_polyhedral, precompose,
-                    sum_decompositions, smooth_perturb, subdiff_membership,
+                    sum_decompositions, subdiff_membership,
                     directional_derivative, psfl_sum, psfl_precompose,
-                    psfl_smooth_perturb, tv1d_gauge, DegenerateModelError)
+                    tv1d_gauge, DegenerateModelError)
 from .certificates import (CertificateReport, StabilityConstants,
                            linearized_precertificate, irrepresentability,
                            check_noisy_optimality, check_noiseless_optimality,
-                           nsp_falsify, stability_constants,
+                           stability_constants,
                            RestrictedInjectivityError)
 from .solvers import (SolveResult, SolveOptions, solve_penalized,
                       solve_noiseless, solve_restricted, SolverError)

@@ -3,16 +3,15 @@
 Given measurements Phi and a model decomposition at a candidate point, this
 module evaluates the minimal-norm precertificate, the irrepresentability
 criterion IC, first-order (and uniqueness) checks for the penalized and
-equality-constrained problems, a sampling-based falsifier of the strong
-null-space property, and the constants that certify a regularization-
-parameter range for stable model selection.
+equality-constrained problems, and the constants that certify a
+regularization-parameter range for stable model selection.
 """
 
 import numpy as np
 
-from .linalg import (check_finite, null_space, RankedSvd,
+from .linalg import (check_finite, RankedSvd,
                      restricted_injectivity, operator_bound, OperatorBound)
-from .model import SubdiffGauge, directional_derivative
+from .model import SubdiffGauge
 from .gauges import L2
 
 IC_MARGIN = 1e-9
@@ -188,33 +187,6 @@ def _min_antig_over_duals(Phi, md, M, alpha0, N):
     res = minimize(cost, alpha0, method="SLSQP", constraints=[cons],
                    options={"maxiter": 500, "ftol": 1e-12})
     return float(res.fun) if res.success else None
-
-
-def nsp_falsify(Phi, md, samples=10000, seed=0):
-    """Search kernel directions violating the strong null-space property.
-
-    Samples unit directions of Ker(Phi) (both signs) and tests the
-    directional derivative; a nonpositive value exhibits a violation.  A
-    ``no_violation_found`` outcome is evidence, not a certificate.
-    Returns (found: bool, delta or None).
-    """
-    Phi = check_finite(Phi, "Phi")
-    K = null_space(Phi)
-    if K.shape[1] == 0:
-        return False, None
-    rng = np.random.default_rng(seed)
-    tol = 1e-12
-    for _ in range(samples):
-        z = rng.standard_normal(K.shape[1])
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            continue
-        delta = K @ (z / nz)
-        if directional_derivative(md, delta) <= tol:
-            return True, delta
-        if directional_derivative(md, -delta) <= tol:
-            return True, -delta
-    return False, None
 
 
 def phi_fn(u):

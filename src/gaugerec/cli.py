@@ -20,8 +20,9 @@ import numpy as np
 from . import __version__
 from .gauges import (L1, Linf, GroupL1L2, PolyhedralH, BlockPartition,
                      UnsupportedGaugeError)
-from .model import (decompose, decompose_l1, decompose_linf, decompose_group,
-                    decompose_polyhedral, tv1d_gauge, DegenerateModelError)
+from .linalg import NoBoundRouteError
+from .model import (decompose, decompose_l1, decompose_polyhedral, tv1d_gauge,
+                    DegenerateModelError)
 from .certificates import irrepresentability, RestrictedInjectivityError
 from .solvers import (solve_penalized, solve_noiseless, SolveOptions,
                       SolverError)
@@ -127,30 +128,23 @@ def _subspace_payload(md):
 
 def cmd_decompose(args):
     x = _vector(args.x, "--x")
-    n = len(x)
     try:
-        if args.reg == "l1":
-            md, p = decompose_l1(x, delta=args.delta)
-        elif args.reg == "linf":
-            md, p = decompose_linf(x, delta=args.delta)
-        elif args.reg == "group":
-            blocks = _load_json_arg(args.blocks, "blocks") if args.blocks else None
-            if blocks is None:
-                raise CliError("--reg group needs --blocks")
-            md, p = decompose_group(x, BlockPartition(blocks, n),
-                                    delta=args.delta)
-        elif args.reg == "polyhedral" and args.analysis_domain:
-            md, p = decompose_polyhedral(x, mu_choice=args.mu_choice,
+        if args.analysis_domain and args.reg == "polyhedral":
+            md, _ = decompose_polyhedral(x, mu_choice=args.mu_choice,
                                          delta=args.delta)
         else:
-            g = _build_gauge(args, n)
-            md = decompose(g, x, delta=args.delta)
-            p = None
+            md = decompose(_build_gauge(args, len(x)), x, delta=args.delta)
     except DegenerateModelError as exc:
         raise CliError(f"degenerate input: {exc}")
     payload = _subspace_payload(md)
-    if p is not None:
-        payload.update({"nu": p.nu, "mu": p.mu, "tau": p.tau, "xi": p.xi})
+    try:
+        p = md.params
+    except NoBoundRouteError as exc:
+        _emit(payload, args.out)
+        print(f"error: no stability parameters: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    payload.update({"nu": p.nu, "mu": p.mu, "tau": p.tau, "xi": p.xi,
+                    "exact": p.exact})
     _emit(payload, args.out)
     return EXIT_OK
 

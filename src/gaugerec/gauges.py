@@ -488,41 +488,6 @@ class SumGauge(Gauge):
         raise UnsupportedGaugeError("kernel of a sum with non-coercive parts")
 
 
-class Restricted(Gauge):
-    """base on a subspace S, +inf off S (membership up to a relative tol)."""
-
-    def __init__(self, base, S):
-        if S.ambient_dim != base.dim:
-            raise ValueError("subspace ambient dim mismatch")
-        super().__init__(base.dim)
-        self.base = base
-        self.S = S
-
-    def value(self, x):
-        x = self._check(x)
-        if not self.S.contains(x, tol=1e-9 * (1.0 + np.linalg.norm(x))):
-            return np.inf
-        return self.base.value(x)
-
-    def polar(self, u):
-        """Support of (base ball ∩ S) at u."""
-        u = self._check(u)
-        if isinstance(self.base, L2):
-            return float(np.linalg.norm(self.S.project(u)))
-        verts = self.base.ball_vertices(self.S)
-        if verts is None:
-            raise UnsupportedGaugeError("polar of this restriction")
-        return float(np.max(verts @ u, initial=0.0))
-
-    def ball_vertices(self, domain=None):
-        dom = self.S if domain is None else _subspace_meet(self.S, domain)
-        return self.base.ball_vertices(dom)
-
-    def kernel_directions(self, domain=None):
-        dirs = self.base.kernel_directions(self.S)
-        return _restrict_directions(dirs, domain)
-
-
 class MaxGauge(Gauge):
     """Pointwise max of gauges; the comparison gauge of summed regularizers."""
 
@@ -554,12 +519,6 @@ class MaxGauge(Gauge):
         if all(len(o) == 0 for o in outs):
             return _restrict_directions(np.zeros((0, self.dim)), domain)
         raise UnsupportedGaugeError("kernel of a max with non-coercive parts")
-
-
-def _subspace_meet(S1, S2):
-    if S2 is None:
-        return S1
-    return S1.intersection(S2)
 
 
 def _descending_threshold(u, radius):

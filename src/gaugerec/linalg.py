@@ -180,13 +180,6 @@ def pinv_and_rank(A):
     return (vt.T * inv) @ u.T, int(kept.sum())
 
 
-def pseudo_inverse_apply(A, b):
-    """Return A^+ b."""
-    A = check_finite(A, "A")
-    b = check_finite(b, "b")
-    return svd_pinv(A) @ b
-
-
 def restricted_injectivity(Phi, T):
     """True iff Ker(Phi) intersects T trivially.
 
@@ -235,14 +228,6 @@ class RankedSvd:
     def adjoint_kernel(self):
         """Orthonormal basis of Ker(M^T)."""
         return self.U[:, self.rank:]
-
-
-def gaussian_ensemble(Q, N, seed):
-    """Q x N matrix with i.i.d. standard normal entries, reproducible per seed."""
-    if Q < 1 or N < 1:
-        raise ValueError("matrix dimensions must be at least 1")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((Q, N))
 
 
 def power_operator_norm(A):

@@ -3,9 +3,9 @@
 For a regularizer J and a point x this module produces the quadruple
 (T, S, e, f) together with an exact evaluator of the gauge of the shifted
 subdifferential ``partial J(x) - f`` (finite exactly on S), the calculus
-rules that combine decompositions (sums, smooth perturbations,
-pre-composition by a linear operator), and the local stability parameters
-(nu, mu, tau, xi) with their comparison gauge.
+rules that combine decompositions (sums and pre-composition by a linear
+operator), and the local stability parameters (nu, mu, tau, xi) with their
+comparison gauge, which every decomposition carries as ``params``.
 
 A subdifferential gauge has one encoding: support atoms, possibly with free
 directions (a lift), block norms, or an approximate evaluator for the
@@ -195,7 +195,7 @@ class ModelDecomposition:
     """(T, S, e, f) plus the subdifferential-gauge evaluator at a point x."""
 
     def __init__(self, gauge, x, T, S, e, f, antig, polar_fn=None,
-                 _skip_checks=False):
+                 params=None, _skip_checks=False):
         self.gauge = gauge
         self.x = np.asarray(x, dtype=float)
         self.T = T
@@ -204,6 +204,7 @@ class ModelDecomposition:
         self.f = np.asarray(f, dtype=float)
         self.antig = antig
         self._polar_fn = polar_fn
+        self._params = params
         if not _skip_checks:
             self._validate()
 
@@ -226,6 +227,19 @@ class ModelDecomposition:
     @property
     def ambient_dim(self):
         return self.T.ambient_dim
+
+    @functools.cached_property
+    def params(self):
+        """The stability parameters at x, a ``PsflParams``.
+
+        A calculus rule passes a function of the decomposition that derives
+        them from its parts' parameters; it runs on the first read and its
+        result is cached.  It may raise ``linalg.NoBoundRouteError``."""
+        p = self._params
+        if p is None:
+            raise UnsupportedGaugeError(
+                "no stability parameters for this decomposition")
+        return p(self) if callable(p) else p
 
     def antig_polar(self, d):
         """Polar of the subdifferential gauge: J(d_S) - <P_S f, d_S>."""
@@ -272,9 +286,10 @@ def decompose_l1(x, delta=0.5):
         atoms[2 * j, i] = 1.0
         atoms[2 * j + 1, i] = -1.0
     antig = SubdiffGauge(S, atoms=atoms)
-    md = ModelDecomposition(L1(n), x, T, S, e, e.copy(), antig)
     nu = (1.0 - delta) * np.min(np.abs(x[I])) if I else 0.0
-    return md, PsflParams(nu, 0.0, 0.0, 0.0, Linf(n))
+    p = PsflParams(nu, 0.0, 0.0, 0.0, Linf(n))
+    return ModelDecomposition(L1(n), x, T, S, e, e.copy(), antig,
+                              params=p), p
 
 
 def decompose_l2(x, delta=0.5):
@@ -286,7 +301,7 @@ def decompose_l2(x, delta=0.5):
     n = x.shape[0]
     md, p = decompose_group(x, BlockPartition([range(n)], n), delta=delta)
     return ModelDecomposition(L2(n), x, md.T, md.S, md.e, md.f, md.antig,
-                              _skip_checks=True), p
+                              params=p, _skip_checks=True), p
 
 
 def _saturation_model(s, I):
@@ -321,11 +336,12 @@ def decompose_linf(x, delta=0.5):
     s = np.zeros(n)
     s[I] = np.sign(x[I])
     T, S, e, antig = _saturation_model(s, I)
-    md = ModelDecomposition(Linf(n), x, T, S, e, e.copy(), antig)
     off = [abs(x[j]) for j in range(n) if j not in I]
     gap = np.max(np.abs(x)) - (max(off) if off else 0.0)
     nu = (1.0 - delta) * gap
-    return md, PsflParams(nu, 0.0, 0.0, 0.0, L1(n))
+    p = PsflParams(nu, 0.0, 0.0, 0.0, L1(n))
+    return ModelDecomposition(Linf(n), x, T, S, e, e.copy(), antig,
+                              params=p), p
 
 
 def decompose_group(x, partition, delta=0.5):
@@ -345,13 +361,14 @@ def decompose_group(x, partition, delta=0.5):
     for b in active:
         e[b] = x[b] / np.linalg.norm(x[b])
     antig = SubdiffGauge(S, linf2_blocks=[np.asarray(b) for b in inactive])
-    md = ModelDecomposition(GroupL1L2(partition), x, T, S, e, e.copy(), antig)
     if active:
         nu = (1.0 - delta) * min(np.linalg.norm(x[b]) for b in active)
         mu = np.sqrt(2.0) / nu if nu > 0 else 0.0
     else:
         nu, mu = 0.0, 0.0
-    return md, PsflParams(nu, mu, 0.0, 0.0, GroupLinf2(partition))
+    p = PsflParams(nu, mu, 0.0, 0.0, GroupLinf2(partition))
+    return ModelDecomposition(GroupL1L2(partition), x, T, S, e, e.copy(),
+                              antig, params=p), p
 
 
 def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
@@ -364,6 +381,15 @@ def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
     u = check_finite(u, "u")
     if not 0.0 < mu_choice < 1.0:
         raise ValueError("mu_choice must lie in (0, 1)")
+    T, S, e, f, antig, gap = _polyhedral_model(u, mu_choice)
+    p = PsflParams((1.0 - delta) * gap, 0.0, 0.0, 0.0, L1(len(u)))
+    return ModelDecomposition(_positive_part_max_gauge(len(u)), u, T, S, e, f,
+                              antig, params=p), p
+
+
+def _polyhedral_model(u, mu_choice):
+    """(T, S, e, f, antig) of u -> max_i (u_i)_+ at u, and the gap that
+    sets nu."""
     p = u.shape[0]
     top = np.max(u, initial=-np.inf)
     # entries within thr of zero are zero, in both branches
@@ -373,24 +399,17 @@ def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
         s = np.zeros(p)
         s[Ip] = 1.0
         T, S, e, antig = _saturation_model(s, Ip)
-        md = ModelDecomposition(_positive_part_max_gauge(p), u, T, S, e,
-                                e.copy(), antig)
         below = [u[j] for j in range(p) if j not in Ip and u[j] > 0]
-        gap = top - (max(below) if below else 0.0)
-        nu = (1.0 - delta) * gap
-        return md, PsflParams(nu, 0.0, 0.0, 0.0, L1(p))
+        return T, S, e, e.copy(), antig, top - (max(below) if below else 0.0)
 
     # all entries nonpositive; active set I0 = {i : u_i = 0}
     I0 = [int(i) for i in np.flatnonzero(u >= -thr)]
     if not I0:
         # smooth point: subdifferential is {0}
-        T = Subspace.full(p)
         S = Subspace.zero(p)
         antig = SubdiffGauge(S, atoms=np.zeros((1, p)))
-        md = ModelDecomposition(_positive_part_max_gauge(p), u, T, S,
-                                np.zeros(p), np.zeros(p), antig)
-        nu = (1.0 - delta) * float(np.min(-u))
-        return md, PsflParams(nu, 0.0, 0.0, 0.0, L1(p))
+        return (Subspace.full(p), S, np.zeros(p), np.zeros(p), antig,
+                float(np.min(-u)))
     k = len(I0)
     mu_eff = mu_choice / k
     Ic = [i for i in range(p) if i not in I0]
@@ -404,11 +423,8 @@ def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
         atoms[j, i] = -1.0 / mu_eff
     atoms[k, I0] = 1.0 / denom
     antig = SubdiffGauge(S, atoms=atoms)
-    md = ModelDecomposition(_positive_part_max_gauge(p), u, T, S,
-                            np.zeros(p), f, antig)
     below = [-u[j] for j in Ic]
-    nu = (1.0 - delta) * (min(below) if below else 0.0)
-    return md, PsflParams(nu, 0.0, 0.0, 0.0, L1(p))
+    return T, S, np.zeros(p), f, antig, min(below) if below else 0.0
 
 
 def _positive_part_max_gauge(p):
@@ -421,7 +437,9 @@ def _positive_part_max_gauge(p):
 # ---------------------------------------------------------------------------
 
 def precompose(md0, D, x):
-    """Decomposition of J = J0(D^T .) at x from the one of J0 at u = D^T x."""
+    """Decomposition of J = J0(D^T .) at x from the one of J0 at u = D^T x.
+
+    Its ``params`` are ``psfl_precompose`` of md0's, on first read."""
     D = check_finite(D, "D")
     x = check_finite(x, "x")
     n, p = D.shape
@@ -457,7 +475,9 @@ def precompose(md0, D, x):
     def polar_fn(dS):
         return md0.antig_polar(D.T @ dS)
 
-    return ModelDecomposition(gauge, x, T, S, e, f, antig, polar_fn=polar_fn)
+    return ModelDecomposition(
+        gauge, x, T, S, e, f, antig, polar_fn=polar_fn,
+        params=lambda md: psfl_precompose(md0.params, D, md0, md))
 
 
 def _min_over_affine(fn, q, Z, iters=400):
@@ -473,7 +493,9 @@ def _min_over_affine(fn, q, Z, iters=400):
 
 
 def sum_decompositions(mdJ, mdG):
-    """Decomposition of J + G from the decompositions of J and G at x."""
+    """Decomposition of J + G from the decompositions of J and G at x.
+
+    Its ``params`` are ``psfl_sum`` of the parts', on first read."""
     if mdJ.ambient_dim != mdG.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = mdJ.ambient_dim
@@ -527,26 +549,9 @@ def sum_decompositions(mdJ, mdG):
             - float(mdG.S.project(mdG.f) @ dS))
         return left + right
 
-    md = ModelDecomposition(gauge, mdJ.x, T, S, e, f, antig, polar_fn=polar_fn)
-    return md
-
-
-def smooth_perturb(md, gradG):
-    """Decomposition of J + G for differentiable G with gradient gradG at x.
-
-    T, S and the subdifferential gauge are unchanged; e and f shift by the
-    gradient (projected for e).
-    """
-    gradG = check_finite(gradG, "gradG")
-    e = md.e + md.T.project(gradG)
-    f = md.f + gradG
-    parent = md
-
-    def polar_fn(dS):
-        return parent.antig_polar(dS)
-
-    return ModelDecomposition(md.gauge, md.x, md.T, md.S, e, f, md.antig,
-                              polar_fn=polar_fn, _skip_checks=True)
+    return ModelDecomposition(
+        gauge, mdJ.x, T, S, e, f, antig, polar_fn=polar_fn,
+        params=lambda md: psfl_sum(mdJ.params, mdG.params, mdJ, mdG, md))
 
 
 # ---------------------------------------------------------------------------
@@ -617,21 +622,6 @@ def psfl_sum(pJ, pG, mdJ, mdG, mdH):
     return PsflParams(nu, mu, tau, xi, gamma, exact=exact)
 
 
-def psfl_smooth_perturb(pJ, grad_lipschitz, mdJ):
-    """Stability parameters after adding a smooth term with the given
-    gradient Lipschitz constant."""
-    gamma = _merge_gamma(pJ.gamma, L2(mdJ.ambient_dim))
-    PT = mdJ.T.basis @ mdJ.T.basis.T
-    exact = pJ.exact
-    mu = pJ.mu
-    if pJ.mu > 0.0 or grad_lipschitz > 0.0:
-        b1 = linalg.operator_bound(PT, pJ.gamma, gamma)
-        b2 = linalg.operator_bound(PT, L2(mdJ.ambient_dim), gamma)
-        mu = pJ.mu * b1.value + grad_lipschitz * b2.value
-        exact = exact and b1.exact and b2.exact
-    return PsflParams(pJ.nu, mu, pJ.tau, pJ.xi, gamma, exact=exact)
-
-
 def psfl_precompose(p0, D, md0, md, gamma=None):
     """Stability parameters of J0(D^T .) from those of J0 at D^T x.
 
@@ -678,7 +668,18 @@ def _merge_gamma(g1, g2):
 # ---------------------------------------------------------------------------
 
 def decompose(gauge, x, delta=0.5):
-    """Model decomposition of any supported regularizer kind at x."""
+    """Model decomposition of any supported regularizer kind at x.
+
+    The result carries the stability parameters as ``md.params``.  The
+    per-kind decomposers compute them with the model at a few flops' cost.
+    ``PolyhedralH`` and ``Precomposed`` derive them by ``psfl_precompose``
+    and ``SumGauge`` by ``psfl_sum`` folded left over its parts, and these
+    run on the first read of ``md.params`` only: their operator bounds can
+    cost more than the decomposition and may have no route (reading then
+    raises ``linalg.NoBoundRouteError``).  ``decompose`` itself never
+    computes an operator bound, so the solvers' convergence checks pay for
+    the model alone.
+    """
     x = np.asarray(x, dtype=float)
     if isinstance(gauge, L1):
         return decompose_l1(x, delta=delta)[0]

@@ -53,6 +53,8 @@ from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
 from . import model as model_mod
 from . import certificates as cert_mod
 
+CHECK_EVERY = 100   # iterations between convergence checks, both loops
+
 
 class SolverError(RuntimeError):
     pass
@@ -85,13 +87,11 @@ class SolveResult:
 
 
 class SolveOptions:
-    def __init__(self, tol=1e-8, max_iter=200000, check_every=100,
-                 solver="auto", x0=None, log_objective=False):
+    def __init__(self, tol=1e-8, max_iter=200000, solver="auto",
+                 log_objective=False):
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self.check_every = int(check_every)
         self.solver = solver
-        self.x0 = x0
         self.log_objective = bool(log_objective)
 
 
@@ -166,7 +166,7 @@ def _fista(Phi, y, lam, g, opts):
     n = Phi.shape[1]
     L = power_operator_norm(Phi) ** 2
     step = 1.0 / L if L > 0 else 1.0
-    x = np.zeros(n) if opts.x0 is None else np.asarray(opts.x0, dtype=float).copy()
+    x = np.zeros(n)
     z = x.copy()
     t = 1.0
     obj_prev = _objective(Phi, y, lam, g, x)
@@ -186,7 +186,7 @@ def _fista(Phi, y, lam, g, opts):
             obj_prev = min(obj, obj_prev)
         x = x_new
         t = t_new
-        if it % opts.check_every == 0:
+        if it % CHECK_EVERY == 0:
             if log is not None:
                 log.append(_objective(Phi, y, lam, g, x))
             md = _decomposition(g, x) if np.any(x) else None
@@ -274,7 +274,7 @@ def _chambolle_pock(K, dual_proj, radius, x, prox_at, check, opts):
     """Chambolle-Pock on min_x F(x) + radius * base(K x) from x, with
     ``prox_at(tau)`` the prox of tau * F.  It returns the first converged
     ``check(x, p, it)``, p the dual iterate, of those run every
-    ``opts.check_every`` iterations, else ``check(x, p, opts.max_iter)``."""
+    ``CHECK_EVERY`` iterations, else ``check(x, p, opts.max_iter)``."""
     normK = power_operator_norm(K)
     sigma = tau = 0.99 / normK if normK > 0 else 1.0
     prox = prox_at(tau)
@@ -285,7 +285,7 @@ def _chambolle_pock(K, dual_proj, radius, x, prox_at, check, opts):
         x_new = prox(x - tau * (K.T @ p))
         xbar = 2.0 * x_new - x
         x = x_new
-        if it % opts.check_every == 0:
+        if it % CHECK_EVERY == 0:
             res = check(x, p, it)
             if res.converged:
                 return res

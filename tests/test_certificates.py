@@ -13,7 +13,7 @@ from gaugerec.model import (decompose, decompose_l1, decompose_linf,
                             psfl_precompose)
 from gaugerec.certificates import (linearized_precertificate,
                                    irrepresentability, check_noisy_optimality,
-                                   check_noiseless_optimality, nsp_falsify,
+                                   check_noiseless_optimality,
                                    stability_constants, phi_fn, h_fn,
                                    RestrictedInjectivityError)
 from gaugerec.solvers import solve_noiseless, solve_penalized, SolveOptions
@@ -252,35 +252,6 @@ class TestOptimalityChecks:
         with pytest.raises(ValueError):
             check_noiseless_optimality(np.eye(2), np.array([5.0, 1.0]),
                                        np.array([1.0, 0.0]), md)
-
-
-class TestNspFalsify:
-    def test_trivial_kernel(self):
-        md, _ = decompose_l1(np.array([1.0, 0.0]))
-        found, _ = nsp_falsify(np.eye(2), md, samples=50)
-        assert not found
-
-    def test_boundary_violation(self):
-        Phi = np.array([[1.0, 1.0]])
-        md, _ = decompose_l1(np.array([5.0, 0.0]))
-        found, delta = nsp_falsify(Phi, md, samples=200, seed=3)
-        assert found
-        assert np.linalg.norm(Phi @ delta) <= 1e-10
-
-    def test_identifiable_instances_pass(self):
-        hits = 0
-        for seed in range(30):
-            Phi, x0 = random_l1_instance(300 + seed, 12, 8, 3)
-            md, _ = decompose_l1(x0)
-            if not restricted_injectivity(Phi, md.T):
-                continue
-            rep = irrepresentability(Phi, md)
-            if rep.ic_value >= 0.9:
-                continue
-            found, _ = nsp_falsify(Phi, md, samples=2000, seed=seed)
-            assert not found
-            hits += 1
-        assert hits >= 5
 
 
 class TestStabilityConstants:

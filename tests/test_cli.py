@@ -17,9 +17,8 @@ def run_cli(capsys, *argv):
 
 class TestDecompose:
     def test_l1_example(self, capsys):
-        code, out, _ = run_cli(capsys, "decompose", "--reg", "l1name",
-                               "--x", "[3,0,-2]") if False else \
-            run_cli(capsys, "decompose", "--reg", "l1", "--x", "[3,0,-2]")
+        code, out, _ = run_cli(capsys, "decompose", "--reg", "l1",
+                               "--x", "[3,0,-2]")
         assert code == 0
         payload = json.loads(out)
         assert payload["e"] == [1.0, 0.0, -1.0]
@@ -58,6 +57,37 @@ class TestDecompose:
                                "--hmat", json.dumps(hmat), "--x", "[2,2,-1]")
         assert code == 0
         assert json.loads(out)["dim_T"] >= 1
+
+    @pytest.mark.parametrize("args", [
+        ["--reg", "l1", "--x", "[3,0,-2]"],
+        ["--reg", "linf", "--x", "[2,-2,1]"],
+        ["--reg", "group", "--x", "[3,4,0,0]", "--blocks", "[[0,1],[2,3]]"],
+        ["--reg", "tv1d", "--x", "[1,1,2,2]"],
+        ["--reg", "polyhedral", "--x", "[2,2,-1]",
+         "--hmat", "[[1,0],[0,1],[-1,-1]]"],
+        ["--reg", "polyhedral", "--analysis-domain", "--x", "[-1,-2,0,0]"],
+    ])
+    def test_every_reg_prints_the_stability_parameters(self, capsys, args):
+        code, out, _ = run_cli(capsys, "decompose", *args)
+        assert code == 0
+        payload = json.loads(out)
+        assert {"nu", "mu", "tau", "xi", "exact"} <= set(payload)
+        assert payload["exact"] is True
+
+    def test_no_bound_route_exits_inconclusive(self, capsys):
+        # the Linf ball of R^17 has too many vertices to enumerate, and no
+        # other route bounds D^T from Linf into L1: the decomposition is
+        # printed without parameters
+        rng = np.random.default_rng(0)
+        hmat = rng.standard_normal((17, 20)).tolist()
+        x = rng.standard_normal(17).tolist()
+        code, out, err = run_cli(capsys, "decompose", "--reg", "polyhedral",
+                                 "--hmat", json.dumps(hmat),
+                                 "--x", json.dumps(x))
+        assert code == 4
+        payload = json.loads(out)
+        assert "dim_T" in payload and "nu" not in payload
+        assert "Linf -> L1" in err
 
 
 class TestCertify:

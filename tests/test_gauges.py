@@ -4,10 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                             SumGauge, Restricted, BlockPartition,
+                             SumGauge, BlockPartition,
                              UnsupportedGaugeError, project_l1_ball,
                              project_simplex_interior)
-from gaugerec.linalg import Subspace
 from gaugerec import gauges as gauges_mod
 from gaugerec.lp import (LpProblem, LpResult, LpNumericalError, lp_solve,
                          OPTIMAL, UNBOUNDED)
@@ -58,12 +57,6 @@ class TestEval:
         part = BlockPartition([[0, 1], [2]], 3)
         g = GroupL1L2(part)
         assert abs(g.value(np.array([3.0, 4.0, -2.0])) - 7.0) <= 1e-12
-
-    def test_restricted_off_domain(self):
-        S = Subspace.coordinate(3, [0, 1])
-        g = Restricted(L1(3), S)
-        assert g.value(np.array([1.0, 2.0, 0.0])) == 3.0
-        assert g.value(np.array([0.0, 0.0, 1.0])) == np.inf
 
     def test_sum(self):
         g = SumGauge([L1(3), Linf(3)])

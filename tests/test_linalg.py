@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from gaugerec.linalg import (Subspace, project, pseudo_inverse_apply,
-                             svd_pinv, restricted_injectivity, RankedSvd,
-                             null_space, power_operator_norm,
-                             gaussian_ensemble, operator_bound, OperatorBound,
+from gaugerec.linalg import (Subspace, project, svd_pinv,
+                             restricted_injectivity, RankedSvd, null_space,
+                             power_operator_norm, operator_bound, OperatorBound,
                              NoBoundRouteError, DimensionMismatchError)
 from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge,
                              BlockPartition)
@@ -49,16 +48,16 @@ class TestProject:
 
 class TestPseudoInverse:
     def test_identity(self):
-        assert np.allclose(pseudo_inverse_apply(np.eye(2), [1.0, 2.0]), [1, 2])
+        assert np.allclose(svd_pinv(np.eye(2)) @ [1.0, 2.0], [1, 2])
 
     def test_rank_one_diagonal(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
-        assert np.allclose(pseudo_inverse_apply(A, [3.0, 4.0]), [3, 0])
+        assert np.allclose(svd_pinv(A) @ [3.0, 4.0], [3, 0])
 
     def test_normal_equations_residual(self, rng):
         A = rng.standard_normal((9, 4))
         b = rng.standard_normal(9)
-        x = pseudo_inverse_apply(A, b)
+        x = svd_pinv(A) @ b
         assert np.linalg.norm(A.T @ A @ x - A.T @ b) <= 1e-8
 
     def test_penrose_identity_all_ranks(self, rng):
@@ -159,22 +158,6 @@ class TestRankedSvd:
                                atol=1e-12)
             # the same subspace: each basis projects the other onto itself
             assert np.allclose(basis @ (basis.T @ ref), ref, atol=1e-12)
-
-
-class TestGaussianEnsemble:
-    def test_deterministic(self):
-        A = gaussian_ensemble(2, 2, seed=123)
-        B = gaussian_ensemble(2, 2, seed=123)
-        assert np.array_equal(A, B)
-
-    def test_moments(self):
-        A = gaussian_ensemble(200, 500, seed=7)
-        assert abs(A.mean()) <= 0.02
-        assert 0.97 <= A.var() <= 1.03
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            gaussian_ensemble(0, 3, seed=1)
 
 
 class TestOperatorBound:

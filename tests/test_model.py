@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH,
-                             BlockPartition)
-from gaugerec.linalg import Subspace, operator_bound
-from gaugerec.model import (decompose, decompose_l1, decompose_linf,
-                            decompose_group, decompose_polyhedral, precompose,
-                            sum_decompositions, smooth_perturb,
-                            subdiff_membership, directional_derivative,
-                            psfl_sum, psfl_precompose, psfl_smooth_perturb,
+from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH, SumGauge,
+                             BlockPartition, UnsupportedGaugeError)
+from gaugerec.linalg import Subspace, operator_bound, NoBoundRouteError
+from gaugerec.certificates import stability_constants
+from gaugerec.solvers import solve_penalized, SolveOptions
+from gaugerec.model import (ModelDecomposition, decompose, decompose_l1,
+                            decompose_l2, decompose_linf, decompose_group,
+                            decompose_polyhedral, precompose,
+                            sum_decompositions, subdiff_membership,
+                            directional_derivative, psfl_sum, psfl_precompose,
                             tv1d_gauge, DegenerateModelError, GroupLinf2)
 from gaugerec.polytopes import Polytope
 
@@ -229,28 +231,6 @@ class TestSumAndPerturb:
         direction = mdH.T.basis[:, 0]
         assert abs(abs(direction @ np.array([1, 1, 0]) / np.sqrt(2)) - 1) <= 1e-10
 
-    def test_elastic_net_keeps_T(self):
-        x = np.array([3.0, 0.0])
-        mdJ, _ = decompose_l1(x)
-        mdH = smooth_perturb(mdJ, x.copy())   # gradient of 0.5||.||^2 at x
-        assert np.allclose(mdH.e, [4.0, 0.0])
-        assert mdH.T.coord_idx == mdJ.T.coord_idx
-
-    def test_smooth_perturb_identity(self):
-        x = np.array([1.0, 0.0, -2.0])
-        md, _ = decompose_l1(x)
-        md2 = smooth_perturb(md, np.zeros(3))
-        assert np.allclose(md2.e, md.e)
-        assert np.allclose(md2.f, md.f)
-
-    def test_smooth_perturb_antig_invariant(self, rng):
-        x = np.array([1.0, 0.0, -2.0, 0.0])
-        md, _ = decompose_l1(x)
-        md2 = smooth_perturb(md, rng.standard_normal(4))
-        for _ in range(100):
-            eta = md.S.project(rng.standard_normal(4))
-            assert md2.antig.value(eta) == md.antig.value(eta)
-
 
 class TestMembership:
     def test_f_is_interior(self):
@@ -441,12 +421,6 @@ class TestModelInvariants:
 
 
 class TestPsflCalculus:
-    def test_smooth_perturbation_keeps_tau_xi(self):
-        x = np.array([2.0, 0.0, -1.0])
-        md, p = decompose_l1(x)
-        p2 = psfl_smooth_perturb(p, 1.0, md)
-        assert p2.tau == p.tau and p2.xi == p.xi and p2.nu == p.nu
-
     def test_sum_of_mu_zero(self):
         x = np.array([2.0, 2.0, 0.0])
         mdJ, pJ = decompose_l1(x)
@@ -493,14 +467,6 @@ class TestPsflCalculus:
         assert pH.mu > 0.0
         assert pH.nu == min(pJ.nu, pG.nu)
         assert not pH.exact
-
-    def test_smooth_perturb_of_group_mu_grows(self):
-        part = BlockPartition([[0, 1], [2, 3]], 4)
-        x = np.array([3.0, 4.0, 0.0, 0.0])
-        mdJ, pJ = decompose_group(x, part)
-        pH = psfl_smooth_perturb(pJ, grad_lipschitz=2.0, mdJ=mdJ)
-        assert pH.mu >= pJ.mu
-        assert pH.nu == pJ.nu and pH.tau == pJ.tau and pH.xi == pJ.xi
 
     def test_precompose_nu_vertex_bound(self):
         g = tv1d_gauge(4)
@@ -854,3 +820,130 @@ def test_lifted_value_raises_on_a_non_optimal_lp(monkeypatch):
                         lambda h, G: LpResult(UNBOUNDED))
     with pytest.raises(LpNumericalError, match="unbounded"):
         g.value(eta)
+
+
+def _param_fields(p):
+    return (p.nu, p.mu, p.tau, p.xi, p.exact, type(p.gamma), p.gamma.dim)
+
+
+class TestDispatcherParams:
+    """``decompose(g, x).params`` against the per-kind functions and the
+    hand-written calculus chains."""
+
+    def test_per_kind_params_are_bit_equal(self):
+        part = BlockPartition([[0, 1], [2, 3], [4, 5]], 6)
+        x = np.array([3.0, 4.0, 0.0, 0.0, 1.0, -0.5])
+        for g, (md, p) in [(L1(6), decompose_l1(x)),
+                           (L2(6), decompose_l2(x)),
+                           (Linf(6), decompose_linf(x)),
+                           (GroupL1L2(part), decompose_group(x, part))]:
+            assert md.params is p
+            assert _param_fields(decompose(g, x).params) == _param_fields(p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tv_matches_the_hand_chain(self, seed):
+        # the certify_lambda tv shape: n = 20, Q = 12, four plateaus
+        rng = np.random.default_rng(seed)
+        x0 = np.repeat(rng.standard_normal(4), 5)
+        Phi = rng.standard_normal((12, 20))
+        g = tv1d_gauge(20)
+        D = g.dstar.T
+        md0, p0 = decompose_l1(g.dstar @ x0)
+        md_hand = precompose(md0, D, x0)
+        p_hand = psfl_precompose(p0, D, md0, md_hand)
+        md = decompose(g, x0)
+        assert _param_fields(md.params) == _param_fields(p_hand)
+        assert vars(stability_constants(Phi, md, md.params)) == \
+            vars(stability_constants(Phi, md_hand, p_hand))
+
+    def test_polyhedral_matches_psfl_precompose(self, rng):
+        H = rng.standard_normal((5, 7))
+        x = rng.standard_normal(5)
+        md0, p0 = decompose_polyhedral(H.T @ x)
+        md_hand = precompose(md0, H, x)
+        p_hand = psfl_precompose(p0, H, md0, md_hand)
+        assert _param_fields(decompose(PolyhedralH(H), x).params) == \
+            _param_fields(p_hand)
+
+    def test_sum_matches_psfl_sum(self):
+        x = np.array([2.0, 2.0, 0.0, -1.0])
+        mdJ, pJ = decompose_l1(x)
+        mdG, pG = decompose_linf(x)
+        p_hand = psfl_sum(pJ, pG, mdJ, mdG, sum_decompositions(mdJ, mdG))
+        assert _param_fields(decompose(SumGauge([L1(4), Linf(4)]),
+                                       x).params) == _param_fields(p_hand)
+
+    def test_three_part_sum_folds_left(self):
+        part = BlockPartition([[0, 1], [2, 3], [4, 5]], 6)
+        x = np.zeros(6)
+        x[:4] = [3.0, 4.0, 1.0, -1.0]
+        md1, p1 = decompose_group(x, part)
+        md2, p2 = decompose_l1(x)
+        md3, p3 = decompose_linf(x)
+        md12 = sum_decompositions(md1, md2)
+        p12 = psfl_sum(p1, p2, md1, md2, md12)
+        p_hand = psfl_sum(p12, p3, md12, md3, sum_decompositions(md12, md3))
+        p = decompose(SumGauge([GroupL1L2(part), L1(6), Linf(6)]), x).params
+        assert p.mu > 0.0
+        assert _param_fields(p) == _param_fields(p_hand)
+
+    def test_hand_built_decomposition_has_no_params(self):
+        md, _ = decompose_l1(np.array([1.0, 0.0]))
+        bare = ModelDecomposition(md.gauge, md.x, md.T, md.S, md.e, md.f,
+                                  md.antig)
+        with pytest.raises(UnsupportedGaugeError):
+            bare.params
+
+
+class TestLazyParams:
+    """The solvers' convergence checks decompose every iterate; the
+    parameters' operator bounds must wait for a read of ``params``."""
+
+    @staticmethod
+    def _instances():
+        rng = np.random.default_rng(7)
+        tv_x = np.repeat(rng.standard_normal(4), 5)
+        poly = PolyhedralH(rng.standard_normal((20, 24)))
+        return [(tv1d_gauge(20), tv_x),
+                (poly, rng.standard_normal(20))]
+
+    def test_decompose_and_solve_call_no_bound(self, monkeypatch):
+        from gaugerec import linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator_bound called")
+
+        monkeypatch.setattr(linalg, "operator_bound", refuse)
+        rng = np.random.default_rng(8)
+        for g, x in self._instances():
+            decompose(g, x)
+            Phi = rng.standard_normal((12, 20))
+            y = Phi @ x + 0.1 * rng.standard_normal(12)
+            res = solve_penalized(Phi, y, 0.5, g,
+                                  SolveOptions(tol=1e-7, max_iter=120000))
+            assert res.converged
+
+    def test_params_are_computed_on_first_read_only(self, monkeypatch):
+        from gaugerec import linalg
+        calls = []
+        real = linalg.operator_bound
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "operator_bound", counted)
+        g, x = self._instances()[0]
+        md = decompose(g, x)
+        assert not calls
+        first = md.params
+        n = len(calls)
+        assert n > 0
+        assert md.params is first
+        assert len(calls) == n
+
+    def test_no_route_raises_on_read_only(self):
+        g, x = self._instances()[1]
+        md = decompose(g, x)
+        with pytest.raises(NoBoundRouteError):
+            md.params

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                             SumGauge, MaxGauge, Restricted, BlockPartition)
+                             SumGauge, MaxGauge, BlockPartition)
 from gaugerec.linalg import Subspace
 from gaugerec.model import (GroupLinf2, SubdiffGauge, decompose_l1,
                             decompose_linf, decompose_group,
@@ -37,8 +37,6 @@ def _gauges():
         ("precomposed", Precomposed(Linf(4), rng.standard_normal((4, N))),
          False),
         ("polyhedral", PolyhedralH(rng.standard_normal((N, 9))), False),
-        ("restricted", Restricted(L1(N), Subspace.coordinate(N, [0, 2, 5])),
-         False),
         ("antig-atoms", decompose_l1(x)[0].antig, False),
         ("antig-saturation", decompose_linf(x)[0].antig, False),
         ("antig-blocks", decompose_group(group_x, PART)[0].antig, False),
