@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .linalg import (Subspace, OperatorBound, project, restricted_injectivity,
                      operator_bound)
-from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                     SumGauge, BlockPartition,
+from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PositivePartMax,
+                     PolyhedralH, Precomposed, SumGauge, BlockPartition,
                      UnsupportedGaugeError, project_l1_ball)
 from .polytopes import (Polytope, polytope_intersection_polar,
                         minkowski_sum_gauge, linear_image_gauge,

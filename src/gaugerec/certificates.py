@@ -92,8 +92,8 @@ def check_noisy_optimality(Phi, y, lam, x, md=None, gauge=None,
     Phi = check_finite(Phi, "Phi")
     y = check_finite(y, "y")
     x = check_finite(x, "x")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
     r = y - Phi @ x
     if md is None:
         if gauge is None or np.linalg.norm(x) > 0:
@@ -206,7 +206,7 @@ class StabilityConstants:
     |Phi_T^*|_{l2->G}, c2 = B = Gamma(e) |(Phi_T^* Phi_T)^{-1}|_{G->G},
     c3 = |-Phi_S^* Phi_T^{+,*}|_{G->antig}, c4 = |Phi_S^* Q_T|_{l2->antig}
     with Q_T the projector onto Ker(Phi_T^*).  Derived: A_T = 2 c4,
-    B_T = (A/(2 c4) + B)^{-1}, D_T = c3, E_T = c1/c4 + 2 c2, and C_x0 built
+    B_T = (c1/(2 c4) + c2)^{-1}, D_T = c3, E_T = c1/c4 + 2 c2, and C_x0 built
     from H and phi; C_x0 = +inf when xi = 0 and mu*c3 + tau = 0.
 
     Which constants an upper bound keeps conservative, read off the
@@ -221,7 +221,6 @@ class StabilityConstants:
 
     def __init__(self, c1, c2, c3, c4, ic_value, nu, mu, tau, xi, exact):
         self.c1, self.c2, self.c3, self.c4 = c1, c2, c3, c4
-        self.A, self.B = c1, c2
         self.ic_value = ic_value
         self.nu, self.mu, self.tau, self.xi = nu, mu, tau, xi
         self.exact = exact

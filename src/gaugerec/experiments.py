@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -158,8 +159,14 @@ def _map_trials(fn, cells, trials, jobs=1):
 
     ``jobs`` is capped at the CPU count.  Each trial draws from its own
     seeded stream and results keep their order, so the output does not
-    depend on ``jobs``.
+    depend on ``jobs``.  ``trials`` must be an integer of at least 1 and
+    ``cells`` non-empty, else ``ValueError``.
     """
+    if (isinstance(trials, bool) or not isinstance(trials, numbers.Integral)
+            or trials < 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not cells:
+        raise ValueError("the sweep has no cells")
     items = [(*cell, t) for cell in cells for t in range(trials)]
     fn = functools.partial(_apply, fn)
     jobs = min(max(1, int(jobs)), os.cpu_count() or 1)

@@ -2,8 +2,10 @@
 
 Every gauge here is nonnegative, positively homogeneous and sublinear.
 Kinds with closed-form polars (l1 <-> linf, l2 self-polar, group l1-l2 <->
-blockwise linf-l2) use them; polyhedral and precomposed kinds fall back to
-linear programs over their unit balls.  ``ball_vertices`` /
+blockwise linf-l2, the positive-part max) use them; precomposed kinds fall
+back to linear programs.  A polyhedral H-gauge ``PolyhedralH(H)`` is the
+positive-part max ``u -> max_i (u_i)_+`` pre-composed with H^T, so it is a
+``Precomposed`` and shares its code.  ``ball_vertices`` /
 ``kernel_directions`` / ``support_atoms`` feed the operator-bound machinery
 in :mod:`gaugerec.linalg`.  Unit balls are enumerated from an H-rep by
 ``_section_vertices``, which also derives the ball of a support-form
@@ -14,6 +16,8 @@ the flattened block index that ``BlockPartition`` builds once.
 ``value``; the base class loops over ``value`` and the common kinds do it
 in one pass.
 """
+
+import functools
 
 import numpy as np
 
@@ -285,70 +289,26 @@ class GroupL1L2(Gauge):
         return out
 
 
-class PolyhedralH(Gauge):
-    """max_i (<x, h_i>)_+ for directions h_i given as columns of H."""
+class PositivePartMax(Gauge):
+    """max_i (u_i)_+, the positive-part max; its unit ball {u : u <= 1}
+    is unbounded, with the kernel cone {u <= 0}."""
 
-    def __init__(self, H):
-        H = check_finite(H, "H")
-        super().__init__(H.shape[0])
-        self.H = H
-        self._ball_cache = None
+    def value(self, u):
+        return float(np.max(self._check(u), initial=0.0))
 
-    def value(self, x):
-        x = self._check(x)
-        return float(np.max(self.H.T @ x, initial=0.0))
+    def values(self, U):
+        return np.max(check_rows(U, self.dim), axis=1, initial=0.0)
 
-    def polar(self, u):
-        """Support function of the unit ball {x : H^T x <= 1} (an LP)."""
-        u = self._check(u)
-        ball = self._bounded_ball()
-        if ball is not None:
-            return ball.support(u)
-        res = lp_solve(LpProblem(-u, a_ub=self.H.T, b_ub=np.ones(self.H.shape[1]),
-                                 bounds=[(None, None)] * self.dim))
-        if res.status != OPTIMAL:
-            return np.inf
-        return -float(res.value)
-
-    def _bounded_ball(self):
-        if self._ball_cache is None:
-            if self.dim > MAX_ENUM_DIM:
-                self._ball_cache = (None,)
-            else:
-                try:
-                    self._ball_cache = (Polytope.from_halfspaces(
-                        self.H.T, np.ones(self.H.shape[1])),)
-                except PolytopeError:
-                    self._ball_cache = (None,)
-        return self._ball_cache[0]
+    def polar(self, v):
+        """sup of <v, u> over u <= 1: sum(v) for v >= 0, else +inf."""
+        v = self._check(v)
+        return float(v.sum()) if np.all(v >= 0.0) else np.inf
 
     def _ball_halfspaces(self):
-        return self.H.T, np.ones(self.H.shape[1])
-
-    def ball_vertices(self, domain=None):
-        if domain is None:
-            ball = self._bounded_ball()
-            return None if ball is None else ball.vertices
-        return super().ball_vertices(domain)
+        return np.eye(self.dim), np.ones(self.dim)
 
     def kernel_directions(self, domain=None):
-        # kernel cone {x : H^T x <= 0}; generators via a boxed section
-        lin = null_space(self.H.T)
-        dirs = [v for v in lin.T] + [-v for v in lin.T]
-        if self.dim <= MAX_ENUM_DIM:
-            eye = np.eye(self.dim)
-            try:
-                box = Polytope.from_halfspaces(
-                    np.vstack([self.H.T, eye, -eye]),
-                    np.concatenate([np.zeros(self.H.shape[1]),
-                                    np.ones(2 * self.dim)]))
-                for v in box.vertices:
-                    if np.linalg.norm(v) > 1e-7:
-                        dirs.append(v)
-            except PolytopeError:
-                pass
-        out = np.asarray(dirs) if dirs else np.zeros((0, self.dim))
-        return _restrict_directions(out, domain)
+        return _restrict_directions(-np.eye(self.dim), domain)
 
 
 class Precomposed(Gauge):
@@ -362,8 +322,14 @@ class Precomposed(Gauge):
         self.base = base
         self.dstar = dstar
         self._d = dstar.T             # maps analysis coefficients back
-        self._d_pinv = svd_pinv(self._d)
-        self._d_null = null_space(self._d)
+
+    @functools.cached_property
+    def _d_pinv(self):
+        return svd_pinv(self._d)
+
+    @functools.cached_property
+    def _d_null(self):
+        return null_space(self._d)
 
     def value(self, x):
         return self.base.value(self.dstar @ self._check(x))
@@ -372,8 +338,19 @@ class Precomposed(Gauge):
         return self.base.values(check_rows(X, self.dim) @ self._d)
 
     def polar(self, u):
-        """gauge of the image of the base polar ball (LP over Ker)."""
+        """Gauge of the image under D of the base polar ball (an LP over
+        Ker D).  Over a positive-part max base, as ``PolyhedralH`` is, the
+        polar is the support function of the unit ball {x : D* x <= 1}, one
+        LP in x; it is +inf off the directions in which that ball is
+        bounded."""
         u = self._check(u)
+        if isinstance(self.base, PositivePartMax):
+            res = lp_solve(LpProblem(-u, a_ub=self.dstar,
+                                     b_ub=np.ones(self.base.dim),
+                                     bounds=[(None, None)] * self.dim))
+            if res.status != OPTIMAL:
+                return np.inf
+            return -float(res.value)
         q = self._d_pinv @ u
         if np.linalg.norm(self._d @ q - u) > 1e-9 * (1.0 + np.linalg.norm(u)):
             return np.inf
@@ -408,13 +385,36 @@ class Precomposed(Gauge):
         return normals @ self.dstar, offsets
 
     def kernel_directions(self, domain=None):
-        base_kernel = self.base.kernel_directions()
-        if len(base_kernel) == 0:
-            lin = null_space(self.dstar)
-            dirs = np.vstack([lin.T, -lin.T]) if lin.shape[1] else np.zeros((0, self.dim))
-            return _restrict_directions(dirs, domain)
-        raise UnsupportedGaugeError(
-            "kernel of a precomposed gauge over a non-coercive base")
+        coercive = len(self.base.kernel_directions()) == 0
+        if not coercive and not isinstance(self.base, PositivePartMax):
+            raise UnsupportedGaugeError(
+                "kernel of a precomposed gauge over a non-coercive base")
+        lin = null_space(self.dstar)
+        dirs = [lin.T, -lin.T]
+        if not coercive and self.dim <= MAX_ENUM_DIM:
+            # the kernel cone {x : D* x <= 0} is generated by Ker D* and
+            # the vertices of its section by the box [-1, 1]^n
+            eye = np.eye(self.dim)
+            try:
+                box = Polytope.from_halfspaces(
+                    np.vstack([self.dstar, eye, -eye]),
+                    np.concatenate([np.zeros(self.base.dim),
+                                    np.ones(2 * self.dim)]))
+                verts = box.vertices
+                dirs.append(verts[np.linalg.norm(verts, axis=1) > 1e-7])
+            except PolytopeError:
+                pass
+        return _restrict_directions(np.vstack(dirs), domain)
+
+
+class PolyhedralH(Precomposed):
+    """max_i (<x, h_i>)_+ for directions h_i given as columns of H: the
+    positive-part max pre-composed with H^T."""
+
+    def __init__(self, H):
+        H = check_finite(H, "H")
+        super().__init__(PositivePartMax(H.shape[1]), H.T)
+        self.H = H
 
 
 class SumGauge(Gauge):

@@ -102,10 +102,6 @@ class Subspace:
     def kernel_of(cls, M):
         return cls(null_space(M), _skip_checks=True)
 
-    @classmethod
-    def image_of(cls, M):
-        return cls(orthonormal_columns(M), _skip_checks=True)
-
     @property
     def ambient_dim(self):
         return self.basis.shape[0]
@@ -119,9 +115,6 @@ class Subspace:
 
     def coords(self, v):
         return self.basis.T @ v
-
-    def lift(self, c):
-        return self.basis @ c
 
     def complement(self):
         if self.coord_idx is not None:
@@ -284,7 +277,8 @@ def operator_bound(A, g_in, g_out, domain=None):
        kernel of g_out);
     2. the finite vertex list V of the input unit ball (exact): the max of
        ``g_out.values(V @ A.T)``, one batched evaluation of the output
-       gauge on the images of all vertices;
+       gauge on the images of all vertices.  Both are certified-upper when
+       g_out is not ``exact``;
     3. the largest row l1 norm when both gauges are max-abs and the domain
        is absent or a coordinate subspace (exact);
     4. closed forms for a Euclidean input: support atoms, block norms or a
@@ -307,17 +301,22 @@ def operator_bound(A, g_in, g_out, domain=None):
     """
     A = check_finite(A, "A")
     scale = np.linalg.norm(A) + 1.0
+    # an inexact g_out (a numerical minimization) returns upper estimates,
+    # so the two routes that evaluate it give certified-upper bounds
+    upper = not getattr(g_out, "exact", True)
 
     kernel = g_in.kernel_directions(domain)
     if len(kernel):
         tol = 1e-9 * (scale * np.linalg.norm(kernel, axis=1) + 1.0)
         if np.any(g_out.values(kernel @ A.T) > tol):
-            return OperatorBound(np.inf, OperatorBound.EXACT_CLOSED_FORM)
+            return OperatorBound(np.inf, OperatorBound.CERTIFIED_UPPER if upper
+                                 else OperatorBound.EXACT_CLOSED_FORM)
 
     verts = g_in.ball_vertices(domain)
     if verts is not None and len(verts) > 0:
         val = g_out.values(verts @ A.T).max()
-        return OperatorBound(val, OperatorBound.EXACT_VERTEX)
+        return OperatorBound(val, OperatorBound.CERTIFIED_UPPER if upper
+                             else OperatorBound.EXACT_VERTEX)
 
     if (getattr(g_in, "is_max_abs", False)
             and getattr(g_out, "is_max_abs", False)
@@ -518,7 +517,7 @@ def _gauge_algebra_bound(A, g_in, g_out):
         # the kernel test passed, so A x = A D*^+ D* x in value; u = D* x
         # runs over the base ball on range(D*)
         D = g_in.dstar
-        image = Subspace.image_of(D)
+        image = Subspace.from_span(D)
         dom = None if image.dim == D.shape[0] else image
         return operator_bound(A @ svd_pinv(D), g_in.base, g_out, domain=dom)
     raise NoBoundRouteError(

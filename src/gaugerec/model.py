@@ -29,9 +29,9 @@ import numpy as np
 from .linalg import Subspace, check_finite, null_space, svd_pinv
 from .lp import lp_min_max, LpNumericalError, OPTIMAL
 from . import linalg
-from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                     SumGauge, MaxGauge, BlockPartition, UnsupportedGaugeError,
-                     _section_vertices, check_rows)
+from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PositivePartMax,
+                     Precomposed, SumGauge, MaxGauge, BlockPartition,
+                     UnsupportedGaugeError, _section_vertices, check_rows)
 
 SUPPORT_TOL = 1e-10       # relative threshold for "entry is nonzero"
 SATURATION_TOL = 1e-9     # relative threshold for "entry attains the max"
@@ -383,8 +383,8 @@ def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
         raise ValueError("mu_choice must lie in (0, 1)")
     T, S, e, f, antig, gap = _polyhedral_model(u, mu_choice)
     p = PsflParams((1.0 - delta) * gap, 0.0, 0.0, 0.0, L1(len(u)))
-    return ModelDecomposition(_positive_part_max_gauge(len(u)), u, T, S, e, f,
-                              antig, params=p), p
+    return ModelDecomposition(PositivePartMax(len(u)), u, T, S, e, f, antig,
+                              params=p), p
 
 
 def _polyhedral_model(u, mu_choice):
@@ -425,11 +425,6 @@ def _polyhedral_model(u, mu_choice):
     antig = SubdiffGauge(S, atoms=atoms)
     below = [-u[j] for j in Ic]
     return T, S, np.zeros(p), f, antig, min(below) if below else 0.0
-
-
-def _positive_part_max_gauge(p):
-    """The analysis-domain gauge u -> max_i (u_i)_+ as a PolyhedralH."""
-    return PolyhedralH(np.eye(p))
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +533,8 @@ def sum_decompositions(mdJ, mdG):
         antig = SubdiffGauge(S, value_fn=value_fn, exact=False)
     gauge = SumGauge([mdJ.gauge, mdG.gauge])
 
-    pJ, pG = mdJ._polar_fn, mdG._polar_fn
-
     def polar_fn(dS):
-        left = pJ(mdJ.S.project(dS)) if pJ is not None else (
-            mdJ.gauge.value(mdJ.S.project(dS))
-            - float(mdJ.S.project(mdJ.f) @ dS))
-        right = pG(mdG.S.project(dS)) if pG is not None else (
-            mdG.gauge.value(mdG.S.project(dS))
-            - float(mdG.S.project(mdG.f) @ dS))
-        return left + right
+        return mdJ.antig_polar(dS) + mdG.antig_polar(dS)
 
     return ModelDecomposition(
         gauge, mdJ.x, T, S, e, f, antig, polar_fn=polar_fn,
@@ -658,7 +645,7 @@ def _merge_gamma(g1, g2):
     if g1 is g2:
         return g1
     if type(g1) is type(g2) and g1.dim == g2.dim and not isinstance(
-            g1, (GroupL1L2, GroupLinf2, PolyhedralH, Precomposed)):
+            g1, (GroupL1L2, GroupLinf2, Precomposed)):
         return g1
     return MaxGauge([g1, g2])
 
@@ -672,13 +659,13 @@ def decompose(gauge, x, delta=0.5):
 
     The result carries the stability parameters as ``md.params``.  The
     per-kind decomposers compute them with the model at a few flops' cost.
-    ``PolyhedralH`` and ``Precomposed`` derive them by ``psfl_precompose``
-    and ``SumGauge`` by ``psfl_sum`` folded left over its parts, and these
-    run on the first read of ``md.params`` only: their operator bounds can
-    cost more than the decomposition and may have no route (reading then
-    raises ``linalg.NoBoundRouteError``).  ``decompose`` itself never
-    computes an operator bound, so the solvers' convergence checks pay for
-    the model alone.
+    ``Precomposed`` (``PolyhedralH`` among them) derives them by
+    ``psfl_precompose`` and ``SumGauge`` by ``psfl_sum`` folded left over
+    its parts, and these run on the first read of ``md.params`` only:
+    their operator bounds can cost more than the decomposition and may have
+    no route (reading then raises ``linalg.NoBoundRouteError``).
+    ``decompose`` itself never computes an operator bound, so the solvers'
+    convergence checks pay for the model alone.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(gauge, L1):
@@ -689,9 +676,8 @@ def decompose(gauge, x, delta=0.5):
         return decompose_linf(x, delta=delta)[0]
     if isinstance(gauge, GroupL1L2):
         return decompose_group(x, gauge.partition, delta=delta)[0]
-    if isinstance(gauge, PolyhedralH):
-        md0, _ = decompose_polyhedral(gauge.H.T @ x, delta=delta)
-        return precompose(md0, gauge.H, x)
+    if isinstance(gauge, PositivePartMax):
+        return decompose_polyhedral(x, delta=delta)[0]
     if isinstance(gauge, Precomposed):
         md0 = decompose(gauge.base, gauge.dstar @ x, delta=delta)
         return precompose(md0, gauge.dstar.T, x)

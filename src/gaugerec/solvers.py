@@ -3,8 +3,9 @@ recovery problems.
 
 ``solve_penalized`` runs FISTA with adaptive restart when the regularizer
 has a proximal map, and Chambolle-Pock on J(x) = base(K x) when it is a
-pre-composition or a polyhedral H-gauge; ``solver="pd"`` also runs the
-latter on the prox-able kinds, with K = I.  Its primal prox, that of the
+pre-composition: a polyhedral H-gauge is the positive-part max
+u -> max_i (u_i)_+ with K = H^T.  ``solver="pd"`` also runs the latter on
+the prox-able kinds, with K = I.  Its primal prox, that of the
 least-squares term, is the matrix (I + tau Phi^T Phi)^{-1} formed once per
 solve from its Cholesky factor, so an iteration costs one matrix-vector
 product there.  Convergence is declared from
@@ -19,21 +20,23 @@ where Newton's method on the active blocks finds it.
 
 Chambolle-Pock reads the model from its dual iterate p instead (Liang,
 Fadili & Peyre 2018).  For a polyhedral base p lies on a face of lam times
-the base's polar ball: the active atoms supp(p) of a PolyhedralH or Linf
-base, with the zero atom when |p| sums below lam, or the clipped entries of
-an l1 base, with their signs.  The face fixes a primal subspace T, on which
-the regularizer is linear; a check that the iterate fails also solves the
-penalized problem exactly on T and returns that candidate once it passes
-the same first-order test.  Only the last face is kept, so a face that
-repeats is not solved again.  The Euclidean and group bases have no
-polyhedral face and stop on the iterate's test alone.
+the base's polar ball: the active atoms supp(p) of a positive-part max
+(the base of a PolyhedralH) or Linf base, with the zero atom when |p| sums
+below lam, or the clipped entries of an l1 base, with their signs.  The
+face fixes a primal subspace T, on which the regularizer is linear; a check
+that the iterate fails also solves the penalized problem exactly on T and
+returns that candidate once it passes the same first-order test.  Only
+the last face is kept, so a face that repeats is not solved again.  The
+Euclidean and group bases have no polyhedral face and stop on the
+iterate's test alone.
 
 ``solve_noiseless`` prefers exact LP formulations and falls back to the
 same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
 primal prox, for non-polyhedral gauges.  Gauges that are a max of
-linear functionals (Linf, PolyhedralH, Precomposed over Linf) are
-minimized over x = xls + Z w, Z a basis of Ker(Phi), by ``lp.lp_min_max``,
-whose dual has dim Ker(Phi) + 1 rows instead of about Q + 2N.  The
+linear functionals (Linf, and Precomposed over Linf or over the
+positive-part max, as PolyhedralH is) are minimized over x = xls + Z w,
+Z a basis of Ker(Phi), by ``lp.lp_min_max``, whose dual has dim Ker(Phi) + 1
+rows instead of about Q + 2N.  The
 minimal-norm point xls, which also tests that y lies in the range of Phi,
 and Z come from one SVD of Phi with the rank cutoff of
 ``linalg.rank_tolerance``.
@@ -47,8 +50,8 @@ import scipy.linalg
 from .linalg import (check_finite, null_space, svd_pinv, pinv_and_rank,
                      power_operator_norm, rank_tolerance, RankedSvd)
 from .lp import LpProblem, lp_solve, lp_min_max, OPTIMAL
-from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                     UnsupportedGaugeError, project_l1_ball,
+from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PositivePartMax,
+                     Precomposed, UnsupportedGaugeError, project_l1_ball,
                      project_simplex_interior)
 from . import model as model_mod
 from . import certificates as cert_mod
@@ -62,14 +65,13 @@ class SolverError(RuntimeError):
 
 class SolveResult:
     def __init__(self, x_hat, iterations, primal_residual, dual_residual,
-                 converged, method, objective_log=None):
+                 converged, method):
         self.x_hat = x_hat
         self.iterations = int(iterations)
         self.primal_residual = float(primal_residual)
         self.dual_residual = float(dual_residual)
         self.converged = bool(converged)
         self.method = method
-        self.objective_log = objective_log
 
     def to_json_dict(self):
         return {
@@ -87,12 +89,10 @@ class SolveResult:
 
 
 class SolveOptions:
-    def __init__(self, tol=1e-8, max_iter=200000, solver="auto",
-                 log_objective=False):
+    def __init__(self, tol=1e-8, max_iter=200000, solver="auto"):
         self.tol = float(tol)
         self.max_iter = int(max_iter)
         self.solver = solver
-        self.log_objective = bool(log_objective)
 
 
 def _decomposition(g, x):
@@ -137,20 +137,21 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     ----------
     Phi, y : measurement operator and data
     lam : positive regularization weight
-    g : the regularizer (L1 / GroupL1L2 / Linf via FISTA; Precomposed /
-        PolyhedralH, or any of these with ``solver="pd"``, via Chambolle-Pock)
+    g : the regularizer (L1 / GroupL1L2 / Linf via FISTA; Precomposed,
+        PolyhedralH among them, or any of these with ``solver="pd"``, via
+        Chambolle-Pock)
     opts : SolveOptions; ``tol`` bounds the first-order residuals at exit.
     """
     Phi = check_finite(Phi, "Phi")
     y = check_finite(y, "y")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
     opts = opts or SolveOptions()
     route = opts.solver
     if route == "auto":
         if isinstance(g, (L1, GroupL1L2, Linf)):
             route = "fista"
-        elif isinstance(g, (Precomposed, PolyhedralH)):
+        elif isinstance(g, Precomposed):
             route = "pd"
         else:
             raise UnsupportedGaugeError(
@@ -170,7 +171,6 @@ def _fista(Phi, y, lam, g, opts):
     z = x.copy()
     t = 1.0
     obj_prev = _objective(Phi, y, lam, g, x)
-    log = [] if opts.log_objective else None
     eq = slack = np.inf
     for it in range(1, opts.max_iter + 1):
         grad = Phi.T @ (Phi @ z - y)
@@ -187,22 +187,17 @@ def _fista(Phi, y, lam, g, opts):
         x = x_new
         t = t_new
         if it % CHECK_EVERY == 0:
-            if log is not None:
-                log.append(_objective(Phi, y, lam, g, x))
             md = _decomposition(g, x) if np.any(x) else None
             eq, slack = _first_order_residuals(Phi, y, lam, g, x, md)
             if eq <= opts.tol and slack <= opts.tol:
-                return SolveResult(x, it, eq, slack, True, "fista",
-                                   objective_log=log)
+                return SolveResult(x, it, eq, slack, True, "fista")
             polished = _polish(Phi, y, lam, g, md, opts.tol)
             if polished is not None:
                 x_p, eq_p, slack_p = polished
-                return SolveResult(x_p, it, eq_p, slack_p, True, "fista",
-                                   objective_log=log)
+                return SolveResult(x_p, it, eq_p, slack_p, True, "fista")
     eq, slack = _first_order_residuals(Phi, y, lam, g, x)
     return SolveResult(x, opts.max_iter, eq, slack,
-                       eq <= opts.tol and slack <= opts.tol, "fista",
-                       objective_log=log)
+                       eq <= opts.tol and slack <= opts.tol, "fista")
 
 
 def _polish(Phi, y, lam, g, md, tol):
@@ -226,10 +221,10 @@ def _splitting_pieces(g):
     face of that ball that holds p (see ``_max_face``), or None for a base
     with no polyhedral face; K = I for a gauge that is its own base.  This
     is the one table of gauges that Chambolle-Pock runs on."""
-    if isinstance(g, PolyhedralH):
-        return g.H.T, project_simplex_interior, _max_face
     K, base = ((g.dstar, g.base) if isinstance(g, Precomposed)
                else (np.eye(g.dim), g))
+    if isinstance(base, PositivePartMax):
+        return K, project_simplex_interior, _max_face
     if isinstance(base, L1):
         return K, lambda p, lam: np.clip(p, -lam, lam), _box_face
     if isinstance(base, Linf):
@@ -249,11 +244,12 @@ def _splitting_pieces(g):
 
 def _max_face(K, p, lam):
     """(key, C) for the face of the dual ball lam * conv(0, s_i K_i) of a
-    max of atoms that holds p, s = sign(p): the simplex of a PolyhedralH
-    (p >= 0) or the l1 ball of a Linf base.  The active atoms are supp(p),
-    and the zero atom when |p| sums below lam.  On the primal subspace
-    {C x = 0} the active atoms take equal values, 0 when the zero atom is
-    among them.  ``key`` identifies the face."""
+    max of atoms that holds p, s = sign(p): the simplex of a positive-part
+    max base (p >= 0), as a PolyhedralH has, or the l1 ball of a Linf
+    base.  The active atoms are supp(p), and the zero atom when |p| sums
+    below lam.  On the primal subspace {C x = 0} the active atoms take
+    equal values, 0 when the zero atom is among them.  ``key`` identifies
+    the face."""
     s = np.sign(p)
     A = np.flatnonzero(s)
     # a projection onto the ball's boundary sums to lam up to round-off
@@ -346,9 +342,10 @@ def _least_squares_prox(Phi, y, tau):
 def solve_noiseless(Phi, y, g, opts=None):
     """Minimize J(x) subject to Phi x = y.
 
-    LP formulations are used for L1 / Linf / PolyhedralH and for
-    pre-compositions with an L1 or Linf base; other gauges run a
-    primal-dual method with the affine constraint enforced by projection.
+    LP formulations are used for L1 / Linf and for pre-compositions with
+    an L1, Linf or positive-part max base (PolyhedralH is the last); other
+    gauges run a primal-dual method with the affine constraint enforced by
+    projection.
     """
     Phi = check_finite(Phi, "Phi")
     y = check_finite(y, "y")
@@ -387,8 +384,6 @@ def _noiseless_lp(Phi, y, g, xls, Z):
         return lp_solve(prob), (lambda z: z[:n] - z[n:])
     if isinstance(g, Linf):
         return _max_atoms_lp(xls, Z, np.vstack([np.eye(n), -np.eye(n)]))
-    if isinstance(g, PolyhedralH):
-        return _max_atoms_lp(xls, Z, g.H.T)
     if isinstance(g, Precomposed) and isinstance(g.base, L1):
         p = g.dstar.shape[0]
         # variables (x, u, v) with dstar x = u - v
@@ -403,6 +398,8 @@ def _noiseless_lp(Phi, y, g, xls, Z):
                 lambda z: z[:n])
     if isinstance(g, Precomposed) and isinstance(g.base, Linf):
         return _max_atoms_lp(xls, Z, np.vstack([g.dstar, -g.dstar]))
+    if isinstance(g, Precomposed) and isinstance(g.base, PositivePartMax):
+        return _max_atoms_lp(xls, Z, g.dstar)
     return None
 
 

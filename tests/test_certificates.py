@@ -268,7 +268,6 @@ class TestStabilityConstants:
         assert const.C_x0 == np.inf
         assert const.A_T == 2 * const.c4
         assert abs(const.E_T - (const.c1 / const.c4 + 2 * const.c2)) <= 1e-12
-        assert const.A == const.c1          # the proof's A duplicates c1
         eps = 0.25 * const.noise_budget
         lo, hi = const.lambda_range(eps)
         assert lo <= hi

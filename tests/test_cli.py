@@ -256,6 +256,27 @@ class TestExperiment:
         assert serial[0] == 0
         assert serial == parallel
 
+    @pytest.mark.parametrize("args, config", [
+        (["cs-linf", "--n", "12", "--i-size", "4", "--q", "11",
+          "--trials", "-3"], None),
+        (["phase-transition", "--n", "12", "--i-size", "4", "--q-min", "11",
+          "--q-max", "9", "--trials", "2"], None),
+        (["from-config"], {"kind": "cs-linf", "n": 12, "i_size": 4, "q": 11,
+                           "trials": 2.5, "seed": 0}),
+    ], ids=["negative-trials", "empty-q-grid", "fractional-trials"])
+    def test_sweep_without_trials_is_a_validation_failure(self, capsys,
+                                                          tmp_path, args,
+                                                          config):
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            args = args + ["--config", str(cfg_path)]
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "experiment", *args,
+                               "--out", str(out_dir))
+        assert code == 2 and err.startswith("error:")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("args, code", [
         # |I| = 2 has no probability bound: the serial run writes bound nan
         (["--n", "10", "--i-size", "2", "--q", "9"], 0),

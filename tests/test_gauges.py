@@ -4,14 +4,16 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                             SumGauge, BlockPartition,
+                             PositivePartMax, SumGauge, BlockPartition,
                              UnsupportedGaugeError, project_l1_ball,
                              project_simplex_interior)
 from gaugerec import gauges as gauges_mod
 from gaugerec.lp import (LpProblem, LpResult, LpNumericalError, lp_solve,
                          OPTIMAL, UNBOUNDED)
 from gaugerec.model import decompose, subdiff_membership, tv1d_gauge
-from gaugerec.polytopes import random_polytope, Polytope
+from gaugerec.linalg import null_space
+from gaugerec.polytopes import (random_polytope, Polytope, PolytopeError,
+                                MAX_ENUM_DIM)
 
 
 def all_gauges(n=4):
@@ -208,6 +210,127 @@ class TestProx:
                 md = decompose(g, p)
                 assert subdiff_membership(md, eta, band=1e-7) in (
                     "interior", "boundary")
+
+
+class _ReferencePolyhedralH:
+    """max_i (<x, h_i>)_+ with its own value, polar and kernel, as the
+    gauge was written before it became the positive-part max pre-composed
+    with H^T."""
+
+    def __init__(self, H):
+        self.H = H
+        self.dim = H.shape[0]
+
+    def value(self, x):
+        return float(np.max(self.H.T @ x, initial=0.0))
+
+    def _bounded_ball(self):
+        if self.dim > MAX_ENUM_DIM:
+            return None
+        try:
+            return Polytope.from_halfspaces(self.H.T, np.ones(self.H.shape[1]))
+        except PolytopeError:
+            return None
+
+    def polar(self, u):
+        ball = self._bounded_ball()
+        if ball is not None:
+            return ball.support(u)
+        res = lp_solve(LpProblem(-u, a_ub=self.H.T,
+                                 b_ub=np.ones(self.H.shape[1]),
+                                 bounds=[(None, None)] * self.dim))
+        if res.status != OPTIMAL:
+            return np.inf
+        return -float(res.value)
+
+    def kernel_directions(self):
+        lin = null_space(self.H.T)
+        dirs = [v for v in lin.T] + [-v for v in lin.T]
+        if self.dim <= MAX_ENUM_DIM:
+            eye = np.eye(self.dim)
+            try:
+                box = Polytope.from_halfspaces(
+                    np.vstack([self.H.T, eye, -eye]),
+                    np.concatenate([np.zeros(self.H.shape[1]),
+                                    np.ones(2 * self.dim)]))
+                for v in box.vertices:
+                    if np.linalg.norm(v) > 1e-7:
+                        dirs.append(v)
+            except PolytopeError:
+                pass
+        return np.asarray(dirs) if dirs else np.zeros((0, self.dim))
+
+
+def _in_cone(d, G):
+    """d is a nonnegative combination of the rows of G."""
+    if len(G) == 0:
+        return not np.any(d)
+    res = lp_solve(LpProblem(np.zeros(len(G)), a_eq=G.T, b_eq=d,
+                             bounds=[(0, None)] * len(G)))
+    return res.status == OPTIMAL
+
+
+class TestPolyhedralIsPrecomposed:
+    @staticmethod
+    def _matrices(rng):
+        """Positively spanning H (bounded ball), H with all columns in the
+        half-space x_0 > 0 (unbounded ball, a kernel cone) and a tall H
+        beyond vertex enumeration."""
+        spanning = rng.standard_normal((3, 9))
+        halfspace = rng.standard_normal((4, 6))
+        halfspace[0] = np.abs(halfspace[0]) + 0.1
+        return [spanning, halfspace, rng.standard_normal((10, 14))]
+
+    def test_is_the_positive_part_max_over_h_transpose(self, rng):
+        H = rng.standard_normal((4, 6))
+        g = PolyhedralH(H)
+        assert isinstance(g, Precomposed)
+        assert isinstance(g.base, PositivePartMax)
+        assert g.base.dim == 6 and g.dim == 4
+        assert np.array_equal(g.dstar, H.T) and g.H is H
+
+    def test_value_and_polar_match_the_reference(self, rng):
+        finite = infinite = 0
+        for H in self._matrices(rng):
+            g, ref = PolyhedralH(H), _ReferencePolyhedralH(H)
+            n = H.shape[0]
+            # random directions, and directions inside the cone of the
+            # columns, where the polar is finite
+            us = np.vstack([rng.standard_normal((15, n)),
+                            rng.uniform(0.0, 1.0, (15, H.shape[1])) @ H.T])
+            for u in us:
+                assert abs(g.value(u) - ref.value(u)) <= 1e-12 * (
+                    1.0 + abs(ref.value(u)))
+                want, got = ref.polar(u), g.polar(u)
+                if np.isinf(want):
+                    assert got == np.inf
+                    infinite += 1
+                else:
+                    assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+                    finite += 1
+        assert finite and infinite
+
+    def test_kernel_generates_the_reference_cone(self, rng):
+        for H in self._matrices(rng):
+            new = PolyhedralH(H).kernel_directions()
+            old = _ReferencePolyhedralH(H).kernel_directions()
+            assert all(_in_cone(d, old) for d in new)
+            assert all(_in_cone(d, new) for d in old)
+            # every generator lies in the kernel cone {x : H^T x <= 0}
+            assert np.all(new @ H <= 1e-9)
+
+    def test_construction_and_evaluation_need_no_svd(self, rng,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an SVD was computed")
+
+        monkeypatch.setattr(gauges_mod, "svd_pinv", refuse)
+        monkeypatch.setattr(gauges_mod, "null_space", refuse)
+        H = rng.standard_normal((4, 6))
+        g = PolyhedralH(H)
+        x = rng.standard_normal(4)
+        assert g.value(x) == float(np.max(H.T @ x, initial=0.0))
+        g.polar(x)
 
 
 class TestGroupKernels:

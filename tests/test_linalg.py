@@ -9,7 +9,8 @@ from gaugerec.linalg import (Subspace, project, svd_pinv,
                              NoBoundRouteError, DimensionMismatchError)
 from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge,
                              BlockPartition)
-from gaugerec.model import GroupLinf2, decompose_l1, decompose_linf
+from gaugerec.model import (GroupLinf2, SubdiffGauge, decompose_l1,
+                            decompose_linf)
 from gaugerec.polytopes import Polytope
 
 from conftest import random_subspace
@@ -179,6 +180,21 @@ class TestOperatorBound:
         seminorm = Precomposed(L1(1), np.array([[0.0, 1.0]]))
         b = operator_bound(np.eye(2), seminorm, L2(2))
         assert np.isinf(b.value)
+
+    def test_inexact_output_gauge_gives_certified_upper_bounds(self):
+        # a numerical-minimization evaluator returns upper estimates, so
+        # neither the vertex maximum nor the kernel test is exact
+        def abs_sum(eta):
+            return float(np.abs(eta).sum())
+
+        out = SubdiffGauge(Subspace.coordinate(4, [1, 3]), value_fn=abs_sum,
+                           exact=False)
+        b = operator_bound(np.diag([0, 1.0, 0, 2.0]), L1(4), out)
+        assert (b.value, b.method) == (2.0, OperatorBound.CERTIFIED_UPPER)
+        seminorm = Precomposed(L1(1), np.array([[0.0, 1.0]]))
+        out = SubdiffGauge(Subspace.full(2), value_fn=abs_sum, exact=False)
+        b = operator_bound(np.eye(2), seminorm, out)
+        assert (b.value, b.method) == (np.inf, OperatorBound.CERTIFIED_UPPER)
 
     def test_kernel_inclusion_stays_finite(self):
         seminorm = Precomposed(L1(1), np.array([[0.0, 1.0]]))

@@ -159,6 +159,25 @@ class TestDecomposePolyhedral:
         with pytest.raises(ValueError):
             decompose_polyhedral(np.array([-1.0, 0.0]), mu_choice=1.5)
 
+    @pytest.mark.parametrize("branch", ["positive", "nonpositive"])
+    def test_signal_domain_is_the_precomposed_analysis_model(self, branch,
+                                                             rng):
+        # H^T x = t up to round-off: two atoms tie at the top, or at zero
+        t = ([3.0, 3.0, 1.0, -1.0, 2.0, 0.5, -2.0] if branch == "positive"
+             else [0.0, 0.0, -1.0, -2.0, -1.0, -3.0, -2.0])
+        H = rng.standard_normal((5, 7))
+        x = rng.standard_normal(5)
+        H -= np.outer(x, (H.T @ x - t) / (x @ x))
+        md = decompose(PolyhedralH(H), x)
+        hand = precompose(decompose_polyhedral(H.T @ x)[0], H, x)
+        assert np.array_equal(md.T.basis, hand.T.basis)
+        assert np.array_equal(md.S.basis, hand.S.basis)
+        assert np.array_equal(md.e, hand.e)
+        assert np.array_equal(md.f, hand.f)
+        assert np.array_equal(md.antig.atoms, hand.antig.atoms)
+        assert np.array_equal(md.antig.lift, hand.antig.lift)
+        assert md.S.dim > 0
+
 
 class TestPrecompose:
     def test_identity_operator(self):
