@@ -6,8 +6,9 @@ equality-constrained recovery), ``experiment`` (Monte-Carlo sweeps, CSV +
 JSON sidecar), ``polar`` (polar-calculus identity checks).
 
 Exit codes: 0 success / identifiable; 2 validation failure; 3 not
-identifiable; 4 inconclusive certificate; 5 solver non-convergence; 6
-identity check failure.  All structured output is JSON with sorted keys.
+identifiable; 4 inconclusive certificate, or a linear program that ended
+in numerical trouble; 5 solver non-convergence; 6 identity check failure.
+All structured output is JSON with sorted keys.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from . import __version__
 from .gauges import (L1, Linf, GroupL1L2, PolyhedralH, BlockPartition,
                      UnsupportedGaugeError)
 from .linalg import NoBoundRouteError
+from .lp import LpNumericalError, lp_min_halfspaces, OPTIMAL
 from .model import (decompose, decompose_l1, decompose_polyhedral, tv1d_gauge,
                     DegenerateModelError)
 from .certificates import irrepresentability, RestrictedInjectivityError
@@ -28,7 +30,6 @@ from .solvers import (solve_penalized, solve_noiseless, SolveOptions,
                       SolverError)
 from . import experiments as exp
 from . import polytopes as poly
-from .lp import lp_min_halfspaces, OPTIMAL
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -179,8 +180,7 @@ def cmd_solve(args):
     if Phi.shape[0] != len(y):
         raise CliError("Phi row count must match the length of y")
     g = _build_gauge(args, Phi.shape[1])
-    opts = SolveOptions(tol=args.tol, max_iter=args.max_iter,
-                        solver=args.solver)
+    opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     try:
         if args.mode == "penalized":
             if args.lam is None or args.lam <= 0:
@@ -208,6 +208,27 @@ _CONFIG_SCHEMAS = {
 }
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return _is_int(v) or isinstance(v, float)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+# the type of each schema key that the CLI does not parse itself
+_INT = ("an integer", _is_int)
+_NUMBERS = ("a list of numbers", _list_of(_is_number))
+_CONFIG_TYPES = {"n": _INT, "i_size": _INT, "trials": _INT, "seed": _INT,
+                 "q": _INT, "beta": ("a number", _is_number),
+                 "q_grid": ("a list of integers", _list_of(_is_int)),
+                 "noise_levels": _NUMBERS, "lambda_grid": _NUMBERS}
+
+
 def _validate_config(cfg):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise CliError("config must be an object with a 'kind' key")
@@ -222,6 +243,11 @@ def _validate_config(cfg):
         raise CliError(f"config missing keys: {sorted(missing)}")
     if unknown:
         raise CliError(f"config has unknown keys: {sorted(unknown)}")
+    for key in sorted(keys & set(_CONFIG_TYPES)):
+        what, ok = _CONFIG_TYPES[key]
+        if not ok(cfg[key]):
+            raise CliError(f"config key {key!r} must be {what}, "
+                           f"got {cfg[key]!r}")
     return kind
 
 
@@ -259,7 +285,9 @@ def cmd_experiment(args):
         if args.experiment == "phase-transition":
             flags["q_grid"] = list(range(args.q_min, args.q_max + 1,
                                          args.q_step))
-        cfg = {k: flags[k] for k in schema["required"] | schema["optional"]}
+        # an optional flag left unset is left out, as in a config file
+        cfg = {k: flags[k] for k in schema["required"] | schema["optional"]
+               if flags[k] is not None}
     kind = _validate_config(cfg)
     sweep = _run_experiment(kind, cfg, args.jobs)
     out_dir = args.out or "."
@@ -425,8 +453,6 @@ def build_parser():
     s.add_argument("--lambda", dest="lam", type=float)
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--max-iter", type=int, default=200000)
-    s.add_argument("--solver", choices=["auto", "fista", "pd", "lp"],
-                   default="auto")
     s.add_argument("--out")
     s.set_defaults(fn=cmd_solve)
 
@@ -479,6 +505,9 @@ def main(argv=None):
     except (ValueError, poly.PolytopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except LpNumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

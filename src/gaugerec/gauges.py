@@ -5,7 +5,9 @@ Kinds with closed-form polars (l1 <-> linf, l2 self-polar, group l1-l2 <->
 blockwise linf-l2, the positive-part max) use them; precomposed kinds fall
 back to linear programs.  A polyhedral H-gauge ``PolyhedralH(H)`` is the
 positive-part max ``u -> max_i (u_i)_+`` pre-composed with H^T, so it is a
-``Precomposed`` and shares its code.  ``ball_vertices`` /
+``Precomposed`` and shares its code.  A base with support atoms, a max of
+linear functionals (Linf and the positive-part max), gives a
+``Precomposed`` its polar LP and its kernel cone.  ``ball_vertices`` /
 ``kernel_directions`` / ``support_atoms`` feed the operator-bound machinery
 in :mod:`gaugerec.linalg`.  Unit balls are enumerated from an H-rep by
 ``_section_vertices``, which also derives the ball of a support-form
@@ -23,7 +25,7 @@ import numpy as np
 
 from .linalg import check_finite, null_space, svd_pinv, _sign_rows
 from .lp import (LpProblem, LpNumericalError, lp_solve, lp_min_max,
-                 lp_minimize_linf, OPTIMAL)
+                 lp_minimize_linf, OPTIMAL, UNBOUNDED)
 from .polytopes import Polytope, PolytopeError, MAX_ENUM_DIM
 
 SIGN_VERTEX_LIMIT = 16  # 2^k vertex enumerations are refused beyond this
@@ -126,7 +128,8 @@ class Gauge:
         return None
 
     def support_atoms(self):
-        """Rows w with value(v) = max_j <w_j, v> on the domain, or None."""
+        """Rows w with value(v) = max(0, max_j <w_j, v>) on the domain, or
+        None."""
         return None
 
     def kernel_directions(self, domain=None):
@@ -242,8 +245,7 @@ class Linf(Gauge):
         return v - project_l1_ball(v, lam)
 
     def support_atoms(self):
-        atoms = np.vstack([np.eye(self.dim), -np.eye(self.dim)])
-        return atoms
+        return np.vstack([np.eye(self.dim), -np.eye(self.dim)])
 
     def ball_vertices(self, domain=None):
         if domain is None or domain.coord_idx is not None:
@@ -304,6 +306,9 @@ class PositivePartMax(Gauge):
         v = self._check(v)
         return float(v.sum()) if np.all(v >= 0.0) else np.inf
 
+    def support_atoms(self):
+        return np.eye(self.dim)
+
     def _ball_halfspaces(self):
         return np.eye(self.dim), np.ones(self.dim)
 
@@ -338,18 +343,23 @@ class Precomposed(Gauge):
         return self.base.values(check_rows(X, self.dim) @ self._d)
 
     def polar(self, u):
-        """Gauge of the image under D of the base polar ball (an LP over
-        Ker D).  Over a positive-part max base, as ``PolyhedralH`` is, the
-        polar is the support function of the unit ball {x : D* x <= 1}, one
-        LP in x; it is +inf off the directions in which that ball is
-        bounded."""
+        """Gauge of the image under D of the base polar ball.  Over a base
+        with support atoms A (Linf, or the positive-part max as in
+        ``PolyhedralH``) the polar is the support function of the unit ball
+        {x : A D* x <= 1}, one LP in x, and +inf where that LP is
+        unbounded; over an l1 base it is an LP over Ker D."""
         u = self._check(u)
-        if isinstance(self.base, PositivePartMax):
-            res = lp_solve(LpProblem(-u, a_ub=self.dstar,
-                                     b_ub=np.ones(self.base.dim),
+        atoms = self.base.support_atoms()
+        if atoms is not None:
+            res = lp_solve(LpProblem(-u, a_ub=atoms @ self.dstar,
+                                     b_ub=np.ones(len(atoms)),
                                      bounds=[(None, None)] * self.dim))
-            if res.status != OPTIMAL:
+            if res.status == UNBOUNDED:
                 return np.inf
+            if res.status != OPTIMAL:
+                # x = 0 is feasible: anything else is numerical trouble
+                raise LpNumericalError(
+                    f"Precomposed polar LP ended with status {res.status}")
             return -float(res.value)
         q = self._d_pinv @ u
         if np.linalg.norm(self._d @ q - u) > 1e-9 * (1.0 + np.linalg.norm(u)):
@@ -360,19 +370,6 @@ class Precomposed(Gauge):
         if isinstance(self.base, L1):
             val, _ = lp_minimize_linf(Z, q)
             return val
-        if isinstance(self.base, Linf):
-            # min ||q + Z w||_1
-            r, k = Z.shape
-            c = np.concatenate([np.zeros(k), np.ones(r)])
-            a_ub = np.vstack([np.hstack([Z, -np.eye(r)]),
-                              np.hstack([-Z, -np.eye(r)])])
-            b_ub = np.concatenate([-q, q])
-            res = lp_solve(LpProblem(c, a_ub=a_ub, b_ub=b_ub,
-                                     bounds=[(None, None)] * k + [(0, None)] * r))
-            if res.status != OPTIMAL:
-                raise LpNumericalError(
-                    f"Precomposed polar LP ended with status {res.status}")
-            return float(res.value)
         raise UnsupportedGaugeError(
             f"polar of Precomposed({type(self.base).__name__}) with a "
             "nontrivial kernel is not supported")
@@ -386,19 +383,21 @@ class Precomposed(Gauge):
 
     def kernel_directions(self, domain=None):
         coercive = len(self.base.kernel_directions()) == 0
-        if not coercive and not isinstance(self.base, PositivePartMax):
+        atoms = self.base.support_atoms()
+        if not coercive and atoms is None:
             raise UnsupportedGaugeError(
                 "kernel of a precomposed gauge over a non-coercive base")
         lin = null_space(self.dstar)
         dirs = [lin.T, -lin.T]
         if not coercive and self.dim <= MAX_ENUM_DIM:
-            # the kernel cone {x : D* x <= 0} is generated by Ker D* and
-            # the vertices of its section by the box [-1, 1]^n
+            # the kernel cone {x : A D* x <= 0}, A the base's atoms, is
+            # generated by Ker D* and the vertices of its section by the
+            # box [-1, 1]^n
             eye = np.eye(self.dim)
             try:
                 box = Polytope.from_halfspaces(
-                    np.vstack([self.dstar, eye, -eye]),
-                    np.concatenate([np.zeros(self.base.dim),
+                    np.vstack([atoms @ self.dstar, eye, -eye]),
+                    np.concatenate([np.zeros(len(atoms)),
                                     np.ones(2 * self.dim)]))
                 verts = box.vertices
                 dirs.append(verts[np.linalg.norm(verts, axis=1) > 1e-7])
@@ -462,7 +461,9 @@ class SumGauge(Gauge):
             G.append(share)
         res = lp_min_max(np.concatenate(h), np.vstack(G))
         if res.status != OPTIMAL:
-            return np.inf
+            # feasible and bounded below by 0: numerical trouble
+            raise LpNumericalError(
+                f"sum polar LP ended with status {res.status}")
         return float(res.value)
 
     def _ball_halfspaces(self):

@@ -301,9 +301,10 @@ def operator_bound(A, g_in, g_out, domain=None):
     """
     A = check_finite(A, "A")
     scale = np.linalg.norm(A) + 1.0
-    # an inexact g_out (a numerical minimization) returns upper estimates,
-    # so the two routes that evaluate it give certified-upper bounds
-    upper = not getattr(g_out, "exact", True)
+    # an inexact g_out (a numerical minimization), or a sum or max with an
+    # inexact part, returns upper estimates, so the two routes that
+    # evaluate it give certified-upper bounds
+    upper = not _evaluates_exactly(g_out)
 
     kernel = g_in.kernel_directions(domain)
     if len(kernel):
@@ -365,6 +366,12 @@ def operator_bound(A, g_in, g_out, domain=None):
             return bound
 
     return _gauge_algebra_bound(A, g_in, g_out)
+
+
+def _evaluates_exactly(g):
+    """False when g, or a part of it at any depth, is tagged inexact."""
+    return getattr(g, "exact", True) and all(
+        _evaluates_exactly(part) for part in getattr(g, "parts", ()))
 
 
 def _sign_rows(k):

@@ -271,8 +271,16 @@ def saturation_indices(x):
     return [int(i) for i in np.flatnonzero(np.abs(x) >= m * (1.0 - SATURATION_TOL))]
 
 
+def _check_delta(delta):
+    """delta, the share of the model gap that nu = (1 - delta) * gap gives
+    up, must be finite and in [0, 1)."""
+    if not (np.isfinite(delta) and 0.0 <= delta < 1.0):
+        raise ValueError(f"delta must be finite and in [0, 1), got {delta!r}")
+
+
 def decompose_l1(x, delta=0.5):
     """Decomposition of the absolute-sum regularizer at x."""
+    _check_delta(delta)
     x = check_finite(x, "x")
     n = x.shape[0]
     I = support_indices(x)
@@ -327,6 +335,7 @@ def _saturation_model(s, I):
 
 def decompose_linf(x, delta=0.5):
     """Decomposition of the max-abs regularizer at x != 0."""
+    _check_delta(delta)
     x = check_finite(x, "x")
     n = x.shape[0]
     if np.max(np.abs(x), initial=0.0) <= 0.0:
@@ -346,6 +355,7 @@ def decompose_linf(x, delta=0.5):
 
 def decompose_group(x, partition, delta=0.5):
     """Decomposition of the group l1-l2 regularizer at x."""
+    _check_delta(delta)
     x = check_finite(x, "x")
     n = x.shape[0]
     if partition.n != n:
@@ -378,6 +388,7 @@ def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
     branch at f = (mu_choice/|I0|) * sum of active coordinate vectors; the
     scaling by |I0| keeps f in the relative interior of the subdifferential.
     """
+    _check_delta(delta)
     u = check_finite(u, "u")
     if not 0.0 < mu_choice < 1.0:
         raise ValueError("mu_choice must lie in (0, 1)")
@@ -476,7 +487,7 @@ def precompose(md0, D, x):
 
 
 def _min_over_affine(fn, q, Z, iters=400):
-    """Coordinate golden-section fallback for min_w fn(q + Z w)."""
+    """Nelder-Mead fallback for min_w fn(q + Z w)."""
     if Z.shape[1] == 0:
         return float(fn(q))
     from scipy.optimize import minimize

@@ -1,22 +1,22 @@
 """First-order and LP solvers for the penalized and equality-constrained
-recovery problems.
+recovery problems.  The gauge picks the route.
 
-``solve_penalized`` runs FISTA with adaptive restart when the regularizer
-has a proximal map, and Chambolle-Pock on J(x) = base(K x) when it is a
-pre-composition: a polyhedral H-gauge is the positive-part max
-u -> max_i (u_i)_+ with K = H^T.  ``solver="pd"`` also runs the latter on
-the prox-able kinds, with K = I.  Its primal prox, that of the
-least-squares term, is the matrix (I + tau Phi^T Phi)^{-1} formed once per
-solve from its Cholesky factor, so an iteration costs one matrix-vector
-product there.  Convergence is declared from
-the first-order conditions at the iterate's own model decomposition, never
-from step sizes alone.  At each FISTA convergence check that the iterate
-fails, the penalized problem is also solved exactly on the iterate's model
-subspace T (``solve_restricted``); once FISTA has identified the model,
-that candidate passes the same first-order test and is returned.  On T the
-regularizer is smooth: affine for the l1 and max-abs kinds, where the
-candidate is one linear solve, and a sum of block norms for the group kind,
-where Newton's method on the active blocks finds it.
+``solve_penalized`` runs FISTA with adaptive restart on the prox-able
+``L1``, ``Linf`` and ``GroupL1L2``, and Chambolle-Pock on J(x) = base(K x)
+on every other gauge, with K = D* for a pre-composition (H^T for a
+polyhedral H-gauge, over the positive-part max) and K = I otherwise.  Its
+primal prox, that of the least-squares term, is the matrix
+(I + tau Phi^T Phi)^{-1} formed once per solve from its Cholesky factor,
+so an iteration costs one matrix-vector product there.  Convergence is
+declared from the first-order conditions at the iterate's own model
+decomposition, never from step sizes alone.  At each FISTA convergence
+check that the iterate fails, the penalized problem is also solved exactly
+on the iterate's model subspace T (``solve_restricted``); once FISTA has
+identified the model, that candidate passes the same first-order test and
+is returned.  On T the regularizer is smooth: affine for the l1 and
+max-abs kinds, where the candidate is one linear solve, and a sum of block
+norms for the group kind, where Newton's method on the active blocks finds
+it.
 
 Chambolle-Pock reads the model from its dual iterate p instead (Liang,
 Fadili & Peyre 2018).  For a polyhedral base p lies on a face of lam times
@@ -30,16 +30,15 @@ the last face is kept, so a face that repeats is not solved again.  The
 Euclidean and group bases have no polyhedral face and stop on the
 iterate's test alone.
 
-``solve_noiseless`` prefers exact LP formulations and falls back to the
-same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
-primal prox, for non-polyhedral gauges.  Gauges that are a max of
-linear functionals (Linf, and Precomposed over Linf or over the
-positive-part max, as PolyhedralH is) are minimized over x = xls + Z w,
-Z a basis of Ker(Phi), by ``lp.lp_min_max``, whose dual has dim Ker(Phi) + 1
-rows instead of about Q + 2N.  The
-minimal-norm point xls, which also tests that y lies in the range of Phi,
-and Z come from one SVD of Phi with the rank cutoff of
-``linalg.rank_tolerance``.
+``solve_noiseless`` solves an LP when the gauge has one and otherwise runs
+the same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
+primal prox.  An l1 base has its own LP.  A base with support atoms a_j,
+base(u) = max(0, max_j <a_j, u>) (Linf and the positive-part max), makes
+J the max of the atoms a_j K, minimized over x = xls + Z w, Z a basis of
+Ker(Phi), by ``lp.lp_min_max``, whose dual has dim Ker(Phi) + 1 rows
+instead of about Q + 2N.  The minimal-norm point xls, which also tests
+that y lies in the range of Phi, and Z come from one SVD of Phi with the
+rank cutoff of ``linalg.rank_tolerance``.
 """
 
 import math
@@ -50,7 +49,7 @@ import scipy.linalg
 from .linalg import (check_finite, null_space, svd_pinv, pinv_and_rank,
                      power_operator_norm, rank_tolerance, RankedSvd)
 from .lp import LpProblem, lp_solve, lp_min_max, OPTIMAL
-from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PositivePartMax,
+from .gauges import (L1, L2, Linf, GroupL1L2, PositivePartMax,
                      Precomposed, UnsupportedGaugeError, project_l1_ball,
                      project_simplex_interior)
 from . import model as model_mod
@@ -89,10 +88,9 @@ class SolveResult:
 
 
 class SolveOptions:
-    def __init__(self, tol=1e-8, max_iter=200000, solver="auto"):
+    def __init__(self, tol=1e-8, max_iter=200000):
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self.solver = solver
 
 
 def _decomposition(g, x):
@@ -137,9 +135,8 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     ----------
     Phi, y : measurement operator and data
     lam : positive regularization weight
-    g : the regularizer (L1 / GroupL1L2 / Linf via FISTA; Precomposed,
-        PolyhedralH among them, or any of these with ``solver="pd"``, via
-        Chambolle-Pock)
+    g : the regularizer; L1, Linf and GroupL1L2 run FISTA, every other
+        gauge Chambolle-Pock (``UnsupportedGaugeError`` for a sum or a max)
     opts : SolveOptions; ``tol`` bounds the first-order residuals at exit.
     """
     Phi = check_finite(Phi, "Phi")
@@ -147,20 +144,9 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be finite and positive, got {lam!r}")
     opts = opts or SolveOptions()
-    route = opts.solver
-    if route == "auto":
-        if isinstance(g, (L1, GroupL1L2, Linf)):
-            route = "fista"
-        elif isinstance(g, Precomposed):
-            route = "pd"
-        else:
-            raise UnsupportedGaugeError(
-                f"no penalized solver for {type(g).__name__}")
-    if route == "fista":
+    if isinstance(g, (L1, GroupL1L2, Linf)):
         return _fista(Phi, y, lam, g, opts)
-    if route == "pd":
-        return _primal_dual_penalized(Phi, y, lam, g, opts)
-    raise ValueError(f"unknown solver route {route!r}")
+    return _primal_dual_penalized(Phi, y, lam, g, opts)
 
 
 def _fista(Phi, y, lam, g, opts):
@@ -215,14 +201,21 @@ def _polish(Phi, y, lam, g, md, tol):
     return None
 
 
+def _analysis_split(g):
+    """(K, base) with J(x) = base(K x): (D*, base) for a pre-composition,
+    and (I, g) for a gauge that is its own base."""
+    if isinstance(g, Precomposed):
+        return g.dstar, g.base
+    return np.eye(g.dim), g
+
+
 def _splitting_pieces(g):
     """(K, dual projection, dual face) so that J(x) = base(K x), with the
     projection onto lam * (polar ball of base) and ``face(K, p, lam)`` the
     face of that ball that holds p (see ``_max_face``), or None for a base
-    with no polyhedral face; K = I for a gauge that is its own base.  This
-    is the one table of gauges that Chambolle-Pock runs on."""
-    K, base = ((g.dstar, g.base) if isinstance(g, Precomposed)
-               else (np.eye(g.dim), g))
+    with no polyhedral face.  This is the one table of gauges that
+    Chambolle-Pock runs on."""
+    K, base = _analysis_split(g)
     if isinstance(base, PositivePartMax):
         return K, project_simplex_interior, _max_face
     if isinstance(base, L1):
@@ -342,10 +335,10 @@ def _least_squares_prox(Phi, y, tau):
 def solve_noiseless(Phi, y, g, opts=None):
     """Minimize J(x) subject to Phi x = y.
 
-    LP formulations are used for L1 / Linf and for pre-compositions with
-    an L1, Linf or positive-part max base (PolyhedralH is the last); other
-    gauges run a primal-dual method with the affine constraint enforced by
-    projection.
+    The LP of ``_noiseless_lp`` solves an l1 gauge, plain or pre-composed,
+    and every gauge whose base has support atoms (Linf and the positive-part
+    max, as PolyhedralH has); other gauges run Chambolle-Pock with the
+    affine constraint enforced by projection.
     """
     Phi = check_finite(Phi, "Phi")
     y = check_finite(y, "y")
@@ -355,26 +348,22 @@ def solve_noiseless(Phi, y, g, opts=None):
     xls = svd.solve(y)
     if np.linalg.norm(Phi @ xls - y) > 1e-8 * (1.0 + np.linalg.norm(y)):
         raise ValueError("y is not in the range of Phi")
-    route = opts.solver
-    if route in ("auto", "lp"):
-        built = _noiseless_lp(Phi, y, g, xls, svd.kernel())
-        if built is not None:
-            res, extract = built
-            if res.status != OPTIMAL:
-                raise SolverError(f"noiseless LP ended with {res.status}")
-            x = extract(res.x)
-            feas = np.linalg.norm(Phi @ x - y) / (1.0 + np.linalg.norm(y))
-            return SolveResult(x, res.iterations, feas, 0.0, True, "lp")
-        if route == "lp":
-            raise UnsupportedGaugeError(
-                f"no LP formulation for {type(g).__name__}")
-    return _primal_dual_noiseless(Phi, y, g, opts)
+    built = _noiseless_lp(Phi, y, g, xls, svd.kernel())
+    if built is None:
+        return _primal_dual_noiseless(Phi, y, g, opts)
+    res, extract = built
+    if res.status != OPTIMAL:
+        raise SolverError(f"noiseless LP ended with {res.status}")
+    x = extract(res.x)
+    feas = np.linalg.norm(Phi @ x - y) / (1.0 + np.linalg.norm(y))
+    return SolveResult(x, res.iterations, feas, 0.0, True, "lp")
 
 
 def _noiseless_lp(Phi, y, g, xls, Z):
     """(LpResult, map from its x to the recovered x) for min J(x), Phi x = y;
     None off the LP map.  xls is any solution of Phi x = y and Z an
-    orthonormal basis of Ker(Phi)."""
+    orthonormal basis of Ker(Phi).  A base with support atoms A makes J the
+    max of the atoms A K, one ``_max_atoms_lp``."""
     Q, n = Phi.shape
     if isinstance(g, L1):
         # x = u - v, u,v >= 0; min sum(u+v)
@@ -382,25 +371,23 @@ def _noiseless_lp(Phi, y, g, xls, Z):
         a_eq = np.hstack([Phi, -Phi])
         prob = LpProblem(c, a_eq=a_eq, b_eq=y, bounds=[(0, None)] * (2 * n))
         return lp_solve(prob), (lambda z: z[:n] - z[n:])
-    if isinstance(g, Linf):
-        return _max_atoms_lp(xls, Z, np.vstack([np.eye(n), -np.eye(n)]))
-    if isinstance(g, Precomposed) and isinstance(g.base, L1):
-        p = g.dstar.shape[0]
-        # variables (x, u, v) with dstar x = u - v
+    K, base = _analysis_split(g)
+    if isinstance(base, L1):
+        p = K.shape[0]
+        # variables (x, u, v) with K x = u - v
         c = np.concatenate([np.zeros(n), np.ones(2 * p)])
         a_eq = np.vstack([
             np.hstack([Phi, np.zeros((Q, 2 * p))]),
-            np.hstack([g.dstar, -np.eye(p), np.eye(p)]),
+            np.hstack([K, -np.eye(p), np.eye(p)]),
         ])
         b_eq = np.concatenate([y, np.zeros(p)])
         bounds = [(None, None)] * n + [(0, None)] * (2 * p)
         return (lp_solve(LpProblem(c, a_eq=a_eq, b_eq=b_eq, bounds=bounds)),
                 lambda z: z[:n])
-    if isinstance(g, Precomposed) and isinstance(g.base, Linf):
-        return _max_atoms_lp(xls, Z, np.vstack([g.dstar, -g.dstar]))
-    if isinstance(g, Precomposed) and isinstance(g.base, PositivePartMax):
-        return _max_atoms_lp(xls, Z, g.dstar)
-    return None
+    atoms = base.support_atoms()
+    if atoms is None:
+        return None
+    return _max_atoms_lp(xls, Z, atoms @ K)
 
 
 def _max_atoms_lp(xls, Z, A):

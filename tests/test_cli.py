@@ -89,6 +89,13 @@ class TestDecompose:
         assert "dim_T" in payload and "nu" not in payload
         assert "Linf -> L1" in err
 
+    @pytest.mark.parametrize("delta", ["2", "nan"])
+    def test_delta_outside_the_unit_interval_rejected(self, capsys, delta):
+        code, out, err = run_cli(capsys, "decompose", "--reg", "l1",
+                                 "--x", "[3,0,-2]", "--delta", delta)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "delta" in err
+
 
 class TestCertify:
     def test_identifiable_instance(self, capsys):
@@ -142,6 +149,21 @@ class TestSolve:
                                "--lambda", "1.0")
         assert code == 0
         assert np.allclose(json.loads(out)["x_hat"], [2.0, 0.0])
+
+    def test_numerical_lp_trouble_exits_4(self, capsys, monkeypatch):
+        # y = 0 keeps Chambolle-Pock at x = 0, where the first check
+        # evaluates the polar, one LP
+        from gaugerec import gauges
+        from gaugerec.lp import LpResult, INFEASIBLE
+        monkeypatch.setattr(gauges, "lp_solve",
+                            lambda prob: LpResult(INFEASIBLE))
+        code, out, err = run_cli(capsys, "solve", "--mode", "penalized",
+                                 "--reg", "polyhedral",
+                                 "--hmat", "[[1,0,-1],[0,1,-1],[0,0,1]]",
+                                 "--phi", "[[1,0,0],[0,1,1]]", "--y", "[0,0]",
+                                 "--lambda", "0.5", "--max-iter", "100")
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and "infeasible" in err
 
     def test_penalized_needs_lambda(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--mode", "penalized",
@@ -201,6 +223,32 @@ class TestExperiment:
                                "--config", str(cfg_path))
         assert code == 2
         assert "unknown keys" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "12"), ("i_size", True), ("seed", "0"), ("seed", 1.5),
+        ("q", 11.0), ("beta", "2"), ("q_grid", 9), ("q_grid", [10, 11.5]),
+        ("noise_levels", 0.1), ("lambda_grid", [0.05, "x"])])
+    def test_config_value_of_the_wrong_type_rejected(self, capsys, tmp_path,
+                                                     key, value):
+        kind = {"q_grid": "phase-transition", "noise_levels":
+                "model-selection", "lambda_grid": "model-selection"}.get(
+                    key, "cs-linf")
+        cfg = {"cs-linf": {"n": 12, "i_size": 4, "trials": 2, "seed": 0},
+               "phase-transition": {"n": 12, "i_size": 4, "trials": 2,
+                                    "seed": 0, "q_grid": [10, 11]},
+               "model-selection": {"phi": [[1.0, 0.0], [0.0, 1.0]],
+                                   "x": [1.0, 0.0], "noise_levels": [0.0],
+                                   "lambda_grid": [0.05], "trials": 2,
+                                   "seed": 0}}[kind]
+        cfg.update(kind=kind, **{key: value})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "experiment", "from-config",
+                               "--config", str(cfg_path),
+                               "--out", str(out_dir))
+        assert code == 2 and err.startswith("error:") and repr(key) in err
+        assert not out_dir.exists()
 
     @staticmethod
     def _cs_linf_by_jobs(capsys, tmp_path, args):

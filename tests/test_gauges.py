@@ -9,7 +9,7 @@ from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
                              project_simplex_interior)
 from gaugerec import gauges as gauges_mod
 from gaugerec.lp import (LpProblem, LpResult, LpNumericalError, lp_solve,
-                         OPTIMAL, UNBOUNDED)
+                         OPTIMAL, INFEASIBLE, UNBOUNDED)
 from gaugerec.model import decompose, subdiff_membership, tv1d_gauge
 from gaugerec.linalg import null_space
 from gaugerec.polytopes import (random_polytope, Polytope, PolytopeError,
@@ -125,13 +125,46 @@ class TestPolar:
         assert np.isfinite(val)
         assert g.polar(np.ones(5)) == np.inf
 
-    def test_precomposed_linf_polar_nonoptimal_lp_raises(self, rng,
-                                                         monkeypatch):
-        g = Precomposed(Linf(6), rng.standard_normal((6, 4)))  # Ker(D) dim 2
-        monkeypatch.setattr(gauges_mod, "lp_solve",
-                            lambda prob: LpResult(UNBOUNDED))
+    def test_precomposed_polar_lp_status(self, rng, monkeypatch):
+        # x = 0 is feasible in the polar LP of a base with atoms, so an
+        # unbounded LP is +inf and any other non-optimal end is an error
+        u = rng.standard_normal(4)
+        for base in (Linf(6), PositivePartMax(6)):
+            g = Precomposed(base, rng.standard_normal((6, 4)))
+            monkeypatch.setattr(gauges_mod, "lp_solve",
+                                lambda prob: LpResult(UNBOUNDED))
+            assert g.polar(u) == np.inf
+            monkeypatch.setattr(gauges_mod, "lp_solve",
+                                lambda prob: LpResult(INFEASIBLE))
+            with pytest.raises(LpNumericalError):
+                g.polar(u)
+
+    @pytest.mark.parametrize("shape", [(9, 7), (5, 7)],
+                             ids=["kernel", "off-range"])
+    def test_precomposed_linf_polar_matches_the_kernel_lp(self, rng, shape):
+        # D = dstar^T has a kernel of dim 2 at (9, 7); at (5, 7) its range
+        # has dim 5, so a random u lies off it
+        finite = 0
+        for _ in range(20):
+            dstar = rng.standard_normal(shape)
+            g = Precomposed(Linf(shape[0]), dstar)
+            for u in (rng.standard_normal(shape[1]),
+                      dstar.T @ rng.standard_normal(shape[0])):
+                want = _reference_linf_polar(dstar, u)
+                got = g.polar(u)
+                if np.isinf(want):
+                    assert got == np.inf
+                else:
+                    assert abs(got - want) <= 1e-12 * abs(want)
+                    finite += 1
+        assert finite >= 20
+
+    def test_sum_polar_nonoptimal_lp_raises(self, monkeypatch):
+        # the split LP is feasible and bounded below by 0
+        monkeypatch.setattr(gauges_mod, "lp_min_max",
+                            lambda h, G: LpResult(INFEASIBLE))
         with pytest.raises(LpNumericalError):
-            g.polar(rng.standard_normal(4))
+            SumGauge([L1(3), Linf(3)]).polar(np.ones(3))
 
     def test_sum_polar_doubled_gauge(self, rng):
         # the ball of l1+l1 is half the l1 ball, so the polar gauge is
@@ -268,6 +301,23 @@ def _in_cone(d, G):
     res = lp_solve(LpProblem(np.zeros(len(G)), a_eq=G.T, b_eq=d,
                              bounds=[(0, None)] * len(G)))
     return res.status == OPTIMAL
+
+
+def _reference_linf_polar(dstar, u):
+    """The polar of x -> ||dstar x||_inf as the min of ||q + Z w||_1 over w,
+    q = D^+ u and Z a basis of Ker D (D = dstar^T), +inf off range(D)."""
+    D = dstar.T
+    q = np.linalg.pinv(D) @ u
+    if np.linalg.norm(D @ q - u) > 1e-9 * (1.0 + np.linalg.norm(u)):
+        return np.inf
+    Z = null_space(D)
+    r, k = Z.shape
+    c = np.concatenate([np.zeros(k), np.ones(r)])
+    a_ub = np.vstack([np.hstack([Z, -np.eye(r)]), np.hstack([-Z, -np.eye(r)])])
+    res = lp_solve(LpProblem(c, a_ub=a_ub, b_ub=np.concatenate([-q, q]),
+                             bounds=[(None, None)] * k + [(0, None)] * r))
+    assert res.status == OPTIMAL
+    return float(res.value)
 
 
 class TestPolyhedralIsPrecomposed:

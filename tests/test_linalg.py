@@ -7,7 +7,7 @@ from gaugerec.linalg import (Subspace, project, svd_pinv,
                              restricted_injectivity, RankedSvd, null_space,
                              power_operator_norm, operator_bound, OperatorBound,
                              NoBoundRouteError, DimensionMismatchError)
-from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge,
+from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge, SumGauge,
                              BlockPartition)
 from gaugerec.model import (GroupLinf2, SubdiffGauge, decompose_l1,
                             decompose_linf)
@@ -195,6 +195,17 @@ class TestOperatorBound:
         out = SubdiffGauge(Subspace.full(2), value_fn=abs_sum, exact=False)
         b = operator_bound(np.eye(2), seminorm, out)
         assert (b.value, b.method) == (np.inf, OperatorBound.CERTIFIED_UPPER)
+
+    @pytest.mark.parametrize("combine, value", [(MaxGauge, 2.0),
+                                                (SumGauge, 4.0)],
+                             ids=["max", "sum"])
+    def test_inexact_part_gives_certified_upper_bounds(self, combine, value):
+        # the part's upper estimates reach the combined gauge's value
+        inexact = SubdiffGauge(Subspace.full(4), exact=False,
+                               value_fn=lambda e: float(np.abs(e).sum()))
+        b = operator_bound(np.diag([0, 1.0, 0, 2.0]), L1(4),
+                           combine([inexact, L1(4)]))
+        assert (b.value, b.method) == (value, OperatorBound.CERTIFIED_UPPER)
 
     def test_kernel_inclusion_stays_finite(self):
         seminorm = Precomposed(L1(1), np.array([[0.0, 1.0]]))

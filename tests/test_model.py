@@ -17,6 +17,16 @@ from gaugerec.polytopes import Polytope
 from conftest import random_l1_instance
 
 
+@pytest.mark.parametrize("gauge", [
+    L1(3), L2(3), Linf(3), GroupL1L2(BlockPartition([[0, 1], [2]], 3)),
+    PolyhedralH(np.eye(3)), tv1d_gauge(3)],
+    ids=["l1", "l2", "linf", "group", "polyhedral", "tv"])
+def test_delta_outside_the_unit_interval_is_rejected(gauge):
+    for delta in (1.5, 1.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta"):
+            decompose(gauge, np.array([3.0, 0.0, -2.0]), delta=delta)
+
+
 class TestDecomposeL1:
     def test_example(self):
         md, p = decompose_l1(np.array([3.0, 0.0, -2.0]))

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from gaugerec.gauges import (L1, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                             BlockPartition, UnsupportedGaugeError)
+                             PositivePartMax, SumGauge, BlockPartition,
+                             UnsupportedGaugeError)
 from gaugerec.linalg import restricted_injectivity, svd_pinv
 from gaugerec.lp import LpProblem, lp_solve
 from gaugerec.model import decompose, decompose_l1, decompose_group, tv1d_gauge
@@ -73,28 +74,29 @@ class TestPenalized:
             assert obj(res.x_hat) <= obj(early.x_hat) + 1e-9
 
     def test_same_image_property(self, rng):
-        # minimizers may differ, the measured image may not
+        # minimizers may differ, the measured image may not: FISTA on l1
+        # against Chambolle-Pock on l1 pre-composed with the identity
         Phi, x0 = random_l1_instance(88, 18, 9, 4)
         y = Phi @ x0 + 0.1 * rng.standard_normal(9)
-        r1 = solve_penalized(Phi, y, 0.25, L1(18),
-                             SolveOptions(tol=1e-10, solver="fista"))
-        r2 = solve_penalized(Phi, y, 0.25, L1(18),
-                             SolveOptions(tol=1e-10, solver="pd"))
+        r1 = solve_penalized(Phi, y, 0.25, L1(18), SolveOptions(tol=1e-10))
+        r2 = solve_penalized(Phi, y, 0.25, Precomposed(L1(18), np.eye(18)),
+                             SolveOptions(tol=1e-10))
         assert r1.converged and r2.converged
+        assert (r1.method, r2.method) == ("fista", "pd")
         assert np.linalg.norm(Phi @ (r1.x_hat - r2.x_hat)) \
             <= 1e-6 * (1.0 + np.linalg.norm(y))
 
     def test_unsupported_route(self):
-        from gaugerec.gauges import L2
         with pytest.raises(UnsupportedGaugeError):
-            solve_penalized(np.eye(3), np.ones(3), 1.0, L2(3))
+            solve_penalized(np.eye(3), np.ones(3), 1.0,
+                            SumGauge([L1(3), Linf(3)]))
 
     def test_pd_route_on_a_prox_able_gauge(self):
         # Chambolle-Pock with K = I reaches FISTA's objective on l1
         Phi, x0 = random_l1_instance(3, 16, 10, 3)
         y = Phi @ x0 + 0.05 * np.random.default_rng(1).standard_normal(10)
-        pd = solve_penalized(Phi, y, 0.3, L1(16),
-                             SolveOptions(solver="pd", tol=1e-9))
+        pd = solve_penalized(Phi, y, 0.3, Precomposed(L1(16), np.eye(16)),
+                             SolveOptions(tol=1e-9))
         fista = solve_penalized(Phi, y, 0.3, L1(16), SolveOptions(tol=1e-12))
         assert pd.converged and pd.method == "pd"
         assert abs(solvers._objective(Phi, y, 0.3, L1(16), pd.x_hat)
@@ -112,8 +114,7 @@ class TestPenalized:
         Phi = r.standard_normal((5, 8))
         y = Phi @ r.standard_normal(8)
         g = Precomposed(L2(7), tv1d_gauge(8).dstar) if analysis else L2(8)
-        res = solve_penalized(Phi, y, lam, g,
-                              SolveOptions(solver="pd", max_iter=20000))
+        res = solve_penalized(Phi, y, lam, g, SolveOptions(max_iter=20000))
         assert res.converged and res.iterations < 20000
         md = decompose(g, res.x_hat)
         assert check_noisy_optimality(Phi, y, lam, res.x_hat, md=md,
@@ -374,12 +375,17 @@ class TestNoiseless:
         assert np.allclose(res.x_hat, [5, 0, 0], atol=1e-9)
 
     @pytest.mark.parametrize("phi_kind", ["wide", "square", "dup_row"])
-    @pytest.mark.parametrize("kind", ["linf", "polyhedral", "precomposed_linf"])
+    @pytest.mark.parametrize("kind", ["linf", "polyhedral", "precomposed_linf",
+                                      "positive_part_max"])
     def test_linf_matches_direct_lp(self, rng, kind, phi_kind):
         n = 7
         if kind == "linf":
             g = Linf(n)
             A = np.vstack([np.eye(n), -np.eye(n)])
+        elif kind == "positive_part_max":
+            # its own base: the atoms are the coordinate functionals
+            g = PositivePartMax(n)
+            A = np.eye(n)
         elif kind == "polyhedral":
             # columns I and -1 positively span R^n, so the ball is bounded
             H = np.hstack([np.eye(n), -np.ones((n, 1)),
