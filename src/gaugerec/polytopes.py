@@ -1,12 +1,22 @@
 """Exact polytope calculus for compact convex sets containing the origin.
 
-Both representations are kept: vertices (V-rep) and halfspaces (H-rep,
-``<normal, x> <= offset``).  The polar is read off by duality: the rows
-``a_i / b_i`` of the H-rep are its V-rep and the vertices, with offset 1,
-its H-rep.  A convex hull is built only to enumerate from a V-rep
-(``from_vertices``) or an H-rep (``from_halfspaces``, through the polar
-correspondence: facets of conv{a_i/b_i} are the vertices).  All enumeration
-is gated at dimension <= 8; the identities verified here are
+A polytope P has two representations: a V-rep, a set of points whose
+convex hull is P (it may include points that are not vertices), and an
+H-rep, halfspaces ``<normal, x> <= offset`` whose intersection is P.  A
+``Polytope`` holds one or both.  The one it lacks is enumerated by one
+convex hull the first time it is read, and then kept; a representation it
+holds never changes.
+
+The public constructors ``from_vertices``, ``from_halfspaces`` and
+``from_json_dict`` enumerate at once, so bad input is rejected there.  The
+derived sets keep the representation they are built from: ``intersection``
+and ``inverse_sum_set`` an H-rep, ``minkowski_sum``, ``linear_image`` and
+``polytope_intersection_polar`` a V-rep.  The polar is read off by duality:
+the rows ``a_i / b_i`` of the H-rep are its V-rep and the V-rep, with
+offset 1, its H-rep, each pending while the one it comes from is.  A hull
+enumerates an H-rep from a V-rep directly and a V-rep from an H-rep through
+the polar correspondence (facets of conv{a_i/b_i} are the vertices).  All
+enumeration is gated at dimension <= 8; the identities verified here are
 dimension-free, so low-dimensional checks suffice.
 
 Near-duplicate facets and vertices are merged by a greedy keep-first sweep
@@ -15,6 +25,8 @@ over the pairs within tolerance that a KD-tree reports.  The LPs here
 a kernel) have few variables and many ``<=`` rows, so they are solved
 through their duals by ``lp.lp_min_halfspaces``.
 """
+
+import numbers
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -25,6 +37,10 @@ from .lp import lp_min_halfspaces, OPTIMAL
 MAX_ENUM_DIM = 8
 VERTEX_TOL = 1e-9
 SUPPORT_BLOCK = 1 << 20    # vertex x facet products formed at once
+# a vertex of a loaded H-rep may lie this far (relative) outside the hull
+# of the loaded points: far below the 1e-5 relative gap at which a polar
+# identity fails
+JSON_HULL_TOL = 1e-6
 
 
 class PolytopeError(ValueError):
@@ -68,10 +84,21 @@ def _facet_support(verts, normals):
     return out
 
 
+def _finite(a, what):
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise PolytopeError(f"non-finite entries in {what}")
+    return a
+
+
 def _hull_equations(points):
-    """Facets of conv(points) as (normals, offsets) with <n,x> <= b inside."""
+    """Facets of conv(points) as (normals, offsets) with <n,x> <= b inside,
+    and the points that are vertices."""
     points = np.asarray(points, dtype=float)
     d = points.shape[1]
+    if d > MAX_ENUM_DIM:
+        raise PolytopeError(
+            f"polytope calculus is limited to dimension {MAX_ENUM_DIM}")
     if d == 1:
         lo, hi = points.min(), points.max()
         if hi - lo <= VERTEX_TOL:
@@ -104,60 +131,119 @@ def _hull_equations(points):
     return normals, offsets, verts
 
 
+def _halfspace_vertices(normals, offsets):
+    """Vertices of {x : <normal_i, x> <= offset_i}, by one hull."""
+    center = np.zeros(normals.shape[1])
+    if np.min(offsets) <= VERTEX_TOL:
+        center = _chebyshev_center(normals, offsets)
+    shifted = offsets - normals @ center
+    if np.min(shifted) <= VERTEX_TOL:
+        raise PolytopeError("H-rep has empty or lower-dimensional interior")
+    # vertices of {x: <a,x> <= b'} are facet normals of conv{a_i/b'_i}
+    fn, fo, _ = _hull_equations(normals / shifted[:, None])
+    if np.min(fo) <= VERTEX_TOL:
+        raise PolytopeError("H-rep describes an unbounded set")
+    verts = fn / fo[:, None] + center[None, :]
+    return _dedupe_rows(verts, VERTEX_TOL * (1.0 + np.abs(verts).max()))
+
+
+def _validate(vertices, normals, offsets):
+    scale = 1.0 + np.abs(vertices).max(initial=0.0)
+    if np.min(offsets, initial=0.0) < -1e-9 * scale:
+        raise PolytopeError("origin violates an H-rep constraint")
+    slack = _facet_support(vertices, normals) - offsets
+    if slack.max(initial=0.0) > 1e-8 * scale:
+        raise PolytopeError("a vertex violates a halfspace")
+
+
+def _pending(rep):
+    """A representation not enumerated yet: None (a hull of the other
+    one) or a callable that returns it."""
+    return rep is None or callable(rep)
+
+
+def _now_or_later(make, source):
+    """``make()`` now when ``source`` is held, else ``make`` itself, to be
+    called on first read."""
+    return make if _pending(source) else make()
+
+
 class Polytope:
-    """Compact convex polytope with consistent V- and H-representations."""
+    """Compact convex polytope P from a V-rep, an H-rep or both.
 
-    def __init__(self, vertices, normals, offsets, _skip_checks=False):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.normals = np.asarray(normals, dtype=float)
-        self.offsets = np.asarray(offsets, dtype=float)
-        if not _skip_checks:
-            self._validate()
+    The V-rep is a set of points whose hull is P; it may include points
+    that are not vertices.  The H-rep is a set of halfspaces
+    ``<normal, x> <= offset`` whose intersection is P.  A representation
+    the object lacks is enumerated by one hull when it is first read and
+    then kept; whenever both exist they are checked against each other.
+    ``Polytope(vertices, normals, offsets)`` takes both.
+    """
 
-    def _validate(self):
-        scale = 1.0 + np.abs(self.vertices).max(initial=0.0)
-        if np.min(self.offsets, initial=0.0) < -1e-9 * scale:
-            raise PolytopeError("origin violates an H-rep constraint")
-        slack = _facet_support(self.vertices, self.normals) - self.offsets
-        if slack.max(initial=0.0) > 1e-8 * scale:
-            raise PolytopeError("a vertex violates a halfspace")
+    def __init__(self, vertices, normals, offsets):
+        self._hold(vertices, (normals, offsets))
+
+    @classmethod
+    def _lazy(cls, vertices=None, hrep=None):
+        """Polytope from ``vertices`` and the pair ``hrep`` (normals,
+        offsets), at least one of them held; a pending one is None or a
+        callable (see ``_pending``)."""
+        P = cls.__new__(cls)
+        P._hold(vertices, hrep)
+        return P
+
+    def _hold(self, vertices, hrep):
+        self._vertices = (vertices if _pending(vertices)
+                          else _finite(vertices, "vertices"))
+        self._hrep = (hrep if _pending(hrep) else
+                      (_finite(hrep[0], "normals"),
+                       _finite(hrep[1], "offsets")))
+        if not _pending(self._vertices) and not _pending(self._hrep):
+            _validate(self._vertices, *self._hrep)
+
+    @property
+    def vertices(self):
+        if _pending(self._vertices):
+            normals, offsets = self._hrep
+            verts = (_halfspace_vertices(normals, offsets)
+                     if self._vertices is None else self._vertices())
+            _validate(verts, normals, offsets)
+            self._vertices = verts
+        return self._vertices
+
+    def _read_hrep(self):
+        if _pending(self._hrep):
+            hrep = (_hull_equations(self._vertices)[:2]
+                    if self._hrep is None else self._hrep())
+            _validate(self._vertices, *hrep)
+            self._hrep = hrep
+        return self._hrep
+
+    @property
+    def normals(self):
+        return self._read_hrep()[0]
+
+    @property
+    def offsets(self):
+        return self._read_hrep()[1]
 
     @property
     def dim(self):
-        return self.vertices.shape[1]
+        held = self._hrep[0] if _pending(self._vertices) else self._vertices
+        return held.shape[1]
 
     @classmethod
     def from_vertices(cls, points):
-        points = np.asarray(points, dtype=float)
+        points = _finite(points, "points")
         if points.ndim != 2:
             raise PolytopeError("points must be 2-d")
-        if points.shape[1] > MAX_ENUM_DIM:
-            raise PolytopeError(
-                f"polytope calculus is limited to dimension {MAX_ENUM_DIM}")
         normals, offsets, verts = _hull_equations(points)
         return cls(verts, normals, offsets)
 
     @classmethod
     def from_halfspaces(cls, normals, offsets):
-        normals = np.asarray(normals, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
-        d = normals.shape[1]
-        if d > MAX_ENUM_DIM:
-            raise PolytopeError(
-                f"polytope calculus is limited to dimension {MAX_ENUM_DIM}")
-        center = np.zeros(d)
-        if np.min(offsets) <= VERTEX_TOL:
-            center = _chebyshev_center(normals, offsets)
-        shifted = offsets - normals @ center
-        if np.min(shifted) <= VERTEX_TOL:
-            raise PolytopeError("H-rep has empty or lower-dimensional interior")
-        # vertices of {x: <a,x> <= b'} are facet normals of conv{a_i/b'_i}
-        pts = normals / shifted[:, None]
-        fn, fo, _ = _hull_equations(pts)
-        if np.min(fo) <= VERTEX_TOL:
-            raise PolytopeError("H-rep describes an unbounded set")
-        verts = fn / fo[:, None] + center[None, :]
-        verts = _dedupe_rows(verts, VERTEX_TOL * (1.0 + np.abs(verts).max()))
+        normals = _finite(normals, "normals")
+        offsets = _finite(offsets, "offsets")
+        verts = _halfspace_vertices(normals, offsets)
         # prune halfspaces never tight at a vertex
         slack = offsets[:, None] - normals @ verts.T
         tight = (slack <= 1e-7 * (1.0 + np.abs(offsets)[:, None])).any(axis=1)
@@ -172,22 +258,26 @@ class Polytope:
     def gauge(self, x):
         """inf {t > 0 : x in t P} from the H-rep (0 must be inside)."""
         x = np.asarray(x, dtype=float)
-        vals = self.normals @ x
-        flat = self.offsets <= VERTEX_TOL
+        normals, offsets = self._read_hrep()
+        vals = normals @ x
+        flat = offsets <= VERTEX_TOL
         if np.any(vals[flat] > VERTEX_TOL * (1.0 + np.linalg.norm(x))):
             return np.inf
-        return float(np.max(vals[~flat] / self.offsets[~flat], initial=0.0))
+        return float(np.max(vals[~flat] / offsets[~flat], initial=0.0))
 
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)
+        normals, offsets = self._read_hrep()
         scale = 1.0 + np.linalg.norm(x)
-        return bool(np.all(self.normals @ x <= self.offsets + tol * scale))
+        return bool(np.all(normals @ x <= offsets + tol * scale))
 
     def scale(self, rho):
-        if rho <= 0:
-            raise PolytopeError("scale factor must be positive")
-        return Polytope(self.vertices * rho, self.normals, self.offsets * rho,
-                        _skip_checks=True)
+        if not (np.isfinite(rho) and rho > 0):
+            raise PolytopeError("scale factor must be finite and positive")
+        return Polytope._lazy(
+            _now_or_later(lambda: self.vertices * rho, self._vertices),
+            _now_or_later(lambda: (self.normals, self.offsets * rho),
+                          self._hrep))
 
     # -- calculus ---------------------------------------------------------
 
@@ -197,31 +287,42 @@ class Polytope:
         For P = conv(V) = {x : <a_i, x> <= b_i} the polar is
         conv(a_i / b_i) = {y : <v, y> <= 1 for v in V} (Rockafellar,
         *Convex Analysis*, §19), so the two representations swap roles and
-        nothing is enumerated.  ``from_halfspaces`` keeps rows tight at a
-        single vertex, which are not facets; their points a_i / b_i are not
-        extreme.  Each such row is valid for P, so its point lies in the
-        polar, and no support or gauge of the polar changes.
+        nothing is enumerated: each side of the polar is pending while the
+        side of P it comes from is.  The check that 0 is interior runs when
+        the V-rep of the polar is made, at once if P holds its H-rep.  Rows
+        of an H-rep that are tight at a single vertex are not facets, and
+        points of a V-rep need not be extreme; either way every point
+        a_i / b_i lies in the polar and every v in P, so no support or gauge
+        of the polar changes.
         """
-        norms = np.linalg.norm(self.normals, axis=1)
-        if np.min(self.offsets / np.maximum(norms, 1e-300)) <= VERTEX_TOL:
-            raise UnboundedPolarError(
-                "0 is not interior; the polar set is unbounded")
-        return Polytope(self.normals / self.offsets[:, None], self.vertices,
-                        np.ones(len(self.vertices)))
+        def points():
+            normals, offsets = self._read_hrep()
+            norms = np.linalg.norm(normals, axis=1)
+            if np.min(offsets / np.maximum(norms, 1e-300)) <= VERTEX_TOL:
+                raise UnboundedPolarError(
+                    "0 is not interior; the polar set is unbounded")
+            return normals / offsets[:, None]
+
+        def facets():
+            verts = self.vertices
+            return verts, np.ones(len(verts))
+
+        return Polytope._lazy(_now_or_later(points, self._hrep),
+                              _now_or_later(facets, self._vertices))
 
     def intersection(self, other):
-        return Polytope.from_halfspaces(
+        return Polytope._lazy(hrep=(
             np.vstack([self.normals, other.normals]),
-            np.concatenate([self.offsets, other.offsets]))
+            np.concatenate([self.offsets, other.offsets])))
 
     def minkowski_sum(self, other):
         pts = (self.vertices[:, None, :] + other.vertices[None, :, :])
-        return Polytope.from_vertices(pts.reshape(-1, self.dim))
+        return Polytope._lazy(pts.reshape(-1, self.dim))
 
     def linear_image(self, D):
-        """Image polytope {D v : v in P}; target space must be filled."""
-        D = np.asarray(D, dtype=float)
-        return Polytope.from_vertices(self.vertices @ D.T)
+        """Image polytope {D v : v in P}.  D must map onto its target
+        space; the hull that first reads the H-rep checks it."""
+        return Polytope._lazy(self.vertices @ _finite(D, "map").T)
 
     def to_json_dict(self):
         return {
@@ -232,16 +333,35 @@ class Polytope:
 
     @classmethod
     def from_json_dict(cls, data):
-        verts = np.asarray(data["vertices"], dtype=float)
-        if data.get("halfspaces"):
-            normals = np.asarray([h["normal"] for h in data["halfspaces"]])
-            offsets = np.asarray([h["offset"] for h in data["halfspaces"]])
-            return cls(verts, normals, offsets)
-        return cls.from_vertices(verts)
+        """Polytope from ``to_json_dict`` output.  Given halfspaces must
+        describe the hull of the given points: each point satisfies them,
+        and each vertex of the halfspaces lies in the facets of the hull."""
+        if not data.get("halfspaces"):
+            return cls.from_vertices(data["vertices"])
+        P = cls(data["vertices"], [h["normal"] for h in data["halfspaces"]],
+                [h["offset"] for h in data["halfspaces"]])
+        # both hulls run here, on the cold path.  The vertices are tested on
+        # the facets of the hull and not by their distance to the points:
+        # a re-fit joggled H-rep of dimension 5 has vertices 0.26 from
+        # every point that lie only 5e-8 outside the hull
+        try:
+            corners = _halfspace_vertices(*P._hrep)
+        except PolytopeError as exc:
+            raise PolytopeError(
+                f"halfspaces are not the hull of the vertices: {exc}") \
+                from exc
+        normals, offsets, _ = _hull_equations(P.vertices)
+        excess = np.max(_facet_support(corners, normals) - offsets)
+        if excess > JSON_HULL_TOL * (1.0 + np.abs(P.vertices).max()):
+            raise PolytopeError(
+                "halfspaces are not the hull of the vertices: a vertex of "
+                f"the halfspaces lies {excess:.3g} outside it")
+        return P
 
     def __repr__(self):
-        return (f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, "
-                f"halfspaces={len(self.normals)})")
+        nv = "pending" if _pending(self._vertices) else len(self._vertices)
+        nh = "pending" if _pending(self._hrep) else len(self._hrep[1])
+        return f"Polytope(dim={self.dim}, vertices={nv}, halfspaces={nh})"
 
 
 def _chebyshev_center(normals, offsets):
@@ -261,7 +381,7 @@ def _chebyshev_center(normals, offsets):
 def polytope_intersection_polar(P1, P2):
     """conv(P1_polar ∪ P2_polar); equals the polar of P1 ∩ P2."""
     Q1, Q2 = P1.polar(), P2.polar()
-    return Polytope.from_vertices(np.vstack([Q1.vertices, Q2.vertices]))
+    return Polytope._lazy(np.vstack([Q1.vertices, Q2.vertices]))
 
 
 def minkowski_sum_gauge(g1_ball, g2_ball, x):
@@ -330,7 +450,7 @@ def inverse_sum_set(Q1, Q2):
     A = Q1.normals / Q1.offsets[:, None]
     C = Q2.normals / Q2.offsets[:, None]
     pairs = (A[:, None, :] + C[None, :, :]).reshape(-1, Q1.dim)
-    return Polytope.from_halfspaces(pairs, np.ones(len(pairs)))
+    return Polytope._lazy(hrep=(pairs, np.ones(len(pairs))))
 
 
 def inverse_sum_polar_check(P1, P2, directions=200, tol=1e-5, seed=0):
@@ -341,6 +461,9 @@ def inverse_sum_polar_check(P1, P2, directions=200, tol=1e-5, seed=0):
     the two polars.  Returns (worst <= tol, worst), where worst is the
     largest relative gap |rhs - lhs| / (1 + |lhs|).
     """
+    if (isinstance(directions, bool)
+            or not isinstance(directions, numbers.Integral) or directions < 1):
+        raise ValueError(f"directions must be an int >= 1, got {directions!r}")
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((directions, P1.dim))
     U /= np.linalg.norm(U, axis=1, keepdims=True)

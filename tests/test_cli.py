@@ -355,6 +355,22 @@ class TestPolar:
                                "--polytope", str(path), "--seed", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("offset,code", [(1, 0), (2, 2)])
+    def test_polytope_file_must_be_consistent(self, capsys, tmp_path, offset,
+                                              code):
+        # the diamond's points with its own facets (offset 1) or with the
+        # facets of the diamond scaled by 2, which are not their hull
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({
+            "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+            "halfspaces": [{"normal": n, "offset": offset} for n in
+                           ([1, 1], [-1, -1], [1, -1], [-1, 1])]}))
+        got, _, err = run_cli(capsys, "polar", "--identity", "all",
+                              "--polytope", str(path))
+        assert got == code, err
+        if code:
+            assert "not the hull" in err
+
     def test_all_identities(self, capsys):
         code, out, _ = run_cli(capsys, "polar", "--identity", "all",
                                "--dim", "2", "--seed", "4")

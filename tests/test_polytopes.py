@@ -504,3 +504,203 @@ class TestGauge:
                 assert P.gauge(x) == _gauge_reference(P, x)
         assert corner.gauge(np.array([-1.0, 0.5])) == np.inf
         assert corner.gauge(np.array([0.25, 0.25])) == 0.5
+
+
+def _counting_hull(monkeypatch):
+    """Count the hulls run from here on."""
+    calls = []
+    real = polytopes._hull_equations
+
+    def counted(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(polytopes, "_hull_equations", counted)
+    return calls
+
+
+def _rel_close(a, b, tol=1e-12):
+    return abs(a - b) <= tol * (1.0 + abs(b))
+
+
+class TestLazyRepresentations:
+    """A derived polytope keeps the representation it is built from and
+    runs one hull when the other one is first read."""
+
+    @pytest.fixture
+    def pair(self):
+        return random_polytope(3, seed=401), random_polytope(3, seed=402)
+
+    def test_intersection_polars_run_no_hull(self, pair, monkeypatch, rng):
+        P1, P2 = pair
+        calls = _counting_hull(monkeypatch)
+        lhs = polytope_intersection_polar(P1, P2)
+        rhs = P1.intersection(P2).polar()
+        for u in rng.standard_normal((20, 3)):
+            assert lhs.support(u) == rhs.support(u)
+        assert calls == []
+
+    def test_pending_side_is_enumerated_once(self, pair, monkeypatch):
+        P1, P2 = pair
+        calls = _counting_hull(monkeypatch)
+        X = P1.intersection(P2)
+        first = X.vertices
+        assert len(calls) == 1
+        assert X.vertices is first
+        assert len(calls) == 1
+        S = P1.minkowski_sum(P2)
+        normals = S.normals
+        assert S.offsets is not None and S.normals is normals
+        assert len(calls) == 2
+
+    def test_polar_scale_and_repr_enumerate_nothing(self, pair, monkeypatch):
+        P1, P2 = pair
+        calls = _counting_hull(monkeypatch)
+        for P in (P1.intersection(P2), P1.minkowski_sum(P2),
+                  P1.linear_image(np.diag([1.0, 2.0, 3.0])),
+                  inverse_sum_set(P1.polar(), P2.polar())):
+            PP = P.polar().polar()
+            assert "pending" in repr(P) and "pending" in repr(PP)
+            assert "pending" in repr(P.scale(2.0).polar())
+            assert P.dim == PP.dim == 3
+        assert calls == []
+
+    def test_held_side_never_changes(self, pair):
+        # an intersection keeps every given halfspace, redundant or not,
+        # and a sum every sum of vertices, extreme or not
+        P1, P2 = pair
+        X = P1.intersection(P2)
+        normals = np.vstack([P1.normals, P2.normals])
+        X.vertices
+        assert np.array_equal(X.normals, normals)
+        S = P1.minkowski_sum(P2)
+        S.normals
+        assert len(S.vertices) == len(P1.vertices) * len(P2.vertices)
+
+    def test_identities_run_six_hulls(self, monkeypatch, capsys):
+        # the two random balls, the Minkowski sum, the linear image and the
+        # two sides of the inverse-sum check; bipolar, intersection,
+        # scaling and cone-sum run none
+        from gaugerec import cli
+        calls = _counting_hull(monkeypatch)
+        assert cli.main(["polar", "--dim", "3", "--seed", "1"]) == 0
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("make,side", [("intersection", "vertices"),
+                                           ("minkowski_sum", "normals")])
+    def test_read_validates_the_enumerated_side(self, pair, monkeypatch,
+                                                make, side):
+        # a hull whose offsets are halved puts the enumerated vertices of an
+        # intersection outside its halfspaces, and the held points of a sum
+        # outside its enumerated facets
+        P1, P2 = pair
+        real = polytopes._hull_equations
+
+        def shrunk(points):
+            normals, offsets, verts = real(points)
+            return normals, 0.5 * offsets, verts
+
+        monkeypatch.setattr(polytopes, "_hull_equations", shrunk)
+        P = getattr(P1, make)(P2)
+        for _ in range(2):   # a failed read leaves the side pending
+            with pytest.raises(PolytopeError, match="a vertex violates"):
+                getattr(P, side)
+        assert "pending" in repr(P)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_lazy_matches_eager(self, d, rng):
+        P1 = random_polytope(d, seed=410 + d)
+        P2 = random_polytope(d, seed=420 + d)
+        D = rng.standard_normal((d, d))
+        Q1, Q2 = P1.polar(), P2.polar()
+        A = Q1.normals / Q1.offsets[:, None]
+        C = Q2.normals / Q2.offsets[:, None]
+        pairs = (A[:, None, :] + C[None, :, :]).reshape(-1, d)
+        cases = [
+            (P1.intersection(P2), Polytope.from_halfspaces(
+                np.vstack([P1.normals, P2.normals]),
+                np.concatenate([P1.offsets, P2.offsets]))),
+            (P1.minkowski_sum(P2), Polytope.from_vertices(
+                (P1.vertices[:, None, :] + P2.vertices[None, :, :])
+                .reshape(-1, d))),
+            (P1.linear_image(D), Polytope.from_vertices(P1.vertices @ D.T)),
+            (polytope_intersection_polar(P1, P2), Polytope.from_vertices(
+                np.vstack([Q1.vertices, Q2.vertices]))),
+            (inverse_sum_set(Q1, Q2),
+             Polytope.from_halfspaces(pairs, np.ones(len(pairs)))),
+        ]
+        cases += [(lazy.polar(), eager.polar()) for lazy, eager in cases]
+        for lazy, eager in cases:
+            for u in rng.standard_normal((30, d)):
+                assert _rel_close(lazy.support(u), eager.support(u))
+                assert _rel_close(lazy.gauge(u), eager.gauge(u))
+
+    def test_unbounded_polar_is_caught_on_read(self, monkeypatch):
+        # the sum of two corner triangles has 0 on its boundary; its H-rep
+        # is pending, so the check runs when the polar's V-rep is made
+        corner = Polytope.from_vertices(np.array([[0.0, 0], [1, 0], [0, 1]]))
+        Q = corner.minkowski_sum(corner).polar()
+        with pytest.raises(UnboundedPolarError):
+            Q.support(np.ones(2))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructors_reject(self, bad):
+        pts = np.vstack([np.eye(2), -np.eye(2)])
+        pts_bad = pts.copy()
+        pts_bad[1, 0] = bad
+        normals = np.vstack([np.eye(2), -np.eye(2)])
+        offsets_bad = np.array([1.0, bad, 1.0, 1.0])
+        P = Polytope.from_vertices(pts)
+        for build in (
+                lambda: Polytope.from_vertices(pts_bad),
+                lambda: Polytope.from_halfspaces(normals, offsets_bad),
+                lambda: Polytope(pts_bad, normals, np.ones(4)),
+                lambda: Polytope.from_json_dict({"vertices": pts_bad}),
+                lambda: P.linear_image(np.array([[1.0, 0.0], [bad, 1.0]]))):
+            with pytest.raises(PolytopeError, match="non-finite"):
+                build()
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -2.0])
+    def test_scale_rejects(self, rho):
+        with pytest.raises(PolytopeError, match="finite and positive"):
+            random_polytope(2, seed=5).scale(rho)
+
+
+@pytest.mark.parametrize("directions", [0, -3, 2.0, True, "5"])
+def test_inverse_sum_check_needs_directions(directions):
+    P = random_polytope(2, seed=6)
+    with pytest.raises(ValueError, match="directions"):
+        inverse_sum_polar_check(P, P, directions=directions)
+
+
+DIAMOND = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+
+
+class TestJsonHull:
+    def test_consistent_diamond_loads(self):
+        data = {"vertices": DIAMOND, "halfspaces": [
+            {"normal": n, "offset": 1} for n in
+            ([1, 1], [-1, -1], [1, -1], [-1, 1])]}
+        P = Polytope.from_json_dict(data)
+        assert P.support([1, 0]) == P.gauge([1, 0]) == 1.0
+
+    @pytest.mark.parametrize("halfspaces", [
+        # the diamond scaled by 2: it holds the points, but its gauge at
+        # (1, 0) is 0.5 where their support is 1
+        [{"normal": n, "offset": 2} for n in
+         ([1, 1], [-1, -1], [1, -1], [-1, 1])],
+        # a single halfspace is not bounded
+        [{"normal": [1, 1], "offset": 1}]])
+    def test_halfspaces_larger_than_hull_rejected(self, halfspaces):
+        with pytest.raises(PolytopeError, match="not the hull"):
+            Polytope.from_json_dict({"vertices": DIAMOND,
+                                     "halfspaces": halfspaces})
+
+    def test_points_that_are_not_vertices_load(self):
+        P = random_polytope(3, seed=77)
+        data = P.to_json_dict()
+        data["vertices"].append([0.0, 0.0, 0.0])
+        Q = Polytope.from_json_dict(data)
+        assert len(Q.vertices) == len(P.vertices) + 1
