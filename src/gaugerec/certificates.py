@@ -9,7 +9,7 @@ regularization-parameter range for stable model selection.
 
 import numpy as np
 
-from .linalg import (check_finite, RankedSvd,
+from .linalg import (check_finite, check_problem, RankedSvd, Subspace,
                      restricted_injectivity, operator_bound, OperatorBound)
 from .model import SubdiffGauge
 from .gauges import L2
@@ -89,18 +89,17 @@ def check_noisy_optimality(Phi, y, lam, x, md=None, gauge=None,
     Needs either the model decomposition at x or, for x = 0, the regularizer
     itself (the zero condition is a polar-ball membership).
     """
-    Phi = check_finite(Phi, "Phi")
-    y = check_finite(y, "y")
-    x = check_finite(x, "x")
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be finite and positive, got {lam!r}")
+    dim = md.ambient_dim if md is not None else getattr(gauge, "dim", None)
+    Phi, y, x = check_problem(Phi, y, x, dim=dim, lam=lam)
     r = y - Phi @ x
     if md is None:
         if gauge is None or np.linalg.norm(x) > 0:
             raise ValueError("need md, or gauge together with x = 0")
         pol = gauge.polar(Phi.T @ r / lam)
         if pol < 1.0 - strict_margin:
-            return UNIQUE_OPTIMAL if Phi.shape[1] <= np.linalg.matrix_rank(Phi) \
+            # x = 0 is the unique minimizer when Phi is injective
+            full = Subspace.full(Phi.shape[1])
+            return UNIQUE_OPTIMAL if restricted_injectivity(Phi, full) \
                 else OPTIMAL_MAYBE_NONUNIQUE
         if pol <= 1.0 + strict_margin:
             return OPTIMAL_MAYBE_NONUNIQUE
@@ -130,9 +129,7 @@ def check_noiseless_optimality(Phi, y, x, md, feas_tol=1e-8,
     ``slack_tol`` accepts the inequality side; ``strict_margin`` gates the
     uniqueness claim.
     """
-    Phi = check_finite(Phi, "Phi")
-    y = check_finite(y, "y")
-    x = check_finite(x, "x")
+    Phi, y, x = check_problem(Phi, y, x, dim=md.ambient_dim)
     if np.linalg.norm(Phi @ x - y) > feas_tol * (1.0 + np.linalg.norm(y)):
         raise ValueError("x is not feasible for the equality constraint")
     M = Phi @ md.T.basis
@@ -174,14 +171,12 @@ def _min_antig_over_duals(Phi, md, M, alpha0, N):
         lifted = SubdiffGauge(md.S, atoms=antig.atoms,
                               lift=np.hstack([extra, antig.lift]))
         return lifted.value(PS @ (Phi.T @ alpha0) - shift)
-    blocks = antig.linf2_blocks
-    if blocks is None:
+    if antig.linf2_blocks is None:
         return None
     from scipy.optimize import minimize
 
     def cost(alpha):
-        v = PS @ (Phi.T @ alpha) - shift
-        return max((np.linalg.norm(v[b]) for b in blocks), default=0.0)
+        return antig.value(PS @ (Phi.T @ alpha) - shift)
 
     cons = {"type": "eq", "fun": lambda a: M.T @ a - target}
     res = minimize(cost, alpha0, method="SLSQP", constraints=[cons],

@@ -128,11 +128,16 @@ def _subspace_payload(md):
 
 
 def cmd_decompose(args):
+    if args.analysis_domain and args.reg != "polyhedral":
+        raise CliError("--analysis-domain applies to --reg polyhedral only")
+    if args.mu_choice is not None and not args.analysis_domain:
+        raise CliError("--mu-choice applies with --analysis-domain only")
     x = _vector(args.x, "--x")
     try:
-        if args.analysis_domain and args.reg == "polyhedral":
-            md, _ = decompose_polyhedral(x, mu_choice=args.mu_choice,
-                                         delta=args.delta)
+        if args.analysis_domain:
+            # an unset --mu-choice leaves decompose_polyhedral's default
+            kw = {} if args.mu_choice is None else {"mu_choice": args.mu_choice}
+            md, _ = decompose_polyhedral(x, delta=args.delta, **kw)
         else:
             md = decompose(_build_gauge(args, len(x)), x, delta=args.delta)
     except DegenerateModelError as exc:
@@ -177,8 +182,6 @@ def cmd_certify(args):
 def cmd_solve(args):
     Phi = _matrix(args.phi, "--phi")
     y = _vector(args.y, "--y")
-    if Phi.shape[0] != len(y):
-        raise CliError("Phi row count must match the length of y")
     g = _build_gauge(args, Phi.shape[1])
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     try:
@@ -431,7 +434,9 @@ def build_parser():
     add_reg(d)
     d.add_argument("--x", required=True)
     d.add_argument("--delta", type=float, default=0.5)
-    d.add_argument("--mu-choice", type=float, default=0.5)
+    d.add_argument("--mu-choice", type=float,
+                   help="anchor weight in (0, 1) of --analysis-domain "
+                        "(default 0.5)")
     d.add_argument("--analysis-domain", action="store_true",
                    help="treat --x as a point of the polyhedral analysis domain")
     d.add_argument("--out")

@@ -14,9 +14,9 @@ in :mod:`gaugerec.linalg`.  Unit balls are enumerated from an H-rep by
 subdifferential gauge (its atoms are the normals) in :mod:`gaugerec.model`.
 The group kind evaluates, proxes and projects in one vectorised pass over
 the flattened block index that ``BlockPartition`` builds once.
-``values(X)`` evaluates a gauge on every row of X, with the checks of
-``value``; the base class loops over ``value`` and the common kinds do it
-in one pass.
+``values(X)`` evaluates a gauge on every row of X in one pass and is the
+only evaluation routine of each kind; ``value(x)`` is its one-row case,
+defined once on the base class.
 """
 
 import functools
@@ -67,11 +67,22 @@ class BlockPartition:
         return np.sqrt(np.bincount(self.block_of, weights=x * x,
                                    minlength=len(self.blocks)))
 
+    @functools.cached_property
+    def _member(self):
+        return block_membership(self.blocks, self.n)
+
     def row_norms(self, X):
         """``norms`` of every row of X, one row of block norms each."""
-        member = np.zeros((self.n, len(self.blocks)))
-        member[np.arange(self.n), self.block_of] = 1.0
-        return np.sqrt((X * X) @ member)
+        return np.sqrt((X * X).dot(self._member))
+
+
+def block_membership(blocks, n):
+    """The n x len(blocks) 0/1 matrix of coordinate-in-block: the squared
+    entries of rows X times it are the squared block norms of each row."""
+    member = np.zeros((n, len(blocks)))
+    for j, b in enumerate(blocks):
+        member[np.asarray(b, dtype=int), j] = 1.0
+    return member
 
 
 def _sign_patterns(k):
@@ -83,7 +94,7 @@ def _sign_patterns(k):
 
 def check_rows(X, dim):
     """X as a finite, C-ordered 2-d float array of rows of length dim.  In
-    C order a row reduction adds in the order that ``value`` does."""
+    C order a row reduction adds in the order of a 1-d reduction."""
     X = check_finite(X, "X")
     if X.ndim != 2 or X.shape[1] != dim:
         raise ValueError(f"expected rows of length {dim}, got shape {X.shape}")
@@ -91,20 +102,21 @@ def check_rows(X, dim):
 
 
 class Gauge:
-    """Base class; subclasses implement ``value`` and whatever else they can."""
+    """Base class; subclasses implement ``values`` and whatever else they
+    can.  ``value`` is the one-row case of ``values``."""
 
     def __init__(self, dim):
         self.dim = int(dim)
 
     # -- required ----------------------------------------------------------
 
-    def value(self, x):
+    def values(self, X):
+        """The gauge of every row of X (see ``check_rows``), as an array."""
         raise NotImplementedError
 
-    def values(self, X):
-        """``value`` of every row of X, as an array."""
-        X = check_rows(X, self.dim)
-        return np.array([self.value(x) for x in X], dtype=float)
+    def value(self, x):
+        """The gauge at the vector x."""
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
     # -- optional capabilities ----------------------------------------------
 
@@ -142,8 +154,8 @@ class Gauge:
 
     def _check(self, x):
         x = check_finite(x, "x")
-        if x.shape[0] != self.dim:
-            raise ValueError(f"expected length {self.dim}, got {x.shape[0]}")
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected length {self.dim}, got shape {x.shape}")
         return x
 
 
@@ -180,9 +192,6 @@ class L1(Gauge):
 
     is_abs_sum = True
 
-    def value(self, x):
-        return float(np.sum(np.abs(self._check(x))))
-
     def values(self, X):
         return np.abs(check_rows(X, self.dim)).sum(axis=1)
 
@@ -216,11 +225,9 @@ class L2(Gauge):
 
     is_euclidean = True
 
-    def value(self, x):
-        return float(np.linalg.norm(self._check(x)))
-
     def values(self, X):
-        return np.linalg.norm(check_rows(X, self.dim), axis=1)
+        X = check_rows(X, self.dim)
+        return np.sqrt((X * X).sum(axis=1))
 
     def polar(self, u):
         return float(np.linalg.norm(self._check(u)))
@@ -231,11 +238,8 @@ class Linf(Gauge):
 
     is_max_abs = True
 
-    def value(self, x):
-        return float(np.max(np.abs(self._check(x)), initial=0.0))
-
     def values(self, X):
-        return np.max(np.abs(check_rows(X, self.dim)), axis=1, initial=0.0)
+        return np.abs(check_rows(X, self.dim)).max(axis=1, initial=0.0)
 
     def polar(self, u):
         return float(np.sum(np.abs(self._check(u))))
@@ -270,9 +274,6 @@ class GroupL1L2(Gauge):
         super().__init__(partition.n)
         self.partition = partition
 
-    def value(self, x):
-        return float(self.partition.norms(self._check(x)).sum())
-
     def values(self, X):
         return self.partition.row_norms(check_rows(X, self.dim)).sum(axis=1)
 
@@ -295,11 +296,8 @@ class PositivePartMax(Gauge):
     """max_i (u_i)_+, the positive-part max; its unit ball {u : u <= 1}
     is unbounded, with the kernel cone {u <= 0}."""
 
-    def value(self, u):
-        return float(np.max(self._check(u), initial=0.0))
-
     def values(self, U):
-        return np.max(check_rows(U, self.dim), axis=1, initial=0.0)
+        return check_rows(U, self.dim).max(axis=1, initial=0.0)
 
     def polar(self, v):
         """sup of <v, u> over u <= 1: sum(v) for v >= 0, else +inf."""
@@ -335,9 +333,6 @@ class Precomposed(Gauge):
     @functools.cached_property
     def _d_null(self):
         return null_space(self._d)
-
-    def value(self, x):
-        return self.base.value(self.dstar @ self._check(x))
 
     def values(self, X):
         return self.base.values(check_rows(X, self.dim) @ self._d)
@@ -426,12 +421,7 @@ class SumGauge(Gauge):
         super().__init__(dims.pop())
         self.parts = list(parts)
 
-    def value(self, x):
-        x = self._check(x)
-        return float(sum(g.value(x) for g in self.parts))
-
     def values(self, X):
-        X = check_rows(X, self.dim)
         return sum(g.values(X) for g in self.parts)
 
     def polar(self, u):
@@ -499,12 +489,7 @@ class MaxGauge(Gauge):
         super().__init__(dims.pop())
         self.parts = list(parts)
 
-    def value(self, x):
-        x = self._check(x)
-        return float(max(g.value(x) for g in self.parts))
-
     def values(self, X):
-        X = check_rows(X, self.dim)
         return np.max([g.values(X) for g in self.parts], axis=0)
 
     def _ball_halfspaces(self):

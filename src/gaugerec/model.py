@@ -14,12 +14,9 @@ pre-composition rules are atoms with a lift, so every polyhedral gauge is
 evaluated the same way.  Its unit ball is derived from unlifted atoms when
 first asked for.
 
-``SubdiffGauge.values(X)``, like the ``values`` of the gauges, evaluates
-the gauge on every row of X in one pass, as the vertex route of
-``linalg.operator_bound`` needs: one S-membership test for all rows (the
-same per-row tolerance as ``value``, +inf off S), then one product with the
-atoms or one pass of block norms; only a lifted gauge still solves one LP
-per row.
+``SubdiffGauge`` is a ``Gauge``: ``values(X)`` tests every row of X for
+S-membership at once (+inf off S) and evaluates the rows on S in one pass,
+or by one LP per row with a lift.
 """
 
 import functools
@@ -31,7 +28,8 @@ from .lp import lp_min_max, LpNumericalError, OPTIMAL
 from . import linalg
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PositivePartMax,
                      Precomposed, SumGauge, MaxGauge, BlockPartition,
-                     UnsupportedGaugeError, _section_vertices, check_rows)
+                     UnsupportedGaugeError, _section_vertices, check_rows,
+                     block_membership)
 
 SUPPORT_TOL = 1e-10       # relative threshold for "entry is nonzero"
 SATURATION_TOL = 1e-9     # relative threshold for "entry attains the max"
@@ -50,21 +48,15 @@ class GroupLinf2(Gauge):
         self.partition = partition
         self.linf2_blocks = [np.asarray(b, dtype=int) for b in partition]
 
-    def value(self, x):
-        x = self._check(x)
-        return float(max((np.linalg.norm(x[b]) for b in self.partition),
-                         default=0.0))
-
     def values(self, X):
         X = check_rows(X, self.dim)
         return self.partition.row_norms(X).max(axis=1, initial=0.0)
 
     def polar(self, u):
-        u = self._check(u)
-        return float(sum(np.linalg.norm(u[b]) for b in self.partition))
+        return float(self.partition.norms(self._check(u)).sum())
 
 
-class SubdiffGauge:
+class SubdiffGauge(Gauge):
     """Gauge of the shifted subdifferential; finite exactly on S.
 
     Exactly one encoding is given:
@@ -78,19 +70,17 @@ class SubdiffGauge:
       calculus rules over block-norm parts.
 
     The unit ball is derived from unlifted atoms on first request and
-    cached; the other encodings have none.  ``exact`` records whether
-    ``value`` is closed form / LP-backed (True) or a numerical fallback.
+    cached; the other encodings have none.  ``exact`` records whether the
+    evaluation is closed form / LP-backed (True) or a numerical fallback.
     """
-
-    is_euclidean = False
 
     def __init__(self, S, atoms=None, lift=None, linf2_blocks=None,
                  value_fn=None, exact=True):
         if sum(a is not None for a in (atoms, linf2_blocks, value_fn)) != 1:
             raise ValueError(
                 "give exactly one of atoms, linf2_blocks, value_fn")
+        super().__init__(S.ambient_dim)
         self.S = S
-        self.dim = S.ambient_dim
         self.atoms = None if atoms is None else np.asarray(atoms, dtype=float)
         if atoms is not None and lift is None:
             lift = np.zeros((len(self.atoms), 0))
@@ -99,40 +89,30 @@ class SubdiffGauge:
         self._value_fn = value_fn
         self.exact = exact
 
-    def value(self, eta):
-        eta = check_finite(eta, "eta")
-        if eta.shape != (self.dim,):
-            raise ValueError(f"expected length {self.dim}, got {eta.shape}")
-        if not self.S.contains(eta, tol=1e-9 * (1.0 + np.linalg.norm(eta))):
-            return np.inf
-        if self.atoms is not None:
-            if not self.lift.shape[1]:
-                return float(np.max(self.atoms @ eta, initial=0.0))
-            return self._lifted_value(eta)
-        if self.linf2_blocks is not None:
-            return float(max((np.linalg.norm(eta[b])
-                              for b in self.linf2_blocks), default=0.0))
-        return float(self._value_fn(eta))
-
     def values(self, X):
-        """``value`` of every row of X: one S-membership test and one
-        product with the atoms or one pass of block norms for all rows,
-        and one LP per row on S only with a lift."""
+        """The gauge of every row of X, +inf off S."""
         X = check_rows(X, self.dim)
-        if self._value_fn is not None:
-            return np.array([self.value(x) for x in X], dtype=float)
-        out = np.full(len(X), np.inf)
         on_S = self.S.contains_rows(X)
-        Y = X[on_S]
-        if self.atoms is not None and self.lift.shape[1]:
-            out[on_S] = [self._lifted_value(y) for y in Y]
+        every = np.count_nonzero(on_S) == len(X)
+        Y = X if every else X[on_S]
+        if self._value_fn is not None:
+            vals = [float(self._value_fn(y)) for y in Y]
+        elif self.atoms is not None and self.lift.shape[1]:
+            vals = [self._lifted_value(y) for y in Y]
         elif self.atoms is not None:
-            out[on_S] = np.max(Y @ self.atoms.T, axis=1, initial=0.0)
+            vals = Y.dot(self.atoms.T).max(axis=1, initial=0.0)
         else:
-            out[on_S] = np.max([np.linalg.norm(Y[:, b], axis=1)
-                                for b in self.linf2_blocks], axis=0,
-                               initial=0.0)
+            vals = np.sqrt((Y * Y).dot(self._block_member)).max(axis=1,
+                                                                 initial=0.0)
+        if every:
+            return np.asarray(vals, dtype=float)
+        out = np.full(len(X), np.inf)
+        out[on_S] = vals
         return out
+
+    @functools.cached_property
+    def _block_member(self):
+        return block_membership(self.linf2_blocks, self.dim)
 
     def _lifted_value(self, eta):
         res = lp_min_max(self.atoms @ eta, self.lift)
@@ -170,9 +150,6 @@ class SubdiffGauge:
         if domain.contains_rows(verts).all():
             return verts
         return None
-
-    def kernel_directions(self, domain=None):
-        return np.zeros((0, self.dim))
 
 
 class PsflParams:
@@ -221,7 +198,8 @@ class ModelDecomposition:
             raise ValueError("e does not lie in T")
         if np.linalg.norm(self.T.project(self.f) - self.e) > 1e-8 * scale:
             raise ValueError("the T-part of f must equal e")
-        if not self.T.contains(self.x, tol=1e-8 * (1.0 + np.linalg.norm(self.x))):
+        if np.linalg.norm(self.T.project(self.x) - self.x) > \
+                1e-8 * (1.0 + np.linalg.norm(self.x)):
             raise ValueError("anchor point does not lie in its model subspace")
 
     @property

@@ -244,9 +244,10 @@ class Polytope:
         normals = _finite(normals, "normals")
         offsets = _finite(offsets, "offsets")
         verts = _halfspace_vertices(normals, offsets)
-        # prune halfspaces never tight at a vertex
-        slack = offsets[:, None] - normals @ verts.T
-        tight = (slack <= 1e-7 * (1.0 + np.abs(offsets)[:, None])).any(axis=1)
+        # prune halfspaces never tight at a vertex, from their support over
+        # the vertices, a block of halfspaces at a time
+        tight = (_facet_support(verts, normals)
+                 >= offsets - 1e-7 * (1.0 + np.abs(offsets)))
         return cls(verts, normals[tight], offsets[tight])
 
     # -- basic queries ----------------------------------------------------

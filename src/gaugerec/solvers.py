@@ -42,11 +42,12 @@ rank cutoff of ``linalg.rank_tolerance``.
 """
 
 import math
+import numbers
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import (check_finite, null_space, svd_pinv, pinv_and_rank,
+from .linalg import (check_problem, null_space, svd_pinv, pinv_and_rank,
                      power_operator_norm, rank_tolerance, RankedSvd)
 from .lp import LpProblem, lp_solve, lp_min_max, OPTIMAL
 from .gauges import (L1, L2, Linf, GroupL1L2, PositivePartMax,
@@ -88,7 +89,16 @@ class SolveResult:
 
 
 class SolveOptions:
+    """``tol``, finite and >= 0, bounds the residuals at exit; ``max_iter``,
+    an int >= 1, caps the iterations."""
+
     def __init__(self, tol=1e-8, max_iter=200000):
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real)
+                                         and math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+        if isinstance(max_iter, bool) or not (
+                isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+            raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}")
         self.tol = float(tol)
         self.max_iter = int(max_iter)
 
@@ -139,10 +149,7 @@ def solve_penalized(Phi, y, lam, g, opts=None):
         gauge Chambolle-Pock (``UnsupportedGaugeError`` for a sum or a max)
     opts : SolveOptions; ``tol`` bounds the first-order residuals at exit.
     """
-    Phi = check_finite(Phi, "Phi")
-    y = check_finite(y, "y")
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be finite and positive, got {lam!r}")
+    Phi, y, _ = check_problem(Phi, y, dim=g.dim, lam=lam)
     opts = opts or SolveOptions()
     if isinstance(g, (L1, GroupL1L2, Linf)):
         return _fista(Phi, y, lam, g, opts)
@@ -340,8 +347,7 @@ def solve_noiseless(Phi, y, g, opts=None):
     max, as PolyhedralH has); other gauges run Chambolle-Pock with the
     affine constraint enforced by projection.
     """
-    Phi = check_finite(Phi, "Phi")
-    y = check_finite(y, "y")
+    Phi, y, _ = check_problem(Phi, y, dim=g.dim)
     opts = opts or SolveOptions()
     # feasibility of y, and Ker(Phi) for the max-of-atoms LPs
     svd = RankedSvd(Phi)
@@ -442,8 +448,7 @@ def solve_restricted(Phi, y, lam, md, opts=None):
     solutions with dim T > Q are often unique; ``converged`` reports whether
     its residual met ``opts.tol``.
     """
-    Phi = check_finite(Phi, "Phi")
-    y = check_finite(y, "y")
+    Phi, y, _ = check_problem(Phi, y, dim=md.ambient_dim, lam=lam)
     opts = opts or SolveOptions()
     if isinstance(md.gauge, GroupL1L2):
         return _group_newton(Phi, y, lam, md, opts.tol)

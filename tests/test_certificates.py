@@ -5,7 +5,7 @@ import pytest
 
 from gaugerec.gauges import L1, L2, Linf, GroupL1L2, BlockPartition
 from gaugerec.linalg import (svd_pinv, null_space, restricted_injectivity,
-                             operator_bound, OperatorBound)
+                             operator_bound, OperatorBound, Subspace)
 from gaugerec.lp import lp_minimize_linf
 from gaugerec.polytopes import Polytope
 from gaugerec.model import (decompose, decompose_l1, decompose_linf,
@@ -189,6 +189,22 @@ class TestOptimalityChecks:
             verdict = check_noisy_optimality(Phi, y, 0.4, res.x_hat, md=md,
                                              eq_tol=1e-6)
             assert verdict in ("unique_optimal", "optimal_maybe_nonunique")
+
+    def test_zero_point_uniqueness_uses_the_module_rank_rule(self):
+        # sigma_3 = 1e-14 lies below linalg's cutoff (64 times numpy's), so
+        # Phi is not injective and x = 0 need not be the unique minimizer
+        rng = np.random.default_rng(3)
+        U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        Phi = U @ np.diag([1.0, 0.5, 1e-14]) @ V.T
+        y = 0.1 * U[:, 0]
+        assert not restricted_injectivity(Phi, Subspace.full(3))
+        assert check_noisy_optimality(Phi, y, 1.0, np.zeros(3),
+                                      gauge=L1(3)) \
+            == "optimal_maybe_nonunique"
+        Phi = U @ np.diag([1.0, 0.5, 1e-3]) @ V.T
+        assert check_noisy_optimality(Phi, y, 1.0, np.zeros(3),
+                                      gauge=L1(3)) == "unique_optimal"
 
     def test_noiseless_identity(self):
         md, _ = decompose_l1(np.array([2.0, 0.0]))

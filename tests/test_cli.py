@@ -97,6 +97,35 @@ class TestDecompose:
         assert err.startswith("error:") and "delta" in err
 
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--reg", "l1", "--x", "[3,0,-2]", "--analysis-domain"],
+         "--analysis-domain"),
+        (["--reg", "l1", "--x", "[3,0,-2]", "--analysis-domain",
+          "--mu-choice", "0.9"], "--analysis-domain"),
+        (["--reg", "group", "--x", "[3,4,0,0]", "--blocks", "[[0,1],[2,3]]",
+          "--analysis-domain"], "--analysis-domain"),
+        (["--reg", "polyhedral", "--x", "[-1,0,0]",
+          "--hmat", "[[1,0,0],[0,1,0],[0,0,1]]", "--mu-choice", "0.9"],
+         "--mu-choice"),
+        (["--reg", "l1", "--x", "[3,0,-2]", "--mu-choice", "0.5"],
+         "--mu-choice"),
+    ])
+    def test_a_flag_that_does_not_apply_is_rejected(self, capsys, args,
+                                                    flag):
+        code, out, err = run_cli(capsys, "decompose", *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("mu, f", [(None, 0.25), ("0.9", 0.45)])
+    def test_mu_choice_sets_the_analysis_anchor(self, capsys, mu, f):
+        args = ["--reg", "polyhedral", "--analysis-domain", "--x", "[-1,0,0]"]
+        if mu is not None:
+            args += ["--mu-choice", mu]
+        code, out, _ = run_cli(capsys, "decompose", *args)
+        assert code == 0
+        assert json.loads(out)["f"] == [0.0, f, f]
+
+
 class TestCertify:
     def test_identifiable_instance(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--reg", "l1",
@@ -164,6 +193,20 @@ class TestSolve:
                                  "--lambda", "0.5", "--max-iter", "100")
         assert code == 4 and out == ""
         assert err.startswith("error:") and "infeasible" in err
+
+    @pytest.mark.parametrize("args, name", [
+        (["--tol", "nan"], "tol"), (["--tol", "-1"], "tol"),
+        (["--max-iter", "0"], "max_iter"), (["--max-iter", "-5"], "max_iter"),
+        (["--y", "[5]"], "y"), (["--y", "[5,0,1]"], "y")])
+    def test_bad_options_and_shapes_exit_2(self, capsys, args, name):
+        flags = [] if "--y" in args else ["--y", "[5,0]"]
+        for mode in ("penalized", "noiseless"):
+            code, out, err = run_cli(capsys, "solve", "--mode", mode,
+                                     "--reg", "l1",
+                                     "--phi", "[[1,0,0],[0,1,1]]",
+                                     "--lambda", "0.5", *flags, *args)
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {name} must")
 
     def test_penalized_needs_lambda(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--mode", "penalized",

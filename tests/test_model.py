@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH, SumGauge,
+from gaugerec.gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH,
+                             SumGauge,
                              BlockPartition, UnsupportedGaugeError)
 from gaugerec.linalg import Subspace, operator_bound, NoBoundRouteError
 from gaugerec.certificates import stability_constants
@@ -362,6 +363,28 @@ class TestDirectionalDerivative:
 
 
 class TestModelInvariants:
+    @pytest.mark.parametrize("kind", ["l1", "l2", "linf", "group", "tv",
+                                      "poly", "poly-analysis", "sum",
+                                      "sum-blocks"])
+    def test_subdifferential_gauge_is_a_gauge(self, kind, rng):
+        if kind in ("l1", "linf", "group", "tv", "poly"):
+            md = decompose(*_instance(kind, rng))
+        elif kind == "l2":
+            md = decompose(L2(4), np.array([0.0, 0.0, 0.0, 0.0]))
+        elif kind == "poly-analysis":
+            md, _ = decompose_polyhedral(np.array([-1.0, 0.0, 0.0]))
+        else:
+            x = np.array([2.0, -2.0, 0.0, 0.5])
+            other = Linf(4) if kind == "sum" else \
+                GroupL1L2(BlockPartition([[0, 1], [2, 3]], 4))
+            md = decompose(SumGauge([L1(4), other]), x)
+        g = md.antig
+        assert isinstance(g, Gauge)
+        assert g.dim == md.ambient_dim
+        eta = md.S.project(rng.standard_normal(md.ambient_dim))
+        assert g.value(eta) == g.values(eta[None])[0]
+        assert len(g.kernel_directions()) == 0 and not g.is_euclidean
+
     @pytest.mark.parametrize("kind", ["l1", "linf", "group", "tv", "poly"])
     def test_members_share_T_part_and_anchor_value(self, kind, rng):
         # P_T eta = e for every subgradient, and <e, x> = J(x) for gauges

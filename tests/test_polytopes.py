@@ -341,6 +341,36 @@ class TestRepresentation:
         Q = Polytope.from_halfspaces(P.normals, P.offsets)
         assert vertex_sets_match(P.vertices, Q.vertices)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_from_halfspaces_prunes_in_facet_blocks(self, d, monkeypatch):
+        # 5 extra halfspaces at relative slack 0, 1e-9 (kept: tight to
+        # 1e-7) and 1e-6, 0.3, 2 (pruned); the pruning takes each
+        # halfspace's support over the vertices, a few halfspaces at a time
+        rng = np.random.default_rng(d)
+        P = random_polytope(d, seed=d)
+        R = rng.standard_normal((5, d))
+        sup = np.array([P.support(r) for r in R])
+        extra = sup + np.array([0.0, 1e-9, 1e-6, 0.3, 2.0]) * (1 + np.abs(sup))
+        normals = np.vstack([R, P.normals])
+        offsets = np.concatenate([extra, P.offsets])
+        ref = Polytope.from_halfspaces(normals, offsets)
+        rows = []
+        support = polytopes._facet_support
+
+        def spy(verts, normals):
+            rows.append(len(normals))
+            return support(verts, normals)
+
+        monkeypatch.setattr(polytopes, "SUPPORT_BLOCK", 3)
+        monkeypatch.setattr(polytopes, "_facet_support", spy)
+        Q = Polytope.from_halfspaces(normals, offsets)
+        # every given halfspace went through the blocked support
+        assert len(offsets) in rows
+        assert np.array_equal(Q.normals, ref.normals)
+        assert np.array_equal(Q.offsets, ref.offsets)
+        assert np.array_equal(Q.normals,
+                              np.vstack([R[:2], P.normals]))
+
     def test_dimension_gate(self):
         with pytest.raises(PolytopeError):
             Polytope.from_vertices(np.random.default_rng(0)

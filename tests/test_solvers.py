@@ -9,6 +9,7 @@ from gaugerec.linalg import restricted_injectivity, svd_pinv
 from gaugerec.lp import LpProblem, lp_solve
 from gaugerec.model import decompose, decompose_l1, decompose_group, tv1d_gauge
 from gaugerec.certificates import (check_noisy_optimality,
+                                   check_noiseless_optimality,
                                    RestrictedInjectivityError)
 from gaugerec import solvers
 from gaugerec.solvers import (solve_penalized, solve_noiseless,
@@ -201,6 +202,75 @@ PINNED_X_HAT = {
         '-0x1.879b2cb1c4048p-3', '-0x1.0abc04396d212p-2',
     ],
 }
+
+
+class TestInputChecks:
+    """Inputs are checked before any work, naming the argument."""
+
+    PHI = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("y", [[5.0], 5.0, [5.0, 0.0, 1.0],
+                                   [[5.0, 0.0]]])
+    def test_y_must_have_one_entry_per_row(self, y):
+        Phi, x, g = self.PHI, np.array([5.0, 0.0, 0.0]), L1(3)
+        md = decompose(g, x)
+        for call in (lambda: solve_penalized(Phi, y, 0.5, g),
+                     lambda: solve_noiseless(Phi, y, g),
+                     lambda: solve_restricted(Phi, y, 0.5, md),
+                     lambda: check_noisy_optimality(Phi, y, 0.5, x, md=md),
+                     lambda: check_noisy_optimality(Phi, y, 0.5, np.zeros(3),
+                                                    gauge=g),
+                     lambda: check_noiseless_optimality(Phi, y, x, md)):
+            with pytest.raises(ValueError, match="^y must have one entry"):
+                call()
+
+    def test_x_and_gauge_must_have_one_entry_per_column(self):
+        y = np.array([5.0, 0.0])
+        md = decompose(L1(3), np.array([5.0, 0.0, 0.0]))
+        for x in (np.array([5.0, 0.0]), np.ones((3, 1))):
+            with pytest.raises(ValueError, match="^x must have one entry"):
+                check_noisy_optimality(self.PHI, y, 0.5, x, md=md)
+            with pytest.raises(ValueError, match="^x must have one entry"):
+                check_noiseless_optimality(self.PHI, y, x, md)
+        for call in (lambda: solve_penalized(self.PHI, y, 0.5, L1(4)),
+                     lambda: solve_noiseless(self.PHI, y, Linf(2)),
+                     lambda: solve_restricted(
+                         self.PHI, y, 0.5, decompose(L1(4), np.ones(4))),
+                     lambda: check_noisy_optimality(self.PHI, y, 0.5,
+                                                    np.zeros(3),
+                                                    gauge=L1(4))):
+            with pytest.raises(ValueError, match="regularizer has dimension"):
+                call()
+
+    @pytest.mark.parametrize("lam", [np.nan, -1.0, 0.0])
+    def test_restricted_lambda_is_rejected_by_name(self, lam):
+        # a nan lam used to give an all-nan x_hat with converged=True
+        md = decompose(L1(3), np.array([5.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="^lam must"):
+            solve_restricted(self.PHI, np.array([5.0, 0.0]), lam, md)
+
+    def test_phi_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="^Phi must be a 2-d array"):
+            solve_penalized(np.ones(3), np.ones(3), 0.5, L1(3))
+
+    def test_a_broadcastable_y_no_longer_solves_another_problem(self):
+        # y = [5] used to be broadcast to [5, 5] and "converge"
+        with pytest.raises(ValueError, match="^y must"):
+            solve_penalized(self.PHI, np.array([5.0]), 0.5, L1(3))
+        res = solve_penalized(self.PHI, np.array([5.0, 0.0]), 0.5, L1(3))
+        assert res.converged and np.allclose(res.x_hat, [4.5, 0.0, 0.0])
+
+    @pytest.mark.parametrize("kw", [
+        {"tol": np.nan}, {"tol": np.inf}, {"tol": -1.0}, {"tol": "1e-8"},
+        {"max_iter": 0}, {"max_iter": -5}, {"max_iter": 2.5},
+        {"max_iter": True}, {"max_iter": None}])
+    def test_options_are_rejected_by_name(self, kw):
+        with pytest.raises(ValueError, match=f"^{next(iter(kw))} must"):
+            SolveOptions(**kw)
+
+    def test_options_accept_their_limits(self):
+        opts = SolveOptions(tol=0, max_iter=np.int64(1))
+        assert opts.tol == 0.0 and opts.max_iter == 1
 
 
 class TestPinnedIterates:

@@ -1,10 +1,14 @@
 """Batched gauge evaluation: ``values(X)`` against ``value`` row by row."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                             SumGauge, MaxGauge, BlockPartition)
+from gaugerec import gauges, model
+from gaugerec.gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH,
+                             PositivePartMax, Precomposed, SumGauge, MaxGauge,
+                             BlockPartition)
 from gaugerec.linalg import Subspace
 from gaugerec.model import (GroupLinf2, SubdiffGauge, decompose_l1,
                             decompose_linf, decompose_group,
@@ -37,6 +41,7 @@ def _gauges():
         ("precomposed", Precomposed(Linf(4), rng.standard_normal((4, N))),
          False),
         ("polyhedral", PolyhedralH(rng.standard_normal((N, 9))), False),
+        ("positive-part-max", PositivePartMax(N), True),
         ("antig-atoms", decompose_l1(x)[0].antig, False),
         ("antig-saturation", decompose_linf(x)[0].antig, False),
         ("antig-blocks", decompose_group(group_x, PART)[0].antig, False),
@@ -104,6 +109,33 @@ class TestValues:
             g.values(np.ones((2, N + 1)))
         with pytest.raises(ValueError):
             g.values(np.ones(N))
+
+    def test_value_takes_one_vector(self, name, g, exact):
+        # a square array has as many rows as the gauge has coordinates
+        for bad in (np.arange(N * N, dtype=float).reshape(N, N),
+                    np.ones((1, N)), np.ones(N + 1), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                g.value(bad)
+
+    def test_value_is_the_one_row_case_of_values(self, name, g, exact, rng):
+        for x in _rows(g, rng):
+            assert np.array_equal(g.value(x), g.values(x[None])[0])
+
+
+def _gauge_classes():
+    return sorted({cls for mod in (gauges, model)
+                   for _, cls in inspect.getmembers(mod, inspect.isclass)
+                   if issubclass(cls, Gauge)}, key=lambda cls: cls.__name__)
+
+
+def test_one_evaluator_per_gauge_class():
+    classes = _gauge_classes()
+    assert SubdiffGauge in classes and GroupLinf2 in classes
+    for cls in classes:
+        # value is defined once, on the base class, as the one-row values
+        assert ("value" in vars(cls)) == (cls is Gauge), cls.__name__
+        if cls is not Gauge:
+            assert cls.values is not Gauge.values, cls.__name__
 
 
 def test_lifted_zero_is_positive_zero():
