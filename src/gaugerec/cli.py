@@ -116,6 +116,15 @@ def _build_gauge(args, n):
     raise CliError(f"unknown regularizer {reg!r}")
 
 
+def _check_reg_flags(args):
+    """--blocks applies to --reg group only and --hmat to --reg polyhedral
+    only; a flag given with another --reg is rejected, not ignored."""
+    for flag, value, reg in (("--blocks", args.blocks, "group"),
+                             ("--hmat", args.hmat, "polyhedral")):
+        if value is not None and args.reg != reg:
+            raise CliError(f"{flag} applies to --reg {reg} only")
+
+
 def _subspace_payload(md):
     return {
         "dim_T": md.T.dim,
@@ -132,6 +141,7 @@ def cmd_decompose(args):
         raise CliError("--analysis-domain applies to --reg polyhedral only")
     if args.mu_choice is not None and not args.analysis_domain:
         raise CliError("--mu-choice applies with --analysis-domain only")
+    _check_reg_flags(args)
     x = _vector(args.x, "--x")
     try:
         if args.analysis_domain:
@@ -156,6 +166,7 @@ def cmd_decompose(args):
 
 
 def cmd_certify(args):
+    _check_reg_flags(args)
     x = _vector(args.x, "--x")
     Phi = _matrix(args.phi, "--phi")
     if Phi.shape[1] != len(x):
@@ -180,6 +191,7 @@ def cmd_certify(args):
 
 
 def cmd_solve(args):
+    _check_reg_flags(args)
     Phi = _matrix(args.phi, "--phi")
     y = _vector(args.y, "--y")
     g = _build_gauge(args, Phi.shape[1])

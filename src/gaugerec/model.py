@@ -244,9 +244,10 @@ def support_indices(x):
 
 
 def saturation_indices(x):
-    x = np.asarray(x, dtype=float)
-    m = np.max(np.abs(x))
-    return [int(i) for i in np.flatnonzero(np.abs(x) >= m * (1.0 - SATURATION_TOL))]
+    """Indices, ascending, of the entries of x within SATURATION_TOL of its
+    largest absolute value."""
+    a = np.abs(np.asarray(x, dtype=float))
+    return np.flatnonzero(a >= np.max(a) * (1.0 - SATURATION_TOL))
 
 
 def _check_delta(delta):
@@ -303,8 +304,9 @@ def _saturation_model(s, I):
     S = Subspace(SB, _skip_checks=True)
     TB = np.zeros((n, n - k + 1))
     TB[I, 0] = s[I] / np.sqrt(k)
-    rest = np.setdiff1d(np.arange(n), I)
-    TB[rest, 1 + np.arange(len(rest))] = 1.0
+    off = np.ones(n, dtype=bool)
+    off[I] = False
+    TB[off, 1:] = np.eye(n - k)
     T = Subspace(TB, _skip_checks=True)
     atoms = np.zeros((k + 1, n))
     atoms[np.arange(k), I] = -k * s[I]
@@ -323,8 +325,10 @@ def decompose_linf(x, delta=0.5):
     s = np.zeros(n)
     s[I] = np.sign(x[I])
     T, S, e, antig = _saturation_model(s, I)
-    off = [abs(x[j]) for j in range(n) if j not in I]
-    gap = np.max(np.abs(x)) - (max(off) if off else 0.0)
+    a = np.abs(x)
+    top = np.max(a)
+    a[I] = 0.0   # the largest entry off I, 0 when there is none
+    gap = top - np.max(a)
     nu = (1.0 - delta) * gap
     p = PsflParams(nu, 0.0, 0.0, 0.0, L1(n))
     return ModelDecomposition(Linf(n), x, T, S, e, e.copy(), antig,

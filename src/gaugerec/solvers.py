@@ -4,19 +4,25 @@ recovery problems.  The gauge picks the route.
 ``solve_penalized`` runs FISTA with adaptive restart on the prox-able
 ``L1``, ``Linf`` and ``GroupL1L2``, and Chambolle-Pock on J(x) = base(K x)
 on every other gauge, with K = D* for a pre-composition (H^T for a
-polyhedral H-gauge, over the positive-part max) and K = I otherwise.  Its
-primal prox, that of the least-squares term, is the matrix
-(I + tau Phi^T Phi)^{-1} formed once per solve from its Cholesky factor,
-so an iteration costs one matrix-vector product there.  Convergence is
-declared from the first-order conditions at the iterate's own model
-decomposition, never from step sizes alone.  At each FISTA convergence
-check that the iterate fails, the penalized problem is also solved exactly
-on the iterate's model subspace T (``solve_restricted``); once FISTA has
-identified the model, that candidate passes the same first-order test and
-is returned.  On T the regularizer is smooth: affine for the l1 and
-max-abs kinds, where the candidate is one linear solve, and a sum of block
-norms for the group kind, where Newton's method on the active blocks finds
-it.
+polyhedral H-gauge, over the positive-part max) and K = I otherwise.
+Each loop applies its least-squares step as an affine map v -> M v + c
+formed once per solve: M = I - step Phi^T Phi for the FISTA forward step,
+and M = (I + tau Phi^T Phi)^{-1}, from its Cholesky factor, for the
+Chambolle-Pock primal prox.  FISTA calls the gauge's unchecked prox
+(``Gauge._prox``): ``check_problem`` validates the inputs once, and M, c
+and the iterates (FISTA's at each restart test, Chambolle-Pock's at each
+check) are tested finite, so a Phi or y whose scale overflows raises
+``SolverError``.  Convergence is declared from the first-order conditions
+at the iterate's own model decomposition, never from step sizes alone.
+At each FISTA convergence check that the iterate fails, the penalized
+problem is also solved exactly on the iterate's model subspace T
+(``solve_restricted``); once FISTA has identified the model, that
+candidate passes the same first-order test and is returned.  On T the
+regularizer is smooth: affine for the l1 and max-abs kinds, where the
+candidate is one linear solve, and a sum of block norms for the group
+kind, where Newton's method on the active blocks finds it.  Newton gives
+up at the first step that it would have to damp below 1/2, a sign that
+the model is not yet identified.
 
 Chambolle-Pock reads the model from its dual iterate p instead (Liang,
 Fadili & Peyre 2018).  For a polyhedral base p lies on a face of lam times
@@ -157,21 +163,32 @@ def solve_penalized(Phi, y, lam, g, opts=None):
 
 
 def _fista(Phi, y, lam, g, opts):
+    """FISTA with adaptive restart (Beck & Teboulle 2009) on the prox-able
+    gauges: one affine forward step (``_forward_step``) and the unchecked
+    ``_prox`` per iteration."""
     n = Phi.shape[1]
-    L = power_operator_norm(Phi) ** 2
+    try:
+        L = power_operator_norm(Phi) ** 2
+    except OverflowError:
+        raise _overflow_error(Phi, y, "||Phi||^2") from None
     step = 1.0 / L if L > 0 else 1.0
+    M, c = _forward_step(Phi, y, step)
+    prox = g._prox
+    thresh = lam * step
     x = np.zeros(n)
     z = x.copy()
     t = 1.0
     obj_prev = _objective(Phi, y, lam, g, x)
     eq = slack = np.inf
     for it in range(1, opts.max_iter + 1):
-        grad = Phi.T @ (Phi @ z - y)
-        x_new = g.prox(lam * step, z - step * grad)
+        x_new = prox(thresh, M @ z + c)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        # adaptive restart on objective increase
+        # adaptive restart on objective increase; CHECK_EVERY is a
+        # multiple of 10, so every convergence check sees a finite iterate
         if it % 10 == 0:
+            _require_finite(Phi, y, f"the FISTA iterate at iteration {it}",
+                            x_new)
             obj = _objective(Phi, y, lam, g, x_new)
             if obj > obj_prev:
                 z = x_new.copy()
@@ -191,6 +208,30 @@ def _fista(Phi, y, lam, g, opts):
     eq, slack = _first_order_residuals(Phi, y, lam, g, x)
     return SolveResult(x, opts.max_iter, eq, slack,
                        eq <= opts.tol and slack <= opts.tol, "fista")
+
+
+def _forward_step(Phi, y, step):
+    """(M, c) with M z + c = z - step Phi^T (Phi z - y), the gradient step
+    on 0.5||y - Phi z||^2 as one affine map."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = np.eye(Phi.shape[1]) - step * (Phi.T @ Phi)
+        c = step * (Phi.T @ y)
+    _require_finite(Phi, y, "the FISTA step I - step Phi^T Phi", M, c)
+    return M, c
+
+
+def _require_finite(Phi, y, what, *arrays):
+    """``SolverError`` naming the scale of Phi and y unless every array is
+    finite: Phi and y are finite, so only an overflow makes them not so."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise _overflow_error(Phi, y, what)
+
+
+def _overflow_error(Phi, y, what):
+    return SolverError(
+        f"{what} is not finite: the scale of Phi (largest entry "
+        f"{np.abs(Phi).max():.3g}) or of y (largest entry "
+        f"{np.abs(y).max(initial=0.0):.3g}) overflows double precision")
 
 
 def _polish(Phi, y, lam, g, md, tol):
@@ -299,6 +340,8 @@ def _primal_dual_penalized(Phi, y, lam, g, opts):
 
     def check(x, p, it):
         nonlocal last_key
+        _require_finite(Phi, y,
+                        f"the Chambolle-Pock iterate at iteration {it}", x)
         eq, slack = _first_order_residuals(Phi, y, lam, g, x)
         done = eq <= opts.tol and slack <= opts.tol
         if not done and face is not None:
@@ -329,9 +372,13 @@ def _least_squares_prox(Phi, y, tau):
     M = (I + tau Phi^T Phi)^{-1} formed once from its Cholesky factor and
     c = tau M Phi^T y."""
     n = Phi.shape[1]
-    chol = scipy.linalg.cho_factor(np.eye(n) + tau * (Phi.T @ Phi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.eye(n) + tau * (Phi.T @ Phi)
+    _require_finite(Phi, y, "I + tau Phi^T Phi", A)
+    chol = scipy.linalg.cho_factor(A, check_finite=False)
     M = scipy.linalg.cho_solve(chol, np.eye(n), check_finite=False)
     c = tau * (M @ (Phi.T @ y))
+    _require_finite(Phi, y, "the least-squares prox", c)
     return lambda v: M @ v + c
 
 
@@ -446,7 +493,11 @@ def solve_restricted(Phi, y, lam, md, opts=None):
     blocks, started at md.x, minimizes the block-norm problem.  It needs a
     nonsingular Hessian at md.x rather than injectivity, since group
     solutions with dim T > Q are often unique; ``converged`` reports whether
-    its residual met ``opts.tol``.
+    its residual met ``opts.tol``.  Newton gives up as soon as neither a
+    full nor a half step decreases the residual, as on a wrong model, whose
+    minimizer over T wants an active block to vanish.  It then returns its
+    last iterate, and ``converged`` says whether that iterate's residual
+    already met ``opts.tol``; on a wrong model it has not.
     """
     Phi, y, _ = check_problem(Phi, y, dim=md.ambient_dim, lam=lam)
     opts = opts or SolveOptions()
@@ -477,8 +528,12 @@ def _restricted_affine(Mp, y, U, lam, e):
 def _group_newton(Phi, y, lam, md, tol, max_iter=50):
     """Newton's method for min 0.5||y - M c||^2 + lam sum_b ||c_b|| over the
     coordinates c of T, with M = Phi U.  The Hessian is
-    M^T M + lam blockdiag((I - u_b u_b^T) / ||c_b||), u_b = c_b / ||c_b||;
-    steps are damped until the gradient's norm decreases.  ``owner`` is the
+    M^T M + lam blockdiag((I - u_b u_b^T) / ||c_b||), u_b = c_b / ||c_b||.
+    A full or a half step must decrease the gradient's largest entry; when
+    neither does, Newton gives up.  Near a minimizer on T the full step
+    passes; a step that has to be damped further comes from a wrong model,
+    whose minimizer over T wants an active block to vanish, where more
+    steps, each with an ``eigh``, would not converge.  ``owner`` is the
     block of each column of U, so block norms are one ``bincount``."""
     U = md.T.basis
     M = Phi @ U
@@ -521,13 +576,13 @@ def _group_newton(Phi, y, lam, md, tol, max_iter=50):
                     "the restricted Hessian is singular at the anchor")
             break
         step = -(V @ ((V.T @ grad) / w))
-        for t in 0.5 ** np.arange(34):
+        for t in (1.0, 0.5):
             trial = gradient(c + t * step)
             if trial is not None and \
                     np.abs(trial).max(initial=0.0) <= (1.0 - 1e-4 * t) * gn:
                 break
         else:
-            break   # no damped step decreases the gradient any more
+            break   # the model is wrong, or the gradient is at round-off
         c = c + t * step
         grad = trial
         steps += 1

@@ -126,6 +126,30 @@ class TestDecompose:
         assert json.loads(out)["f"] == [0.0, f, f]
 
 
+@pytest.mark.parametrize("command, args", [
+    ("decompose", ["--x", "[3,0,-2]"]),
+    ("certify", ["--x", "[3,0,-2]", "--phi", "[[1,0,0],[0,1,1]]"]),
+    ("solve", ["--mode", "penalized", "--phi", "[[1,0,0],[0,1,1]]",
+               "--y", "[5,0]", "--lambda", "0.5"]),
+    ("solve", ["--mode", "noiseless", "--phi", "[[1,0,0],[0,1,1]]",
+               "--y", "[5,0]"])])
+@pytest.mark.parametrize("reg, flag, value", [
+    ("l1", "--blocks", "[[0,1],[2]]"), ("linf", "--blocks", "[[0,1],[2]]"),
+    ("tv1d", "--blocks", "[[0,1],[2]]"),
+    ("polyhedral", "--blocks", "[[0,1],[2]]"),
+    ("l1", "--hmat", "[[1]]"), ("linf", "--hmat", "[[1]]"),
+    ("tv1d", "--hmat", "[[1]]"), ("group", "--hmat", "[[1]]")])
+def test_a_reg_flag_for_another_reg_is_rejected(capsys, command, args, reg,
+                                                flag, value):
+    # the flag each --reg needs is given, so only the other one is wrong
+    own = {"group": ["--blocks", "[[0,1],[2]]"],
+           "polyhedral": ["--hmat", "[[1,0],[0,1],[-1,-1]]"]}.get(reg, [])
+    code, out, err = run_cli(capsys, command, "--reg", reg, *own,
+                             flag, value, *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
 class TestCertify:
     def test_identifiable_instance(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--reg", "l1",
@@ -207,6 +231,17 @@ class TestSolve:
                                      "--lambda", "0.5", *flags, *args)
             assert code == 2 and out == ""
             assert err.startswith(f"error: {name} must")
+
+    @pytest.mark.parametrize("reg", ["l1", "tv1d"])
+    def test_an_overflowing_phi_exits_2(self, capsys, reg):
+        # FISTA (l1) used to end in an OverflowError traceback, and
+        # Chambolle-Pock (tv1d) in scipy's message about infs or NaNs
+        code, out, err = run_cli(capsys, "solve", "--mode", "penalized",
+                                 "--reg", reg,
+                                 "--phi", "[[1e160,0,0],[0,1e160,1e160]]",
+                                 "--y", "[5,0]", "--lambda", "0.5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "scale of Phi" in err
 
     def test_penalized_needs_lambda(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--mode", "penalized",

@@ -228,6 +228,29 @@ class TestProx:
         with pytest.raises(UnsupportedGaugeError):
             PolyhedralH(np.eye(3)).prox(1.0, np.ones(3))
 
+    PROXABLE = [L1(4), Linf(4), GroupL1L2(BlockPartition([[0, 1], [2, 3]], 4))]
+
+    @pytest.mark.parametrize("g", PROXABLE, ids=["l1", "linf", "group"])
+    def test_prox_validates_its_input(self, g):
+        for bad in (np.array([1.0, np.nan, 0.0, 2.0]),
+                    np.array([1.0, np.inf, 0.0, 2.0]),
+                    np.array([1.0, -np.inf, 0.0, 2.0]),
+                    np.ones((1, 4)), np.ones((4, 4)), np.ones(3),
+                    np.float64(1.0)):
+            with pytest.raises(ValueError):
+                g.prox(0.5, bad)
+
+    @pytest.mark.parametrize("g", PROXABLE, ids=["l1", "linf", "group"])
+    def test_prox_is_the_checked_unchecked_prox(self, g, rng):
+        # bit for bit, signed zeros included: a dropped group block is +0
+        for _ in range(200):
+            v = rng.standard_normal(4) * rng.choice([0.1, 1.0, 10.0])
+            v[rng.random(4) < 0.2] = 0.0
+            lam = float(rng.choice([0.0, rng.uniform(0.01, 3.0)]))
+            out = g.prox(lam, list(v))
+            assert out.dtype == float and out.shape == (4,)
+            assert out.tobytes() == g._prox(lam, v).tobytes()
+
     def test_prox_optimality_via_membership(self, rng):
         # v - p must be a subgradient of lam*g at p
         part = BlockPartition([[0, 1], [2, 3]], 4)

@@ -4,7 +4,8 @@ import pytest
 from gaugerec.gauges import (Gauge, L1, L2, Linf, GroupL1L2, PolyhedralH,
                              SumGauge,
                              BlockPartition, UnsupportedGaugeError)
-from gaugerec.linalg import Subspace, operator_bound, NoBoundRouteError
+from gaugerec.linalg import (Subspace, null_space, operator_bound,
+                             NoBoundRouteError)
 from gaugerec.certificates import stability_constants
 from gaugerec.solvers import solve_penalized, SolveOptions
 from gaugerec.model import (ModelDecomposition, decompose, decompose_l1,
@@ -14,6 +15,7 @@ from gaugerec.model import (ModelDecomposition, decompose, decompose_l1,
                             directional_derivative, psfl_sum, psfl_precompose,
                             tv1d_gauge, DegenerateModelError, GroupLinf2)
 from gaugerec.polytopes import Polytope
+from gaugerec import model as model_mod
 
 from conftest import random_l1_instance
 
@@ -81,6 +83,29 @@ class TestDecomposeLinf:
     def test_zero_rejected(self):
         with pytest.raises(DegenerateModelError):
             decompose_linf(np.zeros(2))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectorised_model_keeps_the_per_entry_bits(self, seed):
+        # T, S, e, the antig atoms and nu, bit for bit, against the
+        # per-entry construction; ties at the max, a saturation within
+        # SATURATION_TOL of it, every entry saturated and one saturated
+        r = np.random.default_rng(seed)
+        for n in (1, 2, 5, 20, 64):
+            for _ in range(10):
+                x = r.standard_normal(n)
+                top = np.abs(x).max()
+                k = int(r.integers(0, n + 1))
+                idx = r.choice(n, k, replace=False)
+                x[idx] = r.choice([-1.0, 1.0], k) * top
+                if n > 1 and r.random() < 0.3:
+                    x[idx[:1]] *= 1.0 - 1e-12
+                md, p = decompose_linf(x)
+                T, S, e, atoms, nu = _per_entry_linf_model(x)
+                assert np.array_equal(md.T.basis, T)
+                assert np.array_equal(md.S.basis, S)
+                assert np.array_equal(md.e, e)
+                assert np.array_equal(md.antig.atoms, atoms)
+                assert p.nu == nu
 
 
 class TestDecomposeGroup:
@@ -530,6 +555,28 @@ class TestPsflCalculus:
         bound = operator_bound(g.dstar, Linf(4), Linf(3)).value
         assert abs(bound - 2.0) <= 1e-12  # max row l1 norm of the difference map
         assert abs(p.nu - p0.nu / bound) <= 1e-12
+
+
+def _per_entry_linf_model(x):
+    """(T basis, S basis, e, antig atoms, nu) of the max-abs model at x,
+    built one entry at a time with delta = 0.5."""
+    n = x.shape[0]
+    m = np.max(np.abs(x)) * (1.0 - model_mod.SATURATION_TOL)
+    I = [int(i) for i in np.flatnonzero(np.abs(x) >= m)]
+    s = np.zeros(n)
+    s[I] = np.sign(x[I])
+    k = len(I)
+    SB = np.zeros((n, k - 1))
+    SB[I, :] = null_space(s[I][None, :])
+    TB = np.zeros((n, n - k + 1))
+    TB[I, 0] = s[I] / np.sqrt(k)
+    rest = np.setdiff1d(np.arange(n), I)
+    TB[rest, 1 + np.arange(len(rest))] = 1.0
+    atoms = np.zeros((k + 1, n))
+    atoms[np.arange(k), I] = -k * s[I]
+    off = [abs(x[j]) for j in range(n) if j not in I]
+    gap = np.max(np.abs(x)) - (max(off) if off else 0.0)
+    return TB, SB, s / k, atoms, 0.5 * gap
 
 
 def _instance(kind, rng):

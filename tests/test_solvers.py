@@ -268,6 +268,49 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"^{next(iter(kw))} must"):
             SolveOptions(**kw)
 
+    @pytest.mark.parametrize("kind", ["l1", "linf", "group", "tv", "poly"])
+    def test_an_overflowing_phi_is_a_solver_error(self, kind):
+        # ||Phi||^2 (FISTA) and I + tau Phi^T Phi (Chambolle-Pock) overflow:
+        # an OverflowError and scipy's "array must not contain infs" before
+        g = {"l1": L1(3), "linf": Linf(3),
+             "group": GroupL1L2(BlockPartition([[0], [1, 2]], 3)),
+             "tv": tv1d_gauge(3),
+             "poly": PolyhedralH(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0],
+                                           [0.0, 0.0, 1.0]]))}[kind]
+        with pytest.raises(solvers.SolverError, match="scale of Phi"):
+            solve_penalized(1e160 * self.PHI, np.array([5.0, 0.0]), 0.5, g)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("row, g, what", [
+        ([1.0, 1.0, 1.0], L1(3), "the FISTA step"),
+        ([1.0, 1.0, 1.0], tv1d_gauge(3), "the least-squares prox"),
+        ([0.0, 1.0, 1.0], tv1d_gauge(3), "the Chambolle-Pock iterate")])
+    def test_a_y_at_the_edge_of_the_range_is_a_solver_error(self, row, g,
+                                                            what):
+        # the last of these used to end in check_finite's "x contains NaN"
+        Phi = np.array([[1.0, 0.0, 0.0], row])
+        with pytest.raises(solvers.SolverError,
+                           match=f"^{what}.*scale of Phi.*or of y"):
+            solve_penalized(Phi, np.array([1.7e308, 1.7e308]), 0.5, g)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_a_non_finite_iterate_is_a_solver_error(self, monkeypatch):
+        # the 5th prox returns +inf; the restart test of iteration 10 names
+        # the iterate before the objective's own input check can reject it
+        calls = []
+        prox = L1._prox
+
+        def blow_up(self, lam, v):
+            calls.append(1)
+            return np.full_like(v, np.inf) if len(calls) == 5 else \
+                prox(self, lam, v)
+
+        monkeypatch.setattr(L1, "_prox", blow_up)
+        with pytest.raises(solvers.SolverError,
+                           match="iterate at iteration 10 is not finite"):
+            solve_penalized(self.PHI, np.array([5.0, 0.0]), 0.5, L1(3),
+                            SolveOptions(tol=0.0))
+
     def test_options_accept_their_limits(self):
         opts = SolveOptions(tol=0, max_iter=np.int64(1))
         assert opts.tol == 0.0 and opts.max_iter == 1
@@ -287,6 +330,18 @@ class TestPinnedIterates:
 
 
 class TestSplittingKernels:
+    def test_forward_step_matches_two_matvecs(self, rng):
+        for q, n in ((12, 20), (5, 5), (30, 8)):
+            Phi = rng.standard_normal((q, n)) * rng.choice([0.01, 1.0, 100.0])
+            y = rng.standard_normal(q)
+            step = 1.0 / np.linalg.norm(Phi, 2) ** 2
+            M, c = solvers._forward_step(Phi, y, step)
+            for _ in range(5):
+                z = rng.standard_normal(n) * 3
+                ref = z - step * (Phi.T @ (Phi @ z - y))
+                assert np.abs(M @ z + c - ref).max() <= \
+                    1e-12 * (1 + np.abs(ref).max())
+
     def test_least_squares_prox_matches_cholesky_solve(self, rng):
         for q, n in ((12, 20), (5, 5), (30, 8)):
             Phi = rng.standard_normal((q, n))
@@ -604,6 +659,27 @@ class TestRestricted:
         assert np.isfinite(res.primal_residual)
         assert np.all(np.isfinite(res.x_hat))
 
+    def test_group_newton_gives_up_on_a_wrong_model(self, monkeypatch):
+        # the instance of test_group_newton_failure_is_finite: the first
+        # Newton step must be damped below 1/2, so Newton stops after one
+        # eigh where it used to take up to 50 damped steps
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(H):
+            calls.append(H.shape)
+            return eigh(H)
+
+        monkeypatch.setattr(solvers.np.linalg, "eigh", spy)
+        part = BlockPartition([[0, 1], [2, 3]], 4)
+        x = np.array([3.0, 1.0, 0.01, 0.01])
+        md = decompose(GroupL1L2(part), x)
+        res = solve_restricted(np.eye(4), x, 1.0, md)
+        assert not res.converged and res.method == "newton"
+        assert 1 <= len(calls) <= 2
+        assert res.iterations == len(calls) - 1
+        assert np.isfinite(res.primal_residual)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_group_newton_matches_block_loop(self, seed):
         # uneven, shuffled blocks, one of them empty: the bincount block
@@ -697,7 +773,7 @@ def _group_newton_block_loop(Phi, y, lam, md, part, max_iter=50):
             break
         w, V = np.linalg.eigh(hessian(c))
         step = -(V @ ((V.T @ grad) / w))
-        for t in 0.5 ** np.arange(34):
+        for t in (1.0, 0.5):
             trial = gradient(c + t * step)
             if trial is not None and \
                     np.abs(trial).max(initial=0.0) <= (1.0 - 1e-4 * t) * gn:

@@ -138,6 +138,16 @@ def test_one_evaluator_per_gauge_class():
             assert cls.values is not Gauge.values, cls.__name__
 
 
+def test_one_prox_per_gauge_class():
+    # prox validates once, on the base class; the kinds define _prox.  L1,
+    # Linf and GroupL1L2 name Gauge.prox in their own namespace, where the
+    # traced benchmark wraps it, but define no prox of their own
+    for cls in _gauge_classes():
+        assert cls.prox is Gauge.prox, cls.__name__
+    for cls in (gauges.L1, gauges.Linf, gauges.GroupL1L2):
+        assert "_prox" in vars(cls), cls.__name__
+
+
 def test_lifted_zero_is_positive_zero():
     # an LP value of -0.0 used to come back as max(-0.0, 0.0) = -0.0
     g = SubdiffGauge(Subspace.full(3), atoms=np.eye(3), lift=np.ones((3, 1)))
