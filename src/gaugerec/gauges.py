@@ -16,8 +16,8 @@ The group kind evaluates, proxes and projects in one vectorised pass over
 the flattened block index that ``BlockPartition`` builds once.
 ``values(X)`` evaluates a gauge on every row of X in one pass and is the
 only evaluation routine of each kind; ``value(x)`` is its one-row case,
-defined once on the base class.  So is ``prox``, which validates its input
-once and calls the kind's unchecked ``_prox``.
+defined once on the base class.  So is ``prox``, which validates lam and
+v once and calls the kind's unchecked ``_prox``.
 """
 
 import functools
@@ -129,7 +129,10 @@ class Gauge:
             f"{type(self).__name__} has no supported polar evaluation")
 
     def prox(self, lam, v):
-        """The proximal map of lam times the gauge at the vector v."""
+        """The proximal map of lam times the gauge at the vector v, for a
+        finite lam >= 0."""
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
         return self._prox(lam, self._check(v))
 
     def _prox(self, lam, v):
@@ -261,7 +264,13 @@ class Linf(Gauge):
     prox = Gauge.prox
 
     def _prox(self, lam, v):
-        return v - project_l1_ball(v, lam)
+        # by Moreau, v minus its projection onto the l1 ball of radius lam:
+        # v clipped at the projection's threshold
+        a = np.abs(v)
+        if a.sum() <= lam:
+            return np.zeros_like(v)
+        theta = _descending_threshold(a, lam)
+        return np.maximum(np.minimum(v, theta), -theta)
 
     def support_atoms(self):
         return np.vstack([np.eye(self.dim), -np.eye(self.dim)])
@@ -527,8 +536,8 @@ class MaxGauge(Gauge):
 
 def _descending_threshold(u, radius):
     """theta with sum(max(u - theta, 0)) = radius, for u >= 0 with
-    sum(u) > radius > 0: sort u descending and keep the largest k with
-    k u_(k) > (sum of the k largest) - radius."""
+    sum(u) > radius >= 0 (theta = max(u) at radius 0): sort u descending
+    and keep the largest k with k u_(k) > (sum of the k largest) - radius."""
     u = u.copy()
     u.sort()
     u = u[::-1]

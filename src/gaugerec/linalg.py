@@ -84,11 +84,10 @@ class Subspace:
 
     @classmethod
     def coordinate(cls, n, idx):
-        idx = sorted(set(int(i) for i in idx))
-        B = np.zeros((n, len(idx)))
-        for j, i in enumerate(idx):
-            B[i, j] = 1.0
-        return cls(B, coord_idx=idx, _skip_checks=True)
+        idx = np.unique(np.asarray(idx, dtype=int))
+        B = np.zeros((n, idx.size))
+        B[idx, np.arange(idx.size)] = 1.0
+        return cls(B, coord_idx=idx.tolist(), _skip_checks=True)
 
     @classmethod
     def full(cls, n):

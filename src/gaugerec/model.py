@@ -237,10 +237,11 @@ class ModelDecomposition:
 # concrete regularizers
 # ---------------------------------------------------------------------------
 
-def support_indices(x):
-    x = np.asarray(x, dtype=float)
-    thr = SUPPORT_TOL * (1.0 + np.max(np.abs(x), initial=0.0))
-    return [int(i) for i in np.flatnonzero(np.abs(x) > thr)]
+def support_mask(x):
+    """Whether each entry of x exceeds SUPPORT_TOL relative to its largest
+    absolute value."""
+    a = np.abs(np.asarray(x, dtype=float))
+    return a > SUPPORT_TOL * (1.0 + np.max(a, initial=0.0))
 
 
 def saturation_indices(x):
@@ -262,18 +263,19 @@ def decompose_l1(x, delta=0.5):
     _check_delta(delta)
     x = check_finite(x, "x")
     n = x.shape[0]
-    I = support_indices(x)
-    Ic = [i for i in range(n) if i not in I]
+    on = support_mask(x)
+    I, Ic = np.flatnonzero(on), np.flatnonzero(~on)
     T = Subspace.coordinate(n, I)
     S = Subspace.coordinate(n, Ic)
     e = np.zeros(n)
     e[I] = np.sign(x[I])
-    atoms = np.zeros((2 * len(Ic), n))
-    for j, i in enumerate(Ic):
-        atoms[2 * j, i] = 1.0
-        atoms[2 * j + 1, i] = -1.0
+    # the atoms +-e_i, i off the support, in that order
+    atoms = np.zeros((2 * Ic.size, n))
+    rows = 2 * np.arange(Ic.size)
+    atoms[rows, Ic] = 1.0
+    atoms[rows + 1, Ic] = -1.0
     antig = SubdiffGauge(S, atoms=atoms)
-    nu = (1.0 - delta) * np.min(np.abs(x[I])) if I else 0.0
+    nu = (1.0 - delta) * np.min(np.abs(x[I])) if I.size else 0.0
     p = PsflParams(nu, 0.0, 0.0, 0.0, Linf(n))
     return ModelDecomposition(L1(n), x, T, S, e, e.copy(), antig,
                               params=p), p
@@ -388,36 +390,34 @@ def _polyhedral_model(u, mu_choice):
     # entries within thr of zero are zero, in both branches
     thr = SUPPORT_TOL * (1.0 + np.max(np.abs(u), initial=0.0))
     if top > thr:
-        Ip = [int(i) for i in np.flatnonzero(u >= top * (1.0 - SATURATION_TOL))]
-        s = np.zeros(p)
-        s[Ip] = 1.0
-        T, S, e, antig = _saturation_model(s, Ip)
-        below = [u[j] for j in range(p) if j not in Ip and u[j] > 0]
-        return T, S, e, e.copy(), antig, top - (max(below) if below else 0.0)
+        sat = u >= top * (1.0 - SATURATION_TOL)
+        s = sat.astype(float)
+        T, S, e, antig = _saturation_model(s, np.flatnonzero(sat))
+        # the largest positive entry off the saturated set, else 0
+        below = np.max(u[~sat], initial=0.0)
+        return T, S, e, e.copy(), antig, top - below
 
     # all entries nonpositive; active set I0 = {i : u_i = 0}
-    I0 = [int(i) for i in np.flatnonzero(u >= -thr)]
-    if not I0:
+    act = u >= -thr
+    I0, Ic = np.flatnonzero(act), np.flatnonzero(~act)
+    if not I0.size:
         # smooth point: subdifferential is {0}
         S = Subspace.zero(p)
         antig = SubdiffGauge(S, atoms=np.zeros((1, p)))
         return (Subspace.full(p), S, np.zeros(p), np.zeros(p), antig,
                 float(np.min(-u)))
-    k = len(I0)
+    k = I0.size
     mu_eff = mu_choice / k
-    Ic = [i for i in range(p) if i not in I0]
     S = Subspace.coordinate(p, I0)
     T = Subspace.coordinate(p, Ic)
     f = np.zeros(p)
     f[I0] = mu_eff
     denom = 1.0 - mu_choice        # = 1 - mu_eff * k
     atoms = np.zeros((k + 2, p))
-    for j, i in enumerate(I0):
-        atoms[j, i] = -1.0 / mu_eff
+    atoms[np.arange(k), I0] = -1.0 / mu_eff
     atoms[k, I0] = 1.0 / denom
     antig = SubdiffGauge(S, atoms=atoms)
-    below = [-u[j] for j in Ic]
-    return T, S, np.zeros(p), f, antig, min(below) if below else 0.0
+    return T, S, np.zeros(p), f, antig, np.min(-u[Ic]) if Ic.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,14 @@ regularizer is smooth: affine for the l1 and max-abs kinds, where the
 candidate is one linear solve, and a sum of block norms for the group
 kind, where Newton's method on the active blocks finds it.  Newton gives
 up at the first step that it would have to damp below 1/2, a sign that
-the model is not yet identified.
+the model is not yet identified.  A max-abs iterate is often one saturated
+entry short of the solution's model, and Phi then has a line of kernel on
+its T, so the linear solve has no unique answer.  The polish then walks
+that line, in the direction in which the common saturated value falls, to
+the first free entry that reaches it (a ratio test), and solves on the
+model with that entry saturated too (Liang, Fadili & Peyre 2014 on finite
+identification of the model; Osborne, Presnell & Turlach 2000 on the
+ratio test).
 
 Chambolle-Pock reads the model from its dual iterate p instead (Liang,
 Fadili & Peyre 2018).  For a polyhedral base p lies on a face of lam times
@@ -236,17 +243,68 @@ def _overflow_error(Phi, y, what):
 
 def _polish(Phi, y, lam, g, md, tol):
     """(x, eq, slack) for the minimizer over the model subspace of md when
-    it passes the first-order test at tol, else None."""
+    it passes the first-order test at tol, else None.
+
+    A max-abs iterate often saturates one entry fewer than the solution,
+    so that Phi has a one-dimensional kernel on its T; the minimizer is
+    then sought on the model with that entry saturated
+    (``_saturate_along_kernel``)."""
     if md is None:
         return None
     try:
         cand = solve_restricted(Phi, y, lam, md).x_hat
     except cert_mod.RestrictedInjectivityError:
-        return None
+        md = _saturate_along_kernel(Phi, md) if isinstance(g, Linf) else None
+        if md is None:
+            return None
+        try:
+            cand = solve_restricted(Phi, y, lam, md).x_hat
+        except cert_mod.RestrictedInjectivityError:
+            return None
     eq, slack = _first_order_residuals(Phi, y, lam, g, cand)
     if eq <= tol and slack <= tol:
         return cand, eq, slack
     return None
+
+
+def _saturate_along_kernel(Phi, md):
+    """The max-abs decomposition at the first point of the line
+    md.x + Ker(Phi) ∩ T, walked in the direction in which t falls, where
+    one more entry saturates; None unless that kernel is a line.
+
+    On T every saturated entry has s_i x_i = t, the common value, and the
+    regularizer is t.  Along the kernel direction d, oriented so that t
+    falls at the rate c = <e, d> < 0, Phi x and the data term stay fixed
+    and the objective falls by lam |c| per unit step.  A free entry j
+    reaches +t at step (t - x_j) / (d_j - c) when d_j > c, and -t at
+    (-t - x_j) / (d_j + c) when d_j < -c; the first to do so joins the
+    saturated set with the sign it reaches (the ratio test of homotopy
+    methods, Osborne, Presnell & Turlach 2000)."""
+    U = md.T.basis
+    svd = RankedSvd(Phi @ U)
+    if U.shape[1] - svd.rank != 1:
+        return None
+    d = U @ svd.kernel()[:, 0]
+    c = float(md.e @ d)
+    if c == 0.0:
+        return None
+    if c > 0.0:
+        d, c = -d, -c
+    x = md.x
+    sat = md.e != 0.0
+    t = float(md.e @ x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = np.where(~sat & (d > c), (t - x) / (d - c), np.inf)
+        down = np.where(~sat & (d < -c), (-t - x) / (d + c), np.inf)
+    steps = np.minimum(up, down)
+    j = int(np.argmin(steps))
+    if not np.isfinite(steps[j]):
+        return None
+    t_new = t + steps[j] * c
+    z = x + steps[j] * d
+    z[sat] = np.sign(md.e[sat]) * t_new
+    z[j] = t_new if up[j] <= down[j] else -t_new
+    return _decomposition(md.gauge, z)
 
 
 def _analysis_split(g):

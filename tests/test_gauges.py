@@ -241,6 +241,39 @@ class TestProx:
                 g.prox(0.5, bad)
 
     @pytest.mark.parametrize("g", PROXABLE, ids=["l1", "linf", "group"])
+    def test_prox_validates_lam(self, g):
+        # a negative lam expanded v (L1 gave [2, -3, 1.5, 0] at -1), a nan
+        # lam gave all-nan, and the group prox at inf gave nan
+        v = np.array([1.0, -2.0, 0.5, 0.0])
+        for lam in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^lam must be finite"):
+                g.prox(lam, v)
+        assert np.array_equal(g.prox(0.0, v), v)
+        assert np.array_equal(g.prox(np.float64(1e300), v), np.zeros(4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=arrays(np.float64, st.integers(1, 9), elements=entries_with_ties),
+           lam=radii)
+    @example(v=np.array([2.0, -2.0, 2.0, 1.0]), lam=0.5)
+    @example(v=np.array([-2.0, 2.0, 0.5]), lam=5.0)
+    @example(v=np.array([0.5, -0.25]), lam=0.75)
+    @example(v=np.array([3.0, -1.0, 0.0]), lam=0.0)
+    @example(v=np.zeros(3), lam=0.0)
+    def test_linf_prox_is_v_minus_the_l1_projection(self, v, lam):
+        # Moreau's v - project_l1_ball(v, lam), which the clip replaced:
+        # the entries below the threshold are v's own, the rest agree to
+        # 1e-15 relative; ties at the max, ||v||_1 <= lam and lam = 0
+        ref = v - project_l1_ball(v, lam)
+        out = Linf(len(v))._prox(lam, v)
+        a = np.abs(v)
+        assert np.abs(out - ref).max() <= 1e-15 * a.max()
+        if a.sum() > lam:
+            below = a < gauges_mod._descending_threshold(a, lam)
+            assert np.array_equal(out[below], ref[below])
+        else:
+            assert not np.any(out)
+
+    @pytest.mark.parametrize("g", PROXABLE, ids=["l1", "linf", "group"])
     def test_prox_is_the_checked_unchecked_prox(self, g, rng):
         # bit for bit, signed zeros included: a dropped group block is +0
         for _ in range(200):

@@ -56,6 +56,34 @@ class TestDecomposeL1:
         assert md.antig.value(eta) == np.inf  # off S = {0}
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectorised_model_keeps_the_per_entry_bits(self, seed):
+        # T, S, e, the antig atoms, coord_idx and nu, bit for bit, against
+        # the per-entry construction; an empty and a full support, ties in
+        # |x| and entries at the support threshold
+        r = np.random.default_rng(seed)
+        for n in (1, 2, 5, 20, 64):
+            for _ in range(10):
+                x = r.standard_normal(n)
+                x[r.random(n) < r.random()] = 0.0
+                if r.random() < 0.3:
+                    x[r.random(n) < 0.5] = np.abs(x).max()
+                if r.random() < 0.3:
+                    x[r.integers(n)] = model_mod.SUPPORT_TOL * (
+                        1.0 + np.abs(x).max()) * r.choice([1.0, 1.0 + 1e-12])
+                if r.random() < 0.1:
+                    x[:] = 0.0
+                md, p = decompose_l1(x)
+                T, S, e, atoms, nu = _per_entry_l1_model(x)
+                assert np.array_equal(md.T.basis, T.basis)
+                assert np.array_equal(md.S.basis, S.basis)
+                assert md.T.coord_idx == T.coord_idx
+                assert md.S.coord_idx == S.coord_idx
+                assert np.array_equal(md.e, e)
+                assert np.array_equal(md.antig.atoms, atoms)
+                assert p.nu == nu
+
+
 class TestDecomposeLinf:
     def test_two_saturated(self):
         md, _ = decompose_linf(np.array([2.0, 2.0]))
@@ -185,6 +213,39 @@ class TestDecomposePolyhedral:
         assert md.S.coord_idx == tuple(range(9))
         assert md.T.dim == 15
         assert np.allclose(md.e, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_vectorised_model_keeps_the_per_entry_bits(self, seed):
+        # T, S, e, f, the antig atoms, coord_idx and nu, bit for bit,
+        # against the per-entry construction, in both branches: ties at the
+        # top, a saturation within SATURATION_TOL of it, entries at zero
+        # within the support threshold and the smooth all-negative point
+        r = np.random.default_rng(seed)
+        for p in (1, 2, 5, 24, 64):
+            for _ in range(12):
+                u = r.standard_normal(p)
+                branch = r.random()
+                if branch < 0.5:
+                    u = -np.abs(u)
+                    u[r.random(p) < r.random()] = 0.0
+                    u[r.random(p) < 0.2] = r.choice([1e-15, -1e-15])
+                else:
+                    top = u.max()
+                    u[r.random(p) < 0.3] = top
+                    if r.random() < 0.3:
+                        u[r.integers(p)] = abs(top) * (1.0 - 1e-12)
+                mu_choice = float(r.choice([0.5, r.uniform(0.1, 0.9)]))
+                md, params = decompose_polyhedral(u, mu_choice=mu_choice)
+                T, S, e, f, atoms, nu = _per_entry_polyhedral_model(
+                    u, mu_choice)
+                assert np.array_equal(md.T.basis, T.basis)
+                assert np.array_equal(md.S.basis, S.basis)
+                assert md.T.coord_idx == T.coord_idx
+                assert md.S.coord_idx == S.coord_idx
+                assert np.array_equal(md.e, e)
+                assert np.array_equal(md.f, f)
+                assert np.array_equal(md.antig.atoms, atoms)
+                assert params.nu == nu
 
     def test_all_negative_smooth_point(self):
         md, p = decompose_polyhedral(np.array([-1.0, -2.0]))
@@ -555,6 +616,66 @@ class TestPsflCalculus:
         bound = operator_bound(g.dstar, Linf(4), Linf(3)).value
         assert abs(bound - 2.0) <= 1e-12  # max row l1 norm of the difference map
         assert abs(p.nu - p0.nu / bound) <= 1e-12
+
+
+def _per_entry_coordinate(n, idx):
+    """``Subspace.coordinate`` as it was built one entry at a time."""
+    idx = sorted(set(int(i) for i in idx))
+    B = np.zeros((n, len(idx)))
+    for j, i in enumerate(idx):
+        B[i, j] = 1.0
+    return Subspace(B, coord_idx=idx, _skip_checks=True)
+
+
+def _per_entry_l1_model(x):
+    """(T, S, e, antig atoms, nu) of the absolute-sum model at x, built one
+    entry at a time with delta = 0.5."""
+    n = x.shape[0]
+    thr = model_mod.SUPPORT_TOL * (1.0 + np.max(np.abs(x), initial=0.0))
+    I = [int(i) for i in np.flatnonzero(np.abs(x) > thr)]
+    Ic = [i for i in range(n) if i not in I]
+    e = np.zeros(n)
+    e[I] = np.sign(x[I])
+    atoms = np.zeros((2 * len(Ic), n))
+    for j, i in enumerate(Ic):
+        atoms[2 * j, i] = 1.0
+        atoms[2 * j + 1, i] = -1.0
+    nu = 0.5 * np.min(np.abs(x[I])) if I else 0.0
+    return (_per_entry_coordinate(n, I), _per_entry_coordinate(n, Ic), e,
+            atoms, nu)
+
+
+def _per_entry_polyhedral_model(u, mu_choice):
+    """(T, S, e, f, antig atoms, nu) of u -> max_i (u_i)_+ at u, built one
+    entry at a time with delta = 0.5."""
+    p = u.shape[0]
+    top = np.max(u, initial=-np.inf)
+    thr = model_mod.SUPPORT_TOL * (1.0 + np.max(np.abs(u), initial=0.0))
+    if top > thr:
+        m = top * (1.0 - model_mod.SATURATION_TOL)
+        Ip = [int(i) for i in np.flatnonzero(u >= m)]
+        s = np.zeros(p)
+        s[Ip] = 1.0
+        T, S, e, antig = model_mod._saturation_model(s, Ip)
+        below = [u[j] for j in range(p) if j not in Ip and u[j] > 0]
+        gap = top - (max(below) if below else 0.0)
+        return T, S, e, e.copy(), antig.atoms, 0.5 * gap
+    I0 = [int(i) for i in np.flatnonzero(u >= -thr)]
+    if not I0:
+        return (Subspace.full(p), Subspace.zero(p), np.zeros(p), np.zeros(p),
+                np.zeros((1, p)), 0.5 * float(np.min(-u)))
+    k = len(I0)
+    mu_eff = mu_choice / k
+    Ic = [i for i in range(p) if i not in I0]
+    f = np.zeros(p)
+    f[I0] = mu_eff
+    atoms = np.zeros((k + 2, p))
+    for j, i in enumerate(I0):
+        atoms[j, i] = -1.0 / mu_eff
+    atoms[k, I0] = 1.0 / (1.0 - mu_choice)
+    below = [-u[j] for j in Ic]
+    return (_per_entry_coordinate(p, Ic), _per_entry_coordinate(p, I0),
+            np.zeros(p), f, atoms, 0.5 * (min(below) if below else 0.0))
 
 
 def _per_entry_linf_model(x):

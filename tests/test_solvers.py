@@ -172,9 +172,11 @@ def _penalized_instance(kind, seed):
 
 # solve_penalized on _penalized_instance(kind, 3): iterations and converged
 # flags as the sort-and-loop kernels gave them (tv and poly with the exit on
-# the dual iterate's face), and the l1 / linf x_hat bits
+# the dual iterate's face, linf with the saturation step of the polish,
+# which exits at 300 where the iterate's own model passed at 500), and the
+# l1 / linf x_hat bits
 # (those of a build with OpenBLAS; another BLAS may move the last bits)
-PINNED_ITERATIONS = {"l1": 100, "group": 200, "linf": 500, "tv": 200,
+PINNED_ITERATIONS = {"l1": 100, "group": 200, "linf": 300, "tv": 200,
                      "poly": 500}
 PINNED_X_HAT = {
     "l1": [
@@ -475,6 +477,80 @@ class TestPolishedExit:
             eq, slack = solvers._first_order_residuals(Phi, y, lam, g,
                                                        res.x_hat)
             assert max(eq, slack) <= 1e-7
+
+    @staticmethod
+    def _linf_item_56():
+        # penalized_mix item 56 of seed 2106, drawn inline: FISTA's iterate
+        # saturates 8 of the solution's 9 entries, so its T has dim 13 =
+        # Q + 1, and without the saturation step the solve took 11100
+        # iterations until the 9th entry crept up to the max
+        r = np.random.default_rng([2106, 9, 56])
+        Phi = r.standard_normal((12, 20))
+        xs = r.standard_normal(20)
+        y = Phi @ xs + 0.1 * r.standard_normal(12)
+        return Phi, y, float(r.uniform(0.2, 1.2)), Linf(20)
+
+    def test_linf_exit_from_the_completed_model(self, monkeypatch):
+        calls = []
+        polish = solvers._polish
+
+        def spy(Phi, y, lam, g, md, tol):
+            calls.append((md, polish(Phi, y, lam, g, md, tol)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(solvers, "_polish", spy)
+        Phi, y, lam, g = self._linf_item_56()
+        res = solve_penalized(Phi, y, lam, g,
+                              SolveOptions(tol=1e-8, max_iter=120000))
+        assert res.converged and res.method == "fista"
+        assert res.iterations <= 1000
+        md, out = calls[-1]
+        assert out is not None and res.x_hat is out[0]
+        # the exit check's model is one saturated entry short: Phi has a
+        # kernel on its T, and the exit saturates those entries, with
+        # their signs, and one more
+        assert md.T.dim == Phi.shape[0] + 1
+        with pytest.raises(RestrictedInjectivityError):
+            solve_restricted(Phi, y, lam, md)
+        done = decompose(g, res.x_hat)
+        assert done.T.dim == md.T.dim - 1
+        old, new = np.sign(md.e), np.sign(done.e)
+        assert np.array_equal(new[old != 0], old[old != 0])
+        assert np.count_nonzero(new) == np.count_nonzero(old) + 1
+        tight = solve_penalized(Phi, y, lam, g,
+                                SolveOptions(tol=1e-12, max_iter=120000))
+        assert tight.converged
+        assert solvers._objective(Phi, y, lam, g, res.x_hat) <= \
+            solvers._objective(Phi, y, lam, g, tight.x_hat) + 1e-10
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_saturation_step_follows_the_kernel_line(self, seed):
+        # k = 3 saturated entries of 8, so dim T = 6 = Q + 1: the step
+        # keeps Phi x, moves within T, lowers the common value t, and
+        # stops where the first free entry reaches +-t, which joins the
+        # saturated set with the sign it reaches
+        r = np.random.default_rng(seed)
+        Q, n, k = 5, 8, 3
+        Phi = r.standard_normal((Q, n))
+        x = r.uniform(-0.9, 0.9, n)
+        sat = r.choice(n, k, replace=False)
+        x[sat] = r.choice([-1.0, 1.0], k)
+        md = decompose(Linf(n), x)
+        out = solvers._saturate_along_kernel(Phi, md)
+        z = out.x
+        assert np.abs(Phi @ (z - x)).max() <= 1e-12
+        assert np.abs(md.T.project(z - x) - (z - x)).max() <= 1e-12
+        assert np.abs(z).max() < 1.0
+        old, new = np.sign(md.e), np.sign(out.e)
+        assert np.array_equal(new[sat], x[sat])
+        assert np.count_nonzero(new) == k + 1
+        assert np.array_equal(new[new != 0], np.sign(z[new != 0]))
+        # no free entry passed the new common value on the way
+        assert np.abs(z[new == 0]).max() < np.abs(z).max()
+        # one saturated entry fewer leaves a plane of Ker(Phi) on T
+        x[sat[0]] *= 0.5
+        assert solvers._saturate_along_kernel(
+            Phi, decompose(Linf(n), x)) is None
 
     def test_identified_l1_model_exits_at_the_first_check(self):
         # FISTA alone needs 1300 iterations here; its support and signs are
