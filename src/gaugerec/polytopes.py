@@ -19,6 +19,17 @@ the polar correspondence (facets of conv{a_i/b_i} are the vertices).  All
 enumeration is gated at dimension <= 8; the identities verified here are
 dimension-free, so low-dimensional checks suffice.
 
+Qhull runs once per point set: its facets and vertex indices are memoized
+on the bytes of the points, for the last ``HULL_MEMO_SIZE`` sets.  Qhull is
+deterministic (its joggle included), so a hit equals a fresh hull bit for
+bit.  The memo's arrays are read-only and each result is a new array built
+from them, so a caller that edits one cannot reach a later hit; a set qhull
+rejects is never stored.  The dedupe, the joggle re-fit and every
+validation run on each call.  So the Minkowski sum of a polar-calculus
+pair, read by the gauge identity, by the polar of the sum and (as the H-rep
+rows ``a_i/b_i + c_j/d_j``) by the inverse sum of the polars, is hulled
+once.
+
 Near-duplicate facets and vertices are merged by a greedy keep-first sweep
 over the pairs within tolerance that a KD-tree reports.  The LPs here
 (Chebyshev centres, Minkowski-sum gauges, linear-image gauges of maps with
@@ -26,6 +37,7 @@ a kernel) have few variables and many ``<=`` rows, so they are solved
 through their duals by ``lp.lp_min_halfspaces``.
 """
 
+import functools
 import numbers
 
 import numpy as np
@@ -37,6 +49,7 @@ from .lp import lp_min_halfspaces, OPTIMAL
 MAX_ENUM_DIM = 8
 VERTEX_TOL = 1e-9
 SUPPORT_BLOCK = 1 << 20    # vertex x facet products formed at once
+HULL_MEMO_SIZE = 8         # point sets whose qhull output is kept
 # a vertex of a loaded H-rep may lie this far (relative) outside the hull
 # of the loaded points: far below the 1e-5 relative gap at which a polar
 # identity fails
@@ -91,6 +104,31 @@ def _finite(a, what):
     return a
 
 
+@functools.lru_cache(maxsize=HULL_MEMO_SIZE)
+def _qhull(shape, data):
+    """Read-only (equations, vertex indices, joggled) of the hull of the
+    float64 points with the given shape and bytes."""
+    points = np.frombuffer(data).reshape(shape)
+    joggled = False
+    try:
+        hull = ConvexHull(points)
+    except QhullError:
+        # near-degenerate merges: retry with joggled input.  The facets are
+        # those of the joggled points, re-fit by the caller to the support
+        # of the original ones, so the H-rep is an outer approximation: on
+        # the 920 points of a dimension-5 dupridge sum its gauge is low by
+        # 3e-8 to 1.2e-6
+        try:
+            hull = ConvexHull(points, qhull_options="QJ")
+        except QhullError as exc:
+            raise PolytopeError(f"degenerate point set for hull: {exc}") \
+                from exc
+        joggled = True
+    eqs, idx = hull.equations, hull.vertices
+    eqs.flags.writeable = idx.flags.writeable = False
+    return eqs, idx, joggled
+
+
 def _hull_equations(points):
     """Facets of conv(points) as (normals, offsets) with <n,x> <= b inside,
     and the points that are vertices."""
@@ -105,25 +143,11 @@ def _hull_equations(points):
             raise PolytopeError("degenerate 1-d point set")
         return (np.array([[1.0], [-1.0]]), np.array([hi, -lo]),
                 np.array([[hi], [lo]]))
-    joggled = False
-    try:
-        hull = ConvexHull(points)
-    except QhullError:
-        # near-degenerate merges: retry with joggled input.  The facets are
-        # those of the joggled points, re-fit below to the support of the
-        # original ones, so the H-rep is an outer approximation: on the
-        # 920 points of a dimension-5 dupridge sum its gauge is low by
-        # 3e-8 to 1.2e-6
-        try:
-            hull = ConvexHull(points, qhull_options="QJ")
-        except QhullError as exc:
-            raise PolytopeError(f"degenerate point set for hull: {exc}") \
-                from exc
-        joggled = True
-    eqs = _dedupe_rows(hull.equations, 1e-9)
+    eqs, idx, joggled = _qhull(points.shape, points.tobytes())
+    eqs = _dedupe_rows(eqs, 1e-9)
     normals = eqs[:, :-1]
     offsets = -eqs[:, -1]
-    verts = points[hull.vertices]
+    verts = points[idx]
     if joggled:
         # the facets belong to the joggled points: move each one to the
         # support of the original vertices so that none violates it
@@ -145,6 +169,13 @@ def _halfspace_vertices(normals, offsets):
         raise PolytopeError("H-rep describes an unbounded set")
     verts = fn / fo[:, None] + center[None, :]
     return _dedupe_rows(verts, VERTEX_TOL * (1.0 + np.abs(verts).max()))
+
+
+def _same_dim(P1, P2, what):
+    if P1.dim != P2.dim:
+        raise PolytopeError(
+            f"{what} needs polytopes of one dimension, got {P1.dim} and "
+            f"{P2.dim}")
 
 
 def _validate(vertices, normals, offsets):
@@ -254,7 +285,7 @@ class Polytope:
 
     def support(self, u):
         """sup_{x in P} <u, x> from the V-rep."""
-        return float((self.vertices @ np.asarray(u, dtype=float)).max())
+        return float(self.vertices.dot(np.asarray(u, dtype=float)).max())
 
     def gauge(self, x):
         """inf {t > 0 : x in t P} from the H-rep (0 must be inside)."""
@@ -312,11 +343,13 @@ class Polytope:
                               _now_or_later(facets, self._vertices))
 
     def intersection(self, other):
+        _same_dim(self, other, "intersection")
         return Polytope._lazy(hrep=(
             np.vstack([self.normals, other.normals]),
             np.concatenate([self.offsets, other.offsets])))
 
     def minkowski_sum(self, other):
+        _same_dim(self, other, "minkowski_sum")
         pts = (self.vertices[:, None, :] + other.vertices[None, :, :])
         return Polytope._lazy(pts.reshape(-1, self.dim))
 
@@ -381,6 +414,7 @@ def _chebyshev_center(normals, offsets):
 
 def polytope_intersection_polar(P1, P2):
     """conv(P1_polar ∪ P2_polar); equals the polar of P1 ∩ P2."""
+    _same_dim(P1, P2, "polytope_intersection_polar")
     Q1, Q2 = P1.polar(), P2.polar()
     return Polytope._lazy(np.vstack([Q1.vertices, Q2.vertices]))
 
@@ -391,6 +425,7 @@ def minkowski_sum_gauge(g1_ball, g2_ball, x):
     Solves min_z max(gauge1(z), gauge2(x - z)); equals the gauge of the
     Minkowski-sum polytope.
     """
+    _same_dim(g1_ball, g2_ball, "minkowski_sum_gauge")
     x = np.asarray(x, dtype=float)
     d = g1_ball.dim
     # variables (z, t): <a, z> <= t b for ball 1, <a, x - z> <= t b for ball 2
@@ -446,6 +481,7 @@ def inverse_sum_set(Q1, Q2):
     with max_i f_i + max_j g_j = max_{ij} (f_i + g_j): the set is exactly
     {x : <a_i/b_i + c_j/d_j, x> <= 1 for all facet pairs}.
     """
+    _same_dim(Q1, Q2, "inverse_sum_set")
     if np.min(Q1.offsets) <= VERTEX_TOL or np.min(Q2.offsets) <= VERTEX_TOL:
         raise UnboundedPolarError("inverse sum needs 0 interior to both sets")
     A = Q1.normals / Q1.offsets[:, None]
@@ -461,10 +497,19 @@ def inverse_sum_polar_check(P1, P2, directions=200, tol=1e-5, seed=0):
     right-hand side is the support of the vertices of ``inverse_sum_set`` of
     the two polars.  Returns (worst <= tol, worst), where worst is the
     largest relative gap |rhs - lhs| / (1 + |lhs|).
+
+    Both sides enumerate one point set: the H-rep rows a_i/b_i + c_j/d_j of
+    the inverse sum are, in order, the points v_i + w_j of P1 + P2 whose
+    hull gives the left side's polar.  So the check compares a hull with
+    itself (its memoized qhull runs once) and passes whatever that hull is.
     """
     if (isinstance(directions, bool)
             or not isinstance(directions, numbers.Integral) or directions < 1):
         raise ValueError(f"directions must be an int >= 1, got {directions!r}")
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (np.isfinite(tol) and tol >= 0)):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    _same_dim(P1, P2, "inverse_sum_polar_check")
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((directions, P1.dim))
     U /= np.linalg.norm(U, axis=1, keepdims=True)

@@ -674,6 +674,85 @@ class TestLazyRepresentations:
             Q.support(np.ones(2))
 
 
+def _counting_qhull(monkeypatch):
+    """Count the qhull runs from here on, starting from an empty memo."""
+    polytopes._qhull.cache_clear()
+    calls = []
+    real = polytopes.ConvexHull
+
+    def counted(points, *args, **kwargs):
+        calls.append(len(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(polytopes, "ConvexHull", counted)
+    return calls
+
+
+def _hull_bytes(points):
+    return [a.tobytes() for a in polytopes._hull_equations(points)]
+
+
+class TestHullMemo:
+    """Qhull runs once per point set; a hit is a fresh hull, bit for bit."""
+
+    @pytest.mark.parametrize("joggled", [False, True])
+    def test_hit_equals_fresh_hull(self, joggled, monkeypatch):
+        if joggled:
+            S = _dupridge_sum()
+            points = S.normals / S.offsets[:, None]
+        else:
+            points = random_polytope(4, seed=3).minkowski_sum(
+                random_polytope(4, seed=4)).vertices
+        calls = _counting_qhull(monkeypatch)
+        miss = _hull_bytes(points)
+        hit = _hull_bytes(points)
+        polytopes._qhull.cache_clear()
+        fresh = _hull_bytes(points)
+        assert miss == hit == fresh
+        # the joggled set runs qhull twice (default options, then QJ)
+        assert len(calls) == (4 if joggled else 2)
+
+    def test_mutated_result_does_not_reach_next_hit(self, monkeypatch):
+        points = random_polytope(3, seed=8).vertices
+        calls = _counting_qhull(monkeypatch)
+        expected = _hull_bytes(points)
+        for a in polytopes._hull_equations(points):
+            a[...] = 0.0
+        P = Polytope.from_vertices(points)
+        P.normals[...] = 0.0
+        assert _hull_bytes(points) == expected
+        assert len(calls) == 1
+
+    def test_degenerate_set_raises_on_both_calls(self, monkeypatch):
+        calls = _counting_qhull(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(PolytopeError, match="degenerate"):
+                polytopes._hull_equations(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        assert len(calls) == 4
+        assert polytopes._qhull.cache_info().currsize == 0
+
+    def test_memo_stays_bounded(self, monkeypatch, rng):
+        sets = [rng.standard_normal((10, 3))
+                for _ in range(polytopes.HULL_MEMO_SIZE + 3)]
+        calls = _counting_qhull(monkeypatch)
+        for points in sets:
+            polytopes._hull_equations(points)
+        assert (polytopes._qhull.cache_info().currsize
+                == polytopes.HULL_MEMO_SIZE)
+        polytopes._hull_equations(sets[-1])
+        assert len(calls) == len(sets)
+        polytopes._hull_equations(sets[0])
+        assert len(calls) == len(sets) + 1
+
+    def test_identities_run_four_qhulls(self, monkeypatch, capsys):
+        # the two random balls, the Minkowski sum and the linear image: the
+        # inverse-sum check finds the sum's points in the memo twice
+        from gaugerec import cli
+        calls = _counting_qhull(monkeypatch)
+        assert cli.main(["polar", "--dim", "3", "--seed", "1"]) == 0
+        assert calls == [26, 26, 108, 12]
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructors_reject(self, bad):
@@ -703,6 +782,25 @@ def test_inverse_sum_check_needs_directions(directions):
     P = random_polytope(2, seed=6)
     with pytest.raises(ValueError, match="directions"):
         inverse_sum_polar_check(P, P, directions=directions)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-5, None, "1e-5"])
+def test_inverse_sum_check_needs_tol(tol):
+    P = random_polytope(2, seed=6)
+    with pytest.raises(ValueError, match="tol"):
+        inverse_sum_polar_check(P, P, tol=tol)
+
+
+@pytest.mark.parametrize("call", [
+    lambda P, Q: P.minkowski_sum(Q),
+    lambda P, Q: P.intersection(Q),
+    lambda P, Q: minkowski_sum_gauge(P, Q, np.ones(2)),
+    lambda P, Q: inverse_sum_set(P.polar(), Q.polar()),
+    lambda P, Q: inverse_sum_polar_check(P, Q),
+    lambda P, Q: polytope_intersection_polar(P, Q)])
+def test_mixed_dimensions_rejected(call):
+    with pytest.raises(PolytopeError, match="got 2 and 3"):
+        call(random_polytope(2, seed=6), random_polytope(3, seed=7))
 
 
 DIAMOND = [[1, 0], [0, 1], [-1, 0], [0, -1]]
