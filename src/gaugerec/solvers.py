@@ -22,14 +22,18 @@ regularizer is smooth: affine for the l1 and max-abs kinds, where the
 candidate is one linear solve, and a sum of block norms for the group
 kind, where Newton's method on the active blocks finds it.  Newton gives
 up at the first step that it would have to damp below 1/2, a sign that
-the model is not yet identified.  A max-abs iterate is often one saturated
-entry short of the solution's model, and Phi then has a line of kernel on
-its T, so the linear solve has no unique answer.  The polish then walks
-that line, in the direction in which the common saturated value falls, to
-the first free entry that reaches it (a ratio test), and solves on the
-model with that entry saturated too (Liang, Fadili & Peyre 2014 on finite
-identification of the model; Osborne, Presnell & Turlach 2000 on the
-ratio test).
+the model is not yet identified.
+
+Over a base with support atoms (Linf and the positive-part max, on their
+own or pre-composed) J is a max of atoms, and an iterate's model is often
+a few atoms short of the solution's: Phi then has a kernel on its T, and
+the linear solve has no unique answer.  The polish first completes the
+model by one walk (``_kernel_walk``): within md.x + Ker(Phi) ∩ T, in the
+direction in which the common value t of the active atoms falls, to the
+first atom that reaches t (a ratio test), and again on the smaller T until
+Phi is injective on it, at most dim T steps.  It then solves on the
+completed model (Liang, Fadili & Peyre 2014 on finite identification of
+the model; Osborne, Presnell & Turlach 2000 on the ratio test).
 
 Chambolle-Pock reads the model from its dual iterate p instead (Liang,
 Fadili & Peyre 2018).  For a polyhedral base p lies on a face of lam times
@@ -39,9 +43,12 @@ below lam, or the clipped entries of an l1 base, with their signs.  The
 face fixes a primal subspace T, on which the regularizer is linear; a check
 that the iterate fails also solves the penalized problem exactly on T and
 returns that candidate once it passes the same first-order test.  Only
-the last face is kept, so a face that repeats is not solved again.  The
-Euclidean and group bases have no polyhedral face and stop on the
-iterate's test alone.
+the last face is kept, so a face that repeats is not solved again.  Over a
+max of atoms a new face whose candidate fails also polishes the iterate's
+own model, decomposed once per check, as FISTA does: where Phi is not
+injective on a face's T, its candidate is only the least-norm point, and
+the walk completes the model instead.  The Euclidean and group bases have
+no polyhedral face and stop on the iterate's test alone.
 
 ``solve_noiseless`` solves an LP when the gauge has one and otherwise runs
 the same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
@@ -245,16 +252,15 @@ def _polish(Phi, y, lam, g, md, tol):
     """(x, eq, slack) for the minimizer over the model subspace of md when
     it passes the first-order test at tol, else None.
 
-    A max-abs iterate often saturates one entry fewer than the solution,
-    so that Phi has a one-dimensional kernel on its T; the minimizer is
-    then sought on the model with that entry saturated
-    (``_saturate_along_kernel``)."""
+    Where Phi is not injective on that T, a model over a base with support
+    atoms is first completed by ``_complete_model``, and the minimizer is
+    sought on the completed model."""
     if md is None:
         return None
     try:
         cand = solve_restricted(Phi, y, lam, md).x_hat
     except cert_mod.RestrictedInjectivityError:
-        md = _saturate_along_kernel(Phi, md) if isinstance(g, Linf) else None
+        md = _complete_model(Phi, md)
         if md is None:
             return None
         try:
@@ -267,44 +273,70 @@ def _polish(Phi, y, lam, g, md, tol):
     return None
 
 
-def _saturate_along_kernel(Phi, md):
-    """The max-abs decomposition at the first point of the line
-    md.x + Ker(Phi) ∩ T, walked in the direction in which t falls, where
-    one more entry saturates; None unless that kernel is a line.
+def _complete_model(Phi, md):
+    """The decomposition at the end of ``_kernel_walk`` from md, where Phi
+    is injective on the model subspace; None where the walk stalls before
+    it, or for a gauge whose base has no support atoms."""
+    for x, _, injective in _kernel_walk(Phi, md):
+        if injective:
+            return _decomposition(md.gauge, x)
+    return None
 
-    On T every saturated entry has s_i x_i = t, the common value, and the
-    regularizer is t.  Along the kernel direction d, oriented so that t
-    falls at the rate c = <e, d> < 0, Phi x and the data term stay fixed
-    and the objective falls by lam |c| per unit step.  A free entry j
-    reaches +t at step (t - x_j) / (d_j - c) when d_j > c, and -t at
-    (-t - x_j) / (d_j + c) when d_j < -c; the first to do so joins the
-    saturated set with the sign it reaches (the ratio test of homotopy
-    methods, Osborne, Presnell & Turlach 2000)."""
-    U = md.T.basis
-    svd = RankedSvd(Phi @ U)
-    if U.shape[1] - svd.rank != 1:
-        return None
-    d = U @ svd.kernel()[:, 0]
-    c = float(md.e @ d)
-    if c == 0.0:
-        return None
-    if c > 0.0:
-        d, c = -d, -c
-    x = md.x
-    sat = md.e != 0.0
-    t = float(md.e @ x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = np.where(~sat & (d > c), (t - x) / (d - c), np.inf)
-        down = np.where(~sat & (d < -c), (-t - x) / (d + c), np.inf)
-    steps = np.minimum(up, down)
-    j = int(np.argmin(steps))
-    if not np.isfinite(steps[j]):
-        return None
-    t_new = t + steps[j] * c
-    z = x + steps[j] * d
-    z[sat] = np.sign(md.e[sat]) * t_new
-    z[j] = t_new if up[j] <= down[j] else -t_new
-    return _decomposition(md.gauge, z)
+
+def _kernel_walk(Phi, md):
+    """The points of a walk from md.x within md.x + Ker(Phi) ∩ T along
+    which the regularizer falls, each as (x, active, injective): the atoms
+    that attain the max at x, and whether Phi is injective on their model
+    subspace.  The walk ends at its first injective point, or sooner where
+    it stalls; it is empty for a base without support atoms.
+
+    J(x) = max(0, max_j <a_j, x>) over the atoms a_j of the base composed
+    with K, and the zero atom, which comes last.  On T the active atoms
+    share the value t, and J is linear with slope e.  Along d = -N N^T e,
+    N an orthonormal basis of Ker(Phi) ∩ T, Phi x stays fixed and t falls
+    at the rate c = <e, d> < 0.  An inactive atom k, of value v_k and rate
+    r_k = <a_k, d> > c, reaches t at the step (t - v_k) / (r_k - c); the
+    first to do so joins the active set (the ratio test of homotopy
+    methods, Osborne, Presnell & Turlach 2000).  T then shrinks to the
+    null space of the active atoms' differences or, once the zero atom is
+    active and J vanishes on T, of the atoms themselves.  Each step takes a
+    dimension off T, so there are at most dim T of them.  The active set, T
+    and e are carried along, and no step decomposes."""
+    K, base = _analysis_split(md.gauge)
+    atoms = base.support_atoms()
+    if atoms is None:
+        return
+    A = np.vstack([atoms @ K, np.zeros((1, K.shape[1]))])
+    x, U, e = md.x, md.T.basis, md.e
+    v = A @ x
+    t = v.max()
+    active = v >= t * (1.0 - model_mod.SATURATION_TOL)
+    for _ in range(U.shape[1] + 1):
+        svd = RankedSvd(Phi @ U)
+        yield x, active.copy(), svd.injective
+        if svd.injective:
+            return
+        N = U @ svd.kernel()
+        d = -(N @ (N.T @ e))
+        c = float(e @ d)
+        if not c < 0.0:
+            return
+        r = A @ d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.where(~active & (r > c), (t - v) / (r - c), np.inf)
+        k = int(np.argmin(steps))
+        if not np.isfinite(steps[k]):
+            return
+        x = x + steps[k] * d
+        active[k] = True
+        v = A @ x
+        t = v.max()
+        on = A[active]
+        if active[-1]:
+            U, e = null_space(on), np.zeros_like(x)
+        else:
+            U = null_space(on[1:] - on[:1])
+            e = U @ (U.T @ on[0])
 
 
 def _analysis_split(g):
@@ -391,16 +423,21 @@ def _primal_dual_penalized(Phi, y, lam, g, opts):
     """Chambolle-Pock on min_x 0.5||y - Phi x||^2 + lam * base(K x).
 
     A check that the iterate fails also tries the minimizer over the primal
-    subspace of the dual iterate's face (``_face_candidate``); the face of
-    the last check is kept, and a repeated face is not solved again."""
+    subspace of the dual iterate's face (``_face_candidate``) and, over a
+    max of atoms, the polish of the iterate's model (``_polish``); the face
+    of the last check is kept, and a repeated face is not solved again."""
     K, dual_proj, face = _splitting_pieces(g)
+    # a max of atoms also polishes the iterate's own model, completed by
+    # the walk; the box face of an l1 base keeps its candidate alone
+    polishes = face is _max_face
     last_key = None
 
     def check(x, p, it):
         nonlocal last_key
         _require_finite(Phi, y,
                         f"the Chambolle-Pock iterate at iteration {it}", x)
-        eq, slack = _first_order_residuals(Phi, y, lam, g, x)
+        md = _decomposition(g, x) if np.any(x) else None
+        eq, slack = _first_order_residuals(Phi, y, lam, g, x, md)
         done = eq <= opts.tol and slack <= opts.tol
         if not done and face is not None:
             key, C = face(K, p, lam)
@@ -410,6 +447,11 @@ def _primal_dual_penalized(Phi, y, lam, g, opts):
                 eq_c, slack_c = _first_order_residuals(Phi, y, lam, g, cand)
                 if eq_c <= opts.tol and slack_c <= opts.tol:
                     return SolveResult(cand, it, eq_c, slack_c, True, "pd")
+                polished = _polish(Phi, y, lam, g, md, opts.tol) \
+                    if polishes else None
+                if polished is not None:
+                    x_p, eq_p, slack_p = polished
+                    return SolveResult(x_p, it, eq_p, slack_p, True, "pd")
         return SolveResult(x, it, eq, slack, done, "pd")
 
     return _chambolle_pock(K, dual_proj, lam, np.zeros(Phi.shape[1]),
