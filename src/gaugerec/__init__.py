@@ -23,7 +23,8 @@ from .certificates import (CertificateReport, StabilityConstants,
                            stability_constants,
                            RestrictedInjectivityError)
 from .solvers import (SolveResult, SolveOptions, solve_penalized,
-                      solve_noiseless, solve_restricted, SolverError)
+                      solve_noiseless, solve_restricted, lasso_path,
+                      SolverError)
 from .lp import LpProblem, LpResult, lp_solve, LpNumericalError
 from .experiments import (TrialRecord, SweepResult, SweepCell, cs_linf_bound,
                           run_linf_cs_trials, phase_transition_sweep,

@@ -304,7 +304,10 @@ def cmd_experiment(args):
         cfg = {k: flags[k] for k in schema["required"] | schema["optional"]
                if flags[k] is not None}
     kind = _validate_config(cfg)
-    sweep = _run_experiment(kind, cfg, args.jobs)
+    try:
+        sweep = _run_experiment(kind, cfg, args.jobs)
+    except exp.TrialNotConvergedError as exc:
+        raise CliError(str(exc), EXIT_NO_CONVERGENCE)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, kind.replace("-", "_"))

@@ -29,6 +29,11 @@ CSV_HEADER = ["N", "Q", "I_size", "trials", "success", "frequency", "beta",
               "bound"]
 
 
+class TrialNotConvergedError(RuntimeError):
+    """A sweep trial's solve did not converge; the message names the cell
+    and the trial."""
+
+
 class TrialRecord:
     def __init__(self, seed, N, Q, I_size, regularizer, ic_value,
                  recovered_model, l2_error=float("nan"), lam=float("nan"),
@@ -235,13 +240,20 @@ def subspace_equal(T1, T2, tol=1e-6):
 
 def _model_selection_trial(Phi, x0, gauge, T, seed, eps, lam, t):
     """(model recovered, uniqueness certified, l2 error) for one noise draw
-    on the sphere of radius eps."""
+    on the sphere of radius eps; ``TrialNotConvergedError`` when the solve
+    does not converge, whose point would say nothing about recovery."""
     rng = _trial_rng(seed, int(1e6 * eps), int(1e6 * lam), t)
     w = rng.standard_normal(Phi.shape[0])
     nw = np.linalg.norm(w)
     w = (eps / nw) * w if nw > 0 and eps > 0 else np.zeros_like(w)
     y = Phi @ x0 + w
     res = solve_penalized(Phi, y, lam, gauge, SolveOptions(tol=1e-9))
+    if not res.converged:
+        raise TrialNotConvergedError(
+            f"the solve of cell eps={float(eps)!r}, lambda={float(lam)!r}, "
+            f"trial {t} did not converge ({res.iterations} iterations, "
+            f"residuals {res.primal_residual:.3g}, "
+            f"{res.dual_residual:.3g})")
     md_hat = decompose(gauge, res.x_hat)
     same = subspace_equal(md_hat.T, T)
     unique = check_noisy_optimality(Phi, y, lam, res.x_hat, md=md_hat,
@@ -259,7 +271,8 @@ def model_selection_sweep(Phi, x0, md, p, noise_levels, lambda_grid, trials,
     subspace matches the one of x0, whether uniqueness was certified, and
     the recovery error relative to max(noise, lambda).  The certified
     lambda interval from the stability constants rides along in the config.
-    ``jobs`` spreads the trials over worker processes.
+    ``jobs`` spreads the trials over worker processes.  A trial whose solve
+    does not converge raises ``TrialNotConvergedError``, naming its cell.
     """
     Phi = check_finite(Phi, "Phi")
     x0 = check_finite(x0, "x0")

@@ -1,10 +1,22 @@
 """First-order and LP solvers for the penalized and equality-constrained
 recovery problems.  The gauge picks the route.
 
-``solve_penalized`` runs FISTA with adaptive restart on the prox-able
-``L1``, ``Linf`` and ``GroupL1L2``, and Chambolle-Pock on J(x) = base(K x)
-on every other gauge, with K = D* for a pre-composition (H^T for a
-polyhedral H-gauge, over the positive-part max) and K = I otherwise.
+``solve_penalized`` solves ``L1`` by its exact homotopy path
+(``lasso_path``): the minimizer is piecewise linear in lambda, and a
+finite sequence of events, each an index that enters or leaves the active
+set, leads from lam_max = ||Phi^T y||_inf, where it leaves 0, down to
+lambda (Osborne, Presnell & Turlach 2000; Efron, Hastie, Johnstone &
+Tibshirani 2004).  Each event solves the active Gram system once.  The end
+point is returned (method "path") once it passes the first-order test
+that every route exits on; where the path cannot go on (a singular active
+Gram matrix, a Gram matrix or correlation that is not finite, more events
+than ``max_iter``) or its end point fails the test, FISTA is the backstop
+and runs exactly as it does alone.  FISTA with adaptive restart solves
+the prox-able ``Linf`` and ``GroupL1L2``, and Chambolle-Pock J(x) =
+base(K x) on every other gauge, with K = D* for a pre-composition (H^T
+for a polyhedral H-gauge, over the positive-part max) and K = I
+otherwise.
+
 Each loop applies its least-squares step as an affine map v -> M v + c
 formed once per solve: M = I - step Phi^T Phi for the FISTA forward step,
 and M = (I + tau Phi^T Phi)^{-1}, from its Cholesky factor, for the
@@ -110,7 +122,7 @@ class SolveResult:
 
 class SolveOptions:
     """``tol``, finite and >= 0, bounds the residuals at exit; ``max_iter``,
-    an int >= 1, caps the iterations."""
+    an int >= 1, caps the iterations (the events of the l1 path)."""
 
     def __init__(self, tol=1e-8, max_iter=200000):
         if isinstance(tol, bool) or not (isinstance(tol, numbers.Real)
@@ -161,19 +173,209 @@ def _objective(Phi, y, lam, g, x):
 def solve_penalized(Phi, y, lam, g, opts=None):
     """Minimize 0.5 || y - Phi x ||^2 + lam * J(x).
 
+    The route is the gauge's:
+
+    ========================  ==============================================
+    L1                        end point of ``lasso_path`` at lam (method
+                              "path", ``iterations`` = its events), where
+                              it passes the first-order test at ``tol``;
+                              else FISTA, exactly as for Linf
+    Linf, GroupL1L2           FISTA (method "fista")
+    every other gauge         Chambolle-Pock (method "pd");
+                              ``UnsupportedGaugeError`` for a sum or a max
+    ========================  ==============================================
+
+    The l1 path falls back to FISTA where it cannot go on (a singular
+    active Gram matrix, a Gram matrix or correlation that is not finite,
+    more events than ``opts.max_iter``) or where its end point fails the
+    test.
+
     Parameters
     ----------
     Phi, y : measurement operator and data
     lam : positive regularization weight
-    g : the regularizer; L1, Linf and GroupL1L2 run FISTA, every other
-        gauge Chambolle-Pock (``UnsupportedGaugeError`` for a sum or a max)
-    opts : SolveOptions; ``tol`` bounds the first-order residuals at exit.
+    g : the regularizer
+    opts : SolveOptions; ``tol`` bounds the first-order residuals at exit
+        and ``max_iter`` caps the iterations, or the path's events.
     """
     Phi, y, _ = check_problem(Phi, y, dim=g.dim, lam=lam)
     opts = opts or SolveOptions()
+    if isinstance(g, L1):
+        res = _path_solve(Phi, y, lam, g, opts)
+        if res is not None:
+            return res
     if isinstance(g, (L1, GroupL1L2, Linf)):
         return _fista(Phi, y, lam, g, opts)
     return _primal_dual_penalized(Phi, y, lam, g, opts)
+
+
+def _path_solve(Phi, y, lam, g, opts):
+    """The end point of the l1 path at lam, as a result certified by the
+    first-order test at ``opts.tol``; None where the path cannot go on or
+    its end point fails the test."""
+    try:
+        path = _lasso_path(Phi, y, lam, opts.max_iter)
+    except PathError:
+        return None
+    x = path.x_at(lam)
+    eq, slack = _first_order_residuals(Phi, y, lam, g, x)
+    if eq <= opts.tol and slack <= opts.tol:
+        return SolveResult(x, path.events, eq, slack, True, "path")
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the l1 homotopy path
+# ---------------------------------------------------------------------------
+
+class PathError(SolverError):
+    """The l1 path cannot go on: its active Gram matrix is singular, a Gram
+    matrix or correlation is not finite, or it needs more events than
+    allowed."""
+
+
+class LassoPath:
+    """The minimizer x(lam) of 0.5||y - Phi x||^2 + lam ||x||_1 from
+    lam_max = ||Phi^T y||_inf, where it leaves 0, down to lam_min.
+
+    ``lambdas`` are the breakpoints, descending from lam_max to lam_min
+    (lam_max alone when lam_min >= lam_max).  On segment k, between
+    ``lambdas[k]`` and ``lambdas[k + 1]``, x(lam) is zero off the indices
+    ``active[k]`` and u_k - lam v_k on them, with the signs ``signs[k]``.
+    Each segment starts with one event, an index that enters or leaves the
+    active set, so ``events`` counts the segments."""
+
+    def __init__(self, n, lambdas, segments):
+        self.n = n
+        self.lambdas = np.array(lambdas)
+        self._segments = segments   # (active, signs, u, v) per segment
+
+    @property
+    def events(self):
+        return len(self._segments)
+
+    @property
+    def active(self):
+        return [A for A, _, _, _ in self._segments]
+
+    @property
+    def signs(self):
+        return [s for _, s, _, _ in self._segments]
+
+    def x_at(self, lam):
+        """x(lam) for lam >= lam_min: zero from lam_max up, else the
+        segment's affine piece."""
+        if not lam >= self.lambdas[-1]:
+            raise ValueError(f"lam {lam!r} lies below the path's end "
+                             f"{self.lambdas[-1]!r}")
+        x = np.zeros(self.n)
+        if lam < self.lambdas[0]:
+            A, _, u, v = self._segments[
+                np.count_nonzero(self.lambdas[1:] > lam)]
+            x[A] = u - lam * v
+        return x
+
+
+def lasso_path(Phi, y, lam_min, max_events=200000):
+    """The l1 homotopy path (``LassoPath``) from ||Phi^T y||_inf down to
+    lam_min > 0, by at most ``max_events`` events (``PathError`` beyond
+    them, or where the path cannot go on).
+
+    On a segment with active set A and signs s the minimizer is
+    x_A = G^{-1} (Phi_A^T y - lam s), G = Phi_A^T Phi_A, one Gram solve
+    per event, and the correlations Phi^T (y - Phi x) are affine in lam.
+    A ratio test picks the next event below the current lam: an inactive
+    correlation reaches +-lam (the index enters with that sign), or an
+    active coefficient reaches zero (it leaves).  An index that has just
+    left cannot enter at the next event, nor one that has just entered
+    leave: at the breakpoint its test reads lam itself up to round-off
+    (Osborne, Presnell & Turlach 2000; Efron, Hastie, Johnstone &
+    Tibshirani 2004, *Least angle regression*)."""
+    Phi, y, _ = check_problem(Phi, y, lam=lam_min)
+    return _lasso_path(Phi, y, lam_min, max_events)
+
+
+# the sign with which an index enters, by row of the path's ratio test
+_ENTRY_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _lasso_path(Phi, y, lam_min, max_events):
+    n = Phi.shape[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        G = Phi.T @ Phi
+        c = Phi.T @ y
+        if not (np.isfinite(G).all() and np.isfinite(c).all()):
+            raise PathError("Phi^T Phi or Phi^T y is not finite")
+        lam = float(np.abs(c).max(initial=0.0))
+        lambdas, segments = [lam], []
+        if lam <= lam_min:
+            return LassoPath(n, lambdas, segments)
+        # the right-hand sides of the Gram system: Phi^T y, and the signs
+        # of the active indices
+        rhs = np.zeros((n, 2))
+        rhs[:, 0] = c
+        j = int(np.argmax(np.abs(c)))
+        rhs[j, 1] = np.sign(c[j])
+        active, entered, left = [j], j, -1
+        # the indices that may enter: inactive, and not the one just left
+        free = np.ones(n, dtype=bool)
+        free[j] = False
+        # the rank cutoff of G's largest diagonal entry, which bounds
+        # every active Gram matrix's
+        cutoff = rank_tolerance(G.diagonal().max(), G.shape)
+        while True:
+            if len(segments) == max_events:
+                raise PathError(
+                    f"the path needs more than {max_events} events")
+            if not active:
+                # 0 is optimal from lam_max up only: round-off led astray
+                raise PathError("the active set is empty below lam_max")
+            A = np.array(active)
+            GA = G[:, A]
+            B = rhs[A]
+            uv = _gram_solve(GA[A], B, cutoff)
+            # on this segment x_A = u - lam v, and the correlations
+            # Phi^T (y - Phi x) are p + lam q
+            u, v = uv[:, 0], uv[:, 1]
+            Guv = GA @ uv
+            p, q = c - Guv[:, 0], Guv[:, 1]
+            if not math.isfinite(p.sum() + q.sum()):
+                raise PathError("a correlation on the path is not finite")
+            segments.append((A, B[:, 1], u, v))
+            # the ratio test, at the values of t that do not exceed lam:
+            # p_j + t q_j = t (row 0 of reach) or = -t (row 1), NaN for the
+            # indices that may not enter, and x_i = u_i - t v_i = 0
+            reach = np.where(free, p, np.nan) / (_ENTRY_SIGNS - q)
+            reach = np.where(reach <= lam, reach, -np.inf)
+            cross = u / v
+            cross = np.where((A != entered) & (cross <= lam), cross, -np.inf)
+            k, i = reach.argmax(), cross.argmax()
+            t = max(reach.flat[k], cross[i])
+            if not t > lam_min:
+                lambdas.append(lam_min)
+                return LassoPath(n, lambdas, segments)
+            lam = float(t)
+            lambdas.append(lam)
+            if left >= 0:
+                free[left] = True
+            if cross[i] == t:
+                left, entered = active.pop(i), -1
+            else:
+                row, entered = divmod(int(k), n)
+                rhs[entered, 1] = _ENTRY_SIGNS[row, 0]
+                free[entered], left = False, -1
+                active.append(entered)
+
+
+def _gram_solve(GA, rhs, cutoff):
+    """G^{-1} rhs from one Cholesky factor of the active Gram matrix G;
+    ``PathError`` where G is singular to working precision: a pivot, the
+    squared distance of a column from the span of those before it, at or
+    below ``cutoff``."""
+    L, info = scipy.linalg.lapack.dpotrf(GA, lower=1)
+    if info != 0 or L.diagonal().min() ** 2 <= cutoff:
+        raise PathError("the active Gram matrix is singular")
+    return scipy.linalg.lapack.dpotrs(L, rhs, lower=1)[0]
 
 
 def _fista(Phi, y, lam, g, opts):

@@ -382,6 +382,27 @@ class TestExperiment:
         assert serial[0] == 0
         assert serial == parallel
 
+    def test_model_selection_non_convergence_exits_5(self, capsys,
+                                                     tmp_path, monkeypatch):
+        from gaugerec import experiments
+        from gaugerec.solvers import SolveResult
+        monkeypatch.setattr(
+            experiments, "solve_penalized",
+            lambda Phi, y, lam, g, opts=None: SolveResult(
+                np.zeros(Phi.shape[1]), 3, 1.0, 0.0, False, "fista"))
+        Phi, x0 = random_l1_instance(1, 20, 18, 2)
+        cfg = {"kind": "model-selection", "phi": Phi.tolist(),
+               "x": x0.tolist(), "noise_levels": [0.05],
+               "lambda_grid": [0.01], "trials": 2, "seed": 1}
+        cfg_path = tmp_path / "ms.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "experiment", "from-config",
+                                 "--config", str(cfg_path),
+                                 "--out", str(tmp_path))
+        assert code == 5 and out == ""
+        assert "eps=0.05, lambda=0.01, trial 0 did not converge" in err
+        assert not (tmp_path / "model_selection.csv").exists()
+
     @pytest.mark.parametrize("args, config", [
         (["cs-linf", "--n", "12", "--i-size", "4", "--q", "11",
           "--trials", "-3"], None),

@@ -8,10 +8,13 @@ from gaugerec.gauges import BlockPartition
 from gaugerec.linalg import Subspace
 from gaugerec.model import decompose_l1, decompose_group
 from gaugerec.certificates import irrepresentability, stability_constants
+from gaugerec import experiments
 from gaugerec.experiments import (cs_linf_bound, f_exponent,
                                   run_linf_cs_trials, phase_transition_sweep,
                                   model_selection_sweep, subspace_equal,
-                                  _linf_trial, CSV_HEADER)
+                                  _linf_trial, CSV_HEADER,
+                                  TrialNotConvergedError)
+from gaugerec.solvers import SolveResult
 
 from conftest import random_l1_instance
 
@@ -266,6 +269,23 @@ class TestModelSelectionSweep:
         sweep = model_selection_sweep(Phi, x0, md, p, [0.0], [lam], 2,
                                       seed=0)
         assert [r.regularizer for r in sweep.records] == ["groupl1l2"] * 2
+
+    def test_a_trial_that_does_not_converge_is_an_error(self, monkeypatch):
+        Phi, x0, md, p, lam = self._group_instance()
+        calls = []
+
+        def unconverged(Phi, y, lam, g, opts=None):
+            calls.append(lam)
+            return SolveResult(np.zeros(Phi.shape[1]), 7, 0.5, 0.0, False,
+                               "fista")
+
+        monkeypatch.setattr(experiments, "solve_penalized", unconverged)
+        with pytest.raises(TrialNotConvergedError,
+                           match=rf"^the solve of cell eps=0.1, "
+                                 rf"lambda={float(lam)!r}, trial 0 did not "
+                                 rf"converge \(7 iterations"):
+            model_selection_sweep(Phi, x0, md, p, [0.1], [lam], 2, seed=0)
+        assert calls == [lam]
 
     def test_records_do_not_depend_on_jobs(self):
         # a group gauge and its T must reach spawned workers intact

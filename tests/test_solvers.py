@@ -59,9 +59,11 @@ class TestPenalized:
         assert obj(res.x_hat) <= obj(hi.x_hat) + 1e-8
 
     def test_objective_monotone_at_checkpoints(self, rng):
+        # FISTA itself: solve_penalized takes the l1 path, whose early
+        # stops would compare exact solutions with each other
         Phi, x0 = random_l1_instance(77, 20, 12, 4)
         y = Phi @ x0 + 0.05 * rng.standard_normal(12)
-        res = solve_penalized(Phi, y, 0.3, L1(20), SolveOptions(tol=1e-10))
+        res = solvers._fista(Phi, y, 0.3, L1(20), SolveOptions(tol=1e-10))
         assert res.converged
 
         def obj(x):
@@ -70,12 +72,12 @@ class TestPenalized:
 
         # runs stopped every 10 iterations, up to the converged count
         for stop in range(10, res.iterations + 1, 10):
-            early = solve_penalized(Phi, y, 0.3, L1(20),
-                                    SolveOptions(tol=1e-10, max_iter=stop))
+            early = solvers._fista(Phi, y, 0.3, L1(20),
+                                   SolveOptions(tol=1e-10, max_iter=stop))
             assert obj(res.x_hat) <= obj(early.x_hat) + 1e-9
 
     def test_same_image_property(self, rng):
-        # minimizers may differ, the measured image may not: FISTA on l1
+        # minimizers may differ, the measured image may not: the l1 path
         # against Chambolle-Pock on l1 pre-composed with the identity
         Phi, x0 = random_l1_instance(88, 18, 9, 4)
         y = Phi @ x0 + 0.1 * rng.standard_normal(9)
@@ -83,7 +85,7 @@ class TestPenalized:
         r2 = solve_penalized(Phi, y, 0.25, Precomposed(L1(18), np.eye(18)),
                              SolveOptions(tol=1e-10))
         assert r1.converged and r2.converged
-        assert (r1.method, r2.method) == ("fista", "pd")
+        assert (r1.method, r2.method) == ("path", "pd")
         assert np.linalg.norm(Phi @ (r1.x_hat - r2.x_hat)) \
             <= 1e-6 * (1.0 + np.linalg.norm(y))
 
@@ -174,23 +176,26 @@ def _penalized_instance(kind, seed):
 # flags as the sort-and-loop kernels gave them (tv with the exit on the dual
 # iterate's face; linf and poly with the kernel walk that completes the
 # model, which exits at 100 and 300 where the iterate's own model passed
-# at 500 and its dual face at 500), and the l1 / linf x_hat bits, which
-# the earlier exit keeps
+# at 500 and its dual face at 500), and the linf x_hat bits, which the
+# earlier exit keeps; l1 takes the path, with 16 events, and the bits are
+# the path's end point
 # (those of a build with OpenBLAS; another BLAS may move the last bits)
-PINNED_ITERATIONS = {"l1": 100, "group": 200, "linf": 100, "tv": 200,
+PINNED_ITERATIONS = {"l1": 16, "group": 200, "linf": 100, "tv": 200,
                      "poly": 300}
+PINNED_METHOD = {"l1": "path", "group": "fista", "linf": "fista",
+                 "tv": "pd", "poly": "pd"}
 PINNED_X_HAT = {
     "l1": [
         '0x0.0p+0', '0x0.0p+0',
-        '0x0.0p+0', '-0x1.a94c244d85b40p-4',
-        '0x0.0p+0', '0x1.54d4d7e699640p-5',
-        '0x1.b5f58555a3894p-1', '0x0.0p+0',
-        '-0x1.ed891b02e6e3ep-1', '-0x1.25dbdca1e78e6p-1',
-        '0x0.0p+0', '-0x1.2c9e87a9fd112p-1',
-        '-0x1.5f463abe8ab20p-4', '0x1.3813f0a6f0680p-4',
-        '0x1.1a2b2df13b4d0p-2', '0x0.0p+0',
-        '-0x1.0c0c6a2da876ep+0', '0x1.00f99c148e5ddp-1',
-        '0x1.4a56c310d0a10p-4', '0x0.0p+0',
+        '0x0.0p+0', '-0x1.a94c244d859e3p-4',
+        '0x0.0p+0', '0x1.54d4d7e699588p-5',
+        '0x1.b5f58555a38b2p-1', '0x0.0p+0',
+        '-0x1.ed891b02e6e22p-1', '-0x1.25dbdca1e7898p-1',
+        '0x0.0p+0', '-0x1.2c9e87a9fd15ep-1',
+        '-0x1.5f463abe8a914p-4', '0x1.3813f0a6f0974p-4',
+        '0x1.1a2b2df13b488p-2', '0x0.0p+0',
+        '-0x1.0c0c6a2da8775p+0', '0x1.00f99c148e5d0p-1',
+        '0x1.4a56c310d0c6ap-4', '0x0.0p+0',
     ],
     "linf": [
         '0x1.12b5688332f61p+0', '0x1.0cabf12890d5cp+0',
@@ -311,8 +316,8 @@ class TestInputChecks:
         monkeypatch.setattr(L1, "_prox", blow_up)
         with pytest.raises(solvers.SolverError,
                            match="iterate at iteration 10 is not finite"):
-            solve_penalized(self.PHI, np.array([5.0, 0.0]), 0.5, L1(3),
-                            SolveOptions(tol=0.0))
+            solvers._fista(self.PHI, np.array([5.0, 0.0]), 0.5, L1(3),
+                           SolveOptions(tol=0.0))
 
     def test_options_accept_their_limits(self):
         opts = SolveOptions(tol=0, max_iter=np.int64(1))
@@ -327,7 +332,7 @@ class TestPinnedIterates:
         res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=tol))
         assert res.converged
         assert res.iterations == PINNED_ITERATIONS[kind]
-        assert res.method == ("pd" if kind in ("tv", "poly") else "fista")
+        assert res.method == PINNED_METHOD[kind]
         if kind in PINNED_X_HAT:
             assert [v.hex() for v in res.x_hat] == PINNED_X_HAT[kind]
 
@@ -400,13 +405,13 @@ class TestPolishedExit:
                 return 0.5 * r @ r + lam * g.value(x)
 
             outcomes.clear()
-            res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-8))
+            res = solvers._fista(Phi, y, lam, g, SolveOptions(tol=1e-8))
             assert res.converged and res.method == "fista"
             # the exit was the polished candidate, not the iterate
             assert outcomes and outcomes[-1] is not None
             assert res.x_hat is outcomes[-1][0]
             assert res.iterations % 100 == 0
-            tight = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-12))
+            tight = solvers._fista(Phi, y, lam, g, SolveOptions(tol=1e-12))
             assert tight.converged
             assert obj(res.x_hat) <= obj(tight.x_hat) + 1e-10
 
@@ -582,7 +587,7 @@ class TestPolishedExit:
         # right after 100, so the first check returns the polished point
         Phi, x0 = random_l1_instance(2, 20, 12, 3)
         y = Phi @ x0 + 0.05 * np.random.default_rng(2).standard_normal(12)
-        res = solve_penalized(Phi, y, 0.5, L1(20))
+        res = solvers._fista(Phi, y, 0.5, L1(20), SolveOptions())
         assert res.converged
         assert res.iterations == 100
         assert max(res.primal_residual, res.dual_residual) <= 1e-8
@@ -708,6 +713,147 @@ class TestPolyTail:
         assert check_noisy_optimality(Phi, y, lam, res.x_hat,
                                       md=decompose(g, res.x_hat),
                                       eq_tol=1e-6) != "not_optimal"
+
+
+def _path_instance(shape, seed):
+    """(Phi, y, lam) for the l1 path tests: the criterion-9 mix (n = 20,
+    Q = 12) when shape is None, else a Gaussian (Q, n) with half of x's
+    entries zero."""
+    if shape is None:
+        Phi, y, lam, _ = _penalized_instance("l1", seed)
+        return Phi, y, lam
+    q, n = shape
+    r = np.random.default_rng([seed, q, n])
+    Phi = r.standard_normal((q, n))
+    xs = r.standard_normal(n)
+    xs[r.choice(n, n // 2, replace=False)] = 0.0
+    return Phi, Phi @ xs + 0.1 * r.standard_normal(q), float(
+        r.uniform(0.2, 1.2))
+
+
+class TestLassoPath:
+    # a variable that enters and later leaves: x_1 enters at 6, x_2 at 8/3
+    # with sign -1, x_1 reaches zero at 5/2 and leaves, x_0 enters at 5/7
+    DROP_PHI = np.array([[1.0, 3.0, -2.0], [0.0, 1.0, -1.0]])
+    DROP_Y = np.array([1.0, 3.0])
+
+    @staticmethod
+    def _fista_x(Phi, y, lam):
+        res = solvers._fista(Phi, y, lam, L1(Phi.shape[1]),
+                             SolveOptions(tol=1e-12))
+        assert res.converged
+        return res.x_hat
+
+    @pytest.mark.parametrize("shape, seeds", [
+        (None, range(120)), ((12, 8), range(40)), ((6, 15), range(40))])
+    def test_matches_fista_at_and_between_breakpoints(self, shape, seeds):
+        for seed in seeds:
+            Phi, y, lam = _path_instance(shape, seed)
+            path = solvers.lasso_path(Phi, y, lam)
+            L = path.lambdas
+            assert L[0] == np.abs(Phi.T @ y).max() and L[-1] == lam
+            assert np.all(np.diff(L) <= 0.0) and path.events == L.size - 1
+            for t in np.concatenate([L, 0.5 * (L[1:] + L[:-1])]):
+                assert np.abs(path.x_at(t) - self._fista_x(Phi, y, t)).max() \
+                    <= 1e-10
+
+    def test_solve_penalized_takes_the_path(self):
+        Phi, y, lam = _path_instance(None, 3)
+        res = solve_penalized(Phi, y, lam, L1(20), SolveOptions(tol=1e-8))
+        path = solvers.lasso_path(Phi, y, lam)
+        assert (res.method, res.iterations) == ("path", path.events)
+        assert res.converged and max(res.primal_residual,
+                                     res.dual_residual) <= 1e-8
+        assert np.array_equal(res.x_hat, path.x_at(lam))
+
+    def test_a_variable_enters_and_later_leaves(self):
+        Phi, y = self.DROP_PHI, self.DROP_Y
+        path = solvers.lasso_path(Phi, y, 0.5)
+        assert np.allclose(path.lambdas, [6.0, 8.0 / 3.0, 2.5, 5.0 / 7.0,
+                                          0.5], rtol=0.0, atol=1e-13)
+        assert [a.tolist() for a in path.active] == [[1], [1, 2], [2],
+                                                     [2, 0]]
+        assert [s.tolist() for s in path.signs] == [[1.0], [1.0, -1.0],
+                                                    [-1.0], [-1.0, -1.0]]
+        # x_1 falls to zero at the drop and stays there
+        assert abs(path.x_at(2.5)[1]) <= 1e-14
+        assert path.x_at(2.6)[1] > 0.0 and path.x_at(2.4)[1] == 0.0
+        for t in (6.0, 4.0, 8.0 / 3.0, 2.6, 2.5, 2.0, 5.0 / 7.0, 0.6, 0.5):
+            assert np.abs(path.x_at(t) - self._fista_x(Phi, y, t)).max() \
+                <= 1e-10
+        res = solve_penalized(Phi, y, 0.5, L1(3), SolveOptions(tol=1e-10))
+        assert (res.method, res.iterations) == ("path", 4)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_lambda_at_or_above_lam_max_gives_zero(self, scale):
+        Phi, y, _ = _path_instance(None, 5)
+        lam = scale * np.abs(Phi.T @ y).max()
+        path = solvers.lasso_path(Phi, y, lam)
+        assert path.events == 0 and path.lambdas.tolist() == [
+            np.abs(Phi.T @ y).max()]
+        res = solve_penalized(Phi, y, lam, L1(20))
+        assert (res.method, res.iterations, res.converged) == ("path", 0,
+                                                               True)
+        assert not np.any(res.x_hat)
+
+    def test_duplicate_columns_end_on_the_path(self):
+        # the lasso has a segment of minimizers; the path keeps column 1
+        # out (its correlation stays tied with column 0's, q_1 = 1) and
+        # ends at one of them
+        Phi = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        y = np.array([2.0, 1.0])
+        res = solve_penalized(Phi, y, 0.5, L1(3))
+        assert (res.method, res.converged) == ("path", True)
+        assert res.x_hat.tolist() == [1.5, 0.0, 0.5]
+        assert check_noisy_optimality(
+            Phi, y, 0.5, res.x_hat,
+            md=decompose(L1(3), res.x_hat)) != "not_optimal"
+
+    def test_a_singular_gram_falls_back_to_fista(self):
+        # column 3 is the mean of columns 0 and 1 up to 1e-8, and enters
+        # after them: the active Gram matrix is singular to working
+        # precision, so the solve is FISTA's, bit for bit
+        r = np.random.default_rng(37)
+        Phi = r.standard_normal((4, 6))
+        Phi[:, 3] = 0.5 * (Phi[:, 0] + Phi[:, 1]) \
+            + 1e-8 * r.standard_normal(4)
+        y = r.standard_normal(4)
+        with pytest.raises(solvers.PathError, match="Gram matrix is singular"):
+            solvers.lasso_path(Phi, y, 0.05)
+        res = solve_penalized(Phi, y, 0.05, L1(6))
+        fista = solvers._fista(Phi, y, 0.05, L1(6), SolveOptions())
+        assert (res.method, res.converged) == ("fista", True)
+        assert np.array_equal(res.x_hat, fista.x_hat)
+        assert res.iterations == fista.iterations
+
+    def test_events_count_against_max_iter(self):
+        Phi, y, lam = _path_instance(None, 3)
+        events = solvers.lasso_path(Phi, y, lam).events
+        with pytest.raises(solvers.PathError, match="more than"):
+            solvers.lasso_path(Phi, y, lam, max_events=events - 1)
+        assert solve_penalized(Phi, y, lam, L1(20), SolveOptions(
+            max_iter=events)).method == "path"
+        res = solve_penalized(Phi, y, lam, L1(20),
+                              SolveOptions(max_iter=events - 1))
+        fista = solvers._fista(Phi, y, lam, L1(20),
+                               SolveOptions(max_iter=events - 1))
+        assert res.method == "fista"
+        assert np.array_equal(res.x_hat, fista.x_hat)
+
+    def test_an_end_point_that_fails_the_test_falls_back(self):
+        # at tol 0 the path's round-off fails the test: FISTA, bit for bit
+        Phi, y, lam = _path_instance(None, 3)
+        res = solve_penalized(Phi, y, lam, L1(20),
+                              SolveOptions(tol=0.0, max_iter=300))
+        fista = solvers._fista(Phi, y, lam, L1(20),
+                               SolveOptions(tol=0.0, max_iter=300))
+        assert res.method == "fista" and res.iterations == fista.iterations
+        assert np.array_equal(res.x_hat, fista.x_hat)
+
+    def test_x_at_rejects_a_lambda_below_the_end(self):
+        path = solvers.lasso_path(self.DROP_PHI, self.DROP_Y, 0.5)
+        with pytest.raises(ValueError, match="below the path's end"):
+            path.x_at(0.4)
 
 
 class TestNoiseless:
