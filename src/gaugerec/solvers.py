@@ -238,12 +238,13 @@ class LassoPath:
     """The minimizer x(lam) of 0.5||y - Phi x||^2 + lam ||x||_1 from
     lam_max = ||Phi^T y||_inf, where it leaves 0, down to lam_min.
 
-    ``lambdas`` are the breakpoints, descending from lam_max to lam_min
-    (lam_max alone when lam_min >= lam_max).  On segment k, between
+    ``lambdas`` are the breakpoints, non-increasing from lam_max to
+    lam_min (lam_max alone when lam_min >= lam_max).  On segment k, between
     ``lambdas[k]`` and ``lambdas[k + 1]``, x(lam) is zero off the indices
     ``active[k]`` and u_k - lam v_k on them, with the signs ``signs[k]``.
     Each segment starts with one event, an index that enters or leaves the
-    active set, so ``events`` counts the segments."""
+    active set, so ``events`` counts the segments; tied events give
+    segments of length zero."""
 
     def __init__(self, n, lambdas, segments):
         self.n = n
@@ -276,27 +277,35 @@ class LassoPath:
         return x
 
 
-def lasso_path(Phi, y, lam_min, max_events=200000):
+def lasso_path(Phi, y, lam_min):
     """The l1 homotopy path (``LassoPath``) from ||Phi^T y||_inf down to
-    lam_min > 0, by at most ``max_events`` events (``PathError`` beyond
-    them, or where the path cannot go on).
+    lam_min > 0; ``PathError`` where it cannot go on.
 
     On a segment with active set A and signs s the minimizer is
     x_A = G^{-1} (Phi_A^T y - lam s), G = Phi_A^T Phi_A, one Gram solve
     per event, and the correlations Phi^T (y - Phi x) are affine in lam.
-    A ratio test picks the next event below the current lam: an inactive
-    correlation reaches +-lam (the index enters with that sign), or an
-    active coefficient reaches zero (it leaves).  An index that has just
-    left cannot enter at the next event, nor one that has just entered
-    leave: at the breakpoint its test reads lam itself up to round-off
-    (Osborne, Presnell & Turlach 2000; Efron, Hastie, Johnstone &
-    Tibshirani 2004, *Least angle regression*)."""
+    A ratio test picks the next event at or below the current lam: an
+    inactive correlation reaches +-lam while moving outward (the index
+    enters with that sign), or an active coefficient reaches zero while
+    moving toward it (it leaves).  A root up to a few ulps above lam is a
+    tie and taken at lam, so tied indices enter one by one through
+    segments of length zero; a correlation that keeps to +-lam does not
+    enter.  An index that has just left cannot enter
+    again with its old sign at the next event, nor one that has just
+    entered leave: at the breakpoint its test reads lam itself up to
+    round-off (Osborne, Presnell & Turlach 2000; Efron, Hastie, Johnstone
+    & Tibshirani 2004, *Least angle regression*)."""
     Phi, y, _ = check_problem(Phi, y, lam=lam_min)
-    return _lasso_path(Phi, y, lam_min, max_events)
+    return _lasso_path(Phi, y, lam_min, SolveOptions().max_iter)
 
 
 # the sign with which an index enters, by row of the path's ratio test
 _ENTRY_SIGNS = np.array([[1.0], [-1.0]])
+# the path's round-off margin: a root of the ratio test up to this share
+# above the current lam is a tie at lam, and a correlation enters only if
+# it moves outward at a rate above it (one that keeps to +-lam belongs to
+# a column in the span of the active ones)
+_TIE_MARGIN = 8 * np.finfo(float).eps
 
 
 def _lasso_path(Phi, y, lam_min, max_events):
@@ -316,10 +325,11 @@ def _lasso_path(Phi, y, lam_min, max_events):
         rhs[:, 0] = c
         j = int(np.argmax(np.abs(c)))
         rhs[j, 1] = np.sign(c[j])
-        active, entered, left = [j], j, -1
-        # the indices that may enter: inactive, and not the one just left
-        free = np.ones(n, dtype=bool)
-        free[j] = False
+        active, entered, left = [j], j, None
+        # the (sign row, index) pairs that may enter: inactive indices, but
+        # not the one just left with its old sign
+        free = np.ones((2, n), dtype=bool)
+        free[:, j] = False
         # the rank cutoff of G's largest diagonal entry, which bounds
         # every active Gram matrix's
         cutoff = rank_tolerance(G.diagonal().max(), G.shape)
@@ -342,29 +352,52 @@ def _lasso_path(Phi, y, lam_min, max_events):
             if not math.isfinite(p.sum() + q.sum()):
                 raise PathError("a correlation on the path is not finite")
             segments.append((A, B[:, 1], u, v))
-            # the ratio test, at the values of t that do not exceed lam:
-            # p_j + t q_j = t (row 0 of reach) or = -t (row 1), NaN for the
-            # indices that may not enter, and x_i = u_i - t v_i = 0
-            reach = np.where(free, p, np.nan) / (_ENTRY_SIGNS - q)
-            reach = np.where(reach <= lam, reach, -np.inf)
+            # the ratio test: p_j + t q_j = t (row 0 of reach) or = -t
+            # (row 1) where the correlation moves outward as t falls, NaN
+            # for the rest, and x_i = u_i - t v_i = 0, NaN for the index
+            # just entered (the last)
+            den = _ENTRY_SIGNS - q
+            reach = np.where(free & (_ENTRY_SIGNS * den > _TIE_MARGIN), p,
+                             np.nan) / den
             cross = u / v
-            cross = np.where((A != entered) & (cross <= lam), cross, -np.inf)
-            k, i = reach.argmax(), cross.argmax()
-            t = max(reach.flat[k], cross[i])
+            if entered >= 0:
+                cross[-1] = np.nan
+            k, i, t, drop = _next_event(reach, cross, lam)
+            if t >= lam * (1.0 - _TIE_MARGIN):
+                # a tie at lam: only a coefficient that moves toward zero
+                # as t falls leaves
+                cross[B[:, 1] * v >= 0] = np.nan
+                k, i, t, drop = _next_event(reach, cross, lam)
             if not t > lam_min:
                 lambdas.append(lam_min)
                 return LassoPath(n, lambdas, segments)
             lam = float(t)
             lambdas.append(lam)
-            if left >= 0:
+            if left is not None:
                 free[left] = True
-            if cross[i] == t:
-                left, entered = active.pop(i), -1
+            if drop:
+                idx = active.pop(i)
+                left, entered = (int(rhs[idx, 1] < 0), idx), -1
+                free[:, idx] = True
+                free[left] = False
             else:
                 row, entered = divmod(int(k), n)
                 rhs[entered, 1] = _ENTRY_SIGNS[row, 0]
-                free[entered], left = False, -1
+                free[:, entered], left = False, None
                 active.append(entered)
+
+
+def _next_event(reach, cross, lam):
+    """The next event of the l1 path from the roots of its ratio test:
+    the flat index k into ``reach``, the index i into ``cross``, the lam
+    at which it occurs, and whether it is a drop.  Roots up to
+    ``_TIE_MARGIN`` above lam by round-off are ties taken at lam."""
+    top = lam * (1.0 + _TIE_MARGIN)
+    reach = np.where(reach <= top, reach, -np.inf)
+    cross = np.where(cross <= top, cross, -np.inf)
+    k, i = reach.argmax(), cross.argmax()
+    return k, i, min(max(reach.flat[k], cross[i]), lam), \
+        cross[i] >= reach.flat[k]
 
 
 def _gram_solve(GA, rhs, cutoff):

@@ -784,6 +784,63 @@ class TestLassoPath:
         res = solve_penalized(Phi, y, 0.5, L1(3), SolveOptions(tol=1e-10))
         assert (res.method, res.iterations) == ("path", 4)
 
+    def test_a_variable_leaves_and_enters_again_with_the_other_sign(self):
+        # x_0 enters at 8, x_2 at 38/9, x_0 leaves at 4; its correlation is
+        # then -4 + 2 lam (q_0 = 2 > 1) and reaches -lam at 4/3
+        Phi = np.array([[4.0, 1.0, -2.0], [1.0, 0.0, 0.0]])
+        y = np.array([3.0, -4.0])
+        path = solvers.lasso_path(Phi, y, 0.5)
+        assert np.allclose(path.lambdas, [8.0, 38.0 / 9.0, 4.0, 4.0 / 3.0,
+                                          0.5], rtol=0.0, atol=1e-13)
+        assert [a.tolist() for a in path.active] == [[0], [0, 2], [2],
+                                                     [2, 0]]
+        assert [s.tolist() for s in path.signs] == [[1.0], [1.0, -1.0],
+                                                    [-1.0], [-1.0, -1.0]]
+        for t in (8.0, 5.0, 4.0, 2.0, 4.0 / 3.0, 1.0, 0.5):
+            assert np.abs(path.x_at(t) - self._fista_x(Phi, y, t)).max() \
+                <= 1e-10
+        res = solve_penalized(Phi, y, 0.5, L1(3), SolveOptions(tol=1e-10))
+        assert (res.method, res.iterations) == ("path", 4)
+
+    @pytest.mark.parametrize("Phi, y, lam, lambdas, active", [
+        # three correlations tie at 1 exactly; x_2's stays at lam on the
+        # segment (q_2 = 1), so it does not enter, and x_0 does not leave
+        # at the zero-length segment where x_1 joins it
+        ([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]], [1.0, 1.0], 0.5,
+         [1.0, 1.0, 0.5], [[0], [0, 1]]),
+        # Phi^T y = (7, 7, 1): x_1's root falls above 7 by round-off
+        ([[-3.0, -1.0, 1.0], [2.0, 3.0, 1.0]], [-1.0, 2.0], 0.1,
+         [7.0, 7.0, 0.1], [[0], [0, 1]]),
+        # x_0 leaves and x_2 enters at one lam
+        ([[3.0, 1.0, 1.0], [-3.0, 0.0, -3.0]], [-3.0, -1.0], 0.1,
+         [6.0, 2.4, 1.5, 1.5, 0.1], [[0], [0, 1], [1], [1, 2]]),
+        # columns 0 and 1 are equal: x_1's correlation keeps to lam (its
+        # rate is round-off), so it does not enter
+        ([[2.0, 2.0, 1.0], [-2.0, -2.0, 0.0]], [-1.0, -3.0], 0.5,
+         [4.0, 1.6, 0.5], [[0], [0, 2]]),
+        # column 2 is minus column 1: x_2's correlation keeps to -x_1's
+        ([[-2.0, -3.0, 3.0], [1.0, -3.0, 3.0]], [2.0, 2.0], 0.5,
+         [12.0, 0.5], [[1]]),
+        # Phi^T y = (-4, 4, 4) in two dimensions: x_1 joins x_0, x_0
+        # leaves and x_2 joins x_1, all at lam_max
+        ([[3.0, -2.0, 1.0], [2.0, -2.0, -2.0]], [0.0, -2.0], 1.0,
+         [4.0, 4.0, 4.0, 4.0, 1.0], [[0], [0, 1], [1], [1, 2]]),
+    ])
+    def test_tied_events_share_a_breakpoint(self, Phi, y, lam, lambdas,
+                                            active):
+        Phi, y = np.array(Phi), np.array(y)
+        path = solvers.lasso_path(Phi, y, lam)
+        assert np.allclose(path.lambdas, lambdas, rtol=0.0, atol=1e-13)
+        assert [a.tolist() for a in path.active] == active
+        # the lasso may have a segment of minimizers here: the end point
+        # is one, as good as FISTA's
+        g = L1(3)
+        assert solvers._objective(Phi, y, lam, g, path.x_at(lam)) <= \
+            solvers._objective(Phi, y, lam, g, self._fista_x(Phi, y, lam)) \
+            + 1e-12
+        res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-10))
+        assert (res.method, res.iterations) == ("path", len(active))
+
     @pytest.mark.parametrize("scale", [1.0, 1.5])
     def test_lambda_at_or_above_lam_max_gives_zero(self, scale):
         Phi, y, _ = _path_instance(None, 5)
@@ -830,7 +887,7 @@ class TestLassoPath:
         Phi, y, lam = _path_instance(None, 3)
         events = solvers.lasso_path(Phi, y, lam).events
         with pytest.raises(solvers.PathError, match="more than"):
-            solvers.lasso_path(Phi, y, lam, max_events=events - 1)
+            solvers._lasso_path(Phi, y, lam, events - 1)
         assert solve_penalized(Phi, y, lam, L1(20), SolveOptions(
             max_iter=events)).method == "path"
         res = solve_penalized(Phi, y, lam, L1(20),
