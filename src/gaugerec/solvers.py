@@ -1,20 +1,23 @@
 """First-order and LP solvers for the penalized and equality-constrained
 recovery problems.  The gauge picks the route.
 
-``solve_penalized`` solves ``L1`` by its exact homotopy path
-(``lasso_path``): the minimizer is piecewise linear in lambda, and a
-finite sequence of events, each an index that enters or leaves the active
-set, leads from lam_max = ||Phi^T y||_inf, where it leaves 0, down to
-lambda (Osborne, Presnell & Turlach 2000; Efron, Hastie, Johnstone &
-Tibshirani 2004).  Each event solves the active Gram system once.  The end
-point is returned (method "path") once it passes the first-order test
-that every route exits on; where the path cannot go on (a singular active
-Gram matrix, a Gram matrix or correlation that is not finite, more events
-than ``max_iter``) or its end point fails the test, FISTA is the backstop
-and runs exactly as it does alone.  FISTA with adaptive restart solves
-the prox-able ``Linf`` and ``GroupL1L2``, and Chambolle-Pock J(x) =
-base(K x) on every other gauge, with K = D* for a pre-composition (H^T
-for a polyhedral H-gauge, over the positive-part max) and K = I
+``solve_penalized`` solves ``L1`` and ``Linf`` by their exact homotopy
+paths: the regularizer is polyhedral, so the minimizer is piecewise linear
+in lambda, and a finite sequence of events leads from lam_max, where it
+leaves 0, down to lambda (Osborne, Presnell & Turlach 2000; Efron,
+Hastie, Johnstone & Tibshirani 2004).  On the l1 path (``lasso_path``),
+from ||Phi^T y||_inf, each event is an index that enters or leaves the
+active set; on the max-abs path (``_max_abs_path``), from ||Phi^T y||_1,
+it is a free entry that reaches +-||x||_inf and saturates, or a saturated
+entry whose dual weight falls to zero and frees.  Each event solves one
+Gram system.  The end point is returned (method "path") once it passes
+the first-order test that every route exits on; where the path cannot go
+on (a singular Gram matrix, a Gram matrix or correlation that is not
+finite, more events than ``max_iter``) or its end point fails the test,
+FISTA is the backstop and runs exactly as it does alone.  FISTA with
+adaptive restart solves the prox-able ``GroupL1L2``, and Chambolle-Pock
+J(x) = base(K x) on every other gauge, with K = D* for a pre-composition
+(H^T for a polyhedral H-gauge, over the positive-part max) and K = I
 otherwise.
 
 Each loop applies its least-squares step as an affine map v -> M v + c
@@ -122,7 +125,7 @@ class SolveResult:
 
 class SolveOptions:
     """``tol``, finite and >= 0, bounds the residuals at exit; ``max_iter``,
-    an int >= 1, caps the iterations (the events of the l1 path)."""
+    an int >= 1, caps the iterations (the events of a homotopy path)."""
 
     def __init__(self, tol=1e-8, max_iter=200000):
         if isinstance(tol, bool) or not (isinstance(tol, numbers.Real)
@@ -179,16 +182,18 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     L1                        end point of ``lasso_path`` at lam (method
                               "path", ``iterations`` = its events), where
                               it passes the first-order test at ``tol``;
-                              else FISTA, exactly as for Linf
-    Linf, GroupL1L2           FISTA (method "fista")
+                              else FISTA, exactly as for GroupL1L2
+    Linf                      end point of the max-abs path
+                              (``_max_abs_path``) at lam, as for L1; else
+                              FISTA
+    GroupL1L2                 FISTA (method "fista")
     every other gauge         Chambolle-Pock (method "pd");
                               ``UnsupportedGaugeError`` for a sum or a max
     ========================  ==============================================
 
-    The l1 path falls back to FISTA where it cannot go on (a singular
-    active Gram matrix, a Gram matrix or correlation that is not finite,
-    more events than ``opts.max_iter``) or where its end point fails the
-    test.
+    A path falls back to FISTA where it cannot go on (a singular Gram
+    matrix, a Gram matrix or correlation that is not finite, more events
+    than ``opts.max_iter``) or where its end point fails the test.
 
     Parameters
     ----------
@@ -200,7 +205,7 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     """
     Phi, y, _ = check_problem(Phi, y, dim=g.dim, lam=lam)
     opts = opts or SolveOptions()
-    if isinstance(g, L1):
+    if isinstance(g, (L1, Linf)):
         res = _path_solve(Phi, y, lam, g, opts)
         if res is not None:
             return res
@@ -210,17 +215,21 @@ def solve_penalized(Phi, y, lam, g, opts=None):
 
 
 def _path_solve(Phi, y, lam, g, opts):
-    """The end point of the l1 path at lam, as a result certified by the
-    first-order test at ``opts.tol``; None where the path cannot go on or
-    its end point fails the test."""
+    """The end point at lam of the gauge's path, the l1 path or the max-abs
+    path, as a result certified by the first-order test at ``opts.tol``;
+    None where the path cannot go on or its end point fails the test."""
     try:
-        path = _lasso_path(Phi, y, lam, opts.max_iter)
+        if isinstance(g, L1):
+            path = _lasso_path(Phi, y, lam, opts.max_iter)
+            x, events = path.x_at(lam), path.events
+        else:
+            x, _, signs = _max_abs_path(Phi, y, lam, opts.max_iter)
+            events = len(signs)
     except PathError:
         return None
-    x = path.x_at(lam)
     eq, slack = _first_order_residuals(Phi, y, lam, g, x)
     if eq <= opts.tol and slack <= opts.tol:
-        return SolveResult(x, path.events, eq, slack, True, "path")
+        return SolveResult(x, events, eq, slack, True, "path")
     return None
 
 
@@ -229,9 +238,9 @@ def _path_solve(Phi, y, lam, g, opts):
 # ---------------------------------------------------------------------------
 
 class PathError(SolverError):
-    """The l1 path cannot go on: its active Gram matrix is singular, a Gram
-    matrix or correlation is not finite, or it needs more events than
-    allowed."""
+    """A homotopy path cannot go on: its Gram matrix is singular, a Gram
+    matrix, correlation or weight is not finite, or it needs more events
+    than allowed."""
 
 
 class LassoPath:
@@ -387,8 +396,105 @@ def _lasso_path(Phi, y, lam_min, max_events):
                 active.append(entered)
 
 
+def _max_abs_path(Phi, y, lam_min, max_events):
+    """The max-abs homotopy path from ||Phi^T y||_1 down to lam_min > 0, as
+    (x(lam_min), lambdas, signs): the breakpoints, non-increasing from
+    lam_max to lam_min (lam_max alone when lam_min >= lam_max), and on each
+    segment the saturation signs, +-1 where x_j = +-t, t = ||x||_inf, and 0
+    on the free entries; ``PathError`` where the path cannot go on.
+
+    On a segment with saturated set S, signs s, and free set F, x = B z
+    with B = [s_S | e_F] and z = (t, x_F) = u - lam v, where H [u v] =
+    [B^T Phi^T y, e_1], H = B^T G B, G = Phi^T Phi: one Gram solve per
+    event.  The dual weights w = Phi^T (y - Phi x) are affine in lam, zero
+    on F, and s_j w_j >= 0 on S.  The path leaves 0 with the entries of
+    nonzero correlation saturated with the signs of their correlations.
+    The ratio test of ``_lasso_path`` picks the next event: a free entry
+    reaches +-t while moving outward (it saturates with that sign), or a
+    saturated weight s_j w_j reaches zero (the entry frees), with the same
+    tie margin, rate test and drop direction at ties.  An entry just freed
+    cannot saturate again with its old sign at the next event, nor one just
+    saturated free: at the breakpoint its test reads lam itself up to
+    round-off."""
+    n = Phi.shape[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        G = Phi.T @ Phi
+        c = Phi.T @ y
+        if not (np.isfinite(G).all() and np.isfinite(c).all()):
+            raise PathError("Phi^T Phi or Phi^T y is not finite")
+        lam = float(np.abs(c).sum())
+        lambdas, signs = [lam], []
+        if lam <= lam_min:
+            return np.zeros(n), lambdas, signs
+        s = np.sign(c)
+        entered = left = None
+        # the (sign row, index) pairs that may saturate: free entries, but
+        # not the one just freed with its old sign
+        free = np.zeros((2, n), dtype=bool)
+        free[:, s == 0] = True
+        while True:
+            if len(signs) == max_events:
+                raise PathError(
+                    f"the path needs more than {max_events} events")
+            # with no entry saturated, H[0, 0] = 0 and the Gram solve
+            # raises: 0 is optimal from lam_max up only
+            F = np.flatnonzero(s == 0)
+            GB = np.column_stack([G @ s, G[:, F]])
+            H = np.vstack([s @ GB, GB[F]])
+            rhs = np.zeros((F.size + 1, 2))
+            rhs[0] = s @ c, 1.0
+            rhs[1:, 0] = c[F]
+            uv = _gram_solve(H, rhs, rank_tolerance(H.diagonal().max(),
+                                                    G.shape))
+            # on this segment z = u - lam v, and the weights are p + lam q
+            u, v = uv[:, 0], uv[:, 1]
+            GBuv = GB @ uv
+            p, q = c - GBuv[:, 0], GBuv[:, 1]
+            if not math.isfinite(p.sum() + q.sum()):
+                raise PathError("a weight on the path is not finite")
+            signs.append(s.copy())
+            # the ratio test in units of t's rate v_0 > 0: a free x_j =
+            # v_0 (a_j - lam b_j) reaches sigma t = sigma v_0 (u_0 / v_0 -
+            # lam) (row 0 of reach for sigma = 1, row 1 for -1) where it
+            # moves outward as lam falls, NaN for the rest; a saturated
+            # weight s_j (p_j + lam q_j) reaches zero, NaN for the entry
+            # just saturated and the free ones
+            a, b = np.zeros(n), np.zeros(n)
+            a[F], b[F] = u[1:] / v[0], v[1:] / v[0]
+            rate = _ENTRY_SIGNS * b - 1.0
+            reach = np.where(free & (rate > _TIE_MARGIN),
+                             _ENTRY_SIGNS * a - u[0] / v[0], np.nan) / rate
+            cross = np.where(s != 0, -p / q, np.nan)
+            if entered is not None:
+                cross[entered] = np.nan
+            k, i, t, drop = _next_event(reach, cross, lam)
+            if t >= lam * (1.0 - _TIE_MARGIN):
+                # a tie at lam: only a weight that falls as lam does frees
+                cross[s * q <= 0] = np.nan
+                k, i, t, drop = _next_event(reach, cross, lam)
+            if not t > lam_min:
+                lambdas.append(lam_min)
+                z = u - lam_min * v
+                x = s * z[0]
+                x[F] = z[1:]
+                return x, lambdas, signs
+            lam = float(t)
+            lambdas.append(lam)
+            if left is not None:
+                free[left] = True
+            if drop:
+                left, entered = (int(s[i] < 0), int(i)), None
+                s[i] = 0.0
+                free[:, i] = True
+                free[left] = False
+            else:
+                row, entered = divmod(int(k), n)
+                s[entered] = _ENTRY_SIGNS[row, 0]
+                free[:, entered], left = False, None
+
+
 def _next_event(reach, cross, lam):
-    """The next event of the l1 path from the roots of its ratio test:
+    """The next event of a homotopy path from the roots of its ratio test:
     the flat index k into ``reach``, the index i into ``cross``, the lam
     at which it occurs, and whether it is a drop.  Roots up to
     ``_TIE_MARGIN`` above lam by round-off are ties taken at lam."""

@@ -290,7 +290,7 @@ class TestExperiment:
         if code == 0:
             assert (tmp_path / "model_selection.csv").exists()
         else:
-            assert code == 2 and "certified" in err.lower() or code == 2
+            assert code == 2 and "certified" in err.lower()
 
     def test_unknown_config_keys_rejected(self, capsys, tmp_path):
         cfg = {"kind": "cs-linf", "n": 12, "i_size": 4, "trials": 5,

@@ -46,11 +46,13 @@ class TestPenalized:
                                    md=decompose(L1(3), y))
 
     def test_linf_self_refinement(self, rng):
+        # FISTA itself: solve_penalized takes the max-abs path
         Phi = rng.standard_normal((6, 10))
         y = Phi @ rng.standard_normal(10)
-        res = solve_penalized(Phi, y, 0.5, Linf(10), SolveOptions(tol=1e-8))
-        hi = solve_penalized(Phi, y, 0.5, Linf(10),
-                             SolveOptions(tol=1e-12, max_iter=10 * res.iterations))
+        res = solvers._fista(Phi, y, 0.5, Linf(10), SolveOptions(tol=1e-8))
+        hi = solvers._fista(Phi, y, 0.5, Linf(10),
+                            SolveOptions(tol=1e-12,
+                                         max_iter=10 * res.iterations))
 
         def obj(x):
             r = y - Phi @ x
@@ -174,15 +176,13 @@ def _penalized_instance(kind, seed):
 
 # solve_penalized on _penalized_instance(kind, 3): iterations and converged
 # flags as the sort-and-loop kernels gave them (tv with the exit on the dual
-# iterate's face; linf and poly with the kernel walk that completes the
-# model, which exits at 100 and 300 where the iterate's own model passed
-# at 500 and its dual face at 500), and the linf x_hat bits, which the
-# earlier exit keeps; l1 takes the path, with 16 events, and the bits are
-# the path's end point
+# iterate's face; poly with the kernel walk that completes the model, which
+# exits at 300 where the dual face passed at 500); l1 and linf take their
+# paths, with 16 and 20 events, and the x_hat bits are the paths' end points
 # (those of a build with OpenBLAS; another BLAS may move the last bits)
-PINNED_ITERATIONS = {"l1": 16, "group": 200, "linf": 100, "tv": 200,
+PINNED_ITERATIONS = {"l1": 16, "group": 200, "linf": 20, "tv": 200,
                      "poly": 300}
-PINNED_METHOD = {"l1": "path", "group": "fista", "linf": "fista",
+PINNED_METHOD = {"l1": "path", "group": "fista", "linf": "path",
                  "tv": "pd", "poly": "pd"}
 PINNED_X_HAT = {
     "l1": [
@@ -198,16 +198,16 @@ PINNED_X_HAT = {
         '0x1.4a56c310d0c6ap-4', '0x0.0p+0',
     ],
     "linf": [
-        '0x1.12b5688332f61p+0', '0x1.0cabf12890d5cp+0',
-        '0x1.12b5688332f61p+0', '-0x1.12b5688332f61p+0',
-        '0x1.4b2a219c767b4p-3', '-0x1.12b5688332f61p+0',
-        '0x1.12b5688332f61p+0', '0x1.dbacf4343712dp-1',
-        '-0x1.4551ece11a178p-1', '-0x1.740d4a0c05703p-1',
-        '-0x1.939372d76f1dcp-1', '0x1.ac184a1b1c57bp-2',
-        '0x1.12b5688332f61p+0', '-0x1.12b5688332f61p+0',
-        '0x1.ce368792bb960p-3', '-0x1.12b5688332f61p+0',
-        '-0x1.12b5688332f61p+0', '0x1.86588fc33eb4cp-1',
-        '-0x1.879b2cb1c4048p-3', '-0x1.0abc04396d212p-2',
+        '0x1.12b5688332f64p+0', '0x1.0cabf12890d75p+0',
+        '0x1.12b5688332f64p+0', '-0x1.12b5688332f64p+0',
+        '0x1.4b2a219c7678ep-3', '-0x1.12b5688332f64p+0',
+        '0x1.12b5688332f64p+0', '0x1.dbacf43437138p-1',
+        '-0x1.4551ece11a1bdp-1', '-0x1.740d4a0c05715p-1',
+        '-0x1.939372d76f1cfp-1', '0x1.ac184a1b1c5ecp-2',
+        '0x1.12b5688332f64p+0', '-0x1.12b5688332f64p+0',
+        '0x1.ce368792bb8b6p-3', '-0x1.12b5688332f64p+0',
+        '-0x1.12b5688332f64p+0', '0x1.86588fc33eb59p-1',
+        '-0x1.879b2cb1c4081p-3', '-0x1.0abc04396d1abp-2',
     ],
 }
 
@@ -517,8 +517,8 @@ class TestPolishedExit:
 
         monkeypatch.setattr(solvers, "_polish", spy)
         Phi, y, lam, g = self._linf_item_56()
-        res = solve_penalized(Phi, y, lam, g,
-                              SolveOptions(tol=1e-8, max_iter=120000))
+        res = solvers._fista(Phi, y, lam, g,
+                             SolveOptions(tol=1e-8, max_iter=120000))
         assert res.converged and res.method == "fista"
         assert res.iterations <= 1000
         md, out = calls[-1]
@@ -535,8 +535,8 @@ class TestPolishedExit:
         assert np.array_equal(new[old != 0], old[old != 0])
         assert np.count_nonzero(new) - np.count_nonzero(old) == \
             md.T.dim - done.T.dim
-        tight = solve_penalized(Phi, y, lam, g,
-                                SolveOptions(tol=1e-12, max_iter=120000))
+        tight = solvers._fista(Phi, y, lam, g,
+                               SolveOptions(tol=1e-12, max_iter=120000))
         assert tight.converged
         assert solvers._objective(Phi, y, lam, g, res.x_hat) <= \
             solvers._objective(Phi, y, lam, g, tight.x_hat) + 1e-10
@@ -911,6 +911,183 @@ class TestLassoPath:
         path = solvers.lasso_path(self.DROP_PHI, self.DROP_Y, 0.5)
         with pytest.raises(ValueError, match="below the path's end"):
             path.x_at(0.4)
+
+
+def _max_abs_instance(shape, seed):
+    """(Phi, y, lam) for the max-abs path tests: the criterion-9 mix
+    (n = 20, Q = 12) when shape is None, else a Gaussian (Q, n) with a
+    dense x."""
+    if shape is None:
+        Phi, y, lam, _ = _penalized_instance("linf", seed)
+        return Phi, y, lam
+    q, n = shape
+    r = np.random.default_rng([seed, q, n, 9])
+    Phi = r.standard_normal((q, n))
+    return Phi, Phi @ r.standard_normal(n) + 0.1 * r.standard_normal(q), \
+        float(r.uniform(0.2, 1.2))
+
+
+class TestMaxAbsPath:
+    # x_0 frees at 65/7 and saturates again at 5 with the other sign; x_2
+    # frees at 5/7
+    REENTRY_PHI = np.array([[0.0, -2.0, -3.0], [-1.0, 2.0, 4.0]])
+    REENTRY_Y = np.array([4.0, -3.0])
+
+    @staticmethod
+    def _path(Phi, y, lam):
+        return solvers._max_abs_path(Phi, y, lam, SolveOptions().max_iter)
+
+    @staticmethod
+    def _fista_x(Phi, y, lam):
+        res = solvers._fista(Phi, y, lam, Linf(Phi.shape[1]),
+                             SolveOptions(tol=1e-12))
+        assert res.converged
+        return res.x_hat
+
+    @pytest.mark.parametrize("shape, seeds", [
+        (None, range(120)), ((12, 8), range(40)), ((6, 15), range(40))])
+    def test_end_point_matches_fista(self, shape, seeds):
+        for seed in seeds:
+            Phi, y, lam = _max_abs_instance(shape, seed)
+            x, L, signs = self._path(Phi, y, lam)
+            assert L[0] == np.abs(Phi.T @ y).sum() and L[-1] == lam
+            assert np.all(np.diff(L) <= 0.0) and len(signs) == len(L) - 1
+            assert np.abs(x - self._fista_x(Phi, y, lam)).max() <= 1e-10
+            res = solve_penalized(Phi, y, lam, Linf(Phi.shape[1]))
+            assert (res.method, res.iterations) == ("path", len(signs))
+            assert res.converged and np.array_equal(res.x_hat, x)
+
+    def test_a_saturated_entry_frees(self):
+        # all three entries leave 0 saturated at 16; x_2's weight falls to
+        # zero at 39/4, and at 1/2 x = (23/18, 23/18, -5/54)
+        Phi = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 3.0]])
+        y = np.array([4.0, 1.0])
+        x, L, signs = self._path(Phi, y, 0.5)
+        assert np.allclose(L, [16.0, 39.0 / 4.0, 0.5], rtol=0.0, atol=1e-13)
+        assert [s.tolist() for s in signs] == [[1.0, 1.0, 1.0],
+                                               [1.0, 1.0, 0.0]]
+        assert np.allclose(x, [23.0 / 18.0, 23.0 / 18.0, -5.0 / 54.0],
+                           rtol=0.0, atol=1e-14)
+        for t in (16.0, 12.0, 39.0 / 4.0, 5.0, 0.5):
+            assert np.abs(self._path(Phi, y, t)[0]
+                          - self._fista_x(Phi, y, t)).max() <= 1e-10
+
+    def test_an_entry_frees_and_saturates_again_with_the_other_sign(self):
+        Phi, y = self.REENTRY_PHI, self.REENTRY_Y
+        x, L, signs = self._path(Phi, y, 0.1)
+        assert np.allclose(L, [41.0, 65.0 / 7.0, 5.0, 5.0 / 7.0, 0.1],
+                           rtol=0.0, atol=1e-13)
+        assert [s.tolist() for s in signs] == [
+            [1.0, -1.0, -1.0], [0.0, -1.0, -1.0], [-1.0, -1.0, -1.0],
+            [-1.0, -1.0, 0.0]]
+        # x_0 crosses from t to -t while free, through 0 at 15/2
+        assert self._path(Phi, y, 8.0)[0][0] > 0.0 > \
+            self._path(Phi, y, 7.0)[0][0]
+        for t in (41.0, 20.0, 65.0 / 7.0, 7.0, 5.0, 2.0, 5.0 / 7.0, 0.5,
+                  0.1):
+            assert np.abs(self._path(Phi, y, t)[0]
+                          - self._fista_x(Phi, y, t)).max() <= 1e-10
+        res = solve_penalized(Phi, y, 0.1, Linf(3), SolveOptions(tol=1e-10))
+        assert (res.method, res.iterations) == ("path", 4)
+
+    @pytest.mark.parametrize("Phi, y, lambdas, signs", [
+        # x_2's correlation is zero at lam_max, and it stays free at 0
+        ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, -1.0], [2.0, 0.1],
+         [[1, -1, 0]]),
+        # x_0's correlation is zero at lam_max, but it moves outward faster
+        # than t: it saturates at lam_max through a segment of length zero
+        ([[2.0, 2.0, 4.0], [-2.0, -1.0, -3.0]], [-4.0, -4.0],
+         [8.0, 8.0, 48.0 / 11.0, 0.1],
+         [[0, -1, -1], [1, -1, -1], [1, -1, 0]]),
+        # columns 0 and 1 are equal: their weights reach zero together at
+        # 132/23; x_0 frees, and x_1's weight then keeps to 0, so it stays
+        ([[-3.0, -3.0, 4.0], [4.0, 4.0, 2.0]], [-1.0, -1.0],
+         [8.0, 132.0 / 23.0, 0.1], [[-1, -1, -1], [0, -1, -1]]),
+        # equal columns again: x_0 frees at 105/34 and saturates with the
+        # other sign at 5/6, where x_1 frees
+        ([[-1.0, -1.0, 3.0], [2.0, 2.0, -3.0], [3.0, 3.0, 1.0]],
+         [-2.0, -3.0, 1.0], [6.0, 105.0 / 34.0, 5.0 / 6.0, 5.0 / 6.0, 0.1],
+         [[-1, -1, 1], [0, -1, 1], [1, -1, 1], [1, 0, 1]]),
+        # column 1 is minus column 0: the same at 108/7 and 12
+        ([[2.0, -2.0, 2.0, -2.0], [-2.0, 2.0, -4.0, -2.0]], [2.0, 4.0],
+         [32.0, 108.0 / 7.0, 12.0, 12.0, 0.1],
+         [[-1, 1, -1, -1], [0, 1, -1, -1], [1, 1, -1, -1],
+          [1, 0, -1, -1]]),
+        # x_0 and x_1 free at one lam
+        ([[-2.0, -2.0, 0.0], [0.0, 0.0, -2.0], [2.0, -1.0, 1.0]],
+         [0.0, 3.0, -3.0], [18.0, 3.0, 3.0, 0.1],
+         [[-1, 1, -1], [0, 1, -1], [0, 0, -1]]),
+        # the weights of x_1 and x_2 reach zero together at 3/2, but only
+        # x_2's goes on falling, so x_1 stays saturated
+        ([[-2.0, -2.0, 1.0], [2.0, 3.0, -2.0], [3.0, -1.0, 1.0]],
+         [-1.0, 1.0, -3.0], [19.0, 1.5, 1.0], [[-1, 1, -1], [-1, 1, 0]]),
+        # x_1's correlation is zero at lam_max, and x_1 keeps to -t (its
+        # rate is round-off), so it stays free
+        ([[3.0, 0.0, -3.0], [1.0, -2.0, 3.0]], [3.0, 0.0], [18.0, 0.5],
+         [[1, 0, -1]]),
+    ])
+    def test_tied_events_share_a_breakpoint(self, Phi, y, lambdas, signs):
+        Phi, y, lam = np.array(Phi), np.array(y), lambdas[-1]
+        x, L, got = self._path(Phi, y, lam)
+        assert np.allclose(L, lambdas, rtol=0.0, atol=1e-13)
+        assert [s.tolist() for s in got] == signs
+        # equal or opposite columns leave a set of minimizers: the end
+        # point is one, as good as FISTA's
+        g = Linf(Phi.shape[1])
+        assert solvers._objective(Phi, y, lam, g, x) <= \
+            solvers._objective(Phi, y, lam, g, self._fista_x(Phi, y, lam)) \
+            + 1e-12
+        res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-10))
+        assert (res.method, res.iterations) == ("path", len(signs))
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_lambda_at_or_above_lam_max_gives_zero(self, scale):
+        Phi, y, _ = _max_abs_instance(None, 5)
+        lam_max = np.abs(Phi.T @ y).sum()
+        x, L, signs = self._path(Phi, y, scale * lam_max)
+        assert not np.any(x) and (L, signs) == ([lam_max], [])
+        res = solve_penalized(Phi, y, scale * lam_max, Linf(20))
+        assert (res.method, res.iterations, res.converged) == ("path", 0,
+                                                               True)
+        assert not np.any(res.x_hat)
+
+    def test_a_singular_gram_falls_back_to_fista(self):
+        # the README input: x_1 and x_2 start free, with equal columns, so
+        # the first Gram matrix is singular and the solve is FISTA's, bit
+        # for bit
+        Phi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        y = np.array([5.0, 0.0])
+        with pytest.raises(solvers.PathError, match="Gram matrix is singular"):
+            self._path(Phi, y, 0.5)
+        res = solve_penalized(Phi, y, 0.5, Linf(3))
+        fista = solvers._fista(Phi, y, 0.5, Linf(3), SolveOptions())
+        assert (res.method, res.converged) == ("fista", True)
+        assert np.array_equal(res.x_hat, fista.x_hat)
+        assert res.iterations == fista.iterations
+
+    def test_events_count_against_max_iter(self):
+        Phi, y, lam = _max_abs_instance(None, 3)
+        events = len(self._path(Phi, y, lam)[2])
+        with pytest.raises(solvers.PathError, match="more than"):
+            solvers._max_abs_path(Phi, y, lam, events - 1)
+        assert solve_penalized(Phi, y, lam, Linf(20), SolveOptions(
+            max_iter=events)).method == "path"
+        res = solve_penalized(Phi, y, lam, Linf(20),
+                              SolveOptions(max_iter=events - 1))
+        fista = solvers._fista(Phi, y, lam, Linf(20),
+                               SolveOptions(max_iter=events - 1))
+        assert res.method == "fista" and res.iterations == fista.iterations
+        assert np.array_equal(res.x_hat, fista.x_hat)
+
+    def test_an_end_point_that_fails_the_test_falls_back(self):
+        # at tol 0 the path's round-off fails the test: FISTA, bit for bit
+        Phi, y, lam = _max_abs_instance(None, 3)
+        res = solve_penalized(Phi, y, lam, Linf(20),
+                              SolveOptions(tol=0.0, max_iter=300))
+        fista = solvers._fista(Phi, y, lam, Linf(20),
+                               SolveOptions(tol=0.0, max_iter=300))
+        assert res.method == "fista" and res.iterations == fista.iterations
+        assert np.array_equal(res.x_hat, fista.x_hat)
 
 
 class TestNoiseless:
