@@ -91,25 +91,21 @@ def check_noisy_optimality(Phi, y, lam, x, md=None, gauge=None,
     """
     dim = md.ambient_dim if md is not None else getattr(gauge, "dim", None)
     Phi, y, x = check_problem(Phi, y, x, dim=dim, lam=lam)
-    r = y - Phi @ x
+    if md is None and (gauge is None or np.linalg.norm(x) > 0):
+        raise ValueError("need md, or gauge together with x = 0")
+    eq_res, slack = _first_order_values(Phi, y, lam, x, md, gauge)
     if md is None:
-        if gauge is None or np.linalg.norm(x) > 0:
-            raise ValueError("need md, or gauge together with x = 0")
-        pol = gauge.polar(Phi.T @ r / lam)
-        if pol < 1.0 - strict_margin:
+        if slack < 1.0 - strict_margin:
             # x = 0 is the unique minimizer when Phi is injective
             full = Subspace.full(Phi.shape[1])
             return UNIQUE_OPTIMAL if restricted_injectivity(Phi, full) \
                 else OPTIMAL_MAYBE_NONUNIQUE
-        if pol <= 1.0 + strict_margin:
+        if slack <= 1.0 + strict_margin:
             return OPTIMAL_MAYBE_NONUNIQUE
         return NOT_OPTIMAL
     scale = (1.0 + lam) * (1.0 + np.max(np.abs(md.e), initial=0.0))
-    eq_res = np.max(np.abs(md.T.coords(Phi.T @ r) - lam * md.T.coords(md.e)),
-                    initial=0.0)
     if eq_res > eq_tol * scale:
         return NOT_OPTIMAL
-    slack = md.antig.value(md.S.project(Phi.T @ r / lam - md.f))
     # the inequality side is accepted at the measurement tolerance; the
     # strict margin only gates the uniqueness claim
     if slack > 1.0 + eq_tol:
@@ -117,6 +113,19 @@ def check_noisy_optimality(Phi, y, lam, x, md=None, gauge=None,
     if slack < 1.0 - strict_margin and restricted_injectivity(Phi, md.T):
         return UNIQUE_OPTIMAL
     return OPTIMAL_MAYBE_NONUNIQUE
+
+
+def _first_order_values(Phi, y, lam, x, md, gauge):
+    """(eq, a), unscaled, of the penalized first-order test at x with
+    r = y - Phi x: eq = max |coords_T(Phi^T r - lam e)| and
+    a = antig(P_S(Phi^T r / lam - f)) at md, or for x = 0 without md,
+    eq = 0 and a = polar of the gauge at Phi^T r / lam."""
+    corr = Phi.T @ (y - Phi @ x)
+    if md is None:
+        return 0.0, gauge.polar(corr / lam)
+    eq = np.max(np.abs(md.T.coords(corr) - lam * md.T.coords(md.e)),
+                initial=0.0)
+    return eq, md.antig.value(md.S.project(corr / lam - md.f))
 
 
 def check_noiseless_optimality(Phi, y, x, md, feas_tol=1e-8,

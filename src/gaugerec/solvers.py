@@ -5,9 +5,11 @@ recovery problems.  The gauge picks the route.
 paths: the regularizer is polyhedral, so the minimizer is piecewise linear
 in lambda, and a finite sequence of events leads from lam_max, where it
 leaves 0, down to lambda (Osborne, Presnell & Turlach 2000; Efron,
-Hastie, Johnstone & Tibshirani 2004).  On the l1 path (``lasso_path``),
-from ||Phi^T y||_inf, each event is an index that enters or leaves the
-active set; on the max-abs path (``_max_abs_path``), from ||Phi^T y||_1,
+Hastie, Johnstone & Tibshirani 2004).  One event loop (``_homotopy``)
+traces both, each with its model: the Gram system of a segment, the roots
+of the ratio test, the rule at ties and the events.  On the l1 path
+(``lasso_path``), from ||Phi^T y||_inf, each event is an index that
+enters or leaves the active set; on the max-abs path, from ||Phi^T y||_1,
 it is a free entry that reaches +-||x||_inf and saturates, or a saturated
 entry whose dual weight falls to zero and frees.  Each event solves one
 Gram system.  The end point is returned (method "path") once it passes
@@ -148,24 +150,20 @@ def _decomposition(g, x):
 
 def _first_order_residuals(Phi, y, lam, g, x, md=None):
     """(equality residual, gauge slack beyond 1) of the penalized problem
-    at x, evaluated on the decomposition ``md`` of the iterate itself
-    (computed here when not given)."""
-    r = y - Phi @ x
-    corr = Phi.T @ r
+    at x: ``certificates._first_order_values`` on the decomposition ``md``
+    of the iterate itself (computed here when not given), or at x = 0 on
+    the polar of g, with the equality residual scaled by 1 / (1 + lam)."""
     if np.max(np.abs(x)) == 0.0:
-        try:
-            slack = g.polar(corr / lam) - 1.0
-        except UnsupportedGaugeError:
-            return np.inf, np.inf
-        return 0.0, max(slack, 0.0)
-    if md is None:
+        md = None
+    elif md is None:
         md = _decomposition(g, x)
         if md is None:
             return np.inf, np.inf
-    eq = np.max(np.abs(md.T.coords(corr) - lam * md.T.coords(md.e)),
-                initial=0.0) / (1.0 + lam)
-    slack = md.antig.value(md.S.project(corr / lam - md.f)) - 1.0
-    return eq, max(slack, 0.0)
+    try:
+        eq, a = cert_mod._first_order_values(Phi, y, lam, x, md, g)
+    except UnsupportedGaugeError:
+        return np.inf, np.inf
+    return eq / (1.0 + lam), max(a - 1.0, 0.0)
 
 
 def _objective(Phi, y, lam, g, x):
@@ -179,13 +177,11 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     The route is the gauge's:
 
     ========================  ==============================================
-    L1                        end point of ``lasso_path`` at lam (method
-                              "path", ``iterations`` = its events), where
-                              it passes the first-order test at ``tol``;
-                              else FISTA, exactly as for GroupL1L2
-    Linf                      end point of the max-abs path
-                              (``_max_abs_path``) at lam, as for L1; else
-                              FISTA
+    L1, Linf                  end point at lam of the exact homotopy path
+                              (``_homotopy``, with the l1 or the max-abs
+                              model; method "path", ``iterations`` = its
+                              events), where it passes the first-order
+                              test at ``tol``; else FISTA
     GroupL1L2                 FISTA (method "fista")
     every other gauge         Chambolle-Pock (method "pd");
                               ``UnsupportedGaugeError`` for a sum or a max
@@ -205,8 +201,9 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     """
     Phi, y, _ = check_problem(Phi, y, dim=g.dim, lam=lam)
     opts = opts or SolveOptions()
-    if isinstance(g, (L1, Linf)):
-        res = _path_solve(Phi, y, lam, g, opts)
+    model = _PATH_MODELS.get(type(g))
+    if model is not None:
+        res = _path_solve(Phi, y, lam, g, model, opts)
         if res is not None:
             return res
     if isinstance(g, (L1, GroupL1L2, Linf)):
@@ -214,27 +211,24 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     return _primal_dual_penalized(Phi, y, lam, g, opts)
 
 
-def _path_solve(Phi, y, lam, g, opts):
-    """The end point at lam of the gauge's path, the l1 path or the max-abs
-    path, as a result certified by the first-order test at ``opts.tol``;
-    None where the path cannot go on or its end point fails the test."""
+def _path_solve(Phi, y, lam, g, model, opts):
+    """The end point at lam of the gauge's homotopy path, traced with its
+    ``model``, as a result certified by the first-order test at
+    ``opts.tol``; None where the path cannot go on or its end point fails
+    the test."""
     try:
-        if isinstance(g, L1):
-            path = _lasso_path(Phi, y, lam, opts.max_iter)
-            x, events = path.x_at(lam), path.events
-        else:
-            x, _, signs = _max_abs_path(Phi, y, lam, opts.max_iter)
-            events = len(signs)
+        path = _homotopy(Phi, y, lam, opts.max_iter, model)
     except PathError:
         return None
+    x = path.x_at(lam)
     eq, slack = _first_order_residuals(Phi, y, lam, g, x)
     if eq <= opts.tol and slack <= opts.tol:
-        return SolveResult(x, events, eq, slack, True, "path")
+        return SolveResult(x, path.events, eq, slack, True, "path")
     return None
 
 
 # ---------------------------------------------------------------------------
-# the l1 homotopy path
+# the homotopy paths: one event loop, one model per kind
 # ---------------------------------------------------------------------------
 
 class PathError(SolverError):
@@ -243,34 +237,25 @@ class PathError(SolverError):
     than allowed."""
 
 
-class LassoPath:
-    """The minimizer x(lam) of 0.5||y - Phi x||^2 + lam ||x||_1 from
-    lam_max = ||Phi^T y||_inf, where it leaves 0, down to lam_min.
+class HomotopyPath:
+    """The minimizer x(lam) of 0.5||y - Phi x||^2 + lam J(x), J polyhedral,
+    from lam_max, where it leaves 0, down to lam_min: ``lambdas``, the
+    breakpoints, non-increasing (lam_max alone when lam_min >= lam_max),
+    and on segment k, between ``lambdas[k]`` and ``lambdas[k + 1]``, the
+    model's z = u_k - lam v_k, ``active[k]`` and ``signs[k]``: the active
+    set and its signs on the l1 path (x_A = z), the free entries and all
+    saturation signs on the max-abs path (x = s t + x_F, z = (t, x_F)).
+    Each segment starts with one event, so ``events`` counts them; tied
+    events give segments of length zero."""
 
-    ``lambdas`` are the breakpoints, non-increasing from lam_max to
-    lam_min (lam_max alone when lam_min >= lam_max).  On segment k, between
-    ``lambdas[k]`` and ``lambdas[k + 1]``, x(lam) is zero off the indices
-    ``active[k]`` and u_k - lam v_k on them, with the signs ``signs[k]``.
-    Each segment starts with one event, an index that enters or leaves the
-    active set, so ``events`` counts the segments; tied events give
-    segments of length zero."""
-
-    def __init__(self, n, lambdas, segments):
+    def __init__(self, n, lambdas, segments, point):
         self.n = n
         self.lambdas = np.array(lambdas)
         self._segments = segments   # (active, signs, u, v) per segment
-
-    @property
-    def events(self):
-        return len(self._segments)
-
-    @property
-    def active(self):
-        return [A for A, _, _, _ in self._segments]
-
-    @property
-    def signs(self):
-        return [s for _, s, _, _ in self._segments]
+        self._point = point
+        self.events = len(segments)
+        self.active = [A for A, _, _, _ in segments]
+        self.signs = [s for _, s, _, _ in segments]
 
     def x_at(self, lam):
         """x(lam) for lam >= lam_min: zero from lam_max up, else the
@@ -278,219 +263,215 @@ class LassoPath:
         if not lam >= self.lambdas[-1]:
             raise ValueError(f"lam {lam!r} lies below the path's end "
                              f"{self.lambdas[-1]!r}")
-        x = np.zeros(self.n)
-        if lam < self.lambdas[0]:
-            A, _, u, v = self._segments[
-                np.count_nonzero(self.lambdas[1:] > lam)]
-            x[A] = u - lam * v
-        return x
+        if not lam < self.lambdas[0]:
+            return np.zeros(self.n)
+        A, s, u, v = self._segments[np.count_nonzero(self.lambdas[1:] > lam)]
+        return self._point(self.n, A, s, u - lam * v)
 
 
 def lasso_path(Phi, y, lam_min):
-    """The l1 homotopy path (``LassoPath``) from ||Phi^T y||_inf down to
-    lam_min > 0; ``PathError`` where it cannot go on.
-
-    On a segment with active set A and signs s the minimizer is
-    x_A = G^{-1} (Phi_A^T y - lam s), G = Phi_A^T Phi_A, one Gram solve
-    per event, and the correlations Phi^T (y - Phi x) are affine in lam.
-    A ratio test picks the next event at or below the current lam: an
-    inactive correlation reaches +-lam while moving outward (the index
-    enters with that sign), or an active coefficient reaches zero while
-    moving toward it (it leaves).  A root up to a few ulps above lam is a
-    tie and taken at lam, so tied indices enter one by one through
-    segments of length zero; a correlation that keeps to +-lam does not
-    enter.  An index that has just left cannot enter
-    again with its old sign at the next event, nor one that has just
-    entered leave: at the breakpoint its test reads lam itself up to
-    round-off (Osborne, Presnell & Turlach 2000; Efron, Hastie, Johnstone
-    & Tibshirani 2004, *Least angle regression*)."""
+    """The l1 homotopy path (a ``HomotopyPath``) from ||Phi^T y||_inf down
+    to lam_min > 0; ``PathError`` where it cannot go on.  On a segment
+    with active set A and signs s, x_A = G^{-1} (Phi_A^T y - lam s),
+    G = Phi_A^T Phi_A; an index enters where its correlation reaches +-lam
+    moving outward and leaves where its coefficient reaches zero
+    (``_homotopy``; Osborne, Presnell & Turlach 2000; Efron, Hastie,
+    Johnstone & Tibshirani 2004, *Least angle regression*)."""
     Phi, y, _ = check_problem(Phi, y, lam=lam_min)
-    return _lasso_path(Phi, y, lam_min, SolveOptions().max_iter)
+    return _homotopy(Phi, y, lam_min, SolveOptions().max_iter, _L1Model)
 
 
 # the sign with which an index enters, by row of the path's ratio test
 _ENTRY_SIGNS = np.array([[1.0], [-1.0]])
 # the path's round-off margin: a root of the ratio test up to this share
-# above the current lam is a tie at lam, and a correlation enters only if
-# it moves outward at a rate above it (one that keeps to +-lam belongs to
-# a column in the span of the active ones)
+# above the current lam is a tie at lam, and an entry counts only if it
+# moves outward at a rate above it (one that keeps to the bound belongs to
+# a column in the span of the others)
 _TIE_MARGIN = 8 * np.finfo(float).eps
 
 
-def _lasso_path(Phi, y, lam_min, max_events):
+def _homotopy(Phi, y, lam_min, max_events, model):
+    """The homotopy path (``HomotopyPath``) of the kind ``model`` (a
+    ``_PathModel``) from its lam_max down to lam_min > 0; ``PathError``
+    where it cannot go on, or past ``max_events`` events.
+
+    On each segment the model's coordinates z = u - lam v solve one Gram
+    system, and the correlations Phi^T (y - Phi x) = Phi^T y - GB z are
+    p + lam q.  The model's ratio test picks the next event at or below
+    the current lam: a free entry that meets its bound while moving
+    outward enters with that sign (``reach``), or an entry meets its drop
+    condition and leaves (``cross``).  A root up to ``_TIE_MARGIN`` above
+    lam is a tie taken at lam, so tied entries come one by one through
+    segments of length zero, and at a tie only an entry that moves toward
+    its drop leaves.  The entry just entered cannot leave at the next
+    event: at the breakpoint its test reads lam itself up to round-off."""
     n = Phi.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         G = Phi.T @ Phi
         c = Phi.T @ y
         if not (np.isfinite(G).all() and np.isfinite(c).all()):
             raise PathError("Phi^T Phi or Phi^T y is not finite")
-        lam = float(np.abs(c).max(initial=0.0))
-        lambdas, segments = [lam], []
-        if lam <= lam_min:
-            return LassoPath(n, lambdas, segments)
-        # the right-hand sides of the Gram system: Phi^T y, and the signs
-        # of the active indices
-        rhs = np.zeros((n, 2))
-        rhs[:, 0] = c
-        j = int(np.argmax(np.abs(c)))
-        rhs[j, 1] = np.sign(c[j])
-        active, entered, left = [j], j, None
-        # the (sign row, index) pairs that may enter: inactive indices, but
-        # not the one just left with its old sign
-        free = np.ones((2, n), dtype=bool)
-        free[:, j] = False
-        # the rank cutoff of G's largest diagonal entry, which bounds
-        # every active Gram matrix's
-        cutoff = rank_tolerance(G.diagonal().max(), G.shape)
-        while True:
+        m = model(G, c)
+        lam = m.lam_max
+        lambdas, segments, entered = [lam], [], m.entered
+        while lam > lam_min:
             if len(segments) == max_events:
                 raise PathError(
                     f"the path needs more than {max_events} events")
-            if not active:
-                # 0 is optimal from lam_max up only: round-off led astray
-                raise PathError("the active set is empty below lam_max")
-            A = np.array(active)
-            GA = G[:, A]
-            B = rhs[A]
-            uv = _gram_solve(GA[A], B, cutoff)
-            # on this segment x_A = u - lam v, and the correlations
-            # Phi^T (y - Phi x) are p + lam q
-            u, v = uv[:, 0], uv[:, 1]
-            Guv = GA @ uv
-            p, q = c - Guv[:, 0], Guv[:, 1]
-            if not math.isfinite(p.sum() + q.sum()):
-                raise PathError("a correlation on the path is not finite")
-            segments.append((A, B[:, 1], u, v))
-            # the ratio test: p_j + t q_j = t (row 0 of reach) or = -t
-            # (row 1) where the correlation moves outward as t falls, NaN
-            # for the rest, and x_i = u_i - t v_i = 0, NaN for the index
-            # just entered (the last)
-            den = _ENTRY_SIGNS - q
-            reach = np.where(free & (_ENTRY_SIGNS * den > _TIE_MARGIN), p,
-                             np.nan) / den
-            cross = u / v
-            if entered >= 0:
-                cross[-1] = np.nan
-            k, i, t, drop = _next_event(reach, cross, lam)
-            if t >= lam * (1.0 - _TIE_MARGIN):
-                # a tie at lam: only a coefficient that moves toward zero
-                # as t falls leaves
-                cross[B[:, 1] * v >= 0] = np.nan
-                k, i, t, drop = _next_event(reach, cross, lam)
-            if not t > lam_min:
-                lambdas.append(lam_min)
-                return LassoPath(n, lambdas, segments)
-            lam = float(t)
-            lambdas.append(lam)
-            if left is not None:
-                free[left] = True
-            if drop:
-                idx = active.pop(i)
-                left, entered = (int(rhs[idx, 1] < 0), idx), -1
-                free[:, idx] = True
-                free[left] = False
-            else:
-                row, entered = divmod(int(k), n)
-                rhs[entered, 1] = _ENTRY_SIGNS[row, 0]
-                free[:, entered], left = False, None
-                active.append(entered)
-
-
-def _max_abs_path(Phi, y, lam_min, max_events):
-    """The max-abs homotopy path from ||Phi^T y||_1 down to lam_min > 0, as
-    (x(lam_min), lambdas, signs): the breakpoints, non-increasing from
-    lam_max to lam_min (lam_max alone when lam_min >= lam_max), and on each
-    segment the saturation signs, +-1 where x_j = +-t, t = ||x||_inf, and 0
-    on the free entries; ``PathError`` where the path cannot go on.
-
-    On a segment with saturated set S, signs s, and free set F, x = B z
-    with B = [s_S | e_F] and z = (t, x_F) = u - lam v, where H [u v] =
-    [B^T Phi^T y, e_1], H = B^T G B, G = Phi^T Phi: one Gram solve per
-    event.  The dual weights w = Phi^T (y - Phi x) are affine in lam, zero
-    on F, and s_j w_j >= 0 on S.  The path leaves 0 with the entries of
-    nonzero correlation saturated with the signs of their correlations.
-    The ratio test of ``_lasso_path`` picks the next event: a free entry
-    reaches +-t while moving outward (it saturates with that sign), or a
-    saturated weight s_j w_j reaches zero (the entry frees), with the same
-    tie margin, rate test and drop direction at ties.  An entry just freed
-    cannot saturate again with its old sign at the next event, nor one just
-    saturated free: at the breakpoint its test reads lam itself up to
-    round-off."""
-    n = Phi.shape[1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        G = Phi.T @ Phi
-        c = Phi.T @ y
-        if not (np.isfinite(G).all() and np.isfinite(c).all()):
-            raise PathError("Phi^T Phi or Phi^T y is not finite")
-        lam = float(np.abs(c).sum())
-        lambdas, signs = [lam], []
-        if lam <= lam_min:
-            return np.zeros(n), lambdas, signs
-        s = np.sign(c)
-        entered = left = None
-        # the (sign row, index) pairs that may saturate: free entries, but
-        # not the one just freed with its old sign
-        free = np.zeros((2, n), dtype=bool)
-        free[:, s == 0] = True
-        while True:
-            if len(signs) == max_events:
-                raise PathError(
-                    f"the path needs more than {max_events} events")
-            # with no entry saturated, H[0, 0] = 0 and the Gram solve
-            # raises: 0 is optimal from lam_max up only
-            F = np.flatnonzero(s == 0)
-            GB = np.column_stack([G @ s, G[:, F]])
-            H = np.vstack([s @ GB, GB[F]])
-            rhs = np.zeros((F.size + 1, 2))
-            rhs[0] = s @ c, 1.0
-            rhs[1:, 0] = c[F]
-            uv = _gram_solve(H, rhs, rank_tolerance(H.diagonal().max(),
-                                                    G.shape))
-            # on this segment z = u - lam v, and the weights are p + lam q
+            GB, H, rhs, cutoff = m.system()
+            uv = _gram_solve(H, rhs, cutoff)
             u, v = uv[:, 0], uv[:, 1]
             GBuv = GB @ uv
             p, q = c - GBuv[:, 0], GBuv[:, 1]
             if not math.isfinite(p.sum() + q.sum()):
-                raise PathError("a weight on the path is not finite")
-            signs.append(s.copy())
-            # the ratio test in units of t's rate v_0 > 0: a free x_j =
-            # v_0 (a_j - lam b_j) reaches sigma t = sigma v_0 (u_0 / v_0 -
-            # lam) (row 0 of reach for sigma = 1, row 1 for -1) where it
-            # moves outward as lam falls, NaN for the rest; a saturated
-            # weight s_j (p_j + lam q_j) reaches zero, NaN for the entry
-            # just saturated and the free ones
-            a, b = np.zeros(n), np.zeros(n)
-            a[F], b[F] = u[1:] / v[0], v[1:] / v[0]
-            rate = _ENTRY_SIGNS * b - 1.0
-            reach = np.where(free & (rate > _TIE_MARGIN),
-                             _ENTRY_SIGNS * a - u[0] / v[0], np.nan) / rate
-            cross = np.where(s != 0, -p / q, np.nan)
+                raise PathError("a correlation on the path is not finite")
+            segments.append((*m.segment, u, v))
+            reach, cross = m.roots(u, v, p, q)
             if entered is not None:
                 cross[entered] = np.nan
             k, i, t, drop = _next_event(reach, cross, lam)
             if t >= lam * (1.0 - _TIE_MARGIN):
-                # a tie at lam: only a weight that falls as lam does frees
-                cross[s * q <= 0] = np.nan
+                cross[m.holds(v, q)] = np.nan
                 k, i, t, drop = _next_event(reach, cross, lam)
             if not t > lam_min:
                 lambdas.append(lam_min)
-                z = u - lam_min * v
-                x = s * z[0]
-                x[F] = z[1:]
-                return x, lambdas, signs
+                break
             lam = float(t)
             lambdas.append(lam)
-            if left is not None:
-                free[left] = True
             if drop:
-                left, entered = (int(s[i] < 0), int(i)), None
-                s[i] = 0.0
-                free[:, i] = True
-                free[left] = False
+                m.drop(i)
+                entered = None
             else:
-                row, entered = divmod(int(k), n)
-                s[entered] = _ENTRY_SIGNS[row, 0]
-                free[:, entered], left = False, None
+                entered = m.add(k)
+    return HomotopyPath(n, lambdas, segments, m.point)
+
+
+class _PathModel:
+    """One kind of homotopy path, made from G = Phi^T Phi and c = Phi^T y:
+    ``lam_max``; the signs ``s``, 0 on the entries free to enter, whose
+    both sign rows ``free`` marks for ``reach``; the segment's Gram system ``system()`` -> (GB, H, rhs, cutoff), which sets
+    ``segment`` = (active, signs) for ``point(n, active, signs, z)``, the x
+    of z; the roots ``roots(u, v, p, q)`` -> (reach, cross); ``holds(v,
+    q)``, the roots in ``cross`` that cannot leave at a tie; the events
+    ``add`` and ``drop``; and ``entered``, the index into ``cross`` of an
+    entry that entered at lam_max."""
+    entered = None
+
+    def add(self, k):
+        """Enter the entry of flat index k into ``reach`` with the sign of
+        its row; its index into ``cross``."""
+        row, j = divmod(int(k), self.s.size)
+        self.s[j] = _ENTRY_SIGNS[row, 0]
+        self.free[:, j] = False
+        return j
+
+    def drop(self, i):
+        """Free the entry of index i into ``cross``."""
+        self.s[i] = 0.0
+        self.free[:, i] = True
+
+
+class _L1Model(_PathModel):
+    """The l1 path: x_A = z on the active set A, in order of entry, with
+    signs s_A, from lam_max = ||Phi^T y||_inf, where the largest
+    correlation enters.  ``cross`` holds where each x_i reaches zero, by
+    position in A; at a tie it leaves only while it moves toward zero."""
+    entered = -1   # the first index, the last of A
+
+    def __init__(self, G, c):
+        self.G = G
+        self.lam_max = float(np.abs(c).max(initial=0.0))
+        # the right-hand sides of the Gram system, Phi^T y and the signs
+        self.rhs = np.zeros((c.size, 2))
+        self.rhs[:, 0] = c
+        self.s = self.rhs[:, 1]
+        j = int(np.argmax(np.abs(c)))
+        self.s[j] = np.sign(c[j])
+        self.free = np.array([self.s == 0] * 2)
+        self.A = [j]
+        # the rank cutoff of G's largest diagonal entry, which bounds
+        # every active Gram matrix's
+        self.cutoff = rank_tolerance(G.diagonal().max(), G.shape)
+
+    def system(self):
+        A = np.array(self.A, dtype=int)
+        GB = self.G[:, A]
+        rhs = self.rhs[A]
+        self.segment = A, rhs[:, 1]
+        return GB, GB[A], rhs, self.cutoff
+
+    def roots(self, u, v, p, q):
+        den = _ENTRY_SIGNS - q
+        reach = np.where(self.free & (_ENTRY_SIGNS * den > _TIE_MARGIN),
+                         p, np.nan) / den
+        return reach, u / v
+
+    def holds(self, v, q):
+        return self.segment[1] * v >= 0
+
+    def add(self, k):
+        self.A.append(super().add(k))
+        return -1
+
+    def drop(self, i):
+        super().drop(self.A.pop(i))
+
+    @staticmethod
+    def point(n, A, s, z):
+        x = np.zeros(n)
+        x[A] = z
+        return x
+
+
+class _MaxAbsModel(_PathModel):
+    """The max-abs path from lam_max = ||Phi^T y||_1, where the entries of
+    nonzero correlation leave 0 saturated with its sign: with saturated
+    entries S, signs s, and free entries F, x = B z, B = [s_S | e_F] and
+    z = (t, x_F), t = ||x||_inf, with H = B^T G B and rhs = [B^T c, e_1].
+    The dual weights w = p + lam q are zero on F, and s_j w_j >= 0 on S.
+    A free x_j = v_0 (a_j - lam b_j), in units of t's rate v_0 > 0,
+    saturates where it reaches +-t moving outward; a saturated entry frees
+    where its weight reaches zero, at a tie only while it falls."""
+
+    def __init__(self, G, c):
+        self.G, self.c = G, c
+        self.lam_max = float(np.abs(c).sum())
+        self.s = np.sign(c)
+        self.free = np.array([self.s == 0] * 2)
+
+    def system(self):
+        G, c, s = self.G, self.c, self.s
+        F = np.flatnonzero(s == 0)
+        GB = np.column_stack([G @ s, G[:, F]])
+        H = np.vstack([s @ GB, GB[F]])
+        rhs = np.zeros((F.size + 1, 2))
+        rhs[0] = s @ c, 1.0
+        rhs[1:, 0] = c[F]
+        self.segment = F, s.copy()
+        # with no entry saturated H[0, 0] = 0, and the Gram solve raises
+        return GB, H, rhs, rank_tolerance(H.diagonal().max(), G.shape)
+
+    def roots(self, u, v, p, q):
+        F, n = self.segment[0], self.s.size
+        a, b = np.zeros(n), np.zeros(n)
+        a[F], b[F] = u[1:] / v[0], v[1:] / v[0]
+        rate = _ENTRY_SIGNS * b - 1.0
+        reach = np.where(self.free & (rate > _TIE_MARGIN),
+                         _ENTRY_SIGNS * a - u[0] / v[0], np.nan) / rate
+        return reach, np.where(self.s != 0, -p / q, np.nan)
+
+    def holds(self, v, q):
+        return self.s * q <= 0
+
+    @staticmethod
+    def point(n, F, s, z):
+        x = s * z[0]
+        x[F] = z[1:]
+        return x
+
+
+# the path model of each gauge that has one
+_PATH_MODELS = {L1: _L1Model, Linf: _MaxAbsModel}
 
 
 def _next_event(reach, cross, lam):
@@ -508,11 +489,11 @@ def _next_event(reach, cross, lam):
 
 def _gram_solve(GA, rhs, cutoff):
     """G^{-1} rhs from one Cholesky factor of the active Gram matrix G;
-    ``PathError`` where G is singular to working precision: a pivot, the
-    squared distance of a column from the span of those before it, at or
-    below ``cutoff``."""
+    ``PathError`` where G is singular to working precision: empty, or a
+    pivot, the squared distance of a column from the span of those before
+    it, at or below ``cutoff``."""
     L, info = scipy.linalg.lapack.dpotrf(GA, lower=1)
-    if info != 0 or L.diagonal().min() ** 2 <= cutoff:
+    if info != 0 or not L.size or L.diagonal().min() ** 2 <= cutoff:
         raise PathError("the active Gram matrix is singular")
     return scipy.linalg.lapack.dpotrs(L, rhs, lower=1)[0]
 

@@ -731,18 +731,111 @@ def _path_instance(shape, seed):
         r.uniform(0.2, 1.2))
 
 
-class TestLassoPath:
+def _max_abs_instance(shape, seed):
+    """(Phi, y, lam) for the max-abs path tests: the criterion-9 mix
+    (n = 20, Q = 12) when shape is None, else a Gaussian (Q, n) with a
+    dense x."""
+    if shape is None:
+        Phi, y, lam, _ = _penalized_instance("linf", seed)
+        return Phi, y, lam
+    q, n = shape
+    r = np.random.default_rng([seed, q, n, 9])
+    Phi = r.standard_normal((q, n))
+    return Phi, Phi @ r.standard_normal(n) + 0.1 * r.standard_normal(q), \
+        float(r.uniform(0.2, 1.2))
+
+
+class _PathTwins:
+    """The tests that the l1 and max-abs paths share, run by each path's
+    class on its kind: the gauge ``GAUGE``, the path model ``MODEL``, the
+    test instances ``instance(shape, seed)``, the start ``lam_max(c)`` of
+    the path, c = Phi^T y, and ``singular()``, an instance whose Gram
+    matrix is singular."""
+
+    def _path(self, Phi, y, lam, max_events=SolveOptions().max_iter):
+        return solvers._homotopy(Phi, y, lam, max_events, self.MODEL)
+
+    def _fista_x(self, Phi, y, lam):
+        res = solvers._fista(Phi, y, lam, self.GAUGE(Phi.shape[1]),
+                             SolveOptions(tol=1e-12))
+        assert res.converged
+        return res.x_hat
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_lambda_at_or_above_lam_max_gives_zero(self, scale):
+        Phi, y, _ = self.instance(None, 5)
+        lam_max = self.lam_max(Phi.T @ y)
+        lam = scale * lam_max
+        path = self._path(Phi, y, lam)
+        assert path.events == 0 and path.lambdas.tolist() == [lam_max]
+        assert not np.any(path.x_at(lam))
+        res = solve_penalized(Phi, y, lam, self.GAUGE(20))
+        assert (res.method, res.iterations, res.converged) == ("path", 0,
+                                                               True)
+        assert not np.any(res.x_hat)
+
+    def test_a_singular_gram_falls_back_to_fista(self):
+        # the solve is FISTA's, bit for bit
+        Phi, y, lam = self.singular()
+        g = self.GAUGE(Phi.shape[1])
+        with pytest.raises(solvers.PathError, match="Gram matrix is singular"):
+            self._path(Phi, y, lam)
+        res = solve_penalized(Phi, y, lam, g)
+        fista = solvers._fista(Phi, y, lam, g, SolveOptions())
+        assert (res.method, res.converged) == ("fista", True)
+        assert np.array_equal(res.x_hat, fista.x_hat)
+        assert res.iterations == fista.iterations
+
+    def test_events_count_against_max_iter(self):
+        Phi, y, lam = self.instance(None, 3)
+        g = self.GAUGE(20)
+        events = self._path(Phi, y, lam).events
+        with pytest.raises(solvers.PathError, match="more than"):
+            self._path(Phi, y, lam, events - 1)
+        assert solve_penalized(Phi, y, lam, g, SolveOptions(
+            max_iter=events)).method == "path"
+        res = solve_penalized(Phi, y, lam, g,
+                              SolveOptions(max_iter=events - 1))
+        fista = solvers._fista(Phi, y, lam, g,
+                               SolveOptions(max_iter=events - 1))
+        assert res.method == "fista" and res.iterations == fista.iterations
+        assert np.array_equal(res.x_hat, fista.x_hat)
+
+    def test_an_end_point_that_fails_the_test_falls_back(self):
+        # at tol 0 the path's round-off fails the test: FISTA, bit for bit
+        Phi, y, lam = self.instance(None, 3)
+        g = self.GAUGE(20)
+        res = solve_penalized(Phi, y, lam, g,
+                              SolveOptions(tol=0.0, max_iter=300))
+        fista = solvers._fista(Phi, y, lam, g,
+                               SolveOptions(tol=0.0, max_iter=300))
+        assert res.method == "fista" and res.iterations == fista.iterations
+        assert np.array_equal(res.x_hat, fista.x_hat)
+
+
+class TestLassoPath(_PathTwins):
+    GAUGE, MODEL = L1, solvers._L1Model
+    instance = staticmethod(_path_instance)
+
+    @staticmethod
+    def lam_max(c):
+        return np.abs(c).max()
+
+    @staticmethod
+    def singular():
+        # column 3 is the mean of columns 0 and 1 up to 1e-8, and enters
+        # after them: the active Gram matrix is singular to working
+        # precision
+        r = np.random.default_rng(37)
+        Phi = r.standard_normal((4, 6))
+        Phi[:, 3] = 0.5 * (Phi[:, 0] + Phi[:, 1]) \
+            + 1e-8 * r.standard_normal(4)
+        return Phi, r.standard_normal(4), 0.05
+
     # a variable that enters and later leaves: x_1 enters at 6, x_2 at 8/3
     # with sign -1, x_1 reaches zero at 5/2 and leaves, x_0 enters at 5/7
     DROP_PHI = np.array([[1.0, 3.0, -2.0], [0.0, 1.0, -1.0]])
     DROP_Y = np.array([1.0, 3.0])
-
-    @staticmethod
-    def _fista_x(Phi, y, lam):
-        res = solvers._fista(Phi, y, lam, L1(Phi.shape[1]),
-                             SolveOptions(tol=1e-12))
-        assert res.converged
-        return res.x_hat
 
     @pytest.mark.parametrize("shape, seeds", [
         (None, range(120)), ((12, 8), range(40)), ((6, 15), range(40))])
@@ -841,18 +934,6 @@ class TestLassoPath:
         res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-10))
         assert (res.method, res.iterations) == ("path", len(active))
 
-    @pytest.mark.parametrize("scale", [1.0, 1.5])
-    def test_lambda_at_or_above_lam_max_gives_zero(self, scale):
-        Phi, y, _ = _path_instance(None, 5)
-        lam = scale * np.abs(Phi.T @ y).max()
-        path = solvers.lasso_path(Phi, y, lam)
-        assert path.events == 0 and path.lambdas.tolist() == [
-            np.abs(Phi.T @ y).max()]
-        res = solve_penalized(Phi, y, lam, L1(20))
-        assert (res.method, res.iterations, res.converged) == ("path", 0,
-                                                               True)
-        assert not np.any(res.x_hat)
-
     def test_duplicate_columns_end_on_the_path(self):
         # the lasso has a segment of minimizers; the path keeps column 1
         # out (its correlation stays tied with column 0's, q_1 = 1) and
@@ -866,90 +947,43 @@ class TestLassoPath:
             Phi, y, 0.5, res.x_hat,
             md=decompose(L1(3), res.x_hat)) != "not_optimal"
 
-    def test_a_singular_gram_falls_back_to_fista(self):
-        # column 3 is the mean of columns 0 and 1 up to 1e-8, and enters
-        # after them: the active Gram matrix is singular to working
-        # precision, so the solve is FISTA's, bit for bit
-        r = np.random.default_rng(37)
-        Phi = r.standard_normal((4, 6))
-        Phi[:, 3] = 0.5 * (Phi[:, 0] + Phi[:, 1]) \
-            + 1e-8 * r.standard_normal(4)
-        y = r.standard_normal(4)
-        with pytest.raises(solvers.PathError, match="Gram matrix is singular"):
-            solvers.lasso_path(Phi, y, 0.05)
-        res = solve_penalized(Phi, y, 0.05, L1(6))
-        fista = solvers._fista(Phi, y, 0.05, L1(6), SolveOptions())
-        assert (res.method, res.converged) == ("fista", True)
-        assert np.array_equal(res.x_hat, fista.x_hat)
-        assert res.iterations == fista.iterations
-
-    def test_events_count_against_max_iter(self):
-        Phi, y, lam = _path_instance(None, 3)
-        events = solvers.lasso_path(Phi, y, lam).events
-        with pytest.raises(solvers.PathError, match="more than"):
-            solvers._lasso_path(Phi, y, lam, events - 1)
-        assert solve_penalized(Phi, y, lam, L1(20), SolveOptions(
-            max_iter=events)).method == "path"
-        res = solve_penalized(Phi, y, lam, L1(20),
-                              SolveOptions(max_iter=events - 1))
-        fista = solvers._fista(Phi, y, lam, L1(20),
-                               SolveOptions(max_iter=events - 1))
-        assert res.method == "fista"
-        assert np.array_equal(res.x_hat, fista.x_hat)
-
-    def test_an_end_point_that_fails_the_test_falls_back(self):
-        # at tol 0 the path's round-off fails the test: FISTA, bit for bit
-        Phi, y, lam = _path_instance(None, 3)
-        res = solve_penalized(Phi, y, lam, L1(20),
-                              SolveOptions(tol=0.0, max_iter=300))
-        fista = solvers._fista(Phi, y, lam, L1(20),
-                               SolveOptions(tol=0.0, max_iter=300))
-        assert res.method == "fista" and res.iterations == fista.iterations
-        assert np.array_equal(res.x_hat, fista.x_hat)
-
     def test_x_at_rejects_a_lambda_below_the_end(self):
         path = solvers.lasso_path(self.DROP_PHI, self.DROP_Y, 0.5)
         with pytest.raises(ValueError, match="below the path's end"):
             path.x_at(0.4)
 
 
-def _max_abs_instance(shape, seed):
-    """(Phi, y, lam) for the max-abs path tests: the criterion-9 mix
-    (n = 20, Q = 12) when shape is None, else a Gaussian (Q, n) with a
-    dense x."""
-    if shape is None:
-        Phi, y, lam, _ = _penalized_instance("linf", seed)
-        return Phi, y, lam
-    q, n = shape
-    r = np.random.default_rng([seed, q, n, 9])
-    Phi = r.standard_normal((q, n))
-    return Phi, Phi @ r.standard_normal(n) + 0.1 * r.standard_normal(q), \
-        float(r.uniform(0.2, 1.2))
+class TestMaxAbsPath(_PathTwins):
+    GAUGE, MODEL = Linf, solvers._MaxAbsModel
+    instance = staticmethod(_max_abs_instance)
 
+    @staticmethod
+    def lam_max(c):
+        return np.abs(c).sum()
 
-class TestMaxAbsPath:
+    @staticmethod
+    def singular():
+        # the README input: x_1 and x_2 start free, with equal columns, so
+        # the first Gram matrix is singular
+        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), \
+            np.array([5.0, 0.0]), 0.5
+
+    def _x(self, Phi, y, lam):
+        """The end point of the path down to lam."""
+        return self._path(Phi, y, lam).x_at(lam)
+
     # x_0 frees at 65/7 and saturates again at 5 with the other sign; x_2
     # frees at 5/7
     REENTRY_PHI = np.array([[0.0, -2.0, -3.0], [-1.0, 2.0, 4.0]])
     REENTRY_Y = np.array([4.0, -3.0])
-
-    @staticmethod
-    def _path(Phi, y, lam):
-        return solvers._max_abs_path(Phi, y, lam, SolveOptions().max_iter)
-
-    @staticmethod
-    def _fista_x(Phi, y, lam):
-        res = solvers._fista(Phi, y, lam, Linf(Phi.shape[1]),
-                             SolveOptions(tol=1e-12))
-        assert res.converged
-        return res.x_hat
 
     @pytest.mark.parametrize("shape, seeds", [
         (None, range(120)), ((12, 8), range(40)), ((6, 15), range(40))])
     def test_end_point_matches_fista(self, shape, seeds):
         for seed in seeds:
             Phi, y, lam = _max_abs_instance(shape, seed)
-            x, L, signs = self._path(Phi, y, lam)
+            path = self._path(Phi, y, lam)
+            x, L, signs = path.x_at(lam), path.lambdas, path.signs
             assert L[0] == np.abs(Phi.T @ y).sum() and L[-1] == lam
             assert np.all(np.diff(L) <= 0.0) and len(signs) == len(L) - 1
             assert np.abs(x - self._fista_x(Phi, y, lam)).max() <= 1e-10
@@ -962,30 +996,31 @@ class TestMaxAbsPath:
         # zero at 39/4, and at 1/2 x = (23/18, 23/18, -5/54)
         Phi = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 3.0]])
         y = np.array([4.0, 1.0])
-        x, L, signs = self._path(Phi, y, 0.5)
+        path = self._path(Phi, y, 0.5)
+        x, L, signs = path.x_at(0.5), path.lambdas, path.signs
         assert np.allclose(L, [16.0, 39.0 / 4.0, 0.5], rtol=0.0, atol=1e-13)
         assert [s.tolist() for s in signs] == [[1.0, 1.0, 1.0],
                                                [1.0, 1.0, 0.0]]
         assert np.allclose(x, [23.0 / 18.0, 23.0 / 18.0, -5.0 / 54.0],
                            rtol=0.0, atol=1e-14)
         for t in (16.0, 12.0, 39.0 / 4.0, 5.0, 0.5):
-            assert np.abs(self._path(Phi, y, t)[0]
+            assert np.abs(self._x(Phi, y, t)
                           - self._fista_x(Phi, y, t)).max() <= 1e-10
 
     def test_an_entry_frees_and_saturates_again_with_the_other_sign(self):
         Phi, y = self.REENTRY_PHI, self.REENTRY_Y
-        x, L, signs = self._path(Phi, y, 0.1)
+        path = self._path(Phi, y, 0.1)
+        L, signs = path.lambdas, path.signs
         assert np.allclose(L, [41.0, 65.0 / 7.0, 5.0, 5.0 / 7.0, 0.1],
                            rtol=0.0, atol=1e-13)
         assert [s.tolist() for s in signs] == [
             [1.0, -1.0, -1.0], [0.0, -1.0, -1.0], [-1.0, -1.0, -1.0],
             [-1.0, -1.0, 0.0]]
         # x_0 crosses from t to -t while free, through 0 at 15/2
-        assert self._path(Phi, y, 8.0)[0][0] > 0.0 > \
-            self._path(Phi, y, 7.0)[0][0]
+        assert self._x(Phi, y, 8.0)[0] > 0.0 > self._x(Phi, y, 7.0)[0]
         for t in (41.0, 20.0, 65.0 / 7.0, 7.0, 5.0, 2.0, 5.0 / 7.0, 0.5,
                   0.1):
-            assert np.abs(self._path(Phi, y, t)[0]
+            assert np.abs(self._x(Phi, y, t)
                           - self._fista_x(Phi, y, t)).max() <= 1e-10
         res = solve_penalized(Phi, y, 0.1, Linf(3), SolveOptions(tol=1e-10))
         assert (res.method, res.iterations) == ("path", 4)
@@ -1028,7 +1063,8 @@ class TestMaxAbsPath:
     ])
     def test_tied_events_share_a_breakpoint(self, Phi, y, lambdas, signs):
         Phi, y, lam = np.array(Phi), np.array(y), lambdas[-1]
-        x, L, got = self._path(Phi, y, lam)
+        path = self._path(Phi, y, lam)
+        x, L, got = path.x_at(lam), path.lambdas, path.signs
         assert np.allclose(L, lambdas, rtol=0.0, atol=1e-13)
         assert [s.tolist() for s in got] == signs
         # equal or opposite columns leave a set of minimizers: the end
@@ -1040,54 +1076,24 @@ class TestMaxAbsPath:
         res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-10))
         assert (res.method, res.iterations) == ("path", len(signs))
 
-    @pytest.mark.parametrize("scale", [1.0, 1.5])
-    def test_lambda_at_or_above_lam_max_gives_zero(self, scale):
-        Phi, y, _ = _max_abs_instance(None, 5)
-        lam_max = np.abs(Phi.T @ y).sum()
-        x, L, signs = self._path(Phi, y, scale * lam_max)
-        assert not np.any(x) and (L, signs) == ([lam_max], [])
-        res = solve_penalized(Phi, y, scale * lam_max, Linf(20))
-        assert (res.method, res.iterations, res.converged) == ("path", 0,
+    def test_a_freed_entry_saturates_again_with_its_old_sign_at_a_tie(self):
+        # at 28/11 x_2 frees, then x_4 frees and saturates again with its
+        # old sign at the same breakpoint; x_1 frees at 30/17
+        Phi = np.array([[0.0, 0.0, -1.0, -2.0, 3.0],
+                        [-3.0, -3.0, 0.0, 2.0, 2.0],
+                        [1.0, 2.0, -1.0, 0.0, 1.0]])
+        y = np.array([2.0, -2.0, 1.0])
+        path = self._path(Phi, y, 0.5)
+        assert np.allclose(path.lambdas, [29.0, 28.0 / 11.0, 28.0 / 11.0,
+                                          28.0 / 11.0, 30.0 / 17.0, 0.5],
+                           rtol=0.0, atol=1e-13)
+        assert [s.tolist() for s in path.signs] == [
+            [1, 1, -1, -1, 1], [1, 1, 0, -1, 1], [1, 1, 0, -1, 0],
+            [1, 1, 0, -1, 1], [1, 0, 0, -1, 1]]
+        res = solve_penalized(Phi, y, 0.5, Linf(5))
+        assert (res.method, res.iterations, res.converged) == ("path", 5,
                                                                True)
-        assert not np.any(res.x_hat)
-
-    def test_a_singular_gram_falls_back_to_fista(self):
-        # the README input: x_1 and x_2 start free, with equal columns, so
-        # the first Gram matrix is singular and the solve is FISTA's, bit
-        # for bit
-        Phi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
-        y = np.array([5.0, 0.0])
-        with pytest.raises(solvers.PathError, match="Gram matrix is singular"):
-            self._path(Phi, y, 0.5)
-        res = solve_penalized(Phi, y, 0.5, Linf(3))
-        fista = solvers._fista(Phi, y, 0.5, Linf(3), SolveOptions())
-        assert (res.method, res.converged) == ("fista", True)
-        assert np.array_equal(res.x_hat, fista.x_hat)
-        assert res.iterations == fista.iterations
-
-    def test_events_count_against_max_iter(self):
-        Phi, y, lam = _max_abs_instance(None, 3)
-        events = len(self._path(Phi, y, lam)[2])
-        with pytest.raises(solvers.PathError, match="more than"):
-            solvers._max_abs_path(Phi, y, lam, events - 1)
-        assert solve_penalized(Phi, y, lam, Linf(20), SolveOptions(
-            max_iter=events)).method == "path"
-        res = solve_penalized(Phi, y, lam, Linf(20),
-                              SolveOptions(max_iter=events - 1))
-        fista = solvers._fista(Phi, y, lam, Linf(20),
-                               SolveOptions(max_iter=events - 1))
-        assert res.method == "fista" and res.iterations == fista.iterations
-        assert np.array_equal(res.x_hat, fista.x_hat)
-
-    def test_an_end_point_that_fails_the_test_falls_back(self):
-        # at tol 0 the path's round-off fails the test: FISTA, bit for bit
-        Phi, y, lam = _max_abs_instance(None, 3)
-        res = solve_penalized(Phi, y, lam, Linf(20),
-                              SolveOptions(tol=0.0, max_iter=300))
-        fista = solvers._fista(Phi, y, lam, Linf(20),
-                               SolveOptions(tol=0.0, max_iter=300))
-        assert res.method == "fista" and res.iterations == fista.iterations
-        assert np.array_equal(res.x_hat, fista.x_hat)
+        assert np.abs(res.x_hat - self._fista_x(Phi, y, 0.5)).max() <= 1e-10
 
 
 class TestNoiseless:
