@@ -22,7 +22,7 @@ from . import __version__
 from .gauges import (L1, Linf, GroupL1L2, PolyhedralH, BlockPartition,
                      UnsupportedGaugeError)
 from .linalg import NoBoundRouteError
-from .lp import LpNumericalError, lp_min_halfspaces, OPTIMAL
+from .lp import LpNumericalError, lp_min_halfspaces, lp_min_max, OPTIMAL
 from .model import (decompose, decompose_l1, decompose_polyhedral, tv1d_gauge,
                     DegenerateModelError)
 from .certificates import irrepresentability, RestrictedInjectivityError
@@ -390,14 +390,13 @@ def _cone_sum_check(D_poly, rng):
 
 
 def _cone_sum_gauge(gens, D_poly, u):
-    """Gauge of cone(gens) + D_poly at u (+inf if the LP does not solve)."""
+    """Gauge of cone(gens) + D_poly at u (+inf if the LP does not solve):
+    min t over lam >= 0 with <a, u - G^T lam> <= t b for each facet (a, b)
+    of D, and lam >= 0 as rows of offset 0."""
     k = len(gens)
-    # variables (lam, t): <a, u - G^T lam> <= t b for each facet (a, b) of D
-    rows = np.hstack([-D_poly.normals @ gens.T, -D_poly.offsets[:, None]])
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    res = lp_min_halfspaces(c, rows, -(D_poly.normals @ u),
-                            bounds=[(0, None)] * (k + 1))
+    res = lp_min_max(np.concatenate([D_poly.normals @ u, np.zeros(k)]),
+                     np.vstack([-D_poly.normals @ gens.T, -np.eye(k)]),
+                     np.concatenate([D_poly.offsets, np.zeros(k)]))
     return float(res.value) if res.status == OPTIMAL else np.inf
 
 

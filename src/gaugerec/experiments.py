@@ -18,11 +18,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .linalg import check_finite, restricted_injectivity
+from .linalg import check_finite
 from .gauges import Linf
 from .model import decompose_linf, decompose
 from .certificates import (irrepresentability, stability_constants,
-                           check_noisy_optimality)
+                           check_noisy_optimality, RestrictedInjectivityError)
 from .solvers import solve_noiseless, solve_penalized, SolveOptions
 
 CSV_HEADER = ["N", "Q", "I_size", "trials", "success", "frequency", "beta",
@@ -140,12 +140,11 @@ def _linf_trial(seed, N, Q, I_size, trial, mode):
     x0 = draw_saturated_signal(rng, N, I_size)
     Phi = rng.standard_normal((Q, N))
     md, _ = decompose_linf(x0)
-    ic = float("nan")
-    ident = False
-    if restricted_injectivity(Phi, md.T):
+    try:
         rep = irrepresentability(Phi, md)
-        ic = rep.ic_value
-        ident = rep.identifiable
+        ic, ident = rep.ic_value, rep.identifiable
+    except RestrictedInjectivityError:   # Phi is not injective on T
+        ic, ident = float("nan"), False
     if mode == "ic":
         return ic, ident, float("nan")
     y = Phi @ x0

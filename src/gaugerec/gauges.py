@@ -27,7 +27,7 @@ import numpy as np
 from .linalg import check_finite, null_space, svd_pinv, _sign_rows
 from .lp import (LpProblem, LpNumericalError, lp_solve, lp_min_max,
                  lp_minimize_linf, OPTIMAL, UNBOUNDED)
-from .polytopes import Polytope, PolytopeError, MAX_ENUM_DIM
+from .polytopes import Polytope, PolytopeError, MAX_ENUM_DIM, _split_rows
 
 SIGN_VERTEX_LIMIT = 16  # 2^k vertex enumerations are refused beyond this
 
@@ -454,29 +454,15 @@ class SumGauge(Gauge):
     def polar(self, u):
         """inf over splits of max of part polars (LP for polytopal parts)."""
         u = self._check(u)
-        hreps = [g._ball_halfspaces() for g in self.parts]
-        if any(h is None for h in hreps):
-            raise UnsupportedGaugeError("polar of a sum of non-polytopal gauges")
         # polar ball of the sum = Minkowski sum of the part polar balls, so
-        # the polar is the min over splits u = z_1 + ... + z_k of the
-        # largest part polar max_v <v, z_j> (v over the part's ball
-        # vertices); z_1..z_{k-1} are free and z_k is the remainder
-        k = len(self.parts)
-        n = self.dim
-        G, h = [], []
-        for j, g in enumerate(self.parts):
-            verts = g.ball_vertices()
-            if verts is None:
-                raise UnsupportedGaugeError("sum polar needs ball vertices")
-            if j < k - 1:
-                share = np.zeros((len(verts), (k - 1) * n))
-                share[:, j * n:(j + 1) * n] = verts
-                h.append(np.zeros(len(verts)))
-            else:
-                share = np.tile(-verts, (1, k - 1))
-                h.append(verts @ u)
-            G.append(share)
-        res = lp_min_max(np.concatenate(h), np.vstack(G))
+        # the polar is their Minkowski gauge at u; a part polar is
+        # max_v <v, z> over the part's ball vertices v
+        verts = [g.ball_vertices() for g in self.parts]
+        if any(v is None for v in verts):
+            raise UnsupportedGaugeError(
+                "polar of a sum needs the ball vertices of its parts")
+        parts = [(v, np.ones(len(v))) for v in verts]
+        res = lp_min_max(*_split_rows(parts, u))
         if res.status != OPTIMAL:
             # feasible and bounded below by 0: numerical trouble
             raise LpNumericalError(

@@ -24,10 +24,12 @@ dropped.
 
 ``lp_min_halfspaces`` solves problems with only ``<=`` rows over few
 variables through their dual, whose basis has one row per variable.
-``lp_min_max`` states the one min-max LP that support-form gauges with
-free directions reduce to (the lifted subdifferential gauges of
-:mod:`gaugerec.model`, the polar of a sum, the max-of-atoms recovery LP)
-and solves it that way.
+``lp_min_max`` solves that way the one min-max LP, min over w of
+max(0, max_j (h_j + (G w)_j) / b_j), with b_j the offset of row j: 1 for a
+support atom, a facet offset for an H-rep, 0 for a hard row.  Its callers
+are the lifted ``model.SubdiffGauge``, ``solvers._max_atoms_lp``,
+``gauges.SumGauge.polar``, ``polytopes.minkowski_sum_gauge``,
+``polytopes.linear_image_gauge`` and ``cli._cone_sum_gauge``.
 """
 
 import numpy as np
@@ -362,17 +364,20 @@ def lp_min_halfspaces(c, a_ub, b_ub, bounds=None):
                     iterations=res.iterations)
 
 
-def lp_min_max(h, G):
-    """min over w of max(0, max_j h_j + (G w)_j), through ``lp_min_halfspaces``
-    in the variables (w, t): G w - t <= -h, t >= 0.
+def lp_min_max(h, G, b=None):
+    """min over w of max(0, max_j (h_j + (G w)_j) / b_j), through
+    ``lp_min_halfspaces`` in the variables (w, t): G w - b t <= -h, t >= 0.
 
+    ``b >= 0`` defaults to ones; b_j = 0 makes row j the hard constraint
+    h_j + (G w)_j <= 0, and the status infeasible where no w meets them.
     Returns the LpResult with ``x = w``; its ``value`` is the min-max.
     """
     G = np.asarray(G, dtype=float)
     k = G.shape[1]
+    b = np.ones(len(G)) if b is None else np.asarray(b, dtype=float)
     c = np.zeros(k + 1)
     c[-1] = 1.0
-    res = lp_min_halfspaces(c, np.hstack([G, -np.ones((len(G), 1))]),
+    res = lp_min_halfspaces(c, np.hstack([G, -b[:, None]]),
                             -np.asarray(h, dtype=float),
                             bounds=[(None, None)] * k + [(0, None)])
     if res.status == OPTIMAL:

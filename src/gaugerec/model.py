@@ -509,19 +509,10 @@ def sum_decompositions(mdJ, mdG):
     else:
 
         def value_fn(eta):
-            eta1 = L @ eta
-
-            def cost(w):
-                d = W @ w
-                return max(aJ.value(mdJ.S.project(eta1 + d)),
-                           aG.value(mdG.S.project(eta - eta1 - d)))
-
-            if W.shape[1] == 0:
-                return cost(np.zeros(0))
-            from scipy.optimize import minimize
-            res = minimize(cost, np.zeros(W.shape[1]), method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-12})
-            return float(res.fun)
+            # min over splits v = L eta + W w of the larger part gauge
+            return _min_over_affine(
+                lambda v: max(aJ.value(mdJ.S.project(v)),
+                              aG.value(mdG.S.project(eta - v))), L @ eta, W)
 
         antig = SubdiffGauge(S, value_fn=value_fn, exact=False)
     gauge = SumGauge([mdJ.gauge, mdG.gauge])

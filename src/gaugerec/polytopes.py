@@ -31,10 +31,10 @@ rows ``a_i/b_i + c_j/d_j``) by the inverse sum of the polars, is hulled
 once.
 
 Near-duplicate facets and vertices are merged by a greedy keep-first sweep
-over the pairs within tolerance that a KD-tree reports.  The LPs here
-(Chebyshev centres, Minkowski-sum gauges, linear-image gauges of maps with
-a kernel) have few variables and many ``<=`` rows, so they are solved
-through their duals by ``lp.lp_min_halfspaces``.
+over the pairs within tolerance that a KD-tree reports.  The LPs here have
+few variables and many ``<=`` rows, so they go through their duals: the
+Chebyshev centre by ``lp.lp_min_halfspaces``, and the Minkowski-sum and
+kernel linear-image gauges by ``lp.lp_min_max`` on the facet offsets.
 """
 
 import functools
@@ -44,7 +44,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .linalg import RankedSvd
-from .lp import lp_min_halfspaces, OPTIMAL
+from .lp import lp_min_halfspaces, lp_min_max, OPTIMAL
 
 MAX_ENUM_DIM = 8
 VERTEX_TOL = 1e-9
@@ -419,28 +419,35 @@ def polytope_intersection_polar(P1, P2):
     return Polytope._lazy(np.vstack([Q1.vertices, Q2.vertices]))
 
 
+def _split_rows(parts, x):
+    """Rows (h, G, b) of ``lp_min_max`` for the gauge at x of the Minkowski
+    sum of parts {z : <a, z> <= b}, each given as (normals, offsets): the
+    min over splits x = z_1 + ... + z_k of max_j gauge_j(z_j), with
+    z_1..z_{k-1} free and z_k = x - z_1 - ... - z_{k-1}.  It serves the
+    polar of a sum of gauges too."""
+    n, last = len(x), parts[-1][0]
+    free = [normals for normals, _ in parts[:-1]]
+    G = np.zeros((sum(map(len, free)) + len(last), len(free) * n))
+    row = 0
+    for j, normals in enumerate(free):
+        G[row:row + len(normals), j * n:(j + 1) * n] = normals
+        row += len(normals)
+    G[row:] = np.tile(-last, (1, len(free)))
+    return (np.concatenate([np.zeros(row), last @ x]), G,
+            np.concatenate([offsets for _, offsets in parts]))
+
+
 def minkowski_sum_gauge(g1_ball, g2_ball, x):
     """Gauge of g1_ball + g2_ball at x via the min-max split (an LP).
 
     Solves min_z max(gauge1(z), gauge2(x - z)); equals the gauge of the
-    Minkowski-sum polytope.
+    Minkowski-sum polytope, +inf where no split meets the zero-offset
+    facets.
     """
     _same_dim(g1_ball, g2_ball, "minkowski_sum_gauge")
-    x = np.asarray(x, dtype=float)
-    d = g1_ball.dim
-    # variables (z, t): <a, z> <= t b for ball 1, <a, x - z> <= t b for ball 2
-    rows = np.vstack([
-        np.hstack([g1_ball.normals, -g1_ball.offsets[:, None]]),
-        np.hstack([-g2_ball.normals, -g2_ball.offsets[:, None]])])
-    rhs = np.concatenate([np.zeros(len(g1_ball.offsets)),
-                          -(g2_ball.normals @ x)])
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    res = lp_min_halfspaces(c, rows, rhs,
-                            bounds=[(None, None)] * d + [(0, None)])
-    if res.status != OPTIMAL:
-        return np.inf
-    return float(res.value)
+    parts = [(P.normals, P.offsets) for P in (g1_ball, g2_ball)]
+    res = lp_min_max(*_split_rows(parts, np.asarray(x, dtype=float)))
+    return float(res.value) if res.status == OPTIMAL else np.inf
 
 
 def linear_image_gauge(C, D, x):
@@ -459,19 +466,11 @@ def linear_image_gauge(C, D, x):
     if np.linalg.norm(D @ q - x) > 1e-9 * (1.0 + np.linalg.norm(x)):
         return np.inf
     Z = svd.kernel()
-    k = Z.shape[1]
-    if k == 0:
+    if Z.shape[1] == 0:
         return C.gauge(q)
-    # variables (w, t): <a, q + Z w> <= t b
-    rows = np.hstack([C.normals @ Z, -C.offsets[:, None]])
-    rhs = -C.normals @ q
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    res = lp_min_halfspaces(c, rows, rhs,
-                            bounds=[(None, None)] * k + [(0, None)])
-    if res.status != OPTIMAL:
-        return np.inf
-    return float(res.value)
+    # <a, q + Z w> <= t b for each facet (a, b) of C
+    res = lp_min_max(C.normals @ q, C.normals @ Z, C.offsets)
+    return float(res.value) if res.status == OPTIMAL else np.inf
 
 
 def inverse_sum_set(Q1, Q2):

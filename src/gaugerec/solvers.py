@@ -88,8 +88,8 @@ from .linalg import (check_problem, null_space, svd_pinv, pinv_and_rank,
                      power_operator_norm, rank_tolerance, RankedSvd)
 from .lp import LpProblem, lp_solve, lp_min_max, OPTIMAL
 from .gauges import (L1, L2, Linf, GroupL1L2, PositivePartMax,
-                     Precomposed, UnsupportedGaugeError, project_l1_ball,
-                     project_simplex_interior)
+                     Precomposed, SumGauge, UnsupportedGaugeError,
+                     project_l1_ball, project_simplex_interior)
 from . import model as model_mod
 from . import certificates as cert_mod
 
@@ -515,7 +515,6 @@ def _fista(Phi, y, lam, g, opts):
     z = x.copy()
     t = 1.0
     obj_prev = _objective(Phi, y, lam, g, x)
-    eq = slack = np.inf
     for it in range(1, opts.max_iter + 1):
         x_new = prox(thresh, M @ z + c)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -541,7 +540,9 @@ def _fista(Phi, y, lam, g, opts):
             if polished is not None:
                 x_p, eq_p, slack_p = polished
                 return SolveResult(x_p, it, eq_p, slack_p, True, "fista")
-    eq, slack = _first_order_residuals(Phi, y, lam, g, x)
+    if opts.max_iter % CHECK_EVERY:
+        # else the last check, at max_iter, has the residuals of this x
+        eq, slack = _first_order_residuals(Phi, y, lam, g, x)
     return SolveResult(x, opts.max_iter, eq, slack,
                        eq <= opts.tol and slack <= opts.tol, "fista")
 
@@ -722,8 +723,8 @@ def _box_face(K, p, lam):
 def _chambolle_pock(K, dual_proj, radius, x, prox_at, check, opts):
     """Chambolle-Pock on min_x F(x) + radius * base(K x) from x, with
     ``prox_at(tau)`` the prox of tau * F.  It returns the first converged
-    ``check(x, p, it)``, p the dual iterate, of those run every
-    ``CHECK_EVERY`` iterations, else ``check(x, p, opts.max_iter)``."""
+    ``check(x, p, it)``, p the dual iterate, run every ``CHECK_EVERY``
+    iterations and at ``opts.max_iter``, else the last."""
     normK = power_operator_norm(K)
     sigma = tau = 0.99 / normK if normK > 0 else 1.0
     prox = prox_at(tau)
@@ -734,11 +735,11 @@ def _chambolle_pock(K, dual_proj, radius, x, prox_at, check, opts):
         x_new = prox(x - tau * (K.T @ p))
         xbar = 2.0 * x_new - x
         x = x_new
-        if it % CHECK_EVERY == 0:
+        if it % CHECK_EVERY == 0 or it == opts.max_iter:
             res = check(x, p, it)
             if res.converged:
                 return res
-    return check(x, p, opts.max_iter)
+    return res
 
 
 def _primal_dual_penalized(Phi, y, lam, g, opts):
@@ -907,24 +908,30 @@ def _primal_dual_noiseless(Phi, y, g, opts):
 def solve_restricted(Phi, y, lam, md, opts=None):
     """Minimize the penalized objective over the model subspace of md.
 
-    When the sign-like vector is locally constant on the model cone (L1,
-    Linf, polyhedral and analysis kinds) the minimizer has the closed form
+    On a polyhedral model (L1, Linf, the positive-part max, and their sums
+    and pre-compositions) the sign-like vector e is constant on the model
+    cone, and the minimizer has the closed form
     Phi_T^+ (y - lam (Phi_T^+)^* e) restricted to T, which needs Phi to be
     injective on T (else ``RestrictedInjectivityError``).  For the group
-    regularizer e varies with the point; Newton's method on the active
-    blocks, started at md.x, minimizes the block-norm problem.  It needs a
-    nonsingular Hessian at md.x rather than injectivity, since group
-    solutions with dim T > Q are often unique; ``converged`` reports whether
-    its residual met ``opts.tol``.  Newton gives up as soon as neither a
-    full nor a half step decreases the residual, as on a wrong model, whose
-    minimizer over T wants an active block to vanish.  It then returns its
-    last iterate, and ``converged`` says whether that iterate's residual
-    already met ``opts.tol``; on a wrong model it has not.
+    regularizer, and L2 as its one-block case, e varies with the point;
+    Newton's method on the active blocks, started at md.x, minimizes the
+    block-norm problem.  It needs a nonsingular Hessian at md.x rather than
+    injectivity, since group solutions with dim T > Q are often unique;
+    ``converged`` reports whether its residual met ``opts.tol``.  Newton
+    gives up as soon as neither a full nor a half step decreases the
+    residual, as on a wrong model, whose minimizer over T wants an active
+    block to vanish.  It then returns its last iterate, and ``converged``
+    says whether that iterate's residual already met ``opts.tol``; on a
+    wrong model it has not.  A sum or pre-composition with an L2 or group
+    part raises ``UnsupportedGaugeError``: e varies there too.
     """
     Phi, y, _ = check_problem(Phi, y, dim=md.ambient_dim, lam=lam)
     opts = opts or SolveOptions()
-    if isinstance(md.gauge, GroupL1L2):
+    if isinstance(md.gauge, (GroupL1L2, L2)):
         return _group_newton(Phi, y, lam, md, opts.tol)
+    if not _polyhedral(md.gauge):
+        raise UnsupportedGaugeError("no restricted solve over a sum or "
+                                    "pre-composition with a smooth part")
     U = md.T.basis
     M = Phi @ U
     # the injectivity gate and the pseudo-inverse share one SVD of Phi_T
@@ -936,6 +943,16 @@ def solve_restricted(Phi, y, lam, md, opts=None):
     res = np.max(np.abs(M.T @ (y - Phi @ x) - lam * (U.T @ md.e)),
                  initial=0.0)
     return SolveResult(x, 1, res / (1.0 + lam), 0.0, True, "closed-form")
+
+
+def _polyhedral(g):
+    """Whether g is L1, Linf or the positive-part max, or is built from
+    them by sums and pre-composition."""
+    if isinstance(g, SumGauge):
+        return all(map(_polyhedral, g.parts))
+    if isinstance(g, Precomposed):
+        return _polyhedral(g.base)
+    return isinstance(g, (L1, Linf, PositivePartMax))
 
 
 def _restricted_affine(Mp, y, U, lam, e):
@@ -956,12 +973,14 @@ def _group_newton(Phi, y, lam, md, tol, max_iter=50):
     passes; a step that has to be damped further comes from a wrong model,
     whose minimizer over T wants an active block to vanish, where more
     steps, each with an ``eigh``, would not converge.  ``owner`` is the
-    block of each column of U, so block norms are one ``bincount``."""
+    block of each column of U (one block for L2), so block norms are one
+    ``bincount``."""
     U = md.T.basis
     M = Phi @ U
     G = M.T @ M
     Mty = M.T @ y
-    owner = md.gauge.partition.block_of[np.argmax(U != 0.0, axis=0)]
+    owner = (np.zeros(U.shape[1], dtype=np.intp) if isinstance(md.gauge, L2)
+             else md.gauge.partition.block_of[np.argmax(U != 0.0, axis=0)])
     same = owner[:, None] == owner[None, :]
 
     def col_norms(c):

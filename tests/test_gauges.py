@@ -162,7 +162,7 @@ class TestPolar:
     def test_sum_polar_nonoptimal_lp_raises(self, monkeypatch):
         # the split LP is feasible and bounded below by 0
         monkeypatch.setattr(gauges_mod, "lp_min_max",
-                            lambda h, G: LpResult(INFEASIBLE))
+                            lambda h, G, b: LpResult(INFEASIBLE))
         with pytest.raises(LpNumericalError):
             SumGauge([L1(3), Linf(3)]).polar(np.ones(3))
 

@@ -295,14 +295,17 @@ def test_unbounded_problems():
                               bounds=[(0, None)] * n, status=UNBOUNDED)
 
 
-def _min_max_by_highs(h, G):
+def _min_max_by_highs(h, G, b=None):
+    """The value of ``lp_min_max(h, G, b)`` by HiGHS, +inf where its hard
+    rows (b_j = 0) have no solution."""
     m, k = G.shape
+    b = np.ones(m) if b is None else b
     c = np.zeros(k + 1)
     c[-1] = 1.0
-    ref = linprog(c, A_ub=np.hstack([G, -np.ones((m, 1))]), b_ub=-h,
+    ref = linprog(c, A_ub=np.hstack([G, -b[:, None]]), b_ub=-h,
                   bounds=[(None, None)] * k + [(0, None)], method="highs")
-    assert ref.status == 0
-    return ref.fun
+    assert ref.status in (0, 2)    # optimal or infeasible
+    return ref.fun if ref.status == 0 else np.inf
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -316,6 +319,39 @@ def test_min_max_matches_highs(seed):
     assert res.status == OPTIMAL
     assert abs(res.value - _min_max_by_highs(h, G)) <= 1e-9
     assert abs(max(0.0, np.max(h + G @ res.x)) - res.value) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_min_max_with_hard_rows_matches_highs(seed):
+    # rows of b_j = 0 are the hard constraints h_j + (G w)_j <= 0, strictly
+    # met at a random w0; the other rows have offsets b_j in [0.5, 2]
+    rng = np.random.default_rng([18, seed])
+    m, k = int(rng.integers(4, 30)), int(rng.integers(1, 5))
+    G = np.vstack([rng.standard_normal((m, k)), np.eye(k), -np.eye(k)])
+    b = rng.uniform(0.5, 2.0, len(G))
+    hard = rng.random(len(G)) < 0.3
+    hard[0] = True
+    b[hard] = 0.0
+    h = rng.standard_normal(len(G)) - float(seed % 2)
+    w0 = 3.0 * rng.standard_normal(k)
+    h[hard] = -(G[hard] @ w0) - rng.uniform(0.0, 1.0, int(hard.sum()))
+    res = lp_min_max(h, G, b)
+    assert res.status == OPTIMAL
+    assert abs(res.value - _min_max_by_highs(h, G, b)) <= 1e-9
+    r = h + G @ res.x
+    assert np.max(r[hard]) <= 1e-9
+    assert abs(max(0.0, np.max(r[~hard] / b[~hard])) - res.value) <= 1e-9
+
+
+def test_min_max_with_contradicting_hard_rows_is_infeasible():
+    # g w <= -1 and -g w <= -1 have no common solution
+    rng = np.random.default_rng(19)
+    g = rng.standard_normal(3)
+    G = np.vstack([g, -g, rng.standard_normal((6, 3))])
+    h = np.concatenate([[1.0, 1.0], rng.standard_normal(6)])
+    b = np.concatenate([[0.0, 0.0], np.ones(6)])
+    assert _min_max_by_highs(h, G, b) == np.inf
+    assert lp_min_max(h, G, b).status == INFEASIBLE
 
 
 def test_min_max_without_free_directions():

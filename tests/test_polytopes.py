@@ -8,7 +8,7 @@ from scipy.spatial import ConvexHull, cKDTree
 
 import gaugerec.polytopes as polytopes
 from gaugerec.linalg import null_space, svd_pinv
-from gaugerec.lp import lp_min_halfspaces, OPTIMAL
+from gaugerec.lp import lp_min_halfspaces, lp_min_max, OPTIMAL
 from gaugerec.polytopes import (Polytope, random_polytope,
                                 polytope_intersection_polar,
                                 minkowski_sum_gauge, linear_image_gauge,
@@ -173,6 +173,25 @@ class TestMinkowskiGauge:
             b = S.gauge(x)
             assert abs(a - b) <= 1e-7 * (1.0 + abs(b))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_origin_on_boundary_matches_hull(self, d, rng):
+        # 0 is a vertex of both sets: their facets through it (offset 0)
+        # are hard rows of the split LP, and outside the cone of the sum
+        # the gauge is +inf
+        A = Polytope.from_vertices(np.vstack([np.zeros(d), np.eye(d)]))
+        B = Polytope.from_vertices(
+            np.vstack([np.zeros(d), np.eye(d) + np.eye(d, k=1)]))
+        assert max(np.min(A.offsets), np.min(B.offsets)) <= VERTEX_TOL
+        S = A.minkowski_sum(B)
+        X = np.vstack([rng.standard_normal((30, d)),
+                       np.abs(rng.standard_normal((20, d))),
+                       np.zeros((1, d)), np.eye(d)])
+        vals = [minkowski_sum_gauge(A, B, x) for x in X]
+        refs = [S.gauge(x) for x in X]
+        assert np.isinf(vals).any() and np.isfinite(vals).any()
+        for val, ref in zip(vals, refs):
+            assert val == ref == np.inf or abs(val - ref) <= 1e-9 * (1 + ref)
+
 
 class TestLinearImageGauge:
     def test_identity_map(self, rng):
@@ -207,9 +226,9 @@ class TestLinearImageGauge:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return lp_min_halfspaces(*args, **kwargs)
+            return lp_min_max(*args, **kwargs)
 
-        monkeypatch.setattr(polytopes, "lp_min_halfspaces", counted)
+        monkeypatch.setattr(polytopes, "lp_min_max", counted)
         return calls
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
-from gaugerec.gauges import (L1, Linf, GroupL1L2, PolyhedralH, Precomposed,
-                             PositivePartMax, SumGauge, BlockPartition,
-                             UnsupportedGaugeError)
+from gaugerec.gauges import (L1, L2, Linf, GroupL1L2, PolyhedralH,
+                             Precomposed, PositivePartMax, SumGauge,
+                             BlockPartition, UnsupportedGaugeError)
 from gaugerec.linalg import restricted_injectivity, svd_pinv
 from gaugerec.lp import LpProblem, lp_solve
 from gaugerec.model import decompose, decompose_l1, decompose_group, tv1d_gauge
@@ -382,6 +383,43 @@ class TestSplittingKernels:
             for b, keep in zip(part, inside):
                 if keep:
                     assert np.array_equal(out[b], p[b])
+
+
+class TestLastCheck:
+    @pytest.mark.parametrize("max_iter", [250, 300])
+    def test_chambolle_pock_checks_max_iter_once(self, max_iter):
+        # checks run every CHECK_EVERY iterations and at max_iter, each once
+        its = []
+
+        def check(x, p, it):
+            its.append(it)
+            return solvers.SolveResult(x, it, 1.0, 1.0, False, "pd")
+
+        res = solvers._chambolle_pock(
+            np.eye(3), lambda p, lam: np.clip(p, -lam, lam), 1.0,
+            np.ones(3), lambda tau: (lambda v: v), check,
+            SolveOptions(max_iter=max_iter))
+        every = solvers.CHECK_EVERY
+        assert its == sorted(set(range(every, max_iter + 1, every))
+                             | {max_iter})
+        assert res.iterations == max_iter and not res.converged
+
+    def test_fista_tests_its_last_iterate_once(self, monkeypatch):
+        # with max_iter a multiple of CHECK_EVERY, the check at max_iter has
+        # the residuals of the returned x, and they are not computed again
+        Phi, y, lam, g = _penalized_instance("group", 3)
+        seen = []
+        residuals = solvers._first_order_residuals
+
+        def spy(Phi, y, lam, g, x, md=None):
+            seen.append(x.copy())
+            return residuals(Phi, y, lam, g, x, md)
+
+        monkeypatch.setattr(solvers, "_first_order_residuals", spy)
+        res = solvers._fista(Phi, y, lam, g, SolveOptions(
+            tol=0.0, max_iter=2 * solvers.CHECK_EVERY))
+        assert not res.converged and res.iterations == 2 * solvers.CHECK_EVERY
+        assert sum(np.array_equal(x, res.x_hat) for x in seen) == 1
 
 
 class TestPolishedExit:
@@ -1332,6 +1370,46 @@ class TestRestricted:
         assert not restricted_injectivity(Phi, md.T)
         with pytest.raises(RestrictedInjectivityError):
             solve_restricted(Phi, Phi @ x0, 0.1, md)
+
+    def test_l2_takes_newton_to_the_minimizer(self, rng):
+        # e = x / ||x|| varies on T = R^5, so the minimizer is no affine
+        # solve: it is x(mu) = (Phi^T Phi + mu I)^{-1} Phi^T y with
+        # mu ||x(mu)|| = lam, mu found by bisection
+        Phi = rng.standard_normal((8, 5))
+        y = rng.standard_normal(8)
+        lam = 1.0
+        assert np.linalg.norm(Phi.T @ y) > lam
+
+        def x_of(mu):
+            return np.linalg.solve(Phi.T @ Phi + mu * np.eye(5), Phi.T @ y)
+
+        mu = scipy.optimize.brentq(
+            lambda mu: mu * np.linalg.norm(x_of(mu)) - lam, 1e-12, 1e6,
+            xtol=1e-15, rtol=1e-15)
+        md = decompose(L2(5), rng.standard_normal(5))
+        res = solve_restricted(Phi, y, lam, md)
+        assert res.converged and res.method == "newton"
+        assert np.max(np.abs(res.x_hat - x_of(mu))) <= 1e-8
+        assert check_noisy_optimality(
+            Phi, y, lam, res.x_hat,
+            md=decompose(L2(5), res.x_hat)) != "not_optimal"
+
+    @pytest.mark.parametrize("make", [
+        lambda r, part: Precomposed(L2(3), r.standard_normal((3, 4))),
+        lambda r, part: Precomposed(GroupL1L2(part),
+                                    r.standard_normal((4, 4))),
+        lambda r, part: SumGauge([L1(4), GroupL1L2(part)]),
+        lambda r, part: SumGauge([Linf(4), L2(4)]),
+    ], ids=["precomposed-l2", "precomposed-group", "l1-plus-group",
+            "linf-plus-l2"])
+    def test_smooth_part_in_a_sum_or_precomposition_raises(self, make, rng):
+        # e varies with the point on a Euclidean or group part, so the
+        # affine solve with the e of md.x is no minimizer on T
+        g = make(rng, BlockPartition([[0, 1], [2, 3]], 4))
+        md = decompose(g, rng.standard_normal(4))
+        with pytest.raises(UnsupportedGaugeError):
+            solve_restricted(rng.standard_normal((6, 4)),
+                             rng.standard_normal(6), 1.0, md)
 
     def test_group_singular_hessian_raises(self):
         # blocks of size one add nothing to the Hessian, and Phi vanishes
