@@ -4,10 +4,16 @@ Subspaces are represented by matrices with orthonormal columns.  Rank
 decisions everywhere use the same relative singular-value cutoff
 (``sigma_max * max(shape) * eps * 64``) so that projections, pseudo-inverses
 and injectivity tests stay mutually consistent.
+
+scipy is not imported with this module: ``_scipy_linalg`` imports
+``scipy.linalg`` on its first call.  Its callers are the pivoted QR of
+``orthonormal_columns`` here and the Cholesky factors of the path and
+Chambolle-Pock solves in ``solvers``; everything else here is numpy.
 """
 
+import functools
+
 import numpy as np
-import scipy.linalg
 
 EPS = np.finfo(float).eps
 RANK_TOL_FACTOR = 64.0
@@ -35,14 +41,24 @@ def numerical_rank(s, shape):
     return int(np.sum(s > rank_tolerance(s[0] if s.size else 0.0, shape)))
 
 
+@functools.cache
+def _scipy_linalg():
+    """The ``scipy.linalg`` module, imported on the first call, so that a
+    process whose solves and certificates run on numpy alone never loads
+    it; a later call costs one cached lookup."""
+    import scipy.linalg
+    return scipy.linalg
+
+
 def orthonormal_columns(M):
-    """Orthonormal basis of the column span of M (Householder QR, pivoted)."""
+    """Orthonormal basis of the column span of M (Householder QR, pivoted,
+    by ``scipy.linalg.qr``, which is imported by the first call)."""
     M = check_finite(M, "M")
     if M.ndim == 1:
         M = M[:, None]
     if M.size == 0 or not np.any(M):
         return np.zeros((M.shape[0], 0))
-    Q, R, _ = scipy.linalg.qr(M, mode="economic", pivoting=True)
+    Q, R, _ = _scipy_linalg().qr(M, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     tol = rank_tolerance(diag[0] if diag.size else 0.0, M.shape)
     rank = int(np.sum(diag > tol))

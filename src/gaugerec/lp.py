@@ -32,6 +32,9 @@ are the lifted ``model.SubdiffGauge``, ``solvers._max_atoms_lp``,
 ``polytopes.linear_image_gauge`` and ``cli._cone_sum_gauge``.
 """
 
+import math
+import numbers
+
 import numpy as np
 
 FEAS_TOL = 1e-9
@@ -47,6 +50,10 @@ _DRIFTED = "drifted"   # internal: optimal basis, infeasible once refactored
 
 class LpNumericalError(RuntimeError):
     """Raised when the simplex cannot certify any of the three outcomes."""
+
+
+def _finite_or_none(v):
+    return v is None or (isinstance(v, numbers.Real) and math.isfinite(v))
 
 
 class LpProblem:
@@ -70,6 +77,15 @@ class LpProblem:
             raise ValueError("a_eq/b_eq shape mismatch")
         if len(self.bounds) != n:
             raise ValueError("bounds length mismatch")
+        # a run of one pair object, as in [(0, None)] * n, is checked once
+        last = None
+        for j, pair in enumerate(self.bounds):
+            if pair is last:
+                continue
+            lo, hi = last = pair
+            if not (_finite_or_none(lo) and _finite_or_none(hi)):
+                raise ValueError(f"bounds[{j}] = {(lo, hi)!r}: each bound "
+                                 f"must be None or a finite real")
 
     @property
     def n_vars(self):

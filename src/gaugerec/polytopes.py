@@ -35,13 +35,18 @@ over the pairs within tolerance that a KD-tree reports.  The LPs here have
 few variables and many ``<=`` rows, so they go through their duals: the
 Chebyshev centre by ``lp.lp_min_halfspaces``, and the Minkowski-sum and
 kernel linear-image gauges by ``lp.lp_min_max`` on the facet offsets.
+
+scipy is not imported with this module.  The hull (``ConvexHull``,
+``QhullError``) and the KD-tree (``cKDTree``) are bound here from
+``scipy.spatial`` by the first hull or dedupe (``_bind_spatial``), or by
+the first read of one of those names as an attribute of the module; a name
+already bound, or patched by a caller, is kept.
 """
 
 import functools
 import numbers
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .linalg import RankedSvd
 from .lp import lp_min_halfspaces, lp_min_max, OPTIMAL
@@ -54,6 +59,26 @@ HULL_MEMO_SIZE = 8         # point sets whose qhull output is kept
 # of the loaded points: far below the 1e-5 relative gap at which a polar
 # identity fails
 JSON_HULL_TOL = 1e-6
+
+
+_SPATIAL_NAMES = ("ConvexHull", "QhullError", "cKDTree")
+
+
+@functools.cache
+def _bind_spatial():
+    """Import ``scipy.spatial`` and bind each of ``_SPATIAL_NAMES`` that
+    this module does not hold yet as one of its globals."""
+    import scipy.spatial
+    for name in _SPATIAL_NAMES:
+        globals().setdefault(name, getattr(scipy.spatial, name))
+
+
+def __getattr__(name):
+    # only names not bound yet reach here (PEP 562)
+    if name in _SPATIAL_NAMES:
+        _bind_spatial()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PolytopeError(ValueError):
@@ -77,6 +102,7 @@ def _dedupe_rows(rows, tol):
     rows = rows[np.sort(idx)]
     if len(rows) <= 1:
         return rows
+    _bind_spatial()
     pairs = cKDTree(rows).query_pairs(tol, output_type="ndarray")
     keep = np.ones(len(rows), dtype=bool)
     # in (i, j) order every pair (k, i), k < i, is settled before i is read
@@ -110,6 +136,7 @@ def _qhull(shape, data):
     float64 points with the given shape and bytes."""
     points = np.frombuffer(data).reshape(shape)
     joggled = False
+    _bind_spatial()
     try:
         hull = ConvexHull(points)
     except QhullError:

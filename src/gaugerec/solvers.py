@@ -76,16 +76,22 @@ Ker(Phi), by ``lp.lp_min_max``, whose dual has dim Ker(Phi) + 1 rows
 instead of about Q + 2N.  The minimal-norm point xls, which also tests
 that y lies in the range of Phi, and Z come from one SVD of Phi with the
 rank cutoff of ``linalg.rank_tolerance``.
+
+scipy is imported by the first solve that needs it, not with this module
+(``linalg._scipy_linalg``): the Cholesky factors of a path event
+(``_gram_solve``, LAPACK ``dpotrf``/``dpotrs``) and of the Chambolle-Pock
+least-squares prox (``cho_factor``/``cho_solve``).  FISTA and the
+noiseless LPs run on numpy alone.
 """
 
 import math
 import numbers
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (check_problem, null_space, svd_pinv, pinv_and_rank,
-                     power_operator_norm, rank_tolerance, RankedSvd)
+                     power_operator_norm, rank_tolerance, RankedSvd,
+                     _scipy_linalg)
 from .lp import LpProblem, lp_solve, lp_min_max, OPTIMAL
 from .gauges import (L1, L2, Linf, GroupL1L2, PositivePartMax,
                      Precomposed, SumGauge, UnsupportedGaugeError,
@@ -492,10 +498,11 @@ def _gram_solve(GA, rhs, cutoff):
     ``PathError`` where G is singular to working precision: empty, or a
     pivot, the squared distance of a column from the span of those before
     it, at or below ``cutoff``."""
-    L, info = scipy.linalg.lapack.dpotrf(GA, lower=1)
+    lapack = _scipy_linalg().lapack
+    L, info = lapack.dpotrf(GA, lower=1)
     if info != 0 or not L.size or L.diagonal().min() ** 2 <= cutoff:
         raise PathError("the active Gram matrix is singular")
-    return scipy.linalg.lapack.dpotrs(L, rhs, lower=1)[0]
+    return lapack.dpotrs(L, rhs, lower=1)[0]
 
 
 def _fista(Phi, y, lam, g, opts):
@@ -798,8 +805,9 @@ def _least_squares_prox(Phi, y, tau):
     with np.errstate(over="ignore", invalid="ignore"):
         A = np.eye(n) + tau * (Phi.T @ Phi)
     _require_finite(Phi, y, "I + tau Phi^T Phi", A)
-    chol = scipy.linalg.cho_factor(A, check_finite=False)
-    M = scipy.linalg.cho_solve(chol, np.eye(n), check_finite=False)
+    sla = _scipy_linalg()
+    chol = sla.cho_factor(A, check_finite=False)
+    M = sla.cho_solve(chol, np.eye(n), check_finite=False)
     c = tau * (M @ (Phi.T @ y))
     _require_finite(Phi, y, "the least-squares prox", c)
     return lambda v: M @ v + c

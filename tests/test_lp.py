@@ -26,6 +26,27 @@ def test_unbounded():
     assert res.status == UNBOUNDED
 
 
+@pytest.mark.parametrize("bad", [(np.nan, None), (0, np.inf), (-np.inf, 1),
+                                 (0, "1")])
+@pytest.mark.parametrize("solve", [
+    lambda bounds: lp_solve(LpProblem([-1, -1], a_ub=[[1, 2]], b_ub=[4],
+                                      bounds=bounds)),
+    lambda bounds: lp_min_halfspaces([-1, -1], [[1, 2]], [4], bounds=bounds),
+], ids=["lp_solve", "lp_min_halfspaces"])
+def test_bound_that_is_not_a_finite_real_is_rejected(solve, bad):
+    # a nan bound used to give "optimal" with a nan x and value, an infinite
+    # one a bare ValueError from the ratio test's tie-break
+    with pytest.raises(ValueError, match=r"bounds\[1\]"):
+        solve([(0, None), bad])
+
+
+def test_finite_numpy_bounds_are_accepted():
+    res = lp_solve(LpProblem([-1, -1], a_ub=[[1, 2]], b_ub=[4],
+                             bounds=[(np.float64(0), np.int64(3)), (0, None)]))
+    assert res.status == OPTIMAL
+    assert np.array_equal(res.x, [3.0, 0.5])
+
+
 def _ref_status(r):
     return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(r.status, "other")
 
