@@ -69,7 +69,7 @@ class LpProblem:
         self.bounds = list(bounds)
         for arr, name in ((self.c, "c"), (self.a_ub, "a_ub"), (self.b_ub, "b_ub"),
                           (self.a_eq, "a_eq"), (self.b_eq, "b_eq")):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite data in {name}")
         if self.a_ub.shape != (self.b_ub.shape[0], n):
             raise ValueError("a_ub/b_ub shape mismatch")
@@ -117,12 +117,21 @@ def _to_standard_form(p):
     vector z back to the original variables, rows are ordered [eq; ub], and
     row signs are not yet normalized.  A variable with a lower bound lo is
     z_k + lo; a free one is z_k - z_{k+1}; an upper bound adds a row to a_ub.
+    A problem of equalities over lower-bounded variables, as the dual of
+    ``lp_min_halfspaces``, passes through with its matrix copied.
     """
     n = p.n_vars
     lo = [lb for lb, _ in p.bounds]
+    hi = [ub for _, ub in p.bounds]
+    if not p.b_ub.shape[0] and None not in lo and hi.count(None) == n:
+        # the bytes of the general case: adding into zeros is a_eq + 0.0
+        shifts = np.array(lo, dtype=float)
+        orig = np.ascontiguousarray(p.a_eq)
+        return (orig + 0.0, p.b_eq - orig @ shifts, p.c.copy(),
+                lambda z: shifts + z, p.b_eq.shape[0], 0)
     free = np.array([v is None for v in lo], dtype=bool)
     shifts = np.array([0.0 if v is None else v for v in lo], dtype=float)
-    upper = [j for j, (_, hi) in enumerate(p.bounds) if hi is not None]
+    upper = [j for j, ub in enumerate(hi) if ub is not None]
     # standard column of each variable's positive part; a free variable's
     # negative part follows it
     pos = np.arange(n) + np.cumsum(free) - free
@@ -160,8 +169,11 @@ class _Simplex:
 
     def __init__(self, A, b, c, refactor_every=REFACTOR_EVERY):
         flip = b < 0
-        self.A = np.where(flip[:, None], -A, A)
-        self.b = np.where(flip, -b, b)
+        if flip.any():
+            A = np.where(flip[:, None], -A, A)
+            b = np.where(flip, -b, b)
+        self.A = A
+        self.b = b
         self.flip = flip
         self.c = c
         self.m, self.n = self.A.shape
@@ -171,120 +183,133 @@ class _Simplex:
     def solve(self):
         m, n = self.m, self.n
         # Phase 1.  Unflipped slack columns (unit columns with +1) can serve
-        # directly as the starting basis; other rows get an artificial.
-        basis = [-1] * m
-        col_is_unit = (np.abs(self.A) > 0).sum(axis=0) == 1
-        for j in np.flatnonzero(col_is_unit):
-            i = int(np.argmax(np.abs(self.A[:, j])))
-            if basis[i] == -1 and self.A[i, j] == 1.0:
+        # directly as the starting basis, the first one of each row; other
+        # rows get an artificial.
+        basis = np.full(m, -1)
+        unit = np.flatnonzero(np.count_nonzero(self.A, axis=0) == 1)
+        at = np.abs(self.A[:, unit]).argmax(axis=0)
+        for j, i in zip(unit.tolist(), at.tolist()):
+            if basis[i] < 0 and self.A[i, j] == 1.0:
                 basis[i] = j
-        need_art = [i for i in range(m) if basis[i] == -1]
-        art = np.zeros((m, len(need_art)))
-        for k, i in enumerate(need_art):
-            art[i, k] = 1.0
-            basis[i] = n + k
-        A1 = np.hstack([self.A, art])
-        c1 = np.concatenate([np.zeros(n), np.ones(len(need_art))])
-        basis, xB, ok = self._iterate(A1, c1, basis, phase=1)
+        need_art = np.flatnonzero(basis < 0)
+        basis[need_art] = n + np.arange(need_art.size)
+        A1 = np.zeros((m, n + need_art.size))
+        A1[:, :n] = self.A
+        A1[need_art, basis[need_art]] = 1.0
+        c1 = np.zeros(n + need_art.size)
+        c1[n:] = 1.0
+        basis, xB, ok, Binv = self._iterate(A1, c1, basis, phase=1)
         if not ok:
             raise LpNumericalError("phase 1 did not terminate cleanly")
         scale = 1.0 + np.abs(self.b).sum()
         if float(c1[basis] @ xB) > 1e-7 * scale:
             return INFEASIBLE, None, None, None
-        basis, keep_rows = self._drive_out_artificials(A1, basis, n)
-        rows = np.asarray(keep_rows, dtype=int)
+        basis, rows = self._drive_out_artificials(A1, basis, n, Binv)
         A = A1[np.ix_(rows, np.arange(n))]
         saved_b = self.b
         self.b = saved_b[rows]
-        basis, xB, ok = self._iterate(A, self.c, basis, phase=2)
+        basis, xB, ok, Binv = self._iterate(A, self.c, basis, phase=2)
         self.b = saved_b
         if not ok:
             return UNBOUNDED, None, None, None
         # xB is updated in place and clipped at 0, which can hide the drift
         # of the eta updates: check the refactored basic solution
-        Binv = self._invert(A, basis)
+        if Binv is None:
+            Binv = self._invert(A, basis)
         scale = 1.0 + np.abs(self.b).max()
         if np.min(Binv @ self.b[rows]) < -FEAS_TOL * scale:
             return _DRIFTED, None, None, None
         z = np.zeros(n)
-        z[np.asarray(basis)] = xB
+        z[basis] = xB
         y_rows = np.zeros(self.m)
-        y_rows[rows] = self.c[np.asarray(basis)] @ Binv
+        y_rows[rows] = self.c[basis] @ Binv
         y_rows = np.where(self.flip, -y_rows, y_rows)
         return OPTIMAL, z, float(self.c @ z), y_rows
 
-    def _drive_out_artificials(self, A1, basis, n):
+    def _drive_out_artificials(self, A1, basis, n, Binv):
         """Pivot each zero-level artificial out of the basis, on the real
         nonbasic column with the largest entry of its row of Binv A; rows
-        with no such entry are redundant and dropped."""
-        basis = list(basis)
-        redundant = []
-        Binv = self._invert(A1, basis)
-        for i in range(self.m):
-            if basis[i] < n:
-                continue
-            row = Binv[i] @ A1[:, :n]
-            row[[j for j in basis if j < n]] = 0.0
+        with no such entry are redundant and dropped.  Binv is the inverse
+        of the basis as ``_invert`` gives it, or None.  Returns the basis
+        and the rows kept."""
+        basis = basis.copy()
+        keep = np.ones(self.m, dtype=bool)
+        if Binv is None:
+            Binv = self._invert(A1, basis)
+        real = A1[:, :n]
+        basic = np.zeros(n, dtype=bool)
+        basic[basis[basis < n]] = True
+        for i in np.flatnonzero(basis >= n):
+            row = Binv[i] @ real
+            row[basic] = 0.0
             enter = int(np.argmax(np.abs(row)))
             if abs(row[enter]) <= 1e-9:
-                redundant.append(i)
+                keep[i] = False
                 continue
             # the eta update of a pivot on (i, enter)
             d = Binv @ A1[:, enter]
             coef = -d / d[i]
             coef[i] = 0.0
-            Binv += np.outer(coef, Binv[i])
+            Binv += coef[:, None] * Binv[i]
             Binv[i] /= d[i]
             basis[i] = enter
-        keep_rows = [i for i in range(self.m) if i not in redundant]
-        basis = [basis[i] for i in keep_rows]
-        return basis, keep_rows
+            basic[enter] = True
+        return basis[keep], np.flatnonzero(keep)
 
     def _iterate(self, A, c, basis, phase):
-        basis = list(basis)
+        """Price and pivot from ``basis`` to the end of a phase.  Returns
+        (basis, xB, ok, Binv), ok False where the phase is unbounded, and
+        Binv the inverse of the final basis where no eta update has touched
+        it since ``_invert`` gave it, else None."""
+        basis = np.array(basis)
+        m = basis.size
+        cB = c[basis]
         Binv = self._invert(A, basis)
         xB = np.maximum(Binv @ self.b, 0.0)
+        no_ratio = np.full(m, np.inf)
         bland = False
         degenerate_run = 0
+        max_degenerate = 2 * (A.shape[0] + 10)
         max_iter = 2000 + 40 * (A.shape[0] + A.shape[1])
         since_refactor = 0
         for _ in range(max_iter):
             # phase 1 is done once every basic artificial is at level 0
             # (xB >= 0): with b = 0 rows that is often before any pivot
-            cB = c[np.asarray(basis)]
             if phase == 1 and cB @ xB <= 0.0:
-                return basis, xB, True
+                break
             self.iterations += 1
-            y = cB @ Binv
-            reduced = c - y @ A
-            reduced[np.asarray(basis)] = 0.0
+            reduced = c - (cB @ Binv) @ A
+            reduced[basis] = 0.0
             if bland:
-                cand = np.flatnonzero(reduced < -COST_TOL)
+                cand = (reduced < -COST_TOL).nonzero()[0]
                 if cand.size == 0:
-                    return basis, xB, True
+                    break
                 enter = int(cand[0])
             else:
-                enter = int(np.argmin(reduced))
+                enter = int(reduced.argmin())
                 if reduced[enter] >= -COST_TOL:
-                    return basis, xB, True
+                    break
             d = Binv @ A[:, enter]
             pos = d > PIVOT_TOL
-            if not np.any(pos):
-                return basis, xB, False  # unbounded (phase 1 cannot reach here)
-            ratios = np.full(d.shape, np.inf)
-            ratios[pos] = xB[pos] / d[pos]
+            if not pos.any():
+                # unbounded (phase 1 cannot reach here)
+                return basis, xB, False, None
+            ratios = np.divide(xB, d, out=no_ratio.copy(), where=pos)
             theta = ratios.min()
-            ties = np.flatnonzero(ratios <= theta + 1e-12)
-            leave = int(min(ties, key=lambda i: basis[i]))
+            ties = (ratios <= theta + 1e-12).nonzero()[0]
+            # among tied rows, the one of the smallest basic column leaves
+            leave = int(ties[0] if ties.size == 1
+                        else ties[basis[ties].argmin()])
             if theta <= 1e-12:
                 degenerate_run += 1
-                if degenerate_run > 2 * (A.shape[0] + 10):
+                if degenerate_run > max_degenerate:
                     bland = True
             else:
                 degenerate_run = 0
             # pivot
             basis[leave] = enter
-            xB = xB - theta * d
+            cB[leave] = c[enter]
+            xB -= theta * d
             xB[leave] = theta
             np.maximum(xB, 0.0, out=xB)
             since_refactor += 1
@@ -293,15 +318,16 @@ class _Simplex:
                 xB = np.maximum(Binv @ self.b, 0.0)
                 since_refactor = 0
             else:
-                # rank-1 eta update of the basis inverse
+                # rank-1 eta update of the basis inverse, with the products
+                # of np.outer(coef, row); row ``leave`` is then overwritten
                 row = Binv[leave].copy()
-                coef = -d / d[leave]
-                coef[leave] = 0.0
-                Binv += np.outer(coef, row)
+                Binv += (-d / d[leave])[:, None] * row
                 Binv[leave] = row / d[leave]
-        raise LpNumericalError(
-            f"simplex iteration cap hit in phase {phase} "
-            f"(m={A.shape[0]}, n={A.shape[1]})")
+        else:
+            raise LpNumericalError(
+                f"simplex iteration cap hit in phase {phase} "
+                f"(m={A.shape[0]}, n={A.shape[1]})")
+        return basis, xB, True, Binv if since_refactor == 0 else None
 
     @staticmethod
     def _invert(A, basis):

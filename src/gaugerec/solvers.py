@@ -92,7 +92,8 @@ import numpy as np
 from .linalg import (check_problem, null_space, svd_pinv, pinv_and_rank,
                      power_operator_norm, rank_tolerance, RankedSvd,
                      _scipy_linalg)
-from .lp import LpProblem, lp_solve, lp_min_max, OPTIMAL
+from . import lp
+from .lp import LpProblem, lp_min_max, OPTIMAL
 from .gauges import (L1, L2, Linf, GroupL1L2, PositivePartMax,
                      Precomposed, SumGauge, UnsupportedGaugeError,
                      project_l1_ball, project_simplex_interior)
@@ -636,7 +637,9 @@ def _kernel_walk(Phi, md):
     atoms = base.support_atoms()
     if atoms is None:
         return
-    A = np.vstack([atoms @ K, np.zeros((1, K.shape[1]))])
+    if base is not md.gauge:
+        atoms = atoms @ K
+    A = np.vstack([atoms, np.zeros((1, K.shape[1]))])
     x, U, e = md.x, md.T.basis, md.e
     v = A @ x
     t = v.max()
@@ -671,7 +674,8 @@ def _kernel_walk(Phi, md):
 
 def _analysis_split(g):
     """(K, base) with J(x) = base(K x): (D*, base) for a pre-composition,
-    and (I, g) for a gauge that is its own base."""
+    and (I, g) for a gauge that is its own base, whose atoms its callers
+    then take as they are rather than multiply by I."""
     if isinstance(g, Precomposed):
         return g.dstar, g.base
     return np.eye(g.dim), g
@@ -854,7 +858,7 @@ def _noiseless_lp(Phi, y, g, xls, Z):
         c = np.ones(2 * n)
         a_eq = np.hstack([Phi, -Phi])
         prob = LpProblem(c, a_eq=a_eq, b_eq=y, bounds=[(0, None)] * (2 * n))
-        return lp_solve(prob), (lambda z: z[:n] - z[n:])
+        return lp.lp_solve(prob), (lambda z: z[:n] - z[n:])
     K, base = _analysis_split(g)
     if isinstance(base, L1):
         p = K.shape[0]
@@ -866,12 +870,13 @@ def _noiseless_lp(Phi, y, g, xls, Z):
         ])
         b_eq = np.concatenate([y, np.zeros(p)])
         bounds = [(None, None)] * n + [(0, None)] * (2 * p)
-        return (lp_solve(LpProblem(c, a_eq=a_eq, b_eq=b_eq, bounds=bounds)),
+        return (lp.lp_solve(LpProblem(c, a_eq=a_eq, b_eq=b_eq,
+                                      bounds=bounds)),
                 lambda z: z[:n])
     atoms = base.support_atoms()
     if atoms is None:
         return None
-    return _max_atoms_lp(xls, Z, atoms @ K)
+    return _max_atoms_lp(xls, Z, atoms if base is g else atoms @ K)
 
 
 def _max_atoms_lp(xls, Z, A):

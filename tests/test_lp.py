@@ -499,3 +499,158 @@ def test_standard_form_is_bit_identical_to_the_column_loop():
         assert new[4:] == old[4:]
         z = rng.standard_normal(new[0].shape[1])
         assert new[3](z).tobytes() == old[3](z).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the pivot loop against the list-based loop it replaced
+# ---------------------------------------------------------------------------
+
+def _iterate_loop(simplex, A, c, basis, phase):
+    """``_Simplex._iterate`` as a loop over a Python list basis, with the
+    ratios filled by a masked assignment and the ties broken by ``min``;
+    returns (basis, xB, ok)."""
+    basis = list(basis)
+    Binv = simplex._invert(A, basis)
+    xB = np.maximum(Binv @ simplex.b, 0.0)
+    bland = False
+    degenerate_run = 0
+    max_iter = 2000 + 40 * (A.shape[0] + A.shape[1])
+    since_refactor = 0
+    for _ in range(max_iter):
+        cB = c[np.asarray(basis)]
+        if phase == 1 and cB @ xB <= 0.0:
+            return basis, xB, True
+        simplex.iterations += 1
+        y = cB @ Binv
+        reduced = c - y @ A
+        reduced[np.asarray(basis)] = 0.0
+        if bland:
+            cand = np.flatnonzero(reduced < -lp.COST_TOL)
+            if cand.size == 0:
+                return basis, xB, True
+            enter = int(cand[0])
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -lp.COST_TOL:
+                return basis, xB, True
+        d = Binv @ A[:, enter]
+        pos = d > lp.PIVOT_TOL
+        if not np.any(pos):
+            return basis, xB, False
+        ratios = np.full(d.shape, np.inf)
+        ratios[pos] = xB[pos] / d[pos]
+        theta = ratios.min()
+        ties = np.flatnonzero(ratios <= theta + 1e-12)
+        leave = int(min(ties, key=lambda i: basis[i]))
+        if theta <= 1e-12:
+            degenerate_run += 1
+            if degenerate_run > 2 * (A.shape[0] + 10):
+                bland = True
+        else:
+            degenerate_run = 0
+        basis[leave] = enter
+        xB = xB - theta * d
+        xB[leave] = theta
+        np.maximum(xB, 0.0, out=xB)
+        since_refactor += 1
+        if since_refactor >= simplex.refactor_every:
+            Binv = simplex._invert(A, basis)
+            xB = np.maximum(Binv @ simplex.b, 0.0)
+            since_refactor = 0
+        else:
+            row = Binv[leave].copy()
+            coef = -d / d[leave]
+            coef[leave] = 0.0
+            Binv += np.outer(coef, row)
+            Binv[leave] = row / d[leave]
+    raise LpNumericalError("iteration cap")
+
+
+def _random_start(rng, trial):
+    """(A, b, c, basis, phase): a slack basis of [M, I] for phase 2, or an
+    artificial basis of [M, I] with unit costs on I for phase 1; small
+    integers in every other trial make ties in the ratio test."""
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 14))
+    if trial % 2:
+        M = rng.integers(-2, 3, (m, n)).astype(float)
+        b = rng.integers(0, 3, m).astype(float)
+        c = rng.integers(-2, 3, n).astype(float)
+    else:
+        M = rng.standard_normal((m, n))
+        b = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 2.0, m))
+        c = rng.standard_normal(n)
+    A = np.hstack([M, np.eye(m)])
+    basis = np.arange(n, n + m)
+    if trial % 4 < 2:
+        return A, b, np.concatenate([c, np.zeros(m)]), basis, 2
+    return A, b, np.concatenate([np.zeros(n), np.ones(m)]), basis, 1
+
+
+@pytest.mark.parametrize("refactor_every", [lp.REFACTOR_EVERY, 3])
+def test_iterate_is_bit_identical_to_the_list_loop(refactor_every):
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for trial in range(300):
+        A, b, c, basis, phase = _random_start(rng, trial)
+        new = lp._Simplex(A, b, c, refactor_every)
+        old = lp._Simplex(A, b, c, refactor_every)
+        got = new._iterate(A, c, basis, phase)
+        ref = _iterate_loop(old, A, c, basis, phase)
+        assert got[2] == ref[2]
+        assert list(got[0]) == ref[0]
+        assert got[1].tobytes() == ref[1].tobytes()
+        assert new.iterations == old.iterations
+        outcomes.add((phase, got[2], new.iterations > 3))
+    # both phases, unbounded ends and runs of several pivots are covered
+    assert outcomes >= {(1, True, True), (2, True, True), (2, False, True)}
+
+
+# ---------------------------------------------------------------------------
+# every LP is one call of lp.lp_solve, the name bench/spans.py wraps
+# ---------------------------------------------------------------------------
+
+def _spy_lp_solve(monkeypatch):
+    """Count the calls of ``lp.lp_solve`` and check that every simplex run
+    happens inside one."""
+    calls = []
+    depth = [0]
+    solve, run = lp.lp_solve, lp._Simplex.solve
+
+    def spy(problem):
+        calls.append(problem)
+        depth[0] += 1
+        try:
+            return solve(problem)
+        finally:
+            depth[0] -= 1
+
+    def run_spy(self):
+        assert depth[0] == 1, "a simplex ran outside lp.lp_solve"
+        return run(self)
+
+    monkeypatch.setattr(lp, "lp_solve", spy)
+    monkeypatch.setattr(lp._Simplex, "solve", run_spy)
+    return calls
+
+
+def test_each_lp_is_one_lp_solve_call(monkeypatch):
+    from gaugerec.gauges import L1, Linf, Precomposed
+    from gaugerec.solvers import solve_noiseless
+    calls = _spy_lp_solve(monkeypatch)
+    rng = np.random.default_rng(22)
+    G = np.vstack([rng.standard_normal((12, 3)), np.eye(3), -np.eye(3)])
+    assert lp_min_max(rng.standard_normal(len(G)), G).status == OPTIMAL
+    assert len(calls) == 1
+    res = lp_min_halfspaces(rng.standard_normal(4),
+                            rng.standard_normal((15, 4)),
+                            rng.uniform(0.1, 1.0, 15),
+                            bounds=[(-1.0, 1.0)] * 4)
+    assert res.status == OPTIMAL
+    assert len(calls) == 2
+    Phi = rng.standard_normal((5, 10))
+    y = Phi @ rng.standard_normal(10)
+    gauges = (L1(10), Linf(10), Precomposed(L1(9), np.diff(np.eye(10)).T),
+              Precomposed(Linf(12), rng.standard_normal((12, 10))))
+    for k, g in enumerate(gauges, start=3):
+        assert solve_noiseless(Phi, y, g).method == "lp"
+        assert len(calls) == k
