@@ -227,11 +227,14 @@ class _Simplex:
         return OPTIMAL, z, float(self.c @ z), y_rows
 
     def _drive_out_artificials(self, A1, basis, n, Binv):
-        """Pivot each zero-level artificial out of the basis, on the real
-        nonbasic column with the largest entry of its row of Binv A; rows
-        with no such entry are redundant and dropped.  Binv is the inverse
-        of the basis as ``_invert`` gives it, or None.  Returns the basis
-        and the rows kept."""
+        """Pivot each zero-level artificial out of the basis.  Its row of
+        Binv A, over the real nonbasic columns, offers every column whose
+        entry is at least half the largest in magnitude, and the one of
+        least cost enters: a pivot of good size that starts phase 2 nearer
+        its optimum than the largest entry would.  A row with no entry above
+        1e-9 is redundant and dropped.  Binv is the inverse of the basis as
+        ``_invert`` gives it, or None.  Returns the basis and the rows
+        kept."""
         basis = basis.copy()
         keep = np.ones(self.m, dtype=bool)
         if Binv is None:
@@ -240,12 +243,14 @@ class _Simplex:
         basic = np.zeros(n, dtype=bool)
         basic[basis[basis < n]] = True
         for i in np.flatnonzero(basis >= n):
-            row = Binv[i] @ real
-            row[basic] = 0.0
-            enter = int(np.argmax(np.abs(row)))
-            if abs(row[enter]) <= 1e-9:
+            size = np.abs(Binv[i] @ real)
+            size[basic] = 0.0
+            largest = size.max(initial=0.0)
+            if largest <= 1e-9:
                 keep[i] = False
                 continue
+            offered = (size >= 0.5 * largest).nonzero()[0]
+            enter = int(offered[self.c[offered].argmin()])
             # the eta update of a pivot on (i, enter)
             d = Binv @ A1[:, enter]
             coef = -d / d[i]

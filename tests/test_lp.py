@@ -654,3 +654,47 @@ def test_each_lp_is_one_lp_solve_call(monkeypatch):
     for k, g in enumerate(gauges, start=3):
         assert solve_noiseless(Phi, y, g).method == "lp"
         assert len(calls) == k
+
+
+# ---------------------------------------------------------------------------
+# the drive-out of zero-level artificials
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_min_max_with_tied_rows_matches_highs(seed):
+    # small integers: repeated rows, equal values and degenerate vertices
+    rng = np.random.default_rng([23, seed])
+    for _ in range(15):
+        m, k = int(rng.integers(2, 12)), int(rng.integers(1, 5))
+        G = rng.integers(-2, 3, (m, k)).astype(float)
+        G = np.vstack([G, G[: m // 2], np.eye(k), -np.eye(k)])
+        h = rng.integers(-2, 3, len(G)).astype(float)
+        res = lp_min_max(h, G)
+        assert res.status == OPTIMAL
+        assert abs(res.value - _min_max_by_highs(h, G)) <= 1e-9
+        assert abs(max(0.0, np.max(h + G @ res.x)) - res.value) <= 1e-9
+
+
+def _phase_items(seed, n_items, N=64, I=16, Qs=(50, 52, 54, 56, 58, 60)):
+    """(Phi, y) of the max-abs phase-transition items: |I| entries of x0
+    saturated at +-1, the rest uniform in (-1/2, 1/2), Phi Gaussian with Q
+    rows rotating over Qs."""
+    for i in range(n_items):
+        rng = np.random.default_rng([seed, 1, i])
+        x0 = np.zeros(N)
+        idx = rng.choice(N, size=I, replace=False)
+        x0[idx] = rng.choice([-1.0, 1.0], size=I)
+        rest = np.setdiff1d(np.arange(N), idx)
+        x0[rest] = rng.uniform(-0.5, 0.5, size=N - I)
+        Phi = rng.standard_normal((Qs[i % len(Qs)], N))
+        yield Phi, Phi @ x0
+
+
+def test_phase_transition_lps_take_few_pivots():
+    # the cost-aware drive-out starts phase 2 near its optimum: these 24
+    # LPs take 264 pivots, against 470 when the largest entry entered
+    from gaugerec.gauges import Linf
+    from gaugerec.solvers import solve_noiseless
+    pivots = sum(solve_noiseless(Phi, y, Linf(64)).iterations
+                 for Phi, y in _phase_items(7, 24))
+    assert pivots <= 275
