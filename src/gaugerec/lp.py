@@ -184,7 +184,7 @@ class _Simplex:
         m, n = self.m, self.n
         # Phase 1.  Unflipped slack columns (unit columns with +1) can serve
         # directly as the starting basis, the first one of each row; other
-        # rows get an artificial.
+        # rows get an artificial, scaled to its row (see _row_scales).
         basis = np.full(m, -1)
         unit = np.flatnonzero(np.count_nonzero(self.A, axis=0) == 1)
         at = np.abs(self.A[:, unit]).argmax(axis=0)
@@ -195,13 +195,16 @@ class _Simplex:
         basis[need_art] = n + np.arange(need_art.size)
         A1 = np.zeros((m, n + need_art.size))
         A1[:, :n] = self.A
-        A1[need_art, basis[need_art]] = 1.0
+        row_scale = np.ones(m)
+        row_scale[need_art] = _row_scales(self.A[need_art])
+        A1[need_art, basis[need_art]] = row_scale[need_art]
         c1 = np.zeros(n + need_art.size)
         c1[n:] = 1.0
         basis, xB, ok, Binv = self._iterate(A1, c1, basis, phase=1)
         if not ok:
             raise LpNumericalError("phase 1 did not terminate cleanly")
-        scale = 1.0 + np.abs(self.b).sum()
+        # the artificial levels are residuals in units of their rows
+        scale = 1.0 + np.abs(self.b / row_scale).sum()
         if float(c1[basis] @ xB) > 1e-7 * scale:
             return INFEASIBLE, None, None, None
         basis, rows = self._drive_out_artificials(A1, basis, n, Binv)
@@ -231,22 +234,23 @@ class _Simplex:
         Binv A, over the real nonbasic columns, offers every column whose
         entry is at least half the largest in magnitude, and the one of
         least cost enters: a pivot of good size that starts phase 2 nearer
-        its optimum than the largest entry would.  A row with no entry above
-        1e-9 is redundant and dropped.  Binv is the inverse of the basis as
-        ``_invert`` gives it, or None.  Returns the basis and the rows
-        kept."""
+        its optimum than the largest entry would.  A row whose entries all
+        vanish next to the scale of the rows it combines is redundant and
+        dropped.  Binv is the inverse of the basis as ``_invert`` gives it,
+        or None.  Returns the basis and the rows kept."""
         basis = basis.copy()
         keep = np.ones(self.m, dtype=bool)
         if Binv is None:
             Binv = self._invert(A1, basis)
         real = A1[:, :n]
+        row_max = np.abs(real).max(axis=1, initial=0.0)
         basic = np.zeros(n, dtype=bool)
         basic[basis[basis < n]] = True
         for i in np.flatnonzero(basis >= n):
             size = np.abs(Binv[i] @ real)
             size[basic] = 0.0
             largest = size.max(initial=0.0)
-            if largest <= 1e-9:
+            if largest <= 1e-9 * (np.abs(Binv[i]) @ row_max):
                 keep[i] = False
                 continue
             offered = (size >= 0.5 * largest).nonzero()[0]
@@ -340,6 +344,14 @@ class _Simplex:
             return np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError as exc:
             raise LpNumericalError(f"singular working basis: {exc}") from exc
+
+
+def _row_scales(A):
+    """The largest power of two at most the largest entry of each row of A
+    in magnitude (1/2 for a zero row).  An artificial of that size prices
+    and pivots its row alike at any scale of the data, and, as a power of
+    two, changes no choice where the row is already of order one."""
+    return np.ldexp(1.0, np.frexp(np.abs(A).max(axis=1, initial=0.0))[1] - 1)
 
 
 def lp_solve(problem):

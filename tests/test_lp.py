@@ -657,8 +657,40 @@ def test_each_lp_is_one_lp_solve_call(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the drive-out of zero-level artificials
+# the drive-out of zero-level artificials: scale and cost
 # ---------------------------------------------------------------------------
+
+SCALES = [10.0 ** e for e in range(-12, 10)]
+
+
+def test_min_max_value_does_not_depend_on_the_scale_of_G():
+    # w rescales, so the value is the same for every s; redundancy judged
+    # on an absolute scale dropped every G^T lam = 0 row below s = 1e-9
+    # and returned max(h), the value at w = 0
+    rng = np.random.default_rng(0)
+    h = rng.standard_normal(12)
+    G = rng.standard_normal((12, 3))
+    ref = _min_max_by_highs(h, G)
+    for s in SCALES:
+        res = lp_min_max(h, s * G)
+        assert res.status == OPTIMAL
+        assert abs(res.value - ref) <= 1e-9 * ref, s
+
+
+def test_noiseless_l1_does_not_depend_on_the_scale_of_phi():
+    # x0 is the l1 minimizer of Phi x = Phi x0 at every scale of (Phi, y);
+    # small scales used to drop every row and index an empty basis
+    from gaugerec.gauges import L1
+    from gaugerec.solvers import solve_noiseless
+    Phi = np.random.default_rng(1).standard_normal((6, 12))
+    x0 = np.zeros(12)
+    x0[[1, 5]] = [1.0, -2.0]
+    y = Phi @ x0
+    for s in SCALES:
+        res = solve_noiseless(s * Phi, s * y, L1(12))
+        assert res.method == "lp"
+        assert np.max(np.abs(res.x_hat - x0)) <= 1e-9, s
+
 
 @pytest.mark.parametrize("seed", range(6))
 def test_min_max_with_tied_rows_matches_highs(seed):
