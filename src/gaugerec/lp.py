@@ -457,12 +457,8 @@ def lp_minimize_linf(M, q):
     r, k = M.shape
     if k == 0 or r == 0:
         return float(np.max(np.abs(q), initial=0.0)), np.zeros(k)
-    # variables (w, t): rows M w + q <= t, -(M w + q) <= t
-    c = np.concatenate([np.zeros(k), [1.0]])
-    a_ub = np.vstack([np.hstack([M, -np.ones((r, 1))]),
-                      np.hstack([-M, -np.ones((r, 1))])])
-    b_ub = np.concatenate([-q, q])
-    res = lp_solve(LpProblem(c, a_ub=a_ub, b_ub=b_ub))
+    # ||M w + q||_inf is the max of the rows +-(M w + q)
+    res = lp_min_max(np.concatenate([q, -q]), np.vstack([M, -M]))
     if res.status != OPTIMAL:
         raise LpNumericalError(f"Chebyshev LP ended with status {res.status}")
-    return float(res.value), res.x[:k]
+    return float(res.value), res.x

@@ -707,6 +707,18 @@ def test_min_max_with_tied_rows_matches_highs(seed):
         assert abs(max(0.0, np.max(h + G @ res.x)) - res.value) <= 1e-9
 
 
+def test_chebyshev_matches_highs():
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        r, k = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        M = rng.standard_normal((r, k))
+        q = rng.standard_normal(r)
+        val, w = lp_minimize_linf(M, q)
+        ref = _min_max_by_highs(np.concatenate([q, -q]), np.vstack([M, -M]))
+        assert abs(val - ref) <= 1e-9
+        assert abs(np.max(np.abs(M @ w + q)) - val) <= 1e-9
+
+
 def _phase_items(seed, n_items, N=64, I=16, Qs=(50, 52, 54, 56, 58, 60)):
     """(Phi, y) of the max-abs phase-transition items: |I| entries of x0
     saturated at +-1, the rest uniform in (-1/2, 1/2), Phi Gaussian with Q
