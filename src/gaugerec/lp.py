@@ -194,7 +194,7 @@ class _Simplex:
         m, n = self.m, self.n
         # Phase 1.  Unflipped slack columns (unit columns with +1) can serve
         # directly as the starting basis, the first one of each row; other
-        # rows get an artificial, scaled to its row (see _row_scales).
+        # rows get an artificial.
         basis = np.full(m, -1)
         unit = np.flatnonzero((self.A != 0.0).sum(axis=0) == 1)
         at = np.abs(self.A[:, unit]).argmax(axis=0)
@@ -205,9 +205,13 @@ class _Simplex:
         basis[need_art] = n + np.arange(need_art.size)
         A1 = np.zeros((m, n + need_art.size))
         A1[:, :n] = self.A
+        # an artificial takes the scale of its row, the largest power of two
+        # at most the row's largest entry (1/2 for a zero row): it prices and
+        # pivots alike at any scale of the data and, as a power of two,
+        # changes no choice where the row is already of order one
         row_max = np.abs(self.A).max(axis=1, initial=0.0)
         row_scale = np.ones(m)
-        row_scale[need_art] = _row_scales(row_max[need_art])
+        row_scale[need_art] = np.ldexp(1.0, np.frexp(row_max[need_art])[1] - 1)
         A1[need_art, basis[need_art]] = row_scale[need_art]
         c1 = np.zeros(n + need_art.size)
         c1[n:] = 1.0
@@ -356,14 +360,6 @@ class _Simplex:
             return np.linalg.inv(A[:, basis])
         except np.linalg.LinAlgError as exc:
             raise LpNumericalError(f"singular working basis: {exc}") from exc
-
-
-def _row_scales(row_max):
-    """The largest power of two at most each row's largest magnitude (1/2
-    for a zero row).  An artificial of that size prices and pivots its row
-    alike at any scale of the data, and, as a power of two, changes no
-    choice where the row is already of order one."""
-    return np.ldexp(1.0, np.frexp(row_max)[1] - 1)
 
 
 def lp_solve(problem):
