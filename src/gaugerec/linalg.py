@@ -35,10 +35,12 @@ def rank_tolerance(sigma_max, shape):
     return sigma_max * max(shape) * EPS * RANK_TOL_FACTOR
 
 
-def numerical_rank(s, shape):
+def numerical_rank(s, shape, top=None):
     """Number of singular values s (sorted descending) of a matrix of the
-    given shape above the rank cutoff."""
-    return int(np.sum(s > rank_tolerance(s[0] if s.size else 0.0, shape)))
+    given shape above the rank cutoff of ``top``, the scale of a matrix that
+    it restricts, or else of s[0]."""
+    top = (s[0] if s.size else 0.0) if top is None else top
+    return int(np.sum(s > rank_tolerance(top, shape)))
 
 
 @functools.cache
@@ -65,13 +67,13 @@ def orthonormal_columns(M):
     return Q[:, :rank]
 
 
-def null_space(M):
-    """Orthonormal basis of Ker(M)."""
+def null_space(M, top=None):
+    """Orthonormal basis of Ker(M); ``top`` as in ``numerical_rank``."""
     M = check_finite(M, "M")
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
     u, s, vt = np.linalg.svd(M, full_matrices=True)
-    return vt[numerical_rank(s, M.shape):].T
+    return vt[numerical_rank(s, M.shape, top):].T
 
 
 class Subspace:
@@ -199,18 +201,18 @@ def project(v, T):
     return T.project(v)
 
 
-def svd_pinv(A):
-    """Moore-Penrose pseudo-inverse with the module-wide rank cutoff."""
-    return pinv_and_rank(A)[0]
+def svd_pinv(A, top=None):
+    """Moore-Penrose pseudo-inverse; ``top`` as in ``numerical_rank``."""
+    return pinv_and_rank(A, top)[0]
 
 
-def pinv_and_rank(A):
-    """``svd_pinv(A)`` and the numerical rank of A, from one thin SVD."""
+def pinv_and_rank(A, top=None):
+    """``svd_pinv(A, top)`` and the numerical rank of A, from one SVD."""
     A = check_finite(A, "A")
     if A.size == 0:
         return A.T.copy(), 0
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    kept = s > rank_tolerance(s[0] if s.size else 0.0, A.shape)
+    kept = np.arange(s.size) < numerical_rank(s, A.shape, top)
     inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
     return (vt.T * inv) @ u.T, int(kept.sum())
 

@@ -438,12 +438,15 @@ def precompose(md0, D, x):
         raise ValueError("md0 is not anchored at D^T x")
     B0 = md0.S.basis
     DS = D @ B0           # n x dim(S0) (the S0-restricted analysis operator)
-    T = Subspace.kernel_of(DS.T)
+    # B0 is orthonormal: DS's rank is judged on the scale of D, where a DS of
+    # round-off (H (e_1 - e_3) / sqrt(2) for equal columns of H) has rank 0
+    top = np.linalg.norm(D, 2)
+    T = Subspace(null_space(DS.T, top), _skip_checks=True)
     S = T.complement()
     e = T.project(D @ md0.e)
     f = D @ md0.f
-    DS_pinv = B0 @ svd_pinv(DS)            # maps R^n into S0 coordinates of R^p
-    Z = B0 @ null_space(DS)                # basis of Ker(D_{S0}) within S0
+    DS_pinv = B0 @ svd_pinv(DS, top)       # maps R^n into S0 coordinates of R^p
+    Z = B0 @ null_space(DS, top)           # basis of Ker(D_{S0}) within S0
 
     base = md0.antig
     if base.atoms is not None:
@@ -614,7 +617,7 @@ def psfl_precompose(p0, D, md0, md, gamma=None):
         b_mu = linalg.operator_bound(PT @ D, p0.gamma, gamma)
         mu = p0.mu * b_mu.value * nD.value
         B0 = md0.S.basis
-        DS_pinv = B0 @ svd_pinv(D @ B0)
+        DS_pinv = B0 @ svd_pinv(D @ B0, np.linalg.norm(D, 2))
         PS = md.S.basis @ md.S.basis.T
         M = DS_pinv @ PS @ D
         b_t1 = linalg.operator_bound(M, md0.antig, md0.antig)

@@ -16,11 +16,17 @@ Gram system.  The end point is returned (method "path") once it passes
 the first-order test that every route exits on; where the path cannot go
 on (a singular Gram matrix, a Gram matrix or correlation that is not
 finite, more events than ``max_iter``) or its end point fails the test,
-FISTA is the backstop and runs exactly as it does alone.  FISTA with
-adaptive restart solves the prox-able ``GroupL1L2``, and Chambolle-Pock
+the kind's backstop runs exactly as it does alone.
+
+A gauge whose base has support atoms a_j, base(u) = max(0, max_j <a_j, u>)
+(Linf and the positive-part max, on their own or pre-composed, as
+PolyhedralH is), is a max of the atoms a_j K, K = D* for a pre-composition.
+Its penalized problem is a convex QP in (x, t), which a primal active-set
+method (``_active_set``) solves exactly in finitely many steps; it is also
+the backstop of the max-abs path.  FISTA with adaptive restart solves the
+prox-able ``GroupL1L2`` and backs up the l1 path, and Chambolle-Pock
 J(x) = base(K x) on every other gauge, with K = D* for a pre-composition
-(H^T for a polyhedral H-gauge, over the positive-part max) and K = I
-otherwise.
+and K = I otherwise.
 
 Each loop applies its least-squares step as an affine map v -> M v + c
 formed once per solve: M = I - step Phi^T Phi for the FISTA forward step,
@@ -41,31 +47,14 @@ kind, where Newton's method on the active blocks finds it.  Newton gives
 up at the first step that it would have to damp below 1/2, a sign that
 the model is not yet identified.
 
-Over a base with support atoms (Linf and the positive-part max, on their
-own or pre-composed) J is a max of atoms, and an iterate's model is often
-a few atoms short of the solution's: Phi then has a kernel on its T, and
-the linear solve has no unique answer.  The polish first completes the
-model by one walk (``_kernel_walk``): within md.x + Ker(Phi) ∩ T, in the
-direction in which the common value t of the active atoms falls, to the
-first atom that reaches t (a ratio test), and again on the smaller T until
-Phi is injective on it, at most dim T steps.  It then solves on the
-completed model (Liang, Fadili & Peyre 2014 on finite identification of
-the model; Osborne, Presnell & Turlach 2000 on the ratio test).
-
 Chambolle-Pock reads the model from its dual iterate p instead (Liang,
-Fadili & Peyre 2018).  For a polyhedral base p lies on a face of lam times
-the base's polar ball: the active atoms supp(p) of a positive-part max
-(the base of a PolyhedralH) or Linf base, with the zero atom when |p| sums
-below lam, or the clipped entries of an l1 base, with their signs.  The
-face fixes a primal subspace T, on which the regularizer is linear; a check
-that the iterate fails also solves the penalized problem exactly on T and
-returns that candidate once it passes the same first-order test.  Only
-the last face is kept, so a face that repeats is not solved again.  Over a
-max of atoms a new face whose candidate fails also polishes the iterate's
-own model, decomposed once per check, as FISTA does: where Phi is not
-injective on a face's T, its candidate is only the least-norm point, and
-the walk completes the model instead.  The Euclidean and group bases have
-no polyhedral face and stop on the iterate's test alone.
+Fadili & Peyre 2018).  For an l1 base p lies on a face of the box lam
+[-1, 1]^m: its clipped entries, with their signs.  The face fixes a primal
+subspace T, on which the regularizer is linear; a check that the iterate
+fails also solves the penalized problem exactly on T and returns that
+candidate once it passes the same first-order test.  Only the last face is
+kept, so a face that repeats is not solved again.  The Euclidean and group
+bases have no polyhedral face and stop on the iterate's test alone.
 
 ``solve_noiseless`` solves an LP when the gauge has one and otherwise runs
 the same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
@@ -80,8 +69,8 @@ rank cutoff of ``linalg.rank_tolerance``.
 scipy is imported by the first solve that needs it, not with this module
 (``linalg._scipy_linalg``): the Cholesky factors of a path event
 (``_gram_solve``, LAPACK ``dpotrf``/``dpotrs``) and of the Chambolle-Pock
-least-squares prox (``cho_factor``/``cho_solve``).  FISTA and the
-noiseless LPs run on numpy alone.
+least-squares prox (``cho_factor``/``cho_solve``).  FISTA, the active set
+and the noiseless LPs run on numpy alone.
 """
 
 import math
@@ -90,13 +79,12 @@ import numbers
 import numpy as np
 
 from .linalg import (check_problem, null_space, svd_pinv, pinv_and_rank,
-                     power_operator_norm, rank_tolerance, RankedSvd,
-                     _scipy_linalg)
+                     power_operator_norm, numerical_rank, rank_tolerance,
+                     RankedSvd, _scipy_linalg)
 from . import lp
 from .lp import LpProblem, lp_min_max, OPTIMAL
 from .gauges import (L1, L2, Linf, GroupL1L2, PositivePartMax,
-                     Precomposed, SumGauge, UnsupportedGaugeError,
-                     project_l1_ball, project_simplex_interior)
+                     Precomposed, SumGauge, UnsupportedGaugeError)
 from . import model as model_mod
 from . import certificates as cert_mod
 
@@ -188,15 +176,20 @@ def solve_penalized(Phi, y, lam, g, opts=None):
                               (``_homotopy``, with the l1 or the max-abs
                               model; method "path", ``iterations`` = its
                               events), where it passes the first-order
-                              test at ``tol``; else FISTA
+                              test at ``tol``; else FISTA for L1 and the
+                              active set for Linf
+    a base with support       the active set on the epigraph QP
+    atoms: PolyhedralH,       (``_active_set``; method "active-set")
+    PositivePartMax,
+    Precomposed(Linf)
     GroupL1L2                 FISTA (method "fista")
     every other gauge         Chambolle-Pock (method "pd");
                               ``UnsupportedGaugeError`` for a sum or a max
     ========================  ==============================================
 
-    A path falls back to FISTA where it cannot go on (a singular Gram
-    matrix, a Gram matrix or correlation that is not finite, more events
-    than ``opts.max_iter``) or where its end point fails the test.
+    A path falls back where it cannot go on (a singular Gram matrix, a Gram
+    matrix or correlation that is not finite, more events than
+    ``opts.max_iter``) or where its end point fails the test.
 
     Parameters
     ----------
@@ -213,9 +206,21 @@ def solve_penalized(Phi, y, lam, g, opts=None):
         res = _path_solve(Phi, y, lam, g, model, opts)
         if res is not None:
             return res
-    if isinstance(g, (L1, GroupL1L2, Linf)):
+    atoms = _max_atoms(g)
+    if atoms is not None:
+        x, iterations = _active_set(Phi, y, lam, atoms, opts)
+        return _tested(Phi, y, lam, g, x, iterations, opts.tol, "active-set")
+    if isinstance(g, (L1, GroupL1L2)):
         return _fista(Phi, y, lam, g, opts)
     return _primal_dual_penalized(Phi, y, lam, g, opts)
+
+
+def _tested(Phi, y, lam, g, x, iterations, tol, method):
+    """x as a result, converged when it passes the first-order test at
+    tol."""
+    eq, slack = _first_order_residuals(Phi, y, lam, g, x)
+    return SolveResult(x, iterations, eq, slack, eq <= tol and slack <= tol,
+                       method)
 
 
 def _path_solve(Phi, y, lam, g, model, opts):
@@ -227,11 +232,9 @@ def _path_solve(Phi, y, lam, g, model, opts):
         path = _homotopy(Phi, y, lam, opts.max_iter, model)
     except PathError:
         return None
-    x = path.x_at(lam)
-    eq, slack = _first_order_residuals(Phi, y, lam, g, x)
-    if eq <= opts.tol and slack <= opts.tol:
-        return SolveResult(x, path.events, eq, slack, True, "path")
-    return None
+    res = _tested(Phi, y, lam, g, path.x_at(lam), path.events, opts.tol,
+                  "path")
+    return res if res.converged else None
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +509,85 @@ def _gram_solve(GA, rhs, cutoff):
     return lapack.dpotrs(L, rhs, lower=1)[0]
 
 
+# ---------------------------------------------------------------------------
+# the active set on the epigraph QP of a max of atoms
+# ---------------------------------------------------------------------------
+
+def _active_set(Phi, y, lam, A, opts):
+    """(x, iterations) of a primal active-set method (Nocedal & Wright 2006,
+    *Numerical Optimization*, §16.5) for J(x) = max(0, max_j <a_j, x>), a_j
+    the rows of A: the QP min 0.5||y - Phi x||^2 + lam t over z = (x, t)
+    subject to the rows A x - t <= 0 and -t <= 0, written C z <= 0.
+
+    It starts at z = 0 with the working set W = {t >= 0}.  Each iteration
+    takes an orthonormal basis N of Ker C_W and the SVD of Phi N_x, which
+    is the eigendecomposition of the reduced Hessian.  Where t can move on
+    that Hessian's kernel, the step is the zero-curvature descent direction,
+    on which Phi x stays and t falls, to the first blocking row; otherwise
+    it is the Newton step to the minimizer on z + Ker C_W, cut at the first
+    blocking row.  A blocking row joins W.  At the minimizer the multipliers
+    of W, by least squares from C_W^T mu = -grad, are tested: the most
+    negative leaves W, ties to the smallest row, and none below round-off
+    ends the solve.  Each step and each test is one of at most
+    ``opts.max_iter`` iterations.  ``SolverError`` where ||Phi||^2, Phi^T y
+    or a step is not finite."""
+    Q, n = Phi.shape
+    # N is orthonormal, so ||Phi|| bounds the singular values sm of Phi N_x:
+    # their rank is judged on that scale, and sm ** 2 does not overflow
+    top = np.linalg.norm(Phi, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _require_finite(Phi, y, "||Phi||^2 or Phi^T y", top * top, Phi.T @ y)
+    C = np.zeros((A.shape[0] + 1, n + 1))
+    C[:-1, :n] = A
+    C[:, n] = -1.0
+    norms = np.linalg.norm(C, axis=1)
+    # round-off on unit scales: of the kernel part of N's t row, of a row's
+    # rate along a step, and of a multiplier, the multipliers summing to lam
+    floor = rank_tolerance(1.0, C.shape)
+    W = np.zeros(len(C), dtype=bool)
+    W[-1] = True
+    z = np.zeros(n + 1)
+    stationary = False
+    for it in range(1, opts.max_iter + 1):
+        k = np.count_nonzero(W)
+        U, s, Vt = np.linalg.svd(C[W], full_matrices=True)
+        r = y - Phi @ z[:n]
+        if stationary:
+            # grad = (-Phi^T r, lam)
+            mu = U @ ((Vt[:k, :n] @ (Phi.T @ r) - lam * Vt[:k, n]) / s)
+            j = int(np.argmin(mu))
+            if mu[j] >= -floor * lam:
+                return z[:n], it
+            W[np.flatnonzero(W)[j]] = False
+            stationary = False
+            continue
+        N = Vt[k:].T
+        Um, sm, Vm = np.linalg.svd(Phi @ N[:n], full_matrices=True)
+        rank = numerical_rank(sm, (Q, N.shape[1]), top)
+        flat = Vm[rank:] @ N[n]
+        newton = not np.linalg.norm(flat) > floor
+        if newton:
+            V, sv = Vm[:rank], sm[:rank]
+            p = N @ (V.T @ ((Um[:, :rank].T @ r) / sv
+                            - lam * (V @ N[n]) / sv ** 2))
+        else:
+            # t falls at the rate |flat|^2, so the row -t <= 0 blocks
+            p = -(N @ (Vm[rank:].T @ flat))
+        _require_finite(Phi, y, f"the active-set step at iteration {it}", p)
+        rate = C @ p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.where(~W & (rate > floor * norms * np.linalg.norm(p)),
+                             np.maximum(-(C @ z), 0.0) / rate, np.inf)
+        j = int(np.argmin(steps))
+        if newton and steps[j] >= 1.0:
+            z = z + p
+            stationary = True
+        else:
+            z = z + steps[j] * p
+            W[j] = True
+    return z[:n], opts.max_iter
+
+
 def _fista(Phi, y, lam, g, opts):
     """FISTA with adaptive restart (Beck & Teboulle 2009) on the prox-able
     gauges: one affine forward step (``_forward_step``) and the unchecked
@@ -581,119 +663,47 @@ def _overflow_error(Phi, y, what):
 
 def _polish(Phi, y, lam, g, md, tol):
     """(x, eq, slack) for the minimizer over the model subspace of md when
-    it passes the first-order test at tol, else None.
-
-    Where Phi is not injective on that T, a model over a base with support
-    atoms is first completed by ``_complete_model``, and the minimizer is
-    sought on the completed model."""
+    Phi is injective there and it passes the first-order test at tol, else
+    None."""
     if md is None:
         return None
     try:
         cand = solve_restricted(Phi, y, lam, md).x_hat
     except cert_mod.RestrictedInjectivityError:
-        md = _complete_model(Phi, md)
-        if md is None:
-            return None
-        try:
-            cand = solve_restricted(Phi, y, lam, md).x_hat
-        except cert_mod.RestrictedInjectivityError:
-            return None
+        return None
     eq, slack = _first_order_residuals(Phi, y, lam, g, cand)
     if eq <= tol and slack <= tol:
         return cand, eq, slack
     return None
 
 
-def _complete_model(Phi, md):
-    """The decomposition at the end of ``_kernel_walk`` from md, where Phi
-    is injective on the model subspace; None where the walk stalls before
-    it, or for a gauge whose base has no support atoms."""
-    for x, _, injective in _kernel_walk(Phi, md):
-        if injective:
-            return _decomposition(md.gauge, x)
-    return None
-
-
-def _kernel_walk(Phi, md):
-    """The points of a walk from md.x within md.x + Ker(Phi) ∩ T along
-    which the regularizer falls, each as (x, active, injective): the atoms
-    that attain the max at x, and whether Phi is injective on their model
-    subspace.  The walk ends at its first injective point, or sooner where
-    it stalls; it is empty for a base without support atoms.
-
-    J(x) = max(0, max_j <a_j, x>) over the atoms a_j of the base composed
-    with K, and the zero atom, which comes last.  On T the active atoms
-    share the value t, and J is linear with slope e.  Along d = -N N^T e,
-    N an orthonormal basis of Ker(Phi) ∩ T, Phi x stays fixed and t falls
-    at the rate c = <e, d> < 0.  An inactive atom k, of value v_k and rate
-    r_k = <a_k, d> > c, reaches t at the step (t - v_k) / (r_k - c); the
-    first to do so joins the active set (the ratio test of homotopy
-    methods, Osborne, Presnell & Turlach 2000).  T then shrinks to the
-    null space of the active atoms' differences or, once the zero atom is
-    active and J vanishes on T, of the atoms themselves.  Each step takes a
-    dimension off T, so there are at most dim T of them.  The active set, T
-    and e are carried along, and no step decomposes."""
-    K, base = _analysis_split(md.gauge)
-    atoms = base.support_atoms()
-    if atoms is None:
-        return
-    if base is not md.gauge:
-        atoms = atoms @ K
-    A = np.vstack([atoms, np.zeros((1, K.shape[1]))])
-    x, U, e = md.x, md.T.basis, md.e
-    v = A @ x
-    t = v.max()
-    active = v >= t * (1.0 - model_mod.SATURATION_TOL)
-    for _ in range(U.shape[1] + 1):
-        svd = RankedSvd(Phi @ U)
-        yield x, active.copy(), svd.injective
-        if svd.injective:
-            return
-        N = U @ svd.kernel()
-        d = -(N @ (N.T @ e))
-        c = float(e @ d)
-        if not c < 0.0:
-            return
-        r = A @ d
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.where(~active & (r > c), (t - v) / (r - c), np.inf)
-        k = int(np.argmin(steps))
-        if not np.isfinite(steps[k]):
-            return
-        x = x + steps[k] * d
-        active[k] = True
-        v = A @ x
-        t = v.max()
-        on = A[active]
-        if active[-1]:
-            U, e = null_space(on), np.zeros_like(x)
-        else:
-            U = null_space(on[1:] - on[:1])
-            e = U @ (U.T @ on[0])
-
-
 def _analysis_split(g):
     """(K, base) with J(x) = base(K x): (D*, base) for a pre-composition,
-    and (I, g) for a gauge that is its own base, whose atoms its callers
-    then take as they are rather than multiply by I."""
+    and (I, g) for a gauge that is its own base."""
     if isinstance(g, Precomposed):
         return g.dstar, g.base
     return np.eye(g.dim), g
 
 
+def _max_atoms(g):
+    """The rows a_j with J(x) = max(0, max_j <a_j, x>), the base's support
+    atoms times K, or None for a base without them."""
+    K, base = _analysis_split(g)
+    atoms = base.support_atoms()
+    if atoms is None or base is g:
+        return atoms
+    return atoms @ K
+
+
 def _splitting_pieces(g):
     """(K, dual projection, dual face) so that J(x) = base(K x), with the
     projection onto lam * (polar ball of base) and ``face(K, p, lam)`` the
-    face of that ball that holds p (see ``_max_face``), or None for a base
+    face of that ball that holds p (``_box_face``), or None for a base
     with no polyhedral face.  This is the one table of gauges that
     Chambolle-Pock runs on."""
     K, base = _analysis_split(g)
-    if isinstance(base, PositivePartMax):
-        return K, project_simplex_interior, _max_face
     if isinstance(base, L1):
         return K, lambda p, lam: np.clip(p, -lam, lam), _box_face
-    if isinstance(base, Linf):
-        return K, project_l1_ball, _max_face
     if isinstance(base, L2):
         return K, (lambda p, lam: p * min(1.0, lam / max(np.linalg.norm(p),
                                                          1e-300))), None
@@ -705,22 +715,6 @@ def _splitting_pieces(g):
             return p * (lam / np.maximum(part.norms(p), lam))[part.block_of]
         return K, proj, None
     raise UnsupportedGaugeError(f"no splitting for {type(g).__name__}")
-
-
-def _max_face(K, p, lam):
-    """(key, C) for the face of the dual ball lam * conv(0, s_i K_i) of a
-    max of atoms that holds p, s = sign(p): the simplex of a positive-part
-    max base (p >= 0), as a PolyhedralH has, or the l1 ball of a Linf
-    base.  The active atoms are supp(p), and the zero atom when |p| sums
-    below lam.  On the primal subspace {C x = 0} the active atoms take
-    equal values, 0 when the zero atom is among them.  ``key`` identifies
-    the face."""
-    s = np.sign(p)
-    A = np.flatnonzero(s)
-    # a projection onto the ball's boundary sums to lam up to round-off
-    zero = np.abs(p).sum() < lam * (1.0 - p.size * np.finfo(float).eps)
-    atoms = s[A, None] * K[A]
-    return np.append(s, zero), (atoms if zero else atoms[1:] - atoms[:1])
 
 
 def _box_face(K, p, lam):
@@ -757,35 +751,25 @@ def _primal_dual_penalized(Phi, y, lam, g, opts):
     """Chambolle-Pock on min_x 0.5||y - Phi x||^2 + lam * base(K x).
 
     A check that the iterate fails also tries the minimizer over the primal
-    subspace of the dual iterate's face (``_face_candidate``) and, over a
-    max of atoms, the polish of the iterate's model (``_polish``); the face
-    of the last check is kept, and a repeated face is not solved again."""
+    subspace of the dual iterate's face (``_face_candidate``); the face of
+    the last check is kept, and a repeated face is not solved again."""
     K, dual_proj, face = _splitting_pieces(g)
-    # a max of atoms also polishes the iterate's own model, completed by
-    # the walk; the box face of an l1 base keeps its candidate alone
-    polishes = face is _max_face
     last_key = None
 
     def check(x, p, it):
         nonlocal last_key
         _require_finite(Phi, y,
                         f"the Chambolle-Pock iterate at iteration {it}", x)
-        md = _decomposition(g, x) if np.any(x) else None
-        eq, slack = _first_order_residuals(Phi, y, lam, g, x, md)
+        eq, slack = _first_order_residuals(Phi, y, lam, g, x)
         done = eq <= opts.tol and slack <= opts.tol
         if not done and face is not None:
             key, C = face(K, p, lam)
             if not np.array_equal(key, last_key):
                 last_key = key
                 cand = _face_candidate(Phi, y, K, p, C)
-                eq_c, slack_c = _first_order_residuals(Phi, y, lam, g, cand)
-                if eq_c <= opts.tol and slack_c <= opts.tol:
-                    return SolveResult(cand, it, eq_c, slack_c, True, "pd")
-                polished = _polish(Phi, y, lam, g, md, opts.tol) \
-                    if polishes else None
-                if polished is not None:
-                    x_p, eq_p, slack_p = polished
-                    return SolveResult(x_p, it, eq_p, slack_p, True, "pd")
+                res = _tested(Phi, y, lam, g, cand, it, opts.tol, "pd")
+                if res.converged:
+                    return res
         return SolveResult(x, it, eq, slack, done, "pd")
 
     return _chambolle_pock(K, dual_proj, lam, np.zeros(Phi.shape[1]),
@@ -850,8 +834,8 @@ def solve_noiseless(Phi, y, g, opts=None):
 def _noiseless_lp(Phi, y, g, xls, Z):
     """(LpResult, map from its x to the recovered x) for min J(x), Phi x = y;
     None off the LP map.  xls is any solution of Phi x = y and Z an
-    orthonormal basis of Ker(Phi).  A base with support atoms A makes J the
-    max of the atoms A K, one ``_max_atoms_lp``."""
+    orthonormal basis of Ker(Phi).  A base with support atoms makes J a max
+    of atoms (``_max_atoms``), one ``_max_atoms_lp``."""
     Q, n = Phi.shape
     if isinstance(g, L1):
         # x = u - v, u,v >= 0; min sum(u+v)
@@ -873,10 +857,10 @@ def _noiseless_lp(Phi, y, g, xls, Z):
         return (lp.lp_solve(LpProblem(c, a_eq=a_eq, b_eq=b_eq,
                                       bounds=bounds)),
                 lambda z: z[:n])
-    atoms = base.support_atoms()
+    atoms = _max_atoms(g)
     if atoms is None:
         return None
-    return _max_atoms_lp(xls, Z, atoms if base is g else atoms @ K)
+    return _max_atoms_lp(xls, Z, atoms)
 
 
 def _max_atoms_lp(xls, Z, A):

@@ -203,8 +203,31 @@ class TestSolve:
         assert code == 0
         assert np.allclose(json.loads(out)["x_hat"], [2.0, 0.0])
 
+    def test_penalized_polyhedral_takes_the_active_set(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--mode", "penalized",
+                               "--reg", "polyhedral",
+                               "--hmat", "[[1,0,-1],[0,1,-1],[0,0,1]]",
+                               "--phi", "[[1,0,0],[0,1,1]]", "--y", "[5,0]",
+                               "--lambda", "0.5")
+        r = json.loads(out)
+        assert code == 0 and (r["method"], r["converged"]) == ("active-set",
+                                                                True)
+        assert np.abs(np.array(r["x_hat"]) - [4.5, 0.0, 0.0]).max() <= 1e-12
+
+    def test_penalized_polyhedral_with_equal_columns_of_h(self, capsys):
+        # columns 1 and 3 of H are equal, so the model of the solution
+        # meets a D_S0 of round-off, H (e_1 - e_3) / sqrt(2); its rank was
+        # judged against its own scale and the decomposition raised
+        # "anchor point does not lie in its model subspace"
+        code, out, err = run_cli(
+            capsys, "solve", "--mode", "penalized", "--reg", "polyhedral",
+            "--phi", "[[-1,-3],[-2,0]]", "--y", "[1,1]", "--lambda", "0.5",
+            "--hmat", "[[0,1,0,2,2,0,0],[-2,-1,-2,0,-1,-1,0]]")
+        assert code == 0, err
+        assert json.loads(out)["converged"]
+
     def test_numerical_lp_trouble_exits_4(self, capsys, monkeypatch):
-        # y = 0 keeps Chambolle-Pock at x = 0, where the first check
+        # y = 0 keeps the active set at x = 0, where the first-order test
         # evaluates the polar, one LP
         from gaugerec import gauges
         from gaugerec.lp import LpResult, INFEASIBLE

@@ -187,6 +187,37 @@ class TestPolar:
             brute = float(np.max(ball @ u))
             assert abs(g.polar(u) - brute) <= 3e-3 * (1.0 + abs(brute))
 
+    def test_nested_sum_polar_equals_the_flat_sum(self, rng):
+        # the inner sum's ball vertices come from its _ball_halfspaces
+        nested = SumGauge([SumGauge([L1(3), Linf(3)]), L1(3)])
+        flat = SumGauge([L1(3), Linf(3), L1(3)])
+        for _ in range(10):
+            u = rng.standard_normal(3)
+            want = flat.polar(u)
+            assert abs(nested.polar(u) - want) <= 1e-12 * (1.0 + want)
+
+    def test_precomposed_l1_polar_over_a_kernel_matches_highs(self, rng):
+        # x -> ||x||_1 + ||D* x||_1 as l1 over [I; D*]: D = [I, D] has a
+        # kernel of dim n - 1, and the polar at u is min ||w||_inf over
+        # D w = u, an LP that scipy's HiGHS solves independently
+        from scipy.optimize import linprog
+        n = 6
+        dstar = np.vstack([np.eye(n), tv1d_gauge(n).dstar])
+        m = dstar.shape[0]
+        g = Precomposed(L1(m), dstar)
+        # variables (w, s): min s subject to -s <= w_i <= s, D w = u
+        c = np.append(np.zeros(m), 1.0)
+        a_ub = np.vstack([np.hstack([np.eye(m), -np.ones((m, 1))]),
+                          np.hstack([-np.eye(m), -np.ones((m, 1))])])
+        a_eq = np.hstack([dstar.T, np.zeros((n, 1))])
+        for _ in range(10):
+            u = rng.standard_normal(n) * rng.choice([0.1, 1.0, 10.0])
+            ref = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * m), A_eq=a_eq,
+                          b_eq=u, bounds=[(None, None)] * (m + 1),
+                          method="highs")
+            assert ref.status == 0
+            assert abs(g.polar(u) - ref.fun) <= 1e-9 * (1.0 + ref.fun)
+
     def test_unsupported_combination(self):
         g = SumGauge([L2(3), L2(3)])
         with pytest.raises(UnsupportedGaugeError):

@@ -61,6 +61,18 @@ class TestPseudoInverse:
         x = svd_pinv(A) @ b
         assert np.linalg.norm(A.T @ A @ x - A.T @ b) <= 1e-8
 
+    def test_rank_on_the_scale_of_the_matrix_it_restricts(self, rng):
+        # M = D B with B orthonormal and D B of round-off: on its own scale
+        # M has full rank, on ||D||'s it has rank 0
+        D = rng.standard_normal((3, 4))
+        B = null_space(D)[:, :1] + 1e-17 * rng.standard_normal((4, 1))
+        M = D @ B
+        top = np.linalg.norm(D, 2)
+        assert null_space(M).shape[1] == 0
+        assert null_space(M, top).shape[1] == 1
+        assert not np.any(svd_pinv(M, top))
+        assert null_space(M.T, top).shape[1] == 3
+
     def test_penrose_identity_all_ranks(self, rng):
         for r in range(0, 5):
             U = rng.standard_normal((6, 5))

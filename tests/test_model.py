@@ -286,6 +286,17 @@ class TestPrecompose:
         assert np.allclose(md.T.basis @ md.T.basis.T,
                            md0.T.basis @ md0.T.basis.T, atol=1e-10)
 
+    def test_equal_columns_of_h_leave_no_round_off_in_the_model(self):
+        # columns 0 and 2 of H are equal and both active at x, so D_S0 is
+        # H (e_0 - e_2) / sqrt(2) up to round-off: judged on the scale of D
+        # it has rank 0, and the model is the whole plane
+        H = np.array([[0.0, 1.0, 0.0, 2.0, 2.0, 0.0, 0.0],
+                      [-2.0, -1.0, -2.0, 0.0, -1.0, -1.0, 0.0]])
+        x = np.array([-7.0 / 12.0, -1.0 / 36.0])
+        md = decompose(PolyhedralH(H), x)
+        assert (md.T.dim, md.S.dim) == (2, 0)
+        assert np.allclose(md.e, H[:, 0], atol=1e-12)
+
     def test_tv_staircase(self):
         g = tv1d_gauge(4)
         x = np.array([1.0, 1.0, 2.0, 2.0])

@@ -177,14 +177,14 @@ def _penalized_instance(kind, seed):
 
 # solve_penalized on _penalized_instance(kind, 3): iterations and converged
 # flags as the sort-and-loop kernels gave them (tv with the exit on the dual
-# iterate's face; poly with the kernel walk that completes the model, which
-# exits at 300 where the dual face passed at 500); l1 and linf take their
-# paths, with 16 and 20 events, and the x_hat bits are the paths' end points
-# (those of a build with OpenBLAS; another BLAS may move the last bits)
+# iterate's face); poly takes the active set, whose 55 iterations are its
+# steps and multiplier tests; l1 and linf take their paths, with 16 and 20
+# events, and the x_hat bits are the paths' end points (those of a build
+# with OpenBLAS; another BLAS may move the last bits)
 PINNED_ITERATIONS = {"l1": 16, "group": 200, "linf": 20, "tv": 200,
-                     "poly": 300}
+                     "poly": 55}
 PINNED_METHOD = {"l1": "path", "group": "fista", "linf": "path",
-                 "tv": "pd", "poly": "pd"}
+                 "tv": "pd", "poly": "active-set"}
 PINNED_X_HAT = {
     "l1": [
         '0x0.0p+0', '0x0.0p+0',
@@ -453,23 +453,16 @@ class TestPolishedExit:
             assert tight.converged
             assert obj(res.x_hat) <= obj(tight.x_hat) + 1e-10
 
-    @pytest.mark.parametrize("kind", ["tv", "poly", "linf-analysis"])
+    @pytest.mark.parametrize("kind", ["tv"])
     def test_face_candidate_is_as_good_as_a_tight_run(self, kind,
                                                       monkeypatch):
         candidates = []
         face_candidate = solvers._face_candidate
-        polish = solvers._polish
         splitting_pieces = solvers._splitting_pieces
 
         def spy(*args):
             candidates.append(face_candidate(*args))
             return candidates[-1]
-
-        def spy_polish(*args):
-            out = polish(*args)
-            if out is not None:
-                candidates.append(out[0])
-            return out
 
         def without_face(g):
             K, proj, _ = splitting_pieces(g)
@@ -479,12 +472,9 @@ class TestPolishedExit:
             Phi, y, lam, g = _penalized_instance(kind, seed)
             candidates.clear()
             monkeypatch.setattr(solvers, "_face_candidate", spy)
-            monkeypatch.setattr(solvers, "_polish", spy_polish)
             res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-7))
             assert res.converged and res.method == "pd"
-            # the exit was the dual face's candidate or, over a max of
-            # atoms, the polish of the iterate's completed model; never the
-            # iterate
+            # the exit was the dual face's candidate, never the iterate
             assert candidates and res.x_hat is candidates[-1]
             assert res.iterations % 100 == 0
             eq, slack = solvers._first_order_residuals(Phi, y, lam, g,
@@ -500,23 +490,19 @@ class TestPolishedExit:
             assert solvers._objective(Phi, y, lam, g, res.x_hat) <= \
                 solvers._objective(Phi, y, lam, g, tight.x_hat) + 1e-10
 
-    @pytest.mark.parametrize("kind", ["tv", "poly"])
+    @pytest.mark.parametrize("kind", ["tv"])
     def test_a_wrong_face_is_never_returned(self, kind, monkeypatch):
-        # tv: flip the sign of a clipped dual entry; poly: drop the last
-        # active atom.  Each wrong candidate fails the first-order test, and
-        # the solve goes on to a point that passes it
+        # flip the sign of a clipped dual entry: each wrong candidate fails
+        # the first-order test, and the solve goes on to a point that
+        # passes it
         built = []
         face_candidate = solvers._face_candidate
 
         def wrong(Phi, y, K, p, C):
             p = p.copy()
-            if kind == "tv":
-                clipped = np.flatnonzero(np.abs(p) == lam)
-                if clipped.size:
-                    p[clipped[0]] = -p[clipped[0]]
-            elif C.shape[0]:
-                p[np.flatnonzero(p)[-1]] = 0.0
-                C = C[:-1]
+            clipped = np.flatnonzero(np.abs(p) == lam)
+            if clipped.size:
+                p[clipped[0]] = -p[clipped[0]]
             built.append(face_candidate(Phi, y, K, p, C))
             return built[-1]
 
@@ -532,94 +518,6 @@ class TestPolishedExit:
                                                        res.x_hat)
             assert max(eq, slack) <= 1e-7
 
-    @staticmethod
-    def _linf_item_56():
-        # penalized_mix item 56 of seed 2106, drawn inline: FISTA's iterate
-        # at its first check saturates 6 of the solution's 9 entries, so
-        # its T has dim 15 = Q + 3, and without completing the model the
-        # solve took 11100 iterations until the last entries crept up to
-        # the max
-        r = np.random.default_rng([2106, 9, 56])
-        Phi = r.standard_normal((12, 20))
-        xs = r.standard_normal(20)
-        y = Phi @ xs + 0.1 * r.standard_normal(12)
-        return Phi, y, float(r.uniform(0.2, 1.2)), Linf(20)
-
-    def test_linf_exit_from_the_completed_model(self, monkeypatch):
-        calls = []
-        polish = solvers._polish
-
-        def spy(Phi, y, lam, g, md, tol):
-            calls.append((md, polish(Phi, y, lam, g, md, tol)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(solvers, "_polish", spy)
-        Phi, y, lam, g = self._linf_item_56()
-        res = solvers._fista(Phi, y, lam, g,
-                             SolveOptions(tol=1e-8, max_iter=120000))
-        assert res.converged and res.method == "fista"
-        assert res.iterations <= 1000
-        md, out = calls[-1]
-        assert out is not None and res.x_hat is out[0]
-        # the exit check's model is saturated entries short: Phi has a
-        # kernel on its T, and the exit saturates those entries, with
-        # their signs, and one more per dimension of that kernel
-        assert md.T.dim >= Phi.shape[0] + 1
-        with pytest.raises(RestrictedInjectivityError):
-            solve_restricted(Phi, y, lam, md)
-        done = decompose(g, res.x_hat)
-        assert done.T.dim <= Phi.shape[0]
-        old, new = np.sign(md.e), np.sign(done.e)
-        assert np.array_equal(new[old != 0], old[old != 0])
-        assert np.count_nonzero(new) - np.count_nonzero(old) == \
-            md.T.dim - done.T.dim
-        tight = solvers._fista(Phi, y, lam, g,
-                               SolveOptions(tol=1e-12, max_iter=120000))
-        assert tight.converged
-        assert solvers._objective(Phi, y, lam, g, res.x_hat) <= \
-            solvers._objective(Phi, y, lam, g, tight.x_hat) + 1e-10
-
-    def test_linf_item_56_through_chambolle_pock(self):
-        # the same item as Precomposed(Linf, I): Chambolle-Pock stopped
-        # unconverged at 120000 iterations until its check polished the
-        # iterate's completed model
-        Phi, y, lam, g = self._linf_item_56()
-        g = Precomposed(g, np.eye(20))
-        res = solve_penalized(Phi, y, lam, g,
-                              SolveOptions(tol=1e-8, max_iter=120000))
-        assert res.converged and res.method == "pd"
-        assert check_noisy_optimality(Phi, y, lam, res.x_hat,
-                                      md=decompose(g, res.x_hat),
-                                      eq_tol=1e-6) != "not_optimal"
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_saturation_step_follows_the_kernel_line(self, seed):
-        # k = 3 saturated entries of 8, so dim T = 6 = Q + 1: the walk's
-        # one step keeps Phi x, moves within T, lowers the common value t,
-        # and stops where the first free entry reaches +-t, which joins the
-        # saturated set with the sign it reaches
-        r = np.random.default_rng(seed)
-        Q, n, k = 5, 8, 3
-        Phi = r.standard_normal((Q, n))
-        x = r.uniform(-0.9, 0.9, n)
-        sat = r.choice(n, k, replace=False)
-        x[sat] = r.choice([-1.0, 1.0], k)
-        md = decompose(Linf(n), x)
-        assert len(_walk_steps(Phi, md)) == 1
-        out = solvers._complete_model(Phi, md)
-        z = out.x
-        assert np.abs(z).max() < 1.0
-        new = np.sign(out.e)
-        assert np.array_equal(new[sat], x[sat])
-        assert np.count_nonzero(new) == k + 1
-        assert np.array_equal(new[new != 0], np.sign(z[new != 0]))
-        # one saturated entry fewer leaves a plane of Ker(Phi) on T, which
-        # the walk crosses in two steps
-        x[sat[0]] *= 0.5
-        md = decompose(Linf(n), x)
-        assert len(_walk_steps(Phi, md)) == 2
-        assert solvers._complete_model(Phi, md).T.dim == Q
-
     def test_identified_l1_model_exits_at_the_first_check(self):
         # FISTA alone needs 1300 iterations here; its support and signs are
         # right after 100, so the first check returns the polished point
@@ -629,102 +527,6 @@ class TestPolishedExit:
         assert res.converged
         assert res.iterations == 100
         assert max(res.primal_residual, res.dual_residual) <= 1e-8
-
-
-def _walk_atoms(g):
-    """The atoms of the kernel walk over g: the base's support atoms
-    composed with K, and the zero atom last."""
-    K, base = solvers._analysis_split(g)
-    return np.vstack([base.support_atoms() @ K, np.zeros((1, g.dim))])
-
-
-def _walk_steps(Phi, md):
-    """The steps of ``solvers._kernel_walk`` from md as (x, z) pairs, each
-    checked: Phi z = Phi x, z - x lies in the T of x (the atoms active at x
-    keep one common value), the regularizer falls, and exactly one atom
-    joins, at the max (for a max-abs atom, with the sign the entry
-    reaches).  The walk must end where Phi is injective on T."""
-    g = md.gauge
-    A = _walk_atoms(g)
-    points = list(solvers._kernel_walk(Phi, md))
-    assert [inj for _, _, inj in points] == [False] * (len(points) - 1) + [
-        True]
-    for (x, act, _), (z, now, _) in zip(points, points[1:]):
-        scale = 1.0 + np.abs(x).max()
-        assert np.abs(Phi @ (z - x)).max() <= 1e-12 * scale
-        vz = A @ z
-        assert np.ptp(vz[act]) <= 1e-12 * scale
-        assert g.value(z) < g.value(x)
-        assert np.all(now[act]) and np.count_nonzero(now & ~act) == 1
-        k = np.flatnonzero(now & ~act)[0]
-        assert abs(vz[k] - g.value(z)) <= 1e-12 * scale
-    return [(x, z) for (x, _, _), (z, _, _) in zip(points, points[1:])]
-
-
-def _walk_instance(kind, kernel_dim, seed):
-    """(Phi, md): 3 of the atoms at their max at a point in R^10, and a
-    Gaussian Phi with Ker(Phi) ∩ T of dimension kernel_dim."""
-    r = np.random.default_rng([seed, kernel_dim])
-    n, k = 10, 3
-    if kind == "poly":
-        x = r.standard_normal(n)
-        H = r.standard_normal((n, 14))
-        u = r.uniform(0.2, 0.9, 14)
-        u[:k] = 1.0
-        # columns moved along x so that H^T x = u
-        H += np.outer(x, u - H.T @ x) / (x @ x)
-        g = PolyhedralH(H)
-    else:
-        x = r.uniform(-0.9, 0.9, n)
-        x[r.choice(n, k, replace=False)] = r.choice([-1.0, 1.0], k)
-        g = Linf(n) if kind == "linf" else Precomposed(Linf(n), np.eye(n))
-    md = decompose(g, x)
-    return r.standard_normal((md.T.dim - kernel_dim, n)), md
-
-
-class TestKernelWalk:
-    @pytest.mark.parametrize("kernel_dim", [1, 2, 4])
-    @pytest.mark.parametrize("kind", ["linf", "poly", "linf-analysis"])
-    def test_each_step_keeps_phi_x_and_lowers_the_regularizer(
-            self, kind, kernel_dim):
-        for seed in range(5):
-            Phi, md = _walk_instance(kind, kernel_dim, seed)
-            steps = _walk_steps(Phi, md)
-            assert len(steps) == kernel_dim
-            # one decomposition, at the end point, whose model is the
-            # walk's: Phi is injective on it
-            done = solvers._complete_model(Phi, md)
-            assert np.array_equal(done.x, steps[-1][1])
-            assert done.T.dim == md.T.dim - kernel_dim
-            assert restricted_injectivity(Phi, done.T)
-
-    def test_the_zero_atom_joins(self):
-        # one atom at t = 0.05 and the others far below: t reaches 0
-        # before any atom reaches t, and J vanishes on the completed model
-        for seed in range(5):
-            r = np.random.default_rng(seed)
-            n, m = 6, 8
-            x = r.standard_normal(n)
-            H = r.standard_normal((n, m))
-            u = np.append(0.05, r.uniform(-5.0, -3.0, m - 1))
-            H += np.outer(x, u - H.T @ x) / (x @ x)
-            g = PolyhedralH(H)
-            md = decompose(g, x)
-            Phi = r.standard_normal((md.T.dim - 1, n))
-            (_, z), = _walk_steps(Phi, md)
-            assert list(solvers._kernel_walk(Phi, md))[-1][1][-1]
-            assert g.value(z) <= 1e-12
-            done = solvers._complete_model(Phi, md)
-            assert not np.any(done.e)
-            assert done.T.dim == md.T.dim - 1
-
-    def test_no_walk_without_support_atoms(self):
-        Phi = np.random.default_rng(0).standard_normal((3, 8))
-        for g, x in ((L1(8), np.arange(8.0)),
-                     (tv1d_gauge(8), np.arange(8.0))):
-            md = decompose(g, x)
-            assert list(solvers._kernel_walk(Phi, md)) == []
-            assert solvers._complete_model(Phi, md) is None
 
 
 def _poly_mix_item(seed, item):
@@ -739,18 +541,119 @@ def _poly_mix_item(seed, item):
 
 class TestPolyTail:
     # penalized_mix poly items that Chambolle-Pock left unconverged at
-    # 120000 iterations until its check polished the iterate's completed
-    # model
-    @pytest.mark.parametrize("seed, item", [(1, 67), (2, 186), (1310, 118),
-                                            (5202, 84), (3207, 67)])
+    # 120000 iterations: the first five until its check polished the
+    # iterate's completed model, the last four even then, where it crawled
+    # along a direction on which J vanishes.  The active set certifies each
+    # in at most a few hundred iterations
+    @pytest.mark.parametrize("seed, item", [
+        (1, 67), (2, 186), (1310, 118), (5202, 84), (3207, 67),
+        (6, 169), (106, 169), (3305, 169), (3308, 220)])
     def test_converges_and_passes_the_first_order_check(self, seed, item):
         Phi, y, lam, g = _poly_mix_item(seed, item)
         res = solve_penalized(Phi, y, lam, g,
                               SolveOptions(tol=1e-7, max_iter=120000))
-        assert res.converged and res.method == "pd"
+        assert res.converged and res.method == "active-set"
+        assert res.iterations <= 300
         assert check_noisy_optimality(Phi, y, lam, res.x_hat,
                                       md=decompose(g, res.x_hat),
                                       eq_tol=1e-6) != "not_optimal"
+
+
+def _tie_heavy_instance(seed):
+    """(Phi, y, lam): integer Phi and y with entries in -3..3, of shape
+    2x3 or 3x5, and lam in {0.1, 0.5, 1}."""
+    r = np.random.default_rng([seed, 36])
+    q, n = [(2, 3), (3, 5)][seed % 2]
+    return r.integers(-3, 4, (q, n)).astype(float), \
+        r.integers(-3, 4, q).astype(float), [0.1, 0.5, 1.0][(seed // 2) % 3]
+
+
+def _active_set_solve(Phi, y, lam, g, opts):
+    """The active set on g's atoms, as solve_penalized returns it."""
+    x, iterations = solvers._active_set(Phi, y, lam, solvers._max_atoms(g),
+                                        opts)
+    return solvers._tested(Phi, y, lam, g, x, iterations, opts.tol,
+                           "active-set")
+
+
+class TestActiveSet:
+    @pytest.mark.parametrize("shape, seeds", [
+        (None, range(40)), ((12, 8), range(20)), ((6, 15), range(20))])
+    def test_matches_the_max_abs_path(self, shape, seeds):
+        # two exact methods, one minimizer where Phi is injective on its T
+        for seed in seeds:
+            Phi, y, lam = _max_abs_instance(shape, seed)
+            g = Linf(Phi.shape[1])
+            res = _active_set_solve(Phi, y, lam, g, SolveOptions())
+            assert res.converged
+            path = solvers._homotopy(Phi, y, lam, 10000, solvers._MaxAbsModel)
+            assert np.abs(res.x_hat - path.x_at(lam)).max() <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["poly", "linf-analysis", "ppm"])
+    def test_every_max_of_atoms_kind_takes_it(self, kind):
+        for seed in range(5):
+            Phi, y, lam, g = _penalized_instance(
+                "poly" if kind == "ppm" else kind, seed)
+            if kind == "ppm":
+                g = PositivePartMax(20)
+            res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-9))
+            assert res.converged and res.method == "active-set"
+            assert check_noisy_optimality(Phi, y, lam, res.x_hat,
+                                          md=decompose(g, res.x_hat),
+                                          eq_tol=1e-6) != "not_optimal"
+
+    def test_linf_item_56_through_the_active_set(self):
+        # penalized_mix item 56 of seed 2106 as Precomposed(Linf, I):
+        # Chambolle-Pock stopped unconverged at 120000 iterations until its
+        # check completed the iterate's model; the active set ends on the
+        # max-abs path's end point
+        r = np.random.default_rng([2106, 9, 56])
+        Phi = r.standard_normal((12, 20))
+        xs = r.standard_normal(20)
+        y = Phi @ xs + 0.1 * r.standard_normal(12)
+        lam = float(r.uniform(0.2, 1.2))
+        res = solve_penalized(Phi, y, lam, Precomposed(Linf(20), np.eye(20)),
+                              SolveOptions(tol=1e-8))
+        assert res.converged and res.method == "active-set"
+        path = solve_penalized(Phi, y, lam, Linf(20))
+        assert path.method == "path"
+        assert np.abs(res.x_hat - path.x_hat).max() <= 1e-10
+
+    @pytest.mark.parametrize("Phi, H, x_ray", [
+        ([[1.0, -2.0]], [[2.0, 0.0, 1.0], [-1.0, 2.0, -1.0]], (-1.0, -1.0)),
+        ([[2.0, -1.0]], [[0.0, -1.0, 1.0], [-2.0, 1.0, -1.0]], (1.0, 1.0))])
+    def test_a_rank_deficient_phi_takes_a_zero_curvature_step(self, Phi, H,
+                                                              x_ray):
+        # Phi has a kernel line in R^2, and the objective's minimum 0 is
+        # reached only on a ray of Phi x = y = 1 on which H^T x <= 0, from
+        # x_ray on: the Newton step on the data term alone ends off that
+        # ray, and only a step along Ker(Phi), where the reduced Hessian has
+        # no curvature and J falls, reaches it
+        Phi, H = np.array(Phi), np.array(H)
+        y = np.array([1.0])
+        g = PolyhedralH(H)
+        res = solve_penalized(Phi, y, 0.5, g)
+        assert res.converged and res.method == "active-set"
+        x = res.x_hat
+        assert abs(Phi @ x - y).max() <= 1e-15
+        assert g.value(x) <= 1e-15
+        assert np.abs(x - x_ray).max() <= 1e-12
+
+    def test_tie_heavy_max_abs_fallbacks_are_certified(self):
+        # where the max-abs path falls back (singular Gram matrices, end
+        # points that fail the test), the active set certifies the solve
+        fell = 0
+        for seed in range(1200):
+            Phi, y, lam = _tie_heavy_instance(seed)
+            g = Linf(Phi.shape[1])
+            if solvers._path_solve(Phi, y, lam, g, solvers._MaxAbsModel,
+                                   SolveOptions()) is not None:
+                continue
+            fell += 1
+            res = solve_penalized(Phi, y, lam, g)
+            assert res.converged and res.method == "active-set", seed
+            assert res.iterations <= 50
+        assert fell >= 50
 
 
 def _path_instance(shape, seed):
@@ -786,9 +689,11 @@ def _max_abs_instance(shape, seed):
 class _PathTwins:
     """The tests that the l1 and max-abs paths share, run by each path's
     class on its kind: the gauge ``GAUGE``, the path model ``MODEL``, the
-    test instances ``instance(shape, seed)``, the start ``lam_max(c)`` of
-    the path, c = Phi^T y, and ``singular()``, an instance whose Gram
-    matrix is singular."""
+    route ``backstop(Phi, y, lam, g, opts)`` that runs where the path
+    falls back and its method ``BACKSTOP``, the test instances
+    ``instance(shape, seed)``, the start ``lam_max(c)`` of the path,
+    c = Phi^T y, and ``singular()``, an instance whose Gram matrix is
+    singular."""
 
     def _path(self, Phi, y, lam, max_events=SolveOptions().max_iter):
         return solvers._homotopy(Phi, y, lam, max_events, self.MODEL)
@@ -812,17 +717,21 @@ class _PathTwins:
                                                                True)
         assert not np.any(res.x_hat)
 
-    def test_a_singular_gram_falls_back_to_fista(self):
-        # the solve is FISTA's, bit for bit
+    def _assert_backstop(self, res, Phi, y, lam, opts):
+        """res is the backstop's solve, bit for bit."""
+        ref = self.backstop(Phi, y, lam, self.GAUGE(Phi.shape[1]), opts)
+        assert (res.method, res.iterations) == (self.BACKSTOP,
+                                                ref.iterations)
+        assert res.converged == ref.converged
+        assert np.array_equal(res.x_hat, ref.x_hat)
+
+    def test_a_singular_gram_falls_back(self):
         Phi, y, lam = self.singular()
-        g = self.GAUGE(Phi.shape[1])
         with pytest.raises(solvers.PathError, match="Gram matrix is singular"):
             self._path(Phi, y, lam)
-        res = solve_penalized(Phi, y, lam, g)
-        fista = solvers._fista(Phi, y, lam, g, SolveOptions())
-        assert (res.method, res.converged) == ("fista", True)
-        assert np.array_equal(res.x_hat, fista.x_hat)
-        assert res.iterations == fista.iterations
+        res = solve_penalized(Phi, y, lam, self.GAUGE(Phi.shape[1]))
+        assert res.converged
+        self._assert_backstop(res, Phi, y, lam, SolveOptions())
 
     def test_events_count_against_max_iter(self):
         Phi, y, lam = self.instance(None, 3)
@@ -832,27 +741,22 @@ class _PathTwins:
             self._path(Phi, y, lam, events - 1)
         assert solve_penalized(Phi, y, lam, g, SolveOptions(
             max_iter=events)).method == "path"
-        res = solve_penalized(Phi, y, lam, g,
-                              SolveOptions(max_iter=events - 1))
-        fista = solvers._fista(Phi, y, lam, g,
-                               SolveOptions(max_iter=events - 1))
-        assert res.method == "fista" and res.iterations == fista.iterations
-        assert np.array_equal(res.x_hat, fista.x_hat)
+        opts = SolveOptions(max_iter=events - 1)
+        self._assert_backstop(solve_penalized(Phi, y, lam, g, opts),
+                              Phi, y, lam, opts)
 
     def test_an_end_point_that_fails_the_test_falls_back(self):
-        # at tol 0 the path's round-off fails the test: FISTA, bit for bit
+        # at tol 0 the path's round-off fails the test
         Phi, y, lam = self.instance(None, 3)
-        g = self.GAUGE(20)
-        res = solve_penalized(Phi, y, lam, g,
-                              SolveOptions(tol=0.0, max_iter=300))
-        fista = solvers._fista(Phi, y, lam, g,
-                               SolveOptions(tol=0.0, max_iter=300))
-        assert res.method == "fista" and res.iterations == fista.iterations
-        assert np.array_equal(res.x_hat, fista.x_hat)
+        opts = SolveOptions(tol=0.0, max_iter=300)
+        self._assert_backstop(
+            solve_penalized(Phi, y, lam, self.GAUGE(20), opts),
+            Phi, y, lam, opts)
 
 
 class TestLassoPath(_PathTwins):
     GAUGE, MODEL = L1, solvers._L1Model
+    BACKSTOP, backstop = "fista", staticmethod(solvers._fista)
     instance = staticmethod(_path_instance)
 
     @staticmethod
@@ -993,6 +897,7 @@ class TestLassoPath(_PathTwins):
 
 class TestMaxAbsPath(_PathTwins):
     GAUGE, MODEL = Linf, solvers._MaxAbsModel
+    BACKSTOP, backstop = "active-set", staticmethod(_active_set_solve)
     instance = staticmethod(_max_abs_instance)
 
     @staticmethod
