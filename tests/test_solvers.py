@@ -293,7 +293,10 @@ class TestInputChecks:
     @pytest.mark.parametrize("row, g, what", [
         ([1.0, 1.0, 1.0], L1(3), "the FISTA step"),
         ([1.0, 1.0, 1.0], tv1d_gauge(3), "the least-squares prox"),
-        ([0.0, 1.0, 1.0], tv1d_gauge(3), "the Chambolle-Pock iterate")])
+        ([0.0, 1.0, 1.0], tv1d_gauge(3), "the Chambolle-Pock iterate"),
+        ([1.0, 1.0, 1.0], Linf(3), r"\|\|Phi\|\|\^2 or Phi\^T y"),
+        ([1.0, 1.0, 1.0], PolyhedralH(np.eye(3)),
+         r"\|\|Phi\|\|\^2 or Phi\^T y")])
     def test_a_y_at_the_edge_of_the_range_is_a_solver_error(self, row, g,
                                                             what):
         # the last of these used to end in check_finite's "x contains NaN"
