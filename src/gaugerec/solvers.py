@@ -12,21 +12,22 @@ of the ratio test, the rule at ties and the events.  On the l1 path
 enters or leaves the active set; on the max-abs path, from ||Phi^T y||_1,
 it is a free entry that reaches +-||x||_inf and saturates, or a saturated
 entry whose dual weight falls to zero and frees.  Each event solves one
-Gram system.  The end point is returned (method "path") once it passes
-the first-order test that every route exits on; where the path cannot go
-on (a singular Gram matrix, a Gram matrix or correlation that is not
-finite, more events than ``max_iter``) or its end point fails the test,
-the kind's backstop runs exactly as it does alone.
+Gram system.  An l1 base pre-composed with D* of full row rank (tv) takes
+the l1 path on its reduced lasso (``_reduced_lasso``).  The end point is
+returned (method "path") once it passes the first-order test that every
+route exits on; where the path cannot go on or its end point fails the
+test, the kind's backstop runs exactly as it does alone.
 
-A gauge whose base has support atoms a_j, base(u) = max(0, max_j <a_j, u>)
-(Linf and the positive-part max, on their own or pre-composed, as
-PolyhedralH is), is a max of the atoms a_j K, K = D* for a pre-composition.
-Its penalized problem is a convex QP in (x, t), which a primal active-set
-method (``_active_set``) solves exactly in finitely many steps; it is also
-the backstop of the max-abs path.  FISTA with adaptive restart solves the
-prox-able ``GroupL1L2`` and backs up the l1 path, and Chambolle-Pock
-J(x) = base(K x) on every other gauge, with K = D* for a pre-composition
-and K = I otherwise.
+Every other polyhedral gauge (a base L1, Linf or the positive-part max,
+K = D* for a pre-composition and K = I otherwise) is a sum of blocks of
+atoms, J(x) = sum_k max(0, max_j <a_j, x>): the blocks {k_i, -k_i} of the
+rows k_i of K for an l1 base, else one block of the support atoms times K.
+A primal active-set method (``_active_set``) solves its penalized problem,
+a QP in x and one t_k per block, exactly in finitely many steps; it also
+backs up the max-abs and reduced l1 paths.  FISTA with adaptive restart
+solves the prox-able ``GroupL1L2`` and backs up the l1 path, and
+Chambolle-Pock J(x) = base(K x) where the base has a smooth part (L2 and
+GroupL1L2, plain or pre-composed).
 
 Each loop applies its least-squares step as an affine map v -> M v + c
 formed once per solve: M = I - step Phi^T Phi for the FISTA forward step,
@@ -45,16 +46,8 @@ regularizer is smooth: affine for the l1 and max-abs kinds, where the
 candidate is one linear solve, and a sum of block norms for the group
 kind, where Newton's method on the active blocks finds it.  Newton gives
 up at the first step that it would have to damp below 1/2, a sign that
-the model is not yet identified.
-
-Chambolle-Pock reads the model from its dual iterate p instead (Liang,
-Fadili & Peyre 2018).  For an l1 base p lies on a face of the box lam
-[-1, 1]^m: its clipped entries, with their signs.  The face fixes a primal
-subspace T, on which the regularizer is linear; a check that the iterate
-fails also solves the penalized problem exactly on T and returns that
-candidate once it passes the same first-order test.  Only the last face is
-kept, so a face that repeats is not solved again.  The Euclidean and group
-bases have no polyhedral face and stop on the iterate's test alone.
+the model is not yet identified.  Chambolle-Pock stops on the iterate's
+test alone.
 
 ``solve_noiseless`` solves an LP when the gauge has one and otherwise runs
 the same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
@@ -172,24 +165,26 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     The route is the gauge's:
 
     ========================  ==============================================
-    L1, Linf                  end point at lam of the exact homotopy path
-                              (``_homotopy``, with the l1 or the max-abs
-                              model; method "path", ``iterations`` = its
-                              events), where it passes the first-order
-                              test at ``tol``; else FISTA for L1 and the
-                              active set for Linf
-    a base with support       the active set on the epigraph QP
-    atoms: PolyhedralH,       (``_active_set``; method "active-set")
-    PositivePartMax,
+    L1, Linf,                 end point at lam of the exact homotopy path
+    Precomposed(L1) (tv)      (``_homotopy``, with the l1 or the max-abs
+                              model, on the reduced lasso for tv; method
+                              "path", ``iterations`` = its events), where
+                              it passes the first-order test at ``tol``;
+                              else FISTA for L1 and the active set for the
+                              others
+    PolyhedralH,              the active set on the epigraph QP
+    PositivePartMax,          (``_active_set``; method "active-set")
     Precomposed(Linf)
     GroupL1L2                 FISTA (method "fista")
-    every other gauge         Chambolle-Pock (method "pd");
-                              ``UnsupportedGaugeError`` for a sum or a max
+    L2, Precomposed(L2 or     Chambolle-Pock (method "pd")
+    GroupL1L2)
+    every other gauge         ``UnsupportedGaugeError`` (a sum, a max)
     ========================  ==============================================
 
     A path falls back where it cannot go on (a singular Gram matrix, a Gram
     matrix or correlation that is not finite, more events than
-    ``opts.max_iter``) or where its end point fails the test.
+    ``opts.max_iter``, for tv a D* without full row rank or a Phi not
+    injective on Ker D*) or where its end point fails the test.
 
     Parameters
     ----------
@@ -201,17 +196,17 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     """
     Phi, y, _ = check_problem(Phi, y, dim=g.dim, lam=lam)
     opts = opts or SolveOptions()
-    model = _PATH_MODELS.get(type(g))
+    model = _path_model(g)
     if model is not None:
         res = _path_solve(Phi, y, lam, g, model, opts)
         if res is not None:
             return res
-    atoms = _max_atoms(g)
-    if atoms is not None:
-        x, iterations = _active_set(Phi, y, lam, atoms, opts)
-        return _tested(Phi, y, lam, g, x, iterations, opts.tol, "active-set")
     if isinstance(g, (L1, GroupL1L2)):
         return _fista(Phi, y, lam, g, opts)
+    blocks = _atom_blocks(g)
+    if blocks is not None:
+        x, iterations = _active_set(Phi, y, lam, *blocks, opts)
+        return _tested(Phi, y, lam, g, x, iterations, opts.tol, "active-set")
     return _primal_dual_penalized(Phi, y, lam, g, opts)
 
 
@@ -225,16 +220,55 @@ def _tested(Phi, y, lam, g, x, iterations, tol, method):
 
 def _path_solve(Phi, y, lam, g, model, opts):
     """The end point at lam of the gauge's homotopy path, traced with its
-    ``model``, as a result certified by the first-order test at
+    ``model`` (on the reduced lasso of ``_reduced_lasso`` for an l1 base
+    pre-composed with D*), as a result certified by the first-order test at
     ``opts.tol``; None where the path cannot go on or its end point fails
     the test."""
     try:
-        path = _homotopy(Phi, y, lam, opts.max_iter, model)
+        Phi_r, y_r, lift = (_reduced_lasso(Phi, y, g)
+                            if isinstance(g, Precomposed) else (Phi, y, None))
+        path = _homotopy(Phi_r, y_r, lam, opts.max_iter, model)
     except PathError:
         return None
-    res = _tested(Phi, y, lam, g, path.x_at(lam), path.events, opts.tol,
-                  "path")
+    x = path.x_at(lam)
+    res = _tested(Phi, y, lam, g, x if lift is None else lift(x),
+                  path.events, opts.tol, "path")
     return res if res.converged else None
+
+
+def _path_model(g):
+    """The homotopy path model of g, or None: l1 for L1 and for an l1 base
+    pre-composed with D* (on its reduced lasso), max-abs for Linf."""
+    if isinstance(g.base if isinstance(g, Precomposed) else g, L1):
+        return _L1Model
+    return _MaxAbsModel if isinstance(g, Linf) else None
+
+
+def _reduced_lasso(Phi, y, g):
+    """(Phi', y', lift) for an l1 base pre-composed with D* of full row
+    rank, Phi injective on Ker D*: with x = D*^+ u + N c, N a basis of
+    Ker D*, the penalized problem is the lasso in u of Phi' = P Phi D*^+
+    and y' = P y, P the projector off range(Phi N), and
+    ``lift(u)`` = D*^+ u + N (Phi N)^+ (y - Phi D*^+ u) is its x (Elad,
+    Milanfar & Rubinstein 2007, *Analysis versus synthesis in signal
+    priors*).  ``PathError`` where D* or Phi N, on the scale ||Phi||_2, is
+    rank deficient, or Phi N or Phi D*^+ is not finite."""
+    if g._d_null.shape[1]:
+        raise PathError("D* does not have full row rank")
+    Dp = g._d_pinv.T
+    N = null_space(g.dstar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M, B = Phi @ N, Phi @ Dp
+    if not (np.isfinite(M).all() and np.isfinite(B).all()):
+        raise PathError("Phi N or Phi D*^+ is not finite")
+    Mp, rank = pinv_and_rank(M, np.linalg.norm(Phi, 2))
+    if rank < N.shape[1]:
+        raise PathError("Phi is not injective on Ker D*")
+
+    def lift(u):
+        return Dp @ u + N @ (Mp @ (y - B @ u))
+
+    return B - M @ (Mp @ B), y - M @ (Mp @ y), lift
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +277,8 @@ def _path_solve(Phi, y, lam, g, model, opts):
 
 class PathError(SolverError):
     """A homotopy path cannot go on: its Gram matrix is singular, a Gram
-    matrix, correlation or weight is not finite, or it needs more events
-    than allowed."""
+    matrix, correlation or weight is not finite, it needs more events than
+    allowed, or an analysis l1 has no reduced lasso."""
 
 
 class HomotopyPath:
@@ -480,10 +514,6 @@ class _MaxAbsModel(_PathModel):
         return x
 
 
-# the path model of each gauge that has one
-_PATH_MODELS = {L1: _L1Model, Linf: _MaxAbsModel}
-
-
 def _next_event(reach, cross, lam):
     """The next event of a homotopy path from the roots of its ratio test:
     the flat index k into ``reach``, the index i into ``cross``, the lam
@@ -513,65 +543,70 @@ def _gram_solve(GA, rhs, cutoff):
 # the active set on the epigraph QP of a max of atoms
 # ---------------------------------------------------------------------------
 
-def _active_set(Phi, y, lam, A, opts):
+def _active_set(Phi, y, lam, A, block, opts):
     """(x, iterations) of a primal active-set method (Nocedal & Wright 2006,
-    *Numerical Optimization*, §16.5) for J(x) = max(0, max_j <a_j, x>), a_j
-    the rows of A: the QP min 0.5||y - Phi x||^2 + lam t over z = (x, t)
-    subject to the rows A x - t <= 0 and -t <= 0, written C z <= 0.
+    *Numerical Optimization*, §16.5) for J(x) = sum_k max(0, max_j <a_j,
+    x>), a_j the rows of A and k = block[j] their blocks, 0 to m - 1: the
+    QP min 0.5||y - Phi x||^2 + lam sum_k t_k over z = (x, t), t in R^m,
+    subject to the rows A x - t_block <= 0 and -t <= 0, written C z <= 0.
 
     It starts at z = 0 with the working set W = {t >= 0}.  Each iteration
     takes an orthonormal basis N of Ker C_W and the SVD of Phi N_x, which
-    is the eigendecomposition of the reduced Hessian.  Where t can move on
-    that Hessian's kernel, the step is the zero-curvature descent direction,
-    on which Phi x stays and t falls, to the first blocking row; otherwise
-    it is the Newton step to the minimizer on z + Ker C_W, cut at the first
-    blocking row.  A blocking row joins W.  At the minimizer the multipliers
-    of W, by least squares from C_W^T mu = -grad, are tested: the most
-    negative leaves W, ties to the smallest row, and none below round-off
-    ends the solve.  Each step and each test is one of at most
-    ``opts.max_iter`` iterations.  ``SolverError`` where ||Phi||^2, Phi^T y
-    or a step is not finite."""
+    is the eigendecomposition of the reduced Hessian.  Where sum_k t_k can
+    move on that Hessian's kernel, the step is the zero-curvature descent
+    direction, on which Phi x stays and sum_k t_k falls, to the first
+    blocking row; otherwise it is the Newton step to the minimizer on
+    z + Ker C_W, cut at the first blocking row.  A blocking row joins W.  At
+    the minimizer the multipliers of W, by least squares from
+    C_W^T mu = -grad, are tested: the most negative leaves W, ties to the
+    smallest row, and none below round-off ends the solve.  Each step and
+    each test is one of at most ``opts.max_iter`` iterations.
+    ``SolverError`` where ||Phi||^2, Phi^T y, a step or the atom values
+    A x at the end are not finite."""
     Q, n = Phi.shape
+    m = int(block.max()) + 1
     # N is orthonormal, so ||Phi|| bounds the singular values sm of Phi N_x:
     # their rank is judged on that scale, and sm ** 2 does not overflow
     top = np.linalg.norm(Phi, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         _require_finite(Phi, y, "||Phi||^2 or Phi^T y", top * top, Phi.T @ y)
-    C = np.zeros((A.shape[0] + 1, n + 1))
-    C[:-1, :n] = A
-    C[:, n] = -1.0
+    C = np.zeros((len(A) + m, n + m))
+    C[:len(A), :n] = A
+    C[np.arange(len(A)), n + block] = -1.0
+    C[len(A):, n:] = -np.eye(m)
     norms = np.linalg.norm(C, axis=1)
-    # round-off on unit scales: of the kernel part of N's t row, of a row's
+    # round-off on unit scales: of the kernel part of N's t rows, of a row's
     # rate along a step, and of a multiplier, the multipliers summing to lam
     floor = rank_tolerance(1.0, C.shape)
     W = np.zeros(len(C), dtype=bool)
-    W[-1] = True
-    z = np.zeros(n + 1)
+    W[len(A):] = True
+    z = np.zeros(n + m)
     stationary = False
     for it in range(1, opts.max_iter + 1):
         k = np.count_nonzero(W)
         U, s, Vt = np.linalg.svd(C[W], full_matrices=True)
         r = y - Phi @ z[:n]
         if stationary:
-            # grad = (-Phi^T r, lam)
-            mu = U @ ((Vt[:k, :n] @ (Phi.T @ r) - lam * Vt[:k, n]) / s)
+            # grad = (-Phi^T r, lam, ..., lam)
+            mu = U @ ((Vt[:k, :n] @ (Phi.T @ r) - lam * Vt[:k, n:].sum(1)) / s)
             j = int(np.argmin(mu))
             if mu[j] >= -floor * lam:
-                return z[:n], it
+                break
             W[np.flatnonzero(W)[j]] = False
             stationary = False
             continue
         N = Vt[k:].T
         Um, sm, Vm = np.linalg.svd(Phi @ N[:n], full_matrices=True)
         rank = numerical_rank(sm, (Q, N.shape[1]), top)
-        flat = Vm[rank:] @ N[n]
+        # the t rows of N on the Hessian's kernel, summed over the blocks
+        flat = (Vm[rank:] @ N[n:].T).sum(1)
         newton = not np.linalg.norm(flat) > floor
         if newton:
             V, sv = Vm[:rank], sm[:rank]
             p = N @ (V.T @ ((Um[:, :rank].T @ r) / sv
-                            - lam * (V @ N[n]) / sv ** 2))
+                            - lam * (V @ N[n:].T).sum(1) / sv ** 2))
         else:
-            # t falls at the rate |flat|^2, so the row -t <= 0 blocks
+            # sum t falls at the rate |flat|^2, so a row -t_k <= 0 blocks
             p = -(N @ (Vm[rank:].T @ flat))
         _require_finite(Phi, y, f"the active-set step at iteration {it}", p)
         rate = C @ p
@@ -585,7 +620,9 @@ def _active_set(Phi, y, lam, A, opts):
         else:
             z = z + steps[j] * p
             W[j] = True
-    return z[:n], opts.max_iter
+    with np.errstate(over="ignore", invalid="ignore"):
+        _require_finite(Phi, y, "A x at the active set's end point", A @ z[:n])
+    return z[:n], it
 
 
 def _fista(Phi, y, lam, g, opts):
@@ -685,51 +722,44 @@ def _analysis_split(g):
     return np.eye(g.dim), g
 
 
-def _max_atoms(g):
-    """The rows a_j with J(x) = max(0, max_j <a_j, x>), the base's support
-    atoms times K, or None for a base without them."""
+def _atom_blocks(g):
+    """(A, block) with J(x) = sum_k max(0, max_j <a_j, x>), a_j the rows of
+    A and k = block[j] their blocks: for an l1 base the blocks {k_i, -k_i}
+    of the rows k_i of K, else one block of the base's support atoms times
+    K; None for a base with neither."""
     K, base = _analysis_split(g)
+    if isinstance(base, L1):
+        return np.vstack([K, -K]), np.tile(np.arange(len(K)), 2)
     atoms = base.support_atoms()
-    if atoms is None or base is g:
-        return atoms
-    return atoms @ K
+    if atoms is None:
+        return None
+    return atoms if base is g else atoms @ K, np.zeros(len(atoms), int)
 
 
 def _splitting_pieces(g):
-    """(K, dual projection, dual face) so that J(x) = base(K x), with the
-    projection onto lam * (polar ball of base) and ``face(K, p, lam)`` the
-    face of that ball that holds p (``_box_face``), or None for a base
-    with no polyhedral face.  This is the one table of gauges that
-    Chambolle-Pock runs on."""
+    """(K, dual projection) so that J(x) = base(K x), with the projection
+    onto lam * (polar ball of base).  This is the one table of gauges that
+    Chambolle-Pock runs on: those whose base has a smooth part, L2 and
+    GroupL1L2, plain or pre-composed."""
     K, base = _analysis_split(g)
-    if isinstance(base, L1):
-        return K, lambda p, lam: np.clip(p, -lam, lam), _box_face
     if isinstance(base, L2):
-        return K, (lambda p, lam: p * min(1.0, lam / max(np.linalg.norm(p),
-                                                         1e-300))), None
+        return K, lambda p, lam: p * min(1.0, lam / max(np.linalg.norm(p),
+                                                        1e-300))
     if isinstance(base, GroupL1L2):
         part = base.partition
 
         def proj(p, lam):
             # lam / max(nb, lam) is 1 exactly on the blocks inside the ball
             return p * (lam / np.maximum(part.norms(p), lam))[part.block_of]
-        return K, proj, None
+        return K, proj
     raise UnsupportedGaugeError(f"no splitting for {type(g).__name__}")
-
-
-def _box_face(K, p, lam):
-    """(key, C) for the face of the box lam * [-1, 1]^m of an l1 base that
-    holds p: the clipped entries, with their signs, are the jump set, and
-    the free rows of K vanish on the primal subspace {C x = 0}."""
-    clipped = np.abs(p) == lam
-    return np.sign(p) * clipped, K[~clipped]
 
 
 def _chambolle_pock(K, dual_proj, radius, x, prox_at, check, opts):
     """Chambolle-Pock on min_x F(x) + radius * base(K x) from x, with
     ``prox_at(tau)`` the prox of tau * F.  It returns the first converged
-    ``check(x, p, it)``, p the dual iterate, run every ``CHECK_EVERY``
-    iterations and at ``opts.max_iter``, else the last."""
+    ``check(x, it)``, run every ``CHECK_EVERY`` iterations and at
+    ``opts.max_iter``, else the last."""
     normK = power_operator_norm(K)
     sigma = tau = 0.99 / normK if normK > 0 else 1.0
     prox = prox_at(tau)
@@ -741,48 +771,25 @@ def _chambolle_pock(K, dual_proj, radius, x, prox_at, check, opts):
         xbar = 2.0 * x_new - x
         x = x_new
         if it % CHECK_EVERY == 0 or it == opts.max_iter:
-            res = check(x, p, it)
+            res = check(x, it)
             if res.converged:
                 return res
     return res
 
 
 def _primal_dual_penalized(Phi, y, lam, g, opts):
-    """Chambolle-Pock on min_x 0.5||y - Phi x||^2 + lam * base(K x).
+    """Chambolle-Pock on min_x 0.5||y - Phi x||^2 + lam * base(K x), which
+    stops on the iterate's first-order test."""
+    K, dual_proj = _splitting_pieces(g)
 
-    A check that the iterate fails also tries the minimizer over the primal
-    subspace of the dual iterate's face (``_face_candidate``); the face of
-    the last check is kept, and a repeated face is not solved again."""
-    K, dual_proj, face = _splitting_pieces(g)
-    last_key = None
-
-    def check(x, p, it):
-        nonlocal last_key
+    def check(x, it):
         _require_finite(Phi, y,
                         f"the Chambolle-Pock iterate at iteration {it}", x)
-        eq, slack = _first_order_residuals(Phi, y, lam, g, x)
-        done = eq <= opts.tol and slack <= opts.tol
-        if not done and face is not None:
-            key, C = face(K, p, lam)
-            if not np.array_equal(key, last_key):
-                last_key = key
-                cand = _face_candidate(Phi, y, K, p, C)
-                res = _tested(Phi, y, lam, g, cand, it, opts.tol, "pd")
-                if res.converged:
-                    return res
-        return SolveResult(x, it, eq, slack, done, "pd")
+        return _tested(Phi, y, lam, g, x, it, opts.tol, "pd")
 
     return _chambolle_pock(K, dual_proj, lam, np.zeros(Phi.shape[1]),
                            lambda tau: _least_squares_prox(Phi, y, tau),
                            check, opts)
-
-
-def _face_candidate(Phi, y, K, p, C):
-    """The minimizer of 0.5||y - Phi x||^2 + <K^T p, x> over {C x = 0}.
-    There it equals the penalized objective near the face of p, and it is
-    the same for every dual point of that face."""
-    U = null_space(C)
-    return _restricted_affine(svd_pinv(Phi @ U), y, U, 1.0, K.T @ p)
 
 
 def _least_squares_prox(Phi, y, tau):
@@ -835,7 +842,7 @@ def _noiseless_lp(Phi, y, g, xls, Z):
     """(LpResult, map from its x to the recovered x) for min J(x), Phi x = y;
     None off the LP map.  xls is any solution of Phi x = y and Z an
     orthonormal basis of Ker(Phi).  A base with support atoms makes J a max
-    of atoms (``_max_atoms``), one ``_max_atoms_lp``."""
+    of atoms (one block of ``_atom_blocks``), one ``_max_atoms_lp``."""
     Q, n = Phi.shape
     if isinstance(g, L1):
         # x = u - v, u,v >= 0; min sum(u+v)
@@ -857,10 +864,10 @@ def _noiseless_lp(Phi, y, g, xls, Z):
         return (lp.lp_solve(LpProblem(c, a_eq=a_eq, b_eq=b_eq,
                                       bounds=bounds)),
                 lambda z: z[:n])
-    atoms = _max_atoms(g)
-    if atoms is None:
+    blocks = _atom_blocks(g)
+    if blocks is None:
         return None
-    return _max_atoms_lp(xls, Z, atoms)
+    return _max_atoms_lp(xls, Z, blocks[0])
 
 
 def _max_atoms_lp(xls, Z, A):
@@ -874,7 +881,7 @@ def _primal_dual_noiseless(Phi, y, g, opts):
     """Chambolle-Pock with the indicator of {Phi x = y} as the smooth block;
     it stops once feasible with a stalled objective, or feasible at
     max_iter."""
-    K, dual_proj, _ = _splitting_pieces(g)
+    K, dual_proj = _splitting_pieces(g)
     pinv = svd_pinv(Phi)
 
     def affine_proj(v):
@@ -882,7 +889,7 @@ def _primal_dual_noiseless(Phi, y, g, opts):
 
     obj_prev = np.inf
 
-    def check(x, p, it):
+    def check(x, it):
         nonlocal obj_prev
         obj = g.value(x)
         feas = np.linalg.norm(Phi @ x - y) / (1.0 + np.linalg.norm(y))
@@ -936,7 +943,8 @@ def solve_restricted(Phi, y, lam, md, opts=None):
     if rank < U.shape[1]:
         raise cert_mod.RestrictedInjectivityError(
             "restricted problem is not strongly convex on T")
-    x = _restricted_affine(Mp, y, U, lam, md.e)
+    # x = U c, c = (M^T M)^{-1} (M^T y - lam U^T e), (M^T M)^{-1} = Mp Mp^T
+    x = U @ (Mp @ (y - lam * (Mp.T @ (U.T @ md.e))))
     res = np.max(np.abs(M.T @ (y - Phi @ x) - lam * (U.T @ md.e)),
                  initial=0.0)
     return SolveResult(x, 1, res / (1.0 + lam), 0.0, True, "closed-form")
@@ -950,15 +958,6 @@ def _polyhedral(g):
     if isinstance(g, Precomposed):
         return _polyhedral(g.base)
     return isinstance(g, (L1, Linf, PositivePartMax))
-
-
-def _restricted_affine(Mp, y, U, lam, e):
-    """U c with c = (M^T M)^+ (M^T y - lam U^T e), given Mp = M^+ for
-    M = Phi U: the minimizer of 0.5||y - Phi x||^2 + lam <e, x> over the
-    span of U when M is injective, and the least-norm one of its
-    minimizers otherwise."""
-    # (M^T M)^+ = Mp Mp^T
-    return U @ (Mp @ (y - lam * (Mp.T @ (U.T @ e))))
 
 
 def _group_newton(Phi, y, lam, md, tol, max_iter=50):

@@ -214,6 +214,20 @@ class TestSolve:
                                                                 True)
         assert np.abs(np.array(r["x_hat"]) - [4.5, 0.0, 0.0]).max() <= 1e-12
 
+    @pytest.mark.parametrize("phi, method", [
+        ("[[1,0,0],[0,1,1]]", "path"),
+        # Phi annihilates the constants, Ker D*: the active-set backstop
+        ("[[1,-1,0],[0,1,-1]]", "active-set")])
+    def test_penalized_tv1d_route(self, capsys, phi, method):
+        code, out, _ = run_cli(capsys, "solve", "--mode", "penalized",
+                               "--reg", "tv1d", "--phi", phi, "--y", "[5,0]",
+                               "--lambda", "0.5")
+        r = json.loads(out)
+        assert code == 0 and (r["method"], r["converged"]) == (method, True)
+        if method == "path":
+            assert np.abs(np.array(r["x_hat"])
+                          - [4.5, 0.125, 0.125]).max() <= 1e-12
+
     def test_penalized_polyhedral_with_equal_columns_of_h(self, capsys):
         # columns 1 and 3 of H are equal, so the model of the solution
         # meets a D_S0 of round-off, H (e_1 - e_3) / sqrt(2); its rank was

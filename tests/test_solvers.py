@@ -81,14 +81,15 @@ class TestPenalized:
 
     def test_same_image_property(self, rng):
         # minimizers may differ, the measured image may not: the l1 path
-        # against Chambolle-Pock on l1 pre-composed with the identity
+        # against the active set on the blocks of l1 pre-composed with the
+        # identity
         Phi, x0 = random_l1_instance(88, 18, 9, 4)
         y = Phi @ x0 + 0.1 * rng.standard_normal(9)
         r1 = solve_penalized(Phi, y, 0.25, L1(18), SolveOptions(tol=1e-10))
-        r2 = solve_penalized(Phi, y, 0.25, Precomposed(L1(18), np.eye(18)),
-                             SolveOptions(tol=1e-10))
+        r2 = _active_set_solve(Phi, y, 0.25, Precomposed(L1(18), np.eye(18)),
+                               SolveOptions(tol=1e-10))
         assert r1.converged and r2.converged
-        assert (r1.method, r2.method) == ("path", "pd")
+        assert (r1.method, r2.method) == ("path", "active-set")
         assert np.linalg.norm(Phi @ (r1.x_hat - r2.x_hat)) \
             <= 1e-6 * (1.0 + np.linalg.norm(y))
 
@@ -98,15 +99,18 @@ class TestPenalized:
                             SumGauge([L1(3), Linf(3)]))
 
     def test_pd_route_on_a_prox_able_gauge(self):
-        # Chambolle-Pock with K = I reaches FISTA's objective on l1
+        # Chambolle-Pock with K = I reaches FISTA's objective on group l1-l2
         Phi, x0 = random_l1_instance(3, 16, 10, 3)
         y = Phi @ x0 + 0.05 * np.random.default_rng(1).standard_normal(10)
-        pd = solve_penalized(Phi, y, 0.3, Precomposed(L1(16), np.eye(16)),
+        g = GroupL1L2(BlockPartition([[2 * b, 2 * b + 1] for b in range(8)],
+                                     16))
+        pd = solve_penalized(Phi, y, 0.3, Precomposed(g, np.eye(16)),
                              SolveOptions(tol=1e-9))
-        fista = solve_penalized(Phi, y, 0.3, L1(16), SolveOptions(tol=1e-12))
+        fista = solve_penalized(Phi, y, 0.3, g, SolveOptions(tol=1e-12))
         assert pd.converged and pd.method == "pd"
-        assert abs(solvers._objective(Phi, y, 0.3, L1(16), pd.x_hat)
-                   - solvers._objective(Phi, y, 0.3, L1(16), fista.x_hat)) \
+        assert fista.converged and fista.method == "fista"
+        assert abs(solvers._objective(Phi, y, 0.3, g, pd.x_hat)
+                   - solvers._objective(Phi, y, 0.3, g, fista.x_hat)) \
             <= 1e-8
 
     @pytest.mark.parametrize("analysis", [False, True])
@@ -176,15 +180,15 @@ def _penalized_instance(kind, seed):
 
 
 # solve_penalized on _penalized_instance(kind, 3): iterations and converged
-# flags as the sort-and-loop kernels gave them (tv with the exit on the dual
-# iterate's face); poly takes the active set, whose 55 iterations are its
-# steps and multiplier tests; l1 and linf take their paths, with 16 and 20
-# events, and the x_hat bits are the paths' end points (those of a build
+# flags as the sort-and-loop kernels gave them; poly takes the active set,
+# whose 55 iterations are its steps and multiplier tests; l1, linf and tv
+# take their paths, with 16, 20 and 4 events (tv on its reduced lasso), and
+# the x_hat bits are the l1 and linf paths' end points (those of a build
 # with OpenBLAS; another BLAS may move the last bits)
-PINNED_ITERATIONS = {"l1": 16, "group": 200, "linf": 20, "tv": 200,
+PINNED_ITERATIONS = {"l1": 16, "group": 200, "linf": 20, "tv": 4,
                      "poly": 55}
 PINNED_METHOD = {"l1": "path", "group": "fista", "linf": "path",
-                 "tv": "pd", "poly": "active-set"}
+                 "tv": "path", "poly": "active-set"}
 PINNED_X_HAT = {
     "l1": [
         '0x0.0p+0', '0x0.0p+0',
@@ -277,29 +281,48 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"^{next(iter(kw))} must"):
             SolveOptions(**kw)
 
-    @pytest.mark.parametrize("kind", ["l1", "linf", "group", "tv", "poly"])
+    @pytest.mark.parametrize("kind", ["l1", "linf", "group", "tv", "poly",
+                                      "l2-analysis"])
     def test_an_overflowing_phi_is_a_solver_error(self, kind):
-        # ||Phi||^2 (FISTA) and I + tau Phi^T Phi (Chambolle-Pock) overflow:
-        # an OverflowError and scipy's "array must not contain infs" before
-        g = {"l1": L1(3), "linf": Linf(3),
-             "group": GroupL1L2(BlockPartition([[0], [1, 2]], 3)),
-             "tv": tv1d_gauge(3),
-             "poly": PolyhedralH(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0],
-                                           [0.0, 0.0, 1.0]]))}[kind]
-        with pytest.raises(solvers.SolverError, match="scale of Phi"):
+        # ||Phi||^2 (FISTA, the active set) and I + tau Phi^T Phi
+        # (Chambolle-Pock) overflow: an OverflowError and scipy's "array must
+        # not contain infs" before
+        poly = PolyhedralH(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0],
+                                     [0.0, 0.0, 1.0]]))
+        g, what = {
+            "l1": (L1(3), r"\|\|Phi\|\|\^2 is"),
+            "linf": (Linf(3), r"\|\|Phi\|\|\^2 or Phi\^T y"),
+            "group": (GroupL1L2(BlockPartition([[0], [1, 2]], 3)),
+                      r"\|\|Phi\|\|\^2 is"),
+            "tv": (tv1d_gauge(3), r"\|\|Phi\|\|\^2 or Phi\^T y"),
+            "poly": (poly, r"\|\|Phi\|\|\^2 or Phi\^T y"),
+            "l2-analysis": (Precomposed(L2(2), tv1d_gauge(3).dstar),
+                            r"I \+ tau Phi\^T Phi")}[kind]
+        with pytest.raises(solvers.SolverError,
+                           match=f"^{what}.*scale of Phi"):
             solve_penalized(1e160 * self.PHI, np.array([5.0, 0.0]), 0.5, g)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("row, g, what", [
         ([1.0, 1.0, 1.0], L1(3), "the FISTA step"),
-        ([1.0, 1.0, 1.0], tv1d_gauge(3), "the least-squares prox"),
-        ([0.0, 1.0, 1.0], tv1d_gauge(3), "the Chambolle-Pock iterate"),
+        ([1.0, 1.0, 1.0], Precomposed(L2(2), tv1d_gauge(3).dstar),
+         "the least-squares prox"),
+        ([0.0, 1.0, 1.0], Precomposed(L2(2), tv1d_gauge(3).dstar),
+         "the Chambolle-Pock iterate"),
         ([1.0, 1.0, 1.0], Linf(3), r"\|\|Phi\|\|\^2 or Phi\^T y"),
         ([1.0, 1.0, 1.0], PolyhedralH(np.eye(3)),
-         r"\|\|Phi\|\|\^2 or Phi\^T y")])
+         r"\|\|Phi\|\|\^2 or Phi\^T y"),
+        # the active set ends at (1.7e308, 8.5e307, 8.5e307), whose third
+        # atom value overflows
+        ([0.0, 1.0, 1.0], PolyhedralH(np.array([[1.0, 0.0, -1.0],
+                                                [0.0, 1.0, -1.0],
+                                                [0.0, 0.0, 1.0]])),
+         "A x at the active set's end point"),
+        ([1.0, 1.0, 1.0], tv1d_gauge(3), r"\|\|Phi\|\|\^2 or Phi\^T y")])
     def test_a_y_at_the_edge_of_the_range_is_a_solver_error(self, row, g,
                                                             what):
-        # the last of these used to end in check_finite's "x contains NaN"
+        # the fifth of these used to end in check_finite's "x contains NaN",
+        # the sixth in decompose's "u contains NaN or Inf entries"
         Phi = np.array([[1.0, 0.0, 0.0], row])
         with pytest.raises(solvers.SolverError,
                            match=f"^{what}.*scale of Phi.*or of y"):
@@ -370,7 +393,7 @@ class TestSplittingKernels:
     def test_group_dual_projection_matches_block_loop(self, rng):
         # uneven, shuffled blocks, one of them empty
         part = BlockPartition([[5], [0, 6, 3], [], [1], [4, 2]], 7)
-        _, proj, _ = solvers._splitting_pieces(GroupL1L2(part))
+        _, proj = solvers._splitting_pieces(GroupL1L2(part))
         for _ in range(200):
             p = rng.standard_normal(7) * rng.choice([0.1, 1.0, 10.0])
             p[rng.random(7) < 0.2] = 0.0
@@ -394,7 +417,7 @@ class TestLastCheck:
         # checks run every CHECK_EVERY iterations and at max_iter, each once
         its = []
 
-        def check(x, p, it):
+        def check(x, it):
             its.append(it)
             return solvers.SolveResult(x, it, 1.0, 1.0, False, "pd")
 
@@ -456,71 +479,6 @@ class TestPolishedExit:
             assert tight.converged
             assert obj(res.x_hat) <= obj(tight.x_hat) + 1e-10
 
-    @pytest.mark.parametrize("kind", ["tv"])
-    def test_face_candidate_is_as_good_as_a_tight_run(self, kind,
-                                                      monkeypatch):
-        candidates = []
-        face_candidate = solvers._face_candidate
-        splitting_pieces = solvers._splitting_pieces
-
-        def spy(*args):
-            candidates.append(face_candidate(*args))
-            return candidates[-1]
-
-        def without_face(g):
-            K, proj, _ = splitting_pieces(g)
-            return K, proj, None
-
-        for seed in range(4):
-            Phi, y, lam, g = _penalized_instance(kind, seed)
-            candidates.clear()
-            monkeypatch.setattr(solvers, "_face_candidate", spy)
-            res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-7))
-            assert res.converged and res.method == "pd"
-            # the exit was the dual face's candidate, never the iterate
-            assert candidates and res.x_hat is candidates[-1]
-            assert res.iterations % 100 == 0
-            eq, slack = solvers._first_order_residuals(Phi, y, lam, g,
-                                                       res.x_hat)
-            assert (eq, slack) == (res.primal_residual, res.dual_residual)
-            # the iterate alone, held to a tighter test
-            monkeypatch.setattr(solvers, "_splitting_pieces", without_face)
-            tight = solve_penalized(Phi, y, lam, g,
-                                    SolveOptions(tol=1e-9, max_iter=100000))
-            monkeypatch.setattr(solvers, "_splitting_pieces",
-                                splitting_pieces)
-            assert tight.converged
-            assert solvers._objective(Phi, y, lam, g, res.x_hat) <= \
-                solvers._objective(Phi, y, lam, g, tight.x_hat) + 1e-10
-
-    @pytest.mark.parametrize("kind", ["tv"])
-    def test_a_wrong_face_is_never_returned(self, kind, monkeypatch):
-        # flip the sign of a clipped dual entry: each wrong candidate fails
-        # the first-order test, and the solve goes on to a point that
-        # passes it
-        built = []
-        face_candidate = solvers._face_candidate
-
-        def wrong(Phi, y, K, p, C):
-            p = p.copy()
-            clipped = np.flatnonzero(np.abs(p) == lam)
-            if clipped.size:
-                p[clipped[0]] = -p[clipped[0]]
-            built.append(face_candidate(Phi, y, K, p, C))
-            return built[-1]
-
-        monkeypatch.setattr(solvers, "_face_candidate", wrong)
-        for seed in range(4):
-            Phi, y, lam, g = _penalized_instance(kind, seed)
-            built.clear()
-            res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-7))
-            assert built
-            assert all(res.x_hat is not cand for cand in built)
-            assert res.converged
-            eq, slack = solvers._first_order_residuals(Phi, y, lam, g,
-                                                       res.x_hat)
-            assert max(eq, slack) <= 1e-7
-
     def test_identified_l1_model_exits_at_the_first_check(self):
         # FISTA alone needs 1300 iterations here; its support and signs are
         # right after 100, so the first check returns the polished point
@@ -572,8 +530,8 @@ def _tie_heavy_instance(seed):
 
 
 def _active_set_solve(Phi, y, lam, g, opts):
-    """The active set on g's atoms, as solve_penalized returns it."""
-    x, iterations = solvers._active_set(Phi, y, lam, solvers._max_atoms(g),
+    """The active set on g's atom blocks, as solve_penalized returns it."""
+    x, iterations = solvers._active_set(Phi, y, lam, *solvers._atom_blocks(g),
                                         opts)
     return solvers._tested(Phi, y, lam, g, x, iterations, opts.tol,
                            "active-set")
@@ -657,6 +615,91 @@ class TestActiveSet:
             assert res.converged and res.method == "active-set", seed
             assert res.iterations <= 50
         assert fell >= 50
+
+
+def _analysis_l1_instance(kind, seed):
+    """(Phi, y, lam, g) with an l1 base pre-composed with D* of full row
+    rank: tv as in the criterion-9 mix (n = 20, Q = 12), tv with Q > n
+    ("tv-tall", 12 x 8), or a Gaussian 15 x 20 D* ("gaussian")."""
+    if kind == "tv":
+        return _penalized_instance("tv", seed)
+    r = np.random.default_rng([seed, 37])
+    q, n = (12, 8) if kind == "tv-tall" else (12, 20)
+    Phi = r.standard_normal((q, n))
+    if kind == "tv-tall":
+        g = tv1d_gauge(n)
+        xs = np.repeat(r.standard_normal(2), n // 2)
+    else:
+        g = Precomposed(L1(15), r.standard_normal((15, n)))
+        xs = r.standard_normal(n)
+    return Phi, Phi @ xs + 0.1 * r.standard_normal(q), \
+        float(r.uniform(0.2, 1.2)), g
+
+
+class TestReducedL1Path:
+    # an l1 base pre-composed with D* of full row rank, Phi injective on
+    # Ker D*, is a lasso in u = D* x: it takes the l1 path there, and the
+    # block active set where it cannot
+
+    @pytest.mark.parametrize("kind, seeds", [
+        ("tv", range(30)), ("tv-tall", range(10)), ("gaussian", range(10))])
+    def test_end_point_matches_the_block_active_set(self, kind, seeds):
+        # two exact methods, one minimizer
+        for seed in seeds:
+            Phi, y, lam, g = _analysis_l1_instance(kind, seed)
+            res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-8))
+            assert res.converged and res.method == "path"
+            ref = _active_set_solve(Phi, y, lam, g, SolveOptions(tol=1e-8))
+            assert ref.converged
+            assert np.abs(res.x_hat - ref.x_hat).max() <= 1e-10
+
+    def test_the_readme_input_takes_the_path(self):
+        res = solve_penalized(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+                              np.array([5.0, 0.0]), 0.5, tv1d_gauge(3))
+        assert (res.method, res.converged) == ("path", True)
+        assert np.abs(res.x_hat - [4.5, 0.125, 0.125]).max() <= 1e-12
+
+    def test_events_count_against_max_iter(self):
+        Phi, y, lam, g = _analysis_l1_instance("tv", 3)
+        events = solve_penalized(Phi, y, lam, g).iterations
+        opts = SolveOptions(max_iter=events - 1)
+        res = solve_penalized(Phi, y, lam, g, opts)
+        ref = _active_set_solve(Phi, y, lam, g, opts)
+        assert (res.method, res.iterations) == ("active-set", ref.iterations)
+        assert np.array_equal(res.x_hat, ref.x_hat)
+
+    def test_fused_lasso_takes_the_active_set(self):
+        # D* = [I; tv] has more rows than columns, so no reduction is a
+        # lasso: the block active set solves it
+        n = 10
+        g = Precomposed(L1(2 * n - 1), np.vstack([np.eye(n),
+                                                  tv1d_gauge(n).dstar]))
+        for seed in range(5):
+            r = np.random.default_rng([seed, 38])
+            Phi = r.standard_normal((6, n))
+            xs = np.repeat([0.0, 1.5, 0.0, -1.0, 0.0], 2)
+            y = Phi @ xs + 0.05 * r.standard_normal(6)
+            with pytest.raises(solvers.PathError, match="full row rank"):
+                solvers._reduced_lasso(Phi, y, g)
+            res = solve_penalized(Phi, y, 0.3, g)
+            assert res.converged and res.method == "active-set"
+            assert check_noisy_optimality(Phi, y, 0.3, res.x_hat,
+                                          md=decompose(g, res.x_hat),
+                                          eq_tol=1e-6) != "not_optimal"
+
+    def test_a_phi_that_annihilates_the_constants_takes_the_active_set(self):
+        # Phi N, N = (1, 1, 1) / sqrt(3), is round-off: on the scale of
+        # ||Phi||_2 it has rank 0, so Phi is not injective on Ker D*
+        Phi = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        y = np.array([5.0, 0.0])
+        g = tv1d_gauge(3)
+        with pytest.raises(solvers.PathError, match="not injective"):
+            solvers._reduced_lasso(Phi, y, g)
+        res = solve_penalized(Phi, y, 0.5, g)
+        assert res.converged and res.method == "active-set"
+        assert check_noisy_optimality(Phi, y, 0.5, res.x_hat,
+                                      md=decompose(g, res.x_hat),
+                                      eq_tol=1e-6) != "not_optimal"
 
 
 def _path_instance(shape, seed):
