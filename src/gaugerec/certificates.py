@@ -49,14 +49,15 @@ class CertificateReport:
 
 
 def linearized_precertificate(Phi, md):
-    """Minimal Euclidean-norm alpha with Phi_T^* alpha = e, from one SVD of
-    Phi_T that also decides restricted injectivity."""
+    """Minimal Euclidean-norm alpha with Phi_T^* alpha = e, from one
+    factorization of Phi_T (``RankedSvd``) that also decides restricted
+    injectivity."""
     Phi = check_finite(Phi, "Phi")
     return _precertificate(RankedSvd(Phi @ md.T.basis), md)
 
 
 def _precertificate(svd, md):
-    """``linearized_precertificate`` from the SVD of Phi_T."""
+    """``linearized_precertificate`` from the factorization of Phi_T."""
     if not svd.injective:
         raise RestrictedInjectivityError("restricted injectivity fails")
     return svd.solve_adjoint(md.T.coords(md.e))
@@ -64,7 +65,7 @@ def _precertificate(svd, md):
 
 def _ic(Phi, md, svd):
     """The precertificate alpha and IC = antig(P_S(Phi^* alpha - f)), from
-    the SVD of Phi_T."""
+    the factorization of Phi_T."""
     alpha = _precertificate(svd, md)
     return alpha, md.antig.value(md.S.project(Phi.T @ alpha - md.f))
 
@@ -291,9 +292,10 @@ def stability_constants(Phi, md, p):
     ``exact`` is False and downstream consumers must treat the range as
     advisory.
 
-    Phi_T = M is factored once, M = U_M diag(s) V^T: the same SVD gives IC
-    as ``irrepresentability`` computes it, the injectivity verdict,
-    (M^T M)^{-1} = V diag(s^-2) V^T and Q_T = I - U_M U_M^T.
+    Phi_T = M is factored once (``RankedSvd``): the same factorization
+    gives IC as ``irrepresentability`` computes it, the injectivity
+    verdict, (M^T M)^{-1} and Q_T = I - U_M U_M^T with U_M an orthonormal
+    basis of range(M).
     """
     Phi = check_finite(Phi, "Phi")
     Q = Phi.shape[0]
@@ -301,7 +303,7 @@ def stability_constants(Phi, md, p):
     M = Phi @ U
     svd = RankedSvd(M)
     ic = float(_ic(Phi, md, svd)[1])
-    G = (svd.Vt.T / svd.s ** 2) @ svd.Vt
+    G = svd.gram_inverse()
     gamma = p.gamma
     l2_in = L2(Q)
 
@@ -311,7 +313,7 @@ def stability_constants(Phi, md, p):
     else:
         W3 = -(md.S.basis @ md.S.basis.T) @ Phi.T @ M @ G @ U.T
         b3 = operator_bound(W3, gamma, md.antig, domain=md.T)
-        UM = svd.U[:, :svd.rank]
+        UM = svd.range_basis()
         Q_T = np.eye(Q) - UM @ UM.T
         W4 = (md.S.basis @ md.S.basis.T) @ Phi.T @ Q_T
         b4 = operator_bound(W4, l2_in, md.antig)

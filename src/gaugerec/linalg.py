@@ -3,7 +3,10 @@
 Subspaces are represented by matrices with orthonormal columns.  Rank
 decisions everywhere use the same relative singular-value cutoff
 (``sigma_max * max(shape) * eps * 64``) so that projections, pseudo-inverses
-and injectivity tests stay mutually consistent.
+and injectivity tests stay mutually consistent.  ``RankedSvd`` gives the
+least-squares solutions, kernels and ranges that the solvers and
+certificates read, from a Householder QR where that QR certifies full rank
+against this cutoff, and from the SVD otherwise.
 
 scipy is not imported with this module: ``_scipy_linalg`` imports
 ``scipy.linalg`` on its first call.  Its callers are the pivoted QR of
@@ -232,39 +235,120 @@ def restricted_injectivity(Phi, T):
     return numerical_rank(np.linalg.svd(M, compute_uv=False), M.shape) == T.dim
 
 
+QR_MIN_DIM = 16     # below it, a QR and its inverse cost more than the SVD
+QR_SAFETY = 1e3     # margin of the QR's full-rank certificate over the cutoff
+
+
+def _certified_qr(P):
+    """(Q, R^{-1}) of the complete Householder QR P = Q R of a matrix with
+    at least as many rows as columns, or None unless it certifies that P
+    has full column rank under the rank cutoff.
+
+    s_min(P) >= 1 / ||R^{-1}||_F and s_max(P) <= ||R||_F, so the
+    certificate 1 / ||R^{-1}||_F > QR_SAFETY * rank_tolerance(||R||_F) puts
+    s_min above the SVD's cutoff by a factor QR_SAFETY, which the round-off
+    of R, of R^{-1} and of the SVD cannot close: the SVD would call P full
+    rank too.  R's diagonal alone does not reveal rank: Kahan's matrix has
+    a diagonal far above the cutoff and a singular value below it."""
+    Q, R = np.linalg.qr(P, mode="complete")
+    R = R[:P.shape[1]]
+    try:
+        Rinv = np.linalg.inv(R)
+    except np.linalg.LinAlgError:   # an exactly zero pivot
+        return None
+    with np.errstate(over="ignore"):
+        lower, upper = 1.0 / np.linalg.norm(Rinv), np.linalg.norm(R)
+    if lower > QR_SAFETY * rank_tolerance(upper, P.shape):
+        return Q, Rinv
+    return None
+
+
 class RankedSvd:
-    """Full singular value decomposition of M with the module-wide rank
-    cutoff.  One factorization gives the minimal-norm least-squares
-    solutions of M x = b and M^T a = t, both kernels and the injectivity
-    verdict of ``restricted_injectivity``."""
+    """The ranked singular value decomposition of M, with the module-wide
+    rank cutoff: the minimal-norm least-squares solutions of M x = b and
+    M^T a = t, both kernels, an orthonormal basis of range(M), (M^T M)^{-1}
+    and the injectivity verdict of ``restricted_injectivity``.
+
+    A full-rank M with min(M.shape) >= QR_MIN_DIM is held as a complete
+    Householder QR of the taller of M and M^T, P = Q R, with R^{-1}, when
+    ``_certified_qr`` certifies its rank (a third of the SVD's cost:
+    Golub & Van Loan, Matrix Computations, 5.3).  A smaller M, or one whose
+    QR is not certified, is held as its full SVD.  Both give the same rank,
+    and the same answers up to round-off."""
 
     def __init__(self, M):
         M = check_finite(M, "M")
         self.shape = M.shape
-        self.U, self.s, self.Vt = np.linalg.svd(M, full_matrices=True)
-        self.rank = numerical_rank(self.s, M.shape)
+        self._wide = M.shape[0] < M.shape[1]
+        qr = None
+        if min(M.shape) >= QR_MIN_DIM:
+            qr = _certified_qr(M.T if self._wide else M)
+        if qr is not None:
+            self._Q, self._Rinv = qr
+            self.rank = min(M.shape)
+        else:
+            self._Rinv = None
+            self._U, self._s, self._Vt = np.linalg.svd(M, full_matrices=True)
+            self.rank = numerical_rank(self._s, M.shape)
 
     @property
     def injective(self):
         return self.rank == self.shape[1]
 
+    # With P = Q_1 R, Q_1 the first rank columns of Q, R^{-1} Q_1^T b is the
+    # least-squares solution of P x = b and Q_1 R^{-T} b the minimal-norm
+    # solution of P^T a = b; P is M, or M^T when M is wide.
+
     def solve(self, b):
         """Minimal-norm minimizer of ||M x - b||."""
         r = self.rank
-        return self.Vt[:r].T @ ((self.U[:, :r].T @ b) / self.s[:r])
+        if self._Rinv is None:
+            return self._Vt[:r].T @ ((self._U[:, :r].T @ b) / self._s[:r])
+        if self._wide:
+            return self._Q[:, :r] @ (self._Rinv.T @ b)
+        return self._Rinv @ (self._Q[:, :r].T @ b)
 
     def solve_adjoint(self, t):
         """Minimal-norm minimizer of ||M^T a - t||."""
         r = self.rank
-        return self.U[:, :r] @ ((self.Vt[:r] @ t) / self.s[:r])
+        if self._Rinv is None:
+            return self._U[:, :r] @ ((self._Vt[:r] @ t) / self._s[:r])
+        if self._wide:
+            return self._Rinv @ (self._Q[:, :r].T @ t)
+        return self._Q[:, :r] @ (self._Rinv.T @ t)
 
     def kernel(self):
         """Orthonormal basis of Ker(M)."""
-        return self.Vt[self.rank:].T
+        if self._Rinv is None:
+            return self._Vt[self.rank:].T
+        if self._wide:
+            return self._Q[:, self.rank:]
+        return np.zeros((self.shape[1], 0))
 
     def adjoint_kernel(self):
         """Orthonormal basis of Ker(M^T)."""
-        return self.U[:, self.rank:]
+        if self._Rinv is None:
+            return self._U[:, self.rank:]
+        if self._wide:
+            return np.zeros((self.shape[0], 0))
+        return self._Q[:, self.rank:]
+
+    def range_basis(self):
+        """Orthonormal basis of range(M)."""
+        if self._Rinv is None:
+            return self._U[:, :self.rank]
+        if self._wide:
+            return np.eye(self.rank)
+        return self._Q[:, :self.rank]
+
+    def gram_inverse(self):
+        """(M^T M)^{-1} of an injective M: V diag(s^-2) V^T from the SVD,
+        R^{-1} R^{-T} from the QR."""
+        if not self.injective:
+            raise ValueError("M^T M is singular: M is not injective")
+        if self._Rinv is None:
+            return (self._Vt.T / self._s ** 2) @ self._Vt
+        return self._Rinv @ self._Rinv.T
 
 
 def power_operator_norm(A):

@@ -56,8 +56,10 @@ base(u) = max(0, max_j <a_j, u>) (Linf and the positive-part max), makes
 J the max of the atoms a_j K, minimized over x = xls + Z w, Z a basis of
 Ker(Phi), by ``lp.lp_min_max``, whose dual has dim Ker(Phi) + 1 rows
 instead of about Q + 2N.  The minimal-norm point xls, which also tests
-that y lies in the range of Phi, and Z come from one SVD of Phi with the
-rank cutoff of ``linalg.rank_tolerance``.
+that y lies in the range of Phi, and Z come from one factorization of Phi
+(``linalg.RankedSvd``: a complete Householder QR of Phi^T where it
+certifies full row rank, the SVD otherwise) with the rank cutoff of
+``linalg.rank_tolerance``.
 
 scipy is imported by the first solve that needs it, not with this module
 (``linalg._scipy_linalg``): the Cholesky factors of a path event

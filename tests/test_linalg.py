@@ -1,10 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from gaugerec.linalg import (Subspace, project, svd_pinv,
                              restricted_injectivity, RankedSvd, null_space,
+                             numerical_rank, rank_tolerance,
                              power_operator_norm, operator_bound, OperatorBound,
                              NoBoundRouteError, DimensionMismatchError)
 from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge, SumGauge,
@@ -146,10 +148,36 @@ class TestRestrictedInjectivity:
         assert restricted_injectivity(np.zeros((2, 3)), Subspace.zero(3))
 
 
+def _with_spectrum(rng, shape, s):
+    """A matrix of the given shape with singular values s and random
+    singular vectors."""
+    q, k = shape
+    U = np.linalg.qr(rng.standard_normal((q, q)))[0]
+    V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return (U[:, :s.size] * s) @ V[:, :s.size].T
+
+
+def _svd_rank(M):
+    """The rank that the full SVD alone gives M."""
+    return numerical_rank(np.linalg.svd(M)[1], M.shape)
+
+
+def _kahan(n, theta):
+    """Kahan's upper-triangular matrix diag(s^i) (I - c * strict upper ones),
+    s = sin(theta), c = cos(theta)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return (s ** np.arange(n))[:, None] * (np.eye(n) - c * np.triu(
+        np.ones((n, n)), 1))
+
+
 class TestRankedSvd:
+    # (40, 20) and (20, 40) at full rank are held as a certified QR, the
+    # rest (smaller, or rank-deficient) as the SVD
     @pytest.mark.parametrize("shape,rank", [((6, 4), 4), ((6, 4), 2),
                                             ((3, 7), 3), ((5, 5), 3),
-                                            ((4, 0), 0), ((0, 3), 0)])
+                                            ((4, 0), 0), ((0, 3), 0),
+                                            ((40, 20), 20), ((20, 40), 20),
+                                            ((40, 20), 12)])
     def test_against_lstsq_and_null_space(self, rng, shape, rank):
         q, k = shape
         M = rng.standard_normal((q, rank)) @ rng.standard_normal((rank, k))
@@ -171,6 +199,78 @@ class TestRankedSvd:
                                atol=1e-12)
             # the same subspace: each basis projects the other onto itself
             assert np.allclose(basis @ (basis.T @ ref), ref, atol=1e-12)
+        UM = svd.range_basis()
+        assert UM.shape == (q, rank)
+        assert np.allclose(UM.T @ UM, np.eye(rank), atol=1e-12)
+        assert np.allclose(UM @ (UM.T @ M), M, atol=1e-12)
+        if svd.injective:
+            assert np.allclose(svd.gram_inverse(), np.linalg.inv(M.T @ M),
+                               atol=1e-12)
+        else:
+            with pytest.raises(ValueError):
+                svd.gram_inverse()
+
+    def test_rank_is_the_svds_from_cond_1_to_1e17(self):
+        # singular values spaced geometrically from 1 down to 1 / cond:
+        # the certified QR takes the well-conditioned cases and the SVD
+        # decides the rest, so every rank is the SVD's
+        for shape in ((56, 49), (50, 64), (20, 16), (16, 40)):
+            for seed in range(5):
+                rng = np.random.default_rng([seed, *shape])
+                for cond in np.logspace(0, 17, 69):
+                    s = np.geomspace(1.0, 1.0 / cond, min(shape))
+                    M = _with_spectrum(rng, shape, s)
+                    assert RankedSvd(M).rank == _svd_rank(M), (shape, cond)
+
+    def test_kahan_matrix_is_rank_deficient_despite_its_diagonal(self):
+        # a QR without pivoting leaves Kahan's matrix as it is, and its
+        # diagonal (down to s^89 = 1.9e-3) clears the cutoff, but its
+        # smallest singular value does not
+        K = _kahan(90, 1.2)
+        d = np.abs(np.diag(K))
+        assert d.min() > 1e6 * rank_tolerance(d.max(), K.shape)
+        assert _svd_rank(K) == 89
+        svd = RankedSvd(K)
+        assert svd.rank == 89 and not svd.injective
+        assert svd.kernel().shape == (90, 1)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160])
+    def test_a_scale_that_overflows_the_certificate_takes_the_svd(
+            self, rng, scale):
+        # ||R||_F or ||R^{-1}||_F overflows: no certificate, no warning,
+        # and the SVD's rank
+        M = scale * rng.standard_normal((16, 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            svd = RankedSvd(M)
+        assert svd.rank == _svd_rank(M) == 16
+        assert np.array_equal(svd.kernel(), null_space(M))
+
+    def test_an_exactly_singular_r_takes_the_svd(self, rng):
+        # a zero column leaves an exact zero on R's diagonal, which
+        # np.linalg.inv refuses
+        M = rng.standard_normal((30, 20))
+        M[:, 5] = 0.0
+        svd = RankedSvd(M)
+        assert svd.rank == 19
+        assert np.allclose(np.abs(svd.kernel()[:, 0]), np.eye(20)[5],
+                           atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(50, 64), (16, 40)])
+    def test_near_the_cutoff_the_svd_decides(self, shape):
+        # a smallest singular value 3 to 300 times the cutoff, the others
+        # 1 and 1e-5 so that the Frobenius bounds of the certificate are
+        # tight: full rank either way, but within the certificate's safety
+        # margin the SVD holds M, so the kernel is null_space's bit for bit
+        tol = rank_tolerance(1.0, shape)
+        rng = np.random.default_rng(list(shape))
+        for ratio in np.geomspace(3.0, 300.0, 9):
+            s = np.full(min(shape), 1e-5)
+            s[0], s[-1] = 1.0, ratio * tol
+            M = _with_spectrum(rng, shape, s)
+            svd = RankedSvd(M)
+            assert svd.rank == _svd_rank(M) == min(shape)
+            assert np.array_equal(svd.kernel(), null_space(M))
 
 
 class TestOperatorBound:
