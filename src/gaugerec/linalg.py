@@ -5,13 +5,14 @@ decisions everywhere use the same relative singular-value cutoff
 (``sigma_max * max(shape) * eps * 64``) so that projections, pseudo-inverses
 and injectivity tests stay mutually consistent.  ``RankedSvd`` gives the
 least-squares solutions, kernels and ranges that the solvers and
-certificates read, from a Householder QR where that QR certifies full rank
-against this cutoff, and from the SVD otherwise.
+certificates read, and the spans of ``Subspace.from_span``, from a
+Householder QR where that QR certifies full rank against this cutoff, and
+from the SVD otherwise.
 
 scipy is not imported with this module: ``_scipy_linalg`` imports
-``scipy.linalg`` on its first call.  Its callers are the pivoted QR of
-``orthonormal_columns`` here and the Cholesky factors of the path and
-Chambolle-Pock solves in ``solvers``; everything else here is numpy.
+``scipy.linalg`` on its first call.  Its callers are the Cholesky factors
+of the path and Chambolle-Pock solves in ``solvers``; everything here is
+numpy.
 """
 
 import functools
@@ -55,21 +56,6 @@ def _scipy_linalg():
     return scipy.linalg
 
 
-def orthonormal_columns(M):
-    """Orthonormal basis of the column span of M (Householder QR, pivoted,
-    by ``scipy.linalg.qr``, which is imported by the first call)."""
-    M = check_finite(M, "M")
-    if M.ndim == 1:
-        M = M[:, None]
-    if M.size == 0 or not np.any(M):
-        return np.zeros((M.shape[0], 0))
-    Q, R, _ = _scipy_linalg().qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = rank_tolerance(diag[0] if diag.size else 0.0, M.shape)
-    rank = int(np.sum(diag > tol))
-    return Q[:, :rank]
-
-
 def null_space(M, top=None):
     """Orthonormal basis of Ker(M); ``top`` as in ``numerical_rank``."""
     M = check_finite(M, "M")
@@ -101,7 +87,12 @@ class Subspace:
 
     @classmethod
     def from_span(cls, M):
-        return cls(orthonormal_columns(M), _skip_checks=True)
+        """The span of the columns of M (a vector is one column), with the
+        rank of ``RankedSvd``."""
+        M = check_finite(M, "M")
+        if M.ndim == 1:
+            M = M[:, None]
+        return cls(RankedSvd(M).range_basis(), _skip_checks=True)
 
     @classmethod
     def coordinate(cls, n, idx):

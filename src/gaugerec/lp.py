@@ -35,12 +35,14 @@ and dropped.
 ``lp_min_halfspaces`` solves problems with only ``<=`` rows over few
 variables through their dual, whose basis has one row per variable.
 ``lp_min_max`` solves that way the one min-max LP, min over w of
-max(0, max_j (h_j + (G w)_j) / b_j), with b_j the offset of row j: 1 for a
-support atom, a facet offset for an H-rep, 0 for a hard row.  Its callers
-are the lifted ``model.SubdiffGauge``, ``solvers._max_atoms_lp``,
-``gauges.SumGauge.polar``, ``polytopes.minkowski_sum_gauge``,
-``polytopes.linear_image_gauge``, ``cli._cone_sum_gauge`` and the
-Chebyshev problem of ``lp_minimize_linf``.
+sum_k max(0, max_{j in k} (h_j + (G w)_j) / b_j) over blocks k of rows,
+with b_j the offset of row j: 1 for a support atom, a facet offset for an
+H-rep, 0 for a hard row.  ``solvers._noiseless_lp`` passes the blocks of
+atoms of a polyhedral gauge; its other callers, the lifted
+``model.SubdiffGauge``, ``gauges.SumGauge.polar``,
+``polytopes.minkowski_sum_gauge``, ``polytopes.linear_image_gauge``,
+``cli._cone_sum_gauge`` and the Chebyshev problem of ``lp_minimize_linf``,
+take one block.
 """
 
 import math
@@ -431,9 +433,11 @@ def lp_min_halfspaces(c, a_ub, b_ub, bounds=None):
                     iterations=res.iterations)
 
 
-def lp_min_max(h, G, b=None):
-    """min over w of max(0, max_j (h_j + (G w)_j) / b_j), through
-    ``lp_min_halfspaces`` in the variables (w, t): G w - b t <= -h, t >= 0.
+def lp_min_max(h, G, b=None, block=None):
+    """min over w of sum_k max(0, max_{j in k} (h_j + (G w)_j) / b_j), the
+    blocks k = ``block[j]`` numbered from 0 (one block by default), through
+    ``lp_min_halfspaces`` in the variables (w, t) with one t_k per block:
+    G w - b_j t_{block[j]} <= -h_j, t >= 0.
 
     ``b >= 0`` defaults to ones; b_j = 0 makes row j the hard constraint
     h_j + (G w)_j <= 0, and the status infeasible where no w meets them.
@@ -442,11 +446,15 @@ def lp_min_max(h, G, b=None):
     G = np.asarray(G, dtype=float)
     k = G.shape[1]
     b = np.ones(len(G)) if b is None else np.asarray(b, dtype=float)
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    res = lp_min_halfspaces(c, np.hstack([G, -b[:, None]]),
+    block = np.zeros(len(G), int) if block is None else np.asarray(block)
+    m = int(block.max(initial=0)) + 1
+    E = np.zeros((len(G), m))
+    E[np.arange(len(G)), block] = b
+    c = np.zeros(k + m)
+    c[k:] = 1.0
+    res = lp_min_halfspaces(c, np.hstack([G, -E]),
                             -np.asarray(h, dtype=float),
-                            bounds=[(None, None)] * k + [(0, None)])
+                            bounds=[(None, None)] * k + [(0, None)] * m)
     if res.status == OPTIMAL:
         res.x = res.x[:k]
     return res

@@ -18,16 +18,17 @@ returned (method "path") once it passes the first-order test that every
 route exits on; where the path cannot go on or its end point fails the
 test, the kind's backstop runs exactly as it does alone.
 
-Every other polyhedral gauge (a base L1, Linf or the positive-part max,
-K = D* for a pre-composition and K = I otherwise) is a sum of blocks of
-atoms, J(x) = sum_k max(0, max_j <a_j, x>): the blocks {k_i, -k_i} of the
-rows k_i of K for an l1 base, else one block of the support atoms times K.
-A primal active-set method (``_active_set``) solves its penalized problem,
-a QP in x and one t_k per block, exactly in finitely many steps; it also
-backs up the max-abs and reduced l1 paths.  FISTA with adaptive restart
-solves the prox-able ``GroupL1L2`` and backs up the l1 path, and
-Chambolle-Pock J(x) = base(K x) where the base has a smooth part (L2 and
-GroupL1L2, plain or pre-composed).
+Every other polyhedral gauge is a sum of blocks of atoms,
+J(x) = sum_k max(0, max_j <a_j, x>), read by ``_atom_blocks``: the blocks
+{e_i, -e_i} of L1, one block of support atoms (Linf and the positive-part
+max), a base's blocks times D* for a pre-composition, and the parts'
+blocks joined for a sum of such parts.  A primal active-set method
+(``_active_set``) solves its penalized problem, a QP in x and one t_k per
+block, exactly in finitely many steps; it also backs up the max-abs and
+reduced l1 paths.  FISTA with adaptive restart solves the prox-able
+``GroupL1L2`` and backs up the l1 path, and Chambolle-Pock
+J(x) = base(K x) where the base has a smooth part (L2 and GroupL1L2,
+plain or pre-composed).
 
 Each loop applies its least-squares step as an affine map v -> M v + c
 formed once per solve: M = I - step Phi^T Phi for the FISTA forward step,
@@ -49,17 +50,17 @@ up at the first step that it would have to damp below 1/2, a sign that
 the model is not yet identified.  Chambolle-Pock stops on the iterate's
 test alone.
 
-``solve_noiseless`` solves an LP when the gauge has one and otherwise runs
-the same Chambolle-Pock loop, with the projection onto {Phi x = y} as its
-primal prox.  An l1 base has its own LP.  A base with support atoms a_j,
-base(u) = max(0, max_j <a_j, u>) (Linf and the positive-part max), makes
-J the max of the atoms a_j K, minimized over x = xls + Z w, Z a basis of
-Ker(Phi), by ``lp.lp_min_max``, whose dual has dim Ker(Phi) + 1 rows
-instead of about Q + 2N.  The minimal-norm point xls, which also tests
-that y lies in the range of Phi, and Z come from one factorization of Phi
-(``linalg.RankedSvd``: a complete Householder QR of Phi^T where it
-certifies full row rank, the SVD otherwise) with the rank cutoff of
-``linalg.rank_tolerance``.
+``solve_noiseless`` solves one LP for every gauge with atom blocks and
+otherwise runs the same Chambolle-Pock loop, with the projection onto
+{Phi x = y} as its primal prox.  The LP minimizes the sum of the blocks'
+maxima over x = xls + Z w, Z a basis of Ker(Phi), by ``lp.lp_min_max``
+with one epigraph variable per block (``_noiseless_lp``); its dual has one
+row per block on top of dim Ker(Phi).  The data of the LP are scaled by a
+power of two to order one, since the simplex prices on an absolute scale.
+The minimal-norm point xls, which also tests that y lies in the range of
+Phi, and Z come from one factorization of Phi (``linalg.RankedSvd``: a
+complete Householder QR of Phi^T where it certifies full row rank, the SVD
+otherwise) with the rank cutoff of ``linalg.rank_tolerance``.
 
 scipy is imported by the first solve that needs it, not with this module
 (``linalg._scipy_linalg``): the Cholesky factors of a path event
@@ -76,10 +77,9 @@ import numpy as np
 from .linalg import (check_problem, null_space, svd_pinv, pinv_and_rank,
                      power_operator_norm, numerical_rank, rank_tolerance,
                      RankedSvd, _scipy_linalg)
-from . import lp
-from .lp import LpProblem, lp_min_max, OPTIMAL
-from .gauges import (L1, L2, Linf, GroupL1L2, PositivePartMax,
-                     Precomposed, SumGauge, UnsupportedGaugeError)
+from .lp import lp_min_max, OPTIMAL
+from .gauges import (L1, L2, Linf, GroupL1L2, Precomposed, SumGauge,
+                     UnsupportedGaugeError)
 from . import model as model_mod
 from . import certificates as cert_mod
 
@@ -177,10 +177,15 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     PolyhedralH,              the active set on the epigraph QP
     PositivePartMax,          (``_active_set``; method "active-set")
     Precomposed(Linf)
+    SumGauge of parts with    the active set on the joined blocks of
+    atom blocks (L1, Linf,    ``_atom_blocks``, one t_k per block
+    PositivePartMax, their
+    pre-compositions, sums)
     GroupL1L2                 FISTA (method "fista")
     L2, Precomposed(L2 or     Chambolle-Pock (method "pd")
     GroupL1L2)
-    every other gauge         ``UnsupportedGaugeError`` (a sum, a max)
+    every other gauge         ``UnsupportedGaugeError`` (a max, a sum with
+                              an L2 or group part)
     ========================  ==============================================
 
     A path falls back where it cannot go on (a singular Gram matrix, a Gram
@@ -716,26 +721,30 @@ def _polish(Phi, y, lam, g, md, tol):
     return None
 
 
-def _analysis_split(g):
-    """(K, base) with J(x) = base(K x): (D*, base) for a pre-composition,
-    and (I, g) for a gauge that is its own base."""
-    if isinstance(g, Precomposed):
-        return g.dstar, g.base
-    return np.eye(g.dim), g
-
-
 def _atom_blocks(g):
     """(A, block) with J(x) = sum_k max(0, max_j <a_j, x>), a_j the rows of
-    A and k = block[j] their blocks: for an l1 base the blocks {k_i, -k_i}
-    of the rows k_i of K, else one block of the base's support atoms times
-    K; None for a base with neither."""
-    K, base = _analysis_split(g)
-    if isinstance(base, L1):
-        return np.vstack([K, -K]), np.tile(np.arange(len(K)), 2)
-    atoms = base.support_atoms()
-    if atoms is None:
+    A and k = block[j] their blocks, 0 to m - 1: the blocks {e_i, -e_i} for
+    L1, one block of the support atoms for a gauge that has them, the
+    base's blocks times D* for a pre-composition, and the parts' blocks
+    joined for a sum, each part's block ids offset by the blocks before it;
+    None where a part has none of these."""
+    if isinstance(g, L1):
+        eye = np.eye(g.dim)
+        return np.vstack([eye, -eye]), np.tile(np.arange(g.dim), 2)
+    atoms = g.support_atoms()
+    if atoms is not None:
+        return atoms, np.zeros(len(atoms), int)
+    if isinstance(g, Precomposed):
+        blocks = _atom_blocks(g.base)
+        return None if blocks is None else (blocks[0] @ g.dstar, blocks[1])
+    if not isinstance(g, SumGauge):
         return None
-    return atoms if base is g else atoms @ K, np.zeros(len(atoms), int)
+    parts = [_atom_blocks(p) for p in g.parts]
+    if any(p is None for p in parts):
+        return None
+    offsets = np.cumsum([0] + [block.max() + 1 for _, block in parts[:-1]])
+    return (np.vstack([A for A, _ in parts]),
+            np.concatenate([b + o for (_, b), o in zip(parts, offsets)]))
 
 
 def _splitting_pieces(g):
@@ -743,7 +752,8 @@ def _splitting_pieces(g):
     onto lam * (polar ball of base).  This is the one table of gauges that
     Chambolle-Pock runs on: those whose base has a smooth part, L2 and
     GroupL1L2, plain or pre-composed."""
-    K, base = _analysis_split(g)
+    K, base = ((g.dstar, g.base) if isinstance(g, Precomposed)
+               else (np.eye(g.dim), g))
     if isinstance(base, L2):
         return K, lambda p, lam: p * min(1.0, lam / max(np.linalg.norm(p),
                                                         1e-300))
@@ -817,19 +827,21 @@ def _least_squares_prox(Phi, y, tau):
 def solve_noiseless(Phi, y, g, opts=None):
     """Minimize J(x) subject to Phi x = y.
 
-    The LP of ``_noiseless_lp`` solves an l1 gauge, plain or pre-composed,
-    and every gauge whose base has support atoms (Linf and the positive-part
-    max, as PolyhedralH has); other gauges run Chambolle-Pock with the
-    affine constraint enforced by projection.
+    The one LP of ``_noiseless_lp`` solves every gauge with atom blocks
+    (``_atom_blocks``: L1, Linf, the positive-part max, their
+    pre-compositions such as tv and PolyhedralH, and sums of these); other
+    gauges run Chambolle-Pock with the affine constraint enforced by
+    projection, and a sum with an L2 or group part raises
+    ``UnsupportedGaugeError``.
     """
     Phi, y, _ = check_problem(Phi, y, dim=g.dim)
     opts = opts or SolveOptions()
-    # feasibility of y, and Ker(Phi) for the max-of-atoms LPs
+    # feasibility of y, and Ker(Phi) for the LP
     svd = RankedSvd(Phi)
     xls = svd.solve(y)
     if np.linalg.norm(Phi @ xls - y) > 1e-8 * (1.0 + np.linalg.norm(y)):
         raise ValueError("y is not in the range of Phi")
-    built = _noiseless_lp(Phi, y, g, xls, svd.kernel())
+    built = _noiseless_lp(g, xls, svd.kernel())
     if built is None:
         return _primal_dual_noiseless(Phi, y, g, opts)
     res, extract = built
@@ -840,43 +852,24 @@ def solve_noiseless(Phi, y, g, opts=None):
     return SolveResult(x, res.iterations, feas, 0.0, True, "lp")
 
 
-def _noiseless_lp(Phi, y, g, xls, Z):
-    """(LpResult, map from its x to the recovered x) for min J(x), Phi x = y;
-    None off the LP map.  xls is any solution of Phi x = y and Z an
-    orthonormal basis of Ker(Phi).  A base with support atoms makes J a max
-    of atoms (one block of ``_atom_blocks``), one ``_max_atoms_lp``."""
-    Q, n = Phi.shape
-    if isinstance(g, L1):
-        # x = u - v, u,v >= 0; min sum(u+v)
-        c = np.ones(2 * n)
-        a_eq = np.hstack([Phi, -Phi])
-        prob = LpProblem(c, a_eq=a_eq, b_eq=y, bounds=[(0, None)] * (2 * n))
-        return lp.lp_solve(prob), (lambda z: z[:n] - z[n:])
-    K, base = _analysis_split(g)
-    if isinstance(base, L1):
-        p = K.shape[0]
-        # variables (x, u, v) with K x = u - v
-        c = np.concatenate([np.zeros(n), np.ones(2 * p)])
-        a_eq = np.vstack([
-            np.hstack([Phi, np.zeros((Q, 2 * p))]),
-            np.hstack([K, -np.eye(p), np.eye(p)]),
-        ])
-        b_eq = np.concatenate([y, np.zeros(p)])
-        bounds = [(None, None)] * n + [(0, None)] * (2 * p)
-        return (lp.lp_solve(LpProblem(c, a_eq=a_eq, b_eq=b_eq,
-                                      bounds=bounds)),
-                lambda z: z[:n])
+def _noiseless_lp(g, xls, Z):
+    """(LpResult, map from its x to the recovered x) for min J(x), Phi x = y,
+    over x = xls + Z w, xls any solution of Phi x = y and Z an orthonormal
+    basis of Ker(Phi); None for a gauge without atom blocks.  It is
+    ``lp_min_max(A xls, A Z, block=block)`` on the blocks of
+    ``_atom_blocks``, whose dual has one row per block on top of
+    dim Ker(Phi).  The LP prices on an absolute scale, so h = A xls is
+    first scaled by the power of two s that puts max |h| in [1, 2); that
+    scales w and the value exactly, and the map back divides w by s."""
     blocks = _atom_blocks(g)
     if blocks is None:
         return None
-    return _max_atoms_lp(xls, Z, blocks[0])
-
-
-def _max_atoms_lp(xls, Z, A):
-    """min max((A x)_+) over x = xls + Z w, Z an orthonormal basis of
-    Ker(Phi): ``lp_min_max(A xls, A Z)``, whose dual has dim Ker(Phi) + 1
-    rows."""
-    return lp_min_max(A @ xls, A @ Z), (lambda w: xls + Z @ w)
+    A, block = blocks
+    h = A @ xls
+    top = np.abs(h).max(initial=0.0)
+    s = np.ldexp(1.0, 1 - np.frexp(top)[1]) if top > 0 else 1.0
+    return (lp_min_max(s * h, A @ Z, block=block),
+            lambda w: xls + Z @ (w / s))
 
 
 def _primal_dual_noiseless(Phi, y, g, opts):
@@ -935,7 +928,7 @@ def solve_restricted(Phi, y, lam, md, opts=None):
     opts = opts or SolveOptions()
     if isinstance(md.gauge, (GroupL1L2, L2)):
         return _group_newton(Phi, y, lam, md, opts.tol)
-    if not _polyhedral(md.gauge):
+    if _atom_blocks(md.gauge) is None:
         raise UnsupportedGaugeError("no restricted solve over a sum or "
                                     "pre-composition with a smooth part")
     U = md.T.basis
@@ -950,16 +943,6 @@ def solve_restricted(Phi, y, lam, md, opts=None):
     res = np.max(np.abs(M.T @ (y - Phi @ x) - lam * (U.T @ md.e)),
                  initial=0.0)
     return SolveResult(x, 1, res / (1.0 + lam), 0.0, True, "closed-form")
-
-
-def _polyhedral(g):
-    """Whether g is L1, Linf or the positive-part max, or is built from
-    them by sums and pre-composition."""
-    if isinstance(g, SumGauge):
-        return all(map(_polyhedral, g.parts))
-    if isinstance(g, Precomposed):
-        return _polyhedral(g.base)
-    return isinstance(g, (L1, Linf, PositivePartMax))
 
 
 def _group_newton(Phi, y, lam, md, tol, max_iter=50):

@@ -234,6 +234,23 @@ class TestRankedSvd:
         assert svd.rank == 89 and not svd.injective
         assert svd.kernel().shape == (90, 1)
 
+    def test_the_span_of_kahans_matrix_has_its_rank(self):
+        # the pivoted QR kept every column of Kahan's matrix, as its
+        # diagonal clears the cutoff; the span takes RankedSvd's rank
+        K = _kahan(90, 1.2)
+        span = Subspace.from_span(K)
+        assert span.dim == _svd_rank(K) == 89
+        B = span.basis
+        assert np.allclose(B.T @ B, np.eye(89), atol=1e-12)
+        assert np.linalg.norm(K - B @ (B.T @ K)) <= 1e-12 * np.linalg.norm(K)
+
+    @pytest.mark.parametrize("M, dim", [(np.zeros((4, 2)), 0),
+                                        (np.zeros((4, 0)), 0),
+                                        (np.array([1.0, 2.0, 0.0]), 1)])
+    def test_the_span_of_no_columns_or_a_vector(self, M, dim):
+        span = Subspace.from_span(M)
+        assert span.dim == dim and span.ambient_dim == len(M)
+
     @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160])
     def test_a_scale_that_overflows_the_certificate_takes_the_svd(
             self, rng, scale):

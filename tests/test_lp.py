@@ -386,6 +386,69 @@ def test_min_max_without_free_directions():
         assert abs(res.value - _min_max_by_highs(h, G)) <= 1e-12
 
 
+def _blocked_min_max_by_hand(h, G, b, block):
+    """The value of ``lp_min_max(h, G, b, block)`` by ``lp_solve`` on its
+    epigraph LP in (w, t), one t_k per block, assembled row by row."""
+    m, k = G.shape
+    nb = int(max(block)) + 1
+    a_ub = np.zeros((m, k + nb))
+    for j in range(m):
+        a_ub[j, :k] = G[j]
+        a_ub[j, k + block[j]] = -b[j]
+    c = np.concatenate([np.zeros(k), np.ones(nb)])
+    ref = lp_solve(LpProblem(c, a_ub=a_ub, b_ub=-h,
+                             bounds=[(None, None)] * k + [(0, None)] * nb))
+    assert ref.status == OPTIMAL
+    return ref.value
+
+
+def _blocked_value(h, G, b, block, w):
+    """sum_k max(0, max_{j in k} (h_j + (G w)_j) / b_j) over the rows of
+    b_j > 0."""
+    r = h + G @ w
+    rows = [(b > 0) & (block == k) for k in np.unique(block)]
+    return sum(max(0.0, np.max(r[j] / b[j], initial=0.0)) for j in rows)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("cols", ["free", "none"])
+def test_blocked_min_max_matches_the_epigraph_lp(seed, cols):
+    # random blocks of rows with offsets in [0.5, 2], a share of them hard
+    # (b_j = 0) and strictly met at a random w0; with no columns of G the
+    # value is that of w = 0
+    rng = np.random.default_rng([41, seed])
+    m, k = int(rng.integers(6, 40)), int(rng.integers(1, 6))
+    G = np.vstack([rng.standard_normal((m, k)), np.eye(k), -np.eye(k)])
+    if cols == "none":
+        G = np.zeros((len(G), 0))
+    block = rng.integers(0, int(rng.integers(1, 8)), len(G))
+    b = rng.uniform(0.5, 2.0, len(G))
+    hard = rng.random(len(G)) < 0.2
+    b[hard] = 0.0
+    h = rng.standard_normal(len(G)) - float(seed % 2)
+    w0 = 3.0 * rng.standard_normal(G.shape[1])
+    h[hard] = -(G[hard] @ w0) - rng.uniform(0.0, 1.0, int(hard.sum()))
+    res = lp_min_max(h, G, b, block=block)
+    assert res.status == OPTIMAL
+    ref = _blocked_min_max_by_hand(h, G, b, block)
+    assert abs(res.value - ref) <= 1e-9 * (1.0 + ref)
+    assert np.max(h[hard] + G[hard] @ res.x, initial=-1.0) <= 1e-9
+    assert abs(_blocked_value(h, G, b, block, res.x) - res.value) \
+        <= 1e-9 * (1.0 + ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_block_keeps_the_bits_of_no_blocks(seed):
+    rng = np.random.default_rng([42, seed])
+    G = np.vstack([rng.standard_normal((20, 4)), np.eye(4), -np.eye(4)])
+    h = rng.standard_normal(len(G))
+    b = rng.uniform(0.5, 2.0, len(G))
+    plain = lp_min_max(h, G, b)
+    zeros = lp_min_max(h, G, b, block=np.zeros(len(G), int))
+    assert plain.x.tobytes() == zeros.x.tobytes()
+    assert (plain.value, plain.iterations) == (zeros.value, zeros.iterations)
+
+
 def _phase_one_pivots(monkeypatch):
     """Record the pivots of every phase 1 that ``_Simplex`` runs."""
     counts = []
@@ -739,12 +802,11 @@ def _svd_basis_pivots(Phi, y):
     built on xls and Ker(Phi) from the full SVD of Phi."""
     from gaugerec.gauges import Linf
     from gaugerec.linalg import numerical_rank
-    from gaugerec.solvers import _atom_blocks, _max_atoms_lp
+    from gaugerec.solvers import _noiseless_lp
     U, s, Vt = np.linalg.svd(Phi, full_matrices=True)
     r = numerical_rank(s, Phi.shape)
     xls = Vt[:r].T @ ((U[:, :r].T @ y) / s[:r])
-    A = _atom_blocks(Linf(Phi.shape[1]))[0]
-    res, _ = _max_atoms_lp(xls, Vt[r:].T, A)
+    res, _ = _noiseless_lp(Linf(Phi.shape[1]), xls, Vt[r:].T)
     assert res.status == OPTIMAL
     return res.iterations
 

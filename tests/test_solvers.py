@@ -96,7 +96,7 @@ class TestPenalized:
     def test_unsupported_route(self):
         with pytest.raises(UnsupportedGaugeError):
             solve_penalized(np.eye(3), np.ones(3), 1.0,
-                            SumGauge([L1(3), Linf(3)]))
+                            SumGauge([L1(3), L2(3)]))
 
     def test_pd_route_on_a_prox_able_gauge(self):
         # Chambolle-Pock with K = I reaches FISTA's objective on group l1-l2
@@ -1192,6 +1192,114 @@ class TestNoiseless:
         res = solve_noiseless(Phi, y, g)
         assert res.method == "lp"
         assert g.value(res.x_hat) <= g.value(x0) + 1e-9
+
+
+def _sum_instance(kind, seed):
+    """(Phi, y, g, A, block) of a noiseless sum at n = 20, Q = 12: x0 on
+    four plateaus with six zeros, and the rows A and blocks of the sum's
+    epigraph LP written out by hand."""
+    r = np.random.default_rng([41, seed])
+    n = 20
+    x0 = np.repeat(r.standard_normal(4), 5)
+    x0[r.choice(n, 6, replace=False)] = 0.0
+    Phi = r.standard_normal((12, n))
+    eye = np.eye(n)
+    l1 = (np.vstack([eye, -eye]), np.tile(np.arange(n), 2))
+    if kind == "l1+linf":
+        g = SumGauge([L1(n), Linf(n)])
+        second = (np.vstack([eye, -eye]), np.full(2 * n, n))
+    elif kind == "l1+tv":
+        g = SumGauge([L1(n), tv1d_gauge(n)])
+        D = np.diff(eye, axis=0)
+        second = (np.vstack([D, -D]), n + np.tile(np.arange(n - 1), 2))
+    else:
+        # columns I and -1 positively span R^n, so the ball is bounded
+        H = np.hstack([eye, -np.ones((n, 1)), r.standard_normal((n, 3))])
+        g = SumGauge([L1(n), PolyhedralH(H)])
+        second = (H.T, np.full(H.shape[1], n))
+    A = np.vstack([l1[0], second[0]])
+    return Phi, Phi @ x0, g, A, np.concatenate([l1[1], second[1]])
+
+
+def _epigraph_lp_value(Phi, y, A, block):
+    """min sum_k t_k subject to A x <= t_block, t >= 0 and Phi x = y, by
+    ``lp_solve`` in (x, t)."""
+    (Q, n), m = Phi.shape, int(block.max()) + 1
+    a_ub = np.hstack([A, -np.eye(m)[block]])
+    a_eq = np.hstack([Phi, np.zeros((Q, m))])
+    ref = lp_solve(LpProblem(np.concatenate([np.zeros(n), np.ones(m)]),
+                             a_ub=a_ub, b_ub=np.zeros(len(A)), a_eq=a_eq,
+                             b_eq=y, bounds=[(None, None)] * n
+                             + [(0, None)] * m))
+    assert ref.status == "optimal"
+    return ref.value
+
+
+class TestPolyhedralSums:
+    KINDS = ["l1+linf", "l1+tv", "l1+poly"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_noiseless_matches_the_epigraph_lp(self, kind):
+        for seed in range(5):
+            Phi, y, g, A, block = _sum_instance(kind, seed)
+            res = solve_noiseless(Phi, y, g)
+            assert res.method == "lp"
+            assert np.linalg.norm(Phi @ res.x_hat - y) \
+                <= 1e-9 * np.linalg.norm(y)
+            ref = _epigraph_lp_value(Phi, y, A, block)
+            assert abs(g.value(res.x_hat) - ref) <= 1e-9 * ref, seed
+
+    def test_fused_lasso_matches_its_stacked_form(self):
+        # L1 + tv is the l1 norm of (x, D* x)
+        n = 20
+        eye = np.eye(n)
+        stacked = Precomposed(L1(2 * n - 1),
+                              np.vstack([eye, np.diff(eye, axis=0)]))
+        for seed in range(5):
+            Phi, y, g, _, _ = _sum_instance("l1+tv", seed)
+            ours = g.value(solve_noiseless(Phi, y, g).x_hat)
+            ref = stacked.value(solve_noiseless(Phi, y, stacked).x_hat)
+            assert abs(ours - ref) <= 1e-9 * ref, seed
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_penalized_converges_on_the_active_set(self, kind):
+        for seed in range(5):
+            Phi, y, g, _, _ = _sum_instance(kind, seed)
+            r = np.random.default_rng([42, seed])
+            y = y + 0.05 * r.standard_normal(len(y))
+            res = solve_penalized(Phi, y, float(r.uniform(0.05, 0.5)), g)
+            assert res.converged and res.method == "active-set", seed
+
+    def test_a_sum_with_an_l2_part_is_unsupported(self):
+        Phi = np.random.default_rng(43).standard_normal((2, 3))
+        g = SumGauge([L1(3), L2(3)])
+        with pytest.raises(UnsupportedGaugeError):
+            solve_noiseless(Phi, Phi @ np.ones(3), g)
+
+
+def _scale_instance(kind):
+    """(Phi, y, g): Gaussian Phi of 15 x 20 and x, and the gauge of kind."""
+    r = np.random.default_rng(5)
+    Phi = r.standard_normal((15, 20))
+    y = Phi @ r.standard_normal(20)
+    if kind == "poly":
+        H = np.hstack([np.eye(20), -np.ones((20, 1)),
+                       r.standard_normal((20, 5))])
+        return Phi, y, PolyhedralH(H)
+    return Phi, y, {"l1": L1, "linf": Linf, "tv": tv1d_gauge}[kind](20)
+
+
+@pytest.mark.parametrize("kind", ["l1", "tv", "linf", "poly"])
+def test_noiseless_minimum_does_not_depend_on_the_scale_of_y(kind):
+    # J(x_s) / s is the minimum at s = 1, and Phi x_s = s y, for every s;
+    # the simplex prices on an absolute scale, which the LP's data must
+    # not reach
+    Phi, y, g = _scale_instance(kind)
+    ref = g.value(solve_noiseless(Phi, y, g).x_hat)
+    for s in (1e-12, 1e-9, 1e9, 1e12):
+        x = solve_noiseless(Phi, s * y, g).x_hat
+        assert np.linalg.norm(Phi @ x - s * y) <= 1e-9 * np.linalg.norm(s * y)
+        assert abs(g.value(x) / s - ref) <= 1e-9 * ref, s
 
 
 class TestRestricted:
