@@ -5,6 +5,13 @@ module evaluates the minimal-norm precertificate, the irrepresentability
 criterion IC, first-order (and uniqueness) checks for the penalized and
 equality-constrained problems, and the constants that certify a
 regularization-parameter range for stable model selection.
+
+Phi_T = Phi restricted to T is factored once per decomposition and per
+contents of Phi: ``irrepresentability``, ``linearized_precertificate``,
+``stability_constants`` and ``check_noiseless_optimality`` read one memo
+on the decomposition (``_phi_t``), which holds a copy of Phi, the
+``RankedSvd`` of Phi_T, the minimal-norm precertificate alpha and IC, and
+is rebuilt when Phi's contents differ from its copy.
 """
 
 import numpy as np
@@ -49,25 +56,47 @@ class CertificateReport:
 
 
 def linearized_precertificate(Phi, md):
-    """Minimal Euclidean-norm alpha with Phi_T^* alpha = e, from one
-    factorization of Phi_T (``RankedSvd``) that also decides restricted
+    """Minimal Euclidean-norm alpha with Phi_T^* alpha = e, from the one
+    factorization of Phi_T (``_phi_t``) that also decides restricted
     injectivity."""
-    Phi = check_finite(Phi, "Phi")
-    return _precertificate(RankedSvd(Phi @ md.T.basis), md)
+    phi_t = _phi_t(check_finite(Phi, "Phi"), md)
+    _require_injective(phi_t)
+    return phi_t.alpha.copy()
 
 
-def _precertificate(svd, md):
-    """``linearized_precertificate`` from the factorization of Phi_T."""
-    if not svd.injective:
+class _PhiT:
+    """Phi_T = Phi U (U an orthonormal basis of T) factored for one
+    decomposition md and the contents of Phi: a copy of Phi, M = Phi_T,
+    its ``RankedSvd``, the minimal-norm alpha with M^T alpha = coords_T(e)
+    (a least-squares solution when e is not reachable) and, on first
+    request, IC = antig(P_S(Phi^* alpha - f))."""
+
+    def __init__(self, Phi, md):
+        self.phi = Phi.copy(order="K")
+        self.M = Phi @ md.T.basis
+        self.svd = RankedSvd(self.M)
+        self.alpha = self.svd.solve_adjoint(md.T.coords(md.e))
+        self._ic = None
+
+    def ic(self, md):
+        if self._ic is None:
+            self._ic = md.antig.value(
+                md.S.project(self.phi.T @ self.alpha - md.f))
+        return self._ic
+
+
+def _phi_t(Phi, md):
+    """The memo of md for Phi, built on the first call and again whenever
+    the contents of Phi differ from the memo's copy."""
+    memo = md._phi_t
+    if memo is None or not np.array_equal(memo.phi, Phi):
+        memo = md._phi_t = _PhiT(Phi, md)
+    return memo
+
+
+def _require_injective(phi_t):
+    if not phi_t.svd.injective:
         raise RestrictedInjectivityError("restricted injectivity fails")
-    return svd.solve_adjoint(md.T.coords(md.e))
-
-
-def _ic(Phi, md, svd):
-    """The precertificate alpha and IC = antig(P_S(Phi^* alpha - f)), from
-    the factorization of Phi_T."""
-    alpha = _precertificate(svd, md)
-    return alpha, md.antig.value(md.S.project(Phi.T @ alpha - md.f))
 
 
 def irrepresentability(Phi, md):
@@ -76,11 +105,13 @@ def irrepresentability(Phi, md):
     identifiable is asserted only with the exact subdifferential-gauge
     evaluator and a strict margin below one.
     """
-    Phi = check_finite(Phi, "Phi")
-    alpha, ic = _ic(Phi, md, RankedSvd(Phi @ md.T.basis))
+    phi_t = _phi_t(check_finite(Phi, "Phi"), md)
+    _require_injective(phi_t)
+    ic = phi_t.ic(md)
     method = "exact" if md.antig.exact else "approximate"
     identifiable = bool(md.antig.exact and ic < 1.0 - IC_MARGIN)
-    return CertificateReport(alpha, ic, True, identifiable, method)
+    return CertificateReport(phi_t.alpha.copy(), ic, True, identifiable,
+                             method)
 
 
 def check_noisy_optimality(Phi, y, lam, x, md=None, gauge=None,
@@ -142,14 +173,13 @@ def check_noiseless_optimality(Phi, y, x, md, feas_tol=1e-8,
     Phi, y, x = check_problem(Phi, y, x, dim=md.ambient_dim)
     if np.linalg.norm(Phi @ x - y) > feas_tol * (1.0 + np.linalg.norm(y)):
         raise ValueError("x is not feasible for the equality constraint")
-    M = Phi @ md.T.basis
-    svd = RankedSvd(M)
+    phi_t = _phi_t(Phi, md)
+    M, svd, alpha = phi_t.M, phi_t.svd, phi_t.alpha
     target = md.T.coords(md.e)
-    alpha = svd.solve_adjoint(target)
     if np.linalg.norm(M.T @ alpha - target) > 1e-8 * (1.0 + np.linalg.norm(target)):
         return NOT_OPTIMAL  # e not reachable: no dual vector at all
     cert_ok = svd.injective
-    a = md.antig.value(md.S.project(Phi.T @ alpha - md.f))
+    a = phi_t.ic(md)
     if a < 1.0 - strict_margin:
         return UNIQUE_OPTIMAL if cert_ok else OPTIMAL_MAYBE_NONUNIQUE
     best = _min_antig_over_duals(Phi, md, M, alpha, svd.adjoint_kernel())
@@ -292,17 +322,19 @@ def stability_constants(Phi, md, p):
     ``exact`` is False and downstream consumers must treat the range as
     advisory.
 
-    Phi_T = M is factored once (``RankedSvd``): the same factorization
-    gives IC as ``irrepresentability`` computes it, the injectivity
-    verdict, (M^T M)^{-1} and Q_T = I - U_M U_M^T with U_M an orthonormal
-    basis of range(M).
+    Phi_T = M is factored once per decomposition and per contents of Phi
+    (the memo ``_phi_t``, shared with ``irrepresentability``): the same
+    factorization gives IC as ``irrepresentability`` computes it, the
+    injectivity verdict, (M^T M)^{-1} and Q_T = I - U_M U_M^T with U_M an
+    orthonormal basis of range(M).
     """
     Phi = check_finite(Phi, "Phi")
     Q = Phi.shape[0]
     U = md.T.basis
-    M = Phi @ U
-    svd = RankedSvd(M)
-    ic = float(_ic(Phi, md, svd)[1])
+    phi_t = _phi_t(Phi, md)
+    _require_injective(phi_t)
+    M, svd = phi_t.M, phi_t.svd
+    ic = float(phi_t.ic(md))
     G = svd.gram_inverse()
     gamma = p.gamma
     l2_in = L2(Q)
@@ -311,11 +343,12 @@ def stability_constants(Phi, md, p):
         zero = OperatorBound(0.0, OperatorBound.EXACT_CLOSED_FORM)
         b3 = b4 = zero
     else:
-        W3 = -(md.S.basis @ md.S.basis.T) @ Phi.T @ M @ G @ U.T
+        PS = md.S.basis @ md.S.basis.T
+        W3 = -PS @ Phi.T @ M @ G @ U.T
         b3 = operator_bound(W3, gamma, md.antig, domain=md.T)
         UM = svd.range_basis()
         Q_T = np.eye(Q) - UM @ UM.T
-        W4 = (md.S.basis @ md.S.basis.T) @ Phi.T @ Q_T
+        W4 = PS @ Phi.T @ Q_T
         b4 = operator_bound(W4, l2_in, md.antig)
     if md.T.dim == 0:
         b1a = b1b = OperatorBound(0.0, OperatorBound.EXACT_CLOSED_FORM)

@@ -390,16 +390,21 @@ def operator_bound(A, g_in, g_out, domain=None):
     """Gauge-to-gauge operator bound of A, restricted to ``domain`` if given.
 
     The bound is finite exactly when A maps the kernel of g_in into the
-    kernel of g_out.  Routes, in order:
+    kernel of g_out.  Routes, in order; the closed forms of 2 come before
+    any vertex enumeration:
 
     1. the kernel test (+inf when a kernel direction of g_in leaves the
        kernel of g_out);
-    2. the finite vertex list V of the input unit ball (exact): the max of
+    2. a max-abs output (``Linf``, or the l1 model's subdifferential gauge,
+       the max-abs norm on its coordinate S) whose rows of A off S are all
+       exactly zero: the largest row l1 norm for a max-abs input with the
+       domain absent or a coordinate subspace, the largest row 2-norm of
+       A P_D for a Euclidean input (exact; Golub & Van Loan, Matrix
+       Computations, 2.3);
+    3. the finite vertex list V of the input unit ball (exact): the max of
        ``g_out.values(V @ A.T)``, one batched evaluation of the output
        gauge on the images of all vertices.  Both are certified-upper when
        g_out is not ``exact``;
-    3. the largest row l1 norm when both gauges are max-abs and the domain
-       is absent or a coordinate subspace (exact);
     4. closed forms for a Euclidean input: support atoms, block norms or a
        Euclidean output, and max_s ||M^T s||_2 over sign vectors s for an
        l1 output (exact up to ``SIGN_ENUM_ROWS`` rows, certified-upper
@@ -432,18 +437,15 @@ def operator_bound(A, g_in, g_out, domain=None):
             return OperatorBound(np.inf, OperatorBound.CERTIFIED_UPPER if upper
                                  else OperatorBound.EXACT_CLOSED_FORM)
 
+    bound = _max_abs_output_bound(A, g_in, g_out, domain)
+    if bound is not None:
+        return bound
+
     verts = g_in.ball_vertices(domain)
     if verts is not None and len(verts) > 0:
         val = g_out.values(verts @ A.T).max()
         return OperatorBound(val, OperatorBound.CERTIFIED_UPPER if upper
                              else OperatorBound.EXACT_VERTEX)
-
-    if (getattr(g_in, "is_max_abs", False)
-            and getattr(g_out, "is_max_abs", False)
-            and (domain is None or domain.coord_idx is not None)):
-        cols = A if domain is None else A[:, list(domain.coord_idx)]
-        val = float(np.max(np.abs(cols).sum(axis=1), initial=0.0))
-        return OperatorBound(val, OperatorBound.EXACT_CLOSED_FORM)
 
     M = A if domain is None else A @ domain.basis
     if getattr(g_in, "is_euclidean", False):
@@ -485,6 +487,40 @@ def operator_bound(A, g_in, g_out, domain=None):
             return bound
 
     return _gauge_algebra_bound(A, g_in, g_out)
+
+
+def _max_abs_output_bound(A, g_in, g_out, domain):
+    """Route 2 of ``operator_bound``: sup |(A x)_i| over the rows i on
+    which g_out is the max-abs norm (every row of a max-abs gauge, the
+    coordinate S of a subdifferential gauge marked ``max_abs``, where g_out
+    is +inf at any vector with an entry off S): the largest row l1 norm of
+    A on the coordinate domain for a max-abs input, the largest row 2-norm
+    of A P_D for a Euclidean one.  None where g_out is not max-abs, a row
+    of A off S is not exactly zero (the vertex route then gives +inf) or
+    the input has no such closed form."""
+    if getattr(g_out, "is_max_abs", False):
+        rows = slice(None)
+    else:
+        rows = getattr(g_out, "max_abs_idx", None)
+        if rows is None:
+            return None
+        off = np.ones(len(A), dtype=bool)
+        off[rows] = False
+        if np.any(A[off]):
+            return None
+    if getattr(g_in, "is_max_abs", False) and (
+            domain is None or domain.coord_idx is not None):
+        cols = A[rows] if domain is None else A[rows][:, list(domain.coord_idx)]
+        val = np.max(np.abs(cols).sum(axis=1), initial=0.0)
+    elif getattr(g_in, "is_euclidean", False):
+        M = A if domain is None else A @ domain.basis
+        # the row norms summed down a C-ordered transpose, in the order of
+        # the support-atom route's norms, so the two agree to the bit
+        Mt = np.ascontiguousarray(M[rows].T)
+        val = np.max(np.sqrt((Mt * Mt).sum(axis=0)), initial=0.0)
+    else:
+        return None
+    return OperatorBound(val, OperatorBound.EXACT_CLOSED_FORM)
 
 
 def _evaluates_exactly(g):

@@ -76,7 +76,7 @@ import numpy as np
 
 from .linalg import (check_problem, null_space, svd_pinv, pinv_and_rank,
                      power_operator_norm, numerical_rank, rank_tolerance,
-                     RankedSvd, _scipy_linalg)
+                     RankedSvd, _scipy_linalg, EPS, RANK_TOL_FACTOR)
 from .lp import lp_min_max, OPTIMAL
 from .gauges import (L1, L2, Linf, GroupL1L2, Precomposed, SumGauge,
                      UnsupportedGaugeError)
@@ -138,12 +138,27 @@ def _decomposition(g, x):
         return None
 
 
+def _vanishes(g, x):
+    """Whether the pre-composed gauge g = base(D* .) vanishes at x to
+    round-off on the scale of D* and x: max |D* x| <= 64 eps ||D*||_inf
+    ||x||_inf.  Then x lies in Ker D*, the lineality space of J, and
+    dJ(x) = dJ(0).  An iterate of an iterative solver that only nears
+    Ker D* keeps the model of D* x."""
+    if not isinstance(g, Precomposed):
+        return False
+    D = g.dstar
+    scale = np.max(np.abs(D).sum(axis=1), initial=0.0) * np.max(np.abs(x))
+    return (np.max(np.abs(D @ x), initial=0.0)
+            <= RANK_TOL_FACTOR * EPS * scale)
+
+
 def _first_order_residuals(Phi, y, lam, g, x, md=None):
     """(equality residual, gauge slack beyond 1) of the penalized problem
     at x: ``certificates._first_order_values`` on the decomposition ``md``
-    of the iterate itself (computed here when not given), or at x = 0 on
-    the polar of g, with the equality residual scaled by 1 / (1 + lam)."""
-    if np.max(np.abs(x)) == 0.0:
+    of the iterate itself (computed here when not given), or, at x = 0 and
+    where J vanishes at x (``_vanishes``: dJ(x) = dJ(0)), on the polar of
+    g, with the equality residual scaled by 1 / (1 + lam)."""
+    if np.max(np.abs(x)) == 0.0 or _vanishes(g, x):
         md = None
     elif md is None:
         md = _decomposition(g, x)

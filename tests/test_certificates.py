@@ -238,7 +238,8 @@ class TestOptimalityChecks:
 
     def test_phi_t_is_factored_once(self, monkeypatch):
         # the precertificate, the injectivity verdict and the dual kernel
-        # of the LP-corrected check all come from one SVD of Phi_T
+        # of the LP-corrected check all come from one SVD of Phi_T, which
+        # the decomposition's memo shares between the two calls
         from gaugerec import certificates, linalg
         Phi = np.array([[1.0, 1.2, 0.0, 0.5], [0.0, 1.0, 0.0, 0.5],
                         [0.0, 0.0, 1.0, 0.5]])
@@ -258,10 +259,14 @@ class TestOptimalityChecks:
         monkeypatch.setattr(certificates, "restricted_injectivity", refuse)
         assert irrepresentability(Phi, md).ic_value > 1.0
         assert factored == [(3, 1)]
-        factored.clear()
         assert check_noiseless_optimality(Phi, Phi @ x0, x0, md) \
             == "unique_optimal"
         assert factored == [(3, 1)]
+        # alone, on a fresh decomposition, the check factors Phi_T once
+        fresh, _ = decompose_l1(x0)
+        assert check_noiseless_optimality(Phi, Phi @ x0, x0, fresh) \
+            == "unique_optimal"
+        assert factored == [(3, 1), (3, 1)]
 
     def test_infeasible_rejected(self):
         md, _ = decompose_l1(np.array([1.0, 0.0]))
@@ -372,8 +377,7 @@ class TestStabilityConstants:
     @pytest.mark.parametrize("n, exact", [(12, True), (20, True)])
     def test_exactness_flag_for_tv_follows_the_parameters(self, n, exact):
         # c4 of TV comes from the closed form; nu = nu0 / ||D^T||, and that
-        # linf -> linf bound comes from the linf ball's 2^n vertices up to
-        # n = 16 and from the largest row l1 norm beyond, exact either way
+        # linf -> linf bound is the largest row l1 norm at every n, exact
         rng = np.random.default_rng(3)
         g = tv1d_gauge(n)
         x0 = np.repeat(rng.standard_normal(4), n // 4)
@@ -453,3 +457,65 @@ def test_one_factorization_keeps_the_constants(kind, seed):
                      (const.c4, c4)):
         assert abs(new - old) <= 1e-13 * abs(old)
     assert const.c1 > 0.0 and const.c2 > 0.0 and const.c4 > 0.0
+
+
+def _bits(const):
+    return [np.float64(v).tobytes() for v in const.to_json_dict().values()]
+
+
+@pytest.mark.parametrize("kind", ["l1", "linf", "group", "tv"])
+def test_memo_gives_the_same_bits_after_irrepresentability(kind):
+    # the decomposition's memo of Phi_T, filled by irrepresentability,
+    # gives stability_constants the bits it computes on its own
+    Phi, md, p = _certify_instance(kind, 0)
+    alone = stability_constants(Phi, md, p)
+    Phi, md, p = _certify_instance(kind, 0)
+    rep = irrepresentability(Phi, md)
+    after = stability_constants(Phi, md, p)
+    assert _bits(after) == _bits(alone)
+    assert after.ic_value == rep.ic_value
+
+
+def test_memo_follows_phi_edited_in_place():
+    # the memo keeps a copy of Phi: an edit in place, same object and
+    # shape, recomputes IC, the constants and the precertificate
+    Phi, md, p = _certify_instance("l1", 1)
+    before = irrepresentability(Phi, md)
+    old = stability_constants(Phi, md, p)
+    j = int(np.flatnonzero(md.e)[0])
+    Phi[:, j] *= 3.0
+    after = irrepresentability(Phi, md)
+    fresh_md, fresh_p = decompose_l1(md.x)
+    fresh = irrepresentability(Phi.copy(), fresh_md)
+    assert after.ic_value == fresh.ic_value != before.ic_value
+    assert np.array_equal(after.alpha_f, fresh.alpha_f)
+    new = stability_constants(Phi, md, p)
+    assert _bits(new) == _bits(stability_constants(Phi.copy(), fresh_md,
+                                                   fresh_p))
+    assert _bits(new) != _bits(old)
+    assert np.array_equal(linearized_precertificate(Phi, md),
+                          linearized_precertificate(Phi.copy(), fresh_md))
+
+
+def test_memo_is_not_shared_with_the_caller():
+    # editing the returned precertificate leaves the memo's alpha alone
+    Phi, md, _ = _certify_instance("l1", 2)
+    alpha = linearized_precertificate(Phi, md)
+    alpha[:] = 0.0
+    assert np.array_equal(linearized_precertificate(Phi, md),
+                          linearized_precertificate(Phi, decompose_l1(md.x)[0]))
+
+
+def test_model_selection_sweep_csv_does_not_depend_on_jobs(tmp_path):
+    from gaugerec.experiments import model_selection_sweep
+    Phi, x0 = random_l1_instance(1, 20, 18, 2)
+    md, p = decompose_l1(x0)
+    out = []
+    for jobs in (1, 2):
+        sweep = model_selection_sweep(Phi, x0, md, p, [0.0, 0.05],
+                                      [0.01, 0.05], 2, seed=1, jobs=jobs)
+        sweep.write_csv(tmp_path / f"ms{jobs}.csv")
+        sweep.write_config_json(tmp_path / f"ms{jobs}.json")
+        out.append([(tmp_path / f"ms{jobs}.{ext}").read_bytes()
+                    for ext in ("csv", "json")])
+    assert out[0] == out[1]

@@ -1530,3 +1530,42 @@ def _group_newton_block_loop(Phi, y, lam, md, part, max_iter=50):
         grad = trial
         steps += 1
     return U @ c, steps
+
+
+def _integer_analysis_instance(seed):
+    """Phi and y integer in -3..3, D* integer in -2..2, q in 1..3, n in
+    q+1..5: the max-abs base pre-composed with D* (n+1 rows)."""
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, 4))
+    n = int(rng.integers(q + 1, 6))
+    Phi = rng.integers(-3, 4, (q, n)).astype(float)
+    y = rng.integers(-3, 4, q).astype(float)
+    D = rng.integers(-2, 3, (n + 1, n)).astype(float)
+    return Phi, y, Precomposed(Linf(n + 1), D)
+
+
+class TestFirstOrderWhereJVanishes:
+    # each minimizer lies in Ker D* up to round-off (|D* x| ~ 6e-16 at
+    # seed 89, |x|_inf = 0.25; exactly 0 at seed 688, where decompose
+    # raises), where J = 0 and dJ(x) = dJ(0): the test is the polar at
+    # Phi^T r / lam, not the model of D* x, which is noise
+    @pytest.mark.parametrize("seed, lam", [(89, 0.1), (89, 0.5), (89, 1.0),
+                                           (249, 1.0), (688, 1.0)])
+    def test_minimizer_in_the_kernel_passes(self, seed, lam):
+        Phi, y, g = _integer_analysis_instance(seed)
+        res = solve_penalized(Phi, y, lam, g)
+        assert res.converged
+        x = res.x_hat
+        assert np.max(np.abs(x)) > 0.2
+        assert np.max(np.abs(g.dstar @ x)) <= 1e-12 * np.max(np.abs(x))
+        assert g.polar(Phi.T @ (y - Phi @ x) / lam) <= 1.0 + 1e-9
+
+    def test_point_off_the_kernel_keeps_its_model(self):
+        # a D* x above the threshold is not vanishing: the decomposition's
+        # test at x stays, and rejects a point that is not the minimizer
+        Phi, y, g = _integer_analysis_instance(89)
+        x = solve_penalized(Phi, y, 0.5, g).x_hat
+        off = x + 1e-3 * np.linalg.pinv(g.dstar) @ np.ones(len(g.dstar))
+        assert not solvers._vanishes(g, off)
+        eq, slack = solvers._first_order_residuals(Phi, y, 0.5, g, off)
+        assert max(eq, slack) > 1e-6
