@@ -150,8 +150,9 @@ def check_noisy_optimality(Phi, y, lam, x, md=None, gauge=None,
 def _first_order_values(Phi, y, lam, x, md, gauge):
     """(eq, a), unscaled, of the penalized first-order test at x with
     r = y - Phi x: eq = max |coords_T(Phi^T r - lam e)| and
-    a = antig(P_S(Phi^T r / lam - f)) at md, or for x = 0 without md,
-    eq = 0 and a = polar of the gauge at Phi^T r / lam."""
+    a = antig(P_S(Phi^T r / lam - f)) at md, or, without md, for x = 0 or
+    x in Ker D* where dJ(x) = dJ(0), eq = 0 and a = polar of the gauge at
+    Phi^T r / lam."""
     corr = Phi.T @ (y - Phi @ x)
     if md is None:
         return 0.0, gauge.polar(corr / lam)

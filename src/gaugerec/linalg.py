@@ -390,17 +390,16 @@ def operator_bound(A, g_in, g_out, domain=None):
     """Gauge-to-gauge operator bound of A, restricted to ``domain`` if given.
 
     The bound is finite exactly when A maps the kernel of g_in into the
-    kernel of g_out.  Routes, in order; the closed forms of 2 come before
+    kernel of g_out.  Routes, in order; the closed form of 2 comes before
     any vertex enumeration:
 
     1. the kernel test (+inf when a kernel direction of g_in leaves the
        kernel of g_out);
-    2. a max-abs output (``Linf``, or the l1 model's subdifferential gauge,
-       the max-abs norm on its coordinate S) whose rows of A off S are all
-       exactly zero: the largest row l1 norm for a max-abs input with the
-       domain absent or a coordinate subspace, the largest row 2-norm of
-       A P_D for a Euclidean input (exact; Golub & Van Loan, Matrix
-       Computations, 2.3);
+    2. a max-abs input with the domain D absent or a coordinate subspace
+       into an output with support atoms w_j (on a coordinate S, for a
+       subdifferential gauge, off which every row of A is exactly zero):
+       max_j ||(A^T w_j)_D||_1, the largest row l1 norm of A on D for a
+       max-abs output (exact; Golub & Van Loan, Matrix Computations, 2.3);
     3. the finite vertex list V of the input unit ball (exact): the max of
        ``g_out.values(V @ A.T)``, one batched evaluation of the output
        gauge on the images of all vertices.  Both are certified-upper when
@@ -437,7 +436,7 @@ def operator_bound(A, g_in, g_out, domain=None):
             return OperatorBound(np.inf, OperatorBound.CERTIFIED_UPPER if upper
                                  else OperatorBound.EXACT_CLOSED_FORM)
 
-    bound = _max_abs_output_bound(A, g_in, g_out, domain)
+    bound = _max_abs_input_bound(A, g_in, g_out, domain)
     if bound is not None:
         return bound
 
@@ -449,11 +448,15 @@ def operator_bound(A, g_in, g_out, domain=None):
 
     M = A if domain is None else A @ domain.basis
     if getattr(g_in, "is_euclidean", False):
-        atoms = g_out.support_atoms()
-        if atoms is not None:
-            if len(atoms) == 0:
-                return OperatorBound(0.0, OperatorBound.EXACT_CLOSED_FORM)
-            val = float(np.max(np.linalg.norm(M.T @ atoms.T, axis=0)))
+        if getattr(g_out, "is_max_abs", False):
+            # the images of the atoms +-e_i are the columns of M^T, laid
+            # out as M^T @ atoms^T is, so the norms sum in the same order
+            images = np.ascontiguousarray(M.T)
+        else:
+            atoms = g_out.support_atoms()
+            images = None if atoms is None else M.T @ atoms.T
+        if images is not None:
+            val = float(np.max(np.linalg.norm(images, axis=0), initial=0.0))
             return OperatorBound(val, OperatorBound.EXACT_CLOSED_FORM)
         blocks = getattr(g_out, "linf2_blocks", None)
         if blocks is not None:
@@ -489,37 +492,32 @@ def operator_bound(A, g_in, g_out, domain=None):
     return _gauge_algebra_bound(A, g_in, g_out)
 
 
-def _max_abs_output_bound(A, g_in, g_out, domain):
-    """Route 2 of ``operator_bound``: sup |(A x)_i| over the rows i on
-    which g_out is the max-abs norm (every row of a max-abs gauge, the
-    coordinate S of a subdifferential gauge marked ``max_abs``, where g_out
-    is +inf at any vector with an entry off S): the largest row l1 norm of
-    A on the coordinate domain for a max-abs input, the largest row 2-norm
-    of A P_D for a Euclidean one.  None where g_out is not max-abs, a row
-    of A off S is not exactly zero (the vertex route then gives +inf) or
-    the input has no such closed form."""
-    if getattr(g_out, "is_max_abs", False):
-        rows = slice(None)
-    else:
-        rows = getattr(g_out, "max_abs_idx", None)
-        if rows is None:
-            return None
-        off = np.ones(len(A), dtype=bool)
-        off[rows] = False
-        if np.any(A[off]):
-            return None
-    if getattr(g_in, "is_max_abs", False) and (
-            domain is None or domain.coord_idx is not None):
-        cols = A[rows] if domain is None else A[rows][:, list(domain.coord_idx)]
-        val = np.max(np.abs(cols).sum(axis=1), initial=0.0)
-    elif getattr(g_in, "is_euclidean", False):
-        M = A if domain is None else A @ domain.basis
-        # the row norms summed down a C-ordered transpose, in the order of
-        # the support-atom route's norms, so the two agree to the bit
-        Mt = np.ascontiguousarray(M[rows].T)
-        val = np.max(np.sqrt((Mt * Mt).sum(axis=0)), initial=0.0)
-    else:
+def _max_abs_input_bound(A, g_in, g_out, domain):
+    """Route 2 of ``operator_bound``: for a max-abs input on no domain or a
+    coordinate one D, and an output with support atoms w_j (a max-abs
+    output reads the rows of A itself), sup over the box of
+    max(0, max_j <w_j, A x>) = max_j ||(A^T w_j)_D||_1.  None where the
+    input is not such, g_out has no atoms, or g_out lives on a subspace S
+    that is not coordinate or off which a row of A on D is not exactly
+    zero (the vertex route then gives +inf where the images leave S)."""
+    if not getattr(g_in, "is_max_abs", False) or (
+            domain is not None and domain.coord_idx is None):
         return None
+    B = A if domain is None else A[:, list(domain.coord_idx)]
+    if getattr(g_out, "is_max_abs", False):
+        WB = B
+    else:
+        atoms = g_out.support_atoms()
+        S = getattr(g_out, "S", None)
+        if atoms is None or (S is not None and S.coord_idx is None):
+            return None
+        if S is not None:
+            off = np.ones(len(B), dtype=bool)
+            off[list(S.coord_idx)] = False
+            if np.any(B[off]):
+                return None
+        WB = atoms @ B
+    val = np.max(np.abs(WB).sum(axis=1), initial=0.0)
     return OperatorBound(val, OperatorBound.EXACT_CLOSED_FORM)
 
 

@@ -72,22 +72,13 @@ class SubdiffGauge(Gauge):
     The unit ball is derived from unlifted atoms on first request and
     cached; the other encodings have none.  ``exact`` records whether the
     evaluation is closed form / LP-backed (True) or a numerical fallback.
-
-    ``max_abs`` marks unlifted atoms +-e_i, i in a coordinate S, as the
-    max-abs norm on S (the l1 model's gauge): ``values`` then reads the
-    entries in S by index, and ``max_abs_idx`` gives ``operator_bound``
-    its closed forms.  The mark is a property of these atoms, not an
-    encoding, and no calculus rule passes it on.
     """
 
     def __init__(self, S, atoms=None, lift=None, linf2_blocks=None,
-                 value_fn=None, exact=True, max_abs=False):
+                 value_fn=None, exact=True):
         if sum(a is not None for a in (atoms, linf2_blocks, value_fn)) != 1:
             raise ValueError(
                 "give exactly one of atoms, linf2_blocks, value_fn")
-        if max_abs and (atoms is None or lift is not None
-                        or S.coord_idx is None):
-            raise ValueError("max_abs marks unlifted atoms on a coordinate S")
         super().__init__(S.ambient_dim)
         self.S = S
         self.atoms = None if atoms is None else np.asarray(atoms, dtype=float)
@@ -97,8 +88,6 @@ class SubdiffGauge(Gauge):
         self.linf2_blocks = linf2_blocks
         self._value_fn = value_fn
         self.exact = exact
-        self.max_abs_idx = (np.asarray(S.coord_idx, dtype=int) if max_abs
-                            else None)
 
     def values(self, X):
         """The gauge of every row of X, +inf off S."""
@@ -108,9 +97,6 @@ class SubdiffGauge(Gauge):
         Y = X if every else X[on_S]
         if self._value_fn is not None:
             vals = [float(self._value_fn(y)) for y in Y]
-        elif self.max_abs_idx is not None:
-            vals = np.abs(Y.take(self.max_abs_idx, axis=1)).max(
-                axis=1, initial=0.0)
         elif self.atoms is not None and self.lift.shape[1]:
             vals = [self._lifted_value(y) for y in Y]
         elif self.atoms is not None:
@@ -289,7 +275,7 @@ def decompose_l1(x, delta=0.5):
     rows = 2 * np.arange(Ic.size)
     atoms[rows, Ic] = 1.0
     atoms[rows + 1, Ic] = -1.0
-    antig = SubdiffGauge(S, atoms=atoms, max_abs=True)
+    antig = SubdiffGauge(S, atoms=atoms)
     nu = (1.0 - delta) * np.min(np.abs(x[I])) if I.size else 0.0
     p = PsflParams(nu, 0.0, 0.0, 0.0, Linf(n))
     return ModelDecomposition(L1(n), x, T, S, e, e.copy(), antig,

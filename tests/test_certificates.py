@@ -505,17 +505,3 @@ def test_memo_is_not_shared_with_the_caller():
     assert np.array_equal(linearized_precertificate(Phi, md),
                           linearized_precertificate(Phi, decompose_l1(md.x)[0]))
 
-
-def test_model_selection_sweep_csv_does_not_depend_on_jobs(tmp_path):
-    from gaugerec.experiments import model_selection_sweep
-    Phi, x0 = random_l1_instance(1, 20, 18, 2)
-    md, p = decompose_l1(x0)
-    out = []
-    for jobs in (1, 2):
-        sweep = model_selection_sweep(Phi, x0, md, p, [0.0, 0.05],
-                                      [0.01, 0.05], 2, seed=1, jobs=jobs)
-        sweep.write_csv(tmp_path / f"ms{jobs}.csv")
-        sweep.write_config_json(tmp_path / f"ms{jobs}.json")
-        out.append([(tmp_path / f"ms{jobs}.{ext}").read_bytes()
-                    for ext in ("csv", "json")])
-    assert out[0] == out[1]

@@ -287,7 +287,7 @@ class TestModelSelectionSweep:
             model_selection_sweep(Phi, x0, md, p, [0.1], [lam], 2, seed=0)
         assert calls == [lam]
 
-    def test_records_do_not_depend_on_jobs(self):
+    def test_records_do_not_depend_on_jobs(self, tmp_path):
         # a group gauge and its T must reach spawned workers intact
         Phi, x0, md, p, lam = self._group_instance()
         serial, spawned = (model_selection_sweep(
@@ -295,6 +295,20 @@ class TestModelSelectionSweep:
             jobs=jobs) for jobs in (1, 2))
         assert len(serial.records) == 8
         assert _dump(serial) == _dump(spawned)
+        # an l1 model, whose decomposition carries the certificates' memo
+        # of Phi_T, writes the same CSV and config JSON with two workers
+        Phi, x0 = random_l1_instance(1, 20, 18, 2)
+        md, p = decompose_l1(x0)
+        irrepresentability(Phi, md)
+        out = []
+        for jobs in (1, 2):
+            sweep = model_selection_sweep(Phi, x0, md, p, [0.0, 0.05],
+                                          [0.01, 0.05], 2, seed=1, jobs=jobs)
+            sweep.write_csv(tmp_path / f"ms{jobs}.csv")
+            sweep.write_config_json(tmp_path / f"ms{jobs}.json")
+            out.append([(tmp_path / f"ms{jobs}.{ext}").read_bytes()
+                        for ext in ("csv", "json")])
+        assert out[0] == out[1]
 
     def test_error_ratio_bounded_across_sweep(self):
         import numpy as np

@@ -10,7 +10,7 @@ from gaugerec.linalg import (Subspace, project, svd_pinv,
                              power_operator_norm, operator_bound, OperatorBound,
                              NoBoundRouteError, DimensionMismatchError)
 from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge, SumGauge,
-                             BlockPartition)
+                             BlockPartition, PositivePartMax)
 from gaugerec.model import (GroupLinf2, SubdiffGauge, decompose_l1,
                             decompose_linf)
 from gaugerec.polytopes import Polytope
@@ -290,18 +290,21 @@ class TestRankedSvd:
             assert np.array_equal(svd.kernel(), null_space(M))
 
 
-class _Unmarked:
-    """g with its max-abs mark hidden, so that ``operator_bound`` skips the
-    max-abs closed forms and takes the route that g has without them."""
+class _NotMaxAbs:
+    """g with its max-abs flag and its support atoms hidden, so that
+    ``operator_bound`` skips the closed form of a max-abs input and takes
+    the vertex route that g has without it."""
 
     is_max_abs = False
-    max_abs_idx = None
 
     def __init__(self, g):
         self._g = g
 
     def __getattr__(self, name):
         return getattr(self._g, name)
+
+    def support_atoms(self):
+        return None
 
 
 class TestOperatorBound:
@@ -311,7 +314,7 @@ class TestOperatorBound:
         assert abs(b.value - 1.0) <= 1e-12
 
     def test_diag_linf(self):
-        b = operator_bound(np.diag([2.0, 3.0]), Linf(2), _Unmarked(Linf(2)))
+        b = operator_bound(np.diag([2.0, 3.0]), Linf(2), _NotMaxAbs(Linf(2)))
         assert b.method == OperatorBound.EXACT_VERTEX
         assert abs(b.value - 3.0) <= 1e-12
         # oracle: max absolute row sum
@@ -410,7 +413,7 @@ class TestOperatorBound:
             A = rng.standard_normal((5, n))
             domains = [None, Subspace.coordinate(n, range(0, n, 2))]
             for dom in domains:
-                vert = operator_bound(A, Linf(n), _Unmarked(Linf(5)),
+                vert = operator_bound(A, Linf(n), _NotMaxAbs(Linf(5)),
                                       domain=dom)
                 closed = operator_bound(A, NoVertexLinf(n), Linf(5),
                                         domain=dom)
@@ -470,7 +473,7 @@ class TestVertexRoute:
     def test_matches_the_per_vertex_loop(self, rng):
         for _ in range(5):
             for g_in, g_out, shape, dom in self._cases(rng):
-                g_out = _Unmarked(g_out)    # no max-abs closed form
+                g_out = _NotMaxAbs(g_out)    # no max-abs closed form
                 A = rng.standard_normal(shape)
                 if hasattr(g_out, "S"):
                     A = g_out.S.project(A)    # finite: the image lies in S
@@ -490,9 +493,9 @@ class TestVertexRoute:
 
 
 class TestMaxAbsClosedForms:
-    """The max-abs output closed forms against the route the same inputs
-    take without the max-abs mark: the vertex route for a max-abs input,
-    the support-atom route for a Euclidean one."""
+    """The closed form of a max-abs input into support atoms against the
+    vertex route the same inputs take without the atoms, and the
+    support-atom route of a Euclidean input into the same outputs."""
 
     @staticmethod
     def _outputs(rng, m):
@@ -500,52 +503,77 @@ class TestMaxAbsClosedForms:
         x[rng.choice(m, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
         return [Linf(m), decompose_l1(x)[0].antig]
 
-    @pytest.mark.parametrize("g_in", [Linf, L2], ids=["linf", "l2"])
-    def test_matches_the_unmarked_route(self, rng, g_in):
+    def test_matches_the_vertex_route(self, rng):
         for n in range(1, 9):
             m = 8
             domains = [None, Subspace.coordinate(n, range(0, n, 2)),
                        Subspace.coordinate(n, [n - 1])]
-            if g_in is L2 and n > 2:
-                domains.append(random_subspace(rng, n, 2))
             for g_out in self._outputs(rng, m):
                 for dom in domains:
                     A = rng.standard_normal((m, n))
                     if hasattr(g_out, "S"):
                         A = g_out.S.project(A)   # rows off S exactly zero
-                    closed = operator_bound(A, g_in(n), g_out, domain=dom)
-                    ref = operator_bound(A, g_in(n), _Unmarked(g_out),
+                    closed = operator_bound(A, Linf(n), g_out, domain=dom)
+                    ref = operator_bound(A, Linf(n), _NotMaxAbs(g_out),
                                          domain=dom)
                     assert closed.method == OperatorBound.EXACT_CLOSED_FORM
-                    assert ref.method == (OperatorBound.EXACT_VERTEX
-                                          if g_in is Linf else
-                                          OperatorBound.EXACT_CLOSED_FORM)
+                    assert ref.method == OperatorBound.EXACT_VERTEX
                     assert 0.0 < ref.value < np.inf
                     assert abs(closed.value - ref.value) <= 1e-14 * ref.value
 
-    def test_marked_gauge_evaluates_as_its_atoms(self, rng):
-        antig = decompose_l1(np.array([1.0, 0, 0, -2.0, 0, 0]))[0].antig
-        assert antig.max_abs_idx.tolist() == [1, 2, 4, 5]
-        X = antig.S.project(rng.standard_normal((6, 20))).T
-        X[:3] = rng.standard_normal((3, 6))     # off S: +inf
-        atoms = SubdiffGauge(antig.S, atoms=antig.atoms)
-        assert np.array_equal(antig.values(X), atoms.values(X))
-        assert np.isinf(antig.values(X[:3])).all()
+    def test_euclidean_input_is_the_largest_row_2_norm(self, rng):
+        for n in range(1, 9):
+            m = 8
+            domains = [None, Subspace.coordinate(n, range(0, n, 2))]
+            if n > 2:
+                domains.append(random_subspace(rng, n, 2))
+            for g_out in self._outputs(rng, m):
+                rows = (list(g_out.S.coord_idx) if hasattr(g_out, "S")
+                        else list(range(m)))
+                for dom in domains:
+                    A = rng.standard_normal((m, n))
+                    if hasattr(g_out, "S"):
+                        A = g_out.S.project(A)
+                    b = operator_bound(A, L2(n), g_out, domain=dom)
+                    M = A if dom is None else A @ dom.basis
+                    ref = np.max(np.linalg.norm(M[rows], axis=1))
+                    assert b.method == OperatorBound.EXACT_CLOSED_FORM
+                    assert abs(b.value - ref) <= 1e-14 * ref
 
-    def test_mark_is_not_passed_on(self):
-        antig = decompose_l1(np.array([1.0, 0.0, 0.0]))[0].antig
-        assert antig.unlifted().max_abs_idx is None
-        with pytest.raises(ValueError):
-            SubdiffGauge(random_subspace(np.random.default_rng(0), 3, 2),
-                         atoms=np.eye(3), max_abs=True)
-
-    def test_output_off_its_domain_takes_the_atom_route(self, rng):
-        # a Euclidean input whose images leave S keeps today's atom route
-        md = decompose_l1(np.array([1.0, 0.0, 0.0, 2.0]))[0]
-        A = rng.standard_normal((4, 3))
-        b = operator_bound(A, L2(3), md.antig)
-        ref = operator_bound(A, L2(3), _Unmarked(md.antig))
-        assert (b.value, b.method) == (ref.value, ref.method)
+    def test_any_support_atoms_on_a_coordinate_s(self, rng):
+        # the closed form is max_j ||(A^T w_j)_D||_1 for any atoms w_j, not
+        # only +-e_i; a lifted gauge or one on a tilted S takes the vertices
+        S = Subspace.coordinate(4, [0, 1, 3])
+        e = np.eye(4)
+        outputs = [
+            SubdiffGauge(S, atoms=np.vstack([e[[3, 0]], -e[[0, 3]]])),
+            SubdiffGauge(S, atoms=np.vstack([e[[0, 3]], -e[[0]]])),
+            SubdiffGauge(S, atoms=np.vstack([2 * e[[0]], -e[[1]]])),
+            SubdiffGauge(S, atoms=rng.standard_normal((5, 4))),
+            SubdiffGauge(S, atoms=np.zeros((0, 4))),
+            PositivePartMax(4),
+        ]
+        domains = [None, Subspace.coordinate(3, [0, 2])]
+        for g_out in outputs:
+            for dom in domains:
+                A = rng.standard_normal((4, 3))
+                if hasattr(g_out, "S"):
+                    A = g_out.S.project(A)
+                b = operator_bound(A, Linf(3), g_out, domain=dom)
+                ref = operator_bound(A, Linf(3), _NotMaxAbs(g_out),
+                                     domain=dom)
+                assert b.method == OperatorBound.EXACT_CLOSED_FORM
+                assert ref.method == OperatorBound.EXACT_VERTEX
+                assert abs(b.value - ref.value) <= 1e-14 * max(ref.value, 1.0)
+        lifted = SubdiffGauge(S, atoms=np.vstack([e[[0]], -e[[0]]]),
+                              lift=np.ones((2, 1)))
+        T = random_subspace(rng, 4, 2)
+        tilted = SubdiffGauge(T, atoms=np.vstack([e, -e]))
+        for g_out in (lifted, tilted):
+            A = g_out.S.project(rng.standard_normal((4, 3)))
+            b = operator_bound(A, Linf(3), g_out)
+            assert b.method == OperatorBound.EXACT_VERTEX
+            assert b.value == _vertex_reference(A, Linf(3), g_out)
 
 
 class _NoSectionL1(L1):
