@@ -1,15 +1,16 @@
 """Gauge functions: evaluation, polars, proximal maps.
 
 Every gauge here is nonnegative, positively homogeneous and sublinear.
-Kinds with closed-form polars (l1 <-> linf, l2 self-polar, group l1-l2 <->
-blockwise linf-l2, the positive-part max) use them; precomposed kinds fall
-back to linear programs.  A polyhedral H-gauge ``PolyhedralH(H)`` is the
+Kinds with closed-form polars (l1 <-> linf, group l1-l2 <-> blockwise
+linf-l2, the positive-part max) use them; precomposed kinds fall back to
+linear programs.  A polyhedral H-gauge ``PolyhedralH(H)`` is the
 positive-part max ``u -> max_i (u_i)_+`` pre-composed with H^T, so it is a
-``Precomposed`` and shares its code.  A base with support atoms, a max of
-linear functionals (Linf and the positive-part max), gives a
-``Precomposed`` its polar LP and its kernel cone.  ``ball_vertices`` /
-``kernel_directions`` / ``support_atoms`` feed the operator-bound machinery
-in :mod:`gaugerec.linalg`.  Unit balls are enumerated from an H-rep by
+``Precomposed`` and shares its code; the Euclidean norm ``L2(n)`` is a
+``GroupL1L2`` of one block.  A base with support atoms, a max of linear
+functionals (Linf and the positive-part max), gives a ``Precomposed`` its
+polar LP and its kernel cone.  ``ball_vertices`` / ``kernel_directions``
+/ ``support_atoms`` feed the operator-bound machinery in
+:mod:`gaugerec.linalg`.  Unit balls are enumerated from an H-rep by
 ``_section_vertices``, which also derives the ball of a support-form
 subdifferential gauge (its atoms are the normals) in :mod:`gaugerec.model`.
 The group kind evaluates, proxes and projects in one vectorised pass over
@@ -235,19 +236,6 @@ class L1(Gauge):
         return S, np.ones(len(S))
 
 
-class L2(Gauge):
-    """Euclidean norm."""
-
-    is_euclidean = True
-
-    def values(self, X):
-        X = check_rows(X, self.dim)
-        return np.sqrt((X * X).sum(axis=1))
-
-    def polar(self, u):
-        return float(np.linalg.norm(self._check(u)))
-
-
 class Linf(Gauge):
     """Max absolute entry."""
 
@@ -317,6 +305,21 @@ class GroupL1L2(Gauge):
         out = v * shrink[self.partition.block_of]
         out += 0.0   # the dropped blocks are +0, not -0 where v < 0
         return out
+
+
+class L2(GroupL1L2):
+    """Euclidean norm: the group l1-l2 norm of the one block {0, ..., n-1}."""
+
+    is_euclidean = True
+
+    def __init__(self, n):
+        super().__init__(_one_block(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _one_block(n):
+    """The partition of {0, ..., n-1} into one block, built once per n."""
+    return BlockPartition([range(n)], n)
 
 
 class PositivePartMax(Gauge):

@@ -404,10 +404,11 @@ def operator_bound(A, g_in, g_out, domain=None):
        ``g_out.values(V @ A.T)``, one batched evaluation of the output
        gauge on the images of all vertices.  Both are certified-upper when
        g_out is not ``exact``;
-    4. closed forms for a Euclidean input: support atoms, block norms or a
-       Euclidean output, and max_s ||M^T s||_2 over sign vectors s for an
-       l1 output (exact up to ``SIGN_ENUM_ROWS`` rows, certified-upper
-       beyond);
+    4. closed forms for a Euclidean input: +inf where an image of A
+       leaves the S of a subdifferential-gauge output (tagged as in 1),
+       then support atoms, block norms (a Euclidean output is one), and
+       max_s ||M^T s||_2 over sign vectors s for an l1 output (exact up to
+       ``SIGN_ENUM_ROWS`` rows, certified-upper beyond);
     5. a zero map (exact 0);
     6. a domain is dropped: the bound of A P_D over the whole ball, exact
        when P_D maps the ball into itself and certified-upper otherwise;
@@ -448,6 +449,9 @@ def operator_bound(A, g_in, g_out, domain=None):
 
     M = A if domain is None else A @ domain.basis
     if getattr(g_in, "is_euclidean", False):
+        if _leaves_subspace(M, getattr(g_out, "S", None)):
+            return OperatorBound(np.inf, OperatorBound.CERTIFIED_UPPER if upper
+                                 else OperatorBound.EXACT_CLOSED_FORM)
         if getattr(g_out, "is_max_abs", False):
             # the images of the atoms +-e_i are the columns of M^T, laid
             # out as M^T @ atoms^T is, so the norms sum in the same order
@@ -458,17 +462,14 @@ def operator_bound(A, g_in, g_out, domain=None):
         if images is not None:
             val = float(np.max(np.linalg.norm(images, axis=0), initial=0.0))
             return OperatorBound(val, OperatorBound.EXACT_CLOSED_FORM)
-        blocks = getattr(g_out, "linf2_blocks", None)
+        blocks = (g_out.partition.blocks if g_out.is_euclidean
+                  else getattr(g_out, "linf2_blocks", None))
         if blocks is not None:
             val = 0.0
             for b in blocks:
                 sub = M[np.asarray(b, dtype=int), :]
                 if sub.size:
                     val = max(val, float(np.linalg.svd(sub, compute_uv=False)[0]))
-            return OperatorBound(val, OperatorBound.EXACT_CLOSED_FORM)
-        if getattr(g_out, "is_euclidean", False):
-            s = np.linalg.svd(M, compute_uv=False)
-            val = float(s[0]) if s.size else 0.0
             return OperatorBound(val, OperatorBound.EXACT_CLOSED_FORM)
         if getattr(g_out, "is_abs_sum", False):
             return _l2_to_l1(M)
@@ -511,14 +512,19 @@ def _max_abs_input_bound(A, g_in, g_out, domain):
         S = getattr(g_out, "S", None)
         if atoms is None or (S is not None and S.coord_idx is None):
             return None
-        if S is not None:
-            off = np.ones(len(B), dtype=bool)
-            off[list(S.coord_idx)] = False
-            if np.any(B[off]):
-                return None
+        if _leaves_subspace(B, S):
+            return None
         WB = atoms @ B
     val = np.max(np.abs(WB).sum(axis=1), initial=0.0)
     return OperatorBound(val, OperatorBound.EXACT_CLOSED_FORM)
+
+
+def _leaves_subspace(M, S):
+    """Whether a column of M leaves S (None: the whole space): a nonzero
+    entry off a coordinate S, else a column ``S.contains_rows`` rejects."""
+    if S is None or S.coord_idx is None:
+        return S is not None and not S.contains_rows(M.T).all()
+    return np.count_nonzero(M) != np.count_nonzero(M.take(S.coord_idx, 0))
 
 
 def _evaluates_exactly(g):
@@ -598,9 +604,8 @@ def _block_input_bound(A, blocks, g_out):
     if atoms is not None:
         val = float(np.max(_block_row_sums(atoms @ A, blocks), initial=0.0))
         return OperatorBound(val, OperatorBound.EXACT_CLOSED_FORM)
-    out = getattr(g_out, "linf2_blocks", None)
-    if out is None and getattr(g_out, "is_euclidean", False):
-        out = [np.arange(A.shape[0])]
+    out = (g_out.partition.blocks if g_out.is_euclidean
+           else getattr(g_out, "linf2_blocks", None))
     if out is None:
         return None
     exact_val, upper_val = 0.0, 0.0

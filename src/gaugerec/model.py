@@ -27,9 +27,8 @@ from .linalg import Subspace, check_finite, null_space, svd_pinv
 from .lp import lp_min_max, LpNumericalError, OPTIMAL
 from . import linalg
 from .gauges import (Gauge, L1, L2, Linf, GroupL1L2, PositivePartMax,
-                     Precomposed, SumGauge, MaxGauge, BlockPartition,
-                     UnsupportedGaugeError, _section_vertices, check_rows,
-                     block_membership)
+                     Precomposed, SumGauge, MaxGauge, UnsupportedGaugeError,
+                     _section_vertices, check_rows, block_membership)
 
 SUPPORT_TOL = 1e-10       # relative threshold for "entry is nonzero"
 SATURATION_TOL = 1e-9     # relative threshold for "entry attains the max"
@@ -172,7 +171,7 @@ class ModelDecomposition:
     """(T, S, e, f) plus the subdifferential-gauge evaluator at a point x."""
 
     def __init__(self, gauge, x, T, S, e, f, antig, polar_fn=None,
-                 params=None, _skip_checks=False):
+                 params=None):
         self.gauge = gauge
         self.x = np.asarray(x, dtype=float)
         self.T = T
@@ -183,8 +182,7 @@ class ModelDecomposition:
         self._polar_fn = polar_fn
         self._params = params
         self._phi_t = None      # the certificates' memo, ``certificates._phi_t``
-        if not _skip_checks:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = self.T.ambient_dim
@@ -282,18 +280,6 @@ def decompose_l1(x, delta=0.5):
                               params=p), p
 
 
-def decompose_l2(x, delta=0.5):
-    """Decomposition of the Euclidean norm at x: the group rule with one
-    block, so T = R^n, S = {0}, e = f = x / ||x|| where the norm is smooth
-    (x off the support threshold) and T = {0}, S = R^n with the Euclidean
-    norm as subdifferential gauge at x = 0."""
-    x = check_finite(x, "x")
-    n = x.shape[0]
-    md, p = decompose_group(x, BlockPartition([range(n)], n), delta=delta)
-    return ModelDecomposition(L2(n), x, md.T, md.S, md.e, md.f, md.antig,
-                              params=p, _skip_checks=True), p
-
-
 def _saturation_model(s, I):
     """(T, S, e, antig) of a max-type regularizer saturated on I with signs s.
 
@@ -340,14 +326,24 @@ def decompose_linf(x, delta=0.5):
 
 def decompose_group(x, partition, delta=0.5):
     """Decomposition of the group l1-l2 regularizer at x."""
+    return _group_decomposition(GroupL1L2(partition), x, delta)
+
+
+def decompose_l2(x, delta=0.5):
+    """Decomposition of the Euclidean norm at x: the group rule, one block."""
+    return _group_decomposition(L2(np.size(x)), x, delta)
+
+
+def _group_decomposition(gauge, x, delta):
+    """Decomposition at x of the group l1-l2 regularizer ``gauge``."""
     _check_delta(delta)
     x = check_finite(x, "x")
     n = x.shape[0]
-    if partition.n != n:
+    if gauge.partition.n != n:
         raise ValueError("partition does not match the vector length")
     thr = SUPPORT_TOL * (1.0 + np.max(np.abs(x), initial=0.0))
-    active = [b for b in partition if np.linalg.norm(x[b]) > thr]
-    inactive = [b for b in partition if np.linalg.norm(x[b]) <= thr]
+    active = [b for b in gauge.partition if np.linalg.norm(x[b]) > thr]
+    inactive = [b for b in gauge.partition if np.linalg.norm(x[b]) <= thr]
     act_idx = sorted(int(i) for b in active for i in b)
     ina_idx = sorted(int(i) for b in inactive for i in b)
     T = Subspace.coordinate(n, act_idx)
@@ -361,9 +357,9 @@ def decompose_group(x, partition, delta=0.5):
         mu = np.sqrt(2.0) / nu if nu > 0 else 0.0
     else:
         nu, mu = 0.0, 0.0
-    p = PsflParams(nu, mu, 0.0, 0.0, GroupLinf2(partition))
-    return ModelDecomposition(GroupL1L2(partition), x, T, S, e, e.copy(),
-                              antig, params=p), p
+    p = PsflParams(nu, mu, 0.0, 0.0, GroupLinf2(gauge.partition))
+    return ModelDecomposition(gauge, x, T, S, e, e.copy(), antig,
+                              params=p), p
 
 
 def decompose_polyhedral(u, mu_choice=0.5, delta=0.5):
@@ -658,12 +654,10 @@ def decompose(gauge, x, delta=0.5):
     x = np.asarray(x, dtype=float)
     if isinstance(gauge, L1):
         return decompose_l1(x, delta=delta)[0]
-    if isinstance(gauge, L2):
-        return decompose_l2(x, delta=delta)[0]
     if isinstance(gauge, Linf):
         return decompose_linf(x, delta=delta)[0]
     if isinstance(gauge, GroupL1L2):
-        return decompose_group(x, gauge.partition, delta=delta)[0]
+        return _group_decomposition(gauge, x, delta)[0]
     if isinstance(gauge, PositivePartMax):
         return decompose_polyhedral(x, delta=delta)[0]
     if isinstance(gauge, Precomposed):

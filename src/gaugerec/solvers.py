@@ -16,7 +16,7 @@ Gram system.  An l1 base pre-composed with D* of full row rank (tv) takes
 the l1 path on its reduced lasso (``_reduced_lasso``).  The end point is
 returned (method "path") once it passes the first-order test that every
 route exits on; where the path cannot go on or its end point fails the
-test, the kind's backstop runs exactly as it does alone.
+test, the active set runs on its atom blocks as it does alone.
 
 Every other polyhedral gauge is a sum of blocks of atoms,
 J(x) = sum_k max(0, max_j <a_j, x>), read by ``_atom_blocks``: the blocks
@@ -24,11 +24,10 @@ J(x) = sum_k max(0, max_j <a_j, x>), read by ``_atom_blocks``: the blocks
 max), a base's blocks times D* for a pre-composition, and the parts'
 blocks joined for a sum of such parts.  A primal active-set method
 (``_active_set``) solves its penalized problem, a QP in x and one t_k per
-block, exactly in finitely many steps; it also backs up the max-abs and
-reduced l1 paths.  FISTA with adaptive restart solves the prox-able
-``GroupL1L2`` and backs up the l1 path, and Chambolle-Pock
-J(x) = base(K x) where the base has a smooth part (L2 and GroupL1L2,
-plain or pre-composed).
+block, exactly in finitely many steps; it also stands behind every path.
+A gauge of norm blocks, J(x) = sum_b ||x_b||, is a ``GroupL1L2`` (``L2``
+is its one-block case): FISTA with adaptive restart solves it, and
+Chambolle-Pock J(x) = base(K x) for such a base pre-composed with K = D*.
 
 Each loop applies its least-squares step as an affine map v -> M v + c
 formed once per solve: M = I - step Phi^T Phi for the FISTA forward step,
@@ -41,17 +40,15 @@ check) are tested finite, so a Phi or y whose scale overflows raises
 at the iterate's own model decomposition, never from step sizes alone.
 At each FISTA convergence check that the iterate fails, the penalized
 problem is also solved exactly on the iterate's model subspace T
-(``solve_restricted``); once FISTA has identified the model, that
-candidate passes the same first-order test and is returned.  On T the
-regularizer is smooth: affine for the l1 and max-abs kinds, where the
-candidate is one linear solve, and a sum of block norms for the group
-kind, where Newton's method on the active blocks finds it.  Newton gives
-up at the first step that it would have to damp below 1/2, a sign that
-the model is not yet identified.  Chambolle-Pock stops on the iterate's
-test alone.
+(``solve_restricted``), where the regularizer is a smooth sum of block
+norms and Newton's method on the active blocks finds the minimizer; once
+FISTA has identified the model, that candidate passes the same
+first-order test and is returned.  Newton gives up at the first step
+that it would have to damp below 1/2, a sign that the model is not yet
+identified.  Chambolle-Pock stops on the iterate's test alone.
 
 ``solve_noiseless`` solves one LP for every gauge with atom blocks and
-otherwise runs the same Chambolle-Pock loop, with the projection onto
+the same Chambolle-Pock loop on norm blocks, with the projection onto
 {Phi x = y} as its primal prox.  The LP minimizes the sum of the blocks'
 maxima over x = xls + Z w, Z a basis of Ker(Phi), by ``lp.lp_min_max``
 with one epigraph variable per block (``_noiseless_lp``); its dual has one
@@ -78,7 +75,7 @@ from .linalg import (check_problem, null_space, svd_pinv, pinv_and_rank,
                      power_operator_norm, numerical_rank, rank_tolerance,
                      RankedSvd, _scipy_linalg, EPS, RANK_TOL_FACTOR)
 from .lp import lp_min_max, OPTIMAL
-from .gauges import (L1, L2, Linf, GroupL1L2, Precomposed, SumGauge,
+from .gauges import (L1, Linf, GroupL1L2, Precomposed, SumGauge,
                      UnsupportedGaugeError)
 from . import model as model_mod
 from . import certificates as cert_mod
@@ -187,8 +184,7 @@ def solve_penalized(Phi, y, lam, g, opts=None):
                               model, on the reduced lasso for tv; method
                               "path", ``iterations`` = its events), where
                               it passes the first-order test at ``tol``;
-                              else FISTA for L1 and the active set for the
-                              others
+                              else the active set, as below
     PolyhedralH,              the active set on the epigraph QP
     PositivePartMax,          (``_active_set``; method "active-set")
     Precomposed(Linf)
@@ -196,11 +192,11 @@ def solve_penalized(Phi, y, lam, g, opts=None):
     atom blocks (L1, Linf,    ``_atom_blocks``, one t_k per block
     PositivePartMax, their
     pre-compositions, sums)
-    GroupL1L2                 FISTA (method "fista")
-    L2, Precomposed(L2 or     Chambolle-Pock (method "pd")
-    GroupL1L2)
+    GroupL1L2 (L2 is its      FISTA (method "fista")
+    one-block case)
+    Precomposed(GroupL1L2)    Chambolle-Pock (method "pd")
     every other gauge         ``UnsupportedGaugeError`` (a max, a sum with
-                              an L2 or group part)
+                              a norm-block part, which the message names)
     ========================  ==============================================
 
     A path falls back where it cannot go on (a singular Gram matrix, a Gram
@@ -223,12 +219,12 @@ def solve_penalized(Phi, y, lam, g, opts=None):
         res = _path_solve(Phi, y, lam, g, model, opts)
         if res is not None:
             return res
-    if isinstance(g, (L1, GroupL1L2)):
-        return _fista(Phi, y, lam, g, opts)
     blocks = _atom_blocks(g)
     if blocks is not None:
         x, iterations = _active_set(Phi, y, lam, *blocks, opts)
         return _tested(Phi, y, lam, g, x, iterations, opts.tol, "active-set")
+    if isinstance(g, GroupL1L2):
+        return _fista(Phi, y, lam, g, opts)
     return _primal_dual_penalized(Phi, y, lam, g, opts)
 
 
@@ -765,13 +761,11 @@ def _atom_blocks(g):
 def _splitting_pieces(g):
     """(K, dual projection) so that J(x) = base(K x), with the projection
     onto lam * (polar ball of base).  This is the one table of gauges that
-    Chambolle-Pock runs on: those whose base has a smooth part, L2 and
-    GroupL1L2, plain or pre-composed."""
+    Chambolle-Pock runs on: a ``GroupL1L2`` base (L2 among them), plain or
+    pre-composed; for a sum, the error names its first part without atom
+    blocks."""
     K, base = ((g.dstar, g.base) if isinstance(g, Precomposed)
                else (np.eye(g.dim), g))
-    if isinstance(base, L2):
-        return K, lambda p, lam: p * min(1.0, lam / max(np.linalg.norm(p),
-                                                        1e-300))
     if isinstance(base, GroupL1L2):
         part = base.partition
 
@@ -779,6 +773,10 @@ def _splitting_pieces(g):
             # lam / max(nb, lam) is 1 exactly on the blocks inside the ball
             return p * (lam / np.maximum(part.norms(p), lam))[part.block_of]
         return K, proj
+    for i, p in enumerate(g.parts if isinstance(g, SumGauge) else ()):
+        if _atom_blocks(p) is None:
+            raise UnsupportedGaugeError(f"part {i} ({type(p).__name__}) of "
+                                        "the sum has no atom blocks")
     raise UnsupportedGaugeError(f"no splitting for {type(g).__name__}")
 
 
@@ -844,10 +842,10 @@ def solve_noiseless(Phi, y, g, opts=None):
 
     The one LP of ``_noiseless_lp`` solves every gauge with atom blocks
     (``_atom_blocks``: L1, Linf, the positive-part max, their
-    pre-compositions such as tv and PolyhedralH, and sums of these); other
-    gauges run Chambolle-Pock with the affine constraint enforced by
-    projection, and a sum with an L2 or group part raises
-    ``UnsupportedGaugeError``.
+    pre-compositions such as tv and PolyhedralH, and sums of these); norm
+    blocks, plain or pre-composed, run Chambolle-Pock with the affine
+    constraint enforced by projection, and a sum with a norm-block part
+    raises ``UnsupportedGaugeError`` naming that part.
     """
     Phi, y, _ = check_problem(Phi, y, dim=g.dim)
     opts = opts or SolveOptions()
@@ -936,12 +934,12 @@ def solve_restricted(Phi, y, lam, md, opts=None):
     residual, as on a wrong model, whose minimizer over T wants an active
     block to vanish.  It then returns its last iterate, and ``converged``
     says whether that iterate's residual already met ``opts.tol``; on a
-    wrong model it has not.  A sum or pre-composition with an L2 or group
-    part raises ``UnsupportedGaugeError``: e varies there too.
+    wrong model it has not.  A sum or pre-composition with a group part
+    raises ``UnsupportedGaugeError``: e varies there too.
     """
     Phi, y, _ = check_problem(Phi, y, dim=md.ambient_dim, lam=lam)
     opts = opts or SolveOptions()
-    if isinstance(md.gauge, (GroupL1L2, L2)):
+    if isinstance(md.gauge, GroupL1L2):
         return _group_newton(Phi, y, lam, md, opts.tol)
     if _atom_blocks(md.gauge) is None:
         raise UnsupportedGaugeError("no restricted solve over a sum or "
@@ -969,14 +967,12 @@ def _group_newton(Phi, y, lam, md, tol, max_iter=50):
     passes; a step that has to be damped further comes from a wrong model,
     whose minimizer over T wants an active block to vanish, where more
     steps, each with an ``eigh``, would not converge.  ``owner`` is the
-    block of each column of U (one block for L2), so block norms are one
-    ``bincount``."""
+    block of each column of U, so block norms are one ``bincount``."""
     U = md.T.basis
     M = Phi @ U
     G = M.T @ M
     Mty = M.T @ y
-    owner = (np.zeros(U.shape[1], dtype=np.intp) if isinstance(md.gauge, L2)
-             else md.gauge.partition.block_of[np.argmax(U != 0.0, axis=0)])
+    owner = md.gauge.partition.block_of[np.argmax(U != 0.0, axis=0)]
     same = owner[:, None] == owner[None, :]
 
     def col_norms(c):

@@ -10,9 +10,9 @@ from gaugerec.linalg import (Subspace, project, svd_pinv,
                              power_operator_norm, operator_bound, OperatorBound,
                              NoBoundRouteError, DimensionMismatchError)
 from gaugerec.gauges import (L1, L2, Linf, Precomposed, MaxGauge, SumGauge,
-                             BlockPartition, PositivePartMax)
-from gaugerec.model import (GroupLinf2, SubdiffGauge, decompose_l1,
-                            decompose_linf)
+                             BlockPartition, PositivePartMax, GroupL1L2)
+from gaugerec.model import (GroupLinf2, SubdiffGauge, decompose,
+                            decompose_l1, decompose_linf, tv1d_gauge)
 from gaugerec.polytopes import Polytope
 
 from conftest import random_subspace
@@ -539,6 +539,24 @@ class TestMaxAbsClosedForms:
                     ref = np.max(np.linalg.norm(M[rows], axis=1))
                     assert b.method == OperatorBound.EXACT_CLOSED_FORM
                     assert abs(b.value - ref) <= 1e-14 * ref
+
+    def test_a_euclidean_image_off_s_is_infinite(self):
+        # every column of A leaves S, where antig is +inf; the closed forms
+        # read only the rows on S and gave 1.76 and 0.83
+        A = np.random.default_rng(0).standard_normal((4, 3))
+        md = decompose_l1(np.array([1.0, 0.0, 0.0, 2.0]))[0]
+        tv = decompose(tv1d_gauge(5), np.array([1.0, 1.0, 2.0, 2.0, 2.0]))
+        B = np.random.default_rng(1).standard_normal((5, 3))
+        group = decompose(GroupL1L2(BlockPartition([[0, 1], [2, 3]], 4)),
+                          np.array([1.0, 2.0, 0.0, 0.0]))
+        for M, g_out in ((A, md.antig), (B, tv.antig), (A, group.antig)):
+            assert np.isinf(g_out.values(M.T)).all()
+            b = operator_bound(M, L2(3), g_out)
+            assert (b.value, b.method) == (np.inf,
+                                           OperatorBound.EXACT_CLOSED_FORM)
+        # an image on S, with a row of round-off off a tilted S, stays finite
+        Bs = tv.S.project(B)
+        assert np.isfinite(operator_bound(Bs, L2(3), tv.antig).value)
 
     def test_any_support_atoms_on_a_coordinate_s(self, rng):
         # the closed form is max_j ||(A^T w_j)_D||_1 for any atoms w_j, not

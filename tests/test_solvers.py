@@ -16,7 +16,7 @@ from gaugerec import solvers
 from gaugerec.solvers import (solve_penalized, solve_noiseless,
                               solve_restricted, SolveOptions)
 
-from conftest import random_l1_instance
+from conftest import random_l1_instance, tie_heavy_instance, active_set_solve
 
 
 class TestPenalized:
@@ -86,7 +86,7 @@ class TestPenalized:
         Phi, x0 = random_l1_instance(88, 18, 9, 4)
         y = Phi @ x0 + 0.1 * rng.standard_normal(9)
         r1 = solve_penalized(Phi, y, 0.25, L1(18), SolveOptions(tol=1e-10))
-        r2 = _active_set_solve(Phi, y, 0.25, Precomposed(L1(18), np.eye(18)),
+        r2 = active_set_solve(Phi, y, 0.25, Precomposed(L1(18), np.eye(18)),
                                SolveOptions(tol=1e-10))
         assert r1.converged and r2.converged
         assert (r1.method, r2.method) == ("path", "active-set")
@@ -94,7 +94,8 @@ class TestPenalized:
             <= 1e-6 * (1.0 + np.linalg.norm(y))
 
     def test_unsupported_route(self):
-        with pytest.raises(UnsupportedGaugeError):
+        with pytest.raises(UnsupportedGaugeError,
+                           match=r"part 1 \(L2\) of the sum has no atom"):
             solve_penalized(np.eye(3), np.ones(3), 1.0,
                             SumGauge([L1(3), L2(3)]))
 
@@ -115,16 +116,17 @@ class TestPenalized:
 
     @pytest.mark.parametrize("analysis", [False, True])
     @pytest.mark.parametrize("lam", [0.1, 50.0])
-    def test_pd_route_on_euclidean_norms(self, analysis, lam):
-        # the Euclidean norm has a model decomposition (smooth off 0), so
-        # Chambolle-Pock stops on the first-order conditions, not at
-        # max_iter with infinite residuals
-        from gaugerec.gauges import L2
+    def test_euclidean_norms_take_fista_or_pd(self, analysis, lam):
+        # L2 is a one-block group, so FISTA solves it; pre-composed, it
+        # takes Chambolle-Pock.  Both stop on the first-order conditions at
+        # the iterate's model (smooth off 0), not at max_iter with
+        # infinite residuals
         r = np.random.default_rng(3)
         Phi = r.standard_normal((5, 8))
         y = Phi @ r.standard_normal(8)
         g = Precomposed(L2(7), tv1d_gauge(8).dstar) if analysis else L2(8)
         res = solve_penalized(Phi, y, lam, g, SolveOptions(max_iter=20000))
+        assert res.method == ("pd" if analysis else "fista")
         assert res.converged and res.iterations < 20000
         md = decompose(g, res.x_hat)
         assert check_noisy_optimality(Phi, y, lam, res.x_hat, md=md,
@@ -290,7 +292,7 @@ class TestInputChecks:
         poly = PolyhedralH(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0],
                                      [0.0, 0.0, 1.0]]))
         g, what = {
-            "l1": (L1(3), r"\|\|Phi\|\|\^2 is"),
+            "l1": (L1(3), r"\|\|Phi\|\|\^2 or Phi\^T y"),
             "linf": (Linf(3), r"\|\|Phi\|\|\^2 or Phi\^T y"),
             "group": (GroupL1L2(BlockPartition([[0], [1, 2]], 3)),
                       r"\|\|Phi\|\|\^2 is"),
@@ -304,7 +306,8 @@ class TestInputChecks:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("row, g, what", [
-        ([1.0, 1.0, 1.0], L1(3), "the FISTA step"),
+        ([1.0, 1.0, 1.0], GroupL1L2(BlockPartition([[0], [1, 2]], 3)),
+         "the FISTA step"),
         ([1.0, 1.0, 1.0], Precomposed(L2(2), tv1d_gauge(3).dstar),
          "the least-squares prox"),
         ([0.0, 1.0, 1.0], Precomposed(L2(2), tv1d_gauge(3).dstar),
@@ -318,7 +321,8 @@ class TestInputChecks:
                                                 [0.0, 1.0, -1.0],
                                                 [0.0, 0.0, 1.0]])),
          "A x at the active set's end point"),
-        ([1.0, 1.0, 1.0], tv1d_gauge(3), r"\|\|Phi\|\|\^2 or Phi\^T y")])
+        ([1.0, 1.0, 1.0], tv1d_gauge(3), r"\|\|Phi\|\|\^2 or Phi\^T y"),
+        ([1.0, 1.0, 1.0], L1(3), r"\|\|Phi\|\|\^2 or Phi\^T y")])
     def test_a_y_at_the_edge_of_the_range_is_a_solver_error(self, row, g,
                                                             what):
         # the fifth of these used to end in check_finite's "x contains NaN",
@@ -520,23 +524,6 @@ class TestPolyTail:
                                       eq_tol=1e-6) != "not_optimal"
 
 
-def _tie_heavy_instance(seed):
-    """(Phi, y, lam): integer Phi and y with entries in -3..3, of shape
-    2x3 or 3x5, and lam in {0.1, 0.5, 1}."""
-    r = np.random.default_rng([seed, 36])
-    q, n = [(2, 3), (3, 5)][seed % 2]
-    return r.integers(-3, 4, (q, n)).astype(float), \
-        r.integers(-3, 4, q).astype(float), [0.1, 0.5, 1.0][(seed // 2) % 3]
-
-
-def _active_set_solve(Phi, y, lam, g, opts):
-    """The active set on g's atom blocks, as solve_penalized returns it."""
-    x, iterations = solvers._active_set(Phi, y, lam, *solvers._atom_blocks(g),
-                                        opts)
-    return solvers._tested(Phi, y, lam, g, x, iterations, opts.tol,
-                           "active-set")
-
-
 class TestActiveSet:
     @pytest.mark.parametrize("shape, seeds", [
         (None, range(40)), ((12, 8), range(20)), ((6, 15), range(20))])
@@ -545,7 +532,7 @@ class TestActiveSet:
         for seed in seeds:
             Phi, y, lam = _max_abs_instance(shape, seed)
             g = Linf(Phi.shape[1])
-            res = _active_set_solve(Phi, y, lam, g, SolveOptions())
+            res = active_set_solve(Phi, y, lam, g, SolveOptions())
             assert res.converged
             path = solvers._homotopy(Phi, y, lam, 10000, solvers._MaxAbsModel)
             assert np.abs(res.x_hat - path.x_at(lam)).max() <= 1e-10
@@ -605,7 +592,7 @@ class TestActiveSet:
         # points that fail the test), the active set certifies the solve
         fell = 0
         for seed in range(1200):
-            Phi, y, lam = _tie_heavy_instance(seed)
+            Phi, y, lam = tie_heavy_instance(seed)
             g = Linf(Phi.shape[1])
             if solvers._path_solve(Phi, y, lam, g, solvers._MaxAbsModel,
                                    SolveOptions()) is not None:
@@ -649,7 +636,7 @@ class TestReducedL1Path:
             Phi, y, lam, g = _analysis_l1_instance(kind, seed)
             res = solve_penalized(Phi, y, lam, g, SolveOptions(tol=1e-8))
             assert res.converged and res.method == "path"
-            ref = _active_set_solve(Phi, y, lam, g, SolveOptions(tol=1e-8))
+            ref = active_set_solve(Phi, y, lam, g, SolveOptions(tol=1e-8))
             assert ref.converged
             assert np.abs(res.x_hat - ref.x_hat).max() <= 1e-10
 
@@ -664,7 +651,7 @@ class TestReducedL1Path:
         events = solve_penalized(Phi, y, lam, g).iterations
         opts = SolveOptions(max_iter=events - 1)
         res = solve_penalized(Phi, y, lam, g, opts)
-        ref = _active_set_solve(Phi, y, lam, g, opts)
+        ref = active_set_solve(Phi, y, lam, g, opts)
         assert (res.method, res.iterations) == ("active-set", ref.iterations)
         assert np.array_equal(res.x_hat, ref.x_hat)
 
@@ -802,7 +789,7 @@ class _PathTwins:
 
 class TestLassoPath(_PathTwins):
     GAUGE, MODEL = L1, solvers._L1Model
-    BACKSTOP, backstop = "fista", staticmethod(solvers._fista)
+    BACKSTOP, backstop = "active-set", staticmethod(active_set_solve)
     instance = staticmethod(_path_instance)
 
     @staticmethod
@@ -943,7 +930,7 @@ class TestLassoPath(_PathTwins):
 
 class TestMaxAbsPath(_PathTwins):
     GAUGE, MODEL = Linf, solvers._MaxAbsModel
-    BACKSTOP, backstop = "active-set", staticmethod(_active_set_solve)
+    BACKSTOP, backstop = "active-set", staticmethod(active_set_solve)
     instance = staticmethod(_max_abs_instance)
 
     @staticmethod
@@ -1273,7 +1260,8 @@ class TestPolyhedralSums:
     def test_a_sum_with_an_l2_part_is_unsupported(self):
         Phi = np.random.default_rng(43).standard_normal((2, 3))
         g = SumGauge([L1(3), L2(3)])
-        with pytest.raises(UnsupportedGaugeError):
+        with pytest.raises(UnsupportedGaugeError,
+                           match=r"part 1 \(L2\) of the sum has no atom"):
             solve_noiseless(Phi, Phi @ np.ones(3), g)
 
 
