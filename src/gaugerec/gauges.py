@@ -2,17 +2,20 @@
 
 Every gauge here is nonnegative, positively homogeneous and sublinear.
 Kinds with closed-form polars (l1 <-> linf, group l1-l2 <-> blockwise
-linf-l2, the positive-part max) use them; precomposed kinds fall back to
-linear programs.  A polyhedral H-gauge ``PolyhedralH(H)`` is the
-positive-part max ``u -> max_i (u_i)_+`` pre-composed with H^T, so it is a
-``Precomposed`` and shares its code; the Euclidean norm ``L2(n)`` is a
-``GroupL1L2`` of one block.  A base with support atoms, a max of linear
-functionals (Linf and the positive-part max), gives a ``Precomposed`` its
-polar LP and its kernel cone.  ``ball_vertices`` / ``kernel_directions``
-/ ``support_atoms`` feed the operator-bound machinery in
-:mod:`gaugerec.linalg`.  Unit balls are enumerated from an H-rep by
-``_section_vertices``, which also derives the ball of a support-form
-subdifferential gauge (its atoms are the normals) in :mod:`gaugerec.model`.
+linf-l2, the positive-part max, a base without support atoms pre-composed
+with an injective D) use them.  Every other polyhedral gauge, sums
+included, takes one LP over its blocks of atoms (``_atom_blocks``, which
+the solvers read too) at any size.  A polyhedral H-gauge
+``PolyhedralH(H)`` is the positive-part max ``u -> max_i (u_i)_+``
+pre-composed with H^T, so it is a ``Precomposed`` and shares its code; the
+Euclidean norm ``L2(n)`` is a ``GroupL1L2`` of one block.  A base with
+support atoms, a max of linear functionals (Linf and the positive-part
+max), gives a ``Precomposed`` its kernel cone.  ``ball_vertices`` /
+``kernel_directions`` / ``support_atoms`` feed the operator-bound
+machinery in :mod:`gaugerec.linalg`.  Unit balls are enumerated from an
+H-rep by ``_section_vertices``, which also derives the ball of a
+support-form subdifferential gauge (its atoms are the normals) in
+:mod:`gaugerec.model`.
 The group kind evaluates, proxes and projects in one vectorised pass over
 the flattened block index that ``BlockPartition`` builds once.
 ``values(X)`` evaluates a gauge on every row of X in one pass and is the
@@ -26,9 +29,8 @@ import functools
 import numpy as np
 
 from .linalg import check_finite, null_space, svd_pinv, _sign_rows
-from .lp import (LpProblem, LpNumericalError, lp_solve, lp_min_max,
-                 lp_minimize_linf, OPTIMAL, UNBOUNDED)
-from .polytopes import Polytope, PolytopeError, MAX_ENUM_DIM, _split_rows
+from .lp import LpNumericalError, lp_min_halfspaces, OPTIMAL, UNBOUNDED
+from .polytopes import Polytope, PolytopeError, MAX_ENUM_DIM
 
 SIGN_VERTEX_LIMIT = 16  # 2^k vertex enumerations are refused beyond this
 
@@ -368,36 +370,19 @@ class Precomposed(Gauge):
         return self.base.values(check_rows(X, self.dim) @ self._d)
 
     def polar(self, u):
-        """Gauge of the image under D of the base polar ball.  Over a base
-        with support atoms A (Linf, or the positive-part max as in
-        ``PolyhedralH``) the polar is the support function of the unit ball
-        {x : A D* x <= 1}, one LP in x, and +inf where that LP is
-        unbounded; over an l1 base it is an LP over Ker D."""
+        """Gauge of the image under D of the base polar ball: +inf off
+        range(D), and base polar(D^+ u) on it when the base has no support
+        atoms and D is injective (tv, a group base); otherwise the LP over
+        the atom blocks (``_blocks_polar``)."""
         u = self._check(u)
-        atoms = self.base.support_atoms()
-        if atoms is not None:
-            res = lp_solve(LpProblem(-u, a_ub=atoms @ self.dstar,
-                                     b_ub=np.ones(len(atoms)),
-                                     bounds=[(None, None)] * self.dim))
-            if res.status == UNBOUNDED:
+        if self.base.support_atoms() is None:
+            q = self._d_pinv @ u
+            if np.linalg.norm(self._d @ q - u) > \
+                    1e-9 * (1.0 + np.linalg.norm(u)):
                 return np.inf
-            if res.status != OPTIMAL:
-                # x = 0 is feasible: anything else is numerical trouble
-                raise LpNumericalError(
-                    f"Precomposed polar LP ended with status {res.status}")
-            return -float(res.value)
-        q = self._d_pinv @ u
-        if np.linalg.norm(self._d @ q - u) > 1e-9 * (1.0 + np.linalg.norm(u)):
-            return np.inf
-        Z = self._d_null
-        if Z.shape[1] == 0:
-            return self.base.polar(q)
-        if isinstance(self.base, L1):
-            val, _ = lp_minimize_linf(Z, q)
-            return val
-        raise UnsupportedGaugeError(
-            f"polar of Precomposed({type(self.base).__name__}) with a "
-            "nontrivial kernel is not supported")
+            if self._d_null.shape[1] == 0:
+                return self.base.polar(q)
+        return _blocks_polar(self, u)
 
     def _ball_halfspaces(self):
         hrep = self.base._ball_halfspaces()
@@ -455,38 +440,8 @@ class SumGauge(Gauge):
         return sum(g.values(X) for g in self.parts)
 
     def polar(self, u):
-        """inf over splits of max of part polars (LP for polytopal parts)."""
-        u = self._check(u)
-        # polar ball of the sum = Minkowski sum of the part polar balls, so
-        # the polar is their Minkowski gauge at u; a part polar is
-        # max_v <v, z> over the part's ball vertices v
-        verts = [g.ball_vertices() for g in self.parts]
-        if any(v is None for v in verts):
-            raise UnsupportedGaugeError(
-                "polar of a sum needs the ball vertices of its parts")
-        parts = [(v, np.ones(len(v))) for v in verts]
-        res = lp_min_max(*_split_rows(parts, u))
-        if res.status != OPTIMAL:
-            # feasible and bounded below by 0: numerical trouble
-            raise LpNumericalError(
-                f"sum polar LP ended with status {res.status}")
-        return float(res.value)
-
-    def _ball_halfspaces(self):
-        # {x: sum of gauges <= 1}: pairwise-summed scaled normals, as in the
-        # inverse-sum construction
-        hreps = [g._ball_halfspaces() for g in self.parts]
-        if any(h is None for h in hreps):
-            return None
-        scaled = []
-        for normals, offsets in hreps:
-            if np.min(offsets) <= 1e-12:
-                return None
-            scaled.append(normals / offsets[:, None])
-        acc = scaled[0]
-        for nxt in scaled[1:]:
-            acc = (acc[:, None, :] + nxt[None, :, :]).reshape(-1, self.dim)
-        return acc, np.ones(len(acc))
+        """The LP over the parts' joined atom blocks (``_blocks_polar``)."""
+        return _blocks_polar(self, self._check(u))
 
     def kernel_directions(self, domain=None):
         outs = [g.kernel_directions() for g in self.parts]
@@ -521,6 +476,56 @@ class MaxGauge(Gauge):
         if all(len(o) == 0 for o in outs):
             return _restrict_directions(np.zeros((0, self.dim)), domain)
         raise UnsupportedGaugeError("kernel of a max with non-coercive parts")
+
+
+def _atom_blocks(g):
+    """(A, block) with J(x) = sum_k max(0, max_j <a_j, x>), a_j the rows of
+    A and k = block[j] their blocks, 0 to m - 1: the blocks {e_i, -e_i} for
+    L1, one block of the support atoms for a gauge that has them, the
+    base's blocks times D* for a pre-composition, and the parts' blocks
+    joined for a sum, each part's block ids offset by the blocks before it;
+    None where a part has none of these."""
+    if isinstance(g, L1):
+        eye = np.eye(g.dim)
+        return np.vstack([eye, -eye]), np.tile(np.arange(g.dim), 2)
+    atoms = g.support_atoms()
+    if atoms is not None:
+        return atoms, np.zeros(len(atoms), int)
+    if isinstance(g, Precomposed):
+        blocks = _atom_blocks(g.base)
+        return None if blocks is None else (blocks[0] @ g.dstar, blocks[1])
+    if not isinstance(g, SumGauge):
+        return None
+    parts = [_atom_blocks(p) for p in g.parts]
+    if any(p is None for p in parts):
+        return None
+    offsets = np.cumsum([0] + [block.max() + 1 for _, block in parts[:-1]])
+    return (np.vstack([A for A, _ in parts]),
+            np.concatenate([b + o for (_, b), o in zip(parts, offsets)]))
+
+
+def _blocks_polar(g, u):
+    """sup <u, x> over the unit ball of g, from its atom blocks (A, block):
+    one LP in (x, t), A x <= t_block, sum(t) <= 1, t >= 0, and +inf where
+    it is unbounded.  u is not scaled, so the simplex's absolute cost
+    tolerance reads a u within round-off of range(D) as on it."""
+    blocks = _atom_blocks(g)
+    if blocks is None:
+        raise UnsupportedGaugeError(
+            f"polar of {type(g).__name__}: a part or base has no atom blocks")
+    A, block = blocks
+    m = int(block.max(initial=0)) + 1
+    a_ub = np.vstack([np.hstack([A, -np.eye(m)[block]]),
+                      np.append(np.zeros(g.dim), np.ones(m))])
+    res = lp_min_halfspaces(np.append(-u, np.zeros(m)), a_ub,
+                            np.append(np.zeros(len(A)), 1.0),
+                            bounds=[(None, None)] * g.dim + [(0, None)] * m)
+    if res.status == UNBOUNDED:
+        return np.inf
+    if res.status != OPTIMAL:
+        # (x, t) = 0 is feasible: anything else is numerical trouble
+        raise LpNumericalError(f"polar LP ended with status {res.status}")
+    return -float(res.value)
 
 
 def _descending_threshold(u, radius):

@@ -39,10 +39,12 @@ sum_k max(0, max_{j in k} (h_j + (G w)_j) / b_j) over blocks k of rows,
 with b_j the offset of row j: 1 for a support atom, a facet offset for an
 H-rep, 0 for a hard row.  ``solvers._noiseless_lp`` passes the blocks of
 atoms of a polyhedral gauge; its other callers, the lifted
-``model.SubdiffGauge``, ``gauges.SumGauge.polar``,
-``polytopes.minkowski_sum_gauge``, ``polytopes.linear_image_gauge``,
-``cli._cone_sum_gauge`` and the Chebyshev problem of ``lp_minimize_linf``,
-take one block.
+``model.SubdiffGauge``, ``polytopes.minkowski_sum_gauge``,
+``polytopes.linear_image_gauge``, ``cli._cone_sum_gauge`` and the
+Chebyshev problem of ``lp_minimize_linf``, take one block.
+``gauges._blocks_polar``, the polar over the blocks of atoms, calls
+``lp_min_halfspaces`` itself.  ``lp_minimize_linf`` has no caller in the
+library; it stays as the tests' reference for the Chebyshev problem.
 """
 
 import math

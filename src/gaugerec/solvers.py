@@ -19,7 +19,8 @@ route exits on; where the path cannot go on or its end point fails the
 test, the active set runs on its atom blocks as it does alone.
 
 Every other polyhedral gauge is a sum of blocks of atoms,
-J(x) = sum_k max(0, max_j <a_j, x>), read by ``_atom_blocks``: the blocks
+J(x) = sum_k max(0, max_j <a_j, x>), read by ``gauges._atom_blocks``
+(which also gives every such gauge its polar LP): the blocks
 {e_i, -e_i} of L1, one block of support atoms (Linf and the positive-part
 max), a base's blocks times D* for a pre-composition, and the parts'
 blocks joined for a sum of such parts.  A primal active-set method
@@ -76,7 +77,7 @@ from .linalg import (check_problem, null_space, svd_pinv, pinv_and_rank,
                      RankedSvd, _scipy_linalg, EPS, RANK_TOL_FACTOR)
 from .lp import lp_min_max, OPTIMAL
 from .gauges import (L1, Linf, GroupL1L2, Precomposed, SumGauge,
-                     UnsupportedGaugeError)
+                     UnsupportedGaugeError, _atom_blocks)
 from . import model as model_mod
 from . import certificates as cert_mod
 
@@ -730,32 +731,6 @@ def _polish(Phi, y, lam, g, md, tol):
     if eq <= tol and slack <= tol:
         return cand, eq, slack
     return None
-
-
-def _atom_blocks(g):
-    """(A, block) with J(x) = sum_k max(0, max_j <a_j, x>), a_j the rows of
-    A and k = block[j] their blocks, 0 to m - 1: the blocks {e_i, -e_i} for
-    L1, one block of the support atoms for a gauge that has them, the
-    base's blocks times D* for a pre-composition, and the parts' blocks
-    joined for a sum, each part's block ids offset by the blocks before it;
-    None where a part has none of these."""
-    if isinstance(g, L1):
-        eye = np.eye(g.dim)
-        return np.vstack([eye, -eye]), np.tile(np.arange(g.dim), 2)
-    atoms = g.support_atoms()
-    if atoms is not None:
-        return atoms, np.zeros(len(atoms), int)
-    if isinstance(g, Precomposed):
-        blocks = _atom_blocks(g.base)
-        return None if blocks is None else (blocks[0] @ g.dstar, blocks[1])
-    if not isinstance(g, SumGauge):
-        return None
-    parts = [_atom_blocks(p) for p in g.parts]
-    if any(p is None for p in parts):
-        return None
-    offsets = np.cumsum([0] + [block.max() + 1 for _, block in parts[:-1]])
-    return (np.vstack([A for A, _ in parts]),
-            np.concatenate([b + o for (_, b), o in zip(parts, offsets)]))
 
 
 def _splitting_pieces(g):

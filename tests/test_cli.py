@@ -245,8 +245,8 @@ class TestSolve:
         # evaluates the polar, one LP
         from gaugerec import gauges
         from gaugerec.lp import LpResult, INFEASIBLE
-        monkeypatch.setattr(gauges, "lp_solve",
-                            lambda prob: LpResult(INFEASIBLE))
+        monkeypatch.setattr(gauges, "lp_min_halfspaces",
+                            lambda *args, **kw: LpResult(INFEASIBLE))
         code, out, err = run_cli(capsys, "solve", "--mode", "penalized",
                                  "--reg", "polyhedral",
                                  "--hmat", "[[1,0,-1],[0,1,-1],[0,0,1]]",

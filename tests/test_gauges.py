@@ -131,11 +131,11 @@ class TestPolar:
         u = rng.standard_normal(4)
         for base in (Linf(6), PositivePartMax(6)):
             g = Precomposed(base, rng.standard_normal((6, 4)))
-            monkeypatch.setattr(gauges_mod, "lp_solve",
-                                lambda prob: LpResult(UNBOUNDED))
+            monkeypatch.setattr(gauges_mod, "lp_min_halfspaces",
+                                lambda *args, **kw: LpResult(UNBOUNDED))
             assert g.polar(u) == np.inf
-            monkeypatch.setattr(gauges_mod, "lp_solve",
-                                lambda prob: LpResult(INFEASIBLE))
+            monkeypatch.setattr(gauges_mod, "lp_min_halfspaces",
+                                lambda *args, **kw: LpResult(INFEASIBLE))
             with pytest.raises(LpNumericalError):
                 g.polar(u)
 
@@ -160,9 +160,9 @@ class TestPolar:
         assert finite >= 20
 
     def test_sum_polar_nonoptimal_lp_raises(self, monkeypatch):
-        # the split LP is feasible and bounded below by 0
-        monkeypatch.setattr(gauges_mod, "lp_min_max",
-                            lambda h, G, b: LpResult(INFEASIBLE))
+        # the polar LP is feasible at (x, t) = 0
+        monkeypatch.setattr(gauges_mod, "lp_min_halfspaces",
+                            lambda *args, **kw: LpResult(INFEASIBLE))
         with pytest.raises(LpNumericalError):
             SumGauge([L1(3), Linf(3)]).polar(np.ones(3))
 
@@ -188,7 +188,7 @@ class TestPolar:
             assert abs(g.polar(u) - brute) <= 3e-3 * (1.0 + abs(brute))
 
     def test_nested_sum_polar_equals_the_flat_sum(self, rng):
-        # the inner sum's ball vertices come from its _ball_halfspaces
+        # the inner sum's atom blocks are joined into the outer sum's
         nested = SumGauge([SumGauge([L1(3), Linf(3)]), L1(3)])
         flat = SumGauge([L1(3), Linf(3), L1(3)])
         for _ in range(10):
@@ -239,6 +239,87 @@ class TestPolar:
             for _ in range(50):
                 x = rng.standard_normal(4)
                 assert abs(g.value(x) - gp.polar(x)) <= 1e-9 * (1 + g.value(x))
+
+
+def _highs_polar(blocks, u):
+    """sup <u, x> over {x : sum_k max(0, max_j <a_j, x>) <= 1}, the atoms
+    a_j of block k the rows of blocks[k], as the epigraph LP in (x, t):
+    a_j x <= t_k, sum(t) <= 1, t >= 0, solved by scipy's HiGHS."""
+    from scipy.optimize import linprog
+    n, m = len(u), len(blocks)
+    rows = [np.hstack([B, np.tile(-np.eye(m)[k], (len(B), 1))])
+            for k, B in enumerate(blocks)]
+    a_ub = np.vstack(rows + [np.append(np.zeros(n), np.ones(m))])
+    b_ub = np.append(np.zeros(len(a_ub) - 1), 1.0)
+    res = linprog(np.append(-u, np.zeros(m)), A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * n + [(0, None)] * m,
+                  method="highs")
+    if res.status == 3:
+        return np.inf
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _signed(rows):
+    """The blocks {r, -r}, one per row r."""
+    return [np.vstack([r, -r]) for r in rows]
+
+
+class TestPolarOverAtomBlocks:
+    # the polar of a sum, and of a pre-composition without a closed form,
+    # is one LP over the gauge's atom blocks at any size; here n = 12, past
+    # vertex enumeration, and tv's ball is unbounded
+    N = 12
+
+    def _instances(self, rng):
+        """(gauge, its atom blocks written out by hand)."""
+        n = self.N
+        eye = np.eye(n)
+        tv = tv1d_gauge(n).dstar
+        H = rng.standard_normal((n, 14))
+        R = rng.standard_normal((6, n))
+        S = rng.standard_normal((7, n))
+        l1 = _signed(eye)
+        return [
+            (SumGauge([L1(n), tv1d_gauge(n)]), l1 + _signed(tv)),
+            (SumGauge([L1(n), PolyhedralH(H)]), l1 + [H.T]),
+            (SumGauge([Linf(n), tv1d_gauge(n)]),
+             [np.vstack([eye, -eye])] + _signed(tv)),
+            (SumGauge([tv1d_gauge(n), PolyhedralH(H)]), _signed(tv) + [H.T]),
+            (Precomposed(L1(2 * n - 1), np.vstack([eye, tv])),
+             _signed(np.vstack([eye, tv]))),
+            (Precomposed(L1(7), S), _signed(S)),
+            (Precomposed(Linf(6), R), [np.vstack([R, -R])]),
+            (PolyhedralH(H), [H.T]),
+        ]
+
+    def test_matches_highs(self, rng):
+        finite = infinite = 0
+        for g, blocks in self._instances(rng):
+            atoms = np.vstack(blocks)
+            # random directions, and nonnegative combinations of the atoms,
+            # where the polar is finite
+            us = np.vstack([rng.standard_normal((4, self.N)),
+                            rng.uniform(0.0, 1.0, (4, len(atoms))) @ atoms])
+            for u in us:
+                want, got = _highs_polar(blocks, u), g.polar(u)
+                if np.isinf(want):
+                    assert got == np.inf
+                    infinite += 1
+                else:
+                    assert abs(got - want) <= 1e-9 * abs(want)
+                    finite += 1
+        assert finite >= 32 and infinite >= 8
+
+    def test_tv_keeps_its_closed_form(self, rng, monkeypatch):
+        # an l1 base with an injective D reads no LP
+        def refuse(*args, **kw):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(gauges_mod, "lp_min_halfspaces", refuse)
+        u = rng.standard_normal(self.N)
+        u -= u.mean()
+        assert np.isfinite(tv1d_gauge(self.N).polar(u))
 
 
 class TestProx:

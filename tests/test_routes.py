@@ -2,12 +2,14 @@
 problem, both must pass the first-order test and reach one objective.  A
 disagreement is a defect in one of them, with no tolerance to tune."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from gaugerec import solvers
 from gaugerec.gauges import L1, L2, Linf, GroupL1L2, BlockPartition, \
-    Precomposed
+    Precomposed, PolyhedralH, SumGauge
 from gaugerec.model import tv1d_gauge
 from gaugerec.solvers import solve_penalized, SolveOptions
 
@@ -64,3 +66,43 @@ def test_euclidean_norm_routes_agree(seed, lam):
     assert _relative_gap(solvers._objective(Phi, y, lam, group, pd.x_hat),
                          solvers._objective(Phi, y, lam, group, l2.x_hat)) \
         <= 1e-9
+
+
+def _fused_lasso_pair(n):
+    """L1 + tv, and the same gauge as the l1 norm of (x, D* x)."""
+    tv = tv1d_gauge(n)
+    return (SumGauge([L1(n), tv]),
+            Precomposed(L1(2 * n - 1), np.vstack([np.eye(n), tv.dstar])))
+
+
+def _l1_plus_linf_pair(n):
+    """L1 + Linf, and the same gauge as one PolyhedralH whose columns are
+    the sums of an atom of each part: a sign vector and a +-e_i."""
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+    eye = np.eye(n)
+    H = (signs[:, None, :] + np.vstack([eye, -eye])[None]).reshape(-1, n).T
+    return SumGauge([L1(n), Linf(n)]), PolyhedralH(H)
+
+
+SUM_PAIRS = {"fused": _fused_lasso_pair, "l1+linf": _l1_plus_linf_pair}
+SUM_SWEEP = range(80)
+
+
+@pytest.mark.parametrize("kind", sorted(SUM_PAIRS))
+def test_a_sum_and_its_one_gauge_form_agree(kind):
+    # the sum's joined atom blocks against the same gauge written as one
+    # pre-composition or one PolyhedralH: the same polar, and the same
+    # objective at the instance's lam and above lam_max, where the
+    # first-order test at x = 0 reads the polar
+    for seed in SUM_SWEEP:
+        Phi, y, lam = tie_heavy_instance(seed)
+        g, one = SUM_PAIRS[kind](Phi.shape[1])
+        polar = one.polar(Phi.T @ y)
+        assert _relative_gap(g.polar(Phi.T @ y), polar) <= 1e-12, seed
+        for lam in ([lam, 1.5 * polar] if polar > 0 else [lam]):
+            res = solve_penalized(Phi, y, lam, g)
+            ref = solve_penalized(Phi, y, lam, one)
+            assert res.converged and ref.converged, (seed, lam)
+            assert _relative_gap(solvers._objective(Phi, y, lam, g, res.x_hat),
+                                 solvers._objective(Phi, y, lam, g, ref.x_hat)) \
+                <= 1e-9, (seed, lam)

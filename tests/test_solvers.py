@@ -1257,6 +1257,24 @@ class TestPolyhedralSums:
             res = solve_penalized(Phi, y, float(r.uniform(0.05, 0.5)), g)
             assert res.converged and res.method == "active-set", seed
 
+    @pytest.mark.parametrize("kind", ["l1+tv", "l1+poly"])
+    def test_above_lam_max_the_sum_converges_at_zero(self, kind):
+        # x = 0 passes the first-order test by the polar of the sum at
+        # Phi^T y / lam, at n = 12, past vertex enumeration
+        r = np.random.default_rng(47)
+        n = 12
+        Phi = r.standard_normal((8, n))
+        y = r.standard_normal(8)
+        second = (tv1d_gauge(n) if kind == "l1+tv"
+                  else PolyhedralH(r.standard_normal((n, 14))))
+        g = SumGauge([L1(n), second])
+        lam = 1.5 * g.polar(Phi.T @ y)
+        res = solve_penalized(Phi, y, lam, g)
+        assert res.method == "active-set" and res.converged
+        assert not np.any(res.x_hat)
+        assert check_noisy_optimality(Phi, y, lam, np.zeros(n), gauge=g) \
+            in ("unique_optimal", "optimal_maybe_nonunique")
+
     def test_a_sum_with_an_l2_part_is_unsupported(self):
         Phi = np.random.default_rng(43).standard_normal((2, 3))
         g = SumGauge([L1(3), L2(3)])
